@@ -27,8 +27,10 @@ from .decoherence import (
 from .determinants import (
     FirstOrderOp,
     Scheme,
+    SecondOrderOp,
     first_order_det_ratio,
     regularized_log_integral,
+    second_order_det_ratio,
     trace_log_rate,
 )
 from .fokker_planck import (
@@ -76,49 +78,97 @@ def _retarded_identity():
                 f"(bitwise), {elapsed:.2f}s")
 
 
-def _limit_values():
-    g, t_total = 2.0, 1.0
+def _case(name: str, computed, target, ok) -> dict:
+    return {"case": name, "computed": float(computed), "target": float(target),
+            "pass": bool(ok)}
 
+
+def _ratio_cases(g: float, t_total: float, n: int, seed: int) -> list[dict]:
+    """Sliced determinant ratios over n steps of [0, t_total] with friction g.
+
+    The coefficient is the constant g, or uniform on [-3, 3] from
+    derive_rng(seed) for the random retarded case. Retarded ratios must
+    equal 1 bitwise; advanced and midpoint ratios e^{g t} and e^{g t / 2}
+    within 1%.
+    """
+    dt = t_total / n
+    const = np.full(n + 1, g)
+    rand_c = derive_rng(seed).uniform(-3.0, 3.0, n + 1)
+    op2 = SecondOrderOp(const, np.full(n + 1, (0.2 * g) ** 2), dt)
+    adv, mid = math.exp(g * t_total), math.exp(g * t_total / 2.0)
+
+    def ratio(name, r, target, rel_tol):
+        # rel_tol = 0 demands r == target bitwise
+        return _case(name, r, target, abs(r / target - 1.0) <= rel_tol)
+
+    def first(c, scheme):
+        return first_order_det_ratio(FirstOrderOp(c, dt), scheme)
+
+    return [
+        ratio("first_order_retarded_const", first(const, Scheme.RETARDED), 1.0, 0.0),
+        ratio("first_order_retarded_random", first(rand_c, Scheme.RETARDED), 1.0, 0.0),
+        ratio("first_order_advanced", first(const, Scheme.ADVANCED), adv, 0.01),
+        ratio("first_order_midpoint", first(const, Scheme.MIDPOINT), mid, 0.01),
+        ratio("second_order_retarded", second_order_det_ratio(op2, Scheme.RETARDED),
+              1.0, 0.0),
+        ratio("second_order_advanced", second_order_det_ratio(op2, Scheme.ADVANCED),
+              adv, 0.01),
+        ratio("second_order_midpoint", second_order_det_ratio(op2, Scheme.MIDPOINT),
+              mid, 0.01),
+    ]
+
+
+def _rate_cases(g: float) -> list[dict]:
+    """Trace-log rate of a Drude symbol with cutoff 100 g (zero within 1e-3 g)
+    and the regularized log integral against (gamma - mu)/2 (within 1e-6)."""
+    omega_d = 100.0 * g
+    rate = trace_log_rate([1.0, 1j * omega_d, -g * omega_d], [1.0, 1j * omega_d])
+    cases = [_case("trace_log_drude_rate", rate, 0.0, abs(rate) < 1e-3 * g)]
+    for ga, mu in ((3.0, 1.0), (5.0, 1.0)):
+        val = regularized_log_integral(ga, mu)
+        target = (ga - mu) / 2.0
+        cases.append(_case(f"regularized_log_quadrature_{int(ga)}_{int(mu)}", val,
+                           target, abs(val - target) <= 1e-6))
+    return cases
+
+
+def det_cases(g: float, t_total: float, n: int, seed: int) -> list[dict]:
+    """The determinant identity table, one {case, computed, target, pass} each."""
+    return _ratio_cases(g, t_total, n, seed) + _rate_cases(g)
+
+
+def _rel_err(c: dict) -> float:
+    return abs(c["computed"] / c["target"] - 1.0)
+
+
+def _limit_values():
     def ratios(n):
-        dt = t_total / n
-        c = np.full(n + 1, g)
-        adv = first_order_det_ratio(FirstOrderOp(c, dt), Scheme.ADVANCED)
-        mid = first_order_det_ratio(FirstOrderOp(c, dt), Scheme.MIDPOINT)
-        return adv, mid
+        # g = 2, t = 1; the seed feeds only the random retarded case, unread here
+        cases = {c["case"]: c for c in _ratio_cases(2.0, 1.0, n, 1234)}
+        return cases["first_order_advanced"], cases["first_order_midpoint"]
 
     adv, mid = ratios(10000)
-    err_adv = abs(adv / math.exp(g * t_total) - 1.0)
-    err_mid = abs(mid / math.exp(g * t_total / 2.0) - 1.0)
-    ok_val = err_adv <= 0.01 and err_mid <= 0.01
+    ok_val = adv["pass"] and mid["pass"]
 
-    a1, m1 = ratios(1000)
-    a2, m2 = ratios(2000)
-    e_a1 = abs(a1 / math.exp(g) - 1.0)
-    e_a2 = abs(a2 / math.exp(g) - 1.0)
-    e_m1 = abs(m1 / math.exp(g / 2.0) - 1.0)
-    e_m2 = abs(m2 / math.exp(g / 2.0) - 1.0)
-    order_adv = math.log2(e_a1 / e_a2)
-    order_mid = math.log2(e_m1 / e_m2)
+    (a1, m1), (a2, m2) = ratios(1000), ratios(2000)
+    order_adv = math.log2(_rel_err(a1) / _rel_err(a2))
+    order_mid = math.log2(_rel_err(m1) / _rel_err(m2))
     ok_order = 0.8 <= order_adv <= 1.2 and 0.8 <= order_mid <= 1.2
 
     return ok_val and ok_order, (
-        f"rel errors {err_adv:.2e} (target e^2), {err_mid:.2e} (target e) at "
-        f"N = 1e4; convergence orders {order_adv:.3f}, {order_mid:.3f}"
+        f"rel errors {_rel_err(adv):.2e} (target e^2), {_rel_err(mid):.2e} "
+        f"(target e) at N = 1e4; convergence orders {order_adv:.3f}, {order_mid:.3f}"
     )
 
 
 def _trace_log():
     g = 2.0
-    omega_d = 100.0 * g
-    rate = trace_log_rate([1.0, 1j * omega_d, -g * omega_d], [1.0, 1j * omega_d])
-    ok_rate = abs(rate) < 1e-3 * g
-    devs = []
-    for ga, mu in ((3.0, 1.0), (5.0, 1.0)):
-        devs.append(abs(regularized_log_integral(ga, mu) - (ga - mu) / 2.0))
-    ok_quad = max(devs) <= 1e-6
-    return ok_rate and ok_quad, (
-        f"sharp-cutoff rate {rate:.2e} (bound {1e-3 * g:g}); quadrature vs "
-        f"(gamma - mu)/2 off by {max(devs):.2e}"
+    rate, *quad = _rate_cases(g)
+    dev = max(abs(c["computed"] - c["target"]) for c in quad)
+    ok = rate["pass"] and all(c["pass"] for c in quad)
+    return ok, (
+        f"sharp-cutoff rate {rate['computed']:.2e} (bound {1e-3 * g:g}); quadrature "
+        f"vs (gamma - mu)/2 off by {dev:.2e}"
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import math
@@ -37,15 +38,6 @@ from .decoherence import (
     superposition_state,
     wigner_transform,
 )
-from .determinants import (
-    FirstOrderOp,
-    Scheme,
-    SecondOrderOp,
-    first_order_det_ratio,
-    regularized_log_integral,
-    second_order_det_ratio,
-    trace_log_rate,
-)
 from .fokker_planck import (
     Ordering,
     PhaseGrid,
@@ -68,7 +60,6 @@ from .kernels import (
     spectral_density,
 )
 from .langevin import SimConfig, run_ensemble
-from .noise import derive_rng
 from .potentials import DoubleWell, Harmonic, Polynomial
 
 
@@ -160,10 +151,7 @@ class Manifest:
         records += self.checks
         final = os.path.join(self.out_dir, "manifest.json")
         tmp = final + ".tmp"
-        with open(tmp, "w", newline="") as fh:
-            for rec in records:
-                fh.write(json.dumps(_json_safe(rec), sort_keys=True))
-                fh.write("\n")
+        write_jsonl(tmp, records)
         os.replace(tmp, final)
 
 
@@ -230,19 +218,16 @@ def _potential_from(cfg: RunConfig, mass: float, allow_none: bool = False):
 def cmd_kernels(args) -> int:
     cfg = _load(args)
     model_name = cfg.get("bath.model", as_choice("ohmic", "drude"), "ohmic")
-    mass = cfg.get("bath.mass", as_float, 1.0)
-    gamma = cfg.get("bath.gamma", as_float, 1.0)
-    k_bt = cfg.get("bath.k_bt", as_float, 1.0)
-    hbar = cfg.get("bath.hbar", as_float, 0.0)
+    params = _bath_from(cfg)
+    mass, gamma, hbar = params.mass, params.gamma, params.hbar
     if model_name == "drude":
         omega_d = cfg.require("bath.omega_d", as_float)
         model = Drude(gamma=gamma, omega_d=omega_d)
-        params = BathParams(mass=mass, gamma=gamma, k_bt=k_bt, hbar=hbar, omega_d=omega_d)
+        params = dataclasses.replace(params, omega_d=omega_d)
         w_max = cfg.get("grid.w_max", as_float, 5.0 * omega_d)
         t_max = cfg.get("grid.t_max", as_float, 16.0 / omega_d)
     else:
         model = Ohmic(gamma=gamma)
-        params = BathParams(mass=mass, gamma=gamma, k_bt=k_bt, hbar=hbar)
         w_max = cfg.get("grid.w_max", as_float, 10.0 * gamma)
         t_max = cfg.get("grid.t_max", as_float, 16.0 / gamma)
     nw = cfg.get("grid.nw", as_int, 2001)
@@ -313,50 +298,9 @@ def cmd_det_check(args) -> int:
     if n < 4:
         raise ConfigError("det.n must be >= 4")
 
-    dt = t_total / n
-    const = np.full(n + 1, g)
-    rand_c = derive_rng(seed).uniform(-3.0, 3.0, n + 1)
-    osq = np.full(n + 1, (0.2 * g) ** 2)
-    omega_d = 100.0 * g
+    from .checks import det_cases
 
-    cases: list[dict] = []
-
-    def run_case(name, computed, target, ok):
-        cases.append({
-            "case": name,
-            "computed": float(computed),
-            "target": float(target),
-            "pass": bool(ok),
-        })
-
-    r = first_order_det_ratio(FirstOrderOp(const, dt), Scheme.RETARDED)
-    run_case("first_order_retarded_const", r, 1.0, r == 1.0)
-    r = first_order_det_ratio(FirstOrderOp(rand_c, dt), Scheme.RETARDED)
-    run_case("first_order_retarded_random", r, 1.0, r == 1.0)
-    target = math.exp(g * t_total)
-    r = first_order_det_ratio(FirstOrderOp(const, dt), Scheme.ADVANCED)
-    run_case("first_order_advanced", r, target, abs(r / target - 1.0) <= 0.01)
-    target = math.exp(g * t_total / 2.0)
-    r = first_order_det_ratio(FirstOrderOp(const, dt), Scheme.MIDPOINT)
-    run_case("first_order_midpoint", r, target, abs(r / target - 1.0) <= 0.01)
-
-    op2 = SecondOrderOp(const, osq, dt)
-    r = second_order_det_ratio(op2, Scheme.RETARDED)
-    run_case("second_order_retarded", r, 1.0, r == 1.0)
-    target = math.exp(g * t_total)
-    r = second_order_det_ratio(op2, Scheme.ADVANCED)
-    run_case("second_order_advanced", r, target, abs(r / target - 1.0) <= 0.01)
-    target = math.exp(g * t_total / 2.0)
-    r = second_order_det_ratio(op2, Scheme.MIDPOINT)
-    run_case("second_order_midpoint", r, target, abs(r / target - 1.0) <= 0.01)
-
-    rate = trace_log_rate([1.0, 1j * omega_d, -g * omega_d], [1.0, 1j * omega_d])
-    run_case("trace_log_drude_rate", rate, 0.0, abs(rate) < 1e-3 * g)
-    for ga, mu in ((3.0, 1.0), (5.0, 1.0)):
-        val = regularized_log_integral(ga, mu)
-        target = (ga - mu) / 2.0
-        run_case(f"regularized_log_quadrature_{int(ga)}_{int(mu)}", val, target,
-                 abs(val - target) <= 1e-6)
+    cases = det_cases(g, t_total, n, seed)
 
     out = _ensure_out(args)
     man = Manifest("det-check", out)
@@ -376,11 +320,15 @@ def cmd_det_check(args) -> int:
 # simulate
 
 
+# default cell count of the 1-D grid for each sim.kind that reads one
+_GRID_1D_NX = {"smoluchowski": 256, "compare": 512}
+
+
 def _grid_1d(cfg: RunConfig) -> PhaseGrid:
     return PhaseGrid(
         x_min=cfg.get("grid.x_min", as_float, -4.0),
         x_max=cfg.get("grid.x_max", as_float, 4.0),
-        nx=cfg.get("grid.nx", as_int, 256),
+        nx=cfg.get("grid.nx", as_int, _GRID_1D_NX[cfg.resolved["sim.kind"]]),
     )
 
 
@@ -469,11 +417,7 @@ def _run_fp_cmd(args, cfg, kind, params, potential, man) -> None:
 
 
 def _run_compare_cmd(args, cfg, params, potential, man) -> None:
-    grid = PhaseGrid(
-        x_min=cfg.get("grid.x_min", as_float, -4.0),
-        x_max=cfg.get("grid.x_max", as_float, 4.0),
-        nx=cfg.get("grid.nx", as_int, 512),
-    )
+    grid = _grid_1d(cfg)
     times = cfg.require("compare.times", as_float_list)
     bins = cfg.get("compare.bins", as_int, 64)
     dt = cfg.get("run.dt", as_float, 0.005)

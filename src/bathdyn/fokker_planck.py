@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -381,18 +381,7 @@ class ComparisonRecord:
     n_samples: int
 
     def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "l1": self.l1,
-            "sup": self.sup,
-            "stat_err": self.stat_err,
-            "disc_err": self.disc_err,
-            "ens_mean": self.ens_mean,
-            "ens_var": self.ens_var,
-            "fp_mean": self.fp_mean,
-            "fp_var": self.fp_var,
-            "n_samples": self.n_samples,
-        }
+        return asdict(self)
 
 
 def compare_langevin_fp(

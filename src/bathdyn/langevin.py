@@ -4,7 +4,13 @@ All steppers use the pre-point (retarded) convention: friction and force are
 evaluated at the earlier time point, which is what makes the trajectory-to-noise
 Jacobian trivial and needs no drift correction for additive noise. A post-point
 stepper is exposed as a diagnostic; at finite dt its stationary-moment bias has
-the opposite sign.
+the opposite sign. It solves its implicit relation by fixed-point iteration for
+each trajectory separately; a trajectory whose iteration goes non-finite or has
+not converged after 200 rounds counts as diverged in an ensemble, and makes the
+single-step call raise.
+
+Every mode has one update rule (_advance), applied to arrays of trajectories by
+the ensemble routines and to a single trajectory by the step_* functions.
 
 The driving noise is white with per-step variance w/dt, w = 2 M gamma k_B T.
 Trajectory i draws from derive_rng(master_seed, i): first the initial-condition
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import BathParams
-from .noise import derive_rng
+from .noise import derive_rng, lagged_products
 from .potentials import Harmonic, Potential
 
 __all__ = [
@@ -108,6 +114,60 @@ def _check_dt_overdamped(potential: Potential, params: BathParams, dt: float):
             )
 
 
+def _advance(mode: str, potential: Potential, params: BathParams, dt: float,
+             x: np.ndarray, v: np.ndarray, eta: np.ndarray):
+    """One step of `mode` for every trajectory in the arrays x, v under noise eta.
+
+    Returns (x_new, v_new, ok). ok is False where the step diverged (a
+    non-finite x_new or v_new) or where the post-point solve was still
+    iterating after 200 rounds (a finite x_new: its last iterate).
+    """
+    m, gamma = params.mass, params.gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "inertial":
+            force = potential.grad(x)
+            v_new = v + dt * (-gamma * v - force / m + eta / m)
+            x_new = x + dt * v
+        elif mode == "overdamped":
+            x_new = x + (dt / (m * gamma)) * (-potential.grad(x) + eta)
+            v_new = v
+        else:  # overdamped_postpoint
+            x_new, converged = _postpoint_solve(potential, x, dt / (m * gamma), eta)
+            return x_new, v, converged & np.isfinite(v)
+        return x_new, v_new, np.isfinite(x_new) & np.isfinite(v_new)
+
+
+def _postpoint_solve(potential: Potential, x: np.ndarray, c: float, eta: np.ndarray):
+    """Per-trajectory fixed point of y = x + c(-V'(y) + eta), starting at y = x.
+
+    A trajectory stops iterating once |y_next - y| <= 1e-14 max(1, |y_next|),
+    or once y_next is non-finite; the others go on. Returns (y, converged).
+    """
+    y = x.copy()
+    pending = np.ones(x.shape, dtype=bool)
+    for _ in range(200):
+        y_next = x + c * (-potential.grad(y) + eta)
+        # NaN and inf compare False here, so a non-finite y_next stops too
+        moving = np.abs(y_next - y) > 1e-14 * np.maximum(1.0, np.abs(y_next))
+        np.copyto(y, y_next, where=pending)
+        pending &= moving
+        if not pending.any():
+            break
+    return y, ~pending & np.isfinite(y)
+
+
+def _step_one(mode: str, potential: Potential, params: BathParams, dt: float,
+              x: float, v: float, eta: float) -> tuple[float, float]:
+    """_advance on a single trajectory; a failed step raises RuntimeError."""
+    x_new, v_new, ok = _advance(mode, potential, params, dt, np.array([x], dtype=float),
+                                np.array([v], dtype=float), np.array([eta], dtype=float))
+    if not ok[0]:
+        if math.isfinite(x_new[0]) and math.isfinite(v_new[0]):
+            raise RuntimeError("post-point iteration did not converge")
+        raise RuntimeError("trajectory diverged")
+    return float(x_new[0]), float(v_new[0])
+
+
 def step_inertial(
     state: InertialState,
     potential: Potential,
@@ -117,12 +177,7 @@ def step_inertial(
 ) -> InertialState:
     """One pre-point step of M dv = (-M gamma v - V'(x) + eta) dt, dx = v dt."""
     _check_dt(params, dt)
-    m = params.mass
-    force = float(potential.grad(state.x))
-    v_new = state.v + dt * (-params.gamma * state.v - force / m + eta / m)
-    x_new = state.x + dt * state.v
-    if not (math.isfinite(x_new) and math.isfinite(v_new)):
-        raise RuntimeError("trajectory diverged")
+    x_new, v_new = _step_one("inertial", potential, params, dt, state.x, state.v, eta)
     return InertialState(x_new, v_new)
 
 
@@ -132,10 +187,7 @@ def step_overdamped(
     """One pre-point step of M gamma dx = (-V'(x) + eta) dt."""
     _check_dt(params, dt)
     _check_dt_overdamped(potential, params, dt)
-    x_new = x + (dt / (params.mass * params.gamma)) * (-float(potential.grad(x)) + eta)
-    if not math.isfinite(x_new):
-        raise RuntimeError("trajectory diverged")
-    return float(x_new)
+    return _step_one("overdamped", potential, params, dt, x, 0.0, eta)[0]
 
 
 def step_overdamped_postpoint(
@@ -149,16 +201,7 @@ def step_overdamped_postpoint(
     """
     _check_dt(params, dt)
     _check_dt_overdamped(potential, params, dt)
-    c = dt / (params.mass * params.gamma)
-    y = x
-    for _ in range(200):
-        y_next = x + c * (-float(potential.grad(y)) + eta)
-        if not math.isfinite(y_next):
-            raise RuntimeError("trajectory diverged")
-        if abs(y_next - y) <= 1e-14 * max(1.0, abs(y_next)):
-            return float(y_next)
-        y = y_next
-    raise RuntimeError("post-point iteration did not converge")
+    return _step_one("overdamped_postpoint", potential, params, dt, x, 0.0, eta)[0]
 
 
 @dataclass
@@ -257,7 +300,6 @@ def _evolve_chunk(
     (n_series, steps+1) and snaps maps step -> positions (NaN when dead).
     """
     pot, params, dt = config.potential, config.params, config.dt
-    m, gamma = params.mass, params.gamma
     alive = np.isfinite(x) & np.isfinite(v)
     series = np.empty((n_series, config.steps + 1)) if n_series else None
     v_series = (
@@ -278,44 +320,17 @@ def _evolve_chunk(
             snaps[step] = vals
 
     record(0)
-    c = dt / (m * gamma)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(config.steps):
-            ek = eta[:, k]
-            if mode == "inertial":
-                force = pot.grad(x)
-                v_new = v + dt * (-gamma * v - force / m + ek / m)
-                x_new = x + dt * v
-            elif mode == "overdamped":
-                x_new = x + c * (-pot.grad(x) + ek)
-                v_new = v
-            else:  # overdamped_postpoint
-                y = x.copy()
-                for _ in range(200):
-                    y_next = x + c * (-pot.grad(y) + ek)
-                    bad = ~np.isfinite(y_next)
-                    if bad.any():
-                        y_next[bad] = y[bad]  # freeze, caught by alive check below
-                        y = y_next
-                        break
-                    if np.max(np.abs(y_next - y)) <= 1e-14 * max(
-                        1.0, float(np.max(np.abs(y_next)))
-                    ):
-                        y = y_next
-                        break
-                    y = y_next
-                x_new = x + c * (-pot.grad(y) + ek)
-                v_new = v
-            ok = np.isfinite(x_new) & np.isfinite(v_new)
-            upd = alive & ok
-            x[upd] = x_new[upd]
-            v[upd] = v_new[upd]
-            alive &= ok
-            if series is not None:
-                series[:, k + 1] = np.where(alive[:n_series], x[:n_series], np.nan)
-            if v_series is not None:
-                v_series[:, k + 1] = np.where(alive[:n_series], v[:n_series], np.nan)
-            record(k + 1)
+    for k in range(config.steps):
+        x_new, v_new, ok = _advance(mode, pot, params, dt, x, v, eta[:, k])
+        upd = alive & ok
+        x[upd] = x_new[upd]
+        v[upd] = v_new[upd]
+        alive &= ok
+        if series is not None:
+            series[:, k + 1] = np.where(alive[:n_series], x[:n_series], np.nan)
+        if v_series is not None:
+            v_series[:, k + 1] = np.where(alive[:n_series], v[:n_series], np.nan)
+        record(k + 1)
     return x, v, alive, series, v_series, snaps
 
 
@@ -398,7 +413,7 @@ def run_ensemble(
     autocorr = None
     if n_sub:
         keep = alive_all[:n_sub]
-        autocorr = _series_autocorr(sub_series[keep], autocorr_lags)
+        autocorr = lagged_products(sub_series[keep], autocorr_lags)
 
     return EnsembleStats(
         mode=mode,
@@ -443,18 +458,6 @@ def _cross(xs: np.ndarray, vs: np.ndarray) -> tuple[float, float]:
     return cov, se
 
 
-def _series_autocorr(series: np.ndarray, lags: int) -> np.ndarray:
-    """Time- and ensemble-averaged lagged products <x(t) x(t+k dt)>."""
-    if series.shape[0] == 0:
-        return np.full(lags + 1, np.nan)
-    out = np.empty(lags + 1)
-    for k in range(lags + 1):
-        a = series[:, : series.shape[1] - k]
-        b = series[:, k:]
-        out[k] = float(np.mean(a * b))
-    return out
-
-
 @dataclass(frozen=True)
 class ExpectationResult:
     """Monte-Carlo estimate of a noise-averaged functional."""
@@ -472,7 +475,7 @@ def noise_expectation(
     *,
     noise_scale: float = 1.0,
 ) -> ExpectationResult:
-    """Ensemble average of a trajectory functional with jackknife stderr.
+    """Ensemble average of a trajectory functional with stderr s/sqrt(n).
 
     functional(times, xs, vs) -> float receives the full trajectory; vs is
     None outside inertial mode. No reweighting is applied: with pre-point
@@ -503,16 +506,9 @@ def noise_expectation(
             vals[g0 + j] = functional(times, series[j], vrow)
         alive_all[g0:g1] = alive
 
-    good = alive_all & np.isfinite(vals)
-    used = vals[good]
+    used = vals[alive_all & np.isfinite(vals)]
     n_used = int(used.size)
-    if n_used == 0:
-        return ExpectationResult(float("nan"), float("nan"), 0, n)
-    total = float(used.sum())
-    mean = total / n_used
+    mean, _, se = _moments(used)
     if n_used == 1:
-        return ExpectationResult(mean, float("nan"), 1, n - 1)
-    # delete-one jackknife of the sample mean
-    loo = (total - used) / (n_used - 1)
-    se = math.sqrt((n_used - 1) / n_used * float(((loo - loo.mean()) ** 2).sum()))
+        se = float("nan")
     return ExpectationResult(mean, se, n_used, n - n_used)

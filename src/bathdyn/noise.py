@@ -143,10 +143,18 @@ def estimate_autocorr(traj: NoiseTrajectory, max_lag: int) -> np.ndarray:
     n = x.size
     if not 0 <= max_lag < n / 10:
         raise ValueError("max_lag must satisfy 0 <= max_lag < n/10")
-    out = np.empty(max_lag + 1)
+    return lagged_products(x[None, :], max_lag)
+
+
+def lagged_products(series: np.ndarray, max_lag: int) -> np.ndarray:
+    """Mean of series[i, t] * series[i, t + k] over rows i and times t, k = 0..max_lag.
+
+    Direct lagged products, no mean removal; all NaN when series has no rows.
+    """
+    out = np.full(max_lag + 1, np.nan)
+    if series.shape[0] == 0:
+        return out
+    n = series.shape[1]
     for k in range(max_lag + 1):
-        if k == 0:
-            out[k] = float(np.mean(x * x))
-        else:
-            out[k] = float(np.mean(x[:-k] * x[k:]))
+        out[k] = np.mean(series[:, : n - k] * series[:, k:])
     return out

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bathdyn.langevin as lv
 from bathdyn import (
     BathParams,
+    DoubleWell,
     Harmonic,
     InertialState,
     Polynomial,
@@ -224,3 +228,107 @@ def test_noise_expectation_inertial_velocity_series():
     # v is None outside inertial mode, so touching it fails loudly
     with pytest.raises(TypeError):
         noise_expectation(lambda t, x, v: v[-1], cfg, "overdamped")
+
+
+def test_postpoint_chunk_mate_of_a_diverging_trajectory_is_exact():
+    """A trajectory that blows up does not cut short its chunk-mates' solves."""
+    pot = Polynomial(coeffs=(0.0, 0.0, 0.5, 0.0, -1.0))
+    params = BathParams(mass=1.0, gamma=1.0, k_bt=0.01, hbar=0.0)
+    cfg = SimConfig(potential=pot, params=params, dt=0.05, steps=4, n_traj=3,
+                    master_seed=8)
+    starts = np.array([0.3, -0.2, 50.0])
+    eta = np.random.default_rng(8).standard_normal((3, 4)) * math.sqrt(params.w / cfg.dt)
+    x, _, alive, _, _, _ = lv._evolve_chunk(
+        cfg, "overdamped_postpoint", starts.copy(), np.zeros(3), eta, (), 0)
+    assert alive.tolist() == [True, True, False]
+    for i in (0, 1):
+        xi = starts[i]
+        for k in range(cfg.steps):
+            xi = step_overdamped_postpoint(xi, pot, params, eta[i, k], cfg.dt)
+        assert x[i] == xi
+    with pytest.raises(RuntimeError, match="diverged"):
+        step_overdamped_postpoint(50.0, pot, params, eta[2, 0], cfg.dt)
+
+
+def test_postpoint_solve_that_never_converges_counts_as_diverged():
+    """c V'' = 1 makes the fixed-point map a 2-cycle: no step is accepted."""
+    pot = Polynomial(coeffs=(0.0, 0.0, 10.0))
+    params = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
+    cfg = SimConfig(potential=pot, params=params, dt=0.05, steps=3, n_traj=8,
+                    master_seed=21, sigma_x=0.3)
+    stats = run_ensemble(cfg, "overdamped_postpoint")
+    assert stats.n_diverged == cfg.n_traj
+    assert np.isnan(stats.final_x).all()
+    with pytest.raises(RuntimeError, match="did not converge"):
+        step_overdamped_postpoint(0.3, pot, params, 1.0, cfg.dt)
+
+
+def _bits(value) -> str:
+    return float(value).hex()
+
+
+@st.composite
+def _step_inputs(draw):
+    """Potential, bath, a dt inside the guards and a batch of (x, v, eta)."""
+    params = BathParams(mass=draw(st.floats(0.5, 2.0)), gamma=draw(st.floats(0.1, 5.0)),
+                        k_bt=1.0, hbar=0.0)
+    limit = 0.1 / params.gamma
+    kind = draw(st.sampled_from(("harmonic", "double_well", "polynomial")))
+    if kind == "harmonic":
+        pot = Harmonic(mass=params.mass, omega0=draw(st.floats(0.1, 5.0)))
+        limit = min(limit, 0.1 * params.gamma / pot.omega0 ** 2)
+    elif kind == "double_well":
+        pot = DoubleWell(a=draw(st.floats(-2.0, 2.0)), b=draw(st.floats(0.01, 2.0)))
+    else:
+        pot = Polynomial(coeffs=tuple(draw(st.lists(st.floats(-2.0, 2.0),
+                                                    min_size=1, max_size=5))))
+    dt = draw(st.floats(0.01, 0.99)) * limit
+    n = draw(st.integers(1, 6))
+    x = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
+    v = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    eta = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    return pot, params, dt, x, v, eta
+
+
+@settings(max_examples=60, deadline=None)
+@given(_step_inputs(), st.sampled_from(lv._MODES))
+def test_scalar_steppers_are_one_step_of_the_shared_update(inputs, mode):
+    pot, params, dt, x, v, eta = inputs
+    x_new, v_new, ok = lv._advance(mode, pot, params, dt, x, v, eta)
+    for i in range(x.size):
+        if mode == "inertial":
+            def call():
+                out = step_inertial(InertialState(x[i], v[i]), pot, params, eta[i], dt)
+                return out.x, out.v
+            expected = (x_new[i], v_new[i])
+        else:
+            stepper = (step_overdamped if mode == "overdamped"
+                       else step_overdamped_postpoint)
+
+            def call():
+                return (stepper(x[i], pot, params, eta[i], dt),)
+            expected = (x_new[i],)
+        if ok[i]:
+            assert [_bits(a) for a in call()] == [_bits(b) for b in expected]
+        else:
+            stuck = np.isfinite(x_new[i]) and np.isfinite(v_new[i])
+            with pytest.raises(RuntimeError,
+                               match="did not converge" if stuck else "diverged"):
+                call()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_traj=st.integers(1, 40),
+       steps=st.integers(1, 20), mode=st.sampled_from(lv._MODES))
+def test_noise_expectation_of_final_position_is_the_ensemble_mean(seed, n_traj, steps,
+                                                                  mode):
+    cfg = _config(n_traj=n_traj, steps=steps, master_seed=seed, sigma_x=0.5,
+                  sigma_v=0.5)
+    res = noise_expectation(lambda t, x, v: x[-1], cfg, mode)
+    stats = run_ensemble(cfg, mode)
+    assert res.n_used == n_traj - stats.n_diverged
+    assert res.value == stats.mean_x
+    if res.n_used == 1:
+        assert math.isnan(res.stderr)
+    else:
+        assert res.stderr == stats.se_x

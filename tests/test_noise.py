@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bathdyn import (
     Drude,
@@ -14,6 +17,7 @@ from bathdyn import (
     estimate_autocorr,
     white_noise,
 )
+from bathdyn.noise import lagged_products
 
 
 def test_derive_rng_is_deterministic_and_splits():
@@ -105,3 +109,30 @@ def test_trajectory_to_csv(tmp_path):
     assert first[0] == "0"
     assert float(first[1]) == 0.0
     assert float(first[2]) == traj.samples[0]
+
+
+@st.composite
+def _series_and_lag(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 40))
+    series = draw(arrays(float, (rows, cols), elements=st.floats(-1e3, 1e3)))
+    return series, draw(st.integers(0, cols - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_series_and_lag())
+def test_lagged_products_match_a_naive_per_lag_mean(case):
+    series, max_lag = case
+    rows, cols = series.shape
+    out = lagged_products(series, max_lag)
+    assert out.shape == (max_lag + 1,)
+    for k in range(max_lag + 1):
+        prods = [float(series[i, t] * series[i, t + k])
+                 for i in range(rows) for t in range(cols - k)]
+        naive = math.fsum(prods) / len(prods)
+        scale = math.fsum(abs(p) for p in prods) / len(prods)
+        assert abs(out[k] - naive) <= 1e-13 * scale
+
+
+def test_lagged_products_without_rows_are_nan():
+    assert np.isnan(lagged_products(np.empty((0, 10)), 3)).all()
