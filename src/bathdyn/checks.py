@@ -1,10 +1,11 @@
 """Acceptance suite: one function per advertised numerical guarantee.
 
-Each check exercises the public API at desk scale, compares against an
-analytic value, an independent quadrature, or an exact structural identity,
-and reports a one-line verdict. ``run_all`` never raises: a crashed check
-is reported as a failure. The whole suite is meant to finish in well under
-five minutes.
+Each check runs at desk scale, compares against an analytic value, an
+independent quadrature, or an exact structural identity, and reports a
+one-line verdict. The grid and density-matrix checks advance an operator
+built once, as the CLI does; the others call the public API. ``run_all``
+never raises: a crashed check is reported as a failure. The whole suite is
+meant to finish in well under five minutes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from scipy import signal
 
 from .decoherence import (
+    _master_operator,
     decoherence_params,
     interference_amplitude,
     master_step,
@@ -36,13 +38,12 @@ from .determinants import (
 from .fokker_planck import (
     Ordering,
     PhaseGrid,
+    _advance,
+    _Kramers,
+    _Smoluchowski,
     compare_langevin_fp,
     gaussian_field_1d,
     gaussian_field_2d,
-    kramers_dt_max,
-    kramers_step,
-    smoluchowski_dt_max,
-    smoluchowski_step,
 )
 from .kernels import BathParams, Drude, Ohmic, noise_kernel_freq, noise_kernel_time
 from .langevin import SimConfig, run_ensemble
@@ -83,10 +84,15 @@ def _case(name: str, computed, target, ok) -> dict:
             "pass": bool(ok)}
 
 
-def _ratio_cases(g: float, t_total: float, n: int, seed: int) -> list[dict]:
-    """Sliced determinant ratios over n steps of [0, t_total] with friction g.
+def _ratio(name: str, r: float, target: float, rel_tol: float) -> dict:
+    # rel_tol = 0 demands r == target bitwise
+    return _case(name, r, target, abs(r / target - 1.0) <= rel_tol)
 
-    The coefficient is the constant g, or uniform on [-3, 3] from
+
+def _first_order_cases(g: float, t_total: float, n: int, seed: int) -> list[dict]:
+    """Sliced first-order determinant ratios over n steps of [0, t_total].
+
+    The coefficient is the constant friction g, or uniform on [-3, 3] from
     derive_rng(seed) for the random retarded case. Retarded ratios must
     equal 1 bitwise; advanced and midpoint ratios e^{g t} and e^{g t / 2}
     within 1%.
@@ -94,27 +100,17 @@ def _ratio_cases(g: float, t_total: float, n: int, seed: int) -> list[dict]:
     dt = t_total / n
     const = np.full(n + 1, g)
     rand_c = derive_rng(seed).uniform(-3.0, 3.0, n + 1)
-    op2 = SecondOrderOp(const, np.full(n + 1, (0.2 * g) ** 2), dt)
-    adv, mid = math.exp(g * t_total), math.exp(g * t_total / 2.0)
-
-    def ratio(name, r, target, rel_tol):
-        # rel_tol = 0 demands r == target bitwise
-        return _case(name, r, target, abs(r / target - 1.0) <= rel_tol)
 
     def first(c, scheme):
         return first_order_det_ratio(FirstOrderOp(c, dt), scheme)
 
     return [
-        ratio("first_order_retarded_const", first(const, Scheme.RETARDED), 1.0, 0.0),
-        ratio("first_order_retarded_random", first(rand_c, Scheme.RETARDED), 1.0, 0.0),
-        ratio("first_order_advanced", first(const, Scheme.ADVANCED), adv, 0.01),
-        ratio("first_order_midpoint", first(const, Scheme.MIDPOINT), mid, 0.01),
-        ratio("second_order_retarded", second_order_det_ratio(op2, Scheme.RETARDED),
-              1.0, 0.0),
-        ratio("second_order_advanced", second_order_det_ratio(op2, Scheme.ADVANCED),
-              adv, 0.01),
-        ratio("second_order_midpoint", second_order_det_ratio(op2, Scheme.MIDPOINT),
-              mid, 0.01),
+        _ratio("first_order_retarded_const", first(const, Scheme.RETARDED), 1.0, 0.0),
+        _ratio("first_order_retarded_random", first(rand_c, Scheme.RETARDED), 1.0, 0.0),
+        _ratio("first_order_advanced", first(const, Scheme.ADVANCED),
+               math.exp(g * t_total), 0.01),
+        _ratio("first_order_midpoint", first(const, Scheme.MIDPOINT),
+               math.exp(g * t_total / 2.0), 0.01),
     ]
 
 
@@ -133,8 +129,19 @@ def _rate_cases(g: float) -> list[dict]:
 
 
 def det_cases(g: float, t_total: float, n: int, seed: int) -> list[dict]:
-    """The determinant identity table, one {case, computed, target, pass} each."""
-    return _ratio_cases(g, t_total, n, seed) + _rate_cases(g)
+    """The determinant identity table, one {case, computed, target, pass} each:
+    the first-order cases, the same three limits for a second-order operator
+    with friction g and frequency 0.2 g, and the rate cases."""
+    op2 = SecondOrderOp(np.full(n + 1, g), np.full(n + 1, (0.2 * g) ** 2), t_total / n)
+    adv, mid = math.exp(g * t_total), math.exp(g * t_total / 2.0)
+    return _first_order_cases(g, t_total, n, seed) + [
+        _ratio("second_order_retarded", second_order_det_ratio(op2, Scheme.RETARDED),
+               1.0, 0.0),
+        _ratio("second_order_advanced", second_order_det_ratio(op2, Scheme.ADVANCED),
+               adv, 0.01),
+        _ratio("second_order_midpoint", second_order_det_ratio(op2, Scheme.MIDPOINT),
+               mid, 0.01),
+    ] + _rate_cases(g)
 
 
 def _rel_err(c: dict) -> float:
@@ -144,7 +151,7 @@ def _rel_err(c: dict) -> float:
 def _limit_values():
     def ratios(n):
         # g = 2, t = 1; the seed feeds only the random retarded case, unread here
-        cases = {c["case"]: c for c in _ratio_cases(2.0, 1.0, n, 1234)}
+        cases = {c["case"]: c for c in _first_order_cases(2.0, 1.0, n, 1234)}
         return cases["first_order_advanced"], cases["first_order_midpoint"]
 
     adv, mid = ratios(10000)
@@ -178,19 +185,16 @@ def _kramers_ordering():
     pot = Harmonic(mass=1.0, omega0=1.0)
     grid = PhaseGrid(-4.0, 4.0, 128, -4.0, 4.0, 128)
     field0 = gaussian_field_2d(grid, 0.0, 0.7, 0.0, 0.7)
-    dt = 0.9 * kramers_dt_max(grid, pot, params)
+    op = _Kramers(grid, pot, params)
+    dt = 0.9 * op.dt_max
 
-    field = field0
-    for _ in range(1000):
-        field = kramers_step(field, pot, params, Ordering.MOMENTA_LEFT, dt)
+    field = _advance(op, field0, Ordering.MOMENTA_LEFT, dt, 1000)
     drift = abs(field.mass - field0.mass)
     ok_drift = drift < 1e-8
 
     n = math.ceil(2.0 / dt)
     dts = 2.0 / n
-    field = field0
-    for _ in range(n):
-        field = kramers_step(field, pot, params, Ordering.SYMMETRIC, dts)
+    field = _advance(op, field0, Ordering.SYMMETRIC, dts, n)
     rel = abs(field.mass / math.exp(-1.0) - 1.0)
     ok_mass = rel <= 0.02
 
@@ -205,20 +209,18 @@ def _smoluchowski_ordering():
     dw = DoubleWell(a=-1.0, b=0.25)
     grid = PhaseGrid(-3.2, 3.2, 256)
     field0 = gaussian_field_1d(grid, 0.0, 0.5)
-    dt = 0.9 * smoluchowski_dt_max(grid, dw, params)
-    field = field0
-    for _ in range(1000):
-        field = smoluchowski_step(field, dw, params, Ordering.MOMENTA_LEFT, dt)
+    op = _Smoluchowski(grid, dw, params)
+    field = _advance(op, field0, Ordering.MOMENTA_LEFT, 0.9 * op.dt_max, 1000)
     drift = abs(field.mass - field0.mass)
     ok_drift = drift < 1e-8
 
     pot = Harmonic(mass=1.0, omega0=1.0)
     grid_h = PhaseGrid(-4.0, 4.0, 256)
     field = gaussian_field_1d(grid_h, 0.0, math.sqrt(0.5))
-    dth = 0.9 * smoluchowski_dt_max(grid_h, pot, params)
+    op_h = _Smoluchowski(grid_h, pot, params)
+    dth = 0.9 * op_h.dt_max
     n = math.ceil(1.0 / dth)
-    for _ in range(n):
-        field = smoluchowski_step(field, pot, params, Ordering.SYMMETRIC, dth)
+    field = _advance(op_h, field, Ordering.SYMMETRIC, dth, n)
     rate = -math.log(field.mass) / (n * dth)
     target = pot.omega0**2 / (2.0 * params.gamma)
     rel = abs(rate / target - 1.0)
@@ -277,9 +279,9 @@ def _stationarity():
     dw = DoubleWell(a=-1.0, b=0.25)
     grid = PhaseGrid(-3.2, 3.2, 256)
     field = gaussian_field_1d(grid, 0.0, 0.5)
-    dt = 0.9 * smoluchowski_dt_max(grid, dw, params)
-    for _ in range(math.ceil(10.0 / dt)):
-        field = smoluchowski_step(field, dw, params, Ordering.MOMENTA_LEFT, dt)
+    op = _Smoluchowski(grid, dw, params)
+    dt = 0.9 * op.dt_max
+    field = _advance(op, field, Ordering.MOMENTA_LEFT, dt, math.ceil(10.0 / dt))
     x = grid.x_centers
     q = np.exp(-np.asarray(dw.value(x)) / params.k_bt)
     q /= q.sum() * grid.dx
@@ -354,12 +356,12 @@ def _interference_decay():
     ts = [0.0]
     amps = [interference_amplitude(rho, params.hbar)]
     tr0 = rho.trace().real
-    for k in range(1, 51):
-        rho = master_step(rho, None, params, dt,
-                          terms=("kinetic", "friction", "decoherence"))
-        if k % 5 == 0:
-            ts.append(rho.t)
-            amps.append(interference_amplitude(rho, params.hbar))
+    advance = _master_operator(rho, None, params, dt,
+                               terms=("kinetic", "friction", "decoherence"))
+    for _ in range(10):
+        rho = advance(rho, 5)
+        ts.append(rho.t)
+        amps.append(interference_amplitude(rho, params.hbar))
     trace_drift = abs(rho.trace().real - tr0)
     ok_trace = trace_drift <= 1e-8
     slope = float(np.polyfit(ts, np.log(amps), 1)[0])

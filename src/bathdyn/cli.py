@@ -31,10 +31,10 @@ from .config import (
     load_config,
 )
 from .decoherence import (
+    _master_operator,
     decoherence_params,
     gaussian_pure_state,
     interference_amplitude,
-    master_step,
     superposition_state,
     wigner_transform,
 )
@@ -42,13 +42,12 @@ from .fokker_planck import (
     Ordering,
     PhaseGrid,
     StabilityError,
+    _advance,
+    _Kramers,
+    _Smoluchowski,
     compare_langevin_fp,
     gaussian_field_1d,
     gaussian_field_2d,
-    kramers_dt_max,
-    kramers_step,
-    smoluchowski_dt_max,
-    smoluchowski_step,
 )
 from .kernels import (
     BathParams,
@@ -332,6 +331,17 @@ def _grid_1d(cfg: RunConfig) -> PhaseGrid:
     )
 
 
+def _advance_recorded(advance, state, steps: int, every: int, row):
+    """advance(state, n) through `steps` steps in chunks; returns the final state
+    and the rows row(k, state) at k = 0, each multiple of every, and the last."""
+    rows, done = [row(0, state)], 0
+    for k in [*range(every, steps, every), steps]:
+        state = advance(state, k - done)
+        rows.append(row(k, state))
+        done = k
+    return state, rows
+
+
 def _run_ensemble_cmd(args, cfg, params, potential, man) -> None:
     mode = cfg.get("run.mode",
                    as_choice("inertial", "overdamped", "overdamped_postpoint"),
@@ -385,25 +395,21 @@ def _run_fp_cmd(args, cfg, kind, params, potential, man) -> None:
         sigma_v = cfg.get("fp.sigma_v", as_float, 0.5)
         cfg.finish()
         field = gaussian_field_2d(grid, x0, sigma_x, v0, sigma_v)
-        dt_bound = kramers_dt_max(grid, potential, params)
-        step = kramers_step
+        op = _Kramers(grid, potential, params)
     else:
         grid = _grid_1d(cfg)
         cfg.finish()
         field = gaussian_field_1d(grid, x0, sigma_x)
-        dt_bound = smoluchowski_dt_max(grid, potential, params)
-        step = smoluchowski_step
+        op = _Smoluchowski(grid, potential, params)
     if steps < 1 or record_every < 1:
         raise ConfigError("fp.steps and fp.record_every must be >= 1")
     if dt <= 0.0:
-        dt = 0.5 * dt_bound  # fp.dt <= 0 requests an automatic stable step
+        dt = 0.5 * op.dt_max  # fp.dt <= 0 requests an automatic stable step
 
     mass0 = field.mass
-    mass_rows = [(0, 0.0, mass0)]
-    for k in range(1, steps + 1):
-        field = step(field, potential, params, ordering, dt)
-        if k % record_every == 0 or k == steps:
-            mass_rows.append((k, k * dt, field.mass))
+    field, mass_rows = _advance_recorded(
+        lambda f, n: _advance(op, f, ordering, dt, n), field, steps, record_every,
+        lambda k, f: (k, k * dt, f.mass))
     _emit_csv(man, "mass.csv", ("step", "t", "mass"), mass_rows)
     header = ("x", "v", "P") if grid.is_2d else ("x", "P")
     _emit_csv(man, "field.csv", header, field.rows())
@@ -512,11 +518,8 @@ def cmd_decohere(args) -> int:
         amp = interference_amplitude(field, hbar)
         return (step, field.t, amp, tr.real, tr.imag, field.herm_deviation())
 
-    decay_rows = [decay_row(0, rho)]
-    for k in range(1, steps + 1):
-        rho = master_step(rho, potential, params, dt, ordering=ordering)
-        if k % record_every == 0 or k == steps:
-            decay_rows.append(decay_row(k, rho))
+    advance = _master_operator(rho, potential, params, dt, ordering)
+    rho, decay_rows = _advance_recorded(advance, rho, steps, record_every, decay_row)
     _emit_csv(man, "decay.csv",
               ("step", "t", "amplitude", "trace_re", "trace_im", "herm_dev"),
               decay_rows)

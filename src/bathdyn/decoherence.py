@@ -18,6 +18,10 @@ exponential damping exp(-Lambda y^2 dt).
 The friction term is ordered with the derivative acting last (momenta left).
 The symmetric ordering differs by a constant and multiplies the field by
 exp(-gamma dt / 2), so the trace then decays at rate gamma/2.
+
+The inputs are checked, and the kinetic and potential phases and the
+decoherence factor built, once per run; every step's result is still checked
+for finiteness and hermiticity.
 """
 
 from __future__ import annotations
@@ -186,15 +190,11 @@ def _odd_padded(n: int) -> int:
     return m if m % 2 == 1 else m + 1
 
 
-def _kinetic_substep(vals: np.ndarray, dx: float, dy: float, hbar: float,
-                     mass: float, dt: float) -> np.ndarray:
+def _kinetic_substep(vals: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Spectral step of the mixed kinetic term on the zero-padded grid of phase."""
     nx, ny = vals.shape
-    nxp, nyp = _odd_padded(nx), _odd_padded(ny)
-    padded = np.zeros((nxp, nyp), dtype=complex)
+    padded = np.zeros(phase.shape, dtype=complex)
     padded[:nx, :ny] = vals
-    kx = 2.0 * np.pi * np.fft.fftfreq(nxp, d=dx)
-    ky = 2.0 * np.pi * np.fft.fftfreq(nyp, d=dy)
-    phase = np.exp(-1j * (hbar / mass) * dt * kx[:, None] * ky[None, :])
     out = np.fft.ifft2(np.fft.fft2(padded) * phase)
     return out[:nx, :ny]
 
@@ -218,22 +218,13 @@ def _friction_substep(vals: np.ndarray, y: np.ndarray, gamma: float,
     return out
 
 
-def master_step(
-    rho: DensityField,
-    potential: Potential | None,
-    params: BathParams,
-    dt: float,
-    ordering: Ordering = Ordering.MOMENTA_LEFT,
-    terms=_TERMS,
-    herm_tol: float = 1e-8,
-) -> DensityField:
-    """One split step of the high-temperature master equation.
-
-    potential may be None for free evolution. terms selects the active
-    substeps (subset of "kinetic", "potential", "friction", "decoherence"),
-    which isolates single generators for diagnostics. ordering toggles the
-    constant gamma/2 sink (fokker_planck.Ordering; default momenta-left).
-    """
+def _master_operator(rho: DensityField, potential: Potential | None,
+                     params: BathParams, dt: float,
+                     ordering: Ordering = Ordering.MOMENTA_LEFT, terms=_TERMS,
+                     herm_tol: float = 1e-8):
+    """master_step's split-step generator on rho's grid, validated and built
+    once. Returns advance(rho, n_steps), which applies n_steps steps and checks
+    each result for finiteness and hermiticity (within herm_tol)."""
     if params.hbar <= 0:
         raise ValueError("hbar must be > 0 for density-matrix evolution")
     if not dt > 0:
@@ -256,26 +247,58 @@ def master_step(
                 rho.dy / (params.gamma * y_max),
             )
 
-    vals = rho.values
+    substeps = []  # each maps the field values to the next substep's input
     if "kinetic" in terms:
-        vals = _kinetic_substep(vals, rho.dx, rho.dy, params.hbar, params.mass, dt)
+        kx = 2.0 * np.pi * np.fft.fftfreq(_odd_padded(rho.nx), d=rho.dx)
+        ky = 2.0 * np.pi * np.fft.fftfreq(_odd_padded(rho.ny), d=rho.dy)
+        phase = np.exp(-1j * (params.hbar / params.mass) * dt * kx[:, None] * ky[None, :])
+        substeps.append(lambda vals: _kinetic_substep(vals, phase))
     if "potential" in terms and potential is not None:
         x = rho.x_grid
         dv = np.asarray(potential.value(x[:, None] + y[None, :] / 2.0)) - np.asarray(
             potential.value(x[:, None] - y[None, :] / 2.0)
         )
-        vals = vals * np.exp(-1j * dv * dt / params.hbar)
+        potential_phase = np.exp(-1j * dv * dt / params.hbar)
+        substeps.append(lambda vals: vals * potential_phase)
     if "friction" in terms:
-        vals = _friction_substep(vals, y, params.gamma, rho.dy, dt)
+        substeps.append(lambda vals: _friction_substep(vals, y, params.gamma, rho.dy, dt))
     if "decoherence" in terms:
-        vals = vals * np.exp(-dec.lam * y ** 2 * dt)[None, :]
+        damping = np.exp(-dec.lam * y ** 2 * dt)[None, :]
+        substeps.append(lambda vals: vals * damping)
     if ordering is Ordering.SYMMETRIC:
-        vals = vals * math.exp(-params.gamma * dt / 2.0)
+        sink = math.exp(-params.gamma * dt / 2.0)
+        substeps.append(lambda vals: vals * sink)
 
-    out = DensityField(vals, rho.x0, rho.dx, rho.dy, rho.t + dt)
-    if out.herm_deviation() > herm_tol:
-        raise RuntimeError("unstable step: hermiticity violated")
-    return out
+    def advance(field: DensityField, n_steps: int) -> DensityField:
+        for _ in range(n_steps):
+            vals = field.values
+            for substep in substeps:
+                vals = substep(vals)
+            field = DensityField(vals, field.x0, field.dx, field.dy, field.t + dt)
+            if field.herm_deviation() > herm_tol:
+                raise RuntimeError("unstable step: hermiticity violated")
+        return field
+
+    return advance
+
+
+def master_step(
+    rho: DensityField,
+    potential: Potential | None,
+    params: BathParams,
+    dt: float,
+    ordering: Ordering = Ordering.MOMENTA_LEFT,
+    terms=_TERMS,
+    herm_tol: float = 1e-8,
+) -> DensityField:
+    """One split step of the high-temperature master equation.
+
+    potential may be None for free evolution. terms selects the active
+    substeps (subset of "kinetic", "potential", "friction", "decoherence"),
+    which isolates single generators for diagnostics. ordering toggles the
+    constant gamma/2 sink (fokker_planck.Ordering; default momenta-left).
+    """
+    return _master_operator(rho, potential, params, dt, ordering, terms, herm_tol)(rho, 1)
 
 
 def wigner_transform(

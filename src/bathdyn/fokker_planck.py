@@ -14,6 +14,10 @@ sink applied after the conservative update: a constant rate gamma/2 for the
 inertial equation, the pointwise rate V''(x)/(2 M gamma) for the overdamped
 one. Toggling the ordering therefore changes only the mass budget, not the
 transport stencil.
+
+Each equation's generator (face weights, stability bound) is built once per
+run, and one loop advances a field by n steps, checking dt once but still
+validating every step's result as a ProbField.
 """
 
 from __future__ import annotations
@@ -218,35 +222,120 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sg_face_weights(pe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-face (weight on left cell, weight on right cell)."""
-    return _bernoulli(-pe), _bernoulli(pe)
+def _sg_weights(drift: np.ndarray, spacing: float, diff: float):
+    """Scharfetter-Gummel weights along the last axis, whose interior faces
+    carry the given drift: (weight on the left cell, weight on the right
+    cell, the largest outflow rate of any cell)."""
+    pe = drift * spacing / diff
+    bl, br = _bernoulli(-pe), _bernoulli(pe)
+    # outflow rate of cell i: (diff/spacing^2) (B(pe at left face) + B(-pe at right face))
+    out_rate = np.zeros(bl.shape[:-1] + (bl.shape[-1] + 1,))
+    out_rate[..., 1:] += br * diff / spacing**2
+    out_rate[..., :-1] += bl * diff / spacing**2
+    return bl, br, float(out_rate.max())
 
 
-def _flux_divergence(flux: np.ndarray, spacing: float, axis: int = 0) -> np.ndarray:
-    """(F_in - F_out)/spacing with zero-flux boundary faces."""
-    pad = [(0, 0)] * flux.ndim
-    pad[axis] = (1, 1)
-    padded = np.pad(flux, pad)
-    lo = np.take(padded, range(padded.shape[axis] - 1), axis=axis)
-    hi = np.take(padded, range(1, padded.shape[axis]), axis=axis)
-    return (lo - hi) / spacing
+def _flux_divergence(flux: np.ndarray, spacing: float) -> np.ndarray:
+    """(F_in - F_out)/spacing along the last axis, with zero-flux boundary faces."""
+    padded = np.pad(flux, [(0, 0)] * (flux.ndim - 1) + [(1, 1)])
+    return (padded[..., :-1] - padded[..., 1:]) / spacing
+
+
+class _Smoluchowski:
+    """smoluchowski_step's generator on one 1-D problem: face weights, dt_max
+    and the symmetric sink exp(-dt V''(x)/2 M gamma)."""
+
+    bound = "drift-augmented stability bound"
+
+    def __init__(self, grid: PhaseGrid, potential: Potential, params: BathParams):
+        if grid.is_2d:
+            raise ValueError("expected a 1D grid")
+        self.d, self.dx = params.D, grid.dx
+        u = -np.asarray(potential.grad(grid.x_faces)) / (params.mass * params.gamma)
+        self.bl, self.br, out_rate = _sg_weights(u, self.dx, self.d)
+        self.dt_max = min(0.4 * self.dx**2 / self.d, 0.9 / out_rate)
+        self.grid, self.potential = grid, potential
+        self.sink_scale = 2.0 * params.mass * params.gamma
+
+    def divergence(self, p: np.ndarray) -> np.ndarray:
+        flux = (self.d / self.dx) * (self.bl * p[:-1] - self.br * p[1:])
+        return _flux_divergence(flux, self.dx)
+
+    def sink(self, dt: float) -> np.ndarray:
+        hess = np.asarray(self.potential.hess(self.grid.x_centers))
+        return np.exp(-dt * hess / self.sink_scale)
+
+
+def _limited_slopes(p: np.ndarray) -> np.ndarray:
+    """Van Leer (harmonic mean) slopes along axis 0, zero at the boundary."""
+    d = np.diff(p, axis=0)
+    a, b = d[:-1], d[1:]
+    prod = a * b
+    s = np.zeros_like(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        interior = np.where(prod > 0, 2.0 * prod / (a + b), 0.0)
+    s[1:-1] = interior
+    return s
+
+
+class _Kramers:
+    """kramers_step's generator on one 2-D problem: v face weights, dt_max
+    and the symmetric sink exp(-gamma dt / 2)."""
+
+    bound = "phase-space stability bound"
+
+    def __init__(self, grid: PhaseGrid, potential: Potential, params: BathParams):
+        if not grid.is_2d:
+            raise ValueError("expected a 2D grid")
+        self.dx, self.dv, self.gamma = grid.dx, grid.dv, params.gamma
+        self.vrow = grid.v_centers[None, :]
+        self.d_v = params.w / (2.0 * params.mass**2)
+        grad = np.asarray(potential.grad(grid.x_centers))[:, None]
+        a = -(params.gamma * grid.v_faces[None, :] + grad / params.mass)
+        self.bl, self.br, out_rate = _sg_weights(a, self.dv, self.d_v)
+        adv_rate = 2.0 * float(np.max(np.abs(grid.v_centers))) / grid.dx
+        self.dt_max = 0.8 / (adv_rate + out_rate)
+
+    def divergence(self, p: np.ndarray) -> np.ndarray:
+        # x transport at speed v: limited second-order upwind reconstruction
+        s = _limited_slopes(p)
+        left = p[:-1] + 0.5 * s[:-1]
+        right = p[1:] - 0.5 * s[1:]
+        flux_x = self.vrow * np.where(self.vrow > 0, left, right)
+        # v drift-diffusion: exponential-upwind face flux
+        flux_v = (self.d_v / self.dv) * (self.bl * p[:, :-1] - self.br * p[:, 1:])
+        return _flux_divergence(flux_x.T, self.dx).T + _flux_divergence(flux_v, self.dv)
+
+    def sink(self, dt: float) -> float:
+        return math.exp(-self.gamma * dt / 2.0)
+
+
+def _advance(op, field: ProbField, ordering: Ordering, dt: float,
+             n_steps: int) -> ProbField:
+    """n_steps explicit steps of op's equation from field.
+
+    dt is checked against op's stability bound once; every step's result is
+    still validated as a ProbField, so a non-finite or negative field raises
+    at the step where it appears.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be > 0")
+    if dt > op.dt_max:
+        raise StabilityError(f"{op.bound} exceeded", op.dt_max)
+    sink = op.sink(dt) if ordering is Ordering.SYMMETRIC else None
+    for _ in range(n_steps):
+        new = field.values + dt * op.divergence(field.values)
+        if sink is not None:
+            new = new * sink
+        field = ProbField(new, field.grid, field.t + dt)
+    return field
 
 
 def smoluchowski_dt_max(
     grid: PhaseGrid, potential: Potential, params: BathParams
 ) -> float:
     """Largest stable explicit step for smoluchowski_step on this problem."""
-    d = params.D
-    dx = grid.dx
-    u = -np.asarray(potential.grad(grid.x_faces)) / (params.mass * params.gamma)
-    pe = u * dx / d
-    bl, br = _sg_face_weights(pe)
-    # outflow rate of cell i: (D/dx^2) (B(pe at left face) + B(-pe at right face))
-    out_rate = np.zeros(grid.nx)
-    out_rate[1:] += br * d / dx**2
-    out_rate[:-1] += bl * d / dx**2
-    return min(0.4 * dx**2 / d, 0.9 / float(out_rate.max()))
+    return _Smoluchowski(grid, potential, params).dt_max
 
 
 def smoluchowski_step(
@@ -261,61 +350,12 @@ def smoluchowski_step(
     Momenta-left: dP/dt = D d^2P/dx^2 + (1/M gamma) d/dx [V'(x) P] in flux
     form. Symmetric ordering multiplies the result by exp(-dt V''(x)/2 M gamma).
     """
-    grid = field.grid
-    if grid.is_2d:
-        raise ValueError("expected a 1D field")
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    d = params.D
-    dx = grid.dx
-    if d * dt / dx**2 > 0.4:
-        raise StabilityError(
-            "diffusion number D*dt/dx^2 exceeds 0.4", 0.4 * dx**2 / d
-        )
-    dt_max = smoluchowski_dt_max(grid, potential, params)
-    if dt > dt_max:
-        raise StabilityError("drift-augmented stability bound exceeded", dt_max)
-
-    u = -np.asarray(potential.grad(grid.x_faces)) / (params.mass * params.gamma)
-    pe = u * dx / d
-    bl, br = _sg_face_weights(pe)
-    p = field.values
-    flux = (d / dx) * (bl * p[:-1] - br * p[1:])
-    new = p + dt * _flux_divergence(flux, dx)
-    if ordering is Ordering.SYMMETRIC:
-        new = new * np.exp(
-            -dt * np.asarray(potential.hess(grid.x_centers))
-            / (2.0 * params.mass * params.gamma)
-        )
-    return ProbField(new, grid, field.t + dt)
+    return _advance(_Smoluchowski(field.grid, potential, params), field, ordering, dt, 1)
 
 
 def kramers_dt_max(grid: PhaseGrid, potential: Potential, params: BathParams) -> float:
     """Largest stable explicit step for kramers_step on this problem."""
-    if not grid.is_2d:
-        raise ValueError("expected a 2D grid")
-    d_v = params.w / (2.0 * params.mass**2)
-    adv_rate = 2.0 * float(np.max(np.abs(grid.v_centers))) / grid.dx
-    grad = np.asarray(potential.grad(grid.x_centers))[:, None]
-    a = -(params.gamma * grid.v_faces[None, :] + grad / params.mass)
-    pe = a * grid.dv / d_v
-    bl, br = _sg_face_weights(pe)
-    out_rate = np.zeros((grid.nx, grid.nv))
-    out_rate[:, 1:] += br * d_v / grid.dv**2
-    out_rate[:, :-1] += bl * d_v / grid.dv**2
-    return 0.8 / (adv_rate + float(out_rate.max()))
-
-
-def _limited_slopes(p: np.ndarray) -> np.ndarray:
-    """Van Leer (harmonic mean) slopes along axis 0, zero at the boundary."""
-    d = np.diff(p, axis=0)
-    a, b = d[:-1], d[1:]
-    prod = a * b
-    s = np.zeros_like(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        interior = np.where(prod > 0, 2.0 * prod / (a + b), 0.0)
-    s[1:-1] = interior
-    return s
+    return _Kramers(grid, potential, params).dt_max
 
 
 def kramers_step(
@@ -331,38 +371,7 @@ def kramers_step(
     + (w/2M^2) d^2P/dv^2 in flux form. Symmetric ordering multiplies the
     result by exp(-gamma dt / 2).
     """
-    grid = field.grid
-    if not grid.is_2d:
-        raise ValueError("expected a 2D field")
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    dt_max = kramers_dt_max(grid, potential, params)
-    if dt > dt_max:
-        raise StabilityError("phase-space stability bound exceeded", dt_max)
-
-    p = field.values
-    dx, dv = grid.dx, grid.dv
-    vrow = grid.v_centers[None, :]
-
-    # x transport at speed v: limited second-order upwind reconstruction
-    s = _limited_slopes(p)
-    left = p[:-1] + 0.5 * s[:-1]
-    right = p[1:] - 0.5 * s[1:]
-    flux_x = vrow * np.where(vrow > 0, left, right)
-
-    # v drift-diffusion: exponential-upwind face flux
-    d_v = params.w / (2.0 * params.mass**2)
-    grad = np.asarray(potential.grad(grid.x_centers))[:, None]
-    a = -(params.gamma * grid.v_faces[None, :] + grad / params.mass)
-    pe = a * dv / d_v
-    bl, br = _sg_face_weights(pe)
-    flux_v = (d_v / dv) * (bl * p[:, :-1] - br * p[:, 1:])
-
-    new = p + dt * (_flux_divergence(flux_x, dx, axis=0)
-                    + _flux_divergence(flux_v, dv, axis=1))
-    if ordering is Ordering.SYMMETRIC:
-        new = new * math.exp(-params.gamma * dt / 2.0)
-    return ProbField(new, grid, field.t + dt)
+    return _advance(_Kramers(field.grid, potential, params), field, ordering, dt, 1)
 
 
 @dataclass(frozen=True)
@@ -415,20 +424,16 @@ def compare_langevin_fp(
 
     stats = run_ensemble(run_cfg, "overdamped", snapshot_steps=tuple(steps_at))
 
-    dt_max = smoluchowski_dt_max(grid, config.potential, config.params)
-    m = max(1, math.ceil(config.dt / dt_max))
+    op = _Smoluchowski(grid, config.potential, config.params)
+    m = max(1, math.ceil(config.dt / op.dt_max))
     dt_fp = config.dt / m
 
     field = gaussian_field_1d(grid, config.x0, sigma0)
     fields = {0: field} if 0 in steps_at else {}
-    field_k = field
     for k in range(1, (max(steps_at) + 1) if steps_at else 0):
-        for _ in range(m):
-            field_k = smoluchowski_step(
-                field_k, config.potential, config.params, Ordering.MOMENTA_LEFT, dt_fp
-            )
+        field = _advance(op, field, Ordering.MOMENTA_LEFT, dt_fp, m)
         if k in steps_at:
-            fields[k] = field_k
+            fields[k] = field
 
     cells_per_bin = grid.nx // n_bins
     bin_width = grid.dx * cells_per_bin
@@ -457,9 +462,8 @@ def compare_langevin_fp(
             0.5 * config.dt * max_curv / (config.params.mass * config.params.gamma)
             + (bin_width**2 + grid.dx**2) / (12.0 * max(fp_var, 1e-300))
         )
-        e_samples = samples
-        ens_mean = float(e_samples.mean()) if e_samples.size else float("nan")
-        ens_var = float(e_samples.var(ddof=1)) if e_samples.size > 1 else float("nan")
+        ens_mean = float(samples.mean()) if samples.size else float("nan")
+        ens_var = float(samples.var(ddof=1)) if samples.size > 1 else float("nan")
         records.append(
             ComparisonRecord(
                 t=float(t),
@@ -471,7 +475,7 @@ def compare_langevin_fp(
                 ens_var=ens_var,
                 fp_mean=fp_mean,
                 fp_var=fp_var,
-                n_samples=int(e_samples.size),
+                n_samples=int(samples.size),
             )
         )
     return records, stats

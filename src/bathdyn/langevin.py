@@ -115,12 +115,14 @@ def _check_dt_overdamped(potential: Potential, params: BathParams, dt: float):
 
 
 def _advance(mode: str, potential: Potential, params: BathParams, dt: float,
-             x: np.ndarray, v: np.ndarray, eta: np.ndarray):
+             x: np.ndarray, v: np.ndarray, eta: np.ndarray,
+             alive: np.ndarray | None = None):
     """One step of `mode` for every trajectory in the arrays x, v under noise eta.
 
     Returns (x_new, v_new, ok). ok is False where the step diverged (a
     non-finite x_new or v_new) or where the post-point solve was still
-    iterating after 200 rounds (a finite x_new: its last iterate).
+    iterating after 200 rounds (a finite x_new: its last iterate). The
+    post-point solve skips trajectories that alive marks dead (x_new = x).
     """
     m, gamma = params.mass, params.gamma
     with np.errstate(over="ignore", invalid="ignore"):
@@ -132,27 +134,29 @@ def _advance(mode: str, potential: Potential, params: BathParams, dt: float,
             x_new = x + (dt / (m * gamma)) * (-potential.grad(x) + eta)
             v_new = v
         else:  # overdamped_postpoint
-            x_new, converged = _postpoint_solve(potential, x, dt / (m * gamma), eta)
+            x_new, converged = _postpoint_solve(potential, x, dt / (m * gamma), eta, alive)
             return x_new, v, converged & np.isfinite(v)
         return x_new, v_new, np.isfinite(x_new) & np.isfinite(v_new)
 
 
-def _postpoint_solve(potential: Potential, x: np.ndarray, c: float, eta: np.ndarray):
+def _postpoint_solve(potential: Potential, x: np.ndarray, c: float, eta: np.ndarray,
+                     alive: np.ndarray | None):
     """Per-trajectory fixed point of y = x + c(-V'(y) + eta), starting at y = x.
 
-    A trajectory stops iterating once |y_next - y| <= 1e-14 max(1, |y_next|),
-    or once y_next is non-finite; the others go on. Returns (y, converged).
+    Only alive trajectories iterate (all of them when alive is None). One
+    stops once |y_next - y| <= 1e-14 max(1, |y_next|), or once y_next is
+    non-finite; the others go on. Returns (y, converged).
     """
     y = x.copy()
-    pending = np.ones(x.shape, dtype=bool)
+    pending = np.ones(x.shape, dtype=bool) if alive is None else alive.copy()
     for _ in range(200):
+        if not pending.any():
+            break
         y_next = x + c * (-potential.grad(y) + eta)
         # NaN and inf compare False here, so a non-finite y_next stops too
         moving = np.abs(y_next - y) > 1e-14 * np.maximum(1.0, np.abs(y_next))
         np.copyto(y, y_next, where=pending)
         pending &= moving
-        if not pending.any():
-            break
     return y, ~pending & np.isfinite(y)
 
 
@@ -321,7 +325,7 @@ def _evolve_chunk(
 
     record(0)
     for k in range(config.steps):
-        x_new, v_new, ok = _advance(mode, pot, params, dt, x, v, eta[:, k])
+        x_new, v_new, ok = _advance(mode, pot, params, dt, x, v, eta[:, k], alive)
         upd = alive & ok
         x[upd] = x_new[upd]
         v[upd] = v_new[upd]

@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bathdyn.decoherence as dc
 from bathdyn import (
     BathParams,
     DensityField,
+    DoubleWell,
     Harmonic,
     Ordering,
+    Polynomial,
     StabilityError,
     decoherence_params,
     gaussian_pure_state,
@@ -221,3 +226,37 @@ def test_interference_amplitude_decays_monotonically():
         r = master_step(r, None, heavy, 0.002, terms=("decoherence",))
         amps.append(interference_amplitude(r, heavy.hbar))
     assert all(a > b > 0.0 for a, b in zip(amps, amps[1:]))
+
+
+@st.composite
+def _master_problems(draw):
+    """A random potential (or none), grid, Gaussian state and stable dt."""
+    kind = draw(st.sampled_from(("none", "harmonic", "double_well", "polynomial")))
+    pot = None
+    if kind == "harmonic":
+        pot = Harmonic(mass=PARAMS.mass, omega0=draw(st.floats(0.2, 3.0)))
+    elif kind == "double_well":
+        pot = DoubleWell(a=draw(st.floats(-2.0, 2.0)), b=draw(st.floats(0.01, 1.0)))
+    elif kind == "polynomial":
+        pot = Polynomial(coeffs=tuple(draw(st.lists(st.floats(-2.0, 2.0),
+                                                    min_size=1, max_size=5))))
+    ny = 2 * draw(st.integers(8, 20)) + 1
+    rho = gaussian_pure_state(draw(st.integers(16, 48)), draw(st.floats(0.05, 0.15)),
+                              ny, draw(st.floats(0.05, 0.2)),
+                              sigma=draw(st.floats(0.3, 0.8)))
+    y_max = float(np.max(np.abs(rho.y_grid)))
+    dt = draw(st.floats(1e-6, 1.0)) * rho.dy / (PARAMS.gamma * y_max)
+    return pot, rho, dt
+
+
+@settings(max_examples=40, deadline=None)
+@given(_master_problems(), st.sampled_from(Ordering),
+       st.lists(st.sampled_from(dc._TERMS), unique=True), st.integers(1, 5))
+def test_built_once_master_operator_equals_master_step(problem, ordering, terms, n):
+    pot, rho, dt = problem
+    stepwise = rho
+    for _ in range(n):
+        stepwise = master_step(stepwise, pot, PARAMS, dt, ordering, terms)
+    out = dc._master_operator(rho, pot, PARAMS, dt, ordering, terms)(rho, n)
+    assert out.t.hex() == stepwise.t.hex()
+    assert out.values.tobytes() == stepwise.values.tobytes()

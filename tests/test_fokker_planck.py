@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bathdyn.fokker_planck as fp
 from bathdyn import (
     BathParams,
     ComparisonRecord,
@@ -12,6 +15,7 @@ from bathdyn import (
     Harmonic,
     Ordering,
     PhaseGrid,
+    Polynomial,
     ProbField,
     SimConfig,
     StabilityError,
@@ -261,3 +265,99 @@ def test_compare_langevin_fp_input_guards():
     bad = _compare_config(x0=10.0)
     with pytest.raises(ValueError, match="mismatched domains"):
         compare_langevin_fp(bad, grid, (0.1,))
+
+
+@pytest.mark.parametrize("grid, pot, params, limit", [
+    # diffusion-limited, and D dt_max / dx^2 rounds to just above 0.4 here
+    (PhaseGrid(-2.0, 2.0, 64), Harmonic(1.0, 0.5), BathParams(1.0, 1.3, 0.5, 0.0),
+     "diffusion"),
+    (PhaseGrid(-3.2, 3.2, 32), DoubleWell(-1.0, 0.25), PARAMS, "drift"),
+    (PhaseGrid(-3.0, 3.0, 32, v_min=-3.0, v_max=3.0, nv=32), HARMONIC, PARAMS,
+     "phase-space"),
+])
+def test_dt_max_is_the_one_stability_bound(grid, pot, params, limit):
+    if grid.is_2d:
+        step, dt_max = kramers_step, kramers_dt_max(grid, pot, params)
+        field = gaussian_field_2d(grid, 0.0, 0.6, 0.0, 0.6)
+    else:
+        step, dt_max = smoluchowski_step, smoluchowski_dt_max(grid, pot, params)
+        field = gaussian_field_1d(grid, 0.0, 0.6)
+        diffusion_dt = 0.4 * grid.dx**2 / params.D
+        assert (dt_max == diffusion_dt) is (limit == "diffusion")
+    out = step(field, pot, params, Ordering.MOMENTA_LEFT, dt_max)
+    assert out.t == dt_max
+    with pytest.raises(StabilityError) as exc:
+        step(field, pot, params, Ordering.MOMENTA_LEFT, np.nextafter(dt_max, np.inf))
+    assert exc.value.suggested_dt == dt_max
+
+
+@st.composite
+def _fp_problems(draw, two_d=None):
+    """A random potential, bath, 1-D or 2-D grid and Gaussian start."""
+    params = BathParams(mass=draw(st.floats(0.5, 2.0)), gamma=draw(st.floats(0.5, 3.0)),
+                        k_bt=draw(st.floats(0.2, 1.0)), hbar=0.0)
+    kind = draw(st.sampled_from(("harmonic", "double_well", "polynomial")))
+    if kind == "harmonic":
+        pot = Harmonic(mass=params.mass, omega0=draw(st.floats(0.2, 3.0)))
+    elif kind == "double_well":
+        pot = DoubleWell(a=draw(st.floats(-2.0, 2.0)), b=draw(st.floats(0.01, 1.0)))
+    else:
+        pot = Polynomial(coeffs=tuple(draw(st.lists(st.floats(-2.0, 2.0),
+                                                    min_size=1, max_size=5))))
+    half = draw(st.floats(1.5, 4.0))
+    nx = draw(st.integers(16, 96))
+    if two_d is None:
+        two_d = draw(st.booleans())
+    if two_d:
+        v_half = draw(st.floats(1.5, 4.0))
+        grid = PhaseGrid(-half, half, nx, -v_half, v_half, draw(st.integers(16, 96)))
+        field = gaussian_field_2d(grid, 0.2 * half, 0.3 * half, 0.0, 0.4 * v_half)
+    else:
+        grid = PhaseGrid(-half, half, nx)
+        field = gaussian_field_1d(grid, 0.2 * half, 0.3 * half)
+    return pot, params, field
+
+
+def _operator(field, pot, params):
+    if field.grid.is_2d:
+        return fp._Kramers(field.grid, pot, params), kramers_step
+    return fp._Smoluchowski(field.grid, pot, params), smoluchowski_step
+
+
+_FRACTIONS = st.floats(1e-6, 1.0)  # dt / dt_max
+
+
+def _bits(field):
+    return field.t.hex(), field.values.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fp_problems(), st.sampled_from(Ordering), st.integers(1, 8), _FRACTIONS)
+def test_advance_equals_repeated_public_steps(problem, ordering, n, frac):
+    pot, params, field = problem
+    op, step = _operator(field, pot, params)
+    dt = frac * op.dt_max
+
+    stepwise = field
+    for _ in range(n):
+        stepwise = step(stepwise, pot, params, ordering, dt)
+    assert _bits(fp._advance(op, field, ordering, dt, n)) == _bits(stepwise)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fp_problems(), st.integers(1, 20), _FRACTIONS)
+def test_momenta_left_conserves_mass_to_roundoff(problem, n, frac):
+    pot, params, field = problem
+    op, _ = _operator(field, pot, params)
+    out = fp._advance(op, field, Ordering.MOMENTA_LEFT, frac * op.dt_max, n)
+    assert abs(out.mass - field.mass) <= 1e-12 * field.mass
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fp_problems(two_d=True), _FRACTIONS)
+def test_symmetric_kramers_step_scales_mass_by_the_sink(problem, frac):
+    pot, params, field = problem
+    dt = frac * kramers_dt_max(field.grid, pot, params)
+    out = kramers_step(field, pot, params, Ordering.SYMMETRIC, dt)
+    expected = field.mass * math.exp(-params.gamma * dt / 2.0)
+    assert abs(out.mass - expected) <= 1e-12 * expected

@@ -263,6 +263,25 @@ def test_postpoint_solve_that_never_converges_counts_as_diverged():
         step_overdamped_postpoint(0.3, pot, params, 1.0, cfg.dt)
 
 
+def test_postpoint_solve_skips_dead_trajectories():
+    """Every trajectory dies in the 200-round solve of step 1; steps 2 and 3
+    must not run the solve again for them."""
+    calls = []
+
+    class CountedPolynomial(Polynomial):
+        def grad(self, x):
+            calls.append(1)
+            return super().grad(x)
+
+    pot = CountedPolynomial(coeffs=(0.0, 0.0, 10.0))
+    params = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
+    cfg = SimConfig(potential=pot, params=params, dt=0.05, steps=3, n_traj=8,
+                    master_seed=21, sigma_x=0.3)
+    stats = run_ensemble(cfg, "overdamped_postpoint")
+    assert stats.n_diverged == cfg.n_traj
+    assert len(calls) <= 202
+
+
 def _bits(value) -> str:
     return float(value).hex()
 
