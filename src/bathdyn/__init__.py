@@ -4,149 +4,26 @@ Bath kernels (Ohmic, Drude, discrete), colored-noise synthesis, Langevin
 ensembles, Kramers/Smoluchowski grid solvers with selectable operator
 ordering, time-sliced functional determinants, and high-temperature
 decoherence of density matrices.
+
+The public names are each module's ``__all__``, re-exported here.
 """
 
-from .kernels import (
-    BathParams,
-    DiscreteBath,
-    Drude,
-    KernelSamples,
-    Ohmic,
-    Oscillator,
-    bath_correlators,
-    freq_shift,
-    friction_kernel_freq,
-    friction_kernel_time,
-    hbar_coth,
-    noise_kernel_freq,
-    noise_kernel_time,
-    spectral_density,
-    thermal_green,
-    xcoth,
-)
-from .determinants import (
-    FactorizationError,
-    FirstOrderOp,
-    MarginalRootError,
-    Scheme,
-    SecondOrderOp,
-    first_order_det_ratio,
-    regularized_log_integral,
-    second_order_det_ratio,
-    trace_log_rate,
-)
-from .noise import (
-    NoiseSpec,
-    NoiseTrajectory,
-    colored_noise,
-    derive_rng,
-    estimate_autocorr,
-    white_noise,
-)
-from .potentials import DoubleWell, Harmonic, Polynomial, Potential
-from .langevin import (
-    EnsembleStats,
-    InertialState,
-    SimConfig,
-    noise_expectation,
-    run_ensemble,
-    step_inertial,
-    step_overdamped,
-    step_overdamped_postpoint,
-)
-from .fokker_planck import (
-    ComparisonRecord,
-    Ordering,
-    PhaseGrid,
-    ProbField,
-    StabilityError,
-    compare_langevin_fp,
-    gaussian_field_1d,
-    gaussian_field_2d,
-    kramers_step,
-    smoluchowski_step,
-)
-from .decoherence import (
-    DecoherenceParams,
-    DensityField,
-    decoherence_params,
-    gaussian_pure_state,
-    interference_amplitude,
-    master_step,
-    superposition_state,
-    wigner_transform,
-)
+from .kernels import *
+from .determinants import *
+from .noise import *
+from .potentials import *
+from .langevin import *
+from .fokker_planck import *
+from .decoherence import *
+from . import decoherence, determinants, fokker_planck, kernels, langevin, noise, potentials
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # kernels
-    "BathParams",
-    "DiscreteBath",
-    "Drude",
-    "KernelSamples",
-    "Ohmic",
-    "Oscillator",
-    "bath_correlators",
-    "freq_shift",
-    "friction_kernel_freq",
-    "friction_kernel_time",
-    "hbar_coth",
-    "noise_kernel_freq",
-    "noise_kernel_time",
-    "spectral_density",
-    "thermal_green",
-    "xcoth",
-    # determinants
-    "FactorizationError",
-    "FirstOrderOp",
-    "MarginalRootError",
-    "Scheme",
-    "SecondOrderOp",
-    "first_order_det_ratio",
-    "regularized_log_integral",
-    "second_order_det_ratio",
-    "trace_log_rate",
-    # noise
-    "NoiseSpec",
-    "NoiseTrajectory",
-    "colored_noise",
-    "derive_rng",
-    "estimate_autocorr",
-    "white_noise",
-    # potentials
-    "DoubleWell",
-    "Harmonic",
-    "Polynomial",
-    "Potential",
-    # langevin
-    "EnsembleStats",
-    "InertialState",
-    "SimConfig",
-    "noise_expectation",
-    "run_ensemble",
-    "step_inertial",
-    "step_overdamped",
-    "step_overdamped_postpoint",
-    # fokker_planck
-    "ComparisonRecord",
-    "Ordering",
-    "PhaseGrid",
-    "ProbField",
-    "StabilityError",
-    "compare_langevin_fp",
-    "gaussian_field_1d",
-    "gaussian_field_2d",
-    "kramers_step",
-    "smoluchowski_step",
-    # decoherence
-    "DecoherenceParams",
-    "DensityField",
-    "decoherence_params",
-    "gaussian_pure_state",
-    "interference_amplitude",
-    "master_step",
-    "superposition_state",
-    "wigner_transform",
-]
+__all__ = ["__version__"]
+__all__ += kernels.__all__
+__all__ += determinants.__all__
+__all__ += noise.__all__
+__all__ += potentials.__all__
+__all__ += langevin.__all__
+__all__ += fokker_planck.__all__
+__all__ += decoherence.__all__

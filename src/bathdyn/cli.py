@@ -3,8 +3,16 @@
 Configs are flat key=value text files with dotted section keys
 (``bath.gamma=2.0``). Every run writes its tables as CSV with floats at 17
 significant digits (so reruns diff cleanly) plus a ``manifest.json`` of
-JSON-lines records written atomically at the end. Exit codes: 0 success,
-1 failed check or stability abort, 2 configuration error.
+JSON-lines records written atomically at the end; the output directory is
+created by the first write. Exit codes: 0 success, 1 failed check or
+stability abort, 2 configuration error. A run that fails with 1 or 2 on an
+error still writes its manifest, ending in an ``error`` record with the exit
+code and the line printed to stderr.
+
+``main`` owns a run's lifecycle: it loads the config, hands it and the
+``Manifest`` to the subcommand, ``cmd_x(args, cfg, man)``, which reads its
+keys, does its work and records its outputs and checks, and then writes the
+manifest and turns the checks or the error into the exit code.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .config import (
     load_config,
 )
 from .decoherence import (
+    _HERM_TOL,
     _master_operator,
     decoherence_params,
     gaussian_pure_state,
@@ -114,26 +123,36 @@ def _utc_now() -> str:
 
 
 class Manifest:
-    """Run metadata accumulator; written atomically as JSON-lines."""
+    """Run metadata accumulator and owner of the run's output files; written
+    atomically as JSON-lines."""
 
     def __init__(self, command: str, out_dir: str):
         self.command = command
         self.out_dir = out_dir
         self.started = _utc_now()
         self.outputs: list[str] = []
-        self.checks: list[dict] = []
+        self.records: list[dict] = []  # check and error records, in order
 
-    def add_output(self, name: str) -> None:
+    def _path(self, name: str) -> str:
+        os.makedirs(self.out_dir, exist_ok=True)
+        return os.path.join(self.out_dir, name)
+
+    def csv(self, name: str, header, rows) -> None:
+        write_csv(self._path(name), header, rows)
+        self.outputs.append(name)
+
+    def jsonl(self, name: str, records) -> None:
+        write_jsonl(self._path(name), records)
         self.outputs.append(name)
 
     def add_check(self, name: str, passed: bool, **extra) -> None:
         rec = {"record": "check", "name": name, "pass": bool(passed)}
         rec.update(extra)
-        self.checks.append(rec)
+        self.records.append(rec)
 
     @property
     def all_passed(self) -> bool:
-        return all(c["pass"] for c in self.checks)
+        return all(r["pass"] for r in self.records if r["record"] == "check")
 
     def write(self, resolved: dict) -> None:
         records = [
@@ -147,31 +166,16 @@ class Manifest:
             {"record": "config", "values": dict(sorted(resolved.items()))},
         ]
         records += [{"record": "output", "path": name} for name in self.outputs]
-        records += self.checks
-        final = os.path.join(self.out_dir, "manifest.json")
+        records += self.records
+        final = self._path("manifest.json")
         tmp = final + ".tmp"
         write_jsonl(tmp, records)
         os.replace(tmp, final)
 
 
-def _emit_csv(manifest: Manifest, name: str, header, rows) -> None:
-    write_csv(os.path.join(manifest.out_dir, name), header, rows)
-    manifest.add_output(name)
-
-
 def _say(args, text: str) -> None:
     if not args.quiet:
         print(text)
-
-
-def _load(args) -> RunConfig:
-    raw = load_config(args.config) if args.config else {}
-    return RunConfig(raw)
-
-
-def _ensure_out(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
 
 
 def _seed(args, cfg: RunConfig, default: int = 1234) -> int:
@@ -182,12 +186,14 @@ def _seed(args, cfg: RunConfig, default: int = 1234) -> int:
     return value
 
 
-def _bath_from(cfg: RunConfig) -> BathParams:
+def _bath_from(cfg: RunConfig, mass: float = 1.0, gamma: float = 1.0,
+               hbar: float = 0.0) -> BathParams:
+    """The bath.* parameters, with the calling command's defaults."""
     return BathParams(
-        mass=cfg.get("bath.mass", as_float, 1.0),
-        gamma=cfg.get("bath.gamma", as_float, 1.0),
+        mass=cfg.get("bath.mass", as_float, mass),
+        gamma=cfg.get("bath.gamma", as_float, gamma),
         k_bt=cfg.get("bath.k_bt", as_float, 1.0),
-        hbar=cfg.get("bath.hbar", as_float, 0.0),
+        hbar=cfg.get("bath.hbar", as_float, hbar),
     )
 
 
@@ -214,8 +220,7 @@ def _potential_from(cfg: RunConfig, mass: float, allow_none: bool = False):
 # kernels
 
 
-def cmd_kernels(args) -> int:
-    cfg = _load(args)
+def cmd_kernels(args, cfg: RunConfig, man: Manifest) -> None:
     model_name = cfg.get("bath.model", as_choice("ohmic", "drude"), "ohmic")
     params = _bath_from(cfg)
     mass, gamma, hbar = params.mass, params.gamma, params.hbar
@@ -237,12 +242,9 @@ def cmd_kernels(args) -> int:
     if not (w_max > 0 and t_max > 0):
         raise ConfigError("grid.w_max and grid.t_max must be > 0")
 
-    out = _ensure_out(args)
-    man = Manifest("kernels", out)
-
     omega = np.linspace(-w_max, w_max, nw)
-    _emit_csv(man, "noise_freq.csv", ("omega", "K"),
-              zip(omega, noise_kernel_freq(params, model, omega)))
+    man.csv("noise_freq.csv", ("omega", "K"),
+            zip(omega, noise_kernel_freq(params, model, omega)))
 
     k0 = float(noise_kernel_freq(params, model, 0.0))
     ok0 = k0 == 1.0
@@ -250,11 +252,11 @@ def cmd_kernels(args) -> int:
     man.add_check("k0_exact_unit", ok0, computed=k0, target=1.0)
 
     if model_name == "drude":
-        _emit_csv(man, "spectral_density.csv", ("omega", "sigma"),
-                  zip(omega, spectral_density(model, mass, omega)))
+        man.csv("spectral_density.csv", ("omega", "sigma"),
+                zip(omega, spectral_density(model, mass, omega)))
         tg = np.linspace(0.0, t_max, (nt + 1) // 2)
-        _emit_csv(man, "friction_time.csv", ("t", "gamma_t"),
-                  zip(tg, friction_kernel_time(model, mass, tg)))
+        man.csv("friction_time.csv", ("t", "gamma_t"),
+                zip(tg, friction_kernel_time(model, mass, tg)))
         if hbar > 0:
             # the quantum kernel log-diverges at t = 0; an even count of
             # half-offset samples straddles it symmetrically
@@ -265,8 +267,7 @@ def cmd_kernels(args) -> int:
             n_odd = nt if nt % 2 == 1 else nt + 1
             t_grid = np.linspace(-t_max, t_max, n_odd)
         samples = noise_kernel_time(params, model, t_grid)
-        _emit_csv(man, "noise_time.csv", ("t", "K_t"),
-                  zip(samples.t_grid, samples.values))
+        man.csv("noise_time.csv", ("t", "K_t"), zip(samples.t_grid, samples.values))
         if hbar == 0.0:
             ok_area = abs(samples.area - 1.0) <= 1e-6
             _say(args, "check |area(K) - 1| <= 1e-6: "
@@ -277,16 +278,12 @@ def cmd_kernels(args) -> int:
             _say(args, f"K trapezoid area = {samples.area:.17g} "
                  "(quantum kernel: no unit-area contract)")
 
-    man.write(cfg.resolved)
-    return 0 if man.all_passed else 1
-
 
 # ---------------------------------------------------------------------------
 # det-check
 
 
-def cmd_det_check(args) -> int:
-    cfg = _load(args)
+def cmd_det_check(args, cfg: RunConfig, man: Manifest) -> None:
     g = cfg.get("det.gamma", as_float, 2.0)
     t_total = cfg.get("det.t", as_float, 1.0)
     n = cfg.get("det.n", as_int, 10000)
@@ -300,34 +297,37 @@ def cmd_det_check(args) -> int:
     from .checks import det_cases
 
     cases = det_cases(g, t_total, n, seed)
-
-    out = _ensure_out(args)
-    man = Manifest("det-check", out)
-    write_jsonl(os.path.join(out, "det_checks.jsonl"), cases)
-    man.add_output("det_checks.jsonl")
+    man.jsonl("det_checks.jsonl", cases)
     for case in cases:
         tag = "pass" if case["pass"] else "FAIL"
         _say(args, f"{case['case']}: {tag} (computed = {case['computed']:.12g}, "
              f"target = {case['target']:.12g})")
         man.add_check(case["case"], case["pass"], computed=case["computed"],
                       target=case["target"])
-    man.write(cfg.resolved)
-    return 0 if man.all_passed else 1
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
 
-# default cell count of the 1-D grid for each sim.kind that reads one
-_GRID_1D_NX = {"smoluchowski": 256, "compare": 512}
+# default x cell count for each sim.kind that reads a grid
+_GRID_NX = {"smoluchowski": 256, "compare": 512, "kramers": 128}
 
 
-def _grid_1d(cfg: RunConfig) -> PhaseGrid:
-    return PhaseGrid(
+def _grid(cfg: RunConfig, kind: str) -> PhaseGrid:
+    """The grid.* keys of one sim.kind: x only, or (x, v) for kramers."""
+    x_axis = dict(
         x_min=cfg.get("grid.x_min", as_float, -4.0),
         x_max=cfg.get("grid.x_max", as_float, 4.0),
-        nx=cfg.get("grid.nx", as_int, _GRID_1D_NX[cfg.resolved["sim.kind"]]),
+        nx=cfg.get("grid.nx", as_int, _GRID_NX[kind]),
+    )
+    if kind != "kramers":
+        return PhaseGrid(**x_axis)
+    return PhaseGrid(
+        **x_axis,
+        v_min=cfg.get("grid.v_min", as_float, -4.0),
+        v_max=cfg.get("grid.v_max", as_float, 4.0),
+        nv=cfg.get("grid.nv", as_int, 128),
     )
 
 
@@ -362,12 +362,12 @@ def _run_ensemble_cmd(args, cfg, params, potential, man) -> None:
     lags = cfg.get("output.autocorr_lags", as_int, 0)
     cfg.finish()
     stats = run_ensemble(config, mode, histogram_bins=bins, autocorr_lags=lags)
-    _emit_csv(man, "moments.csv", ("key", "value"), stats.moment_rows())
-    _emit_csv(man, "histogram.csv", ("bin_left", "bin_right", "density"),
-              stats.histogram_rows())
+    man.csv("moments.csv", ("key", "value"), stats.moment_rows())
+    man.csv("histogram.csv", ("bin_left", "bin_right", "density"),
+            stats.histogram_rows())
     if lags > 0 and stats.autocorr is not None:
-        _emit_csv(man, "autocorr.csv", ("lag", "t_lag", "value"),
-                  ((k, k * config.dt, val) for k, val in enumerate(stats.autocorr)))
+        man.csv("autocorr.csv", ("lag", "t_lag", "value"),
+                ((k, k * config.dt, val) for k, val in enumerate(stats.autocorr)))
     _say(args, f"ensemble ({mode}): {stats.n_traj} trajectories, "
          f"{stats.n_diverged} diverged, mean_x = {stats.mean_x:.6g}, "
          f"var_x = {stats.var_x:.6g}")
@@ -382,23 +382,15 @@ def _run_fp_cmd(args, cfg, kind, params, potential, man) -> None:
     steps = cfg.get("fp.steps", as_int, 1000)
     record_every = cfg.get("fp.record_every", as_int, 100)
     dt = cfg.get("fp.dt", as_float, 0.0)
-    if kind == "kramers":
-        grid = PhaseGrid(
-            x_min=cfg.get("grid.x_min", as_float, -4.0),
-            x_max=cfg.get("grid.x_max", as_float, 4.0),
-            nx=cfg.get("grid.nx", as_int, 128),
-            v_min=cfg.get("grid.v_min", as_float, -4.0),
-            v_max=cfg.get("grid.v_max", as_float, 4.0),
-            nv=cfg.get("grid.nv", as_int, 128),
-        )
+    grid = _grid(cfg, kind)
+    if grid.is_2d:
         v0 = cfg.get("fp.v0", as_float, 0.0)
         sigma_v = cfg.get("fp.sigma_v", as_float, 0.5)
-        cfg.finish()
+    cfg.finish()
+    if grid.is_2d:
         field = gaussian_field_2d(grid, x0, sigma_x, v0, sigma_v)
         op = _Kramers(grid, potential, params)
     else:
-        grid = _grid_1d(cfg)
-        cfg.finish()
         field = gaussian_field_1d(grid, x0, sigma_x)
         op = _Smoluchowski(grid, potential, params)
     if steps < 1 or record_every < 1:
@@ -410,9 +402,8 @@ def _run_fp_cmd(args, cfg, kind, params, potential, man) -> None:
     field, mass_rows = _advance_recorded(
         lambda f, n: _advance(op, f, ordering, dt, n), field, steps, record_every,
         lambda k, f: (k, k * dt, f.mass))
-    _emit_csv(man, "mass.csv", ("step", "t", "mass"), mass_rows)
-    header = ("x", "v", "P") if grid.is_2d else ("x", "P")
-    _emit_csv(man, "field.csv", header, field.rows())
+    man.csv("mass.csv", ("step", "t", "mass"), mass_rows)
+    man.csv("field.csv", ("x", "v", "P") if grid.is_2d else ("x", "P"), field.rows())
 
     mean, var = field.moments()
     _say(args, f"{kind} ({ordering.value}): {steps} steps of dt = {dt:.6g}, "
@@ -423,7 +414,7 @@ def _run_fp_cmd(args, cfg, kind, params, potential, man) -> None:
 
 
 def _run_compare_cmd(args, cfg, params, potential, man) -> None:
-    grid = _grid_1d(cfg)
+    grid = _grid(cfg, "compare")
     times = cfg.require("compare.times", as_float_list)
     bins = cfg.get("compare.bins", as_int, 64)
     dt = cfg.get("run.dt", as_float, 0.005)
@@ -440,10 +431,8 @@ def _run_compare_cmd(args, cfg, params, potential, man) -> None:
     )
     cfg.finish()
     records, stats = compare_langevin_fp(config, grid, times, n_bins=bins)
-    write_jsonl(os.path.join(man.out_dir, "compare.jsonl"),
-                [r.as_dict() for r in records])
-    man.add_output("compare.jsonl")
-    _emit_csv(man, "moments.csv", ("key", "value"), stats.moment_rows())
+    man.jsonl("compare.jsonl", [r.as_dict() for r in records])
+    man.csv("moments.csv", ("key", "value"), stats.moment_rows())
     for rec in records:
         budget = 3.0 * (rec.stat_err + rec.disc_err)
         ok = rec.l1 <= budget
@@ -452,39 +441,35 @@ def _run_compare_cmd(args, cfg, params, potential, man) -> None:
         man.add_check(f"l1_within_budget_t_{rec.t:g}", ok, l1=rec.l1, budget=budget)
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
+def cmd_simulate(args, cfg: RunConfig, man: Manifest) -> None:
     kind = cfg.require("sim.kind",
                        as_choice("ensemble", "smoluchowski", "kramers", "compare"))
     params = _bath_from(cfg)
     potential = _potential_from(cfg, params.mass)
-    out = _ensure_out(args)
-    man = Manifest("simulate", out)
     if kind == "ensemble":
         _run_ensemble_cmd(args, cfg, params, potential, man)
     elif kind == "compare":
         _run_compare_cmd(args, cfg, params, potential, man)
     else:
         _run_fp_cmd(args, cfg, kind, params, potential, man)
-    man.write(cfg.resolved)
-    return 0 if man.all_passed else 1
 
 
 # ---------------------------------------------------------------------------
 # decohere
 
 
-def cmd_decohere(args) -> int:
-    cfg = _load(args)
+def _product_rows(a, b, *columns):
+    """Rows (a[i], b[j], c[i, j], ...) over the product grid of a and b, i outer."""
+    aa, bb = np.meshgrid(a, b, indexing="ij")
+    return zip(*(np.ravel(c) for c in (aa, bb, *columns)))
+
+
+def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:
+    # bath.hbar is read and checked before the other bath keys
     hbar = cfg.get("bath.hbar", as_float, 1.0)
     if hbar <= 0:
         raise ConfigError("bath.hbar must be > 0 to evolve a density matrix")
-    params = BathParams(
-        mass=cfg.get("bath.mass", as_float, 20.0),
-        gamma=cfg.get("bath.gamma", as_float, 6.25e-3),
-        k_bt=cfg.get("bath.k_bt", as_float, 1.0),
-        hbar=hbar,
-    )
+    params = _bath_from(cfg, mass=20.0, gamma=6.25e-3, hbar=hbar)
     potential = _potential_from(cfg, params.mass, allow_none=True)
     state_kind = cfg.get("state.kind", as_choice("gaussian", "superposition"),
                          "superposition")
@@ -510,9 +495,6 @@ def cmd_decohere(args) -> int:
         rho = gaussian_pure_state(nx, dx, ny, dy, sigma=sigma)
     dec = decoherence_params(params)
 
-    out = _ensure_out(args)
-    man = Manifest("decohere", out)
-
     def decay_row(step: int, field) -> tuple:
         tr = field.trace()
         amp = interference_amplitude(field, hbar)
@@ -520,25 +502,18 @@ def cmd_decohere(args) -> int:
 
     advance = _master_operator(rho, potential, params, dt, ordering)
     rho, decay_rows = _advance_recorded(advance, rho, steps, record_every, decay_row)
-    _emit_csv(man, "decay.csv",
-              ("step", "t", "amplitude", "trace_re", "trace_im", "herm_dev"),
-              decay_rows)
-
-    xg, yg = rho.x_grid, rho.y_grid
-    _emit_csv(man, "rho_final.csv", ("x", "y", "re", "im"),
-              ((float(xg[i]), float(yg[j]), rho.values[i, j].real,
-                rho.values[i, j].imag)
-               for i in range(rho.nx) for j in range(rho.ny)))
+    man.csv("decay.csv", ("step", "t", "amplitude", "trace_re", "trace_im", "herm_dev"),
+            decay_rows)
+    man.csv("rho_final.csv", ("x", "y", "re", "im"),
+            _product_rows(rho.x_grid, rho.y_grid, rho.values.real, rho.values.imag))
     wig, p_grid = wigner_transform(rho, hbar)
-    _emit_csv(man, "wigner_final.csv", ("x", "p", "w"),
-              ((float(xg[i]), float(p_grid[j]), float(wig[i, j]))
-               for i in range(rho.nx) for j in range(p_grid.size)))
+    man.csv("wigner_final.csv", ("x", "p", "w"), _product_rows(rho.x_grid, p_grid, wig))
 
     herm_max = max(row[5] for row in decay_rows)
-    ok_herm = herm_max <= 1e-8
+    ok_herm = herm_max <= _HERM_TOL
     _say(args, f"check hermiticity <= 1e-8: {'pass' if ok_herm else 'FAIL'} "
          f"(max deviation {herm_max:.3g})")
-    man.add_check("hermitian", ok_herm, max_deviation=herm_max, tol=1e-8)
+    man.add_check("hermitian", ok_herm, max_deviation=herm_max, tol=_HERM_TOL)
 
     tr0, tr_end = decay_rows[0][3], decay_rows[-1][3]
     t_end = decay_rows[-1][1]
@@ -568,19 +543,13 @@ def cmd_decohere(args) -> int:
         man.add_check("decay_slope", ok_slope, slope=slope, target=-lam_d2,
                       ratio=ratio, tol=0.05)
 
-    man.write(cfg.resolved)
-    return 0 if man.all_passed else 1
-
 
 # ---------------------------------------------------------------------------
 # paper-checks
 
 
-def cmd_paper_checks(args) -> int:
-    cfg = _load(args)
+def cmd_paper_checks(args, cfg: RunConfig, man: Manifest) -> None:
     cfg.finish()
-    out = _ensure_out(args)
-    man = Manifest("paper-checks", out)
     from .checks import run_all
 
     results = run_all()
@@ -595,10 +564,7 @@ def cmd_paper_checks(args) -> int:
             "detail": res.detail,
         })
         man.add_check(f"criterion_{res.index}", res.passed, detail=res.detail)
-    write_jsonl(os.path.join(out, "checks.jsonl"), records)
-    man.add_output("checks.jsonl")
-    man.write(cfg.resolved)
-    return 0 if man.all_passed else 1
+    man.jsonl("checks.jsonl", records)
 
 
 # ---------------------------------------------------------------------------
@@ -634,23 +600,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    man, cfg = Manifest(args.command, args.out), RunConfig({})
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except StabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        cfg = RunConfig(load_config(args.config) if args.config else {})
+        args.func(args, cfg, man)
+        man.write(cfg.resolved)
+        return 0 if man.all_passed else 1
+    except (ConfigError, ValueError, RuntimeError, OSError) as exc:
+        # a StabilityError is a ValueError, but a numerical abort like a
+        # RuntimeError, not a configuration error
+        code = 1 if isinstance(exc, (StabilityError, RuntimeError)) else 2
+        message = f"{'error' if code == 1 else 'config error'}: {exc}"
+        print(message, file=sys.stderr)
+        man.records.append({"record": "error", "exit_code": code, "message": message})
+        try:
+            man.write(cfg.resolved)
+        except OSError:
+            pass  # best effort: the exit code and the stderr line stand
+        return code
 
 
 if __name__ == "__main__":

@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 _TERMS = ("kinetic", "potential", "friction", "decoherence")
+# largest relative deviation from rho(x, y) = conj(rho(x, -y)) that a step's
+# result, a Wigner transform's input or a run's final check accepts
+_HERM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -220,11 +223,10 @@ def _friction_substep(vals: np.ndarray, y: np.ndarray, gamma: float,
 
 def _master_operator(rho: DensityField, potential: Potential | None,
                      params: BathParams, dt: float,
-                     ordering: Ordering = Ordering.MOMENTA_LEFT, terms=_TERMS,
-                     herm_tol: float = 1e-8):
+                     ordering: Ordering = Ordering.MOMENTA_LEFT, terms=_TERMS):
     """master_step's split-step generator on rho's grid, validated and built
     once. Returns advance(rho, n_steps), which applies n_steps steps and checks
-    each result for finiteness and hermiticity (within herm_tol)."""
+    each result for finiteness and hermiticity (within _HERM_TOL)."""
     if params.hbar <= 0:
         raise ValueError("hbar must be > 0 for density-matrix evolution")
     if not dt > 0:
@@ -275,7 +277,7 @@ def _master_operator(rho: DensityField, potential: Potential | None,
             for substep in substeps:
                 vals = substep(vals)
             field = DensityField(vals, field.x0, field.dx, field.dy, field.t + dt)
-            if field.herm_deviation() > herm_tol:
+            if field.herm_deviation() > _HERM_TOL:
                 raise RuntimeError("unstable step: hermiticity violated")
         return field
 
@@ -289,7 +291,6 @@ def master_step(
     dt: float,
     ordering: Ordering = Ordering.MOMENTA_LEFT,
     terms=_TERMS,
-    herm_tol: float = 1e-8,
 ) -> DensityField:
     """One split step of the high-temperature master equation.
 
@@ -298,7 +299,7 @@ def master_step(
     which isolates single generators for diagnostics. ordering toggles the
     constant gamma/2 sink (fokker_planck.Ordering; default momenta-left).
     """
-    return _master_operator(rho, potential, params, dt, ordering, terms, herm_tol)(rho, 1)
+    return _master_operator(rho, potential, params, dt, ordering, terms)(rho, 1)
 
 
 def wigner_transform(
@@ -312,7 +313,7 @@ def wigner_transform(
     """
     if hbar <= 0:
         raise ValueError("hbar must be > 0")
-    if rho.herm_deviation() > 1e-8:
+    if rho.herm_deviation() > _HERM_TOL:
         raise ValueError("Wigner transform needs a Hermitian field")
     y = rho.y_grid
     if p_grid is None:

@@ -354,7 +354,6 @@ def run_ensemble(
     *,
     snapshot_steps: tuple[int, ...] = (),
     histogram_bins: int = 64,
-    histogram_range: tuple[float, float] | None = None,
     autocorr_lags: int = 0,
     noise_scale: float = 1.0,
 ) -> EnsembleStats:
@@ -409,7 +408,7 @@ def run_ensemble(
     else:
         mean_v = var_v = se_v = cov_xv = se_cov = float("nan")
 
-    counts, edges = np.histogram(xs, bins=histogram_bins, range=histogram_range)
+    counts, edges = np.histogram(xs, bins=histogram_bins)
     widths = np.diff(edges)
     total = counts.sum()
     density = counts / (total * widths) if total > 0 else np.zeros_like(widths)

@@ -236,6 +236,91 @@ def test_seed_flag_overrides_config(tmp_path):
     assert rec["values"]["run.seed"] == 99
 
 
+def _error_records(out_dir):
+    return [r for r in _read_manifest(out_dir) if r["record"] == "error"]
+
+
+def test_failed_run_manifest_records_the_error(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        "sim.kind=smoluchowski\nfp.dt=10.0\ngrid.nx=64\n",
+    )
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    line = capsys.readouterr().err.strip()
+    records = _read_manifest(out)
+    assert records[-1] == {"record": "error", "exit_code": 1, "message": line}
+    config_rec = next(r for r in records if r["record"] == "config")
+    assert config_rec["values"]["fp.dt"] == 10.0
+    assert [r for r in records if r["record"] == "output"] == []
+
+
+def test_config_error_manifest_records_the_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "bath.model=ohmic\nbath.typo=1\n")
+    out = tmp_path / "o"
+    assert main(["kernels", "--config", cfg, "--out", str(out)]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line == "config error: unknown config key: bath.typo"
+    assert _error_records(out) == [
+        {"record": "error", "exit_code": 2, "message": line}]
+
+
+def test_successful_run_has_no_error_record(tmp_path):
+    assert main(["det-check", "--out", str(tmp_path), "--quiet"]) == 0
+    assert _error_records(tmp_path) == []
+
+
+def test_unwritable_error_manifest_keeps_exit_code_and_message(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        "sim.kind=smoluchowski\nfp.dt=10.0\ngrid.nx=64\n",
+    )
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    rc = main(["simulate", "--config", cfg, "--out", str(blocker / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: drift-augmented stability bound exceeded")
+    assert err.count("\n") == 1
+
+
+# one tiny config per subcommand (and per simulate kind); each runs in well
+# under a second
+_REPRO_RUNS = {
+    "smoluchowski": ("simulate", "sim.kind=smoluchowski\ngrid.nx=32\n"
+                     "fp.steps=20\nfp.record_every=7\n"),
+    "kramers": ("simulate", "sim.kind=kramers\ngrid.nx=16\ngrid.nv=16\n"
+                "fp.ordering=symmetric\nfp.steps=10\nfp.record_every=4\n"),
+    "compare": ("simulate", "sim.kind=compare\ncompare.times=0.05,0.1\n"
+                "run.n_traj=300\nrun.seed=3\ngrid.nx=64\n"
+                "grid.x_min=-3\ngrid.x_max=3\n"),
+    "decohere": ("decohere", "state.kind=gaussian\ngrid.nx=41\ngrid.ny=21\n"
+                 "run.steps=6\nrun.record_every=4\n"),
+    "det-check": ("det-check", ""),
+    "kernels": ("kernels", "bath.model=ohmic\ngrid.nw=101\ngrid.nt=257\n"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_REPRO_RUNS))
+def test_every_subcommand_is_reproducible(tmp_path, run):
+    command, text = _REPRO_RUNS[run]
+    cfg = _write_config(tmp_path, text)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main([command, "--config", cfg, "--out", str(a), "--quiet"]) == 0
+    assert main([command, "--config", cfg, "--out", str(b), "--quiet"]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert len(names) >= 2
+    for name in names:
+        if name != "manifest.json":
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def without_run(out):
+        return [r for r in _read_manifest(out) if r["record"] != "run"]
+
+    assert without_run(a) == without_run(b)
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "bathdyn", "det-check",

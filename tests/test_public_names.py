@@ -1,0 +1,27 @@
+"""The package's public names are exactly the modules' public names."""
+
+import bathdyn
+from bathdyn import (
+    decoherence,
+    determinants,
+    fokker_planck,
+    kernels,
+    langevin,
+    noise,
+    potentials,
+)
+
+MODULES = (kernels, determinants, noise, potentials, langevin, fokker_planck,
+           decoherence)
+
+
+def test_package_all_is_the_union_of_the_module_lists():
+    names = bathdyn.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(bathdyn, name)] == []
+    union = {name for mod in MODULES for name in mod.__all__}
+    assert set(names) == {"__version__"} | union
+    for mod in MODULES:
+        for name in mod.__all__:
+            assert getattr(bathdyn, name) is getattr(mod, name), name
+    assert {"SpectralDensity", "ExpectationResult"} <= set(names)
