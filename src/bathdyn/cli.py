@@ -556,14 +556,15 @@ def cmd_paper_checks(args, cfg: RunConfig, man: Manifest) -> None:
     records = []
     for res in results:
         tag = "PASS" if res.passed else "FAIL"
-        _say(args, f"[{tag}] {res.index}. {res.name}: {res.detail}")
+        _say(args, f"[{tag}] {res.index}. {res.name}: {res.detail} ({res.elapsed_s:.2f}s)")
         records.append({
             "index": res.index,
             "name": res.name,
             "pass": res.passed,
             "detail": res.detail,
         })
-        man.add_check(f"criterion_{res.index}", res.passed, detail=res.detail)
+        man.add_check(f"criterion_{res.index}", res.passed, detail=res.detail,
+                      elapsed_s=res.elapsed_s)
     man.jsonl("checks.jsonl", records)
 
 

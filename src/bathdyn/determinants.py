@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "Scheme",
@@ -220,6 +219,8 @@ def regularized_log_integral(gamma: float, mu: float) -> float:
     """
     if not gamma > 0 or not mu > 0:
         raise ValueError("gamma and mu must be > 0")
+    # imported here: scipy.integrate dominates the package's import time
+    from scipy.integrate import quad
 
     def integrand(w):
         return np.log((w * w + gamma * gamma) / (w * w + mu * mu))

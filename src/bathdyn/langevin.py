@@ -13,9 +13,15 @@ Every mode has one update rule (_advance), applied to arrays of trajectories by
 the ensemble routines and to a single trajectory by the step_* functions.
 
 The driving noise is white with per-step variance w/dt, w = 2 M gamma k_B T.
-Trajectory i draws from derive_rng(master_seed, i): first the initial-condition
-normals (one for overdamped, two for inertial), then the step noise, so any
-routine that replays the same order reproduces the ensemble bit for bit.
+Trajectories are drawn in fixed blocks of _BLOCK: block b holds trajectories
+b*_BLOCK .. (b+1)*_BLOCK - 1 and draws one array of shape (m, n0 + steps) from
+derive_rng(master_seed, b), m the block's size. Row j belongs to trajectory
+b*_BLOCK + j: first the initial-condition normals (n0 = 1 for overdamped, 2 for
+inertial), then the step noise. A trajectory's numbers depend only on the seed,
+its index and the step count, not on n_traj or the chunk size, so a shorter
+ensemble is the prefix of a longer one and any routine that draws whole blocks
+reproduces the ensemble bit for bit. The step noise is stored time-major,
+(steps, trajectories), so each step reads one contiguous row.
 """
 
 from __future__ import annotations
@@ -41,8 +47,11 @@ __all__ = [
     "noise_expectation",
 ]
 
-# cap on trajectories*steps kept in memory per vectorized chunk
+# cap on trajectories*steps kept in memory per vectorized chunk; a chunk holds
+# at least one block whatever the cap
 _CHUNK_BUDGET = 1 << 22
+# trajectories per noise generator; fixed, so results do not depend on chunking
+_BLOCK = 1024
 _MODES = ("inertial", "overdamped", "overdamped_postpoint")
 
 
@@ -268,23 +277,32 @@ class EnsembleStats:
         ]
 
 
+def _chunk_size(n: int, row: int) -> int:
+    """Trajectories per chunk: the whole blocks whose `row` stored values per
+    trajectory fit in _CHUNK_BUDGET, at least one block and at most n."""
+    return min(n, max(1, _CHUNK_BUDGET // (row * _BLOCK)) * _BLOCK)
+
+
 def _draw_chunk(config: SimConfig, g0: int, g1: int, mode: str, noise_scale: float):
-    """Initial conditions and step noise for trajectories g0..g1-1."""
-    c = g1 - g0
-    eta = np.empty((c, config.steps))
-    x0s = np.empty(c)
-    v0s = np.empty(c)
-    inertial = mode == "inertial"
-    for j, i in enumerate(range(g0, g1)):
-        rng = derive_rng(config.master_seed, i)
-        if inertial:
-            z = rng.standard_normal(2)
-            x0s[j] = config.x0 + config.sigma_x * z[0]
-            v0s[j] = config.v0 + config.sigma_v * z[1]
-        else:
-            x0s[j] = config.x0 + config.sigma_x * rng.standard_normal()
-            v0s[j] = config.v0
-        eta[j] = rng.standard_normal(config.steps)
+    """Initial conditions and step noise for trajectories g0..g1-1.
+
+    g0 must be a multiple of _BLOCK. Returns (x0s, v0s, eta) with eta of shape
+    (steps, g1 - g0): eta[k] is every trajectory's noise at step k.
+    """
+    n0 = 2 if mode == "inertial" else 1
+    z0 = np.empty((g1 - g0, n0))
+    eta = np.empty((config.steps, g1 - g0))
+    for b0 in range(g0, g1, _BLOCK):
+        b1 = min(g1, b0 + _BLOCK)
+        rng = derive_rng(config.master_seed, b0 // _BLOCK)
+        z = rng.standard_normal((b1 - b0, n0 + config.steps))
+        z0[b0 - g0 : b1 - g0] = z[:, :n0]
+        eta[:, b0 - g0 : b1 - g0] = z[:, n0:].T
+    x0s = config.x0 + config.sigma_x * z0[:, 0]
+    if n0 == 2:
+        v0s = config.v0 + config.sigma_v * z0[:, 1]
+    else:
+        v0s = np.full(g1 - g0, config.v0)
     eta *= noise_scale * math.sqrt(config.params.w / config.dt)
     return x0s, v0s, eta
 
@@ -300,21 +318,20 @@ def _evolve_chunk(
 ):
     """Vectorized stepping of one chunk; frozen-on-divergence accounting.
 
-    Returns (x, v, alive, series, snaps) where series has shape
-    (n_series, steps+1) and snaps maps step -> positions (NaN when dead).
+    eta has shape (steps, chunk), as _draw_chunk returns it. Returns
+    (x, v, alive, series, v_series, snaps) where series and v_series have
+    shape (n_series, steps+1) and snaps maps step -> positions (NaN when dead).
     """
     pot, params, dt = config.potential, config.params, config.dt
     alive = np.isfinite(x) & np.isfinite(v)
-    series = np.empty((n_series, config.steps + 1)) if n_series else None
-    v_series = (
-        np.empty((n_series, config.steps + 1))
-        if n_series and mode == "inertial"
-        else None
-    )
+    # filled one step (row) at a time, like eta; handed back one row per trajectory
+    rows = (config.steps + 1, n_series)
+    series = np.empty(rows) if n_series else None
+    v_series = np.empty(rows) if n_series and mode == "inertial" else None
     if series is not None:
-        series[:, 0] = x[:n_series]
+        series[0] = x[:n_series]
     if v_series is not None:
-        v_series[:, 0] = v[:n_series]
+        v_series[0] = v[:n_series]
     snaps: dict[int, np.ndarray] = {}
 
     def record(step: int):
@@ -325,16 +342,20 @@ def _evolve_chunk(
 
     record(0)
     for k in range(config.steps):
-        x_new, v_new, ok = _advance(mode, pot, params, dt, x, v, eta[:, k], alive)
+        x_new, v_new, ok = _advance(mode, pot, params, dt, x, v, eta[k], alive)
         upd = alive & ok
-        x[upd] = x_new[upd]
-        v[upd] = v_new[upd]
+        np.copyto(x, x_new, where=upd)
+        np.copyto(v, v_new, where=upd)
         alive &= ok
         if series is not None:
-            series[:, k + 1] = np.where(alive[:n_series], x[:n_series], np.nan)
+            series[k + 1] = np.where(alive[:n_series], x[:n_series], np.nan)
         if v_series is not None:
-            v_series[:, k + 1] = np.where(alive[:n_series], v[:n_series], np.nan)
+            v_series[k + 1] = np.where(alive[:n_series], v[:n_series], np.nan)
         record(k + 1)
+    if series is not None:
+        series = series.T
+    if v_series is not None:
+        v_series = v_series.T
     return x, v, alive, series, v_series, snaps
 
 
@@ -370,7 +391,7 @@ def run_ensemble(
         raise ValueError("autocorr_lags must be in [0, steps]")
     n, steps = config.n_traj, config.steps
     n_sub = min(256, n) if autocorr_lags > 0 else 0
-    chunk = max(1, min(n, _CHUNK_BUDGET // steps))
+    chunk = _chunk_size(n, steps)
 
     final_x = np.empty(n)
     final_v = np.empty(n) if mode == "inertial" else None
@@ -483,14 +504,14 @@ def noise_expectation(
     functional(times, xs, vs) -> float receives the full trajectory; vs is
     None outside inertial mode. No reweighting is applied: with pre-point
     stepping the trajectory measure already matches the noise measure (the
-    discrete Jacobian is unity). Uses the same per-trajectory streams as
-    run_ensemble, so functionals of the final state reproduce its moments
-    exactly.
+    discrete Jacobian is unity). Draws the same noise blocks as run_ensemble
+    (both chunk by whole blocks), so functionals of the final state reproduce
+    its moments exactly.
     """
     _validate_run(config, mode, ())
     n, steps = config.n_traj, config.steps
     times = config.times
-    chunk = max(1, min(n, _CHUNK_BUDGET // (steps + 1)))
+    chunk = _chunk_size(n, steps + 1)
     vals = np.empty(n)
     alive_all = np.empty(n, dtype=bool)
 

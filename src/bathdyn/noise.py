@@ -9,9 +9,10 @@ K(omega + 2 pi m / dt), |m| <= 3, are folded into the mode powers so the
 lag-0 covariance reproduces w K(0) without a Nyquist deficit.
 
 Seeding: streams derive from numpy SeedSequence with the master seed as
-entropy and the trajectory index as spawn key, so ensembles are
-order-independent and parallelizable, and every draw is reproducible for a
-fixed numpy generation (PCG64).
+entropy and a stream index as spawn key. Langevin ensembles use one stream per
+fixed block of trajectories (the index is the block number; see langevin), so
+blocks are order-independent and parallelizable, and every draw is
+reproducible for a fixed numpy generation (PCG64).
 """
 
 from __future__ import annotations
@@ -33,7 +34,11 @@ __all__ = [
 
 
 def derive_rng(master_seed: int, index: int | None = None) -> np.random.Generator:
-    """Generator for the master stream, or for derived trajectory stream `index`."""
+    """Generator for the master stream, or for derived stream `index`.
+
+    Langevin ensembles pass a block number as `index`: each fixed block of
+    trajectories (langevin._BLOCK of them) draws from one generator.
+    """
     if index is None:
         ss = np.random.SeedSequence(entropy=master_seed)
     else:

@@ -297,6 +297,8 @@ _REPRO_RUNS = {
     "decohere": ("decohere", "state.kind=gaussian\ngrid.nx=41\ngrid.ny=21\n"
                  "run.steps=6\nrun.record_every=4\n"),
     "det-check": ("det-check", ""),
+    "ensemble": ("simulate", "sim.kind=ensemble\nrun.mode=inertial\nrun.n_traj=1100\n"
+                 "run.steps=20\nrun.seed=3\nrun.sigma_x=0.3\noutput.autocorr_lags=5\n"),
     "kernels": ("kernels", "bath.model=ohmic\ngrid.nw=101\ngrid.nt=257\n"),
 }
 
@@ -319,6 +321,45 @@ def test_every_subcommand_is_reproducible(tmp_path, run):
         return [r for r in _read_manifest(out) if r["record"] != "run"]
 
     assert without_run(a) == without_run(b)
+
+
+@pytest.mark.parametrize("module", ["bathdyn", "bathdyn.cli"])
+def test_import_loads_no_scipy(module):
+    """scipy is imported only by the code that calls it, not at start-up."""
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_paper_checks_verdicts_are_reproducible(tmp_path, monkeypatch):
+    """checks.jsonl carries no wall-clock figure; the seconds go to stdout and
+    to the manifest's check record."""
+    import itertools
+    import types
+
+    import bathdyn.checks as checks
+
+    # a clock whose every interval is longer than the last, so two runs of a
+    # check never take the same time
+    ticks = itertools.count()
+    clock = types.SimpleNamespace(perf_counter=lambda: 0.01 * next(ticks) ** 2)
+    monkeypatch.setattr(checks, "time", clock)
+    monkeypatch.setattr(checks, "_SUITE", checks._SUITE[:1])
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["paper-checks", "--out", str(a), "--quiet"]) == 0
+    assert main(["paper-checks", "--out", str(b), "--quiet"]) == 0
+    assert (a / "checks.jsonl").read_bytes() == (b / "checks.jsonl").read_bytes()
+    elapsed = []
+    for out in (a, b):
+        [rec] = [r for r in _read_manifest(out) if r["record"] == "check"]
+        assert rec["name"] == "criterion_1"
+        elapsed.append(rec["elapsed_s"])
+    assert 0.0 < elapsed[0] < elapsed[1]
+    ok1, detail1 = checks._retarded_identity()
+    ok2, detail2 = checks._retarded_identity()
+    assert ok1 and ok2 and detail1 == detail2
 
 
 def test_module_entry_point(tmp_path):

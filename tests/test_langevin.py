@@ -113,6 +113,36 @@ def test_chunking_does_not_change_results():
     np.testing.assert_array_equal(whole.final_x, pieces.final_x)
 
 
+_ACROSS_BLOCKS = 2 * lv._BLOCK + 37
+
+
+@pytest.mark.parametrize("mode", ["inertial", "overdamped"])
+def test_chunks_of_one_block_match_a_single_chunk(monkeypatch, mode):
+    """Three blocks, the last partial, give the same bits chunked or not."""
+    cfg = _config(n_traj=_ACROSS_BLOCKS, steps=5, sigma_x=0.3, sigma_v=0.3)
+    whole = run_ensemble(cfg, mode)
+    monkeypatch.setattr(lv, "_CHUNK_BUDGET", cfg.steps * lv._BLOCK)
+    assert lv._chunk_size(cfg.n_traj, cfg.steps) == lv._BLOCK
+    pieces = run_ensemble(cfg, mode)
+    np.testing.assert_array_equal(whole.final_x, pieces.final_x)
+    if mode == "inertial":
+        np.testing.assert_array_equal(whole.final_v, pieces.final_v)
+    assert noise_expectation(lambda t, x, v: x[-1], cfg, mode).value == whole.mean_x
+
+
+@pytest.mark.parametrize("mode", ["inertial", "overdamped"])
+def test_a_smaller_ensemble_is_a_prefix_of_a_larger_one(mode):
+    """Trajectory i draws the same numbers whatever n_traj > i is, also when
+    n_traj ends inside a block."""
+    n1 = lv._BLOCK + 100
+    small = run_ensemble(_config(n_traj=n1, steps=5, sigma_x=0.3, sigma_v=0.3), mode)
+    large = run_ensemble(_config(n_traj=_ACROSS_BLOCKS, steps=5, sigma_x=0.3,
+                                 sigma_v=0.3), mode)
+    np.testing.assert_array_equal(small.final_x, large.final_x[:n1])
+    if mode == "inertial":
+        np.testing.assert_array_equal(small.final_v, large.final_v[:n1])
+
+
 def test_ou_relaxation_moments():
     """Overdamped harmonic moments follow the analytic propagator."""
     cfg = _config(dt=0.01, steps=200, n_traj=5000, x0=1.0, master_seed=2024)
@@ -239,7 +269,7 @@ def test_postpoint_chunk_mate_of_a_diverging_trajectory_is_exact():
     starts = np.array([0.3, -0.2, 50.0])
     eta = np.random.default_rng(8).standard_normal((3, 4)) * math.sqrt(params.w / cfg.dt)
     x, _, alive, _, _, _ = lv._evolve_chunk(
-        cfg, "overdamped_postpoint", starts.copy(), np.zeros(3), eta, (), 0)
+        cfg, "overdamped_postpoint", starts.copy(), np.zeros(3), eta.T, (), 0)
     assert alive.tolist() == [True, True, False]
     for i in (0, 1):
         xi = starts[i]
