@@ -21,10 +21,12 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import io
 import json
 import math
 import os
 import sys
+from itertools import chain, groupby, islice, repeat
 
 import numpy as np
 
@@ -85,13 +87,47 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
+# cell types that "%.17g" and "%d" write as _fmt_cell does
+_FLOAT_TYPES = frozenset({float, *(np.dtype(c).type for c in "efd")})
+_INT_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
+_BATCH_ROWS = 1024  # rows formatted at once: bounds the text held in memory
+
+
+def _csv_cell(value, alone: bool) -> str:
+    """value as _fmt_cell and csv.writer write it, alone in its row or not."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([_fmt_cell(value)] + [""] * (not alone))
+    return buf.getvalue()[: -1 if alone else -2]
+
+
+def _format_rows(rows: list) -> str:
+    """CSV text of rows of one width through one %-format string: columns of
+    floats at 17 significant digits, of integers in full, and any other
+    column cell by cell as _fmt_cell and csv.writer write it."""
+    specs, columns, alone = [], [], len(rows[0]) == 1
+    for col in zip(*rows):
+        kinds = set(map(type, col))
+        if kinds <= _FLOAT_TYPES:
+            specs.append("%.17g")
+        elif kinds <= _INT_TYPES:
+            specs.append("%d")
+        else:
+            specs.append("%s")
+            col = [_csv_cell(v, alone) for v in col]
+        columns.append(col)
+    line = ",".join(specs) + "\n"
+    return (line * len(rows)) % tuple(chain.from_iterable(zip(*columns)))
+
+
 def write_csv(path, header, rows) -> None:
-    """CSV table with a header row; floats at 17 significant digits."""
+    """CSV table with a header row; floats at 17 significant digits. Rows
+    are formatted _BATCH_ROWS at a time."""
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        while batch := [tuple(row) for row in islice(rows, _BATCH_ROWS)]:
+            for _, same_width in groupby(batch, key=len):
+                fh.write(_format_rows(list(same_width)))
 
 
 def _json_safe(value):
@@ -459,9 +495,12 @@ def cmd_simulate(args, cfg: RunConfig, man: Manifest) -> None:
 
 
 def _product_rows(a, b, *columns):
-    """Rows (a[i], b[j], c[i, j], ...) over the product grid of a and b, i outer."""
-    aa, bb = np.meshgrid(a, b, indexing="ij")
-    return zip(*(np.ravel(c) for c in (aa, bb, *columns)))
+    """Rows of Python floats (a[i], b[j], c[i, j], ...) over the product grid
+    of a and b, i outer, made one i at a time."""
+    b = np.asarray(b).tolist()
+    return chain.from_iterable(
+        zip(repeat(ai), b, *(c[i].tolist() for c in columns))
+        for i, ai in enumerate(np.asarray(a).tolist()))
 
 
 def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:

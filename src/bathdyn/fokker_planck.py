@@ -16,15 +16,20 @@ one. Toggling the ordering therefore changes only the mass budget, not the
 transport stencil.
 
 Each equation's generator (face weights, stability bound) is built once per
-run, and one loop advances a field by n steps, checking dt once but still
-validating every step's result as a ProbField.
+run, and the per-step functions share one generator per (grid, potential,
+params). One loop advances a field by n steps on scratch buffers allocated
+once per call: it checks dt once, checks every step's raw result against the
+ProbField rules (finite, no undershoot beyond 1e-10 of the largest value),
+and builds a ProbField only from the last step.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -126,6 +131,22 @@ class PhaseGrid:
         return self.v_min + np.arange(1, self.nv) * self.dv
 
 
+def _check_values(vals: np.ndarray, nonnegative: bool = True) -> None:
+    """Raise ValueError unless every value is finite and, if nonnegative, no
+    value undershoots zero by more than 1e-10 times the largest value."""
+    if not nonnegative:
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("field values must be finite")
+        return
+    # a NaN reaches both extremes and an infinity one of them, so the two
+    # reductions decide finiteness as well as the undershoot
+    low, high = float(vals.min(initial=0.0)), float(vals.max(initial=0.0))
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValueError("field values must be finite")
+    if low < -1e-10 * max(high, 1e-300):
+        raise ValueError("field has negative values beyond undershoot tolerance")
+
+
 @dataclass
 class ProbField:
     """Probability density sampled at cell centers, with a time stamp."""
@@ -139,11 +160,7 @@ class ProbField:
         expect = (self.grid.nx, self.grid.nv) if self.grid.is_2d else (self.grid.nx,)
         if vals.shape != expect:
             raise ValueError(f"values shape {vals.shape} does not match grid {expect}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
-        scale = float(np.max(vals, initial=0.0))
-        if vals.min(initial=0.0) < -1e-10 * max(scale, 1e-300):
-            raise ValueError("field has negative values beyond undershoot tolerance")
+        _check_values(vals)
         self.values = vals
 
     @property
@@ -170,15 +187,14 @@ class ProbField:
         return mean, var
 
     def rows(self):
-        """CSV-ready rows: (x, P) or (x, v, P)."""
-        if self.grid.is_2d:
-            xs, vs = self.grid.x_centers, self.grid.v_centers
-            for i in range(self.grid.nx):
-                for j in range(self.grid.nv):
-                    yield (float(xs[i]), float(vs[j]), float(self.values[i, j]))
-        else:
-            for xi, pi in zip(self.grid.x_centers, self.values):
-                yield (float(xi), float(pi))
+        """CSV-ready rows of Python floats: (x, P), or (x, v, P) with x outer,
+        made one x row at a time."""
+        xs = self.grid.x_centers.tolist()
+        if not self.grid.is_2d:
+            return zip(xs, self.values.tolist())
+        vs = self.grid.v_centers.tolist()
+        return chain.from_iterable(zip(repeat(x), vs, p.tolist())
+                                   for x, p in zip(xs, self.values))
 
 
 def gaussian_field_1d(grid: PhaseGrid, mean: float, sigma: float) -> ProbField:
@@ -235,10 +251,17 @@ def _sg_weights(drift: np.ndarray, spacing: float, diff: float):
     return bl, br, float(out_rate.max())
 
 
-def _flux_divergence(flux: np.ndarray, spacing: float) -> np.ndarray:
-    """(F_in - F_out)/spacing along the last axis, with zero-flux boundary faces."""
-    padded = np.pad(flux, [(0, 0)] * (flux.ndim - 1) + [(1, 1)])
-    return (padded[..., :-1] - padded[..., 1:]) / spacing
+def _flux_divergence(flux: np.ndarray, stride: int, spacing: float,
+                     out: np.ndarray) -> None:
+    """(F_in - F_out)/spacing into out, on flat C-order arrays.
+
+    flux[k] is the flux through the face between cells k and k + stride; it
+    must be zero on the last cell of each line, and no flux enters the first
+    cell, so every boundary face carries zero flux.
+    """
+    np.subtract(flux[:-stride], flux[stride:], out=out[stride:])
+    np.subtract(0.0, flux[:stride], out=out[:stride])
+    np.divide(out, spacing, out=out)
 
 
 class _Smoluchowski:
@@ -257,30 +280,37 @@ class _Smoluchowski:
         self.grid, self.potential = grid, potential
         self.sink_scale = 2.0 * params.mass * params.gamma
 
-    def divergence(self, p: np.ndarray) -> np.ndarray:
-        flux = (self.d / self.dx) * (self.bl * p[:-1] - self.br * p[1:])
-        return _flux_divergence(flux, self.dx)
+    def divergence_kernel(self):
+        """divergence(p): the flux divergence of p, in a buffer that the next
+        call overwrites. Each call of this method makes new buffers."""
+        n = self.grid.nx
+        flux, outflow, div = np.zeros(n), np.empty(n - 1), np.empty(n)
+        faces = flux[:-1]  # flux[-1] stays zero: the right boundary face
+        scale = self.d / self.dx
+
+        def divergence(p: np.ndarray) -> np.ndarray:
+            np.multiply(self.bl, p[:-1], out=faces)
+            np.multiply(self.br, p[1:], out=outflow)
+            np.subtract(faces, outflow, out=faces)
+            np.multiply(scale, faces, out=faces)
+            _flux_divergence(flux, 1, self.dx, div)
+            return div
+
+        return divergence
 
     def sink(self, dt: float) -> np.ndarray:
         hess = np.asarray(self.potential.hess(self.grid.x_centers))
         return np.exp(-dt * hess / self.sink_scale)
 
 
-def _limited_slopes(p: np.ndarray) -> np.ndarray:
-    """Van Leer (harmonic mean) slopes along axis 0, zero at the boundary."""
-    d = np.diff(p, axis=0)
-    a, b = d[:-1], d[1:]
-    prod = a * b
-    s = np.zeros_like(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        interior = np.where(prod > 0, 2.0 * prod / (a + b), 0.0)
-    s[1:-1] = interior
-    return s
-
-
 class _Kramers:
     """kramers_step's generator on one 2-D problem: v face weights, dt_max
-    and the symmetric sink exp(-gamma dt / 2)."""
+    and the symmetric sink exp(-gamma dt / 2).
+
+    The stepping kernel works on the flattened (x-major) field, so that each
+    operation runs over one contiguous array; the v face weights carry a
+    zero last column for the faces that would join one x row to the next.
+    """
 
     bound = "phase-space stability bound"
 
@@ -288,23 +318,66 @@ class _Kramers:
         if not grid.is_2d:
             raise ValueError("expected a 2D grid")
         self.dx, self.dv, self.gamma = grid.dx, grid.dv, params.gamma
-        self.vrow = grid.v_centers[None, :]
+        self.shape = (grid.nx, grid.nv)
+        # speed of every x face, row by row; the centers increase, so the
+        # columns moving right (v > 0) are the last ones, from n_left on
+        self.speed = np.tile(grid.v_centers, grid.nx - 1)
+        self.n_left = grid.nv - int(np.count_nonzero(grid.v_centers > 0))
         self.d_v = params.w / (2.0 * params.mass**2)
         grad = np.asarray(potential.grad(grid.x_centers))[:, None]
         a = -(params.gamma * grid.v_faces[None, :] + grad / params.mass)
-        self.bl, self.br, out_rate = _sg_weights(a, self.dv, self.d_v)
+        bl, br, out_rate = _sg_weights(a, self.dv, self.d_v)
+        self.bl, self.br = (np.pad(w, [(0, 0), (0, 1)]).ravel()[:-1] for w in (bl, br))
         adv_rate = 2.0 * float(np.max(np.abs(grid.v_centers))) / grid.dx
         self.dt_max = 0.8 / (adv_rate + out_rate)
 
-    def divergence(self, p: np.ndarray) -> np.ndarray:
-        # x transport at speed v: limited second-order upwind reconstruction
-        s = _limited_slopes(p)
-        left = p[:-1] + 0.5 * s[:-1]
-        right = p[1:] - 0.5 * s[1:]
-        flux_x = self.vrow * np.where(self.vrow > 0, left, right)
-        # v drift-diffusion: exponential-upwind face flux
-        flux_v = (self.d_v / self.dv) * (self.bl * p[:, :-1] - self.br * p[:, 1:])
-        return _flux_divergence(flux_x.T, self.dx).T + _flux_divergence(flux_v, self.dv)
+    def divergence_kernel(self):
+        """divergence(p): the flux divergence of p, in a buffer that the next
+        call overwrites. Each call of this method makes new buffers."""
+        nx, nv = self.shape
+        n, jl = nx * nv, self.n_left
+        diff = np.empty(n - nv)
+        prod, denom = np.empty(n - 2 * nv), np.empty(n - 2 * nv)
+        rising = np.empty(n - 2 * nv, dtype=bool)
+        slope = np.zeros(n)  # the first and last x rows stay zero
+        flux_x, upwind = np.zeros(n), np.empty(n - nv)  # last x row: zero flux
+        flux_v, outflow = np.empty(n), np.empty(n - 1)
+        div, div_v = np.empty(n), np.empty(n)
+        face_x, face_v, inner = flux_x[:-nv], flux_v[:-1], slope[nv:-nv]
+        scale_v = self.d_v / self.dv
+
+        def divergence(p: np.ndarray) -> np.ndarray:
+            p = p.reshape(-1)
+            # x transport at speed v: van Leer (harmonic mean) slopes, zero at
+            # the boundary, and the upwind face value of the limited
+            # second-order reconstruction: the left cell's where v > 0, the
+            # right cell's elsewhere
+            np.subtract(p[nv:], p[:-nv], out=diff)
+            np.multiply(diff[:-nv], diff[nv:], out=prod)
+            np.greater(prod, 0, out=rising)
+            np.add(diff[:-nv], diff[nv:], out=denom)
+            np.multiply(2.0, prod, out=prod)
+            inner.fill(0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(prod, denom, out=inner, where=rising)
+            np.multiply(0.5, slope, out=slope)
+            np.add(p[:-nv], slope[:-nv], out=face_x)
+            np.subtract(p[nv:], slope[nv:], out=upwind)
+            face_x.reshape(nx - 1, nv)[:, :jl] = upwind.reshape(nx - 1, nv)[:, :jl]
+            np.multiply(self.speed, face_x, out=face_x)
+            _flux_divergence(flux_x, nv, self.dx, div)
+            # v drift-diffusion: exponential-upwind face flux, zero on the
+            # last v face of each x row
+            np.multiply(self.bl, p[:-1], out=face_v)
+            np.multiply(self.br, p[1:], out=outflow)
+            np.subtract(face_v, outflow, out=face_v)
+            np.multiply(scale_v, face_v, out=face_v)
+            flux_v.reshape(nx, nv)[:, -1] = 0.0
+            _flux_divergence(flux_v, 1, self.dv, div_v)
+            np.add(div, div_v, out=div)
+            return div.reshape(nx, nv)
+
+        return divergence
 
     def sink(self, dt: float) -> float:
         return math.exp(-self.gamma * dt / 2.0)
@@ -314,28 +387,62 @@ def _advance(op, field: ProbField, ordering: Ordering, dt: float,
              n_steps: int) -> ProbField:
     """n_steps explicit steps of op's equation from field.
 
-    dt is checked against op's stability bound once; every step's result is
-    still validated as a ProbField, so a non-finite or negative field raises
-    at the step where it appears.
+    dt is checked against op's stability bound once. Every step's raw result
+    is checked against the ProbField rules, so a non-finite or negative field
+    raises at the step where it appears. The steps run on buffers made for
+    this call; field's values are only read, and the returned field owns the
+    last step's buffer.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
     if dt > op.dt_max:
         raise StabilityError(f"{op.bound} exceeded", op.dt_max)
+    if n_steps < 1:
+        return field
     sink = op.sink(dt) if ordering is Ordering.SYMMETRIC else None
-    for _ in range(n_steps):
-        new = field.values + dt * op.divergence(field.values)
+    divergence = op.divergence_kernel()
+    buffers = (np.empty(field.values.shape), np.empty(field.values.shape))
+    p, t = field.values, field.t
+    for k in range(n_steps):
+        new = buffers[k % 2]
+        change = divergence(p)
+        np.multiply(dt, change, out=change)
+        np.add(p, change, out=new)
         if sink is not None:
-            new = new * sink
-        field = ProbField(new, field.grid, field.t + dt)
-    return field
+            np.multiply(new, sink, out=new)
+        _check_values(new)
+        p, t = new, t + dt
+    return ProbField(p, field.grid, t)
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_operator(kind, grid: PhaseGrid, potential: Potential,
+                     params: BathParams, exact_key: str):
+    return kind(grid, potential, params)
+
+
+def _operator(kind, grid: PhaseGrid, potential: Potential, params: BathParams):
+    """kind's operator on this problem, shared by the per-step functions.
+
+    Only a frozen dataclass potential is shared, since a problem must not
+    change after its operator is built; exact_key tells apart equal
+    arguments whose numbers differ in type or in the sign of zero.
+    """
+    frozen = getattr(type(potential), "__dataclass_params__", None)
+    if frozen is None or not frozen.frozen:
+        return kind(grid, potential, params)
+    try:
+        return _shared_operator(kind, grid, potential, params,
+                                repr((grid, potential, params)))
+    except TypeError:  # a field that cannot be hashed
+        return kind(grid, potential, params)
 
 
 def smoluchowski_dt_max(
     grid: PhaseGrid, potential: Potential, params: BathParams
 ) -> float:
     """Largest stable explicit step for smoluchowski_step on this problem."""
-    return _Smoluchowski(grid, potential, params).dt_max
+    return _operator(_Smoluchowski, grid, potential, params).dt_max
 
 
 def smoluchowski_step(
@@ -350,12 +457,13 @@ def smoluchowski_step(
     Momenta-left: dP/dt = D d^2P/dx^2 + (1/M gamma) d/dx [V'(x) P] in flux
     form. Symmetric ordering multiplies the result by exp(-dt V''(x)/2 M gamma).
     """
-    return _advance(_Smoluchowski(field.grid, potential, params), field, ordering, dt, 1)
+    op = _operator(_Smoluchowski, field.grid, potential, params)
+    return _advance(op, field, ordering, dt, 1)
 
 
 def kramers_dt_max(grid: PhaseGrid, potential: Potential, params: BathParams) -> float:
     """Largest stable explicit step for kramers_step on this problem."""
-    return _Kramers(grid, potential, params).dt_max
+    return _operator(_Kramers, grid, potential, params).dt_max
 
 
 def kramers_step(
@@ -371,7 +479,8 @@ def kramers_step(
     + (w/2M^2) d^2P/dv^2 in flux form. Symmetric ordering multiplies the
     result by exp(-gamma dt / 2).
     """
-    return _advance(_Kramers(field.grid, potential, params), field, ordering, dt, 1)
+    return _advance(_operator(_Kramers, field.grid, potential, params),
+                    field, ordering, dt, 1)
 
 
 @dataclass(frozen=True)

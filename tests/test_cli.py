@@ -1,14 +1,20 @@
 """Command-line behavior: config parsing, exit codes, file outputs."""
 
+import csv
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bathdyn
-from bathdyn.cli import main
+from bathdyn.cli import main, write_csv
 from bathdyn.config import (
     ConfigError,
     RunConfig,
@@ -371,3 +377,78 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "det_checks.jsonl").exists()
+
+
+def _csv_bytes_0_2_0(path, header, rows):
+    """The CSV writer of version 0.2.0, written out: every cell formatted
+    alone, then the row through csv.writer."""
+
+    def fmt(value):
+        if isinstance(value, (bool, np.bool_)):
+            return str(bool(value))
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".17g")
+        return str(value)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1,
+                                1.0 / 3.0, 1e300, math.nan, -math.nan, math.inf,
+                                -math.inf])
+_FLOATS = st.one_of(st.floats(), _EDGE_FLOATS)
+_CELLS = {
+    "float": _FLOATS,
+    "float64": _FLOATS.map(np.float64),
+    "float32": st.floats(width=32).map(np.float32),
+    "int": st.integers(-(2**70), 2**70),
+    "int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "uint8": st.integers(0, 255).map(np.uint8),
+    "bool": st.one_of(st.booleans(), st.booleans().map(np.bool_)),
+    "str": st.text(alphabet=list(',"\n\r %\t a1.e\x00\u00e9\u2028'), max_size=6),
+}
+_CELLS["mixed"] = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def _tables(draw):
+    """(header, rows): each column one cell kind, or mixed; some tables ragged."""
+    width = draw(st.integers(0, 5))
+    kinds = [draw(st.sampled_from(sorted(_CELLS))) for _ in range(width)]
+    header = tuple(draw(_CELLS["str"]) for _ in range(width))
+    n_rows = draw(st.integers(0, 6))
+    rows = [tuple(draw(_CELLS[k]) for k in kinds) for _ in range(n_rows)]
+    if rows and draw(st.booleans()):
+        rows = [r[: draw(st.integers(0, width))] for r in rows]
+    return header, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_write_csv_bytes_equal_version_0_2_0(table):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+        write_csv(new, header, iter(rows))
+        with open(new, "rb") as fh:
+            assert fh.read() == _csv_bytes_0_2_0(old, header, rows)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 2500])
+def test_write_csv_batches_keep_the_bytes(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    vals = rng.standard_normal((n_rows, 2)) * 10.0 ** rng.integers(-320, 300, (n_rows, 2))
+    rows = [(k, float(a), np.float64(b), "x,y" if k % 7 else k / 3)
+            for k, (a, b) in enumerate(vals)]
+    header = ("k", "a", "b", "note")
+    write_csv(tmp_path / "new.csv", header, rows)
+    expected = _csv_bytes_0_2_0(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == expected

@@ -361,3 +361,61 @@ def test_symmetric_kramers_step_scales_mass_by_the_sink(problem, frac):
     out = kramers_step(field, pot, params, Ordering.SYMMETRIC, dt)
     expected = field.mass * math.exp(-params.gamma * dt / 2.0)
     assert abs(out.mass - expected) <= 1e-12 * expected
+
+
+def _field_rule_0_2_0(vals):
+    """The field rule of version 0.2.0, written out: the message of the error
+    it raises, or None when it accepts."""
+    if not np.all(np.isfinite(vals)):
+        return "field values must be finite"
+    scale = float(np.max(vals, initial=0.0))
+    if vals.min(initial=0.0) < -1e-10 * max(scale, 1e-300):
+        return "field has negative values beyond undershoot tolerance"
+    return None
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                1e-300, 1.0, -1e-10, 1.7976931348623157e308, -1.7976931348623157e308,
+                math.nan, -math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _undershoots(draw):
+    """A field whose largest value is scale and whose smallest sits on, just
+    inside or just outside the undershoot bound -1e-10 * max(scale, 1e-300)."""
+    scale = draw(st.one_of(st.just(0.0), st.floats(5e-324, 1e300)))
+    bound = -1e-10 * max(scale, 1e-300)
+    low = draw(st.sampled_from([bound, np.nextafter(bound, 0.0),
+                                np.nextafter(bound, -math.inf)]))
+    rest = draw(st.lists(st.floats(0.0, scale), max_size=6))
+    return np.array([scale, low, *rest])
+
+
+_FIELDS = st.one_of(
+    st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_VALUES)),
+             max_size=12).map(np.array),
+    st.integers(0, 4).map(np.zeros),
+    _undershoots(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FIELDS, st.booleans())
+def test_field_check_accepts_and_rejects_as_version_0_2_0(vals, as_grid):
+    vals = np.asarray(vals, dtype=float)
+    if as_grid:
+        vals = vals.reshape(1, -1)  # the rule reads 2-D fields the same way
+    expected = _field_rule_0_2_0(vals)
+    if expected is None:
+        fp._check_values(vals)
+    else:
+        with pytest.raises(ValueError) as exc:
+            fp._check_values(vals)
+        assert str(exc.value) == expected
+    # the finiteness half is the density matrix's check
+    complex_vals = vals.astype(complex)
+    if np.all(np.isfinite(vals)):
+        fp._check_values(complex_vals, nonnegative=False)
+    else:
+        with pytest.raises(ValueError, match="^field values must be finite$"):
+            fp._check_values(complex_vals, nonnegative=False)
