@@ -95,8 +95,9 @@ _BATCH_ROWS = 1024  # rows formatted at once: bounds the text held in memory
 
 def _csv_cell(value, alone: bool) -> str:
     """value as _fmt_cell and csv.writer write it, alone in its row or not."""
+    cells = [_fmt_cell(value)] if alone else [_fmt_cell(value), ""]
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([_fmt_cell(value)] + [""] * (not alone))
+    csv.writer(buf, lineterminator="\n").writerow(cells)
     return buf.getvalue()[: -1 if alone else -2]
 
 

@@ -338,12 +338,13 @@ class _Kramers:
         n, jl = nx * nv, self.n_left
         diff = np.empty(n - nv)
         prod, denom = np.empty(n - 2 * nv), np.empty(n - 2 * nv)
-        rising = np.empty(n - 2 * nv, dtype=bool)
+        monotone = np.empty(n - 2 * nv, dtype=bool)
         slope = np.zeros(n)  # the first and last x rows stay zero
-        flux_x, upwind = np.zeros(n), np.empty(n - nv)  # last x row: zero flux
-        flux_v, outflow = np.empty(n), np.empty(n - 1)
+        flux_x, flux_v = np.zeros(n), np.empty(n)  # last x row: zero flux
         div, div_v = np.empty(n), np.empty(n)
         face_x, face_v, inner = flux_x[:-nv], flux_v[:-1], slope[nv:-nv]
+        # buffers reused once their first contents are spent
+        upwind, outflow = diff, div_v[:-1]
         scale_v = self.d_v / self.dv
 
         def divergence(p: np.ndarray) -> np.ndarray:
@@ -354,12 +355,12 @@ class _Kramers:
             # right cell's elsewhere
             np.subtract(p[nv:], p[:-nv], out=diff)
             np.multiply(diff[:-nv], diff[nv:], out=prod)
-            np.greater(prod, 0, out=rising)
+            np.greater(prod, 0, out=monotone)
             np.add(diff[:-nv], diff[nv:], out=denom)
             np.multiply(2.0, prod, out=prod)
             inner.fill(0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(prod, denom, out=inner, where=rising)
+                np.divide(prod, denom, out=inner, where=monotone)
             np.multiply(0.5, slope, out=slope)
             np.add(p[:-nv], slope[:-nv], out=face_x)
             np.subtract(p[nv:], slope[nv:], out=upwind)
@@ -391,7 +392,7 @@ def _advance(op, field: ProbField, ordering: Ordering, dt: float,
     is checked against the ProbField rules, so a non-finite or negative field
     raises at the step where it appears. The steps run on buffers made for
     this call; field's values are only read, and the returned field owns the
-    last step's buffer.
+    buffer the steps wrote.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
@@ -401,10 +402,9 @@ def _advance(op, field: ProbField, ordering: Ordering, dt: float,
         return field
     sink = op.sink(dt) if ordering is Ordering.SYMMETRIC else None
     divergence = op.divergence_kernel()
-    buffers = (np.empty(field.values.shape), np.empty(field.values.shape))
     p, t = field.values, field.t
-    for k in range(n_steps):
-        new = buffers[k % 2]
+    new = np.empty(p.shape)  # each step's divergence is taken before new is written
+    for _ in range(n_steps):
         change = divergence(p)
         np.multiply(dt, change, out=change)
         np.add(p, change, out=new)

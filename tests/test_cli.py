@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bathdyn
@@ -433,6 +433,10 @@ def _tables(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_tables())
+@example((("only",), [("",), ("a,b",), (np.bool_(False),)]))  # a lone empty cell
+@example((("x", "v"), []))  # an empty table
+@example((("x", "v", "P"), [(-0.0, np.float64("nan"), 5e-324)]))  # one row
+@example(((), [(), ()]))  # rows without cells
 def test_write_csv_bytes_equal_version_0_2_0(table):
     header, rows = table
     with tempfile.TemporaryDirectory() as tmp:

@@ -16,6 +16,7 @@ from bathdyn import (
     Ordering,
     PhaseGrid,
     Polynomial,
+    Potential,
     ProbField,
     SimConfig,
     StabilityError,
@@ -419,3 +420,77 @@ def test_field_check_accepts_and_rejects_as_version_0_2_0(vals, as_grid):
     else:
         with pytest.raises(ValueError, match="^field values must be finite$"):
             fp._check_values(complex_vals, nonnegative=False)
+
+
+def test_per_step_functions_share_one_operator_per_problem():
+    def build(grid, pot, params=PARAMS):
+        return fp._operator(fp._Smoluchowski, grid, pot, params)
+
+    op = build(PhaseGrid(-3.0, 3.0, 32), DoubleWell(-1.0, 0.25))
+    assert build(PhaseGrid(-3.0, 3.0, 32), DoubleWell(-1.0, 0.25)) is op
+    # equal numbers that differ in type or in the sign of zero are not shared
+    assert build(PhaseGrid(-3, 3, 32), DoubleWell(-1.0, 0.25)) is not op
+    assert build(PhaseGrid(-3.0, 3.0, 32), DoubleWell(-1.0, 0.25),
+                 BathParams(mass=1, gamma=1.0, k_bt=0.5, hbar=0.0)) is not op
+    assert (build(PhaseGrid(-3.0, 3.0, 32), Polynomial((0.0, 0.0, 0.5)))
+            is not build(PhaseGrid(-3.0, 3.0, 32), Polynomial((-0.0, 0.0, 0.5))))
+
+    class Mutable(Potential):  # a potential that may change
+        def __init__(self, k):
+            self.k = k
+
+        def grad(self, x):
+            return self.k * np.asarray(x, dtype=float)
+
+    pot = Mutable(1.0)
+    grid = PhaseGrid(-3.0, 3.0, 32)
+    first = build(grid, pot)
+    pot.k = 4.0
+    assert build(grid, pot) is not first
+    assert build(grid, pot).dt_max < first.dt_max
+
+
+def test_advance_raises_at_the_first_bad_step():
+    grid = PhaseGrid(-3.0, 3.0, 32)
+    field = gaussian_field_1d(grid, 0.0, 0.5)
+    calls = []
+
+    class Jump:  # an operator whose k-th divergence breaks the field
+        dt_max, bound = 1.0, "test bound"
+
+        def __init__(self, k, value):
+            self.k, self.value = k, value
+
+        def divergence_kernel(self):
+            div = np.empty(grid.nx)
+
+            def divergence(p):
+                calls.append(p)
+                div.fill(self.value if len(calls) == self.k else 0.0)
+                return div
+
+            return divergence
+
+    for op, message in [(Jump(3, -1e6), "beyond undershoot tolerance"),
+                        (Jump(2, math.nan), "must be finite"),
+                        (Jump(4, math.inf), "must be finite")]:
+        calls.clear()
+        with pytest.raises(ValueError, match=message):
+            fp._advance(op, field, Ordering.MOMENTA_LEFT, 0.1, 10)
+        assert len(calls) == op.k
+
+
+def test_advance_leaves_its_input_and_earlier_results_alone():
+    grid = PhaseGrid(-3.0, 3.0, 24, -3.0, 3.0, 20)
+    field = gaussian_field_2d(grid, 0.3, 0.6, -0.2, 0.7)
+    op = fp._Kramers(grid, DoubleWell(-1.0, 0.25), PARAMS)
+    dt = 0.5 * op.dt_max
+    start = field.values.copy()
+    first = fp._advance(op, field, Ordering.SYMMETRIC, dt, 3)
+    kept = first.values.copy()
+    second = fp._advance(op, first, Ordering.SYMMETRIC, dt, 4)
+    again = fp._advance(op, field, Ordering.SYMMETRIC, dt, 3)
+    assert field.values.tobytes() == start.tobytes()
+    assert first.values.tobytes() == kept.tobytes() == again.values.tobytes()
+    assert not np.shares_memory(second.values, first.values)
+    assert fp._advance(op, field, Ordering.SYMMETRIC, dt, 0) is field
