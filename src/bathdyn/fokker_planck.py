@@ -336,14 +336,13 @@ class _Kramers:
         call overwrites. Each call of this method makes new buffers."""
         nx, nv = self.shape
         n, jl = nx * nv, self.n_left
-        diff = np.empty(n - nv)
-        prod, denom = np.empty(n - 2 * nv), np.empty(n - 2 * nv)
-        monotone = np.empty(n - 2 * nv, dtype=bool)
+        diff, monotone = np.empty(n - nv), np.empty(n - 2 * nv, dtype=bool)
         slope = np.zeros(n)  # the first and last x rows stay zero
         flux_x, flux_v = np.zeros(n), np.empty(n)  # last x row: zero flux
         div, div_v = np.empty(n), np.empty(n)
         face_x, face_v, inner = flux_x[:-nv], flux_v[:-1], slope[nv:-nv]
         # buffers reused once their first contents are spent
+        prod, denom = div[: n - 2 * nv], div_v[: n - 2 * nv]
         upwind, outflow = diff, div_v[:-1]
         scale_v = self.d_v / self.dv
 
