@@ -255,12 +255,12 @@ def _flux_divergence(flux: np.ndarray, stride: int, spacing: float,
                      out: np.ndarray) -> None:
     """(F_in - F_out)/spacing into out, on flat C-order arrays.
 
-    flux[k] is the flux through the face between cells k and k + stride; it
-    must be zero on the last cell of each line, and no flux enters the first
-    cell, so every boundary face carries zero flux.
+    flux[k + stride] is the flux through the face between cells k and
+    k + stride. The first stride entries (the inflow faces of the first
+    cells) and the outflow face of the last cell of each line must be zero,
+    so that every boundary face carries zero flux.
     """
-    np.subtract(flux[:-stride], flux[stride:], out=out[stride:])
-    np.subtract(0.0, flux[:stride], out=out[:stride])
+    np.subtract(flux[:-stride], flux[stride:], out=out)
     np.divide(out, spacing, out=out)
 
 
@@ -284,8 +284,8 @@ class _Smoluchowski:
         """divergence(p): the flux divergence of p, in a buffer that the next
         call overwrites. Each call of this method makes new buffers."""
         n = self.grid.nx
-        flux, outflow, div = np.zeros(n), np.empty(n - 1), np.empty(n)
-        faces = flux[:-1]  # flux[-1] stays zero: the right boundary face
+        flux, outflow, div = np.zeros(n + 1), np.empty(n - 1), np.empty(n)
+        faces = flux[1:-1]  # the two boundary faces stay zero
         scale = self.d / self.dx
 
         def divergence(p: np.ndarray) -> np.ndarray:
@@ -338,9 +338,12 @@ class _Kramers:
         n, jl = nx * nv, self.n_left
         diff, monotone = np.empty(n - nv), np.empty(n - 2 * nv, dtype=bool)
         slope = np.zeros(n)  # the first and last x rows stay zero
-        flux_x, flux_v = np.zeros(n), np.empty(n)  # last x row: zero flux
+        # face fluxes, led by the zero inflow faces of the first cells (one
+        # x row, one value) as _flux_divergence reads them; the last x row
+        # stays zero too
+        flux_x, flux_v = np.zeros(n + nv), np.zeros(n + 1)
         div, div_v = np.empty(n), np.empty(n)
-        face_x, face_v, inner = flux_x[:-nv], flux_v[:-1], slope[nv:-nv]
+        face_x, face_v, inner = flux_x[nv:n], flux_v[1:n], slope[nv:-nv]
         # buffers reused once their first contents are spent
         prod, denom = div[: n - 2 * nv], div_v[: n - 2 * nv]
         upwind, outflow = diff, div_v[:-1]
@@ -372,7 +375,7 @@ class _Kramers:
             np.multiply(self.br, p[1:], out=outflow)
             np.subtract(face_v, outflow, out=face_v)
             np.multiply(scale_v, face_v, out=face_v)
-            flux_v.reshape(nx, nv)[:, -1] = 0.0
+            flux_v[nv::nv] = 0.0
             _flux_divergence(flux_v, 1, self.dv, div_v)
             np.add(div, div_v, out=div)
             return div.reshape(nx, nv)
