@@ -20,7 +20,7 @@ import numpy as np
 from scipy import signal
 
 from .decoherence import (
-    _master_operator,
+    MasterOperator,
     decoherence_params,
     interference_amplitude,
     master_step,
@@ -36,11 +36,10 @@ from .determinants import (
     trace_log_rate,
 )
 from .fokker_planck import (
+    KramersOperator,
     Ordering,
     PhaseGrid,
-    _advance,
-    _Kramers,
-    _Smoluchowski,
+    SmoluchowskiOperator,
     compare_langevin_fp,
     gaussian_field_1d,
     gaussian_field_2d,
@@ -196,16 +195,16 @@ def _kramers_ordering():
     pot = Harmonic(mass=1.0, omega0=1.0)
     grid = PhaseGrid(-4.0, 4.0, 128, -4.0, 4.0, 128)
     field0 = gaussian_field_2d(grid, 0.0, 0.7, 0.0, 0.7)
-    op = _Kramers(grid, pot, params)
+    op = KramersOperator(grid, pot, params)
     dt = 0.9 * op.dt_max
 
-    field = _advance(op, field0, Ordering.MOMENTA_LEFT, dt, 1000)
+    field = op.advance(field0, Ordering.MOMENTA_LEFT, dt, 1000)
     drift = abs(field.mass - field0.mass)
     ok_drift = drift < 1e-8
 
     n = math.ceil(2.0 / dt)
     dts = 2.0 / n
-    field = _advance(op, field0, Ordering.SYMMETRIC, dts, n)
+    field = op.advance(field0, Ordering.SYMMETRIC, dts, n)
     rel = abs(field.mass / math.exp(-1.0) - 1.0)
     ok_mass = rel <= 0.02
 
@@ -220,18 +219,18 @@ def _smoluchowski_ordering():
     dw = DoubleWell(a=-1.0, b=0.25)
     grid = PhaseGrid(-3.2, 3.2, 256)
     field0 = gaussian_field_1d(grid, 0.0, 0.5)
-    op = _Smoluchowski(grid, dw, params)
-    field = _advance(op, field0, Ordering.MOMENTA_LEFT, 0.9 * op.dt_max, 1000)
+    op = SmoluchowskiOperator(grid, dw, params)
+    field = op.advance(field0, Ordering.MOMENTA_LEFT, 0.9 * op.dt_max, 1000)
     drift = abs(field.mass - field0.mass)
     ok_drift = drift < 1e-8
 
     pot = Harmonic(mass=1.0, omega0=1.0)
     grid_h = PhaseGrid(-4.0, 4.0, 256)
     field = gaussian_field_1d(grid_h, 0.0, math.sqrt(0.5))
-    op_h = _Smoluchowski(grid_h, pot, params)
+    op_h = SmoluchowskiOperator(grid_h, pot, params)
     dth = 0.9 * op_h.dt_max
     n = math.ceil(1.0 / dth)
-    field = _advance(op_h, field, Ordering.SYMMETRIC, dth, n)
+    field = op_h.advance(field, Ordering.SYMMETRIC, dth, n)
     rate = -math.log(field.mass) / (n * dth)
     target = pot.omega0**2 / (2.0 * params.gamma)
     rel = abs(rate / target - 1.0)
@@ -290,9 +289,9 @@ def _stationarity():
     dw = DoubleWell(a=-1.0, b=0.25)
     grid = PhaseGrid(-3.2, 3.2, 256)
     field = gaussian_field_1d(grid, 0.0, 0.5)
-    op = _Smoluchowski(grid, dw, params)
+    op = SmoluchowskiOperator(grid, dw, params)
     dt = 0.9 * op.dt_max
-    field = _advance(op, field, Ordering.MOMENTA_LEFT, dt, math.ceil(10.0 / dt))
+    field = op.advance(field, Ordering.MOMENTA_LEFT, dt, math.ceil(10.0 / dt))
     x = grid.x_centers
     q = np.exp(-np.asarray(dw.value(x)) / params.k_bt)
     q /= q.sum() * grid.dx
@@ -367,10 +366,10 @@ def _interference_decay():
     ts = [0.0]
     amps = [interference_amplitude(rho, params.hbar)]
     tr0 = rho.trace().real
-    advance = _master_operator(rho, None, params, dt,
-                               terms=("kinetic", "friction", "decoherence"))
+    op = MasterOperator(rho, None, params, dt,
+                        terms=("kinetic", "friction", "decoherence"))
     for _ in range(10):
-        rho = advance(rho, 5)
+        rho = op.advance(rho, 5)
         ts.append(rho.t)
         amps.append(interference_amplitude(rho, params.hbar))
     trace_drift = abs(rho.trace().real - tr0)

@@ -42,7 +42,7 @@ from .config import (
 )
 from .decoherence import (
     _HERM_TOL,
-    _master_operator,
+    MasterOperator,
     decoherence_params,
     gaussian_pure_state,
     interference_amplitude,
@@ -50,12 +50,11 @@ from .decoherence import (
     wigner_transform,
 )
 from .fokker_planck import (
+    KramersOperator,
     Ordering,
     PhaseGrid,
+    SmoluchowskiOperator,
     StabilityError,
-    _advance,
-    _Kramers,
-    _Smoluchowski,
     compare_langevin_fp,
     gaussian_field_1d,
     gaussian_field_2d,
@@ -78,13 +77,8 @@ from .potentials import DoubleWell, Harmonic, Polynomial
 
 
 def _fmt_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+    value = _json_safe(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 # cell types that "%.17g" and "%d" write as _fmt_cell does
@@ -426,10 +420,10 @@ def _run_fp_cmd(args, cfg, kind, params, potential, man) -> None:
     cfg.finish()
     if grid.is_2d:
         field = gaussian_field_2d(grid, x0, sigma_x, v0, sigma_v)
-        op = _Kramers(grid, potential, params)
+        op = KramersOperator(grid, potential, params)
     else:
         field = gaussian_field_1d(grid, x0, sigma_x)
-        op = _Smoluchowski(grid, potential, params)
+        op = SmoluchowskiOperator(grid, potential, params)
     if steps < 1 or record_every < 1:
         raise ConfigError("fp.steps and fp.record_every must be >= 1")
     if dt <= 0.0:
@@ -437,7 +431,7 @@ def _run_fp_cmd(args, cfg, kind, params, potential, man) -> None:
 
     mass0 = field.mass
     field, mass_rows = _advance_recorded(
-        lambda f, n: _advance(op, f, ordering, dt, n), field, steps, record_every,
+        lambda f, n: op.advance(f, ordering, dt, n), field, steps, record_every,
         lambda k, f: (k, k * dt, f.mass))
     man.csv("mass.csv", ("step", "t", "mass"), mass_rows)
     man.csv("field.csv", ("x", "v", "P") if grid.is_2d else ("x", "P"), field.rows())
@@ -540,7 +534,7 @@ def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:
         amp = interference_amplitude(field, hbar)
         return (step, field.t, amp, tr.real, tr.imag, field.herm_deviation())
 
-    advance = _master_operator(rho, potential, params, dt, ordering)
+    advance = MasterOperator(rho, potential, params, dt, ordering).advance
     rho, decay_rows = _advance_recorded(advance, rho, steps, record_every, decay_row)
     man.csv("decay.csv", ("step", "t", "amplitude", "trace_re", "trace_im", "herm_dev"),
             decay_rows)

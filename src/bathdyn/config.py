@@ -18,7 +18,6 @@ __all__ = [
     "load_config",
     "as_float",
     "as_int",
-    "as_str",
     "as_bool",
     "as_choice",
     "as_float_list",
@@ -70,10 +69,6 @@ def as_int(raw: str) -> int:
         return int(raw)
     except ValueError as exc:
         raise ConfigError(f"expected an integer, got {raw!r}") from exc
-
-
-def as_str(raw: str) -> str:
-    return raw
 
 
 def as_bool(raw: str) -> bool:

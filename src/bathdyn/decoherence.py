@@ -19,9 +19,9 @@ The friction term is ordered with the derivative acting last (momenta left).
 The symmetric ordering differs by a constant and multiplies the field by
 exp(-gamma dt / 2), so the trace then decays at rate gamma/2.
 
-The inputs are checked, and the kinetic and potential phases and the
-decoherence factor built, once per run; every step's result is still checked
-for finiteness and hermiticity.
+MasterOperator checks the inputs and builds the kinetic and potential phases
+and the decoherence factor once per run, at one dt and ordering; its advance
+still checks every step's result for finiteness and hermiticity.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "decoherence_params",
     "gaussian_pure_state",
     "superposition_state",
+    "MasterOperator",
     "master_step",
     "wigner_transform",
     "interference_amplitude",
@@ -225,67 +226,70 @@ def _friction_substep(vals: np.ndarray, y: np.ndarray, gamma: float,
     return out
 
 
-def _master_operator(rho: DensityField, potential: Potential | None,
-                     params: BathParams, dt: float,
-                     ordering: Ordering = Ordering.MOMENTA_LEFT, terms=_TERMS):
-    """master_step's split-step generator on rho's grid, validated and built
-    once. Returns advance(rho, n_steps), which applies n_steps steps and checks
-    each result for finiteness and hermiticity (within _HERM_TOL)."""
-    if params.hbar <= 0:
-        raise ValueError("hbar must be > 0 for density-matrix evolution")
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    terms = tuple(terms)
-    for name in terms:
-        if name not in _TERMS:
-            raise ValueError(f"unknown term {name!r}")
-    dec = decoherence_params(params)
-    if rho.dy > dec.l_e / 2.0:
-        raise ValueError(
-            "y grid too coarse to resolve the thermal length: need dy <= l_e/2"
-        )
-    y = rho.y_grid
-    if "friction" in terms:
-        y_max = float(np.max(np.abs(y)))
-        if params.gamma * y_max * dt > rho.dy:
-            raise StabilityError(
-                "friction advection violates its CFL bound",
-                rho.dy / (params.gamma * y_max),
+class MasterOperator:
+    """The master equation's split-step generator on rho's grid at one dt and
+    ordering, validated and built once. dt is fixed here rather than passed to
+    advance because the kinetic and potential phases depend on it."""
+
+    def __init__(self, rho: DensityField, potential: Potential | None,
+                 params: BathParams, dt: float,
+                 ordering: Ordering = Ordering.MOMENTA_LEFT, terms=_TERMS):
+        if params.hbar <= 0:
+            raise ValueError("hbar must be > 0 for density-matrix evolution")
+        if not dt > 0:
+            raise ValueError("dt must be > 0")
+        terms = tuple(terms)
+        for name in terms:
+            if name not in _TERMS:
+                raise ValueError(f"unknown term {name!r}")
+        dec = decoherence_params(params)
+        if rho.dy > dec.l_e / 2.0:
+            raise ValueError(
+                "y grid too coarse to resolve the thermal length: need dy <= l_e/2"
             )
+        y = rho.y_grid
+        if "friction" in terms:
+            y_max = float(np.max(np.abs(y)))
+            if params.gamma * y_max * dt > rho.dy:
+                raise StabilityError(
+                    "friction advection violates its CFL bound",
+                    rho.dy / (params.gamma * y_max),
+                )
 
-    substeps = []  # each maps the field values to the next substep's input
-    if "kinetic" in terms:
-        kx = 2.0 * np.pi * np.fft.fftfreq(_odd_padded(rho.nx), d=rho.dx)
-        ky = 2.0 * np.pi * np.fft.fftfreq(_odd_padded(rho.ny), d=rho.dy)
-        phase = np.exp(-1j * (params.hbar / params.mass) * dt * kx[:, None] * ky[None, :])
-        substeps.append(lambda vals: _kinetic_substep(vals, phase))
-    if "potential" in terms and potential is not None:
-        x = rho.x_grid
-        dv = np.asarray(potential.value(x[:, None] + y[None, :] / 2.0)) - np.asarray(
-            potential.value(x[:, None] - y[None, :] / 2.0)
-        )
-        potential_phase = np.exp(-1j * dv * dt / params.hbar)
-        substeps.append(lambda vals: vals * potential_phase)
-    if "friction" in terms:
-        substeps.append(lambda vals: _friction_substep(vals, y, params.gamma, rho.dy, dt))
-    if "decoherence" in terms:
-        damping = np.exp(-dec.lam * y ** 2 * dt)[None, :]
-        substeps.append(lambda vals: vals * damping)
-    if ordering is Ordering.SYMMETRIC:
-        sink = math.exp(-params.gamma * dt / 2.0)
-        substeps.append(lambda vals: vals * sink)
+        substeps = []  # each maps the field values to the next substep's input
+        if "kinetic" in terms:
+            kx = 2.0 * np.pi * np.fft.fftfreq(_odd_padded(rho.nx), d=rho.dx)
+            ky = 2.0 * np.pi * np.fft.fftfreq(_odd_padded(rho.ny), d=rho.dy)
+            phase = np.exp(-1j * (params.hbar / params.mass) * dt * kx[:, None] * ky[None, :])
+            substeps.append(lambda vals: _kinetic_substep(vals, phase))
+        if "potential" in terms and potential is not None:
+            x = rho.x_grid
+            dv = np.asarray(potential.value(x[:, None] + y[None, :] / 2.0)) - np.asarray(
+                potential.value(x[:, None] - y[None, :] / 2.0)
+            )
+            potential_phase = np.exp(-1j * dv * dt / params.hbar)
+            substeps.append(lambda vals: vals * potential_phase)
+        if "friction" in terms:
+            substeps.append(lambda vals: _friction_substep(vals, y, params.gamma, rho.dy, dt))
+        if "decoherence" in terms:
+            damping = np.exp(-dec.lam * y ** 2 * dt)[None, :]
+            substeps.append(lambda vals: vals * damping)
+        if ordering is Ordering.SYMMETRIC:
+            sink = math.exp(-params.gamma * dt / 2.0)
+            substeps.append(lambda vals: vals * sink)
+        self.dt, self._substeps = dt, substeps
 
-    def advance(field: DensityField, n_steps: int) -> DensityField:
+    def advance(self, field: DensityField, n_steps: int) -> DensityField:
+        """n_steps steps from field, each result checked for finiteness and
+        hermiticity (within _HERM_TOL); field itself is left unchanged."""
         for _ in range(n_steps):
             vals = field.values
-            for substep in substeps:
+            for substep in self._substeps:
                 vals = substep(vals)
-            field = DensityField(vals, field.x0, field.dx, field.dy, field.t + dt)
+            field = DensityField(vals, field.x0, field.dx, field.dy, field.t + self.dt)
             if field.herm_deviation() > _HERM_TOL:
                 raise RuntimeError("unstable step: hermiticity violated")
         return field
-
-    return advance
 
 
 def master_step(
@@ -302,8 +306,10 @@ def master_step(
     substeps (subset of "kinetic", "potential", "friction", "decoherence"),
     which isolates single generators for diagnostics. ordering toggles the
     constant gamma/2 sink (fokker_planck.Ordering; default momenta-left).
+    Each call builds the operator: to take many steps, build MasterOperator
+    once and call its advance.
     """
-    return _master_operator(rho, potential, params, dt, ordering, terms)(rho, 1)
+    return MasterOperator(rho, potential, params, dt, ordering, terms).advance(rho, 1)
 
 
 def wigner_transform(

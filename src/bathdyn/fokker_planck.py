@@ -15,18 +15,17 @@ inertial equation, the pointwise rate V''(x)/(2 M gamma) for the overdamped
 one. Toggling the ordering therefore changes only the mass budget, not the
 transport stencil.
 
-Each equation's generator (face weights, stability bound) is built once per
-run, and the per-step functions share one generator per (grid, potential,
-params). One loop advances a field by n steps on scratch buffers allocated
-once per call: it checks dt once, checks every step's raw result against the
-ProbField rules (finite, no undershoot beyond 1e-10 of the largest value),
-and builds a ProbField only from the last step.
+Each equation's generator (face weights, stability bound) is a public
+operator, SmoluchowskiOperator or KramersOperator, built once per run. Its
+advance method moves a field by n steps on scratch buffers allocated once per
+call: it checks dt once, checks every step's raw result against the ProbField
+rules (finite, no undershoot beyond 1e-10 of the largest value), and builds a
+ProbField only from the last step.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, repeat
@@ -45,6 +44,8 @@ __all__ = [
     "ComparisonRecord",
     "gaussian_field_1d",
     "gaussian_field_2d",
+    "SmoluchowskiOperator",
+    "KramersOperator",
     "smoluchowski_step",
     "kramers_step",
     "compare_langevin_fp",
@@ -264,9 +265,45 @@ def _flux_divergence(flux: np.ndarray, stride: int, spacing: float,
     np.divide(out, spacing, out=out)
 
 
-class _Smoluchowski:
-    """smoluchowski_step's generator on one 1-D problem: face weights, dt_max
-    and the symmetric sink exp(-dt V''(x)/2 M gamma)."""
+class _GridOperator:
+    """One equation's generator on one grid problem. A subclass sets dt_max
+    and bound (the name of its stability bound) and supplies
+    divergence_kernel() and sink(dt)."""
+
+    def advance(self, field: ProbField, ordering: Ordering, dt: float,
+                n_steps: int) -> ProbField:
+        """n_steps explicit steps of this operator's equation from field.
+
+        dt is checked against the stability bound once. Every step's raw
+        result is checked against the ProbField rules, so a non-finite or
+        negative field raises at the step where it appears. The steps run on
+        buffers made for this call; field's values are only read, and the
+        returned field owns the buffer the steps wrote.
+        """
+        if not dt > 0:
+            raise ValueError("dt must be > 0")
+        if dt > self.dt_max:
+            raise StabilityError(f"{self.bound} exceeded", self.dt_max)
+        if n_steps < 1:
+            return field
+        sink = self.sink(dt) if ordering is Ordering.SYMMETRIC else None
+        divergence = self.divergence_kernel()
+        p, t = field.values, field.t
+        new = np.empty(p.shape)  # each step's divergence is taken before new is written
+        for _ in range(n_steps):
+            change = divergence(p)
+            np.multiply(dt, change, out=change)
+            np.add(p, change, out=new)
+            if sink is not None:
+                np.multiply(new, sink, out=new)
+            _check_values(new)
+            p, t = new, t + dt
+        return ProbField(p, field.grid, t)
+
+
+class SmoluchowskiOperator(_GridOperator):
+    """The overdamped equation's generator on one 1-D problem: face weights,
+    dt_max and the symmetric sink exp(-dt V''(x)/2 M gamma)."""
 
     bound = "drift-augmented stability bound"
 
@@ -303,9 +340,9 @@ class _Smoluchowski:
         return np.exp(-dt * hess / self.sink_scale)
 
 
-class _Kramers:
-    """kramers_step's generator on one 2-D problem: v face weights, dt_max
-    and the symmetric sink exp(-gamma dt / 2).
+class KramersOperator(_GridOperator):
+    """The phase-space equation's generator on one 2-D problem: v face
+    weights, dt_max and the symmetric sink exp(-gamma dt / 2).
 
     The stepping kernel works on the flattened (x-major) field, so that each
     operation runs over one contiguous array; the v face weights carry a
@@ -386,65 +423,12 @@ class _Kramers:
         return math.exp(-self.gamma * dt / 2.0)
 
 
-def _advance(op, field: ProbField, ordering: Ordering, dt: float,
-             n_steps: int) -> ProbField:
-    """n_steps explicit steps of op's equation from field.
-
-    dt is checked against op's stability bound once. Every step's raw result
-    is checked against the ProbField rules, so a non-finite or negative field
-    raises at the step where it appears. The steps run on buffers made for
-    this call; field's values are only read, and the returned field owns the
-    buffer the steps wrote.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    if dt > op.dt_max:
-        raise StabilityError(f"{op.bound} exceeded", op.dt_max)
-    if n_steps < 1:
-        return field
-    sink = op.sink(dt) if ordering is Ordering.SYMMETRIC else None
-    divergence = op.divergence_kernel()
-    p, t = field.values, field.t
-    new = np.empty(p.shape)  # each step's divergence is taken before new is written
-    for _ in range(n_steps):
-        change = divergence(p)
-        np.multiply(dt, change, out=change)
-        np.add(p, change, out=new)
-        if sink is not None:
-            np.multiply(new, sink, out=new)
-        _check_values(new)
-        p, t = new, t + dt
-    return ProbField(p, field.grid, t)
-
-
-@functools.lru_cache(maxsize=16)
-def _shared_operator(kind, grid: PhaseGrid, potential: Potential,
-                     params: BathParams, exact_key: str):
-    return kind(grid, potential, params)
-
-
-def _operator(kind, grid: PhaseGrid, potential: Potential, params: BathParams):
-    """kind's operator on this problem, shared by the per-step functions.
-
-    Only a frozen dataclass potential is shared, since a problem must not
-    change after its operator is built; exact_key tells apart equal
-    arguments whose numbers differ in type or in the sign of zero.
-    """
-    frozen = getattr(type(potential), "__dataclass_params__", None)
-    if frozen is None or not frozen.frozen:
-        return kind(grid, potential, params)
-    try:
-        return _shared_operator(kind, grid, potential, params,
-                                repr((grid, potential, params)))
-    except TypeError:  # a field that cannot be hashed
-        return kind(grid, potential, params)
-
-
 def smoluchowski_dt_max(
     grid: PhaseGrid, potential: Potential, params: BathParams
 ) -> float:
-    """Largest stable explicit step for smoluchowski_step on this problem."""
-    return _operator(_Smoluchowski, grid, potential, params).dt_max
+    """Largest stable explicit step for smoluchowski_step on this problem.
+    Builds the operator; a caller that also steps keeps its dt_max instead."""
+    return SmoluchowskiOperator(grid, potential, params).dt_max
 
 
 def smoluchowski_step(
@@ -458,14 +442,17 @@ def smoluchowski_step(
 
     Momenta-left: dP/dt = D d^2P/dx^2 + (1/M gamma) d/dx [V'(x) P] in flux
     form. Symmetric ordering multiplies the result by exp(-dt V''(x)/2 M gamma).
+    Each call builds the operator: to take many steps, build
+    SmoluchowskiOperator once and call its advance.
     """
-    op = _operator(_Smoluchowski, field.grid, potential, params)
-    return _advance(op, field, ordering, dt, 1)
+    return SmoluchowskiOperator(field.grid, potential, params).advance(
+        field, ordering, dt, 1)
 
 
 def kramers_dt_max(grid: PhaseGrid, potential: Potential, params: BathParams) -> float:
-    """Largest stable explicit step for kramers_step on this problem."""
-    return _operator(_Kramers, grid, potential, params).dt_max
+    """Largest stable explicit step for kramers_step on this problem.
+    Builds the operator; a caller that also steps keeps its dt_max instead."""
+    return KramersOperator(grid, potential, params).dt_max
 
 
 def kramers_step(
@@ -479,10 +466,11 @@ def kramers_step(
 
     Momenta-left: dP/dt = -d/dx(v P) + d/dv[(gamma v + V'(x)/M) P]
     + (w/2M^2) d^2P/dv^2 in flux form. Symmetric ordering multiplies the
-    result by exp(-gamma dt / 2).
+    result by exp(-gamma dt / 2). Each call builds the operator: to take many
+    steps, build KramersOperator once and call its advance.
     """
-    return _advance(_operator(_Kramers, field.grid, potential, params),
-                    field, ordering, dt, 1)
+    return KramersOperator(field.grid, potential, params).advance(
+        field, ordering, dt, 1)
 
 
 @dataclass(frozen=True)
@@ -535,14 +523,14 @@ def compare_langevin_fp(
 
     stats = run_ensemble(run_cfg, "overdamped", snapshot_steps=tuple(steps_at))
 
-    op = _Smoluchowski(grid, config.potential, config.params)
+    op = SmoluchowskiOperator(grid, config.potential, config.params)
     m = max(1, math.ceil(config.dt / op.dt_max))
     dt_fp = config.dt / m
 
     field = gaussian_field_1d(grid, config.x0, sigma0)
     fields = {0: field} if 0 in steps_at else {}
     for k in range(1, (max(steps_at) + 1) if steps_at else 0):
-        field = _advance(op, field, Ordering.MOMENTA_LEFT, dt_fp, m)
+        field = op.advance(field, Ordering.MOMENTA_LEFT, dt_fp, m)
         if k in steps_at:
             fields[k] = field
 

@@ -13,6 +13,7 @@ from bathdyn import (
     DensityField,
     DoubleWell,
     Harmonic,
+    MasterOperator,
     Ordering,
     Polynomial,
     StabilityError,
@@ -257,6 +258,10 @@ def test_built_once_master_operator_equals_master_step(problem, ordering, terms,
     stepwise = rho
     for _ in range(n):
         stepwise = master_step(stepwise, pot, PARAMS, dt, ordering, terms)
-    out = dc._master_operator(rho, pot, PARAMS, dt, ordering, terms)(rho, n)
+    start = rho.values.tobytes()
+    op = MasterOperator(rho, pot, PARAMS, dt, ordering, terms)
+    out = op.advance(rho, n)
     assert out.t.hex() == stepwise.t.hex()
     assert out.values.tobytes() == stepwise.values.tobytes()
+    assert rho.values.tobytes() == start
+    assert op.advance(rho, 0) is rho

@@ -13,12 +13,13 @@ from bathdyn import (
     ComparisonRecord,
     DoubleWell,
     Harmonic,
+    KramersOperator,
     Ordering,
     PhaseGrid,
     Polynomial,
-    Potential,
     ProbField,
     SimConfig,
+    SmoluchowskiOperator,
     StabilityError,
     compare_langevin_fp,
     gaussian_field_1d,
@@ -131,11 +132,9 @@ def test_double_well_stationary_state_refines_quadratically():
     def l1_error(nx):
         g = PhaseGrid(-3.2, 3.2, nx)
         fld = gaussian_field_1d(g, 0.0, 0.8)
-        dt = 0.9 * smoluchowski_dt_max(g, pot, PARAMS)
-        n = int(math.ceil(6.0 / dt))
-        dt = 6.0 / n
-        for _ in range(n):
-            fld = smoluchowski_step(fld, pot, PARAMS, Ordering.MOMENTA_LEFT, dt)
+        op = SmoluchowskiOperator(g, pot, PARAMS)
+        n = int(math.ceil(6.0 / (0.9 * op.dt_max)))
+        fld = op.advance(fld, Ordering.MOMENTA_LEFT, 6.0 / n, n)
         ref = np.exp(-pot.value(g.x_centers) / PARAMS.k_bt)
         ref /= ref.sum() * g.dx
         return float(np.sum(np.abs(fld.values - ref)) * g.dx)
@@ -321,8 +320,8 @@ def _fp_problems(draw, two_d=None):
 
 def _operator(field, pot, params):
     if field.grid.is_2d:
-        return fp._Kramers(field.grid, pot, params), kramers_step
-    return fp._Smoluchowski(field.grid, pot, params), smoluchowski_step
+        return KramersOperator(field.grid, pot, params), kramers_step
+    return SmoluchowskiOperator(field.grid, pot, params), smoluchowski_step
 
 
 _FRACTIONS = st.floats(1e-6, 1.0)  # dt / dt_max
@@ -342,7 +341,7 @@ def test_advance_equals_repeated_public_steps(problem, ordering, n, frac):
     stepwise = field
     for _ in range(n):
         stepwise = step(stepwise, pot, params, ordering, dt)
-    assert _bits(fp._advance(op, field, ordering, dt, n)) == _bits(stepwise)
+    assert _bits(op.advance(field, ordering, dt, n)) == _bits(stepwise)
 
 
 @settings(max_examples=40, deadline=None)
@@ -350,7 +349,7 @@ def test_advance_equals_repeated_public_steps(problem, ordering, n, frac):
 def test_momenta_left_conserves_mass_to_roundoff(problem, n, frac):
     pot, params, field = problem
     op, _ = _operator(field, pot, params)
-    out = fp._advance(op, field, Ordering.MOMENTA_LEFT, frac * op.dt_max, n)
+    out = op.advance(field, Ordering.MOMENTA_LEFT, frac * op.dt_max, n)
     assert abs(out.mass - field.mass) <= 1e-12 * field.mass
 
 
@@ -422,40 +421,12 @@ def test_field_check_accepts_and_rejects_as_version_0_2_0(vals, as_grid):
             fp._check_values(complex_vals, nonnegative=False)
 
 
-def test_per_step_functions_share_one_operator_per_problem():
-    def build(grid, pot, params=PARAMS):
-        return fp._operator(fp._Smoluchowski, grid, pot, params)
-
-    op = build(PhaseGrid(-3.0, 3.0, 32), DoubleWell(-1.0, 0.25))
-    assert build(PhaseGrid(-3.0, 3.0, 32), DoubleWell(-1.0, 0.25)) is op
-    # equal numbers that differ in type or in the sign of zero are not shared
-    assert build(PhaseGrid(-3, 3, 32), DoubleWell(-1.0, 0.25)) is not op
-    assert build(PhaseGrid(-3.0, 3.0, 32), DoubleWell(-1.0, 0.25),
-                 BathParams(mass=1, gamma=1.0, k_bt=0.5, hbar=0.0)) is not op
-    assert (build(PhaseGrid(-3.0, 3.0, 32), Polynomial((0.0, 0.0, 0.5)))
-            is not build(PhaseGrid(-3.0, 3.0, 32), Polynomial((-0.0, 0.0, 0.5))))
-
-    class Mutable(Potential):  # a potential that may change
-        def __init__(self, k):
-            self.k = k
-
-        def grad(self, x):
-            return self.k * np.asarray(x, dtype=float)
-
-    pot = Mutable(1.0)
-    grid = PhaseGrid(-3.0, 3.0, 32)
-    first = build(grid, pot)
-    pot.k = 4.0
-    assert build(grid, pot) is not first
-    assert build(grid, pot).dt_max < first.dt_max
-
-
 def test_advance_raises_at_the_first_bad_step():
     grid = PhaseGrid(-3.0, 3.0, 32)
     field = gaussian_field_1d(grid, 0.0, 0.5)
     calls = []
 
-    class Jump:  # an operator whose k-th divergence breaks the field
+    class Jump(fp._GridOperator):  # an operator whose k-th divergence breaks the field
         dt_max, bound = 1.0, "test bound"
 
         def __init__(self, k, value):
@@ -476,21 +447,21 @@ def test_advance_raises_at_the_first_bad_step():
                         (Jump(4, math.inf), "must be finite")]:
         calls.clear()
         with pytest.raises(ValueError, match=message):
-            fp._advance(op, field, Ordering.MOMENTA_LEFT, 0.1, 10)
+            op.advance(field, Ordering.MOMENTA_LEFT, 0.1, 10)
         assert len(calls) == op.k
 
 
 def test_advance_leaves_its_input_and_earlier_results_alone():
     grid = PhaseGrid(-3.0, 3.0, 24, -3.0, 3.0, 20)
     field = gaussian_field_2d(grid, 0.3, 0.6, -0.2, 0.7)
-    op = fp._Kramers(grid, DoubleWell(-1.0, 0.25), PARAMS)
+    op = KramersOperator(grid, DoubleWell(-1.0, 0.25), PARAMS)
     dt = 0.5 * op.dt_max
     start = field.values.copy()
-    first = fp._advance(op, field, Ordering.SYMMETRIC, dt, 3)
+    first = op.advance(field, Ordering.SYMMETRIC, dt, 3)
     kept = first.values.copy()
-    second = fp._advance(op, first, Ordering.SYMMETRIC, dt, 4)
-    again = fp._advance(op, field, Ordering.SYMMETRIC, dt, 3)
+    second = op.advance(first, Ordering.SYMMETRIC, dt, 4)
+    again = op.advance(field, Ordering.SYMMETRIC, dt, 3)
     assert field.values.tobytes() == start.tobytes()
     assert first.values.tobytes() == kept.tobytes() == again.values.tobytes()
     assert not np.shares_memory(second.values, first.values)
-    assert fp._advance(op, field, Ordering.SYMMETRIC, dt, 0) is field
+    assert op.advance(field, Ordering.SYMMETRIC, dt, 0) is field

@@ -25,3 +25,13 @@ def test_package_all_is_the_union_of_the_module_lists():
         for name in mod.__all__:
             assert getattr(bathdyn, name) is getattr(mod, name), name
     assert {"SpectralDensity", "ExpectationResult"} <= set(names)
+
+
+def test_cli_and_checks_step_through_the_public_operators():
+    from bathdyn import checks, cli
+
+    operators = {"SmoluchowskiOperator", "KramersOperator", "MasterOperator"}
+    assert operators <= set(bathdyn.__all__)
+    private = {"_advance", "_Kramers", "_Smoluchowski", "_master_operator", "_operator"}
+    for mod in (cli, checks):
+        assert private.isdisjoint(vars(mod)), mod.__name__
