@@ -187,10 +187,20 @@ def superposition_state(
 
 
 def _odd_padded(n: int) -> int:
-    """Zero-padding target: about 1.5x the size, forced odd so the discrete
-    frequency grid is symmetric (no unpaired Nyquist mode)."""
+    """Zero-padding target: the smallest odd m >= n + n//2 whose prime factors
+    are all <= 11. At least 1.5x the size, so the spectral phase wraps little;
+    odd, so the discrete frequency grid is symmetric (no unpaired Nyquist
+    mode); 11-smooth, so the FFTs never run on a large prime length."""
     m = n + n // 2
-    return m if m % 2 == 1 else m + 1
+    m += 1 - m % 2
+    while True:
+        k = m
+        for p in (3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 2
 
 
 def _kinetic_substep(vals: np.ndarray, phase: np.ndarray) -> np.ndarray:

@@ -66,7 +66,7 @@ class DoubleWell(Potential):
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
-        return 2.0 * self.a * x + 4.0 * self.b * x ** 3
+        return 2.0 * self.a * x + 4.0 * self.b * (x * x * x)
 
     def hess(self, x):
         x = np.asarray(x, dtype=float)

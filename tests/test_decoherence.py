@@ -117,6 +117,57 @@ def test_kinetic_substep_conserves_trace_and_hermiticity():
     assert r.herm_deviation() < 1e-12
 
 
+def _smooth_odd_lengths(limit):
+    """Every odd number up to limit with no prime factor above 11, built as
+    products of powers of 3, 5, 7 and 11."""
+    out = {1}
+    for p in (3, 5, 7, 11):
+        out |= {k * p ** e for k in out for e in range(1, 12) if k * p ** e <= limit}
+    return sorted(out)
+
+
+_SMOOTH = _smooth_odd_lengths(20_000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4000))
+def test_padded_length_is_the_smallest_odd_11_smooth_length(n):
+    m = dc._odd_padded(n)
+    floor = n + n // 2
+    assert m % 2 == 1 and m >= floor and m in _SMOOTH
+    assert not any(floor <= k < m for k in _SMOOTH)
+
+
+def _odd_padded_0_2_0(n):
+    """The padding rule of version 0.2.0, written out: n + n//2, forced odd."""
+    m = n + n // 2
+    return m if m % 2 == 1 else m + 1
+
+
+@pytest.mark.parametrize("state", [
+    lambda nx, ny: superposition_state(nx, 0.08, ny, 0.2, separation=3.1, sigma=0.3),
+    lambda nx, ny: gaussian_pure_state(nx, 0.08, ny, 0.2, sigma=0.3),
+], ids=["superposition", "gaussian"])
+def test_kinetic_substeps_do_not_depend_on_the_padding(monkeypatch, state):
+    # the states of the two decohere byte-identity cases on the CLI's default
+    # 101 x 81 grid, where both fall below 1e-12 of their peak at every edge:
+    # zero padding stands in for free space only for a field that vanishes
+    # there (on the cases' own 41 x 31 and 33 x 25 grids they do not, and the
+    # two paddings differ by up to 9e-5 of the peak after these 30 steps)
+    rho = state(101, 81)
+    scale = np.max(np.abs(rho.values))
+    edges = np.abs(np.concatenate([rho.values[[0, -1], :].ravel(),
+                                   rho.values[:, [0, -1]].ravel()]))
+    assert np.max(edges) < 1e-12 * scale
+    heavy = BathParams(mass=20.0, gamma=6.25e-3, k_bt=1.0, hbar=1.0)
+    smooth = MasterOperator(rho, None, heavy, 0.002, terms=("kinetic",))
+    assert dc._odd_padded(101) == 165 != _odd_padded_0_2_0(101)
+    monkeypatch.setattr(dc, "_odd_padded", _odd_padded_0_2_0)
+    prime = MasterOperator(rho, None, heavy, 0.002, terms=("kinetic",))
+    diff = smooth.advance(rho, 30).values - prime.advance(rho, 30).values
+    assert np.max(np.abs(diff)) <= 1e-12 * scale
+
+
 def test_friction_cfl_guard():
     rho = gaussian_pure_state(41, 0.1, 31, 0.12, sigma=0.5)
     y_max = float(np.max(np.abs(rho.y_grid)))

@@ -35,6 +35,22 @@ def test_double_well_shape():
         DoubleWell(a=-1.0, b=0.0)
 
 
+def test_double_well_grad_matches_the_power_form():
+    # the cube is taken by multiplication; against the closed form with the
+    # power operator it may differ by a few ulp of the larger term's size
+    rng = derive_rng(23)
+    for _ in range(50):
+        pot = DoubleWell(a=rng.uniform(-5.0, 5.0), b=rng.uniform(1e-3, 5.0))
+        x = rng.uniform(-4.0, 4.0, 1000) * 10.0 ** rng.uniform(-3.0, 2.0)
+        linear, cubic = 2.0 * pot.a * x, 4.0 * pot.b * x ** 3
+        ulp = np.spacing(np.abs(linear) + np.abs(cubic))
+        assert np.all(np.abs(pot.grad(x) - (linear + cubic)) <= 4 * ulp)
+    # on small integers both cubes are exact, so the gradients are equal
+    pot = DoubleWell(a=-1.3, b=0.7)
+    x = np.arange(-1000.0, 1001.0)
+    assert np.array_equal(pot.grad(x), 2.0 * pot.a * x + 4.0 * pot.b * x ** 3)
+
+
 def test_polynomial_matches_harmonic():
     pot = Polynomial(coeffs=(0.0, 0.0, 9.0))  # 9 x^2
     h = Harmonic(mass=2.0, omega0=3.0)  # k = 18, V = 9 x^2
