@@ -191,8 +191,7 @@ def _odd_padded(n: int) -> int:
     are all <= 11. At least 1.5x the size, so the spectral phase wraps little;
     odd, so the discrete frequency grid is symmetric (no unpaired Nyquist
     mode); 11-smooth, so the FFTs never run on a large prime length."""
-    m = n + n // 2
-    m += 1 - m % 2
+    m = (n + n // 2) | 1
     while True:
         k = m
         for p in (3, 5, 7, 11):
