@@ -21,7 +21,10 @@ inertial), then the step noise. A trajectory's numbers depend only on the seed,
 its index and the step count, not on n_traj or the chunk size, so a shorter
 ensemble is the prefix of a longer one and any routine that draws whole blocks
 reproduces the ensemble bit for bit. The step noise is stored time-major,
-(steps, trajectories), so each step reads one contiguous row.
+(steps, trajectories), so each step reads one contiguous row. A run holds one
+such buffer, sized for one chunk and reused by every chunk, and draws each
+block into it through one small row-group buffer: a block's array is never
+held whole, though its numbers are exactly those of the one call.
 """
 
 from __future__ import annotations
@@ -48,8 +51,12 @@ __all__ = [
 ]
 
 # cap on trajectories*steps kept in memory per vectorized chunk; a chunk holds
-# at least one block whatever the cap
+# at least one block whatever the cap. A run's noise memory is one (steps,
+# chunk) buffer, reused by every chunk, plus the row-group buffer each block is
+# drawn through (see _noise_buffers)
 _CHUNK_BUDGET = 1 << 22
+# bytes of the row-group buffer, unless chunk // 64 rows need more
+_GROUP_BYTES = 1 << 18
 # trajectories per noise generator; fixed, so results do not depend on chunking
 _BLOCK = 1024
 _MODES = ("inertial", "overdamped", "overdamped_postpoint")
@@ -283,27 +290,50 @@ def _chunk_size(n: int, row: int) -> int:
     return min(n, max(1, _CHUNK_BUDGET // (row * _BLOCK)) * _BLOCK)
 
 
-def _draw_chunk(config: SimConfig, g0: int, g1: int, mode: str, noise_scale: float):
+def _noise_buffers(config: SimConfig, mode: str, chunk: int):
+    """A run's step-noise buffer, (steps, chunk), and row-group buffer,
+    (rows, n0 + steps), 1 <= rows <= _BLOCK.
+
+    rows fills _GROUP_BYTES but is at least chunk // 64: every group write
+    touches each noise row, so on long runs, where _GROUP_BYTES holds a row
+    or two, the floor keeps the writes from scattering single values. The
+    group then costs at most 1/64 of the noise buffer.
+    """
+    row = (2 if mode == "inertial" else 1) + config.steps
+    rows = min(_BLOCK, max(1, _GROUP_BYTES // (8 * row), chunk // 64))
+    return np.empty((config.steps, chunk)), np.empty((rows, row))
+
+
+def _draw_chunk(config: SimConfig, g0: int, g1: int, noise_scale: float,
+                noise: np.ndarray, group: np.ndarray):
     """Initial conditions and step noise for trajectories g0..g1-1.
 
-    g0 must be a multiple of _BLOCK. Returns (x0s, v0s, eta) with eta of shape
-    (steps, g1 - g0): eta[k] is every trajectory's noise at step k.
+    g0 must be a multiple of _BLOCK. noise and group are the run's buffers
+    from _noise_buffers; n0 = group.shape[1] - steps. Each block fills group
+    from its one generator, a few rows at a time: a C-order fill in row
+    groups continues the stream exactly as one (m, n0 + steps) draw would.
+    Returns (x0s, v0s, eta) with eta = noise[:, :g1 - g0], scaled step noise
+    of shape (steps, g1 - g0): eta[k] is every trajectory's noise at step k.
+    eta stays valid until the next call overwrites the buffer.
     """
-    n0 = 2 if mode == "inertial" else 1
+    n0 = group.shape[1] - config.steps
+    scale = noise_scale * math.sqrt(config.params.w / config.dt)
     z0 = np.empty((g1 - g0, n0))
-    eta = np.empty((config.steps, g1 - g0))
+    eta = noise[:, : g1 - g0]
     for b0 in range(g0, g1, _BLOCK):
         b1 = min(g1, b0 + _BLOCK)
         rng = derive_rng(config.master_seed, b0 // _BLOCK)
-        z = rng.standard_normal((b1 - b0, n0 + config.steps))
-        z0[b0 - g0 : b1 - g0] = z[:, :n0]
-        eta[:, b0 - g0 : b1 - g0] = z[:, n0:].T
+        for r0 in range(b0 - g0, b1 - g0, len(group)):
+            r1 = min(b1 - g0, r0 + len(group))
+            z = group[: r1 - r0]
+            rng.standard_normal(z.shape, out=z)
+            z0[r0:r1] = z[:, :n0]
+            np.multiply(z[:, n0:].T, scale, out=eta[:, r0:r1])
     x0s = config.x0 + config.sigma_x * z0[:, 0]
     if n0 == 2:
         v0s = config.v0 + config.sigma_v * z0[:, 1]
     else:
         v0s = np.full(g1 - g0, config.v0)
-    eta *= noise_scale * math.sqrt(config.params.w / config.dt)
     return x0s, v0s, eta
 
 
@@ -398,10 +428,11 @@ def run_ensemble(
     alive_all = np.empty(n, dtype=bool)
     snaps_all = {s: np.empty(n) for s in snapshot_steps}
     sub_series = np.empty((n_sub, steps + 1)) if n_sub else None
+    noise, group = _noise_buffers(config, mode, chunk)
 
     for g0 in range(0, n, chunk):
         g1 = min(n, g0 + chunk)
-        x0s, v0s, eta = _draw_chunk(config, g0, g1, mode, noise_scale)
+        x0s, v0s, eta = _draw_chunk(config, g0, g1, noise_scale, noise, group)
         n_series = max(0, min(g1, n_sub) - g0)
         x, v, alive, series, _, snaps = _evolve_chunk(
             config, mode, x0s, v0s, eta, snapshot_steps, n_series
@@ -414,6 +445,9 @@ def run_ensemble(
             snaps_all[s][g0:g1] = snaps[s]
         if n_series:
             sub_series[g0 : g0 + n_series] = series
+    # the noise buffer is the largest array of a long run; the statistics
+    # below do not need it
+    del noise, eta
 
     final_x[~alive_all] = np.nan
     if final_v is not None:
@@ -514,10 +548,11 @@ def noise_expectation(
     chunk = _chunk_size(n, steps + 1)
     vals = np.empty(n)
     alive_all = np.empty(n, dtype=bool)
+    noise, group = _noise_buffers(config, mode, chunk)
 
     for g0 in range(0, n, chunk):
         g1 = min(n, g0 + chunk)
-        x0s, v0s, eta = _draw_chunk(config, g0, g1, mode, noise_scale)
+        x0s, v0s, eta = _draw_chunk(config, g0, g1, noise_scale, noise, group)
         c = g1 - g0
         x, v, alive, series, v_series, _ = _evolve_chunk(
             config, mode, x0s, v0s, eta, (), c

@@ -1,10 +1,11 @@
 """Stochastic integrators: step algebra, determinism, stationary statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bathdyn.langevin as lv
@@ -128,6 +129,95 @@ def test_chunks_of_one_block_match_a_single_chunk(monkeypatch, mode):
     if mode == "inertial":
         np.testing.assert_array_equal(whole.final_v, pieces.final_v)
     assert noise_expectation(lambda t, x, v: x[-1], cfg, mode).value == whole.mean_x
+
+
+def test_ensemble_memory_is_one_noise_buffer(monkeypatch):
+    """Traced peak of a three-chunk inertial run stays near one chunk's noise.
+
+    The bound comes from the sizes, not from a measurement. With one block
+    per chunk, a run holds:
+      - the step-noise buffer, 8 * steps * chunk bytes (8.2 MB here), reused
+        by every chunk;
+      - one row-group buffer: 256 KiB, or 1/64 of the noise buffer when
+        that is larger (256 KiB here);
+      - O(n_traj) arrays: the final_x, final_v and alive outputs, each chunk's
+        initial normals, x, v and alive, and the step's temporaries (force,
+        x_new, v_new, the update mask): fewer than 32 float64 arrays of
+        n_traj entries (0.5 MB);
+      - 1 MB of slack for interpreter and tracemalloc bookkeeping.
+    That is about 10.0 MB. Holding a second chunk's noise, or a block's whole
+    (1024, 2 + steps) draw beside its time-major copy, adds 8.2 MB or more.
+    """
+    cfg = _config(n_traj=_ACROSS_BLOCKS, steps=1000, dt=0.001, sigma_x=0.3,
+                  sigma_v=0.3)
+    monkeypatch.setattr(lv, "_CHUNK_BUDGET", cfg.steps * lv._BLOCK)
+    chunk = lv._chunk_size(cfg.n_traj, cfg.steps)
+    assert chunk == lv._BLOCK
+    group = max(1 << 18, 8 * (2 + cfg.steps) * (chunk // 64))
+    bound = 8 * cfg.steps * chunk + group + 32 * 8 * cfg.n_traj + (1 << 20)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_ensemble(cfg, "inertial")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak} bytes > bound {bound} bytes"
+
+
+def _draw_030(config, g0, g1, mode, noise_scale):
+    """The 0.3.0 draw: one (b1 - b0, n0 + steps) call per block, its step
+    columns copied transposed into a fresh eta, then eta scaled in place."""
+    n0 = 2 if mode == "inertial" else 1
+    z0 = np.empty((g1 - g0, n0))
+    eta = np.empty((config.steps, g1 - g0))
+    for b0 in range(g0, g1, lv._BLOCK):
+        b1 = min(g1, b0 + lv._BLOCK)
+        rng = lv.derive_rng(config.master_seed, b0 // lv._BLOCK)
+        z = rng.standard_normal((b1 - b0, n0 + config.steps))
+        z0[b0 - g0 : b1 - g0] = z[:, :n0]
+        eta[:, b0 - g0 : b1 - g0] = z[:, n0:].T
+    x0s = config.x0 + config.sigma_x * z0[:, 0]
+    if n0 == 2:
+        v0s = config.v0 + config.sigma_v * z0[:, 1]
+    else:
+        v0s = np.full(g1 - g0, config.v0)
+    eta *= noise_scale * math.sqrt(config.params.w / config.dt)
+    return x0s, v0s, eta
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(["inertial", "overdamped"]),
+       first_block=st.integers(0, 3), n=st.integers(1, 2 * lv._BLOCK + 300),
+       steps=st.integers(1, 30), rows=st.one_of(st.none(), st.integers(1, lv._BLOCK)),
+       noise_scale=st.sampled_from([0.0, 1.0, 0.37]), seed=st.integers(0, 2**32 - 1),
+       spare=st.integers(0, 3))
+@example(mode="overdamped", first_block=1, n=5, steps=40_000, rows=None,
+         noise_scale=1.0, seed=3, spare=2)  # one-row groups from the run's own sizing
+@example(mode="inertial", first_block=0, n=lv._BLOCK + 7, steps=3, rows=1,
+         noise_scale=1.0, seed=4, spare=0)
+@example(mode="inertial", first_block=2, n=3, steps=4, rows=100, noise_scale=0.0,
+         seed=5, spare=0)  # fewer trajectories than one row group
+def test_row_group_draw_equals_the_block_draw(mode, first_block, n, steps, rows,
+                                              noise_scale, seed, spare):
+    """spare > 0 draws a chunk narrower than the run's noise buffer, as the
+    last chunk of a run does."""
+    g0 = first_block * lv._BLOCK
+    g1 = g0 + n
+    cfg = _config(n_traj=g1, steps=steps, master_seed=seed, x0=0.2, v0=-0.1,
+                  sigma_x=0.5, sigma_v=0.7)
+    noise, group = lv._noise_buffers(cfg, mode, n + spare)
+    if steps == 40_000:
+        assert len(group) == 1
+    if rows is not None:
+        group = np.empty((rows, group.shape[1]))
+    # the buffer the run reuses is dirty from its last chunk
+    noise.fill(np.nan)
+    group.fill(np.nan)
+    got = lv._draw_chunk(cfg, g0, g1, noise_scale, noise, group)
+    want = _draw_030(cfg, g0, g1, mode, noise_scale)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("mode", ["inertial", "overdamped"])
