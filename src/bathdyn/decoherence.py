@@ -20,12 +20,18 @@ The symmetric ordering differs by a constant and multiplies the field by
 exp(-gamma dt / 2), so the trace then decays at rate gamma/2.
 
 MasterOperator checks the inputs and builds the kinetic and potential phases
-and the decoherence factor once per run, at one dt and ordering; its advance
-still checks every step's result for finiteness and hermiticity.
+and the decoherence factor once per run, at one dt and ordering. Its advance
+steps on buffers made once per call, as the grid steppers do: the kinetic
+substep writes into its own buffer, every other substep works in place, and
+each step's raw array is checked for finiteness and hermiticity. The kinetic
+FFTs read a field copied into a buffer whose zero padding is never written,
+so no transform is asked to pad (numpy 2 runs a padded transform one line at
+a time, an unpadded one through pocketfft's multi-line path).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +86,27 @@ def decoherence_params(params: BathParams) -> DecoherenceParams:
     )
 
 
+def _y_grid(ny: int, dy: float) -> np.ndarray:
+    """The relative coordinates y_j = (j - (ny-1)/2) dy."""
+    return (np.arange(ny) - (ny - 1) / 2.0) * dy
+
+
+def _herm_deviation(vals: np.ndarray) -> float:
+    """Max |rho(x,y) - conj(rho(x,-y))| relative to max |rho|; 0 for a zero field.
+
+    Each column pair j, ny-1-j is compared once: |a - conj(b)| and
+    |b - conj(a)| are the same number bit for bit, so the other half of the
+    columns cannot change the max.
+    """
+    scale = float(np.max(np.abs(vals)))
+    if scale == 0.0:
+        return 0.0
+    half = (vals.shape[1] + 1) // 2
+    mirrored = np.conj(vals[:, ::-1][:, :half])
+    np.subtract(vals[:, :half], mirrored, out=mirrored)
+    return float(np.max(np.abs(mirrored))) / scale
+
+
 @dataclass
 class DensityField:
     """Complex density-matrix samples rho[i, j] at x_i = x0 + i dx and
@@ -116,7 +143,7 @@ class DensityField:
 
     @property
     def y_grid(self) -> np.ndarray:
-        return (np.arange(self.ny) - (self.ny - 1) / 2.0) * self.dy
+        return _y_grid(self.ny, self.dy)
 
     def trace(self) -> complex:
         """Discrete integral of rho(x, 0) over x."""
@@ -125,11 +152,7 @@ class DensityField:
 
     def herm_deviation(self) -> float:
         """Max |rho(x,y) - conj(rho(x,-y))| relative to the field scale."""
-        flipped = np.conj(self.values[:, ::-1])
-        scale = float(np.max(np.abs(self.values)))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(self.values - flipped))) / scale
+        return _herm_deviation(self.values)
 
 
 def _pure_state_field(
@@ -138,7 +161,7 @@ def _pure_state_field(
     """rho(x, y) = psi(x + y/2) conj(psi(x - y/2)), trace-normalized."""
     x0 = x_center - (nx // 2) * dx
     x = x0 + np.arange(nx) * dx
-    y = (np.arange(ny) - (ny - 1) / 2.0) * dy
+    y = _y_grid(ny, dy)
     xp = x[:, None] + y[None, :] / 2.0
     xm = x[:, None] - y[None, :] / 2.0
     rho = psi(xp) * np.conj(psi(xm))
@@ -202,37 +225,65 @@ def _odd_padded(n: int) -> int:
         m += 2
 
 
-def _kinetic_substep(vals: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """Spectral step of the mixed kinetic term on the zero-padded grid of phase.
+def _kinetic_kernel(nx: int, ny: int, phase: np.ndarray):
+    """kinetic(vals): the spectral step of the mixed kinetic term on the
+    zero-padded grid of phase, in rows :nx of a buffer that the next call
+    overwrites. Each call of this function makes new buffers.
 
     Equal bit for bit to ifft2(fft2(padded) * phase)[:nx, :ny], whose 1-D
     transforms run along y first: the forward y transform skips the padding
-    rows (all zero) and the inverse x transform the columns cut away.
+    rows (all zero) and the inverse x transform the columns cut away. vals
+    is copied into a buffer whose padding columns stay zero, and the y
+    spectrum goes into a buffer whose padding rows stay zero, so no
+    transform pads its input: numpy 2 runs a padded transform (n= above the
+    input length) one line at a time, an unpadded one on many lines at once.
     """
-    nx, ny = vals.shape
     mx, my = phase.shape
-    spectrum = np.fft.fft(np.fft.fft(vals, n=my, axis=1), n=mx, axis=0)
-    spectrum *= phase
-    return np.fft.ifft(np.fft.ifft(spectrum, axis=1)[:, :ny], axis=0)[:nx]
+    padded = np.zeros((nx, my), dtype=complex)  # columns ny: stay zero
+    y_spectrum = np.zeros((mx, my), dtype=complex)  # rows nx: stay zero
+    spectrum = np.empty((mx, my), dtype=complex)
+    out = np.empty((mx, ny), dtype=complex)
+
+    def kinetic(vals: np.ndarray) -> np.ndarray:
+        padded[:, :ny] = vals
+        np.fft.fft(padded, axis=1, out=y_spectrum[:nx])
+        np.fft.fft(y_spectrum, axis=0, out=spectrum)
+        np.multiply(spectrum, phase, out=spectrum)
+        np.fft.ifft(spectrum, axis=1, out=spectrum)
+        np.fft.ifft(spectrum[:, :ny], axis=0, out=out)
+        return out[:nx]
+
+    return kinetic
 
 
-def _friction_substep(vals: np.ndarray, y: np.ndarray, gamma: float,
-                      dy: float, dt: float) -> np.ndarray:
-    """First-order upwind step of d(rho)/dt = -gamma y d(rho)/dy.
+def _friction_kernel(nx: int, y: np.ndarray, gamma: float, dy: float, dt: float):
+    """friction(vals, out): the first-order upwind step of
+    d(rho)/dt = -gamma y d(rho)/dy from vals into out, which may be vals.
+    Each call of this function makes new buffers.
 
     The upwind direction points toward y = 0 (characteristics flow outward),
     so no boundary data is needed and the y = 0 row is exactly unchanged.
+    Each half's update is taken whole before it is written, and neither half
+    reads the columns the other writes, so the step may run in place.
     """
     c = dt * gamma / dy
-    out = vals.copy()
     j0 = len(y) // 2
-    # y > 0: velocity positive, difference against the smaller-y neighbor
-    jp = slice(j0 + 1, None)
-    out[:, jp] -= c * y[jp] * (vals[:, jp] - vals[:, j0:-1])
-    # y < 0: velocity negative, difference against the larger-y neighbor
-    jm = slice(0, j0)
-    out[:, jm] -= c * y[jm] * (vals[:, 1 : j0 + 1] - vals[:, jm])
-    return out
+    c_up, c_down = c * y[j0 + 1:], c * y[:j0]
+    change = np.empty((nx, j0), dtype=complex)
+
+    def friction(vals: np.ndarray, out: np.ndarray) -> None:
+        # y > 0: velocity positive, difference against the smaller-y neighbor
+        np.subtract(vals[:, j0 + 1:], vals[:, j0:-1], out=change)
+        np.multiply(c_up, change, out=change)
+        np.subtract(vals[:, j0 + 1:], change, out=out[:, j0 + 1:])
+        # y < 0: velocity negative, difference against the larger-y neighbor
+        np.subtract(vals[:, 1:j0 + 1], vals[:, :j0], out=change)
+        np.multiply(c_down, change, out=change)
+        np.subtract(vals[:, :j0], change, out=out[:, :j0])
+        if out is not vals:
+            out[:, j0] = vals[:, j0]
+
+    return friction
 
 
 class MasterOperator:
@@ -265,40 +316,88 @@ class MasterOperator:
                     rho.dy / (params.gamma * y_max),
                 )
 
-        substeps = []  # each maps the field values to the next substep's input
+        # the pointwise factors of the substeps before and after friction
+        self._kinetic_phase = self._friction = None
+        before, after = [], []
         if "kinetic" in terms:
             kx = 2.0 * np.pi * np.fft.fftfreq(_odd_padded(rho.nx), d=rho.dx)
             ky = 2.0 * np.pi * np.fft.fftfreq(_odd_padded(rho.ny), d=rho.dy)
-            phase = np.exp(-1j * (params.hbar / params.mass) * dt * kx[:, None] * ky[None, :])
-            substeps.append(lambda vals: _kinetic_substep(vals, phase))
+            self._kinetic_phase = np.exp(
+                -1j * (params.hbar / params.mass) * dt * kx[:, None] * ky[None, :])
         if "potential" in terms and potential is not None:
             x = rho.x_grid
             dv = np.asarray(potential.value(x[:, None] + y[None, :] / 2.0)) - np.asarray(
                 potential.value(x[:, None] - y[None, :] / 2.0)
             )
-            potential_phase = np.exp(-1j * dv * dt / params.hbar)
-            substeps.append(lambda vals: vals * potential_phase)
+            before.append(np.exp(-1j * dv * dt / params.hbar))
         if "friction" in terms:
-            substeps.append(lambda vals: _friction_substep(vals, y, params.gamma, rho.dy, dt))
+            self._friction = (y, params.gamma, rho.dy, dt)
         if "decoherence" in terms:
-            damping = np.exp(-dec.lam * y ** 2 * dt)[None, :]
-            substeps.append(lambda vals: vals * damping)
+            after.append(np.exp(-dec.lam * y ** 2 * dt)[None, :])
         if ordering is Ordering.SYMMETRIC:
-            sink = math.exp(-params.gamma * dt / 2.0)
-            substeps.append(lambda vals: vals * sink)
-        self.dt, self._substeps = dt, substeps
+            after.append(math.exp(-params.gamma * dt / 2.0))
+        self.dt, self.shape = dt, rho.values.shape
+        self._before, self._after = before, after
+
+    def _step_kernel(self):
+        """step(vals): one split step from vals into a buffer that the next
+        call overwrites; vals is only read. Each call of this method makes
+        new buffers.
+
+        The kinetic substep writes its own buffer; the others then update the
+        step's buffer in place, in the order kinetic, potential, friction,
+        decoherence, sink.
+        """
+        nx, ny = self.shape
+        kinetic = friction = buffer = None
+        if self._kinetic_phase is not None:
+            kinetic = _kinetic_kernel(nx, ny, self._kinetic_phase)
+        else:
+            buffer = np.empty(self.shape, dtype=complex)
+        if self._friction is not None:
+            friction = _friction_kernel(nx, *self._friction)
+        before, after = self._before, self._after
+
+        def step(vals: np.ndarray) -> np.ndarray:
+            if kinetic is None:
+                out = buffer
+            else:
+                vals = out = kinetic(vals)
+            for factor in before:
+                np.multiply(vals, factor, out=out)
+                vals = out
+            if friction is not None:
+                friction(vals, out)
+                vals = out
+            for factor in after:
+                np.multiply(vals, factor, out=out)
+                vals = out
+            if vals is not out:  # no substep at all
+                np.copyto(out, vals)
+            return out
+
+        return step
 
     def advance(self, field: DensityField, n_steps: int) -> DensityField:
-        """n_steps steps from field, each result checked for finiteness and
-        hermiticity (within _HERM_TOL); field itself is left unchanged."""
+        """n_steps steps from field, each step's raw result checked for
+        finiteness and hermiticity (within _HERM_TOL).
+
+        The steps run on buffers made for this call; field's values are only
+        read, and the returned field owns the buffer the steps wrote.
+        """
+        if n_steps < 1:
+            return field
+        if field.values.shape != self.shape:
+            raise ValueError("field is not on this operator's grid")
+        step = self._step_kernel()
+        vals, t = field.values, field.t
         for _ in range(n_steps):
-            vals = field.values
-            for substep in self._substeps:
-                vals = substep(vals)
-            field = DensityField(vals, field.x0, field.dx, field.dy, field.t + self.dt)
-            if field.herm_deviation() > _HERM_TOL:
+            vals = step(vals)
+            _check_values(vals, nonnegative=False)
+            if _herm_deviation(vals) > _HERM_TOL:
                 raise RuntimeError("unstable step: hermiticity violated")
-        return field
+            t = t + self.dt
+        return DensityField(vals, field.x0, field.dx, field.dy, t)
 
 
 def master_step(
@@ -321,25 +420,37 @@ def master_step(
     return MasterOperator(rho, potential, params, dt, ordering, terms).advance(rho, 1)
 
 
+@functools.lru_cache(maxsize=8)
+def _default_wigner_grid(ny: int, dy: float, hbar: float):
+    """(p_grid, phase.T) of wigner_transform for the default momentum grid
+    on one y grid: built once per (ny, dy, hbar) and read-only, since every
+    caller shares them."""
+    p_grid = np.sort(2.0 * np.pi * hbar * np.fft.fftfreq(ny, d=dy))
+    phase = np.exp(1j * np.outer(p_grid, _y_grid(ny, dy)) / hbar)
+    p_grid.flags.writeable = phase.flags.writeable = False
+    return p_grid, phase.T
+
+
 def wigner_transform(
     rho: DensityField, hbar: float, p_grid: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """W(x, p) = (1/2 pi hbar) int e^{i p y / hbar} rho(x, y) dy.
 
     With the default momentum grid (the discrete conjugate of the y grid)
-    the double Riemann sum of W equals the trace exactly. Returns (W, p_grid)
-    with W real.
+    the double Riemann sum of W equals the trace exactly; that grid and its
+    phase matrix are built once per grid and hbar, and the returned p_grid
+    is then read-only. Returns (W, p_grid) with W real.
     """
     if hbar <= 0:
         raise ValueError("hbar must be > 0")
     if rho.herm_deviation() > _HERM_TOL:
         raise ValueError("Wigner transform needs a Hermitian field")
-    y = rho.y_grid
     if p_grid is None:
-        p_grid = np.sort(2.0 * np.pi * hbar * np.fft.fftfreq(rho.ny, d=rho.dy))
-    p_grid = np.asarray(p_grid, dtype=float)
-    phase = np.exp(1j * np.outer(p_grid, y) / hbar)
-    w = (rho.dy / (2.0 * np.pi * hbar)) * (rho.values @ phase.T)
+        p_grid, phase_t = _default_wigner_grid(rho.ny, rho.dy, hbar)
+    else:
+        p_grid = np.asarray(p_grid, dtype=float)
+        phase_t = np.exp(1j * np.outer(p_grid, rho.y_grid) / hbar).T
+    w = (rho.dy / (2.0 * np.pi * hbar)) * (rho.values @ phase_t)
     return w.real, p_grid
 
 

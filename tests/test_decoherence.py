@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import bathdyn.decoherence as dc
 from bathdyn import (
@@ -231,6 +232,52 @@ def test_hermiticity_violation_is_fatal():
         master_step(rho, None, PARAMS, 0.001, terms=("decoherence",))
 
 
+def _herm_deviation_0_3_0(vals):
+    """The hermiticity rule of version 0.3.0, written out: every column
+    against its mirror, so each pair is compared twice."""
+    flipped = np.conj(vals[:, ::-1])
+    scale = float(np.max(np.abs(vals)))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(vals - flipped))) / scale
+
+
+@st.composite
+def _complex_fields(draw):
+    """A complex (nx, ny) field, ny odd and possibly 1, made Hermitian (up
+    to the rounding of the mean) or left as drawn."""
+    nx, ny = draw(st.integers(1, 9)), 2 * draw(st.integers(0, 6)) + 1
+    parts = hnp.arrays(np.float64, (2, nx, ny),
+                       elements=st.floats(-1e6, 1e6, allow_subnormal=True))
+    re, im = draw(parts)
+    vals = re + 1j * im
+    if draw(st.booleans()):
+        vals = (vals + np.conj(vals[:, ::-1])) / 2.0
+    return vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_fields())
+@example(np.zeros((4, 5), dtype=complex))
+@example(np.array([[1.0 + 2.0j], [-3.0 + 0.5j]]))
+@example(np.array([[1.0 + 1.0j, 2.0 - 1.0j, 1.0 - 1.0j]]))
+@example(np.array([[1.0 + 1.0j, 2.0 - 1.0j, 1.0 + 1.0j]]))
+def test_herm_deviation_compares_each_column_pair_once(vals):
+    expected = _herm_deviation_0_3_0(vals)
+    assert dc._herm_deviation(vals) == expected
+    assert DensityField(vals, 0.0, 0.1, 0.1).herm_deviation() == expected
+
+
+def test_herm_deviation_sees_a_non_hermitian_field():
+    vals = np.ones((3, 5), dtype=complex)
+    assert dc._herm_deviation(vals) == 0.0
+    vals[1, 4] = 1.0 + 0.5j  # its mirror, vals[1, 0], stays 1
+    assert dc._herm_deviation(vals) == 0.5 / abs(1.0 + 0.5j)
+    vals[1, 4] = 1.0
+    vals[2, 2] = 1.0 + 1e-3j  # the y = 0 column must be real
+    assert dc._herm_deviation(vals) == abs(2e-3j) / abs(1.0 + 1e-3j)
+
+
 def test_wigner_of_gaussian_matches_closed_form():
     sigma = 0.5
     rho = gaussian_pure_state(81, 0.1, 201, 0.15, sigma=sigma)
@@ -267,6 +314,34 @@ def test_wigner_input_guards():
     lopsided = DensityField(vals, 0.0, 0.1, 0.12)
     with pytest.raises(ValueError, match="Hermitian"):
         wigner_transform(lopsided, 1.0)
+
+
+def test_default_wigner_grid_is_built_once_and_read_only():
+    hbar = 0.7
+    rho = superposition_state(41, 0.08, 31, 0.1, separation=1.5, sigma=0.3)
+    w, p = wigner_transform(rho, hbar)
+    # the transform of version 0.3.0, written out
+    p_old = np.sort(2.0 * np.pi * hbar * np.fft.fftfreq(rho.ny, d=rho.dy))
+    phase = np.exp(1j * np.outer(p_old, rho.y_grid) / hbar)
+    w_old = (rho.dy / (2.0 * np.pi * hbar)) * (rho.values @ phase.T)
+    assert np.array_equal(w, w_old.real) and np.array_equal(p, p_old)
+
+    other = gaussian_pure_state(41, 0.08, 31, 0.1, sigma=0.4)
+    _, p_again = wigner_transform(other, hbar)
+    p_cached, phase_t = dc._default_wigner_grid(rho.ny, rho.dy, hbar)
+    assert p_again is p is p_cached
+    assert np.array_equal(phase_t, phase.T)
+    for shared in (p, phase_t, phase_t.T):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
+
+    # an explicit grid takes the uncached path and stays the caller's
+    mine = np.linspace(-2.0, 2.0, 9)
+    w_mine, p_mine = wigner_transform(rho, hbar, p_grid=mine)
+    assert p_mine is mine and p_mine.flags.writeable
+    phase = np.exp(1j * np.outer(mine, rho.y_grid) / hbar)
+    w_old = (rho.dy / (2.0 * np.pi * hbar)) * (rho.values @ phase.T)
+    assert np.array_equal(w_mine, w_old.real)
 
 
 def test_interference_amplitude_decays_monotonically():
@@ -316,3 +391,53 @@ def test_built_once_master_operator_equals_master_step(problem, ordering, terms,
     assert out.values.tobytes() == stepwise.values.tobytes()
     assert rho.values.tobytes() == start
     assert op.advance(rho, 0) is rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 20), st.floats(1e-5, 0.05),
+       st.integers(0, 2**32 - 1))
+def test_kinetic_substep_equals_the_padded_transform_rule(nx, half_ny, dt, seed):
+    ny = 2 * half_ny + 1
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))
+    v = v + np.conj(v[:, ::-1])  # exactly Hermitian
+    rho = DensityField(v, -1.0, 0.08, 0.1)
+    out = MasterOperator(rho, None, PARAMS, dt, terms=("kinetic",)).advance(rho, 1)
+    # the kinetic substep of version 0.3.0, written out
+    mx, my = dc._odd_padded(nx), dc._odd_padded(ny)
+    kx = 2.0 * np.pi * np.fft.fftfreq(mx, d=rho.dx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(my, d=rho.dy)
+    phase = np.exp(-1j * (PARAMS.hbar / PARAMS.mass) * dt * kx[:, None] * ky[None, :])
+    fft, ifft = np.fft.fft, np.fft.ifft
+    expected = ifft(ifft(fft(fft(v, n=my, axis=1), n=mx, axis=0) * phase,
+                         axis=1)[:, :ny], axis=0)[:nx]
+    assert out.values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("terms, ordering", [
+    (dc._TERMS, Ordering.MOMENTA_LEFT),
+    (("kinetic",), Ordering.MOMENTA_LEFT),
+    (dc._TERMS, Ordering.SYMMETRIC),
+    (("friction", "decoherence"), Ordering.SYMMETRIC),
+], ids=["default", "kinetic", "symmetric", "no-kinetic"])
+def test_advance_results_own_their_buffers(terms, ordering):
+    rho = superposition_state(41, 0.08, 31, 0.1, separation=1.5, sigma=0.3)
+    start = rho.values.tobytes()
+    op = MasterOperator(rho, Harmonic(1.0, 1.0), PARAMS, 0.01, ordering, terms)
+    first = op.advance(rho, 3)
+    kept = first.values.tobytes()
+    second = op.advance(rho, 3)
+    assert second.values.tobytes() == kept and first.values.tobytes() == kept
+    assert rho.values.tobytes() == start
+    assert not np.shares_memory(first.values, second.values)
+    assert not np.shares_memory(first.values, rho.values)
+    # stepping on from a result reads it and leaves it as it was
+    op.advance(first, 2)
+    assert first.values.tobytes() == kept
+
+
+def test_advance_rejects_a_field_on_another_grid():
+    rho = gaussian_pure_state(41, 0.1, 31, 0.12, sigma=0.5)
+    op = MasterOperator(rho, None, PARAMS, 0.01)
+    with pytest.raises(ValueError, match="grid"):
+        op.advance(gaussian_pure_state(41, 0.1, 29, 0.12, sigma=0.5), 1)

@@ -99,19 +99,18 @@ def test_run_is_deterministic():
     assert not np.array_equal(a.final_x, c.final_x)
 
 
-def test_chunking_does_not_change_results():
-    """Results depend only on the per-trajectory streams, not chunk shape."""
-    import bathdyn.langevin as lv
-
-    cfg = _config(n_traj=64, steps=50, sigma_x=0.3)
-    whole = run_ensemble(cfg, "overdamped")
-    saved = lv._CHUNK_BUDGET
-    try:
-        lv._CHUNK_BUDGET = 50 * 7  # forces chunks of 7 trajectories
-        pieces = run_ensemble(cfg, "overdamped")
-    finally:
-        lv._CHUNK_BUDGET = saved
+def test_chunking_does_not_change_results(monkeypatch):
+    """Results depend only on the per-trajectory streams, not chunk shape:
+    post-point runs in chunks of two blocks, the last partial, give the same
+    bits as one chunk."""
+    cfg = _config(n_traj=3 * lv._BLOCK + 5, steps=4, sigma_x=0.3)
+    assert lv._chunk_size(cfg.n_traj, cfg.steps) == cfg.n_traj
+    whole = run_ensemble(cfg, "overdamped_postpoint")
+    monkeypatch.setattr(lv, "_CHUNK_BUDGET", cfg.steps * 2 * lv._BLOCK)
+    assert lv._chunk_size(cfg.n_traj, cfg.steps) == 2 * lv._BLOCK
+    pieces = run_ensemble(cfg, "overdamped_postpoint")
     np.testing.assert_array_equal(whole.final_x, pieces.final_x)
+    assert whole.n_diverged == pieces.n_diverged
 
 
 _ACROSS_BLOCKS = 2 * lv._BLOCK + 37
