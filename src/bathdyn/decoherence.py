@@ -336,7 +336,7 @@ class MasterOperator:
             after.append(np.exp(-dec.lam * y ** 2 * dt)[None, :])
         if ordering is Ordering.SYMMETRIC:
             after.append(math.exp(-params.gamma * dt / 2.0))
-        self.dt, self.shape = dt, rho.values.shape
+        self.dt, self._grid = dt, (rho.values.shape, rho.x0, rho.dx, rho.dy)
         self._before, self._after = before, after
 
     def _step_kernel(self):
@@ -348,12 +348,12 @@ class MasterOperator:
         step's buffer in place, in the order kinetic, potential, friction,
         decoherence, sink.
         """
-        nx, ny = self.shape
+        shape = nx, ny = self._grid[0]
         kinetic = friction = buffer = None
         if self._kinetic_phase is not None:
             kinetic = _kinetic_kernel(nx, ny, self._kinetic_phase)
         else:
-            buffer = np.empty(self.shape, dtype=complex)
+            buffer = np.empty(shape, dtype=complex)
         if self._friction is not None:
             friction = _friction_kernel(nx, *self._friction)
         before, after = self._before, self._after
@@ -387,7 +387,7 @@ class MasterOperator:
         """
         if n_steps < 1:
             return field
-        if field.values.shape != self.shape:
+        if (field.values.shape, field.x0, field.dx, field.dy) != self._grid:
             raise ValueError("field is not on this operator's grid")
         step = self._step_kernel()
         vals, t = field.values, field.t

@@ -439,5 +439,8 @@ def test_advance_results_own_their_buffers(terms, ordering):
 def test_advance_rejects_a_field_on_another_grid():
     rho = gaussian_pure_state(41, 0.1, 31, 0.12, sigma=0.5)
     op = MasterOperator(rho, None, PARAMS, 0.01)
-    with pytest.raises(ValueError, match="grid"):
-        op.advance(gaussian_pure_state(41, 0.1, 29, 0.12, sigma=0.5), 1)
+    for other in (gaussian_pure_state(41, 0.1, 29, 0.12, sigma=0.5),
+                  gaussian_pure_state(41, 0.1, 31, 0.1, sigma=0.5),
+                  gaussian_pure_state(41, 0.1, 31, 0.12, center=0.3, sigma=0.5)):
+        with pytest.raises(ValueError, match="grid"):
+            op.advance(other, 1)
