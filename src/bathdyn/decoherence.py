@@ -19,14 +19,17 @@ The friction term is ordered with the derivative acting last (momenta left).
 The symmetric ordering differs by a constant and multiplies the field by
 exp(-gamma dt / 2), so the trace then decays at rate gamma/2.
 
-MasterOperator checks the inputs and builds the kinetic and potential phases
-and the decoherence factor once per run, at one dt and ordering. Its advance
-steps on buffers made once per call, as the grid steppers do: the kinetic
-substep writes into its own buffer, every other substep works in place, and
-each step's raw array is checked for finiteness and hermiticity. The kinetic
-FFTs read a field copied into a buffer whose zero padding is never written,
-so no transform is asked to pad (numpy 2 runs a padded transform one line at
-a time, an unpadded one through pocketfft's multi-line path).
+rho is Hermitian, rho(x, -y) = conj rho(x, y), and every substep keeps that
+symmetry, so the steps run on the y >= 0 half alone: columns j0 = ny // 2
+onward, y = 0 first. MasterOperator builds its phases and factors on the
+half, once per run. Its advance checks once that its input is Hermitian,
+steps the half on buffers made once per call (each step's raw half checked
+for finiteness) and mirrors it once into the full field, which is Hermitian
+by construction, so no step checks hermiticity. The kinetic substep puts
+y = 0 at index 0 of the padded y axis, where the y spectrum is real, and runs
+real FFTs (irfft along y, rfft and irfft along x, rfft back along y) on
+buffers whose zero padding is never written, so no transform pads (numpy 2
+runs a padded transform one line at a time).
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ __all__ = [
 ]
 
 _TERMS = ("kinetic", "potential", "friction", "decoherence")
-# largest relative deviation from rho(x, y) = conj(rho(x, -y)) that a step's
-# result, a Wigner transform's input or a run's final check accepts
+# largest relative deviation from rho(x, y) = conj(rho(x, -y)) that advance's
+# input, a Wigner transform's input or a run's final check accepts
 _HERM_TOL = 1e-8
 
 
@@ -225,63 +228,57 @@ def _odd_padded(n: int) -> int:
         m += 2
 
 
-def _kinetic_kernel(nx: int, ny: int, phase: np.ndarray):
-    """kinetic(vals): the spectral step of the mixed kinetic term on the
-    zero-padded grid of phase, in rows :nx of a buffer that the next call
-    overwrites. Each call of this function makes new buffers.
+def _kinetic_kernel(nx: int, j0: int, phase: np.ndarray):
+    """kinetic(half): the spectral step of the mixed kinetic term on the
+    y >= 0 half, in an (nx, j0 + 1) buffer that the next call overwrites.
+    phase holds the kx >= 0 rows of the padded grid's phase (mx is odd).
+    Each call of this function makes new buffers.
 
-    Equal bit for bit to ifft2(fft2(padded) * phase)[:nx, :ny], whose 1-D
-    transforms run along y first: the forward y transform skips the padding
-    rows (all zero) and the inverse x transform the columns cut away. vals
-    is copied into a buffer whose padding columns stay zero, and the y
-    spectrum goes into a buffer whose padding rows stay zero, so no
-    transform pads its input: numpy 2 runs a padded transform (n= above the
-    input length) one line at a time, an unpadded one on many lines at once.
+    Equal up to roundoff to version 0.3.0's ifft2(fft2(padded) * phase):
+    with y = 0 at index 0 and y < 0 wrapped to the end, the padded field is
+    Hermitian along y, so irfft of the conjugate half is its real y spectrum
+    (rows :nx), rfft and irfft along x apply the phase, and rfft of rows :nx
+    along y, conjugated, is the y >= 0 half again. Every transform runs at
+    its natural length with out=, on buffers whose padding stays zero.
     """
-    mx, my = phase.shape
-    padded = np.zeros((nx, my), dtype=complex)  # columns ny: stay zero
-    y_spectrum = np.zeros((mx, my), dtype=complex)  # rows nx: stay zero
-    spectrum = np.empty((mx, my), dtype=complex)
-    out = np.empty((mx, ny), dtype=complex)
+    hx, my = phase.shape
+    mx, hy = 2 * hx - 1, my // 2 + 1
+    y_half = np.zeros((nx, hy), dtype=complex)  # columns j0 + 1: stay zero
+    y_spectrum = np.zeros((mx, my))  # rows nx: stay zero
+    spectrum = np.empty((hx, my), dtype=complex)
+    back = np.empty((mx, my))
+    y_out = np.empty((nx, hy), dtype=complex)
+    out = np.empty((nx, j0 + 1), dtype=complex)
 
-    def kinetic(vals: np.ndarray) -> np.ndarray:
-        padded[:, :ny] = vals
-        np.fft.fft(padded, axis=1, out=y_spectrum[:nx])
-        np.fft.fft(y_spectrum, axis=0, out=spectrum)
+    def kinetic(half: np.ndarray) -> np.ndarray:
+        np.conjugate(half, out=y_half[:, :j0 + 1])
+        np.fft.irfft(y_half, n=my, axis=1, norm="forward", out=y_spectrum[:nx])
+        np.fft.rfft(y_spectrum, axis=0, out=spectrum)
         np.multiply(spectrum, phase, out=spectrum)
-        np.fft.ifft(spectrum, axis=1, out=spectrum)
-        np.fft.ifft(spectrum[:, :ny], axis=0, out=out)
-        return out[:nx]
+        np.fft.irfft(spectrum, n=mx, axis=0, out=back)
+        np.fft.rfft(back[:nx], axis=1, norm="forward", out=y_out)
+        return np.conjugate(y_out[:, :j0 + 1], out=out)
 
     return kinetic
 
 
 def _friction_kernel(nx: int, y: np.ndarray, gamma: float, dy: float, dt: float):
-    """friction(vals, out): the first-order upwind step of
-    d(rho)/dt = -gamma y d(rho)/dy from vals into out, which may be vals.
-    Each call of this function makes new buffers.
+    """friction(half): the first-order upwind step of
+    d(rho)/dt = -gamma y d(rho)/dy on the y >= 0 half, in place. Each call of
+    this function makes new buffers.
 
-    The upwind direction points toward y = 0 (characteristics flow outward),
-    so no boundary data is needed and the y = 0 row is exactly unchanged.
-    Each half's update is taken whole before it is written, and neither half
-    reads the columns the other writes, so the step may run in place.
+    The velocity points away from y = 0, so each column takes its difference
+    against its smaller-y neighbor, and the y = 0 column is exactly unchanged.
+    The y < 0 update is the mirror image with real coefficients, so the half
+    carries it. The update is taken whole before it is written.
     """
-    c = dt * gamma / dy
-    j0 = len(y) // 2
-    c_up, c_down = c * y[j0 + 1:], c * y[:j0]
-    change = np.empty((nx, j0), dtype=complex)
+    cy = (dt * gamma / dy) * y[1:]  # the Courant number of each y > 0 column
+    change = np.empty((nx, len(y) - 1), dtype=complex)
 
-    def friction(vals: np.ndarray, out: np.ndarray) -> None:
-        # y > 0: velocity positive, difference against the smaller-y neighbor
-        np.subtract(vals[:, j0 + 1:], vals[:, j0:-1], out=change)
-        np.multiply(c_up, change, out=change)
-        np.subtract(vals[:, j0 + 1:], change, out=out[:, j0 + 1:])
-        # y < 0: velocity negative, difference against the larger-y neighbor
-        np.subtract(vals[:, 1:j0 + 1], vals[:, :j0], out=change)
-        np.multiply(c_down, change, out=change)
-        np.subtract(vals[:, :j0], change, out=out[:, :j0])
-        if out is not vals:
-            out[:, j0] = vals[:, j0]
+    def friction(half: np.ndarray) -> None:
+        np.subtract(half[:, 1:], half[:, :-1], out=change)
+        np.multiply(cy, change, out=change)
+        np.subtract(half[:, 1:], change, out=half[:, 1:])
 
     return friction
 
@@ -307,9 +304,9 @@ class MasterOperator:
             raise ValueError(
                 "y grid too coarse to resolve the thermal length: need dy <= l_e/2"
             )
-        y = rho.y_grid
+        y = rho.y_grid[rho.ny // 2:]  # the y >= 0 half, y = 0 first
         if "friction" in terms:
-            y_max = float(np.max(np.abs(y)))
+            y_max = float(y[-1])
             if params.gamma * y_max * dt > rho.dy:
                 raise StabilityError(
                     "friction advection violates its CFL bound",
@@ -320,7 +317,7 @@ class MasterOperator:
         self._kinetic_phase = self._friction = None
         before, after = [], []
         if "kinetic" in terms:
-            kx = 2.0 * np.pi * np.fft.fftfreq(_odd_padded(rho.nx), d=rho.dx)
+            kx = 2.0 * np.pi * np.fft.rfftfreq(_odd_padded(rho.nx), d=rho.dx)
             ky = 2.0 * np.pi * np.fft.fftfreq(_odd_padded(rho.ny), d=rho.dy)
             self._kinetic_phase = np.exp(
                 -1j * (params.hbar / params.mass) * dt * kx[:, None] * ky[None, :])
@@ -340,63 +337,65 @@ class MasterOperator:
         self._before, self._after = before, after
 
     def _step_kernel(self):
-        """step(vals): one split step from vals into a buffer that the next
-        call overwrites; vals is only read. Each call of this method makes
-        new buffers.
+        """step(half): one split step from the y >= 0 half into a buffer that
+        the next call overwrites; half is only read. Each call of this method
+        makes new buffers.
 
-        The kinetic substep writes its own buffer; the others then update the
-        step's buffer in place, in the order kinetic, potential, friction,
-        decoherence, sink.
+        The kinetic substep writes its own buffer (without it, half is copied
+        into one, its y = 0 column made real as the kinetic substep leaves it);
+        the others update that buffer in place, in the order kinetic,
+        potential, friction, decoherence, sink.
         """
-        shape = nx, ny = self._grid[0]
+        nx, ny = self._grid[0]
         kinetic = friction = buffer = None
         if self._kinetic_phase is not None:
-            kinetic = _kinetic_kernel(nx, ny, self._kinetic_phase)
+            kinetic = _kinetic_kernel(nx, ny // 2, self._kinetic_phase)
         else:
-            buffer = np.empty(shape, dtype=complex)
+            buffer = np.empty((nx, ny // 2 + 1), dtype=complex)
         if self._friction is not None:
             friction = _friction_kernel(nx, *self._friction)
         before, after = self._before, self._after
 
-        def step(vals: np.ndarray) -> np.ndarray:
+        def step(half: np.ndarray) -> np.ndarray:
             if kinetic is None:
                 out = buffer
+                np.copyto(out, half)
+                out[:, 0].imag = 0.0
             else:
-                vals = out = kinetic(vals)
+                out = kinetic(half)
             for factor in before:
-                np.multiply(vals, factor, out=out)
-                vals = out
+                np.multiply(out, factor, out=out)
             if friction is not None:
-                friction(vals, out)
-                vals = out
+                friction(out)
             for factor in after:
-                np.multiply(vals, factor, out=out)
-                vals = out
-            if vals is not out:  # no substep at all
-                np.copyto(out, vals)
+                np.multiply(out, factor, out=out)
             return out
 
         return step
 
     def advance(self, field: DensityField, n_steps: int) -> DensityField:
-        """n_steps steps from field, each step's raw result checked for
-        finiteness and hermiticity (within _HERM_TOL).
+        """n_steps steps from field, which must be Hermitian within _HERM_TOL.
 
-        The steps run on buffers made for this call; field's values are only
-        read, and the returned field owns the buffer the steps wrote.
+        The steps run on field's y >= 0 half in buffers made for this call,
+        each step's raw half checked for finiteness; the returned field owns
+        its values, that half's mirror image, Hermitian by construction.
         """
         if n_steps < 1:
             return field
         if (field.values.shape, field.x0, field.dx, field.dy) != self._grid:
             raise ValueError("field is not on this operator's grid")
+        if _herm_deviation(field.values) > _HERM_TOL:
+            raise RuntimeError("field to advance: hermiticity violated")
         step = self._step_kernel()
-        vals, t = field.values, field.t
+        j0 = field.ny // 2
+        half, t = field.values[:, j0:], field.t
         for _ in range(n_steps):
-            vals = step(vals)
-            _check_values(vals, nonnegative=False)
-            if _herm_deviation(vals) > _HERM_TOL:
-                raise RuntimeError("unstable step: hermiticity violated")
+            half = step(half)
+            _check_values(half, nonnegative=False)
             t = t + self.dt
+        vals = np.empty(field.values.shape, dtype=complex)
+        vals[:, j0:] = half
+        np.conjugate(half[:, :0:-1], out=vals[:, :j0])
         return DensityField(vals, field.x0, field.dx, field.dy, t)
 
 

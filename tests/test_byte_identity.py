@@ -7,24 +7,28 @@ promised within one version only, so DIGEST_VERSION must equal
 ``bathdyn.__version__``: a change that moves any byte re-records the digests
 of the cases it moves and bumps both.
 
-The digests belong to 0.3.0. Six cases still hold the digests recorded with
-0.2.0, byte for byte, because 0.3.0 left their outputs where they were. The
-other four were re-recorded with 0.3.0: ``decohere_momenta_left`` and
-``decohere_symmetric`` (the kinetic substep pads to 11-smooth FFT lengths),
-and ``ensemble`` and ``smoluchowski_double_well`` (``DoubleWell.grad`` cubes
-by multiplication). The test keeps its 0.2.0 name, since most of its digests
-date from then.
+The digests belong to 0.4.0. Six cases still hold the digests recorded with
+0.2.0, byte for byte, because neither 0.3.0 nor 0.4.0 moved their outputs.
+``ensemble`` and ``smoluchowski_double_well`` hold the digests recorded with
+0.3.0 (``DoubleWell.grad`` cubes by multiplication), which 0.4.0 left where
+they were. ``decohere_momenta_left`` and ``decohere_symmetric`` were recorded
+with 0.3.0 (the kinetic substep pads to 11-smooth FFT lengths) and again with
+0.4.0 (the density matrix steps on its y >= 0 half with real FFTs, which
+moves rho and W by roundoff). The test keeps its 0.2.0 name, since most of
+its digests date from then.
 """
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 import bathdyn
 from bathdyn.cli import main
 
-DIGEST_VERSION = "0.3.0"
+DIGEST_VERSION = "0.4.0"
 
 _KRAMERS = {
     "sim.kind": "kramers", "potential.kind": "double_well",
@@ -67,7 +71,8 @@ CASES = {
 }
 
 # case -> name -> sha256 hex digest; recorded with bathdyn 0.2.0, except the
-# decohere_*, ensemble and smoluchowski_double_well cases (0.3.0)
+# ensemble and smoluchowski_double_well cases (0.3.0) and the decohere_* cases
+# (0.4.0)
 DIGESTS = {
     "compare": {
         "compare.jsonl":
@@ -84,33 +89,33 @@ DIGESTS = {
     },
     "decohere_momenta_left": {
         "decay.csv":
-            "c315a532ed97dca17871a07258af1003edb6382184eb780ca469f0132d51b346",
+            "9e137b934702d733b4df6af202114c40a1f037ccfd4736e5bbe8b3603231718f",
         "exit_code": "1",
         "manifest.json":
-            "78ddf24be19f3a443d43203b0ef4287ea988c0c240a286aed8b2de0afdb71083",
+            "1d012a7c23759a132eb2ae48bdc540735c6b589bc37fc2b2485b8b849728a4db",
         "rho_final.csv":
-            "c31dfa2981d5d409dfca3a1cf032703e356eb8a7ded9d0bde11f9827b17e757d",
+            "c490fc0712a12683dc7685e504200aec7bd4ffaa72b294dbaee534bc67400661",
         "stderr":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout":
-            "4611e60229316b98ca42c454ea97cf202f8970c67a74cd2e93fae640441d75d2",
+            "5a43e7d6b1ad13a36619fa76d77f28ff9e8e843962142822588039f652498859",
         "wigner_final.csv":
-            "0185915ff87b065bcea02867ffa73c2e0b6649a9593d4234d61d04be8a5aeee9",
+            "f88243ab3dee889d6a086565720aab581d330017a06697af4e008f86b2cd212a",
     },
     "decohere_symmetric": {
         "decay.csv":
-            "b2289b5aee2b980510b12dbcbd707ca8d3c96e584f28d24ef3b5d76cf339c119",
+            "178d8b401bbdeea9f3d213d7fe651c36982c0ac67ab6a2a785fd84c983a1d334",
         "exit_code": "0",
         "manifest.json":
-            "5f1431af32562888236accd00ee2b1f528f655809c662f14c7c34a005f7af0d3",
+            "c0239ad5bd7c045fa8b6e236136fccfa007b75a57a4c446c9b5f0328d29650c1",
         "rho_final.csv":
-            "1b4167120ab6cfffa0889f8ac5183cdad364197a29c1eff958f43dbf53d8acbc",
+            "8b2ac0f1b3fecd154cfc2cceeeb3bda4d79af083caad64b1a949df880eab4b53",
         "stderr":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout":
-            "970c15ee6dd9882a6b6ec693238f77f2b5aadda007ca99dfbf78a40e1cf2a4ef",
+            "5bcd6caa25fb261906093bf9a329c8514ac0433c50408975e5676f29beb88d9a",
         "wigner_final.csv":
-            "dc616084c175622eb15bfd551fe0f90a6537338b4a24f41dff6057f447eb521e",
+            "64770208f8a59752f8e8e0eb13338f38b39fc0b0a044643668f541a9dc9948c5",
     },
     "ensemble": {
         "autocorr.csv":
@@ -240,3 +245,11 @@ def test_outputs_match_version_0_2_0(tmp_path, capsys, name):
 
 def test_digests_belong_to_this_version():
     assert DIGEST_VERSION == bathdyn.__version__
+
+
+def test_pyproject_version_is_the_package_version():
+    # read with a regex: tomllib is 3.11+, and the package allows 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text[text.index("[project]"):]
+    found = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
+    assert found is not None and found.group(1) == bathdyn.__version__
