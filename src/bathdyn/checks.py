@@ -2,16 +2,20 @@
 
 Each check runs at desk scale, compares against an analytic value, an
 independent quadrature, or an exact structural identity, and reports a
-one-line verdict. The grid and density-matrix checks advance an operator
-built once, as the CLI does; the others call the public API. ``run_all``
-never raises: a crashed check is reported as a failure. The whole suite is
-meant to finish in well under five minutes.
+one-line verdict. Criteria 6, 9 and 10 run the CLI on a config of their own
+(``_cli_checks``) and read its outputs and its manifest's check records, so
+the CLI's verdict on a contract is the criterion's too; 4, 5 and 7 advance
+an operator built once, as the CLI does; the others call the public API.
+``run_all`` never raises: a crashed check is reported as a failure. The
+whole suite is meant to finish in well under five minutes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import pathlib
 import tempfile
 import time
 from dataclasses import dataclass
@@ -19,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from .decoherence import (
-    MasterOperator,
-    decoherence_params,
-    interference_amplitude,
-    master_step,
-    superposition_state,
-)
+from .decoherence import decoherence_params, master_step, superposition_state
 from .determinants import (
     FirstOrderOp,
     Scheme,
@@ -40,7 +38,6 @@ from .fokker_planck import (
     Ordering,
     PhaseGrid,
     SmoluchowskiOperator,
-    compare_langevin_fp,
     gaussian_field_1d,
     gaussian_field_2d,
 )
@@ -69,6 +66,24 @@ class CheckResult:
 def _over(elapsed: float, limit: float) -> str:
     """Detail suffix that names a missed wall-clock limit; empty within it."""
     return "" if elapsed < limit else f"; over its {limit:g}s wall-clock limit"
+
+
+def _cli_checks(command: str, lines, out: str) -> tuple[int, dict]:
+    """Run the CLI subcommand on a config of the given key=value lines, with
+    its outputs in the directory out. Returns the exit code and the manifest's
+    check records by name; a run that ends in an error raises it."""
+    from .cli import main as cli_main
+
+    cfg = out + ".cfg"
+    with open(cfg, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    rc = cli_main([command, "--config", cfg, "--out", out, "--quiet"])
+    with open(os.path.join(out, "manifest.json")) as fh:
+        records = [json.loads(line) for line in fh]
+    for rec in records:
+        if rec["record"] == "error":
+            raise RuntimeError(rec["message"])
+    return rc, {r["name"]: r for r in records if r["record"] == "check"}
 
 
 def _retarded_identity():
@@ -244,31 +259,39 @@ def _smoluchowski_ordering():
 
 def _ensemble_grid_agreement():
     t0 = time.perf_counter()
-    params = BathParams(mass=1.0, gamma=4.0, k_bt=0.5, hbar=0.0)
-    pot = Harmonic(mass=1.0, omega0=1.0)
-    config = SimConfig(potential=pot, params=params, dt=0.005, steps=200,
-                       n_traj=100000, master_seed=60001, x0=1.0)
-    grid = PhaseGrid(-2.0, 4.0, 512)
-    records, _ = compare_langevin_fp(config, grid, (1.0,), n_bins=64)
-    rec = records[0]
-    budget = 3.0 * (rec.stat_err + rec.disc_err)
-    ok_l1 = rec.l1 < budget
+    # overdamped harmonic problem, unit mass and frequency: gamma 4, kT 0.5,
+    # a point start at x0 = 1, compared at t = 1
+    gamma, k_bt, x0, t = 4.0, 0.5, 1.0, 1.0
+    lines = (
+        "sim.kind=compare", "potential.kind=harmonic", "potential.omega0=1.0",
+        "bath.mass=1.0", f"bath.gamma={gamma}", f"bath.k_bt={k_bt}", "bath.hbar=0.0",
+        "grid.x_min=-2.0", "grid.x_max=4.0", "grid.nx=512",
+        f"compare.times={t}", "compare.bins=64",
+        "run.dt=0.005", "run.n_traj=100000", "run.seed=60001", f"run.x0={x0}",
+        "run.sigma_x=0.0",
+    )
+    with tempfile.TemporaryDirectory() as top:
+        out = os.path.join(top, "compare")
+        _, checks = _cli_checks("simulate", lines, out)
+        with open(os.path.join(out, "compare.jsonl")) as fh:
+            rec = json.loads(fh.readline())
+    budget_check = checks[f"l1_within_budget_t_{t:g}"]
 
-    theta = pot.omega0**2 / params.gamma
-    mean_t = math.exp(-theta * 1.0) * config.x0
-    var_t = (params.k_bt / (params.mass * pot.omega0**2)) * (
-        1.0 - math.exp(-2.0 * theta * 1.0))
-    se_mean = math.sqrt(rec.ens_var / rec.n_samples)
-    se_var = rec.ens_var * math.sqrt(2.0 / (rec.n_samples - 1))
-    devs = (abs(rec.ens_mean - mean_t) / (3.0 * se_mean),
-            abs(rec.ens_var - var_t) / (3.0 * se_var),
-            abs(rec.fp_mean - mean_t) / (3.0 * se_mean),
-            abs(rec.fp_var - var_t) / (3.0 * se_var))
+    theta = 1.0 / gamma
+    mean_t = math.exp(-theta * t) * x0
+    var_t = k_bt * (1.0 - math.exp(-2.0 * theta * t))
+    n, ens_var = rec["n_samples"], rec["ens_var"]
+    se_mean = math.sqrt(ens_var / n)
+    se_var = ens_var * math.sqrt(2.0 / (n - 1))
+    devs = (abs(rec["ens_mean"] - mean_t) / (3.0 * se_mean),
+            abs(ens_var - var_t) / (3.0 * se_var),
+            abs(rec["fp_mean"] - mean_t) / (3.0 * se_mean),
+            abs(rec["fp_var"] - var_t) / (3.0 * se_var))
     ok_moments = max(devs) <= 1.0
     elapsed = time.perf_counter() - t0
-    ok = ok_l1 and ok_moments and elapsed < 60.0
-    return ok, (f"L1 = {rec.l1:.4f} vs budget {budget:.4f}; worst moment "
-                f"deviation {max(devs):.2f} of its 3-s.e. allowance"
+    ok = budget_check["pass"] and ok_moments and elapsed < 60.0
+    return ok, (f"L1 = {rec['l1']:.4f} vs budget {budget_check['budget']:.4f}; "
+                f"worst moment deviation {max(devs):.2f} of its 3-s.e. allowance"
                 f"{_over(elapsed, 60.0)}")
 
 
@@ -362,66 +385,41 @@ def _interference_decay():
     ok_sub = np.array_equal(rho1.values, expected) or (
         sub_dev <= 1e-14 * float(np.max(np.abs(expected))))
 
-    rho = rho0
-    ts = [0.0]
-    amps = [interference_amplitude(rho, params.hbar)]
-    tr0 = rho.trace().real
-    op = MasterOperator(rho, None, params, dt,
-                        terms=("kinetic", "friction", "decoherence"))
-    for _ in range(10):
-        rho = op.advance(rho, 5)
-        ts.append(rho.t)
-        amps.append(interference_amplitude(rho, params.hbar))
-    trace_drift = abs(rho.trace().real - tr0)
-    ok_trace = trace_drift <= 1e-8
-    slope = float(np.polyfit(ts, np.log(amps), 1)[0])
-    lam_d2 = dec.lam * sep**2
-    ratio = -slope / lam_d2
-    ok_slope = abs(ratio - 1.0) <= 0.05
+    # the same state, free and momenta-left, for 50 steps recorded every 5
+    lines = (
+        f"bath.mass={params.mass}", f"bath.gamma={params.gamma}",
+        f"bath.k_bt={params.k_bt}", f"bath.hbar={params.hbar}", "potential.kind=none",
+        "state.kind=superposition", f"state.separation={sep}", f"state.sigma={sigma}",
+        "grid.nx=101", "grid.dx=0.08", "grid.ny=81", "grid.dy=0.2",
+        f"run.dt={dt}", "run.steps=50", "run.record_every=5",
+        "decohere.ordering=momenta_left",
+    )
+    with tempfile.TemporaryDirectory() as top:
+        _, checks = _cli_checks("decohere", lines, os.path.join(top, "decohere"))
+    slope, trace = checks["decay_slope"], checks["trace_constant"]
 
-    ok = ok_ident and ok_sub and ok_trace and ok_slope
+    ok = ok_ident and ok_sub and trace["pass"] and slope["pass"]
     return ok, (f"pure-sink substep dev {sub_dev:.2e}; slope/(Lambda d^2) = "
-                f"{ratio:.4f}; trace drift {trace_drift:.2e}; Lambda l_e^2 == "
-                f"2 pi gamma {'exactly' if ok_ident else 'VIOLATED'}")
+                f"{slope['ratio']:.4f}; trace drift {trace['drift']:.2e}; "
+                f"Lambda l_e^2 == 2 pi gamma {'exactly' if ok_ident else 'VIOLATED'}")
 
 
 def _reproducibility():
-    from .cli import main as cli_main
-
     lines = (
-        "sim.kind=ensemble",
-        "bath.gamma=2.0",
-        "bath.k_bt=0.5",
-        "potential.kind=harmonic",
-        "potential.omega0=1.0",
-        "run.mode=overdamped",
-        "run.dt=0.01",
-        "run.steps=200",
-        "run.n_traj=2000",
-        "run.seed=4242",
-        "run.x0=0.5",
-        "output.bins=32",
-        "output.autocorr_lags=16",
+        "sim.kind=ensemble", "potential.kind=harmonic", "potential.omega0=1.0",
+        "bath.gamma=2.0", "bath.k_bt=0.5",
+        "run.mode=overdamped", "run.dt=0.01", "run.steps=200", "run.n_traj=2000",
+        "run.seed=4242", "run.x0=0.5", "output.bins=32", "output.autocorr_lags=16",
     )
     names = ("moments.csv", "histogram.csv", "autocorr.csv")
     with tempfile.TemporaryDirectory() as top:
-        cfg = os.path.join(top, "run.cfg")
-        with open(cfg, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        outs = []
-        for sub in ("a", "b"):
-            out = os.path.join(top, sub)
-            rc = cli_main(["simulate", "--config", cfg, "--out", out, "--quiet"])
+        outs = [os.path.join(top, sub) for sub in ("a", "b")]
+        for out in outs:
+            rc, _ = _cli_checks("simulate", lines, out)
             if rc != 0:
                 return False, f"simulate exited with {rc}"
-            outs.append(out)
-        same = []
-        for name in names:
-            with open(os.path.join(outs[0], name), "rb") as fh:
-                b0 = fh.read()
-            with open(os.path.join(outs[1], name), "rb") as fh:
-                b1 = fh.read()
-            same.append(b0 == b1)
+        a, b = map(pathlib.Path, outs)
+        same = [(a / name).read_bytes() == (b / name).read_bytes() for name in names]
     ok = all(same)
     listed = ", ".join(n for n, s in zip(names, same) if not s) or "none"
     return ok, (f"two seeded runs, {len(names)} CSV files byte-compared, "

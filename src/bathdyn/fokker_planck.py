@@ -172,10 +172,6 @@ class ProbField:
     def mass(self) -> float:
         return float(self.values.sum() * self.cell_volume)
 
-    def clamped(self) -> np.ndarray:
-        """Nonnegative copy for reporting."""
-        return np.maximum(self.values, 0.0)
-
     def moments(self) -> tuple[float, float]:
         """Mean and variance of x under the (normalized) field."""
         x = self.grid.x_centers
@@ -190,12 +186,18 @@ class ProbField:
     def rows(self):
         """CSV-ready rows of Python floats: (x, P), or (x, v, P) with x outer,
         made one x row at a time."""
-        xs = self.grid.x_centers.tolist()
         if not self.grid.is_2d:
-            return zip(xs, self.values.tolist())
-        vs = self.grid.v_centers.tolist()
-        return chain.from_iterable(zip(repeat(x), vs, p.tolist())
-                                   for x, p in zip(xs, self.values))
+            return zip(self.grid.x_centers.tolist(), self.values.tolist())
+        return _product_rows(self.grid.x_centers, self.grid.v_centers, self.values)
+
+
+def _product_rows(a, b, *columns):
+    """Rows of Python floats (a[i], b[j], c[i, j], ...) over the product grid
+    of a and b, i outer, made one i at a time."""
+    b = np.asarray(b).tolist()
+    return chain.from_iterable(
+        zip(repeat(ai), b, *(c[i].tolist() for c in columns))
+        for i, ai in enumerate(np.asarray(a).tolist()))
 
 
 def gaussian_field_1d(grid: PhaseGrid, mean: float, sigma: float) -> ProbField:
@@ -528,11 +530,10 @@ def compare_langevin_fp(
     dt_fp = config.dt / m
 
     field = gaussian_field_1d(grid, config.x0, sigma0)
-    fields = {0: field} if 0 in steps_at else {}
-    for k in range(1, (max(steps_at) + 1) if steps_at else 0):
-        field = op.advance(field, Ordering.MOMENTA_LEFT, dt_fp, m)
-        if k in steps_at:
-            fields[k] = field
+    fields, done = {}, 0
+    for k in sorted(set(steps_at)):
+        field = op.advance(field, Ordering.MOMENTA_LEFT, dt_fp, m * (k - done))
+        fields[k], done = field, k
 
     cells_per_bin = grid.nx // n_bins
     bin_width = grid.dx * cells_per_bin

@@ -290,6 +290,29 @@ def test_unwritable_error_manifest_keeps_exit_code_and_message(tmp_path, capsys)
     assert err.count("\n") == 1
 
 
+def test_compare_l1_on_its_budget_fails(tmp_path, monkeypatch):
+    """The L1 budget is strict: an L1 equal to 3 (stat_err + disc_err) fails."""
+    import types
+
+    import bathdyn.cli as cli
+    from bathdyn import ComparisonRecord
+
+    rec = ComparisonRecord(t=0.05, l1=2.25, sup=0.0, stat_err=0.25, disc_err=0.5,
+                           ens_mean=0.0, ens_var=1.0, fp_mean=0.0, fp_var=1.0,
+                           n_samples=10)
+    assert rec.l1 == 3.0 * (rec.stat_err + rec.disc_err)
+    stats = types.SimpleNamespace(moment_rows=lambda: [])
+    monkeypatch.setattr(cli, "compare_langevin_fp",
+                        lambda *args, **kwargs: ([rec], stats))
+    cfg = _write_config(tmp_path, "sim.kind=compare\ncompare.times=0.05\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    [check] = [r for r in _read_manifest(out) if r["record"] == "check"]
+    assert check["name"] == "l1_within_budget_t_0.05"
+    assert check["pass"] is False
+    assert check["l1"] == check["budget"] == 2.25
+
+
 # one tiny config per subcommand (and per simulate kind); each runs in well
 # under a second
 _REPRO_RUNS = {

@@ -250,6 +250,20 @@ def test_compare_langevin_fp_budget_and_records():
     assert abs(records[-1].ens_mean - records[-1].fp_mean) < 0.05
 
 
+def test_compare_langevin_fp_records_follow_the_requested_times():
+    """Unsorted and repeated times give the records of the sorted distinct
+    times, bit for bit, in the order asked."""
+    cfg = _compare_config()
+    grid = PhaseGrid(-3.0, 3.0, 128)
+    ref, _ = compare_langevin_fp(cfg, grid, (0.0, 0.2, 0.4), n_bins=32)
+    by_t = {r.t: r for r in ref}
+    times = (0.4, 0.0, 0.2, 0.2)
+    records, _ = compare_langevin_fp(cfg, grid, times, n_bins=32)
+    assert [r.t for r in records] == list(times)
+    for rec in records:
+        assert repr(rec.as_dict()) == repr(by_t[rec.t].as_dict())
+
+
 def test_compare_langevin_fp_input_guards():
     cfg = _compare_config()
     grid = PhaseGrid(-3.0, 3.0, 128)

@@ -1,4 +1,10 @@
-"""The package's public names are exactly the modules' public names."""
+"""The package's public names are exactly the modules' public names, and the
+README's library example runs on them."""
+
+import pathlib
+import re
+
+import pytest
 
 import bathdyn
 from bathdyn import (
@@ -35,3 +41,14 @@ def test_cli_and_checks_step_through_the_public_operators():
     private = {"_advance", "_Kramers", "_Smoluchowski", "_master_operator", "_operator"}
     for mod in (cli, checks):
         assert private.isdisjoint(vars(mod)), mod.__name__
+
+
+def test_readme_library_example_runs():
+    """The README's python block runs as written, through the public names."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    [block] = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    ns = {}
+    exec(compile(block, "README.md", "exec"), ns)
+    assert ns["stats"].n_traj == 20000
+    assert abs(ns["field"].mass - 1.0) < 1e-12  # momenta-left conserves mass
+    assert ns["field"].t == pytest.approx(500 * 0.5e-3)
