@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .decoherence import decoherence_params, master_step, superposition_state
 from .determinants import (
@@ -328,6 +327,9 @@ def _stationarity():
 
 
 def _kernel_suite():
+    # imported here: scipy.signal would dominate det-check's start-up
+    from scipy import signal
+
     t0 = time.perf_counter()
     classical = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=0.0)
     quantum = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=1.0, omega_d=10.0)

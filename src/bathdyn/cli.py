@@ -448,6 +448,9 @@ def _run_fp_cmd(args, cfg, kind, params, potential, man) -> None:
 def _run_compare_cmd(args, cfg, params, potential, man) -> None:
     grid = _grid(cfg, "compare")
     times = cfg.require("compare.times", as_float_list)
+    names = [f"l1_within_budget_t_{t:g}" for t in times]
+    if len(set(names)) < len(names):
+        raise ConfigError("compare.times must differ in %g form, which names the checks")
     bins = cfg.get("compare.bins", as_int, 64)
     dt = cfg.get("run.dt", as_float, 0.005)
     steps = max(1, int(round(max(times) / dt)))
@@ -465,12 +468,12 @@ def _run_compare_cmd(args, cfg, params, potential, man) -> None:
     records, stats = compare_langevin_fp(config, grid, times, n_bins=bins)
     man.jsonl("compare.jsonl", [r.as_dict() for r in records])
     man.csv("moments.csv", ("key", "value"), stats.moment_rows())
-    for rec in records:
+    for name, rec in zip(names, records):
         budget = 3.0 * (rec.stat_err + rec.disc_err)
         ok = rec.l1 < budget
         _say(args, f"t = {rec.t:g}: L1 = {rec.l1:.4g} (budget {budget:.4g}), "
              f"mean {rec.ens_mean:.4g} vs {rec.fp_mean:.4g}")
-        man.add_check(f"l1_within_budget_t_{rec.t:g}", ok, l1=rec.l1, budget=budget)
+        man.add_check(name, ok, l1=rec.l1, budget=budget)
 
 
 def cmd_simulate(args, cfg: RunConfig, man: Manifest) -> None:

@@ -10,7 +10,9 @@ not converged after 200 rounds counts as diverged in an ensemble, and makes the
 single-step call raise.
 
 Every mode has one update rule (_advance), applied to arrays of trajectories by
-the ensemble routines and to a single trajectory by the step_* functions.
+the ensemble routines and to a single trajectory by the step_* functions. Both
+ensemble routines share one chunk driver (_chunks), and _evolve_chunk steps
+each chunk in place in the caller's arrays, with no per-chunk copy.
 
 The driving noise is white with per-step variance w/dt, w = 2 M gamma k_B T.
 Trajectories are drawn in fixed blocks of _BLOCK: block b holds trajectories
@@ -304,8 +306,8 @@ def _noise_buffers(config: SimConfig, mode: str, chunk: int):
     return np.empty((config.steps, chunk)), np.empty((rows, row))
 
 
-def _draw_chunk(config: SimConfig, g0: int, g1: int, noise_scale: float,
-                noise: np.ndarray, group: np.ndarray):
+def _draw_chunk(config: SimConfig, g0: int, g1: int, noise: np.ndarray,
+                group: np.ndarray):
     """Initial conditions and step noise for trajectories g0..g1-1.
 
     g0 must be a multiple of _BLOCK. noise and group are the run's buffers
@@ -317,7 +319,7 @@ def _draw_chunk(config: SimConfig, g0: int, g1: int, noise_scale: float,
     eta stays valid until the next call overwrites the buffer.
     """
     n0 = group.shape[1] - config.steps
-    scale = noise_scale * math.sqrt(config.params.w / config.dt)
+    scale = math.sqrt(config.params.w / config.dt)
     z0 = np.empty((g1 - g0, n0))
     eta = noise[:, : g1 - g0]
     for b0 in range(g0, g1, _BLOCK):
@@ -337,38 +339,47 @@ def _draw_chunk(config: SimConfig, g0: int, g1: int, noise_scale: float,
     return x0s, v0s, eta
 
 
+def _chunks(config: SimConfig, mode: str, row: int):
+    """The run's chunks of _chunk_size(n_traj, row) trajectories, in order, as
+    (g0, g1, x0s, v0s, eta) from _draw_chunk. One pair of _noise_buffers
+    serves them all: each eta is overwritten by the next chunk's draw, and
+    the last one keeps the noise buffer alive until the caller drops it."""
+    n = config.n_traj
+    chunk = _chunk_size(n, row)
+    noise, group = _noise_buffers(config, mode, chunk)
+    for g0 in range(0, n, chunk):
+        g1 = min(n, g0 + chunk)
+        yield (g0, g1, *_draw_chunk(config, g0, g1, noise, group))
+
+
 def _evolve_chunk(
     config: SimConfig,
     mode: str,
     x: np.ndarray,
     v: np.ndarray,
     eta: np.ndarray,
-    snapshot_steps: tuple[int, ...],
-    n_series: int,
-):
-    """Vectorized stepping of one chunk; frozen-on-divergence accounting.
+    snaps: dict[int, np.ndarray],
+    series: np.ndarray | None = None,
+    v_series: np.ndarray | None = None,
+) -> np.ndarray:
+    """Vectorized stepping of one chunk in place; frozen-on-divergence accounting.
 
-    eta has shape (steps, chunk), as _draw_chunk returns it. Returns
-    (x, v, alive, series, v_series, snaps) where series and v_series have
-    shape (n_series, steps+1) and snaps maps step -> positions (NaN when dead).
+    x and v, the chunk's initial state, are stepped in place; a diverged
+    trajectory keeps its last good state. eta has shape (steps, chunk), as
+    _draw_chunk returns it. The caller owns the outputs: snaps maps a step
+    to a chunk-long array for the positions then (NaN when dead); series and
+    v_series, when given, are time-major (steps + 1, k) arrays for the first
+    k trajectories' positions and velocities (NaN once dead). Returns alive.
     """
     pot, params, dt = config.potential, config.params, config.dt
     alive = np.isfinite(x) & np.isfinite(v)
-    # filled one step (row) at a time, like eta; handed back one row per trajectory
-    rows = (config.steps + 1, n_series)
-    series = np.empty(rows) if n_series else None
-    v_series = np.empty(rows) if n_series and mode == "inertial" else None
-    if series is not None:
-        series[0] = x[:n_series]
-    if v_series is not None:
-        v_series[0] = v[:n_series]
-    snaps: dict[int, np.ndarray] = {}
+    stored = [(out, a) for out, a in ((series, x), (v_series, v)) if out is not None]
+    for out, a in stored:
+        out[0] = a[: out.shape[1]]
 
     def record(step: int):
-        if step in snapshot_steps:
-            vals = x.copy()
-            vals[~alive] = np.nan
-            snaps[step] = vals
+        if step in snaps:
+            snaps[step][:] = np.where(alive, x, np.nan)
 
     record(0)
     for k in range(config.steps):
@@ -377,16 +388,11 @@ def _evolve_chunk(
         np.copyto(x, x_new, where=upd)
         np.copyto(v, v_new, where=upd)
         alive &= ok
-        if series is not None:
-            series[k + 1] = np.where(alive[:n_series], x[:n_series], np.nan)
-        if v_series is not None:
-            v_series[k + 1] = np.where(alive[:n_series], v[:n_series], np.nan)
+        for out, a in stored:
+            k_out = out.shape[1]
+            out[k + 1] = np.where(alive[:k_out], a[:k_out], np.nan)
         record(k + 1)
-    if series is not None:
-        series = series.T
-    if v_series is not None:
-        v_series = v_series.T
-    return x, v, alive, series, v_series, snaps
+    return alive
 
 
 def _validate_run(config: SimConfig, mode: str, snapshot_steps):
@@ -406,14 +412,14 @@ def run_ensemble(
     snapshot_steps: tuple[int, ...] = (),
     histogram_bins: int = 64,
     autocorr_lags: int = 0,
-    noise_scale: float = 1.0,
 ) -> EnsembleStats:
     """Evolve n_traj independent trajectories and accumulate statistics.
 
     Deterministic given config.master_seed. Diverged trajectories are frozen,
     counted, and excluded from every statistic. autocorr_lags > 0 adds a
     time-averaged position autocorrelation estimated from the first
-    min(256, n_traj) trajectories.
+    min(256, n_traj) trajectories. Each chunk steps its slice of the final
+    state, the snapshots and the stored series in place.
     """
     snapshot_steps = tuple(int(s) for s in snapshot_steps)
     _validate_run(config, mode, snapshot_steps)
@@ -421,46 +427,35 @@ def run_ensemble(
         raise ValueError("autocorr_lags must be in [0, steps]")
     n, steps = config.n_traj, config.steps
     n_sub = min(256, n) if autocorr_lags > 0 else 0
-    chunk = _chunk_size(n, steps)
 
-    final_x = np.empty(n)
-    final_v = np.empty(n) if mode == "inertial" else None
+    final_x, final_v = np.empty(n), np.empty(n)
     alive_all = np.empty(n, dtype=bool)
     snaps_all = {s: np.empty(n) for s in snapshot_steps}
     sub_series = np.empty((n_sub, steps + 1)) if n_sub else None
-    noise, group = _noise_buffers(config, mode, chunk)
 
-    for g0 in range(0, n, chunk):
-        g1 = min(n, g0 + chunk)
-        x0s, v0s, eta = _draw_chunk(config, g0, g1, noise_scale, noise, group)
-        n_series = max(0, min(g1, n_sub) - g0)
-        x, v, alive, series, _, snaps = _evolve_chunk(
-            config, mode, x0s, v0s, eta, snapshot_steps, n_series
+    for g0, g1, x0s, v0s, eta in _chunks(config, mode, steps):
+        final_x[g0:g1], final_v[g0:g1] = x0s, v0s
+        alive_all[g0:g1] = _evolve_chunk(
+            config, mode, final_x[g0:g1], final_v[g0:g1], eta,
+            {s: a[g0:g1] for s, a in snaps_all.items()},
+            series=sub_series[g0:n_sub].T if g0 < n_sub else None,
         )
-        final_x[g0:g1] = x
-        if final_v is not None:
-            final_v[g0:g1] = v
-        alive_all[g0:g1] = alive
-        for s in snapshot_steps:
-            snaps_all[s][g0:g1] = snaps[s]
-        if n_series:
-            sub_series[g0 : g0 + n_series] = series
     # the noise buffer is the largest array of a long run; the statistics
-    # below do not need it
-    del noise, eta
+    # below do not need it, and the last chunk's eta is its last reference
+    del eta
 
     final_x[~alive_all] = np.nan
-    if final_v is not None:
-        final_v[~alive_all] = np.nan
+    final_v[~alive_all] = np.nan
     n_alive = int(alive_all.sum())
 
     xs = final_x[alive_all]
     mean_x, var_x, se_x = _moments(xs)
-    if final_v is not None:
+    if mode == "inertial":
         vs = final_v[alive_all]
         mean_v, var_v, se_v = _moments(vs)
         cov_xv, se_cov = _cross(xs, vs)
     else:
+        final_v = None
         mean_v = var_v = se_v = cov_xv = se_cov = float("nan")
 
     counts, edges = np.histogram(xs, bins=histogram_bins)
@@ -530,8 +525,6 @@ def noise_expectation(
     functional,
     config: SimConfig,
     mode: str = "overdamped",
-    *,
-    noise_scale: float = 1.0,
 ) -> ExpectationResult:
     """Ensemble average of a trajectory functional with stderr s/sqrt(n).
 
@@ -539,33 +532,24 @@ def noise_expectation(
     None outside inertial mode. No reweighting is applied: with pre-point
     stepping the trajectory measure already matches the noise measure (the
     discrete Jacobian is unity). Draws the same noise blocks as run_ensemble
-    (both chunk by whole blocks), so functionals of the final state reproduce
-    its moments exactly.
+    through the same chunk driver, so functionals of the final state
+    reproduce its moments exactly. A diverged trajectory, or a non-finite
+    functional value, is left out of the average.
     """
     _validate_run(config, mode, ())
     n, steps = config.n_traj, config.steps
     times = config.times
-    chunk = _chunk_size(n, steps + 1)
-    vals = np.empty(n)
-    alive_all = np.empty(n, dtype=bool)
-    noise, group = _noise_buffers(config, mode, chunk)
+    vals = np.full(n, np.nan)
 
-    for g0 in range(0, n, chunk):
-        g1 = min(n, g0 + chunk)
-        x0s, v0s, eta = _draw_chunk(config, g0, g1, noise_scale, noise, group)
-        c = g1 - g0
-        x, v, alive, series, v_series, _ = _evolve_chunk(
-            config, mode, x0s, v0s, eta, (), c
-        )
-        for j in range(c):
-            if not alive[j]:
-                vals[g0 + j] = np.nan
-                continue
-            vrow = v_series[j] if v_series is not None else None
-            vals[g0 + j] = functional(times, series[j], vrow)
-        alive_all[g0:g1] = alive
+    for g0, g1, x0s, v0s, eta in _chunks(config, mode, steps + 1):
+        series = np.empty((steps + 1, g1 - g0))
+        v_series = np.empty_like(series) if mode == "inertial" else None
+        alive = _evolve_chunk(config, mode, x0s, v0s, eta, {}, series, v_series)
+        for j in np.flatnonzero(alive):
+            vrow = v_series[:, j] if v_series is not None else None
+            vals[g0 + j] = functional(times, series[:, j], vrow)
 
-    used = vals[alive_all & np.isfinite(vals)]
+    used = vals[np.isfinite(vals)]
     n_used = int(used.size)
     mean, _, se = _moments(used)
     if n_used == 1:

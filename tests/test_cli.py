@@ -313,6 +313,26 @@ def test_compare_l1_on_its_budget_fails(tmp_path, monkeypatch):
     assert check["l1"] == check["budget"] == 2.25
 
 
+@pytest.mark.parametrize("times", ["0.05,0.1,0.05", "0.1,0.1000001"])
+def test_compare_times_with_one_check_name_exit_2(tmp_path, monkeypatch, capsys, times):
+    """Two times that name the same l1_within_budget_t_{t:g} check are a config
+    error, raised before any work runs."""
+    import bathdyn.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("compare ran")
+
+    monkeypatch.setattr(cli, "compare_langevin_fp", never)
+    cfg = _write_config(tmp_path, f"sim.kind=compare\ncompare.times={times}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line.startswith("config error: compare.times must differ")
+    assert _error_records(out) == [
+        {"record": "error", "exit_code": 2, "message": line}]
+    assert not (out / "compare.jsonl").exists()
+
+
 # one tiny config per subcommand (and per simulate kind); each runs in well
 # under a second
 _REPRO_RUNS = {
@@ -352,7 +372,7 @@ def test_every_subcommand_is_reproducible(tmp_path, run):
     assert without_run(a) == without_run(b)
 
 
-@pytest.mark.parametrize("module", ["bathdyn", "bathdyn.cli"])
+@pytest.mark.parametrize("module", ["bathdyn", "bathdyn.cli", "bathdyn.checks"])
 def test_import_loads_no_scipy(module):
     """scipy is imported only by the code that calls it, not at start-up."""
     code = (f"import sys, {module}; "

@@ -164,7 +164,42 @@ def test_ensemble_memory_is_one_noise_buffer(monkeypatch):
     assert peak <= bound, f"peak {peak} bytes > bound {bound} bytes"
 
 
-def _draw_030(config, g0, g1, mode, noise_scale):
+def test_autocorrelation_run_holds_one_series(monkeypatch):
+    """Traced peak of a three-chunk autocorrelation run: one stored series.
+
+    The bound comes from the sizes, not from a measurement. With one block
+    per chunk and 4,000 steps, a run holds:
+      - the step-noise buffer, 8 * steps * chunk bytes (32.8 MB here);
+      - one row-group buffer, 1/64 of the noise buffer here (0.5 MB);
+      - the stored positions of the first 256 trajectories, one
+        (256, steps + 1) series (8.2 MB), which each step fills in place;
+      - O(n_traj) arrays, as in test_ensemble_memory_is_one_noise_buffer:
+        fewer than 32 float64 arrays of n_traj entries (0.5 MB);
+      - 1 MB of slack for interpreter and tracemalloc bookkeeping.
+    That is about 43 MB. The statistics run after the noise buffer is
+    freed, so their copies of the series do not set the peak. A second
+    series beside the first while the noise is held adds 8.2 MB.
+    """
+    cfg = _config(n_traj=_ACROSS_BLOCKS, steps=4000, sigma_x=0.3)
+    monkeypatch.setattr(lv, "_CHUNK_BUDGET", cfg.steps * lv._BLOCK)
+    chunk = lv._chunk_size(cfg.n_traj, cfg.steps)
+    assert chunk == lv._BLOCK
+    group = max(1 << 18, 8 * (1 + cfg.steps) * (chunk // 64))
+    series = 8 * 256 * (cfg.steps + 1)
+    bound = (8 * cfg.steps * chunk + group + series + 32 * 8 * cfg.n_traj
+             + (1 << 20))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stats = run_ensemble(cfg, "overdamped", autocorr_lags=10)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert stats.autocorr_count == 256
+    assert peak <= bound, f"peak {peak} bytes > bound {bound} bytes"
+
+
+def _draw_030(config, g0, g1, mode):
     """The 0.3.0 draw: one (b1 - b0, n0 + steps) call per block, its step
     columns copied transposed into a fresh eta, then eta scaled in place."""
     n0 = 2 if mode == "inertial" else 1
@@ -181,7 +216,7 @@ def _draw_030(config, g0, g1, mode, noise_scale):
         v0s = config.v0 + config.sigma_v * z0[:, 1]
     else:
         v0s = np.full(g1 - g0, config.v0)
-    eta *= noise_scale * math.sqrt(config.params.w / config.dt)
+    eta *= math.sqrt(config.params.w / config.dt)
     return x0s, v0s, eta
 
 
@@ -189,16 +224,15 @@ def _draw_030(config, g0, g1, mode, noise_scale):
 @given(mode=st.sampled_from(["inertial", "overdamped"]),
        first_block=st.integers(0, 3), n=st.integers(1, 2 * lv._BLOCK + 300),
        steps=st.integers(1, 30), rows=st.one_of(st.none(), st.integers(1, lv._BLOCK)),
-       noise_scale=st.sampled_from([0.0, 1.0, 0.37]), seed=st.integers(0, 2**32 - 1),
-       spare=st.integers(0, 3))
+       seed=st.integers(0, 2**32 - 1), spare=st.integers(0, 3))
 @example(mode="overdamped", first_block=1, n=5, steps=40_000, rows=None,
-         noise_scale=1.0, seed=3, spare=2)  # one-row groups from the run's own sizing
+         seed=3, spare=2)  # one-row groups from the run's own sizing
 @example(mode="inertial", first_block=0, n=lv._BLOCK + 7, steps=3, rows=1,
-         noise_scale=1.0, seed=4, spare=0)
-@example(mode="inertial", first_block=2, n=3, steps=4, rows=100, noise_scale=0.0,
+         seed=4, spare=0)
+@example(mode="inertial", first_block=2, n=3, steps=4, rows=100,
          seed=5, spare=0)  # fewer trajectories than one row group
 def test_row_group_draw_equals_the_block_draw(mode, first_block, n, steps, rows,
-                                              noise_scale, seed, spare):
+                                              seed, spare):
     """spare > 0 draws a chunk narrower than the run's noise buffer, as the
     last chunk of a run does."""
     g0 = first_block * lv._BLOCK
@@ -213,8 +247,8 @@ def test_row_group_draw_equals_the_block_draw(mode, first_block, n, steps, rows,
     # the buffer the run reuses is dirty from its last chunk
     noise.fill(np.nan)
     group.fill(np.nan)
-    got = lv._draw_chunk(cfg, g0, g1, noise_scale, noise, group)
-    want = _draw_030(cfg, g0, g1, mode, noise_scale)
+    got = lv._draw_chunk(cfg, g0, g1, noise, group)
+    want = _draw_030(cfg, g0, g1, mode)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
@@ -290,11 +324,14 @@ def test_divergent_trajectories_are_counted_not_fatal():
 
 def test_zero_noise_is_the_deterministic_map():
     cfg = _config(dt=0.01, steps=50, n_traj=8, x0=2.0)
-    stats = run_ensemble(cfg, "overdamped", noise_scale=0.0)
+    x = np.full(cfg.n_traj, cfg.x0)
+    alive = lv._evolve_chunk(cfg, "overdamped", x, np.zeros(cfg.n_traj),
+                             np.zeros((cfg.steps, cfg.n_traj)), {})
+    assert alive.all()
     theta = POT.omega0 ** 2 / PARAMS.gamma
     expected = 2.0 * (1.0 - theta * 0.01) ** 50
-    np.testing.assert_allclose(stats.final_x, expected, rtol=1e-12)
-    assert stats.var_x == 0.0
+    np.testing.assert_allclose(x, expected, rtol=1e-12)
+    assert x.var(ddof=1) == 0.0
 
 
 def test_snapshots_and_histogram():
@@ -357,8 +394,8 @@ def test_postpoint_chunk_mate_of_a_diverging_trajectory_is_exact():
                     master_seed=8)
     starts = np.array([0.3, -0.2, 50.0])
     eta = np.random.default_rng(8).standard_normal((3, 4)) * math.sqrt(params.w / cfg.dt)
-    x, _, alive, _, _, _ = lv._evolve_chunk(
-        cfg, "overdamped_postpoint", starts.copy(), np.zeros(3), eta.T, (), 0)
+    x = starts.copy()
+    alive = lv._evolve_chunk(cfg, "overdamped_postpoint", x, np.zeros(3), eta.T, {})
     assert alive.tolist() == [True, True, False]
     for i in (0, 1):
         xi = starts[i]
