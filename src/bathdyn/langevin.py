@@ -438,7 +438,7 @@ def run_ensemble(
         alive_all[g0:g1] = _evolve_chunk(
             config, mode, final_x[g0:g1], final_v[g0:g1], eta,
             {s: a[g0:g1] for s, a in snaps_all.items()},
-            series=sub_series[g0:n_sub].T if g0 < n_sub else None,
+            series=sub_series[g0:min(g1, n_sub)].T if g0 < n_sub else None,
         )
     # the noise buffer is the largest array of a long run; the statistics
     # below do not need it, and the last chunk's eta is its last reference
