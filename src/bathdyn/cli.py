@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, groupby, islice
+from itertools import chain
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from .fokker_planck import (
     PhaseGrid,
     SmoluchowskiOperator,
     StabilityError,
-    _product_rows,
     compare_langevin_fp,
     gaussian_field_1d,
     gaussian_field_2d,
@@ -96,12 +95,12 @@ def _csv_cell(value, alone: bool) -> str:
     return buf.getvalue()[: -1 if alone else -2]
 
 
-def _format_rows(rows: list) -> str:
-    """CSV text of rows of one width through one %-format string: columns of
-    floats at 17 significant digits, of integers in full, and any other
+def _format_rows(columns: list) -> str:
+    """CSV text of equal-length columns through one %-format string: columns
+    of floats at 17 significant digits, of integers in full, and any other
     column cell by cell as _fmt_cell and csv.writer write it."""
-    specs, columns, alone = [], [], len(rows[0]) == 1
-    for col in zip(*rows):
+    specs, cells, alone = [], [], len(columns) == 1
+    for col in columns:
         kinds = set(map(type, col))
         if kinds <= _FLOAT_TYPES:
             specs.append("%.17g")
@@ -110,20 +109,49 @@ def _format_rows(rows: list) -> str:
         else:
             specs.append("%s")
             col = [_csv_cell(v, alone) for v in col]
-        columns.append(col)
+        cells.append(col)
     line = ",".join(specs) + "\n"
-    return (line * len(rows)) % tuple(chain.from_iterable(zip(*columns)))
+    return (line * len(columns[0])) % tuple(chain.from_iterable(zip(*cells)))
 
 
-def write_csv(path, header, rows) -> None:
-    """CSV table with a header row; floats at 17 significant digits. Rows
-    are formatted _BATCH_ROWS at a time."""
-    rows = iter(rows)
+def write_csv(path, header, columns) -> None:
+    """CSV table with a header row from columns of equal length (sequences or
+    1-D arrays); floats at 17 significant digits. Rows are formatted
+    _BATCH_ROWS at a time from slices of the columns, so only one batch of
+    cells and text is held beside the columns. Raises ValueError when the
+    columns differ in length."""
+    columns = list(columns)
+    lengths = {len(col) for col in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        while batch := [tuple(row) for row in islice(rows, _BATCH_ROWS)]:
-            for _, same_width in groupby(batch, key=len):
-                fh.write(_format_rows(list(same_width)))
+        for start in range(0, n_rows, _BATCH_ROWS):
+            batch = [col[start:start + _BATCH_ROWS] for col in columns]
+            fh.write(_format_rows([b.tolist() if isinstance(b, np.ndarray) else b
+                                   for b in batch]))
+
+
+def _product_columns(a, b, *fields) -> tuple:
+    """Columns (a[i], b[j], f[i, j], ...) of a table over the product grid of
+    a and b, i outer: a repeated per b, b tiled per a, each field raveled."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (np.repeat(a, len(b)), np.tile(b, len(a)), *(np.ravel(f) for f in fields))
+
+
+_MOMENT_KEYS = ("n_traj", "n_diverged", "steps", "dt", "mean_x", "var_x", "se_x")
+_MOMENT_KEYS_V = ("mean_v", "var_v", "se_v", "cov_xv", "se_cov_xv")
+
+
+def _moment_columns(stats) -> tuple[list, list]:
+    """moments.csv's (key, value) columns of an EnsembleStats: the counts and
+    x moments, then the v moments when the run kept velocities; every value
+    a float."""
+    keys = list(_MOMENT_KEYS)
+    if stats.final_v is not None:
+        keys += _MOMENT_KEYS_V
+    return keys, [float(getattr(stats, k)) for k in keys]
 
 
 def _json_safe(value):
@@ -169,8 +197,8 @@ class Manifest:
         os.makedirs(self.out_dir, exist_ok=True)
         return os.path.join(self.out_dir, name)
 
-    def csv(self, name: str, header, rows) -> None:
-        write_csv(self._path(name), header, rows)
+    def csv(self, name: str, header, columns) -> None:
+        write_csv(self._path(name), header, columns)
         self.outputs.append(name)
 
     def jsonl(self, name: str, records) -> None:
@@ -276,7 +304,7 @@ def cmd_kernels(args, cfg: RunConfig, man: Manifest) -> None:
 
     omega = np.linspace(-w_max, w_max, nw)
     man.csv("noise_freq.csv", ("omega", "K"),
-            zip(omega, noise_kernel_freq(params, model, omega)))
+            (omega, noise_kernel_freq(params, model, omega)))
 
     k0 = float(noise_kernel_freq(params, model, 0.0))
     ok0 = k0 == 1.0
@@ -285,10 +313,10 @@ def cmd_kernels(args, cfg: RunConfig, man: Manifest) -> None:
 
     if model_name == "drude":
         man.csv("spectral_density.csv", ("omega", "sigma"),
-                zip(omega, spectral_density(model, mass, omega)))
+                (omega, spectral_density(model, mass, omega)))
         tg = np.linspace(0.0, t_max, (nt + 1) // 2)
         man.csv("friction_time.csv", ("t", "gamma_t"),
-                zip(tg, friction_kernel_time(model, mass, tg)))
+                (tg, friction_kernel_time(model, mass, tg)))
         if hbar > 0:
             # the quantum kernel log-diverges at t = 0; an even count of
             # half-offset samples straddles it symmetrically
@@ -299,7 +327,7 @@ def cmd_kernels(args, cfg: RunConfig, man: Manifest) -> None:
             n_odd = nt if nt % 2 == 1 else nt + 1
             t_grid = np.linspace(-t_max, t_max, n_odd)
         samples = noise_kernel_time(params, model, t_grid)
-        man.csv("noise_time.csv", ("t", "K_t"), zip(samples.t_grid, samples.values))
+        man.csv("noise_time.csv", ("t", "K_t"), (samples.t_grid, samples.values))
         if hbar == 0.0:
             ok_area = abs(samples.area - 1.0) <= 1e-6
             _say(args, "check |area(K) - 1| <= 1e-6: "
@@ -394,12 +422,14 @@ def _run_ensemble_cmd(args, cfg, params, potential, man) -> None:
     lags = cfg.get("output.autocorr_lags", as_int, 0)
     cfg.finish()
     stats = run_ensemble(config, mode, histogram_bins=bins, autocorr_lags=lags)
-    man.csv("moments.csv", ("key", "value"), stats.moment_rows())
+    man.csv("moments.csv", ("key", "value"), _moment_columns(stats))
+    edges = stats.hist_edges
     man.csv("histogram.csv", ("bin_left", "bin_right", "density"),
-            stats.histogram_rows())
+            (edges[:-1], edges[1:], stats.hist_density))
     if lags > 0 and stats.autocorr is not None:
+        lag = np.arange(lags + 1)
         man.csv("autocorr.csv", ("lag", "t_lag", "value"),
-                ((k, k * config.dt, val) for k, val in enumerate(stats.autocorr)))
+                (lag, lag * config.dt, stats.autocorr))
     _say(args, f"ensemble ({mode}): {stats.n_traj} trajectories, "
          f"{stats.n_diverged} diverged, mean_x = {stats.mean_x:.6g}, "
          f"var_x = {stats.var_x:.6g}")
@@ -434,8 +464,12 @@ def _run_fp_cmd(args, cfg, kind, params, potential, man) -> None:
     field, mass_rows = _advance_recorded(
         lambda f, n: op.advance(f, ordering, dt, n), field, steps, record_every,
         lambda k, f: (k, k * dt, f.mass))
-    man.csv("mass.csv", ("step", "t", "mass"), mass_rows)
-    man.csv("field.csv", ("x", "v", "P") if grid.is_2d else ("x", "P"), field.rows())
+    man.csv("mass.csv", ("step", "t", "mass"), zip(*mass_rows))
+    if grid.is_2d:
+        man.csv("field.csv", ("x", "v", "P"),
+                _product_columns(grid.x_centers, grid.v_centers, field.values))
+    else:
+        man.csv("field.csv", ("x", "P"), (grid.x_centers, field.values))
 
     mean, var = field.moments()
     _say(args, f"{kind} ({ordering.value}): {steps} steps of dt = {dt:.6g}, "
@@ -467,7 +501,7 @@ def _run_compare_cmd(args, cfg, params, potential, man) -> None:
     cfg.finish()
     records, stats = compare_langevin_fp(config, grid, times, n_bins=bins)
     man.jsonl("compare.jsonl", [r.as_dict() for r in records])
-    man.csv("moments.csv", ("key", "value"), stats.moment_rows())
+    man.csv("moments.csv", ("key", "value"), _moment_columns(stats))
     for name, rec in zip(names, records):
         budget = 3.0 * (rec.stat_err + rec.disc_err)
         ok = rec.l1 < budget
@@ -531,21 +565,22 @@ def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:
 
     advance = MasterOperator(rho, potential, params, dt, ordering).advance
     rho, decay_rows = _advance_recorded(advance, rho, steps, record_every, decay_row)
+    decay = list(zip(*decay_rows))
     man.csv("decay.csv", ("step", "t", "amplitude", "trace_re", "trace_im", "herm_dev"),
-            decay_rows)
+            decay)
     man.csv("rho_final.csv", ("x", "y", "re", "im"),
-            _product_rows(rho.x_grid, rho.y_grid, rho.values.real, rho.values.imag))
+            _product_columns(rho.x_grid, rho.y_grid, rho.values.real, rho.values.imag))
     wig, p_grid = wigner_transform(rho, hbar)
-    man.csv("wigner_final.csv", ("x", "p", "w"), _product_rows(rho.x_grid, p_grid, wig))
+    man.csv("wigner_final.csv", ("x", "p", "w"), _product_columns(rho.x_grid, p_grid, wig))
 
-    herm_max = max(row[5] for row in decay_rows)
+    _, ts, amps, tr_re, _, herm = decay
+    herm_max = max(herm)
     ok_herm = herm_max <= _HERM_TOL
     _say(args, f"check hermiticity <= 1e-8: {'pass' if ok_herm else 'FAIL'} "
          f"(max deviation {herm_max:.3g})")
     man.add_check("hermitian", ok_herm, max_deviation=herm_max, tol=_HERM_TOL)
 
-    tr0, tr_end = decay_rows[0][3], decay_rows[-1][3]
-    t_end = decay_rows[-1][1]
+    tr0, tr_end, t_end = tr_re[0], tr_re[-1], ts[-1]
     if ordering is Ordering.MOMENTA_LEFT:
         drift = abs(tr_end - tr0)
         ok_tr = drift <= 1e-8 * abs(tr0)
@@ -561,8 +596,6 @@ def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:
         man.add_check("trace_decay_rate", ok_tr, computed=rate, target=target)
 
     if state_kind == "superposition":
-        ts = np.array([row[1] for row in decay_rows])
-        amps = np.array([row[2] for row in decay_rows])
         slope = float(np.polyfit(ts, np.log(amps), 1)[0])
         lam_d2 = dec.lam * separation**2
         ratio = -slope / lam_d2

@@ -28,7 +28,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass, replace
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -182,22 +181,6 @@ class ProbField:
         mean = float((x * w).sum() / total)
         var = float(((x - mean) ** 2 * w).sum() / total)
         return mean, var
-
-    def rows(self):
-        """CSV-ready rows of Python floats: (x, P), or (x, v, P) with x outer,
-        made one x row at a time."""
-        if not self.grid.is_2d:
-            return zip(self.grid.x_centers.tolist(), self.values.tolist())
-        return _product_rows(self.grid.x_centers, self.grid.v_centers, self.values)
-
-
-def _product_rows(a, b, *columns):
-    """Rows of Python floats (a[i], b[j], c[i, j], ...) over the product grid
-    of a and b, i outer, made one i at a time."""
-    b = np.asarray(b).tolist()
-    return chain.from_iterable(
-        zip(repeat(ai), b, *(c[i].tolist() for c in columns))
-        for i, ai in enumerate(np.asarray(a).tolist()))
 
 
 def gaussian_field_1d(grid: PhaseGrid, mean: float, sigma: float) -> ProbField:

@@ -257,34 +257,6 @@ class EnsembleStats:
     autocorr_count: int = 0
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)
 
-    def moment_rows(self) -> list[tuple[str, float]]:
-        rows = [
-            ("n_traj", float(self.n_traj)),
-            ("n_diverged", float(self.n_diverged)),
-            ("steps", float(self.steps)),
-            ("dt", self.dt),
-            ("mean_x", self.mean_x),
-            ("var_x", self.var_x),
-            ("se_x", self.se_x),
-        ]
-        if self.final_v is not None:
-            rows += [
-                ("mean_v", self.mean_v),
-                ("var_v", self.var_v),
-                ("se_v", self.se_v),
-                ("cov_xv", self.cov_xv),
-                ("se_cov_xv", self.se_cov_xv),
-            ]
-        return rows
-
-    def histogram_rows(self) -> list[tuple[float, float, float]]:
-        return [
-            (float(le), float(ri), float(de))
-            for le, ri, de in zip(
-                self.hist_edges[:-1], self.hist_edges[1:], self.hist_density
-            )
-        ]
-
 
 def _chunk_size(n: int, row: int) -> int:
     """Trajectories per chunk: the whole blocks whose `row` stored values per

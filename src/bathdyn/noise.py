@@ -85,8 +85,8 @@ class NoiseTrajectory:
     def to_csv(self, path) -> None:
         from .cli import write_csv
 
-        rows = ((i, t, s) for i, (t, s) in enumerate(zip(self.times, self.samples)))
-        write_csv(path, ("index", "t", "eta"), rows)
+        write_csv(path, ("index", "t", "eta"),
+                  (np.arange(self.spec.n), self.times, self.samples))
 
 
 def white_noise(spec: NoiseSpec) -> NoiseTrajectory:

@@ -301,7 +301,8 @@ def test_compare_l1_on_its_budget_fails(tmp_path, monkeypatch):
                            ens_mean=0.0, ens_var=1.0, fp_mean=0.0, fp_var=1.0,
                            n_samples=10)
     assert rec.l1 == 3.0 * (rec.stat_err + rec.disc_err)
-    stats = types.SimpleNamespace(moment_rows=lambda: [])
+    stats = types.SimpleNamespace(n_traj=10, n_diverged=0, steps=10, dt=0.005,
+                                  mean_x=0.0, var_x=1.0, se_x=0.3, final_v=None)
     monkeypatch.setattr(cli, "compare_langevin_fp",
                         lambda *args, **kwargs: ([rec], stats))
     cfg = _write_config(tmp_path, "sim.kind=compare\ncompare.times=0.05\n")
@@ -378,7 +379,7 @@ def test_import_loads_no_scipy(module):
     code = (f"import sys, {module}; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
+                          check=True, env=_child_env())
     assert proc.stdout.strip() == "[]"
 
 
@@ -417,9 +418,18 @@ def test_module_entry_point(tmp_path):
          "--out", str(tmp_path), "--quiet"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert (tmp_path / "det_checks.jsonl").exists()
+
+
+def _child_env() -> dict:
+    """The environment of a child Python: its PYTHONPATH starts with the src
+    directory of the imported bathdyn, so the child imports the same package."""
+    src = os.path.dirname(os.path.dirname(bathdyn.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def _csv_bytes_0_2_0(path, header, rows):
@@ -461,32 +471,40 @@ _CELLS = {
 _CELLS["mixed"] = st.one_of(*_CELLS.values())
 
 
+# the numpy dtype of the cell kinds that a column may also be passed as
+_ARRAY_DTYPES = {"float64": np.float64, "float32": np.float32, "int64": np.int64,
+                 "uint8": np.uint8}
+
+
 @st.composite
 def _tables(draw):
-    """(header, rows): each column one cell kind, or mixed; some tables ragged."""
+    """(header, columns): each column one cell kind, or mixed; a column of
+    numpy cells is a list or a 1-D array of their dtype."""
     width = draw(st.integers(0, 5))
     kinds = [draw(st.sampled_from(sorted(_CELLS))) for _ in range(width)]
     header = tuple(draw(_CELLS["str"]) for _ in range(width))
     n_rows = draw(st.integers(0, 6))
-    rows = [tuple(draw(_CELLS[k]) for k in kinds) for _ in range(n_rows)]
-    if rows and draw(st.booleans()):
-        rows = [r[: draw(st.integers(0, width))] for r in rows]
-    return header, rows
+    columns = []
+    for kind in kinds:
+        col = [draw(_CELLS[kind]) for _ in range(n_rows)]
+        if kind in _ARRAY_DTYPES and draw(st.booleans()):
+            col = np.array(col, dtype=_ARRAY_DTYPES[kind])
+        columns.append(col)
+    return header, columns
 
 
 @settings(max_examples=200, deadline=None)
 @given(_tables())
-@example((("only",), [("",), ("a,b",), (np.bool_(False),)]))  # a lone empty cell
-@example((("x", "v"), []))  # an empty table
-@example((("x", "v", "P"), [(-0.0, np.float64("nan"), 5e-324)]))  # one row
-@example(((), [(), ()]))  # rows without cells
+@example((("only",), [["", "a,b", np.bool_(False)]]))  # a lone empty cell
+@example((("x", "v"), [[], []]))  # an empty table
+@example((("x", "v", "P"), [[-0.0], [np.float64("nan")], [5e-324]]))  # one row
 def test_write_csv_bytes_equal_version_0_2_0(table):
-    header, rows = table
+    header, columns = table
     with tempfile.TemporaryDirectory() as tmp:
         new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
-        write_csv(new, header, iter(rows))
+        write_csv(new, header, columns)
         with open(new, "rb") as fh:
-            assert fh.read() == _csv_bytes_0_2_0(old, header, rows)
+            assert fh.read() == _csv_bytes_0_2_0(old, header, list(zip(*columns)))
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 2500])
@@ -496,6 +514,50 @@ def test_write_csv_batches_keep_the_bytes(tmp_path, n_rows):
     rows = [(k, float(a), np.float64(b), "x,y" if k % 7 else k / 3)
             for k, (a, b) in enumerate(vals)]
     header = ("k", "a", "b", "note")
-    write_csv(tmp_path / "new.csv", header, rows)
+    write_csv(tmp_path / "new.csv", header, list(zip(*rows)))
+    expected = _csv_bytes_0_2_0(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == expected
+
+
+def test_write_csv_columns_of_unequal_length_raise(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(tmp_path / "t.csv", ("a", "b"), (np.zeros(3), [1.0, 2.0]))
+
+
+def test_write_csv_holds_one_batch_beside_its_columns(tmp_path):
+    """The traced peak over the input columns stays within one batch.
+
+    A batch is 1,024 rows of 3 cells. Each cell is a 32 B Python float from
+    .tolist() plus about 26 B of its text (17 digits, sign, point, exponent,
+    comma), so a batch holds about 1,024 * 3 * 58 B = 178 KB; 1 MiB of slack
+    covers the per-batch lists, tuples and the open file. A writer that
+    called .tolist() on whole columns would hold 200,000 * 3 * 32 B = 19 MB
+    of floats."""
+    import tracemalloc
+
+    from bathdyn.cli import _BATCH_ROWS
+
+    n = 200_000
+    rng = np.random.default_rng(7)
+    columns = (rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n))
+    bound = _BATCH_ROWS * 3 * (32 + 26) + 2**20
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", ("a", "b", "c"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
+
+
+def test_noise_trajectory_csv_bytes_equal_version_0_2_0(tmp_path):
+    """NoiseTrajectory.to_csv writes the (i, t, eta) rows as version 0.2.0
+    did, across batches."""
+    from bathdyn import NoiseSpec, white_noise
+
+    traj = white_noise(NoiseSpec(kernel=None, w=1.0, dt=0.01, n=2500, seed=5))
+    header = ("index", "t", "eta")
+    traj.to_csv(tmp_path / "new.csv")
+    rows = [(i, t, eta) for i, (t, eta) in enumerate(zip(traj.times, traj.samples))]
     expected = _csv_bytes_0_2_0(tmp_path / "old.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == expected

@@ -77,16 +77,12 @@ def test_prob_field_validation_and_moments():
     mean, var = f.moments()
     assert abs(mean - 0.3) < 1e-8
     assert abs(var - 0.49) < 1e-8
-    rows = list(f.rows())
-    assert len(rows) == 512
-    assert rows[0][0] == grid.x_centers[0]
 
     g2 = PhaseGrid(-4.0, 4.0, 32, v_min=-4.0, v_max=4.0, nv=24)
     f2 = gaussian_field_2d(g2, 0.5, 0.6, -0.2, 0.8)
     assert abs(f2.mass - 1.0) < 1e-12
     mean2, _ = f2.moments()
     assert abs(mean2 - 0.5) < 1e-6
-    assert len(list(f2.rows())) == 32 * 24
 
 
 def test_gaussian_field_guards():
