@@ -6,8 +6,8 @@ one-line verdict. Criteria 6, 9 and 10 run the CLI on a config of their own
 (``_cli_checks``) and read its outputs and its manifest's check records, so
 the CLI's verdict on a contract is the criterion's too; 4, 5 and 7 advance
 an operator built once, as the CLI does; the others call the public API.
-``run_all`` never raises: a crashed check is reported as a failure. The
-whole suite is meant to finish in well under five minutes.
+``run_all`` never raises: a crashed check, or one over its wall-clock limit
+in ``_SUITE``, is a failure. The suite should finish well under five minutes.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .fokker_planck import (
     Ordering,
     PhaseGrid,
     SmoluchowskiOperator,
+    _mass_drift,
     gaussian_field_1d,
     gaussian_field_2d,
 )
@@ -62,11 +63,6 @@ class CheckResult:
     elapsed_s: float
 
 
-def _over(elapsed: float, limit: float) -> str:
-    """Detail suffix that names a missed wall-clock limit; empty within it."""
-    return "" if elapsed < limit else f"; over its {limit:g}s wall-clock limit"
-
-
 def _cli_checks(command: str, lines, out: str) -> tuple[int, dict]:
     """Run the CLI subcommand on a config of the given key=value lines, with
     its outputs in the directory out. Returns the exit code and the manifest's
@@ -86,7 +82,6 @@ def _cli_checks(command: str, lines, out: str) -> tuple[int, dict]:
 
 
 def _retarded_identity():
-    t0 = time.perf_counter()
     rng = derive_rng(101)
     worst = 0.0
     count = 0
@@ -97,10 +92,8 @@ def _retarded_identity():
             r = first_order_det_ratio(FirstOrderOp(c, dt), Scheme.RETARDED)
             worst = max(worst, abs(r - 1.0))
             count += 1
-    elapsed = time.perf_counter() - t0
-    ok = worst == 0.0 and elapsed < 5.0
-    return ok, (f"{count} random-coefficient ratios, max |r - 1| = {worst:g} "
-                f"(bitwise){_over(elapsed, 5.0)}")
+    return worst == 0.0, (f"{count} random-coefficient ratios, "
+                          f"max |r - 1| = {worst:g} (bitwise)")
 
 
 def _case(name: str, computed, target, ok) -> dict:
@@ -204,7 +197,6 @@ def _trace_log():
 
 
 def _kramers_ordering():
-    t0 = time.perf_counter()
     params = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
     pot = Harmonic(mass=1.0, omega0=1.0)
     grid = PhaseGrid(-4.0, 4.0, 128, -4.0, 4.0, 128)
@@ -212,9 +204,8 @@ def _kramers_ordering():
     op = KramersOperator(grid, pot, params)
     dt = 0.9 * op.dt_max
 
-    field = op.advance(field0, Ordering.MOMENTA_LEFT, dt, 1000)
-    drift = abs(field.mass - field0.mass)
-    ok_drift = drift < 1e-8
+    drift, ok_drift = _mass_drift(
+        field0, op.advance(field0, Ordering.MOMENTA_LEFT, dt, 1000))
 
     n = math.ceil(2.0 / dt)
     dts = 2.0 / n
@@ -222,10 +213,8 @@ def _kramers_ordering():
     rel = abs(field.mass / math.exp(-1.0) - 1.0)
     ok_mass = rel <= 0.02
 
-    elapsed = time.perf_counter() - t0
-    ok = ok_drift and ok_mass and elapsed < 30.0
-    return ok, (f"conserving drift {drift:.2e} over 1000 steps; symmetric "
-                f"mass(t=2) off e^-1 by {rel:.2e} on 128x128{_over(elapsed, 30.0)}")
+    return ok_drift and ok_mass, (f"conserving drift {drift:.2e} over 1000 steps; "
+                                  f"symmetric mass(t=2) off e^-1 by {rel:.2e} on 128x128")
 
 
 def _smoluchowski_ordering():
@@ -234,9 +223,8 @@ def _smoluchowski_ordering():
     grid = PhaseGrid(-3.2, 3.2, 256)
     field0 = gaussian_field_1d(grid, 0.0, 0.5)
     op = SmoluchowskiOperator(grid, dw, params)
-    field = op.advance(field0, Ordering.MOMENTA_LEFT, 0.9 * op.dt_max, 1000)
-    drift = abs(field.mass - field0.mass)
-    ok_drift = drift < 1e-8
+    drift, ok_drift = _mass_drift(
+        field0, op.advance(field0, Ordering.MOMENTA_LEFT, 0.9 * op.dt_max, 1000))
 
     pot = Harmonic(mass=1.0, omega0=1.0)
     grid_h = PhaseGrid(-4.0, 4.0, 256)
@@ -257,7 +245,6 @@ def _smoluchowski_ordering():
 
 
 def _ensemble_grid_agreement():
-    t0 = time.perf_counter()
     # overdamped harmonic problem, unit mass and frequency: gamma 4, kT 0.5,
     # a point start at x0 = 1, compared at t = 1
     gamma, k_bt, x0, t = 4.0, 0.5, 1.0, 1.0
@@ -287,11 +274,9 @@ def _ensemble_grid_agreement():
             abs(rec["fp_mean"] - mean_t) / (3.0 * se_mean),
             abs(rec["fp_var"] - var_t) / (3.0 * se_var))
     ok_moments = max(devs) <= 1.0
-    elapsed = time.perf_counter() - t0
-    ok = budget_check["pass"] and ok_moments and elapsed < 60.0
-    return ok, (f"L1 = {rec['l1']:.4f} vs budget {budget_check['budget']:.4f}; "
-                f"worst moment deviation {max(devs):.2f} of its 3-s.e. allowance"
-                f"{_over(elapsed, 60.0)}")
+    return budget_check["pass"] and ok_moments, (
+        f"L1 = {rec['l1']:.4f} vs budget {budget_check['budget']:.4f}; "
+        f"worst moment deviation {max(devs):.2f} of its 3-s.e. allowance")
 
 
 def _stationarity():
@@ -330,7 +315,6 @@ def _kernel_suite():
     # imported here: scipy.signal would dominate det-check's start-up
     from scipy import signal
 
-    t0 = time.perf_counter()
     classical = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=0.0)
     quantum = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=1.0, omega_d=10.0)
     drude = Drude(gamma=1.0, omega_d=10.0)
@@ -365,11 +349,9 @@ def _kernel_suite():
     targ_b = targ[:m].reshape(-1, 4).mean(axis=1)
     dev = float(np.max(np.abs(meas_b / targ_b - 1.0)))
     ok_psd = dev <= 0.05
-    elapsed = time.perf_counter() - t0
-    ok = ok_k0 and ok_area and ok_psd and elapsed < 20.0
-    return ok, (f"K(0) exact for all variants; |area - 1| = {area_err:.2e}; "
-                f"periodogram max rel dev {dev:.3f} over |w| < 5 w_D "
-                f"(4-bin averages){_over(elapsed, 20.0)}")
+    return ok_k0 and ok_area and ok_psd, (
+        f"K(0) exact for all variants; |area - 1| = {area_err:.2e}; "
+        f"periodogram max rel dev {dev:.3f} over |w| < 5 w_D (4-bin averages)")
 
 
 def _interference_decay():
@@ -428,29 +410,33 @@ def _reproducibility():
                 f"mismatches: {listed}")
 
 
+# (index, name, check, wall-clock limit in seconds or None)
 _SUITE = (
-    (1, "retarded slicing determinant is exactly unity", _retarded_identity),
-    (2, "advanced and midpoint determinant limits", _limit_values),
-    (3, "regularized trace-log rates", _trace_log),
-    (4, "phase-space ordering dichotomy", _kramers_ordering),
-    (5, "overdamped ordering dichotomy", _smoluchowski_ordering),
-    (6, "ensemble vs grid propagator agreement", _ensemble_grid_agreement),
-    (7, "stationary equipartition and Boltzmann state", _stationarity),
-    (8, "kernel normalization and noise spectrum", _kernel_suite),
-    (9, "interference decay rate", _interference_decay),
-    (10, "seeded run reproducibility", _reproducibility),
+    (1, "retarded slicing determinant is exactly unity", _retarded_identity, 5.0),
+    (2, "advanced and midpoint determinant limits", _limit_values, None),
+    (3, "regularized trace-log rates", _trace_log, None),
+    (4, "phase-space ordering dichotomy", _kramers_ordering, 30.0),
+    (5, "overdamped ordering dichotomy", _smoluchowski_ordering, None),
+    (6, "ensemble vs grid propagator agreement", _ensemble_grid_agreement, 60.0),
+    (7, "stationary equipartition and Boltzmann state", _stationarity, None),
+    (8, "kernel normalization and noise spectrum", _kernel_suite, 20.0),
+    (9, "interference decay rate", _interference_decay, None),
+    (10, "seeded run reproducibility", _reproducibility, None),
 )
 
 
 def run_all() -> list[CheckResult]:
-    """Run every acceptance check; a raised exception counts as a failure."""
+    """Run every acceptance check. A raised exception counts as a failure, with
+    its own detail; so does a check that returns at or over its limit."""
     results = []
-    for index, name, fn in _SUITE:
+    for index, name, fn, limit in _SUITE:
         t0 = time.perf_counter()
         try:
             passed, detail = fn()
         except Exception as exc:
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+            passed, detail, limit = False, f"raised {type(exc).__name__}: {exc}", None
         elapsed = time.perf_counter() - t0
+        if limit is not None and elapsed >= limit:
+            passed, detail = False, f"{detail}; over its {limit:g}s wall-clock limit"
         results.append(CheckResult(index, name, bool(passed), detail, elapsed))
     return results

@@ -18,7 +18,6 @@ __all__ = [
     "load_config",
     "as_float",
     "as_int",
-    "as_bool",
     "as_choice",
     "as_float_list",
 ]
@@ -71,15 +70,6 @@ def as_int(raw: str) -> int:
         raise ConfigError(f"expected an integer, got {raw!r}") from exc
 
 
-def as_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
-
-
 def as_choice(*options: str):
     def cast(raw: str) -> str:
         if raw not in options:
@@ -107,20 +97,12 @@ class RunConfig:
         self._seen: set[str] = set()
         self.resolved: dict[str, object] = {}
 
-    def require(self, key: str, cast):
-        if key not in self._raw:
-            raise ConfigError(f"missing required config key: {key}")
-        return self._read(key, cast)
-
     def get(self, key: str, cast, default=_MISSING):
         if key not in self._raw:
             if default is _MISSING:
                 raise ConfigError(f"missing required config key: {key}")
             self.resolved[key] = default
             return default
-        return self._read(key, cast)
-
-    def _read(self, key: str, cast):
         self._seen.add(key)
         try:
             value = cast(self._raw[key])

@@ -66,6 +66,16 @@ class StabilityError(ValueError):
         self.suggested_dt = suggested_dt
 
 
+def _check_axis(name: str, lo: float, hi: float, n: int) -> None:
+    """One grid axis: a finite range, hi > lo, and at least 16 cells."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} range must be finite")
+    if not hi > lo:
+        raise ValueError(f"{name}_max must exceed {name}_min")
+    if n < 16:
+        raise ValueError(f"n{name} must be >= 16")
+
+
 @dataclass(frozen=True)
 class PhaseGrid:
     """Uniform cell-centered grid, 1D in x or 2D in (x, v)."""
@@ -78,22 +88,12 @@ class PhaseGrid:
     nv: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ValueError("x range must be finite")
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
-        if self.nx < 16:
-            raise ValueError("nx must be >= 16")
+        _check_axis("x", self.x_min, self.x_max, self.nx)
         v_fields = (self.v_min, self.v_max, self.nv)
         if any(f is not None for f in v_fields):
             if any(f is None for f in v_fields):
                 raise ValueError("v_min, v_max, nv must be given together")
-            if not (math.isfinite(self.v_min) and math.isfinite(self.v_max)):
-                raise ValueError("v range must be finite")
-            if not self.v_max > self.v_min:
-                raise ValueError("v_max must exceed v_min")
-            if self.nv < 16:
-                raise ValueError("nv must be >= 16")
+            _check_axis("v", *v_fields)
 
     @property
     def is_2d(self) -> bool:
@@ -181,6 +181,15 @@ class ProbField:
         mean = float((x * w).sum() / total)
         var = float(((x - mean) ** 2 * w).sum() / total)
         return mean, var
+
+
+_MASS_TOL = 1e-8
+
+
+def _mass_drift(field0: ProbField, field: ProbField) -> tuple[float, bool]:
+    """Mass drift |M(field) - M(field0)| of a run, and whether it is below _MASS_TOL."""
+    drift = abs(field.mass - field0.mass)
+    return drift, drift < _MASS_TOL
 
 
 def gaussian_field_1d(grid: PhaseGrid, mean: float, sigma: float) -> ProbField:

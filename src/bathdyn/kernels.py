@@ -163,6 +163,11 @@ class KernelSamples:
         object.__setattr__(self, "values", v)
 
 
+def _scalar_or_array(out: np.ndarray, kind=float):
+    """A 0-d result as a Python scalar of the given kind; an array as it is."""
+    return kind(out) if out.ndim == 0 else out
+
+
 def xcoth(x):
     """x * coth(x), the thermal weight factor; equals 1 at x = 0.
 
@@ -174,9 +179,7 @@ def xcoth(x):
     out[small] = 1.0 + xs * xs / 3.0 - xs ** 4 / 45.0
     xl = x[~small]
     out[~small] = xl / np.tanh(xl)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)
 
 
 def hbar_coth(hbar: float, k_bt: float, omega: float) -> float:
@@ -213,9 +216,7 @@ def spectral_density(model: SpectralDensity, mass: float, omega):
         )
     else:
         raise TypeError(f"unknown spectral density model: {model!r}")
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)
 
 
 def friction_kernel_time(model: SpectralDensity, mass: float, t):
@@ -245,9 +246,7 @@ def friction_kernel_time(model: SpectralDensity, mass: float, t):
         out = np.where(t >= 0.0, out / mass, 0.0)
     else:
         raise TypeError(f"unknown spectral density model: {model!r}")
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)
 
 
 def friction_kernel_freq(model: Drude, omega):
@@ -260,9 +259,7 @@ def friction_kernel_freq(model: Drude, omega):
         raise ValueError("friction_kernel_freq requires a Drude model")
     omega = np.asarray(omega, dtype=float)
     out = model.gamma * 1j * model.omega_d / (omega + 1j * model.omega_d)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return _scalar_or_array(out, complex)
 
 
 def _kernel_shape_freq(model: SpectralDensity, omega):
@@ -296,9 +293,7 @@ def noise_kernel_freq(params: BathParams, model: SpectralDensity, omega):
         out = shape * np.ones_like(omega)
     else:
         out = shape * xcoth(params.hbar * omega / (2.0 * params.k_bt))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(out)
 
 
 def _drude_time_kernel(omega_d: float, hbar: float, k_bt: float, abs_t: np.ndarray):

@@ -102,8 +102,8 @@ class SimConfig:
             raise ValueError("steps must be >= 1")
         if self.n_traj < 1:
             raise ValueError("n_traj must be >= 1")
-        if self.sigma_x < 0 or self.sigma_v < 0:
-            raise ValueError("initial widths must be >= 0")
+        if not all(math.isfinite(s) and s >= 0 for s in (self.sigma_x, self.sigma_v)):
+            raise ValueError("initial widths must be finite and >= 0")
         if not (math.isfinite(self.x0) and math.isfinite(self.v0)):
             raise ValueError("initial point must be finite")
         _check_dt(self.params, self.dt)

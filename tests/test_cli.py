@@ -18,7 +18,6 @@ from bathdyn.cli import main, write_csv
 from bathdyn.config import (
     ConfigError,
     RunConfig,
-    as_bool,
     as_choice,
     as_float,
     as_float_list,
@@ -59,10 +58,6 @@ def test_value_casters():
     assert as_int("42") == 42
     with pytest.raises(ConfigError, match="expected an integer"):
         as_int("4.2")
-    assert as_bool("Yes") is True
-    assert as_bool("off") is False
-    with pytest.raises(ConfigError, match="expected a boolean"):
-        as_bool("maybe")
     assert as_float_list(" 1, 2.5 ,3 ") == (1.0, 2.5, 3.0)
     with pytest.raises(ConfigError, match="comma-separated"):
         as_float_list(" , ")
@@ -74,9 +69,9 @@ def test_value_casters():
 
 def test_run_config_accounting():
     cfg = RunConfig({"bath.gamma": "2.0", "bath.mass": "1.0"})
-    assert cfg.require("bath.gamma", as_float) == 2.0
+    assert cfg.get("bath.gamma", as_float) == 2.0
     with pytest.raises(ConfigError, match="missing required config key"):
-        cfg.require("run.steps", as_int)
+        cfg.get("run.steps", as_int)
     assert cfg.get("run.dt", as_float, 0.01) == 0.01
     assert cfg.resolved["run.dt"] == 0.01
     with pytest.raises(ConfigError, match="unknown config key: bath.mass"):
@@ -84,7 +79,7 @@ def test_run_config_accounting():
     cfg.get("bath.mass", as_float, 1.0)
     cfg.finish()
     with pytest.raises(ConfigError, match="invalid value for bath.gamma"):
-        RunConfig({"bath.gamma": "x"}).require("bath.gamma", as_float)
+        RunConfig({"bath.gamma": "x"}).get("bath.gamma", as_float)
 
 
 def _write_config(tmp_path, text, name="run.cfg"):
@@ -334,6 +329,25 @@ def test_compare_times_with_one_check_name_exit_2(tmp_path, monkeypatch, capsys,
     assert not (out / "compare.jsonl").exists()
 
 
+@pytest.mark.parametrize("text", [
+    "sim.kind=ensemble\nrun.steps=10\nrun.sigma_x=nan\n",
+    "sim.kind=ensemble\nrun.steps=10\nrun.sigma_v=inf\n",
+    "sim.kind=compare\ncompare.times=0.05\nrun.sigma_x=inf\n",
+    "sim.kind=compare\ncompare.times=0.05\nrun.sigma_x=nan\n",
+], ids=["ensemble-sigma_x-nan", "ensemble-sigma_v-inf", "compare-sigma_x-inf",
+        "compare-sigma_x-nan"])
+def test_non_finite_initial_width_exits_2(tmp_path, capsys, text):
+    """A NaN or infinite initial width is a config error, not a run of
+    diverged trajectories or NaN moments."""
+    cfg = _write_config(tmp_path, "run.n_traj=50\n" + text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line == "config error: initial widths must be finite and >= 0"
+    assert _error_records(out) == [
+        {"record": "error", "exit_code": 2, "message": line}]
+
+
 # one tiny config per subcommand (and per simulate kind); each runs in well
 # under a second
 _REPRO_RUNS = {
@@ -410,6 +424,46 @@ def test_paper_checks_verdicts_are_reproducible(tmp_path, monkeypatch):
     ok1, detail1 = checks._retarded_identity()
     ok2, detail2 = checks._retarded_identity()
     assert ok1 and ok2 and detail1 == detail2
+
+
+def test_criterion_over_its_wall_clock_limit_fails(tmp_path, monkeypatch):
+    """run_all fails a criterion that returns at or over its limit and names
+    the limit in the detail; a criterion that raises keeps its own detail."""
+    import itertools
+    import types
+
+    import bathdyn.checks as checks
+
+    # every reading of the clock is 6 s after the last: over criterion 1's 5 s
+    ticks = itertools.count()
+    monkeypatch.setattr(checks, "time",
+                        types.SimpleNamespace(perf_counter=lambda: 6.0 * next(ticks)))
+    monkeypatch.setattr(checks, "_SUITE", checks._SUITE[:1])
+    out = tmp_path / "over"
+    assert main(["paper-checks", "--out", str(out), "--quiet"]) == 1
+    [rec] = [json.loads(line) for line in (out / "checks.jsonl").read_text().splitlines()]
+    assert rec["pass"] is False
+    assert rec["detail"] == ("300 random-coefficient ratios, max |r - 1| = 0 "
+                             "(bitwise); over its 5s wall-clock limit")
+
+    def crash():
+        raise RuntimeError("boom")
+
+    index, name, _, limit = checks._SUITE[0]
+    monkeypatch.setattr(checks, "_SUITE", ((index, name, crash, limit),))
+    [res] = checks.run_all()
+    assert res.elapsed_s >= limit
+    assert (res.passed, res.detail) == (False, "raised RuntimeError: boom")
+
+
+def test_wall_clock_limits_are_pinned():
+    """The acceptance suite's wall-clock limits, in seconds, by criterion;
+    a change here is a change of the acceptance contract."""
+    import bathdyn.checks as checks
+
+    limits = {index: limit for index, _, _, limit in checks._SUITE if limit is not None}
+    assert limits == {1: 5.0, 4: 30.0, 6: 60.0, 8: 20.0}
+    assert [index for index, *_ in checks._SUITE] == list(range(1, 11))
 
 
 def test_module_entry_point(tmp_path):

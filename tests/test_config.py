@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from bathdyn.config import (
     ConfigError,
     RunConfig,
-    as_bool,
     as_choice,
     as_float,
     as_float_list,
@@ -26,8 +25,6 @@ _LINE_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max
 _PAD = st.sampled_from(["", " ", "  ", "\t"])
 # no 'n' and no 'e': never "inf", "nan" or an exponent, so never a number
 _WORDS = st.text(_LOWER.replace("e", "").replace("n", ""), min_size=1, max_size=8)
-_TRUE = ("true", "yes", "1", "on")
-_FALSE = ("false", "no", "0", "off")
 
 
 def _message(call, *args) -> str:
@@ -131,28 +128,13 @@ def test_numeric_casts_name_the_rejected_text(raw):
     assert _message(as_float, raw) == f"expected a number, got {raw!r}"
     assert _message(as_int, raw) == f"expected an integer, got {raw!r}"
     cfg = RunConfig({"run.steps": raw})
-    assert (_message(cfg.require, "run.steps", as_int)
+    assert (_message(cfg.get, "run.steps", as_int)
             == f"invalid value for run.steps: expected an integer, got {raw!r}")
 
 
 @given(st.floats(allow_nan=False).filter(lambda x: not x.is_integer()))
 def test_as_int_rejects_a_fraction(x):
     assert _message(as_int, repr(x)) == f"expected an integer, got {repr(x)!r}"
-
-
-@st.composite
-def _any_case(draw, words):
-    word = draw(st.sampled_from(words))
-    upper = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
-    return "".join(c.upper() if u else c for c, u in zip(word, upper))
-
-
-@given(_any_case(_TRUE), _any_case(_FALSE), _LINE_TEXT)
-def test_as_bool_reads_each_spelling_in_any_case(yes, no, other):
-    assert as_bool(yes) is True
-    assert as_bool(no) is False
-    if other.lower() not in _TRUE + _FALSE:
-        assert _message(as_bool, other) == f"expected a boolean, got {other!r}"
 
 
 @given(st.lists(_KEYS, min_size=1, max_size=4, unique=True), _LINE_TEXT)

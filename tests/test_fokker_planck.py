@@ -33,17 +33,27 @@ PARAMS = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
 HARMONIC = Harmonic(1.0, 1.0)
 
 
+# every PhaseGrid rejection with its exact message, one case each
+_GRID_REJECTIONS = [
+    ((-np.inf, 2.0, 64), {}, "x range must be finite"),
+    ((2.0, -2.0, 64), {}, "x_max must exceed x_min"),
+    ((-2.0, 2.0, 8), {}, "nx must be >= 16"),
+    ((-2.0, 2.0, 64), {"v_min": -1.0}, "v_min, v_max, nv must be given together"),
+    ((-2.0, 2.0, 64), {"v_min": -1.0, "v_max": np.nan, "nv": 32}, "v range must be finite"),
+    ((-2.0, 2.0, 64), {"v_min": 1.0, "v_max": 1.0, "nv": 32}, "v_max must exceed v_min"),
+    ((-2.0, 2.0, 64), {"v_min": -1.0, "v_max": 1.0, "nv": 4}, "nv must be >= 16"),
+    # x is judged before the v fields, and each axis's range before its count
+    ((2.0, -2.0, 8), {"v_min": -1.0}, "x_max must exceed x_min"),
+    ((-2.0, 2.0, 8), {"v_min": 1.0, "v_max": -1.0, "nv": 4}, "nx must be >= 16"),
+    ((-2.0, 2.0, 64), {"v_min": 1.0, "v_max": -1.0, "nv": 4}, "v_max must exceed v_min"),
+]
+
+
 def test_phase_grid_validation():
-    with pytest.raises(ValueError, match="x_max must exceed"):
-        PhaseGrid(2.0, -2.0, 64)
-    with pytest.raises(ValueError, match="nx must be >= 16"):
-        PhaseGrid(-2.0, 2.0, 8)
-    with pytest.raises(ValueError, match="given together"):
-        PhaseGrid(-2.0, 2.0, 64, v_min=-1.0)
-    with pytest.raises(ValueError, match="nv must be >= 16"):
-        PhaseGrid(-2.0, 2.0, 64, v_min=-1.0, v_max=1.0, nv=4)
-    with pytest.raises(ValueError, match="finite"):
-        PhaseGrid(-np.inf, 2.0, 64)
+    for args, kw, message in _GRID_REJECTIONS:
+        with pytest.raises(ValueError) as exc:
+            PhaseGrid(*args, **kw)
+        assert str(exc.value) == message
 
     g = PhaseGrid(-2.0, 2.0, 64)
     assert not g.is_2d

@@ -81,6 +81,26 @@ def test_friction_kernel_drude():
     assert abs(complex(g0) - 1.0) < 1e-14
 
 
+def test_scalar_in_scalar_out():
+    """A scalar argument gives a Python float (a complex for the friction
+    kernel in frequency); an array argument gives an ndarray of its shape."""
+    drude = Drude(gamma=1.0, omega_d=10.0)
+    quantum = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=1.0)
+    calls = [
+        (float, lambda w: xcoth(w)),
+        (float, lambda w: spectral_density(drude, 1.0, w)),
+        (float, lambda w: friction_kernel_time(drude, 1.0, w)),
+        (complex, lambda w: friction_kernel_freq(drude, w)),
+        (float, lambda w: noise_kernel_freq(quantum, drude, w)),
+    ]
+    for kind, call in calls:
+        for scalar in (0.5, np.float64(0.5), np.array(0.5)):
+            assert type(call(scalar)) is kind
+        out = call(np.array([0.0, 0.5, 2.0]))
+        assert isinstance(out, np.ndarray) and out.shape == (3,)
+        assert out[1] == call(0.5)
+
+
 def test_noise_kernel_freq_unit_at_zero():
     drude = Drude(gamma=1.0, omega_d=10.0)
     ohmic = Ohmic(gamma=1.0)

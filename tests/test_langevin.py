@@ -43,6 +43,10 @@ def test_config_validation():
         _config(n_traj=0)
     with pytest.raises(ValueError):
         _config(sigma_x=-1.0)
+    for width in ("sigma_x", "sigma_v"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="initial widths must be finite and >= 0"):
+                _config(**{width: bad})
     with pytest.raises(ValueError, match="friction scale"):
         _config(dt=0.06)  # dt * gamma = 0.12
     cfg = _config()
