@@ -176,8 +176,7 @@ def write_jsonl(path, records) -> None:
     """One JSON object per line, keys sorted for stable diffs."""
     with open(path, "w", newline="") as fh:
         for rec in records:
-            fh.write(json.dumps(_json_safe(rec), sort_keys=True))
-            fh.write("\n")
+            fh.write(json.dumps(_json_safe(rec), sort_keys=True) + "\n")
 
 
 def _utc_now() -> str:
@@ -208,9 +207,7 @@ class Manifest:
         self.outputs.append(name)
 
     def add_check(self, name: str, passed: bool, **extra) -> None:
-        rec = {"record": "check", "name": name, "pass": bool(passed)}
-        rec.update(extra)
-        self.records.append(rec)
+        self.records.append({"record": "check", "name": name, "pass": bool(passed), **extra})
 
     @property
     def all_passed(self) -> bool:
@@ -489,6 +486,8 @@ def _run_compare_cmd(args, cfg, params, potential, man) -> None:
         raise ConfigError("compare.times must differ in %g form, which names the checks")
     bins = cfg.get("compare.bins", as_int, 64)
     dt = cfg.get("run.dt", as_float, 0.005)
+    if not 0.0 < dt < math.inf:
+        raise ConfigError("run.dt must be finite and > 0")
     steps = max(1, int(round(max(times) / dt)))
     config = SimConfig(
         potential=potential,

@@ -150,17 +150,23 @@ class KernelSamples:
     short_grid: bool
 
     def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
+        t, _ = _time_grid(self.t_grid)
         v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.size < 2:
-            raise ValueError("t_grid must be a 1d array with at least 2 points")
-        steps = np.diff(t)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValueError("t_grid must be uniform")
         if not np.all(np.isfinite(v)):
             raise ValueError("kernel values must be finite")
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "values", v)
+
+
+def _time_grid(t_grid) -> tuple[np.ndarray, float]:
+    """t_grid as a float array and its step, if 1-D and uniformly increasing."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size < 2:
+        raise ValueError("t_grid must be a 1d array with at least 2 points")
+    steps = np.diff(t)
+    if not steps[0] > 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ValueError("t_grid must be uniformly increasing")
+    return t, float(steps[0])
 
 
 def _scalar_or_array(out: np.ndarray, kind=float):
@@ -352,13 +358,7 @@ def noise_kernel_time(params: BathParams, model: SpectralDensity, t_grid) -> Ker
     than 1e-4 of it. Requires a Drude model: the strictly Ohmic kernel is a
     delta function classically and non-integrable quantum mechanically.
     """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("t_grid must be a 1d array with at least 2 points")
-    steps = np.diff(t)
-    dt = float(steps[0])
-    if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
-        raise ValueError("t_grid must be uniformly increasing")
+    t, dt = _time_grid(t_grid)
     if isinstance(model, Ohmic):
         if params.hbar == 0.0:
             raise ValueError(

@@ -82,12 +82,6 @@ class NoiseTrajectory:
     def times(self) -> np.ndarray:
         return self.spec.dt * np.arange(self.spec.n)
 
-    def to_csv(self, path) -> None:
-        from .cli import write_csv
-
-        write_csv(path, ("index", "t", "eta"),
-                  (np.arange(self.spec.n), self.times, self.samples))
-
 
 def white_noise(spec: NoiseSpec) -> NoiseTrajectory:
     """iid N(0, w/dt) sequence of length n from the seeded stream."""

@@ -62,13 +62,13 @@ def test_reproducibility(results):
     _report(results, 10)
 
 
-# every criterion's detail as paper-checks writes it to checks.jsonl (version 0.4.0)
+# every criterion's detail as paper-checks writes it to checks.jsonl (version 0.5.0)
 DETAILS = {
     1: "300 random-coefficient ratios, max |r - 1| = 0 (bitwise)",
     2: "rel errors 2.00e-04 (target e^2), 5.00e-05 (target e) at N = 1e4; "
        "convergence orders 0.998, 0.999",
     3: "sharp-cutoff rate 1.42e-14 (bound 0.002); "
-       "quadrature vs (gamma - mu)/2 off by 3.00e-14",
+       "quadrature vs (gamma - mu)/2 off by 0.00e+00",
     4: "conserving drift 0.00e+00 over 1000 steps; "
        "symmetric mass(t=2) off e^-1 by 1.24e-14 on 128x128",
     5: "conserving drift 3.33e-16 over 1000 steps; "

@@ -7,11 +7,12 @@ promised within one version only, so DIGEST_VERSION must equal
 ``bathdyn.__version__``: a change that moves any byte re-records the digests
 of the cases it moves and bumps both.
 
-The digests belong to 0.4.0. Six cases still hold the digests recorded with
-0.2.0, byte for byte, because neither 0.3.0 nor 0.4.0 moved their outputs.
-``ensemble`` and ``smoluchowski_double_well`` hold the digests recorded with
-0.3.0 (``DoubleWell.grad`` cubes by multiplication), which 0.4.0 left where
-they were. ``decohere_momenta_left`` and ``decohere_symmetric`` were recorded
+The digests belong to 0.5.0, which moved no byte of these cases (only
+det-check's two regularized-log values). Six cases still hold the digests
+recorded with 0.2.0, byte for byte, because no later version moved their
+outputs. ``ensemble`` and ``smoluchowski_double_well`` hold the digests
+recorded with 0.3.0 (``DoubleWell.grad`` cubes by multiplication), which later
+versions left where they were. ``decohere_momenta_left`` and ``decohere_symmetric`` were recorded
 with 0.3.0 (the kinetic substep pads to 11-smooth FFT lengths) and again with
 0.4.0 (the density matrix steps on its y >= 0 half with real FFTs, which
 moves rho and W by roundoff). The test keeps its 0.2.0 name, since most of
@@ -28,7 +29,7 @@ import pytest
 import bathdyn
 from bathdyn.cli import main
 
-DIGEST_VERSION = "0.4.0"
+DIGEST_VERSION = "0.5.0"
 
 _KRAMERS = {
     "sim.kind": "kramers", "potential.kind": "double_well",

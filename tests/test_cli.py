@@ -348,6 +348,19 @@ def test_non_finite_initial_width_exits_2(tmp_path, capsys, text):
         {"record": "error", "exit_code": 2, "message": line}]
 
 
+@pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "inf"])
+def test_compare_bad_dt_exits_2(tmp_path, capsys, dt):
+    """compare checks run.dt before it divides by it: a zero, negative or
+    non-finite step is a config error that names the key, with a manifest."""
+    cfg = _write_config(tmp_path, f"sim.kind=compare\ncompare.times=0.05\nrun.dt={dt}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line == "config error: run.dt must be finite and > 0"
+    assert _error_records(out) == [
+        {"record": "error", "exit_code": 2, "message": line}]
+
+
 # one tiny config per subcommand (and per simulate kind); each runs in well
 # under a second
 _REPRO_RUNS = {
@@ -602,16 +615,3 @@ def test_write_csv_holds_one_batch_beside_its_columns(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= bound, (peak, bound)
-
-
-def test_noise_trajectory_csv_bytes_equal_version_0_2_0(tmp_path):
-    """NoiseTrajectory.to_csv writes the (i, t, eta) rows as version 0.2.0
-    did, across batches."""
-    from bathdyn import NoiseSpec, white_noise
-
-    traj = white_noise(NoiseSpec(kernel=None, w=1.0, dt=0.01, n=2500, seed=5))
-    header = ("index", "t", "eta")
-    traj.to_csv(tmp_path / "new.csv")
-    rows = [(i, t, eta) for i, (t, eta) in enumerate(zip(traj.times, traj.samples))]
-    expected = _csv_bytes_0_2_0(tmp_path / "old.csv", header, rows)
-    assert (tmp_path / "new.csv").read_bytes() == expected

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bathdyn import (
     FactorizationError,
@@ -121,5 +123,26 @@ def test_regularized_log_integral_matches_rule():
     for g, mu in ((3.0, 1.0), (5.0, 1.0), (2.0, 0.5)):
         val = regularized_log_integral(g, mu)
         assert abs(val - (g - mu) / 2.0) <= 1e-6
-    with pytest.raises(ValueError):
-        regularized_log_integral(-1.0, 1.0)
+    for g, mu in ((-1.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            regularized_log_integral(g, mu)
+
+
+_LOG_RATE = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LOG_RATE, _LOG_RATE)
+def test_regularized_log_integral_on_random_rates(g, mu):
+    """The trapezoid sum gives (gamma - mu)/2 to roundoff for rates drawn
+    log-uniformly from [1e-3, 1e3], on either side of each other."""
+    val = regularized_log_integral(g, mu)
+    assert abs(val - (g - mu) / 2.0) <= 1e-12 * max(1.0, g, mu)
+
+
+@pytest.mark.parametrize("g, mu", [(1e200, 1.0), (1.0, 1e200)])
+def test_regularized_log_integral_overflow_raises(g, mu):
+    """gamma^2 overflows: the non-finite sums raise instead of returning inf
+    or NaN."""
+    with pytest.raises(RuntimeError, match="did not converge"):
+        regularized_log_integral(g, mu)

@@ -9,6 +9,7 @@ from bathdyn import (
     BathParams,
     DiscreteBath,
     Drude,
+    KernelSamples,
     Ohmic,
     Oscillator,
     bath_correlators,
@@ -171,8 +172,11 @@ def test_noise_kernel_time_error_contracts():
         noise_kernel_time(pc, Ohmic(gamma=1.0), t)
     with pytest.raises(ValueError, match="Drude"):
         noise_kernel_time(pq, Ohmic(gamma=1.0), t)
-    with pytest.raises(ValueError):
-        noise_kernel_time(pc, d, np.array([0.0, 0.1, 0.3]))  # nonuniform
+    for grid in ([0.0, 0.1, 0.3], [0.3, 0.2, 0.1]):  # nonuniform, decreasing
+        with pytest.raises(ValueError, match="^t_grid must be uniformly increasing$"):
+            noise_kernel_time(pc, d, np.array(grid))
+        with pytest.raises(ValueError, match="^t_grid must be uniformly increasing$"):
+            KernelSamples(np.array(grid), np.zeros(3), 0.1, 0.0, True)
 
 
 def test_discrete_bath_helpers():

@@ -97,20 +97,6 @@ def test_estimate_autocorr_guards():
     assert abs(acov[0]) > 5.0 * max(abs(acov[1]), abs(acov[2]))
 
 
-def test_trajectory_to_csv(tmp_path):
-    spec = NoiseSpec(kernel=None, w=1.0, dt=0.5, n=4, seed=2)
-    traj = white_noise(spec)
-    path = tmp_path / "eta.csv"
-    traj.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "index,t,eta"
-    assert len(lines) == 5
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert float(first[1]) == 0.0
-    assert float(first[2]) == traj.samples[0]
-
-
 @st.composite
 def _series_and_lag(draw):
     rows = draw(st.integers(1, 5))
