@@ -43,9 +43,9 @@ from .config import (
 from .decoherence import (
     _HERM_TOL,
     MasterOperator,
+    _ridge_amplitude,
     decoherence_params,
     gaussian_pure_state,
-    interference_amplitude,
     superposition_state,
     wigner_transform,
 )
@@ -135,13 +135,6 @@ def write_csv(path, header, columns) -> None:
                                    for b in batch]))
 
 
-def _product_columns(a, b, *fields) -> tuple:
-    """Columns (a[i], b[j], f[i, j], ...) of a table over the product grid of
-    a and b, i outer: a repeated per b, b tiled per a, each field raveled."""
-    a, b = np.asarray(a), np.asarray(b)
-    return (np.repeat(a, len(b)), np.tile(b, len(a)), *(np.ravel(f) for f in fields))
-
-
 _MOMENT_KEYS = ("n_traj", "n_diverged", "steps", "dt", "mean_x", "var_x", "se_x")
 _MOMENT_KEYS_V = ("mean_v", "var_v", "se_v", "cov_xv", "se_cov_xv")
 
@@ -200,6 +193,27 @@ class Manifest:
 
     def csv(self, name: str, header, columns) -> None:
         write_csv(self._path(name), header, columns)
+        self.outputs.append(name)
+
+    def product_csv(self, name: str, header, a, b, *fields) -> None:
+        """CSV table over the product grid of a and b, i outer: rows (a[i],
+        b[j], f[i, j], ...) for each real field f of shape (len(a), len(b)).
+        The bytes are those of csv() on a repeated per b, b tiled per a and
+        each field raveled, but each cell of a and b is formatted once: the
+        rows of one a[i] fill a line template per b[j] in one %-format, so
+        one a row of text is held at a time."""
+        a_cells, b_cells = ([_csv_cell(v, False) for v in np.asarray(c).tolist()]
+                            for c in (a, b))
+        fields = [np.asarray(f).reshape(len(a_cells), len(b_cells)) for f in fields]
+        if any(f.dtype.kind not in "fiu" for f in fields):
+            raise TypeError("product table fields must be real numbers")
+        cells = "".join(",%.17g" if f.dtype.kind == "f" else ",%d" for f in fields) + "\n"
+        lines = ["", *("," + c.replace("%", "%%") + cells for c in b_cells)]
+        with open(self._path(name), "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            for i, a_cell in enumerate(a_cells):
+                row = chain.from_iterable(zip(*(f[i].tolist() for f in fields)))
+                fh.write(a_cell.replace("%", "%%").join(lines) % tuple(row))
         self.outputs.append(name)
 
     def jsonl(self, name: str, records) -> None:
@@ -465,8 +479,8 @@ def _run_fp_cmd(args, cfg, kind, params, potential, man) -> None:
         lambda k, f: (k, k * dt, f.mass))
     man.csv("mass.csv", ("step", "t", "mass"), zip(*mass_rows))
     if grid.is_2d:
-        man.csv("field.csv", ("x", "v", "P"),
-                _product_columns(grid.x_centers, grid.v_centers, field.values))
+        man.product_csv("field.csv", ("x", "v", "P"), grid.x_centers, grid.v_centers,
+                        field.values)
     else:
         man.csv("field.csv", ("x", "P"), (grid.x_centers, field.values))
 
@@ -490,10 +504,7 @@ def _run_compare_cmd(args, cfg, params, potential, man) -> None:
         raise ConfigError("run.dt must be finite and > 0")
     steps = max(1, int(round(max(times) / dt)))
     config = SimConfig(
-        potential=potential,
-        params=params,
-        dt=dt,
-        steps=steps,
+        potential=potential, params=params, dt=dt, steps=steps,
         n_traj=cfg.get("run.n_traj", as_int, 20000),
         master_seed=_seed(args, cfg),
         x0=cfg.get("run.x0", as_float, 0.0),
@@ -528,15 +539,19 @@ def cmd_simulate(args, cfg: RunConfig, man: Manifest) -> None:
 
 
 def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:
-    # bath.hbar is read and checked before the other bath keys
+    # bath.hbar is read and checked before the other bath keys; hbar^2 sets
+    # Lambda and l_e, so it must not overflow or vanish
     hbar = cfg.get("bath.hbar", as_float, 1.0)
-    if hbar <= 0:
-        raise ConfigError("bath.hbar must be > 0 to evolve a density matrix")
+    if not 0.0 < hbar * hbar < math.inf:
+        raise ConfigError("bath.hbar must be > 0, with hbar^2 finite and nonzero, "
+                          "to evolve a density matrix")
     params = _bath_from(cfg, mass=20.0, gamma=6.25e-3, hbar=hbar)
     potential = _potential_from(cfg, params.mass, allow_none=True)
     state_kind = cfg.get("state.kind", as_choice("gaussian", "superposition"),
                          "superposition")
     sigma = cfg.get("state.sigma", as_float, 0.3)
+    if not 0.0 < sigma * sigma < math.inf:
+        raise ConfigError("state.sigma must be > 0, with sigma^2 finite and nonzero")
     separation = cfg.get("state.separation", as_float, 4.0)
     nx = cfg.get("grid.nx", as_int, 101)
     dx = cfg.get("grid.dx", as_float, 0.08)
@@ -551,27 +566,35 @@ def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:
     cfg.finish()
     if steps < 1 or record_every < 1:
         raise ConfigError("run.steps and run.record_every must be >= 1")
+    # a superposition's decay slope is judged against Lambda d^2
+    lam_d2 = decoherence_params(params).lam * (separation * separation)
+    if state_kind == "superposition" and not 0.0 < lam_d2 < math.inf:
+        raise ConfigError(f"state.separation must give a finite Lambda d^2 > 0 "
+                          f"with the bath.* keys (got {lam_d2:g})")
 
     if state_kind == "superposition":
         rho = superposition_state(nx, dx, ny, dy, separation=separation, sigma=sigma)
     else:
         rho = gaussian_pure_state(nx, dx, ny, dy, sigma=sigma)
-    dec = decoherence_params(params)
 
     def decay_row(step: int, field) -> tuple:
+        herm = field.herm_deviation()  # the one measure of this record
         tr = field.trace()
-        amp = interference_amplitude(field, hbar)
-        return (step, field.t, amp, tr.real, tr.imag, field.herm_deviation())
+        amp = _ridge_amplitude(field, hbar)
+        return (step, field.t, amp, tr.real, tr.imag, herm)
 
-    advance = MasterOperator(rho, potential, params, dt, ordering).advance
-    rho, decay_rows = _advance_recorded(advance, rho, steps, record_every, decay_row)
+    marks = [*range(record_every, steps, record_every), steps]
+    fields = MasterOperator(rho, potential, params, dt, ordering).records(rho, marks)
+    decay_rows = [decay_row(0, rho)]
+    for mark, rho in zip(marks, fields):
+        decay_rows.append(decay_row(mark, rho))
     decay = list(zip(*decay_rows))
     man.csv("decay.csv", ("step", "t", "amplitude", "trace_re", "trace_im", "herm_dev"),
             decay)
-    man.csv("rho_final.csv", ("x", "y", "re", "im"),
-            _product_columns(rho.x_grid, rho.y_grid, rho.values.real, rho.values.imag))
+    man.product_csv("rho_final.csv", ("x", "y", "re", "im"), rho.x_grid, rho.y_grid,
+                    rho.values.real, rho.values.imag)
     wig, p_grid = wigner_transform(rho, hbar)
-    man.csv("wigner_final.csv", ("x", "p", "w"), _product_columns(rho.x_grid, p_grid, wig))
+    man.product_csv("wigner_final.csv", ("x", "p", "w"), rho.x_grid, p_grid, wig)
 
     _, ts, amps, tr_re, _, herm = decay
     herm_max = max(herm)
@@ -586,7 +609,7 @@ def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:
         ok_tr = drift <= 1e-8 * abs(tr0)
         _say(args, f"check trace constant within 1e-8: "
              f"{'pass' if ok_tr else 'FAIL'} (drift {drift:.3g})")
-        man.add_check("trace_constant", ok_tr, drift=drift, tol=1e-8)
+        man.add_check("trace_constant", ok_tr, tr0=tr0, drift=drift, rel_tol=1e-8)
     else:
         rate = -math.log(tr_end / tr0) / t_end
         target = params.gamma / 2.0
@@ -597,7 +620,6 @@ def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:
 
     if state_kind == "superposition":
         slope = float(np.polyfit(ts, np.log(amps), 1)[0])
-        lam_d2 = dec.lam * separation**2
         ratio = -slope / lam_d2
         ok_slope = abs(ratio - 1.0) <= 0.05
         _say(args, f"check decay slope vs Lambda d^2 = {lam_d2:.6g}: "
@@ -619,12 +641,8 @@ def cmd_paper_checks(args, cfg: RunConfig, man: Manifest) -> None:
     for res in results:
         tag = "PASS" if res.passed else "FAIL"
         _say(args, f"[{tag}] {res.index}. {res.name}: {res.detail} ({res.elapsed_s:.2f}s)")
-        records.append({
-            "index": res.index,
-            "name": res.name,
-            "pass": res.passed,
-            "detail": res.detail,
-        })
+        records.append({"index": res.index, "name": res.name, "pass": res.passed,
+                        "detail": res.detail})
         man.add_check(f"criterion_{res.index}", res.passed, detail=res.detail,
                       elapsed_s=res.elapsed_s)
     man.jsonl("checks.jsonl", records)

@@ -22,10 +22,12 @@ exp(-gamma dt / 2), so the trace then decays at rate gamma/2.
 rho is Hermitian, rho(x, -y) = conj rho(x, y), and every substep keeps that
 symmetry, so the steps run on the y >= 0 half alone: columns j0 = ny // 2
 onward, y = 0 first. MasterOperator builds its phases and factors on the
-half, once per run. Its advance checks once that its input is Hermitian,
-steps the half on buffers made once per call (each step's raw half checked
-for finiteness) and mirrors it once into the full field, which is Hermitian
-by construction, so no step checks hermiticity. The kinetic substep puts
+half, once per run. Its records run checks once that its input is Hermitian,
+steps the half on buffers made once per run (each step's raw half checked
+for finiteness) and mirrors it into a full field at each recorded step,
+Hermitian by construction, so no step checks hermiticity; advance is a run
+with one record. The Wigner transform reads the half too, as one real
+product, so W is real by construction. The kinetic substep puts
 y = 0 at index 0 of the padded y axis, where the y spectrum is real, and runs
 real FFTs (irfft along y, rfft and irfft along x, rfft back along y) on
 buffers whose zero padding is never written, so no transform pads (numpy 2
@@ -189,14 +191,8 @@ def gaussian_pure_state(
     return _pure_state_field(psi, nx, dx, ny, dy, x_center=center)
 
 
-def superposition_state(
-    nx: int,
-    dx: float,
-    ny: int,
-    dy: float,
-    separation: float,
-    sigma: float,
-) -> DensityField:
+def superposition_state(nx: int, dx: float, ny: int, dy: float, separation: float,
+                        sigma: float) -> DensityField:
     """Symmetric superposition of two Gaussians centered at +-separation/2."""
     if not sigma > 0:
         raise ValueError("sigma must be > 0")
@@ -372,40 +368,41 @@ class MasterOperator:
 
         return step
 
-    def advance(self, field: DensityField, n_steps: int) -> DensityField:
-        """n_steps steps from field, which must be Hermitian within _HERM_TOL.
-
-        The steps run on field's y >= 0 half in buffers made for this call,
-        each step's raw half checked for finiteness; the returned field owns
-        its values, that half's mirror image, Hermitian by construction.
-        """
-        if n_steps < 1:
-            return field
+    def records(self, field: DensityField, marks):
+        """Yield the field after each step count in marks, which must increase
+        from 1. One run from field, Hermitian within _HERM_TOL: its guards and
+        step buffers once, the steps on its y >= 0 half (each raw half checked
+        for finiteness), and per mark one mirror into a field of its own,
+        Hermitian by construction."""
         if (field.values.shape, field.x0, field.dx, field.dy) != self._grid:
             raise ValueError("field is not on this operator's grid")
         if _herm_deviation(field.values) > _HERM_TOL:
             raise RuntimeError("field to advance: hermiticity violated")
         step = self._step_kernel()
         j0 = field.ny // 2
-        half, t = field.values[:, j0:], field.t
-        for _ in range(n_steps):
-            half = step(half)
-            _check_values(half, nonnegative=False)
-            t = t + self.dt
-        vals = np.empty(field.values.shape, dtype=complex)
-        vals[:, j0:] = half
-        np.conjugate(half[:, :0:-1], out=vals[:, :j0])
-        return DensityField(vals, field.x0, field.dx, field.dy, t)
+        half, t, done = field.values[:, j0:], field.t, 0
+        for mark in marks:
+            if mark <= done:
+                raise ValueError("marks must increase from 1")
+            for _ in range(mark - done):
+                half = step(half)
+                _check_values(half, nonnegative=False)
+                t = t + self.dt
+            done = mark
+            vals = np.empty(field.values.shape, dtype=complex)
+            vals[:, j0:] = half
+            np.conjugate(half[:, :0:-1], out=vals[:, :j0])
+            yield DensityField(vals, field.x0, field.dx, field.dy, t)
+
+    def advance(self, field: DensityField, n_steps: int) -> DensityField:
+        """n_steps steps from field: the one field of records(field, [n_steps]),
+        or field itself when n_steps < 1."""
+        return next(self.records(field, [n_steps])) if n_steps >= 1 else field
 
 
-def master_step(
-    rho: DensityField,
-    potential: Potential | None,
-    params: BathParams,
-    dt: float,
-    ordering: Ordering = Ordering.MOMENTA_LEFT,
-    terms=_TERMS,
-) -> DensityField:
+def master_step(rho: DensityField, potential: Potential | None, params: BathParams,
+                dt: float, ordering: Ordering = Ordering.MOMENTA_LEFT,
+                terms=_TERMS) -> DensityField:
     """One split step of the high-temperature master equation.
 
     potential may be None for free evolution. terms selects the active
@@ -418,15 +415,45 @@ def master_step(
     return MasterOperator(rho, potential, params, dt, ordering, terms).advance(rho, 1)
 
 
+def _wigner_factor(p_grid: np.ndarray, ny: int, dy: float, hbar: float) -> np.ndarray:
+    """The (2 j0 x n_p) right factor of the half-plane Wigner sum: rows
+    2 cos(p y / hbar), then rows -2 sin(p y / hbar), for the y > 0 columns."""
+    arg = np.outer(_y_grid(ny, dy)[ny // 2 + 1:], p_grid) / hbar
+    return np.concatenate((2.0 * np.cos(arg), -2.0 * np.sin(arg)))
+
+
 @functools.lru_cache(maxsize=8)
 def _default_wigner_grid(ny: int, dy: float, hbar: float):
-    """(p_grid, phase.T) of wigner_transform for the default momentum grid
+    """(p_grid, factor) of wigner_transform for the default momentum grid
     on one y grid: built once per (ny, dy, hbar) and read-only, since every
     caller shares them."""
     p_grid = np.sort(2.0 * np.pi * hbar * np.fft.fftfreq(ny, d=dy))
-    phase = np.exp(1j * np.outer(p_grid, _y_grid(ny, dy)) / hbar)
-    p_grid.flags.writeable = phase.flags.writeable = False
-    return p_grid, phase.T
+    factor = _wigner_factor(p_grid, ny, dy, hbar)
+    p_grid.flags.writeable = factor.flags.writeable = False
+    return p_grid, factor
+
+
+def _wigner_half(values: np.ndarray, dy: float, hbar: float, factor) -> np.ndarray:
+    """W of the rows of a Hermitian field, from their y >= 0 half alone."""
+    j0 = values.shape[1] // 2
+    half = values[:, j0 + 1:]
+    w = np.concatenate((half.real, half.imag), axis=1) @ factor + values[:, j0:j0 + 1].real
+    return (dy / (2.0 * np.pi * hbar)) * w
+
+
+def _ridge_amplitude(rho: DensityField, hbar: float) -> float:
+    """interference_amplitude of a field taken to be Hermitian: the one row
+    nearest x = 0 is transformed."""
+    ix = int(np.argmin(np.abs(rho.x_grid)))
+    factor = _default_wigner_grid(rho.ny, rho.dy, hbar)[1]
+    return float(np.max(np.abs(_wigner_half(rho.values[ix:ix + 1], rho.dy, hbar, factor))))
+
+
+def _check_wigner_input(rho: DensityField, hbar: float) -> None:
+    if hbar <= 0:
+        raise ValueError("hbar must be > 0")
+    if rho.herm_deviation() > _HERM_TOL:
+        raise ValueError("Wigner transform needs a Hermitian field")
 
 
 def wigner_transform(
@@ -434,26 +461,23 @@ def wigner_transform(
 ) -> tuple[np.ndarray, np.ndarray]:
     """W(x, p) = (1/2 pi hbar) int e^{i p y / hbar} rho(x, y) dy.
 
-    With the default momentum grid (the discrete conjugate of the y grid)
-    the double Riemann sum of W equals the trace exactly; that grid and its
-    phase matrix are built once per grid and hbar, and the returned p_grid
-    is then read-only. Returns (W, p_grid) with W real.
+    rho must be Hermitian, so W is one real product over y >= 0: (dy / 2 pi
+    hbar) [Re rho(x, 0) + sum_{y > 0} (2 cos(p y / hbar) Re rho - 2 sin(p y /
+    hbar) Im rho)]. With the default momentum grid (the discrete conjugate of
+    the y grid) the double Riemann sum of W equals the trace; that grid and
+    its factor are built once per grid and hbar, and the returned p_grid is
+    then read-only. Returns (W, p_grid).
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be > 0")
-    if rho.herm_deviation() > _HERM_TOL:
-        raise ValueError("Wigner transform needs a Hermitian field")
+    _check_wigner_input(rho, hbar)
     if p_grid is None:
-        p_grid, phase_t = _default_wigner_grid(rho.ny, rho.dy, hbar)
+        p_grid, factor = _default_wigner_grid(rho.ny, rho.dy, hbar)
     else:
         p_grid = np.asarray(p_grid, dtype=float)
-        phase_t = np.exp(1j * np.outer(p_grid, rho.y_grid) / hbar).T
-    w = (rho.dy / (2.0 * np.pi * hbar)) * (rho.values @ phase_t)
-    return w.real, p_grid
+        factor = _wigner_factor(p_grid, rho.ny, rho.dy, hbar)
+    return _wigner_half(rho.values, rho.dy, hbar, factor), p_grid
 
 
 def interference_amplitude(rho: DensityField, hbar: float) -> float:
     """Height of the phase-space interference ridge: max_p |W(x~0, p)|."""
-    w, _ = wigner_transform(rho, hbar)
-    ix = int(np.argmin(np.abs(rho.x_grid)))
-    return float(np.max(np.abs(w[ix, :])))
+    _check_wigner_input(rho, hbar)
+    return _ridge_amplitude(rho, hbar)

@@ -425,13 +425,8 @@ def smoluchowski_dt_max(
     return SmoluchowskiOperator(grid, potential, params).dt_max
 
 
-def smoluchowski_step(
-    field: ProbField,
-    potential: Potential,
-    params: BathParams,
-    ordering: Ordering,
-    dt: float,
-) -> ProbField:
+def smoluchowski_step(field: ProbField, potential: Potential, params: BathParams,
+                      ordering: Ordering, dt: float) -> ProbField:
     """One explicit step of the overdamped equation.
 
     Momenta-left: dP/dt = D d^2P/dx^2 + (1/M gamma) d/dx [V'(x) P] in flux
@@ -449,13 +444,8 @@ def kramers_dt_max(grid: PhaseGrid, potential: Potential, params: BathParams) ->
     return KramersOperator(grid, potential, params).dt_max
 
 
-def kramers_step(
-    field: ProbField,
-    potential: Potential,
-    params: BathParams,
-    ordering: Ordering,
-    dt: float,
-) -> ProbField:
+def kramers_step(field: ProbField, potential: Potential, params: BathParams,
+                 ordering: Ordering, dt: float) -> ProbField:
     """One explicit step of the phase-space equation.
 
     Momenta-left: dP/dt = -d/dx(v P) + d/dv[(gamma v + V'(x)/M) P]
@@ -556,18 +546,8 @@ def compare_langevin_fp(
         )
         ens_mean = float(samples.mean()) if samples.size else float("nan")
         ens_var = float(samples.var(ddof=1)) if samples.size > 1 else float("nan")
-        records.append(
-            ComparisonRecord(
-                t=float(t),
-                l1=l1,
-                sup=sup,
-                stat_err=stat,
-                disc_err=float(disc),
-                ens_mean=ens_mean,
-                ens_var=ens_var,
-                fp_mean=fp_mean,
-                fp_var=fp_var,
-                n_samples=int(samples.size),
-            )
-        )
+        records.append(ComparisonRecord(
+            t=float(t), l1=l1, sup=sup, stat_err=stat, disc_err=float(disc),
+            ens_mean=ens_mean, ens_var=ens_var, fp_mean=fp_mean, fp_var=fp_var,
+            n_samples=int(samples.size)))
     return records, stats

@@ -377,13 +377,8 @@ def noise_kernel_time(params: BathParams, model: SpectralDensity, t_grid) -> Ker
         raise TypeError(f"unknown spectral density model: {model!r}")
     vals = _drude_time_kernel(model.omega_d, params.hbar, params.k_bt, np.abs(t))
     area = float(np.trapezoid(vals, t))
-    return KernelSamples(
-        t_grid=t,
-        values=vals,
-        dt=dt,
-        area=area,
-        short_grid=bool(abs(area - 1.0) > 1e-4),
-    )
+    return KernelSamples(t_grid=t, values=vals, dt=dt, area=area,
+                         short_grid=bool(abs(area - 1.0) > 1e-4))
 
 
 def bath_correlators(params: BathParams, model: DiscreteBath, t: float, tp: float):

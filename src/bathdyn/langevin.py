@@ -441,28 +441,12 @@ def run_ensemble(
         autocorr = lagged_products(sub_series[keep], autocorr_lags)
 
     return EnsembleStats(
-        mode=mode,
-        n_traj=n,
-        n_diverged=n - n_alive,
-        steps=steps,
-        dt=config.dt,
-        final_x=final_x,
-        final_v=final_v,
-        mean_x=mean_x,
-        var_x=var_x,
-        se_x=se_x,
-        mean_v=mean_v,
-        var_v=var_v,
-        se_v=se_v,
-        cov_xv=cov_xv,
-        se_cov_xv=se_cov,
-        hist_edges=edges,
-        hist_counts=counts,
-        hist_density=density,
-        autocorr=autocorr,
-        autocorr_count=int(alive_all[:n_sub].sum()) if n_sub else 0,
-        snapshots=snaps_all,
-    )
+        mode=mode, n_traj=n, n_diverged=n - n_alive, steps=steps, dt=config.dt,
+        final_x=final_x, final_v=final_v, mean_x=mean_x, var_x=var_x, se_x=se_x,
+        mean_v=mean_v, var_v=var_v, se_v=se_v, cov_xv=cov_xv, se_cov_xv=se_cov,
+        hist_edges=edges, hist_counts=counts, hist_density=density,
+        autocorr=autocorr, autocorr_count=int(alive_all[:n_sub].sum()) if n_sub else 0,
+        snapshots=snaps_all)
 
 
 def _moments(vals: np.ndarray) -> tuple[float, float, float]:

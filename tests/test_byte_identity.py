@@ -7,15 +7,19 @@ promised within one version only, so DIGEST_VERSION must equal
 ``bathdyn.__version__``: a change that moves any byte re-records the digests
 of the cases it moves and bumps both.
 
-The digests belong to 0.5.0, which moved no byte of these cases (only
-det-check's two regularized-log values). Six cases still hold the digests
+The digests belong to 0.6.0. It moved only decohere bytes: W is one real
+product over the y >= 0 half, which moves ``wigner_final.csv`` and the
+``amplitude`` column of ``decay.csv`` by roundoff, and the ``trace_constant``
+record carries ``tr0`` and ``rel_tol``. 0.5.0 moved no byte of these cases
+(only det-check's two regularized-log values). Six cases still hold the digests
 recorded with 0.2.0, byte for byte, because no later version moved their
 outputs. ``ensemble`` and ``smoluchowski_double_well`` hold the digests
 recorded with 0.3.0 (``DoubleWell.grad`` cubes by multiplication), which later
 versions left where they were. ``decohere_momenta_left`` and ``decohere_symmetric`` were recorded
-with 0.3.0 (the kinetic substep pads to 11-smooth FFT lengths) and again with
-0.4.0 (the density matrix steps on its y >= 0 half with real FFTs, which
-moves rho and W by roundoff). The test keeps its 0.2.0 name, since most of
+with 0.3.0 (the kinetic substep pads to 11-smooth FFT lengths), with 0.4.0
+(the density matrix steps on its y >= 0 half with real FFTs, which moves rho
+and W by roundoff) and again with 0.6.0; their ``rho_final.csv`` digests
+date from 0.4.0. The test keeps its 0.2.0 name, since most of
 its digests date from then.
 """
 
@@ -29,7 +33,7 @@ import pytest
 import bathdyn
 from bathdyn.cli import main
 
-DIGEST_VERSION = "0.5.0"
+DIGEST_VERSION = "0.6.0"
 
 _KRAMERS = {
     "sim.kind": "kramers", "potential.kind": "double_well",
@@ -73,7 +77,7 @@ CASES = {
 
 # case -> name -> sha256 hex digest; recorded with bathdyn 0.2.0, except the
 # ensemble and smoluchowski_double_well cases (0.3.0) and the decohere_* cases
-# (0.4.0)
+# (0.6.0)
 DIGESTS = {
     "compare": {
         "compare.jsonl":
@@ -90,10 +94,10 @@ DIGESTS = {
     },
     "decohere_momenta_left": {
         "decay.csv":
-            "9e137b934702d733b4df6af202114c40a1f037ccfd4736e5bbe8b3603231718f",
+            "e7e3c475c902c5f2e041f2e773ba33c3f14092323cb90f433501d7ce62aad096",
         "exit_code": "1",
         "manifest.json":
-            "1d012a7c23759a132eb2ae48bdc540735c6b589bc37fc2b2485b8b849728a4db",
+            "5b96c939f2b4d2ddc6ab08716a2ebe559d258da95b79c64744af56c905533bde",
         "rho_final.csv":
             "c490fc0712a12683dc7685e504200aec7bd4ffaa72b294dbaee534bc67400661",
         "stderr":
@@ -101,11 +105,11 @@ DIGESTS = {
         "stdout":
             "5a43e7d6b1ad13a36619fa76d77f28ff9e8e843962142822588039f652498859",
         "wigner_final.csv":
-            "f88243ab3dee889d6a086565720aab581d330017a06697af4e008f86b2cd212a",
+            "eb34cf7aa4360f5a4081567f0a23bbbafe12d2289ef25d6fe5de22198ed1324d",
     },
     "decohere_symmetric": {
         "decay.csv":
-            "178d8b401bbdeea9f3d213d7fe651c36982c0ac67ab6a2a785fd84c983a1d334",
+            "0a5fdba7876c353a792204859267c6ff3d42b034cc8df7b4bab072664baa7300",
         "exit_code": "0",
         "manifest.json":
             "c0239ad5bd7c045fa8b6e236136fccfa007b75a57a4c446c9b5f0328d29650c1",
@@ -116,7 +120,7 @@ DIGESTS = {
         "stdout":
             "5bcd6caa25fb261906093bf9a329c8514ac0433c50408975e5676f29beb88d9a",
         "wigner_final.csv":
-            "64770208f8a59752f8e8e0eb13338f38b39fc0b0a044643668f541a9dc9948c5",
+            "800283401d16502dd6f279e3244fd4a4a88cd9f0687bda614e81dfd8d7f13e5a",
     },
     "ensemble": {
         "autocorr.csv":

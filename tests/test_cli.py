@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bathdyn
-from bathdyn.cli import main, write_csv
+from bathdyn.cli import Manifest, main, write_csv
 from bathdyn.config import (
     ConfigError,
     RunConfig,
@@ -361,6 +361,25 @@ def test_compare_bad_dt_exits_2(tmp_path, capsys, dt):
         {"record": "error", "exit_code": 2, "message": line}]
 
 
+@pytest.mark.parametrize("text, key", [
+    ("bath.hbar=1e300\n", "bath.hbar"),
+    ("bath.hbar=1e-300\n", "bath.hbar"),
+    ("state.sigma=1e300\n", "state.sigma"),
+    ("state.separation=1e-300\n", "state.separation"),
+], ids=["hbar-1e300", "hbar-1e-300", "sigma-1e300", "separation-1e-300"])
+def test_decohere_value_out_of_range_exits_2_naming_its_key(tmp_path, capsys, text, key):
+    """Values whose squares overflow or vanish are config errors, caught where
+    they are read, not tracebacks from the arithmetic that uses them."""
+    cfg = _write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["decohere", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line.startswith(f"config error: {key} ")
+    assert _error_records(out) == [
+        {"record": "error", "exit_code": 2, "message": line}]
+    assert [r for r in _read_manifest(out) if r["record"] == "output"] == []
+
+
 # one tiny config per subcommand (and per simulate kind); each runs in well
 # under a second
 _REPRO_RUNS = {
@@ -615,3 +634,39 @@ def test_write_csv_holds_one_batch_beside_its_columns(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= bound, (peak, bound)
+
+
+_GRID_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300,
+                     -1e300, 1e-300, -1e-300, math.inf, -math.nan]),
+    st.floats(allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_GRID_FLOATS, max_size=6), st.lists(_GRID_FLOATS, max_size=6),
+       st.integers(0, 3), st.data())
+def test_product_csv_bytes_equal_write_csv_of_the_tiled_columns(a, b, n_fields, data):
+    """Each coordinate formatted once gives the bytes of write_csv on a
+    repeated per b, b tiled per a and each field raveled."""
+    shape = (len(a), len(b))
+    fields = [np.array(data.draw(st.lists(_GRID_FLOATS, min_size=len(a) * len(b),
+                                          max_size=len(a) * len(b)))).reshape(shape)
+              for _ in range(n_fields)]
+    header = ("x", "y", *(f"f{k}" for k in range(n_fields)))
+    with tempfile.TemporaryDirectory() as tmp:
+        Manifest("test", tmp).product_csv("product.csv", header, a, b, *fields)
+        path = os.path.join(tmp, "tiled.csv")
+        write_csv(path, header, (np.repeat(np.array(a, dtype=float), len(b)),
+                                 np.tile(np.array(b, dtype=float), len(a)),
+                                 *(f.ravel() for f in fields)))
+        with open(os.path.join(tmp, "product.csv"), "rb") as new, open(path, "rb") as old:
+            assert new.read() == old.read()
+
+
+def test_product_csv_takes_integer_fields_and_rejects_complex_ones(tmp_path):
+    man = Manifest("test", str(tmp_path))
+    man.product_csv("ints.csv", ("x", "y", "n"), [0.5, 1.5], [-1.0],
+                    np.array([[3], [-4]], dtype=np.int16))
+    assert (tmp_path / "ints.csv").read_text() == "x,y,n\n0.5,-1,3\n1.5,-1,-4\n"
+    with pytest.raises(TypeError, match="real"):
+        man.product_csv("c.csv", ("x", "y", "z"), [0.0], [1.0], np.array([[1j]]))

@@ -335,22 +335,30 @@ def test_wigner_input_guards():
         wigner_transform(lopsided, 1.0)
 
 
+def _wigner_complex(rho, hbar, p_grid):
+    """W by the full complex sum over every y, as version 0.5.0 took it, but
+    with the phase p y / hbar rounded in real arithmetic, as the half-plane
+    sum rounds it (0.5.0 divided the complex i p y by hbar, which moves a
+    large phase by more than the sums differ)."""
+    phase = np.exp(1j * (np.outer(p_grid, rho.y_grid) / hbar))
+    return ((rho.dy / (2.0 * np.pi * hbar)) * (rho.values @ phase.T)).real
+
+
 def test_default_wigner_grid_is_built_once_and_read_only():
     hbar = 0.7
     rho = superposition_state(41, 0.08, 31, 0.1, separation=1.5, sigma=0.3)
     w, p = wigner_transform(rho, hbar)
-    # the transform of version 0.3.0, written out
     p_old = np.sort(2.0 * np.pi * hbar * np.fft.fftfreq(rho.ny, d=rho.dy))
-    phase = np.exp(1j * np.outer(p_old, rho.y_grid) / hbar)
-    w_old = (rho.dy / (2.0 * np.pi * hbar)) * (rho.values @ phase.T)
-    assert np.array_equal(w, w_old.real) and np.array_equal(p, p_old)
+    assert np.array_equal(p, p_old)
+    w_full = _wigner_complex(rho, hbar, p_old)
+    assert np.max(np.abs(w - w_full)) <= 1e-14 * np.max(np.abs(w_full))
 
     other = gaussian_pure_state(41, 0.08, 31, 0.1, sigma=0.4)
     _, p_again = wigner_transform(other, hbar)
-    p_cached, phase_t = dc._default_wigner_grid(rho.ny, rho.dy, hbar)
+    p_cached, factor = dc._default_wigner_grid(rho.ny, rho.dy, hbar)
     assert p_again is p is p_cached
-    assert np.array_equal(phase_t, phase.T)
-    for shared in (p, phase_t, phase_t.T):
+    assert factor.shape == (2 * (rho.ny // 2), rho.ny)
+    for shared in (p, factor, factor.T):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 0.0
 
@@ -358,9 +366,39 @@ def test_default_wigner_grid_is_built_once_and_read_only():
     mine = np.linspace(-2.0, 2.0, 9)
     w_mine, p_mine = wigner_transform(rho, hbar, p_grid=mine)
     assert p_mine is mine and p_mine.flags.writeable
-    phase = np.exp(1j * np.outer(mine, rho.y_grid) / hbar)
-    w_old = (rho.dy / (2.0 * np.pi * hbar)) * (rho.values @ phase.T)
-    assert np.array_equal(w_mine, w_old.real)
+    w_full = _wigner_complex(rho, hbar, mine)
+    assert np.max(np.abs(w_mine - w_full)) <= 1e-14 * np.max(np.abs(w_full))
+
+
+@st.composite
+def _hermitian_fields(draw):
+    """A random exactly Hermitian field, rho(x, y) = (a(x, y) + conj a(x, -y)) / 2
+    for a random complex a of random scale (the y = 0 column comes out real)."""
+    nx, ny = draw(st.integers(1, 12)), 2 * draw(st.integers(0, 10)) + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = (rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny)))
+    a *= 10.0 ** draw(st.integers(-30, 30))
+    dx, dy = draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0))
+    return DensityField((a + np.conj(a[:, ::-1])) / 2.0, -0.5 * nx * dx, dx, dy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hermitian_fields(), st.floats(0.05, 5.0), st.floats(-50.0, 50.0))
+def test_half_plane_wigner_equals_the_full_complex_sum(rho, hbar, shift):
+    """The default momentum grid and an explicit one, the default shifted by
+    `shift` (a whole conjugate grid, so cancellation cannot make max |W| small
+    against the sum's terms); the ridge amplitude is the largest |W| on the
+    row nearest x = 0."""
+    assert rho.herm_deviation() == 0.0
+    w, p = wigner_transform(rho, hbar)
+    w_full = _wigner_complex(rho, hbar, p)
+    assert np.max(np.abs(w - w_full)) <= 1e-14 * np.max(np.abs(w_full))
+    ix = int(np.argmin(np.abs(rho.x_grid)))
+    amp = interference_amplitude(rho, hbar)
+    assert abs(amp - np.max(np.abs(w_full[ix]))) <= 1e-14 * np.max(np.abs(w_full))
+    w_mine, _ = wigner_transform(rho, hbar, p_grid=p + shift)
+    w_full = _wigner_complex(rho, hbar, p + shift)
+    assert np.max(np.abs(w_mine - w_full)) <= 1e-14 * np.max(np.abs(w_full))
 
 
 def test_interference_amplitude_decays_monotonically():
@@ -415,6 +453,31 @@ def test_built_once_master_operator_equals_master_step(problem, ordering, terms,
     assert out.values.tobytes() == stepwise.values.tobytes()
     assert rho.values.tobytes() == start
     assert op.advance(rho, 0) is rho
+
+
+@settings(max_examples=40, deadline=None)
+@given(_master_problems(), st.sampled_from(Ordering),
+       st.lists(st.sampled_from(dc._TERMS), unique=True),
+       st.lists(st.integers(1, 4), min_size=1, max_size=5))
+def test_records_equal_chained_advance_calls(problem, ordering, terms, gaps):
+    """records(field, marks) yields, bit for bit, what one advance call per
+    mark, each from the last one's result, returns."""
+    pot, rho, dt = problem
+    op = MasterOperator(rho, pot, PARAMS, dt, ordering, terms)
+    marks = list(itertools.accumulate(gaps))
+    chained, done = rho, 0
+    for mark, rec in zip(marks, op.records(rho, marks), strict=True):
+        chained, done = op.advance(chained, mark - done), mark
+        assert rec.t.hex() == chained.t.hex()
+        assert rec.values.tobytes() == chained.values.tobytes()
+
+
+def test_records_reject_marks_that_do_not_increase():
+    rho = gaussian_pure_state(21, 0.1, 11, 0.1, sigma=0.4)
+    op = MasterOperator(rho, None, PARAMS, 0.001)
+    for marks in ([0], [2, 2], [3, 1]):
+        with pytest.raises(ValueError, match="increase"):
+            list(op.records(rho, marks))
 
 
 def _fft_roundoff_bound(nx, ny, n_steps):
@@ -631,3 +694,32 @@ def test_decohere_run_is_hermitian_and_keeps_its_decay_slope(tmp_path):
     weights = (t - t.mean()) / np.sum((t - t.mean()) ** 2)
     d_ratio = np.sum(np.abs(weights) * d_amp / amp) / (decoherence_params(params).lam * 16.0)
     assert abs(ratio - _RATIO_0_3_0) <= d_ratio
+
+
+def test_decohere_run_builds_one_step_kernel_and_checks_each_record_once(
+        tmp_path, monkeypatch):
+    """A decohere run is one recording run: one step-kernel build, and one
+    hermiticity measure per decay.csv row plus the run's input guard and the
+    final Wigner transform's guard."""
+    counts = {"kernel": 0, "herm": 0}
+    step_kernel, herm_deviation = MasterOperator._step_kernel, dc._herm_deviation
+
+    def counted_kernel(self):
+        counts["kernel"] += 1
+        return step_kernel(self)
+
+    def counted_herm(vals):
+        counts["herm"] += 1
+        return herm_deviation(vals)
+
+    monkeypatch.setattr(MasterOperator, "_step_kernel", counted_kernel)
+    monkeypatch.setattr(dc, "_herm_deviation", counted_herm)
+    cfg = tmp_path / "dec.cfg"
+    cfg.write_text("grid.nx=41\ngrid.ny=21\nrun.steps=23\nrun.record_every=5\n"
+                   "state.separation=1.5\nstate.sigma=0.25\n")
+    main(["decohere", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+    with open(tmp_path / "o" / "decay.csv", newline="") as fh:
+        records = len(list(csv.DictReader(fh)))
+    assert records == 6  # steps 0, 5, 10, 15, 20 and 23
+    assert counts["kernel"] == 1
+    assert counts["herm"] <= records + 2
