@@ -251,22 +251,35 @@ def _say(args, text: str) -> None:
         print(text)
 
 
-def _seed(args, cfg: RunConfig, default: int = 1234) -> int:
-    value = cfg.get("run.seed", as_int, default)
+def _seed(args, cfg: RunConfig) -> int:
+    value = cfg.get("run.seed", as_int, 1234)
     if args.seed is not None:
         value = args.seed
         cfg.resolved["run.seed"] = value
     return value
 
 
+# RunConfig.get rules, (test, text); every test is False on NaN
+_FINITE_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
+_NONNEGATIVE = (lambda v: v >= 0.0, ">= 0")
+_SQUARE = (lambda v: v > 0.0 and 0.0 < v * v < math.inf,
+           "> 0 with a finite, nonzero square")
+_FOURTH_POWER = (lambda v: v > 0.0 and 0.0 < (v * v) * (v * v) < math.inf,
+                 "> 0 with a finite, nonzero fourth power")
+
+
+def _at_least(n: int) -> tuple:
+    return (lambda v: v >= n, f">= {n}")
+
+
 def _bath_from(cfg: RunConfig, mass: float = 1.0, gamma: float = 1.0,
-               hbar: float = 0.0) -> BathParams:
-    """The bath.* parameters, with the calling command's defaults."""
+               hbar: float = 0.0, hbar_rule=_NONNEGATIVE) -> BathParams:
+    """The bath.* parameters, with the calling command's defaults and hbar rule."""
     return BathParams(
         mass=cfg.get("bath.mass", as_float, mass),
         gamma=cfg.get("bath.gamma", as_float, gamma),
         k_bt=cfg.get("bath.k_bt", as_float, 1.0),
-        hbar=cfg.get("bath.hbar", as_float, hbar),
+        hbar=cfg.get("bath.hbar", as_float, hbar, hbar_rule),
     )
 
 
@@ -298,22 +311,18 @@ def cmd_kernels(args, cfg: RunConfig, man: Manifest) -> None:
     params = _bath_from(cfg)
     mass, gamma, hbar = params.mass, params.gamma, params.hbar
     if model_name == "drude":
-        omega_d = cfg.get("bath.omega_d", as_float)
+        omega_d = cfg.get("bath.omega_d", as_float, rule=_FOURTH_POWER)
         model = Drude(gamma=gamma, omega_d=omega_d)
         params = dataclasses.replace(params, omega_d=omega_d)
-        w_max = cfg.get("grid.w_max", as_float, 5.0 * omega_d)
-        t_max = cfg.get("grid.t_max", as_float, 16.0 / omega_d)
+        w_max = cfg.get("grid.w_max", as_float, 5.0 * omega_d, _FINITE_POSITIVE)
+        t_max = cfg.get("grid.t_max", as_float, 16.0 / omega_d, _FINITE_POSITIVE)
     else:
         model = Ohmic(gamma=gamma)
-        w_max = cfg.get("grid.w_max", as_float, 10.0 * gamma)
-        t_max = cfg.get("grid.t_max", as_float, 16.0 / gamma)
-    nw = cfg.get("grid.nw", as_int, 2001)
-    nt = cfg.get("grid.nt", as_int, 16385)
+        w_max = cfg.get("grid.w_max", as_float, 10.0 * gamma, _FINITE_POSITIVE)
+        t_max = cfg.get("grid.t_max", as_float, 16.0 / gamma, _FINITE_POSITIVE)
+    nw = cfg.get("grid.nw", as_int, 2001, _at_least(2))
+    nt = cfg.get("grid.nt", as_int, 16385, _at_least(2))
     cfg.finish()
-    if nw < 2 or nt < 2:
-        raise ConfigError("grid.nw and grid.nt must be >= 2")
-    if not (w_max > 0 and t_max > 0):
-        raise ConfigError("grid.w_max and grid.t_max must be > 0")
 
     omega = np.linspace(-w_max, w_max, nw)
     man.csv("noise_freq.csv", ("omega", "K"),
@@ -357,15 +366,14 @@ def cmd_kernels(args, cfg: RunConfig, man: Manifest) -> None:
 
 
 def cmd_det_check(args, cfg: RunConfig, man: Manifest) -> None:
-    g = cfg.get("det.gamma", as_float, 2.0)
-    t_total = cfg.get("det.t", as_float, 1.0)
-    n = cfg.get("det.n", as_int, 10000)
+    g = cfg.get("det.gamma", as_float, 2.0,  # the rate cases take 100 g^2
+                (lambda v: v > 0.0 and 100.0 * v * v < math.inf, "> 0 with 100 g^2 finite"))
+    t_total = cfg.get("det.t", as_float, 1.0, _FINITE_POSITIVE)
+    n = cfg.get("det.n", as_int, 10000, _at_least(4))
     seed = _seed(args, cfg)
     cfg.finish()
-    if not (g > 0 and t_total > 0):
-        raise ConfigError("det.gamma and det.t must be > 0")
-    if n < 4:
-        raise ConfigError("det.n must be >= 4")
+    if not g * t_total < math.log(sys.float_info.max):
+        raise ConfigError(f"det.gamma * det.t must keep exp(g t) finite (got {g * t_total:g})")
 
     from .checks import det_cases
 
@@ -454,8 +462,8 @@ def _run_fp_cmd(args, cfg, kind, params, potential, man) -> None:
                                 "momenta_left"))
     x0 = cfg.get("fp.x0", as_float, 0.0)
     sigma_x = cfg.get("fp.sigma_x", as_float, 0.5)
-    steps = cfg.get("fp.steps", as_int, 1000)
-    record_every = cfg.get("fp.record_every", as_int, 100)
+    steps = cfg.get("fp.steps", as_int, 1000, _at_least(1))
+    record_every = cfg.get("fp.record_every", as_int, 100, _at_least(1))
     dt = cfg.get("fp.dt", as_float, 0.0)
     grid = _grid(cfg, kind)
     if grid.is_2d:
@@ -468,8 +476,6 @@ def _run_fp_cmd(args, cfg, kind, params, potential, man) -> None:
     else:
         field = gaussian_field_1d(grid, x0, sigma_x)
         op = SmoluchowskiOperator(grid, potential, params)
-    if steps < 1 or record_every < 1:
-        raise ConfigError("fp.steps and fp.record_every must be >= 1")
     if dt <= 0.0:
         dt = 0.5 * op.dt_max  # fp.dt <= 0 requests an automatic stable step
 
@@ -499,9 +505,7 @@ def _run_compare_cmd(args, cfg, params, potential, man) -> None:
     if len(set(names)) < len(names):
         raise ConfigError("compare.times must differ in %g form, which names the checks")
     bins = cfg.get("compare.bins", as_int, 64)
-    dt = cfg.get("run.dt", as_float, 0.005)
-    if not 0.0 < dt < math.inf:
-        raise ConfigError("run.dt must be finite and > 0")
+    dt = cfg.get("run.dt", as_float, 0.005, _FINITE_POSITIVE)
     steps = max(1, int(round(max(times) / dt)))
     config = SimConfig(
         potential=potential, params=params, dt=dt, steps=steps,
@@ -539,38 +543,31 @@ def cmd_simulate(args, cfg: RunConfig, man: Manifest) -> None:
 
 
 def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:
-    # bath.hbar is read and checked before the other bath keys; hbar^2 sets
-    # Lambda and l_e, so it must not overflow or vanish
-    hbar = cfg.get("bath.hbar", as_float, 1.0)
-    if not 0.0 < hbar * hbar < math.inf:
-        raise ConfigError("bath.hbar must be > 0, with hbar^2 finite and nonzero, "
-                          "to evolve a density matrix")
-    params = _bath_from(cfg, mass=20.0, gamma=6.25e-3, hbar=hbar)
+    # hbar^2 sets Lambda and l_e, so it must not overflow or vanish
+    params = _bath_from(cfg, mass=20.0, gamma=6.25e-3, hbar=1.0, hbar_rule=_SQUARE)
+    hbar, lam = params.hbar, decoherence_params(params).lam
+    if not 0.0 < lam < math.inf:
+        raise ConfigError(f"bath.hbar must give a finite Lambda = w / 2 hbar^2 > 0 (got {lam:g})")
     potential = _potential_from(cfg, params.mass, allow_none=True)
     state_kind = cfg.get("state.kind", as_choice("gaussian", "superposition"),
                          "superposition")
-    sigma = cfg.get("state.sigma", as_float, 0.3)
-    if not 0.0 < sigma * sigma < math.inf:
-        raise ConfigError("state.sigma must be > 0, with sigma^2 finite and nonzero")
+    sigma = cfg.get("state.sigma", as_float, 0.3, _SQUARE)
     separation = cfg.get("state.separation", as_float, 4.0)
     nx = cfg.get("grid.nx", as_int, 101)
     dx = cfg.get("grid.dx", as_float, 0.08)
     ny = cfg.get("grid.ny", as_int, 81)
     dy = cfg.get("grid.dy", as_float, 0.2)
     dt = cfg.get("run.dt", as_float, 0.002)
-    steps = cfg.get("run.steps", as_int, 50)
-    record_every = cfg.get("run.record_every", as_int, 5)
+    steps = cfg.get("run.steps", as_int, 50, _at_least(1))
+    record_every = cfg.get("run.record_every", as_int, 5, _at_least(1))
     ordering = Ordering(cfg.get("decohere.ordering",
                                 as_choice("momenta_left", "symmetric"),
                                 "momenta_left"))
     cfg.finish()
-    if steps < 1 or record_every < 1:
-        raise ConfigError("run.steps and run.record_every must be >= 1")
     # a superposition's decay slope is judged against Lambda d^2
-    lam_d2 = decoherence_params(params).lam * (separation * separation)
+    lam_d2 = lam * (separation * separation)
     if state_kind == "superposition" and not 0.0 < lam_d2 < math.inf:
-        raise ConfigError(f"state.separation must give a finite Lambda d^2 > 0 "
-                          f"with the bath.* keys (got {lam_d2:g})")
+        raise ConfigError(f"state.separation must give a finite Lambda d^2 > 0 (got {lam_d2:g})")
 
     if state_kind == "superposition":
         rho = superposition_state(nx, dx, ny, dy, separation=separation, sigma=sigma)

@@ -97,18 +97,20 @@ class RunConfig:
         self._seen: set[str] = set()
         self.resolved: dict[str, object] = {}
 
-    def get(self, key: str, cast, default=_MISSING):
-        if key not in self._raw:
-            if default is _MISSING:
-                raise ConfigError(f"missing required config key: {key}")
-            self.resolved[key] = default
-            return default
-        self._seen.add(key)
-        try:
-            value = cast(self._raw[key])
-        except ConfigError as exc:
-            raise ConfigError(f"invalid value for {key}: {exc}") from exc
+    def get(self, key: str, cast, default=_MISSING, rule=None):
+        """The key's value, cast or defaulted, recorded, then held to rule=(test, text)."""
+        value = default
+        if key in self._raw:
+            self._seen.add(key)
+            try:
+                value = cast(self._raw[key])
+            except ConfigError as exc:
+                raise ConfigError(f"invalid value for {key}: {exc}") from exc
+        elif default is _MISSING:
+            raise ConfigError(f"missing required config key: {key}")
         self.resolved[key] = value
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"{key} must be {rule[1]}")
         return value
 
     def finish(self):

@@ -366,10 +366,12 @@ def test_compare_bad_dt_exits_2(tmp_path, capsys, dt):
     ("bath.hbar=1e-300\n", "bath.hbar"),
     ("state.sigma=1e300\n", "state.sigma"),
     ("state.separation=1e-300\n", "state.separation"),
-], ids=["hbar-1e300", "hbar-1e-300", "sigma-1e300", "separation-1e-300"])
+    ("bath.hbar=1e-160\n", "bath.hbar"),
+], ids=["hbar-1e300", "hbar-1e-300", "sigma-1e300", "separation-1e-300", "hbar-1e-160"])
 def test_decohere_value_out_of_range_exits_2_naming_its_key(tmp_path, capsys, text, key):
-    """Values whose squares overflow or vanish are config errors, caught where
-    they are read, not tracebacks from the arithmetic that uses them."""
+    """Values whose squares, or the Lambda they set, overflow or vanish are
+    config errors, caught where they are read, not tracebacks from the
+    arithmetic that uses them."""
     cfg = _write_config(tmp_path, text)
     out = tmp_path / "out"
     assert main(["decohere", "--config", cfg, "--out", str(out), "--quiet"]) == 2
@@ -378,6 +380,73 @@ def test_decohere_value_out_of_range_exits_2_naming_its_key(tmp_path, capsys, te
     assert _error_records(out) == [
         {"record": "error", "exit_code": 2, "message": line}]
     assert [r for r in _read_manifest(out) if r["record"] == "output"] == []
+
+
+# (command, config, start of the stderr line): every single-key range rule
+# rejects as "<key> must be <rule>"; the last cases are cross-key rules and
+# values that once escaped as OverflowError tracebacks
+_RANGE_ERRORS = {
+    "kernels-nw": ("kernels", "grid.nw=1", "grid.nw must be"),
+    "kernels-nt": ("kernels", "grid.nt=1", "grid.nt must be"),
+    "kernels-w_max": ("kernels", "grid.w_max=0", "grid.w_max must be"),
+    "kernels-t_max": ("kernels", "grid.t_max=nan", "grid.t_max must be"),
+    "det-gamma": ("det-check", "det.gamma=0", "det.gamma must be"),
+    "det-t": ("det-check", "det.t=-1", "det.t must be"),
+    "det-n": ("det-check", "det.n=3", "det.n must be"),
+    "fp-steps": ("simulate", "sim.kind=smoluchowski\nfp.steps=0", "fp.steps must be"),
+    "fp-record_every": ("simulate", "sim.kind=smoluchowski\nfp.record_every=0",
+                        "fp.record_every must be"),
+    "decohere-steps": ("decohere", "run.steps=0", "run.steps must be"),
+    "decohere-record_every": ("decohere", "run.record_every=0", "run.record_every must be"),
+    "decohere-hbar": ("decohere", "bath.hbar=-1", "bath.hbar must be"),
+    "decohere-sigma": ("decohere", "state.sigma=-0.3", "state.sigma must be"),
+    "det-gamma-1e300": ("det-check", "det.gamma=1e300", "det.gamma must be"),
+    "det-gamma-t": ("det-check", "det.gamma=1e200\ndet.t=1e-200", "det.gamma must be"),
+    "det-t-1e300": ("det-check", "det.t=1e300", "det.gamma * det.t must keep"),
+    "drude-omega_d-1e300": ("kernels", "bath.model=drude\nbath.omega_d=1e300",
+                            "bath.omega_d must be"),
+    "drude-omega_d-inf": ("kernels", "bath.model=drude\nbath.omega_d=inf",
+                          "bath.omega_d must be"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RANGE_ERRORS))
+def test_out_of_range_value_exits_2_naming_its_key(tmp_path, capsys, case):
+    """A value out of its range is a config error raised before any work, with
+    a manifest whose error record carries the stderr line naming the key."""
+    command, text, start = _RANGE_ERRORS[case]
+    cfg = _write_config(tmp_path, text + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line.startswith(f"config error: {start} ")
+    assert _error_records(out) == [
+        {"record": "error", "exit_code": 2, "message": line}]
+    assert [r for r in _read_manifest(out) if r["record"] == "output"] == []
+
+
+def test_every_float_rule_rejects_nan():
+    import bathdyn.cli as cli
+
+    for test, text in (cli._FINITE_POSITIVE, cli._NONNEGATIVE, cli._SQUARE,
+                       cli._FOURTH_POWER):
+        assert not test(math.nan), text
+
+
+def test_cli_raises_config_error_only_for_cross_key_rules():
+    """Single-key range rules live in the RunConfig.get that reads the key;
+    cli.py raises ConfigError itself only for the cross-key rules: compare.times
+    names, Lambda, Lambda d^2 and det.gamma * det.t."""
+    import ast
+
+    import bathdyn.cli as cli
+
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and isinstance(node.exc, ast.Call)
+              and getattr(node.exc.func, "id", None) == "ConfigError"]
+    assert len(raises) == 4
 
 
 # one tiny config per subcommand (and per simulate kind); each runs in well

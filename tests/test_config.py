@@ -161,3 +161,19 @@ def test_as_float_list_rejects_empty_lists_and_bad_items(pads, word):
     assert (_message(as_float_list, ",".join(pads))
             == "expected a comma-separated list of numbers")
     assert _message(as_float_list, f"1.5, {word}") == f"expected a number, got {word!r}"
+
+
+def test_get_holds_read_and_default_values_to_its_rule():
+    """A rule (test, text) applies to a read and a defaulted value alike; the
+    rejected value stays in resolved for the error manifest, and NaN fails."""
+    positive = (lambda v: v > 0.0, "> 0")
+    cfg = RunConfig({"a.read": "2.5", "a.bad": "-1", "a.nan": "nan"})
+    assert cfg.get("a.read", as_float, 1.0, positive) == 2.5
+    assert cfg.get("a.default", as_float, 3.0, positive) == 3.0
+    assert _message(cfg.get, "a.bad", as_float, 1.0, positive) == "a.bad must be > 0"
+    assert _message(cfg.get, "a.zero", as_float, 0.0, positive) == "a.zero must be > 0"
+    assert _message(cfg.get, "a.nan", as_float, 1.0, positive) == "a.nan must be > 0"
+    nan = cfg.resolved.pop("a.nan")
+    assert nan != nan
+    assert cfg.resolved == {"a.read": 2.5, "a.default": 3.0, "a.bad": -1.0, "a.zero": 0.0}
+    cfg.finish()
