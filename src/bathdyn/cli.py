@@ -261,7 +261,7 @@ def _seed(args, cfg: RunConfig) -> int:
 
 # RunConfig.get rules, (test, text); every test is False on NaN
 _FINITE_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
-_NONNEGATIVE = (lambda v: v >= 0.0, ">= 0")
+_FINITE_NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 _SQUARE = (lambda v: v > 0.0 and 0.0 < v * v < math.inf,
            "> 0 with a finite, nonzero square")
 _FOURTH_POWER = (lambda v: v > 0.0 and 0.0 < (v * v) * (v * v) < math.inf,
@@ -273,12 +273,12 @@ def _at_least(n: int) -> tuple:
 
 
 def _bath_from(cfg: RunConfig, mass: float = 1.0, gamma: float = 1.0,
-               hbar: float = 0.0, hbar_rule=_NONNEGATIVE) -> BathParams:
+               hbar: float = 0.0, hbar_rule=_FINITE_NONNEGATIVE) -> BathParams:
     """The bath.* parameters, with the calling command's defaults and hbar rule."""
     return BathParams(
-        mass=cfg.get("bath.mass", as_float, mass),
-        gamma=cfg.get("bath.gamma", as_float, gamma),
-        k_bt=cfg.get("bath.k_bt", as_float, 1.0),
+        mass=cfg.get("bath.mass", as_float, mass, _FINITE_POSITIVE),
+        gamma=cfg.get("bath.gamma", as_float, gamma, _FINITE_POSITIVE),
+        k_bt=cfg.get("bath.k_bt", as_float, 1.0, _FINITE_POSITIVE),
         hbar=cfg.get("bath.hbar", as_float, hbar, hbar_rule),
     )
 

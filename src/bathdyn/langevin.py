@@ -12,7 +12,10 @@ single-step call raise.
 Every mode has one update rule (_advance), applied to arrays of trajectories by
 the ensemble routines and to a single trajectory by the step_* functions. Both
 ensemble routines share one chunk driver (_chunks), and _evolve_chunk steps
-each chunk in place in the caller's arrays, with no per-chunk copy.
+each chunk on the caller's arrays and one spare pair, with no per-chunk copy.
+A pre-point trajectory that diverges is non-finite from that step on, and is
+counted from its state at the recorded steps and at the end; post-point keeps
+a mask, since a solve that did not converge leaves finite values.
 
 The driving noise is white with per-step variance w/dt, w = 2 M gamma k_B T.
 Trajectories are drawn in fixed blocks of _BLOCK: block b holds trajectories
@@ -134,27 +137,34 @@ def _check_dt_overdamped(potential: Potential, params: BathParams, dt: float):
 
 def _advance(mode: str, potential: Potential, params: BathParams, dt: float,
              x: np.ndarray, v: np.ndarray, eta: np.ndarray,
-             alive: np.ndarray | None = None):
+             alive: np.ndarray | None = None, out: tuple | None = None):
     """One step of `mode` for every trajectory in the arrays x, v under noise eta.
 
     Returns (x_new, v_new, ok). ok is False where the step diverged (a
     non-finite x_new or v_new) or where the post-point solve was still
-    iterating after 200 rounds (a finite x_new: its last iterate). The
-    post-point solve skips trajectories that alive marks dead (x_new = x).
+    iterating after 200 rounds (a finite x_new: its last iterate); the solve
+    skips trajectories that alive marks dead (x_new = x). A pre-point step
+    given out = (x_out, v_out) writes there, not into x or v, and returns
+    ok = None (overdamped returns v as v_new). The caller sets np.errstate.
     """
     m, gamma = params.mass, params.gamma
-    with np.errstate(over="ignore", invalid="ignore"):
-        if mode == "inertial":
-            force = potential.grad(x)
-            v_new = v + dt * (-gamma * v - force / m + eta / m)
-            x_new = x + dt * v
-        elif mode == "overdamped":
-            x_new = x + (dt / (m * gamma)) * (-potential.grad(x) + eta)
-            v_new = v
-        else:  # overdamped_postpoint
-            x_new, converged = _postpoint_solve(potential, x, dt / (m * gamma), eta, alive)
-            return x_new, v, converged & np.isfinite(v)
-        return x_new, v_new, np.isfinite(x_new) & np.isfinite(v_new)
+    if mode == "overdamped_postpoint":
+        x_new, converged = _postpoint_solve(potential, x, dt / (m * gamma), eta, alive)
+        return x_new, v, converged & np.isfinite(v)
+    x_new, v_new = out or (np.empty_like(x), np.empty_like(v))
+    force = potential.grad(x)
+    if mode == "inertial":
+        # v + dt * (-gamma * v - force / m + eta / m), x + dt * v; x_new is scratch
+        np.subtract(np.multiply(-gamma, v, out=v_new), np.divide(force, m, out=x_new),
+                    out=v_new)
+        np.add(v_new, np.divide(eta, m, out=x_new), out=v_new)
+        np.add(v, np.multiply(dt, v_new, out=v_new), out=v_new)
+        np.add(x, np.multiply(dt, v, out=x_new), out=x_new)
+    else:  # overdamped: x + (dt / (m gamma)) * (-V'(x) + eta)
+        np.add(np.negative(force, out=x_new), eta, out=x_new)
+        np.add(x, np.multiply(dt / (m * gamma), x_new, out=x_new), out=x_new)
+        v_new = v
+    return x_new, v_new, None if out else np.isfinite(x_new) & np.isfinite(v_new)
 
 
 def _postpoint_solve(potential: Potential, x: np.ndarray, c: float, eta: np.ndarray,
@@ -181,8 +191,9 @@ def _postpoint_solve(potential: Potential, x: np.ndarray, c: float, eta: np.ndar
 def _step_one(mode: str, potential: Potential, params: BathParams, dt: float,
               x: float, v: float, eta: float) -> tuple[float, float]:
     """_advance on a single trajectory; a failed step raises RuntimeError."""
-    x_new, v_new, ok = _advance(mode, potential, params, dt, np.array([x], dtype=float),
-                                np.array([v], dtype=float), np.array([eta], dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_new, v_new, ok = _advance(mode, potential, params, dt, np.array([x], dtype=float),
+                                    np.array([v], dtype=float), np.array([eta], dtype=float))
     if not ok[0]:
         if math.isfinite(x_new[0]) and math.isfinite(v_new[0]):
             raise RuntimeError("post-point iteration did not converge")
@@ -259,9 +270,10 @@ class EnsembleStats:
 
 
 def _chunk_size(n: int, row: int) -> int:
-    """Trajectories per chunk: the whole blocks whose `row` stored values per
-    trajectory fit in _CHUNK_BUDGET, at least one block and at most n."""
-    return min(n, max(1, _CHUNK_BUDGET // (row * _BLOCK)) * _BLOCK)
+    """Trajectories per chunk, at most n: the fewest chunks of whole blocks (one
+    or more) whose `row` values per trajectory fit _CHUNK_BUDGET, split evenly."""
+    blocks, per = -(-n // _BLOCK), max(1, _CHUNK_BUDGET // (row * _BLOCK))
+    return min(n, -(-blocks // -(-blocks // per)) * _BLOCK)
 
 
 def _noise_buffers(config: SimConfig, mode: str, chunk: int):
@@ -334,37 +346,38 @@ def _evolve_chunk(
     series: np.ndarray | None = None,
     v_series: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized stepping of one chunk in place; frozen-on-divergence accounting.
+    """Vectorized stepping of one chunk: x and v, its initial state, end as its final.
 
-    x and v, the chunk's initial state, are stepped in place; a diverged
-    trajectory keeps its last good state. eta has shape (steps, chunk), as
-    _draw_chunk returns it. The caller owns the outputs: snaps maps a step
-    to a chunk-long array for the positions then (NaN when dead); series and
-    v_series, when given, are time-major (steps + 1, k) arrays for the first
-    k trajectories' positions and velocities (NaN once dead). Returns alive.
+    The steps alternate between x, v and one spare pair of buffers. A pre-point
+    trajectory that diverges is non-finite from that step on, so alive is read
+    from the state at recorded steps and at the end; post-point keeps a mask.
+    eta has shape (steps, chunk). The caller owns the outputs: snaps maps a
+    step to a chunk-long array for the positions then (NaN when dead); series
+    and v_series, when given, are time-major (steps + 1, k) arrays for the
+    first k trajectories' positions and velocities (NaN once dead). Returns alive.
     """
     pot, params, dt = config.potential, config.params, config.dt
+    postpoint = mode == "overdamped_postpoint"
     alive = np.isfinite(x) & np.isfinite(v)
-    stored = [(out, a) for out, a in ((series, x), (v_series, v)) if out is not None]
-    for out, a in stored:
-        out[0] = a[: out.shape[1]]
+    state, spare = (x, v), (np.empty_like(x), np.empty_like(v))
+    stored = [(out, i) for i, out in enumerate((series, v_series)) if out is not None]
 
-    def record(step: int):
-        if step in snaps:
-            snaps[step][:] = np.where(alive, x, np.nan)
+    def alive_in(n=None):  # alive among the first n trajectories now
+        return alive[:n] if postpoint else np.isfinite(state[0][:n]) & np.isfinite(state[1][:n])
 
-    record(0)
-    for k in range(config.steps):
-        x_new, v_new, ok = _advance(mode, pot, params, dt, x, v, eta[k], alive)
-        upd = alive & ok
-        np.copyto(x, x_new, where=upd)
-        np.copyto(v, v_new, where=upd)
-        alive &= ok
-        for out, a in stored:
-            k_out = out.shape[1]
-            out[k + 1] = np.where(alive[:k_out], a[:k_out], np.nan)
-        record(k + 1)
-    return alive
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.steps + 1):
+            if k:
+                *new, ok = _advance(mode, pot, params, dt, *state, eta[k - 1], alive, spare)
+                spare, state = state, new
+                if postpoint:
+                    alive &= ok
+            for out, i in stored:
+                out[k] = np.where(alive_in(out.shape[1]), state[i][: out.shape[1]], np.nan)
+            if k in snaps:
+                snaps[k][:] = np.where(alive_in(), state[0], np.nan)
+        x[:], v[:] = state
+        return alive_in()
 
 
 def _validate_run(config: SimConfig, mode: str, snapshot_steps):
@@ -387,8 +400,8 @@ def run_ensemble(
 ) -> EnsembleStats:
     """Evolve n_traj independent trajectories and accumulate statistics.
 
-    Deterministic given config.master_seed. Diverged trajectories are frozen,
-    counted, and excluded from every statistic. autocorr_lags > 0 adds a
+    Deterministic given config.master_seed. Diverged trajectories are counted
+    and excluded from every statistic. autocorr_lags > 0 adds a
     time-averaged position autocorrelation estimated from the first
     min(256, n_traj) trajectories. Each chunk steps its slice of the final
     state, the snapshots and the stored series in place.
@@ -438,7 +451,8 @@ def run_ensemble(
     autocorr = None
     if n_sub:
         keep = alive_all[:n_sub]
-        autocorr = lagged_products(sub_series[keep], autocorr_lags)
+        autocorr = lagged_products(sub_series if keep.all() else sub_series[keep],
+                                   autocorr_lags)
 
     return EnsembleStats(
         mode=mode, n_traj=n, n_diverged=n - n_alive, steps=steps, dt=config.dt,

@@ -149,11 +149,12 @@ def lagged_products(series: np.ndarray, max_lag: int) -> np.ndarray:
     """Mean of series[i, t] * series[i, t + k] over rows i and times t, k = 0..max_lag.
 
     Direct lagged products, no mean removal; all NaN when series has no rows.
+    Each lag's product fills one reused C-contiguous buffer, like a fresh one.
     """
     out = np.full(max_lag + 1, np.nan)
-    if series.shape[0] == 0:
-        return out
-    n = series.shape[1]
-    for k in range(max_lag + 1):
-        out[k] = np.mean(series[:, : n - k] * series[:, k:])
+    rows, n = series.shape
+    flat = np.empty(rows * n)
+    for k in range(max_lag + 1 if rows else 0):
+        prod = flat[: rows * (n - k)].reshape(rows, n - k)
+        out[k] = np.mean(np.multiply(series[:, : n - k], series[:, k:], out=prod))
     return out

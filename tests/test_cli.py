@@ -407,6 +407,11 @@ _RANGE_ERRORS = {
                             "bath.omega_d must be"),
     "drude-omega_d-inf": ("kernels", "bath.model=drude\nbath.omega_d=inf",
                           "bath.omega_d must be"),
+    "decohere-mass-inf": ("decohere", "bath.mass=inf", "bath.mass must be"),
+    "decohere-gamma-inf": ("decohere", "bath.gamma=inf", "bath.gamma must be"),
+    "decohere-k_bt-inf": ("decohere", "bath.k_bt=inf", "bath.k_bt must be"),
+    "drude-hbar-inf": ("kernels", "bath.model=drude\nbath.omega_d=10.0\nbath.hbar=inf",
+                       "bath.hbar must be"),
 }
 
 
@@ -428,7 +433,7 @@ def test_out_of_range_value_exits_2_naming_its_key(tmp_path, capsys, case):
 def test_every_float_rule_rejects_nan():
     import bathdyn.cli as cli
 
-    for test, text in (cli._FINITE_POSITIVE, cli._NONNEGATIVE, cli._SQUARE,
+    for test, text in (cli._FINITE_POSITIVE, cli._FINITE_NONNEGATIVE, cli._SQUARE,
                        cli._FOURTH_POWER):
         assert not test(math.nan), text
 

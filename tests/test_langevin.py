@@ -22,6 +22,7 @@ from bathdyn import (
     step_overdamped,
     step_overdamped_postpoint,
 )
+from bathdyn.noise import lagged_products
 
 PARAMS = BathParams(mass=1.0, gamma=2.0, k_bt=0.5, hbar=0.0)
 POT = Harmonic(mass=1.0, omega0=1.0)
@@ -109,6 +110,8 @@ def test_chunking_does_not_change_results(monkeypatch):
     bits as one chunk."""
     cfg = _config(n_traj=3 * lv._BLOCK + 5, steps=4, sigma_x=0.3)
     assert lv._chunk_size(cfg.n_traj, cfg.steps) == cfg.n_traj
+    # the fewest chunks the budget allows, in even whole blocks: 8,192 + 7,808
+    assert lv._chunk_size(16_000, 400) == 8 * lv._BLOCK
     whole = run_ensemble(cfg, "overdamped_postpoint")
     monkeypatch.setattr(lv, "_CHUNK_BUDGET", cfg.steps * 2 * lv._BLOCK)
     assert lv._chunk_size(cfg.n_traj, cfg.steps) == 2 * lv._BLOCK
@@ -509,3 +512,86 @@ def test_noise_expectation_of_final_position_is_the_ensemble_mean(seed, n_traj, 
         assert math.isnan(res.stderr)
     else:
         assert res.stderr == stats.se_x
+
+
+def _reference_paths(cfg, mode):
+    """Each trajectory stepped alone by the scalar stepper until it raises,
+    from the initial state and noise of the block draw (_draw_030). Returns,
+    per trajectory, its positions and velocities at the steps before it
+    diverged, and the draw."""
+    x0s, v0s, eta = _draw_030(cfg, 0, cfg.n_traj, mode)
+    paths = []
+    for x, v, noise in zip(x0s, v0s, eta.T):
+        xs, vs = [x], [v]
+        for e in noise:
+            try:
+                if mode == "inertial":
+                    state = step_inertial(InertialState(x, v), cfg.potential, cfg.params,
+                                          e, cfg.dt)
+                    x, v = state.x, state.v
+                else:
+                    x = step_overdamped(x, cfg.potential, cfg.params, e, cfg.dt)
+            except RuntimeError:
+                break
+            xs.append(x)
+            vs.append(v)
+        paths.append((np.array(xs), np.array(vs)))
+    return paths, (x0s, v0s, eta)
+
+
+def _assert_path(got, path, died):
+    """got holds a trajectory's values at steps 0..len(got)-1: the path's bits
+    before the step it died at, NaN from that step on."""
+    assert [_bits(a) for a in got[:died]] == [_bits(b) for b in path[:died]]
+    assert np.isnan(got[died:]).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(mode=st.sampled_from(["inertial", "overdamped"]), n_traj=st.integers(1, 40),
+       steps=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       a=st.floats(0.2, 2.0), b=st.floats(0.2, 2.0), sigma_x=st.floats(0.5, 2.0),
+       sigma_v=st.floats(0.0, 2.0), k_bt=st.floats(0.1, 2.0), data=st.data())
+@np.errstate(over="ignore", invalid="ignore")  # statistics of survivors still escaping
+def test_divergence_matches_trajectories_stepped_alone(mode, n_traj, steps, seed, a, b,
+                                                       sigma_x, sigma_v, k_bt, data):
+    """V = a x^2 - b x^4 holds the trajectories that start inside its barrier
+    and throws the others out to overflow within a few steps, so some of an
+    ensemble diverge mid-run. Each must count, and read NaN, exactly from the
+    step at which the scalar stepper raises for it; every survivor ends on the
+    scalar stepper's bits."""
+    params = BathParams(mass=1.0, gamma=1.0, k_bt=k_bt, hbar=0.0)
+    cfg = SimConfig(potential=Polynomial((0.0, 0.0, a, 0.0, -b)), params=params,
+                    dt=0.04, steps=steps, n_traj=n_traj, master_seed=seed,
+                    sigma_x=sigma_x, sigma_v=sigma_v)
+    snaps = tuple(data.draw(st.sets(st.integers(0, steps), max_size=4)))
+    lags = data.draw(st.integers(0, steps))
+    paths, (x, v, eta) = _reference_paths(cfg, mode)
+    died = [len(xs) for xs, _ in paths]
+    alive = np.array([d > steps for d in died])
+    inertial = mode == "inertial"
+
+    # explicit edges: numpy cannot split a lone survivor beyond 2^52 into
+    # default bins, and run_ensemble then raises (FOUND in CHANGES.md)
+    stats = run_ensemble(cfg, mode, snapshot_steps=snaps, autocorr_lags=lags,
+                         histogram_bins=np.array([-1e308, 0.0, 1e308]))
+    assert stats.n_diverged == n_traj - alive.sum()
+    for j, (xs, vs) in enumerate(paths):
+        _assert_path(stats.final_x[j : j + 1], xs[-1:], int(alive[j]))
+        if inertial:
+            _assert_path(stats.final_v[j : j + 1], vs[-1:], int(alive[j]))
+        for s in snaps:
+            _assert_path(stats.snapshots[s][j : j + 1], xs[s : s + 1], int(s < died[j]))
+    if lags:
+        want = lagged_products(np.array([xs for xs, _ in paths if len(xs) > steps]
+                                        ).reshape(-1, steps + 1), lags)
+        np.testing.assert_array_equal(stats.autocorr, want)
+
+    # the chunk steps the caller's state in place and stores each series
+    series, v_series = np.empty((steps + 1, n_traj)), np.empty((steps + 1, n_traj))
+    got_alive = lv._evolve_chunk(cfg, mode, x, v, eta, {}, series, v_series)
+    np.testing.assert_array_equal(got_alive, alive)
+    for j, (xs, vs) in enumerate(paths):
+        _assert_path(series[:, j], xs, died[j])
+        _assert_path(v_series[:, j], vs, died[j])
+        if alive[j]:
+            assert (_bits(x[j]), _bits(v[j])) == (_bits(xs[-1]), _bits(vs[-1]))
