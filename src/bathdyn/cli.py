@@ -312,6 +312,13 @@ def cmd_kernels(args, cfg: RunConfig, man: Manifest) -> None:
     mass, gamma, hbar = params.mass, params.gamma, params.hbar
     if model_name == "drude":
         omega_d = cfg.get("bath.omega_d", as_float, rule=_FOURTH_POWER)
+        # the quantum kernel's thermal rates are n nu1 and its series cut-off
+        # divides by nu1^3 (hbar = 0 has neither); a finite, nonzero cube also
+        # keeps omega_d / nu1 finite, since omega_d^4 is
+        nu1 = 2.0 * math.pi * params.k_bt / hbar if hbar > 0 else 1.0
+        if not 0.0 < nu1 * nu1 * nu1 < math.inf:
+            raise ConfigError("bath.hbar must give nu1 = 2 pi k_bt / hbar a finite, "
+                              f"nonzero cube (got nu1 = {nu1:g})")
         model = Drude(gamma=gamma, omega_d=omega_d)
         params = dataclasses.replace(params, omega_d=omega_d)
         w_max = cfg.get("grid.w_max", as_float, 5.0 * omega_d, _FINITE_POSITIVE)
@@ -412,17 +419,6 @@ def _grid(cfg: RunConfig, kind: str) -> PhaseGrid:
     )
 
 
-def _advance_recorded(advance, state, steps: int, every: int, row):
-    """advance(state, n) through `steps` steps in chunks; returns the final state
-    and the rows row(k, state) at k = 0, each multiple of every, and the last."""
-    rows, done = [row(0, state)], 0
-    for k in [*range(every, steps, every), steps]:
-        state = advance(state, k - done)
-        rows.append(row(k, state))
-        done = k
-    return state, rows
-
-
 def _run_ensemble_cmd(args, cfg, params, potential, man) -> None:
     mode = cfg.get("run.mode",
                    as_choice("inertial", "overdamped", "overdamped_postpoint"),
@@ -439,7 +435,7 @@ def _run_ensemble_cmd(args, cfg, params, potential, man) -> None:
         sigma_x=cfg.get("run.sigma_x", as_float, 0.0),
         sigma_v=cfg.get("run.sigma_v", as_float, 0.0),
     )
-    bins = cfg.get("output.bins", as_int, 64)
+    bins = cfg.get("output.bins", as_int, 64, _at_least(1))
     lags = cfg.get("output.autocorr_lags", as_int, 0)
     cfg.finish()
     stats = run_ensemble(config, mode, histogram_bins=bins, autocorr_lags=lags)
@@ -480,9 +476,10 @@ def _run_fp_cmd(args, cfg, kind, params, potential, man) -> None:
         dt = 0.5 * op.dt_max  # fp.dt <= 0 requests an automatic stable step
 
     field0 = field
-    field, mass_rows = _advance_recorded(
-        lambda f, n: op.advance(f, ordering, dt, n), field, steps, record_every,
-        lambda k, f: (k, k * dt, f.mass))
+    marks = [*range(record_every, steps, record_every), steps]
+    mass_rows = [(0, 0.0, field.mass)]
+    for mark, field in zip(marks, op.records(field0, ordering, dt, marks)):
+        mass_rows.append((mark, mark * dt, field.mass))
     man.csv("mass.csv", ("step", "t", "mass"), zip(*mass_rows))
     if grid.is_2d:
         man.product_csv("field.csv", ("x", "v", "P"), grid.x_centers, grid.v_centers,

@@ -17,10 +17,11 @@ transport stencil.
 
 Each equation's generator (face weights, stability bound) is a public
 operator, SmoluchowskiOperator or KramersOperator, built once per run. Its
-advance method moves a field by n steps on scratch buffers allocated once per
-call: it checks dt once, checks every step's raw result against the ProbField
-rules (finite, no undershoot beyond 1e-10 of the largest value), and builds a
-ProbField only from the last step.
+records method is the one stepping run: it checks dt and builds the sink and
+the divergence kernel once, checks every step's raw result against the
+ProbField rules (finite, no undershoot beyond 1e-10 of the largest value),
+and yields a ProbField at each mark, in a buffer of its own. advance is one
+record of that run.
 """
 
 from __future__ import annotations
@@ -260,39 +261,51 @@ def _flux_divergence(flux: np.ndarray, stride: int, spacing: float,
 
 
 class _GridOperator:
-    """One equation's generator on one grid problem. A subclass sets dt_max
-    and bound (the name of its stability bound) and supplies
-    divergence_kernel() and sink(dt)."""
+    """One equation's generator on one grid problem: records(field, ordering,
+    dt, marks) is the one stepping run, and advance one record of it. A
+    subclass sets dt_max and bound (the name of its stability bound) and
+    supplies divergence_kernel() and sink(dt)."""
 
-    def advance(self, field: ProbField, ordering: Ordering, dt: float,
-                n_steps: int) -> ProbField:
-        """n_steps explicit steps of this operator's equation from field.
+    def records(self, field: ProbField, ordering: Ordering, dt: float, marks):
+        """Yield the field after each step count in marks, which must increase
+        from 1: explicit steps of this operator's equation from field.
 
-        dt is checked against the stability bound once. Every step's raw
-        result is checked against the ProbField rules, so a non-finite or
-        negative field raises at the step where it appears. The steps run on
-        buffers made for this call; field's values are only read, and the
-        returned field owns the buffer the steps wrote.
+        dt is checked against the stability bound, and the sink and the
+        divergence kernel are built, once per run. Every step's raw result is
+        checked against the ProbField rules, so a non-finite or negative field
+        raises at the step where it appears. Each mark's steps write one
+        buffer made for it, which the yielded field owns; field's values are
+        only read.
         """
         if not dt > 0:
             raise ValueError("dt must be > 0")
         if dt > self.dt_max:
             raise StabilityError(f"{self.bound} exceeded", self.dt_max)
-        if n_steps < 1:
-            return field
         sink = self.sink(dt) if ordering is Ordering.SYMMETRIC else None
         divergence = self.divergence_kernel()
-        p, t = field.values, field.t
-        new = np.empty(p.shape)  # each step's divergence is taken before new is written
-        for _ in range(n_steps):
-            change = divergence(p)
-            np.multiply(dt, change, out=change)
-            np.add(p, change, out=new)
-            if sink is not None:
-                np.multiply(new, sink, out=new)
-            _check_values(new)
-            p, t = new, t + dt
-        return ProbField(p, field.grid, t)
+        p, t, done = field.values, field.t, 0
+        for mark in marks:
+            if mark <= done:
+                raise ValueError("marks must increase from 1")
+            new = np.empty(p.shape)  # each step's divergence is taken before new is written
+            for _ in range(mark - done):
+                change = divergence(p)
+                np.multiply(dt, change, out=change)
+                np.add(p, change, out=new)
+                if sink is not None:
+                    np.multiply(new, sink, out=new)
+                _check_values(new)
+                p, t = new, t + dt
+            done = mark
+            yield ProbField(p, field.grid, t)
+
+    def advance(self, field: ProbField, ordering: Ordering, dt: float,
+                n_steps: int) -> ProbField:
+        """n_steps steps from field: the one field of records(field, ordering,
+        dt, [n_steps]), or field itself when n_steps < 1 (dt is checked
+        either way)."""
+        return next(self.records(field, ordering, dt, [n_steps] if n_steps >= 1 else []),
+                    field)
 
 
 class SmoluchowskiOperator(_GridOperator):
@@ -512,10 +525,10 @@ def compare_langevin_fp(
     dt_fp = config.dt / m
 
     field = gaussian_field_1d(grid, config.x0, sigma0)
-    fields, done = {}, 0
-    for k in sorted(set(steps_at)):
-        field = op.advance(field, Ordering.MOMENTA_LEFT, dt_fp, m * (k - done))
-        fields[k], done = field, k
+    marked = sorted(set(steps_at) - {0})
+    fields = dict(zip(marked, op.records(field, Ordering.MOMENTA_LEFT, dt_fp,
+                                         [m * k for k in marked])))
+    fields[0] = field
 
     cells_per_bin = grid.nx // n_bins
     bin_width = grid.dx * cells_per_bin

@@ -404,7 +404,10 @@ def run_ensemble(
     and excluded from every statistic. autocorr_lags > 0 adds a
     time-averaged position autocorrelation estimated from the first
     min(256, n_traj) trajectories. Each chunk steps its slice of the final
-    state, the snapshots and the stored series in place.
+    state, the snapshots and the stored series in place. A count of
+    histogram_bins that cannot split the survivors' range into finite bins
+    (a lone survivor beyond 2^52, say) raises RuntimeError, a numerical
+    failure of the run; invalid bins raise ValueError.
     """
     snapshot_steps = tuple(int(s) for s in snapshot_steps)
     _validate_run(config, mode, snapshot_steps)
@@ -443,7 +446,12 @@ def run_ensemble(
         final_v = None
         mean_v = var_v = se_v = cov_xv = se_cov = float("nan")
 
-    counts, edges = np.histogram(xs, bins=histogram_bins)
+    try:
+        counts, edges = np.histogram(xs, bins=histogram_bins)
+    except ValueError as exc:
+        if np.ndim(histogram_bins) or not histogram_bins >= 1:
+            raise  # the caller's bins, not the survivors, are at fault
+        raise RuntimeError(f"histogram of the survivors: {exc}") from exc
     widths = np.diff(edges)
     total = counts.sum()
     density = counts / (total * widths) if total > 0 else np.zeros_like(widths)

@@ -256,6 +256,39 @@ def test_failed_run_manifest_records_the_error(tmp_path, capsys):
     assert [r for r in records if r["record"] == "output"] == []
 
 
+def test_recorded_kramers_run_builds_its_divergence_kernel_once(tmp_path, monkeypatch):
+    """A grid run is one records run: its kernel is built once, however many
+    records it writes."""
+    import bathdyn.fokker_planck as fp
+
+    built = []
+    kernel = fp.KramersOperator.divergence_kernel
+    monkeypatch.setattr(fp.KramersOperator, "divergence_kernel",
+                        lambda self: built.append(1) or kernel(self))
+    cfg = _write_config(tmp_path, "sim.kind=kramers\ngrid.nx=16\ngrid.nv=16\n"
+                        "fp.steps=10\nfp.record_every=3\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert len((tmp_path / "o" / "mass.csv").read_text().splitlines()) == 1 + 5
+    assert len(built) == 1
+
+
+def test_histogram_of_a_lone_far_survivor_is_a_numerical_error(tmp_path, capsys):
+    """The one survivor of this run ends near -7.6e21, where numpy cannot
+    split a range of +-0.5 into finite bins: the run fails as numerical."""
+    cfg = _write_config(
+        tmp_path,
+        "sim.kind=ensemble\nrun.mode=inertial\npotential.kind=polynomial\n"
+        "potential.coeffs=0,0,1,0,-2\nbath.k_bt=1\nrun.dt=0.04\nrun.steps=23\n"
+        "run.n_traj=1\nrun.seed=1\nrun.sigma_x=2\n",
+    )
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    line = capsys.readouterr().err.strip()
+    assert line.startswith("error: ")
+    assert _error_records(out) == [
+        {"record": "error", "exit_code": 1, "message": line}]
+
+
 def test_config_error_manifest_records_the_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, "bath.model=ohmic\nbath.typo=1\n")
     out = tmp_path / "o"
@@ -412,6 +445,7 @@ _RANGE_ERRORS = {
     "decohere-k_bt-inf": ("decohere", "bath.k_bt=inf", "bath.k_bt must be"),
     "drude-hbar-inf": ("kernels", "bath.model=drude\nbath.omega_d=10.0\nbath.hbar=inf",
                        "bath.hbar must be"),
+    "ensemble-bins": ("simulate", "sim.kind=ensemble\noutput.bins=0", "output.bins must be"),
 }
 
 
@@ -430,6 +464,28 @@ def test_out_of_range_value_exits_2_naming_its_key(tmp_path, capsys, case):
     assert [r for r in _read_manifest(out) if r["record"] == "output"] == []
 
 
+# (bath.hbar, bath.k_bt) of the Drude runs with omega_d = 1 whose thermal rate
+# nu1 = 2 pi k_bt / hbar has an overflowing or vanishing cube: each once ended
+# in an OverflowError or ZeroDivisionError traceback in the time kernel
+_NU1_CUBE_OUT_OF_RANGE = [
+    ("1e-300", "1e-160"), ("1e-300", "1"), ("1e-160", "1"), ("1", "1e160"),
+    ("1", "1e300"), ("1e160", "1e-300"), ("1e160", "1e-160"), ("1e160", "1e300"),
+    ("1e300", "1e-300"), ("1e300", "1e-160"),
+]
+
+
+@pytest.mark.parametrize("hbar, k_bt", _NU1_CUBE_OUT_OF_RANGE)
+def test_drude_thermal_rate_out_of_range_exits_2_naming_hbar(tmp_path, capsys, hbar, k_bt):
+    cfg = _write_config(tmp_path, f"bath.model=drude\ngrid.nt=65\ngrid.nw=11\n"
+                        f"bath.omega_d=1\nbath.hbar={hbar}\nbath.k_bt={k_bt}\n")
+    out = tmp_path / "out"
+    assert main(["kernels", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line.startswith("config error: bath.hbar ")
+    assert _error_records(out) == [
+        {"record": "error", "exit_code": 2, "message": line}]
+
+
 def test_every_float_rule_rejects_nan():
     import bathdyn.cli as cli
 
@@ -441,7 +497,7 @@ def test_every_float_rule_rejects_nan():
 def test_cli_raises_config_error_only_for_cross_key_rules():
     """Single-key range rules live in the RunConfig.get that reads the key;
     cli.py raises ConfigError itself only for the cross-key rules: compare.times
-    names, Lambda, Lambda d^2 and det.gamma * det.t."""
+    names, Lambda, Lambda d^2, det.gamma * det.t and the Drude nu1^3."""
     import ast
 
     import bathdyn.cli as cli
@@ -451,7 +507,7 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
     raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)
               and isinstance(node.exc, ast.Call)
               and getattr(node.exc.func, "id", None) == "ConfigError"]
-    assert len(raises) == 4
+    assert len(raises) == 5
 
 
 # one tiny config per subcommand (and per simulate kind); each runs in well

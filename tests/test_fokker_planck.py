@@ -1,5 +1,6 @@
 """Grid solver tests: exact fixed points, stability guards, convergence."""
 
+import itertools
 import math
 
 import numpy as np
@@ -485,3 +486,40 @@ def test_advance_leaves_its_input_and_earlier_results_alone():
     assert first.values.tobytes() == kept.tobytes() == again.values.tobytes()
     assert not np.shares_memory(second.values, first.values)
     assert op.advance(field, Ordering.SYMMETRIC, dt, 0) is field
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fp_problems(), st.sampled_from(Ordering),
+       st.lists(st.integers(1, 4), min_size=1, max_size=5), _FRACTIONS)
+def test_grid_records_equal_chained_advance_calls(problem, ordering, gaps, frac):
+    """records(field, ordering, dt, marks) yields, bit for bit, what one
+    advance call per mark, each from the last one's result, returns."""
+    pot, params, field = problem
+    op, _ = _operator(field, pot, params)
+    dt = frac * op.dt_max
+    marks = list(itertools.accumulate(gaps))
+    chained, done = field, 0
+    for mark, rec in zip(marks, op.records(field, ordering, dt, marks), strict=True):
+        chained, done = op.advance(chained, ordering, dt, mark - done), mark
+        assert _bits(rec) == _bits(chained)
+
+
+def test_grid_records_reject_marks_that_do_not_increase():
+    field = gaussian_field_1d(PhaseGrid(-3.0, 3.0, 32), 0.0, 0.5)
+    op = SmoluchowskiOperator(field.grid, HARMONIC, PARAMS)
+    for marks in ([0], [2, 2], [3, 1]):
+        with pytest.raises(ValueError, match="increase"):
+            list(op.records(field, Ordering.MOMENTA_LEFT, 0.5 * op.dt_max, marks))
+
+
+def test_grid_records_own_their_buffers_and_check_dt_without_steps():
+    grid = PhaseGrid(-3.0, 3.0, 24, -3.0, 3.0, 20)
+    field = gaussian_field_2d(grid, 0.3, 0.6, -0.2, 0.7)
+    op = KramersOperator(grid, DoubleWell(-1.0, 0.25), PARAMS)
+    start = field.values.tobytes()
+    recs = list(op.records(field, Ordering.SYMMETRIC, 0.5 * op.dt_max, [1, 3, 4]))
+    assert field.values.tobytes() == start
+    for a, b in itertools.pairwise([field, *recs]):
+        assert not np.shares_memory(a.values, b.values)
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        op.advance(field, Ordering.MOMENTA_LEFT, -0.1, 0)
