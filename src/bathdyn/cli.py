@@ -329,6 +329,12 @@ def cmd_kernels(args, cfg: RunConfig, man: Manifest) -> None:
         t_max = cfg.get("grid.t_max", as_float, 16.0 / gamma, _FINITE_POSITIVE)
     nw = cfg.get("grid.nw", as_int, 2001, _at_least(2))
     nt = cfg.get("grid.nt", as_int, 16385, _at_least(2))
+    # the quantum kernel's log term needs exp(-nu1 |t|) < 1, in numpy's exp as
+    # the kernel takes it, at its smallest |t|: t_max / n_even on the
+    # half-offset grid below
+    if model_name == "drude" and hbar > 0 and not np.exp(-nu1 * t_max / (nt + nt % 2)) < 1.0:
+        raise ConfigError("grid.t_max must give the smallest |t| = t_max / n_even a "
+                          f"finite log(1 - exp(-nu1 |t|)) (got t_max = {t_max:g})")
     cfg.finish()
 
     omega = np.linspace(-w_max, w_max, nw)

@@ -18,10 +18,13 @@ transport stencil.
 Each equation's generator (face weights, stability bound) is a public
 operator, SmoluchowskiOperator or KramersOperator, built once per run. Its
 records method is the one stepping run: it checks dt and builds the sink and
-the divergence kernel once, checks every step's raw result against the
+the increment kernel once, checks every step's raw result against the
 ProbField rules (finite, no undershoot beyond 1e-10 of the largest value),
 and yields a ProbField at each mark, in a buffer of its own. advance is one
-record of that run.
+record of that run. The increment kernel folds dt and the grid spacings into
+its face weights and speeds when it is built, so a step is one array pass per
+term of the face flux, one flux difference per direction and one add; the
+flux difference telescopes, so momenta-left mass stays at roundoff.
 """
 
 from __future__ import annotations
@@ -247,31 +250,24 @@ def _sg_weights(drift: np.ndarray, spacing: float, diff: float):
     return bl, br, float(out_rate.max())
 
 
-def _flux_divergence(flux: np.ndarray, stride: int, spacing: float,
-                     out: np.ndarray) -> None:
-    """(F_in - F_out)/spacing into out, on flat C-order arrays.
-
-    flux[k + stride] is the flux through the face between cells k and
-    k + stride. The first stride entries (the inflow faces of the first
-    cells) and the outflow face of the last cell of each line must be zero,
-    so that every boundary face carries zero flux.
-    """
-    np.subtract(flux[:-stride], flux[stride:], out=out)
-    np.divide(out, spacing, out=out)
-
-
 class _GridOperator:
     """One equation's generator on one grid problem: records(field, ordering,
     dt, marks) is the one stepping run, and advance one record of it. A
     subclass sets dt_max and bound (the name of its stability bound) and
-    supplies divergence_kernel() and sink(dt)."""
+    supplies increment_kernel(dt) and sink(dt).
+
+    increment_kernel(dt) returns increment(p): dt (F_in - F_out) / spacing
+    summed over the directions, the explicit step's change of p, with dt and
+    the spacings folded into the kernel's weights once. It writes a buffer
+    that the next call overwrites, and each increment_kernel call makes new
+    buffers. Boundary faces carry zero flux."""
 
     def records(self, field: ProbField, ordering: Ordering, dt: float, marks):
         """Yield the field after each step count in marks, which must increase
         from 1: explicit steps of this operator's equation from field.
 
         dt is checked against the stability bound, and the sink and the
-        divergence kernel are built, once per run. Every step's raw result is
+        increment kernel are built, once per run. Every step's raw result is
         checked against the ProbField rules, so a non-finite or negative field
         raises at the step where it appears. Each mark's steps write one
         buffer made for it, which the yielded field owns; field's values are
@@ -282,16 +278,14 @@ class _GridOperator:
         if dt > self.dt_max:
             raise StabilityError(f"{self.bound} exceeded", self.dt_max)
         sink = self.sink(dt) if ordering is Ordering.SYMMETRIC else None
-        divergence = self.divergence_kernel()
+        increment = self.increment_kernel(dt)
         p, t, done = field.values, field.t, 0
         for mark in marks:
             if mark <= done:
                 raise ValueError("marks must increase from 1")
-            new = np.empty(p.shape)  # each step's divergence is taken before new is written
+            new = np.empty(p.shape)  # each step's increment is taken before new is written
             for _ in range(mark - done):
-                change = divergence(p)
-                np.multiply(dt, change, out=change)
-                np.add(p, change, out=new)
+                np.add(p, increment(p), out=new)
                 if sink is not None:
                     np.multiply(new, sink, out=new)
                 _check_values(new)
@@ -324,23 +318,20 @@ class SmoluchowskiOperator(_GridOperator):
         self.grid, self.potential = grid, potential
         self.sink_scale = 2.0 * params.mass * params.gamma
 
-    def divergence_kernel(self):
-        """divergence(p): the flux divergence of p, in a buffer that the next
-        call overwrites. Each call of this method makes new buffers."""
-        n = self.grid.nx
-        flux, outflow, div = np.zeros(n + 1), np.empty(n - 1), np.empty(n)
-        faces = flux[1:-1]  # the two boundary faces stay zero
-        scale = self.d / self.dx
+    def increment_kernel(self, dt: float):
+        n, rate = self.grid.nx, dt * self.d / self.dx**2
+        bl, br = rate * self.bl, rate * self.br
+        flux, inc = np.zeros(n + 1), np.empty(n)
+        faces, outflow = flux[1:-1], inc[:-1]  # the two boundary faces stay zero
 
-        def divergence(p: np.ndarray) -> np.ndarray:
-            np.multiply(self.bl, p[:-1], out=faces)
-            np.multiply(self.br, p[1:], out=outflow)
+        def increment(p: np.ndarray) -> np.ndarray:
+            np.multiply(bl, p[:-1], out=faces)
+            np.multiply(br, p[1:], out=outflow)
             np.subtract(faces, outflow, out=faces)
-            np.multiply(scale, faces, out=faces)
-            _flux_divergence(flux, 1, self.dx, div)
-            return div
+            np.subtract(flux[:-1], flux[1:], out=inc)
+            return inc
 
-        return divergence
+        return increment
 
     def sink(self, dt: float) -> np.ndarray:
         hess = np.asarray(self.potential.hess(self.grid.x_centers))
@@ -375,56 +366,51 @@ class KramersOperator(_GridOperator):
         adv_rate = 2.0 * float(np.max(np.abs(grid.v_centers))) / grid.dx
         self.dt_max = 0.8 / (adv_rate + out_rate)
 
-    def divergence_kernel(self):
-        """divergence(p): the flux divergence of p, in a buffer that the next
-        call overwrites. Each call of this method makes new buffers."""
+    def increment_kernel(self, dt: float):
         nx, nv = self.shape
         n, jl = nx * nv, self.n_left
+        speed, rate = (dt / self.dx) * self.speed, dt * self.d_v / self.dv**2
+        bl, br = rate * self.bl, rate * self.br
         diff, monotone = np.empty(n - nv), np.empty(n - 2 * nv, dtype=bool)
-        slope = np.zeros(n)  # the first and last x rows stay zero
+        half_slope = np.zeros(n)  # the first and last x rows stay zero
         # face fluxes, led by the zero inflow faces of the first cells (one
-        # x row, one value) as _flux_divergence reads them; the last x row
-        # stays zero too
+        # x row, one value); the last x row's outflow faces stay zero too
         flux_x, flux_v = np.zeros(n + nv), np.zeros(n + 1)
-        div, div_v = np.empty(n), np.empty(n)
-        face_x, face_v, inner = flux_x[nv:n], flux_v[1:n], slope[nv:-nv]
+        inc, inc_v = np.empty(n), np.empty(n)
+        face_x, face_v, inner = flux_x[nv:n], flux_v[1:n], half_slope[nv:-nv]
         # buffers reused once their first contents are spent
-        prod, denom = div[: n - 2 * nv], div_v[: n - 2 * nv]
-        upwind, outflow = diff, div_v[:-1]
-        scale_v = self.d_v / self.dv
+        prod, denom = inc[: n - 2 * nv], inc_v[: n - 2 * nv]
+        upwind, outflow = diff, inc_v[:-1]
 
-        def divergence(p: np.ndarray) -> np.ndarray:
+        def increment(p: np.ndarray) -> np.ndarray:
             p = p.reshape(-1)
-            # x transport at speed v: van Leer (harmonic mean) slopes, zero at
-            # the boundary, and the upwind face value of the limited
-            # second-order reconstruction: the left cell's where v > 0, the
-            # right cell's elsewhere
+            # x transport at speed v: half the van Leer (harmonic mean) slope,
+            # prod / denom, zero at the boundary, and the upwind face value of
+            # the limited second-order reconstruction: the left cell's where
+            # v > 0, the right cell's elsewhere
             np.subtract(p[nv:], p[:-nv], out=diff)
             np.multiply(diff[:-nv], diff[nv:], out=prod)
             np.greater(prod, 0, out=monotone)
             np.add(diff[:-nv], diff[nv:], out=denom)
-            np.multiply(2.0, prod, out=prod)
             inner.fill(0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(prod, denom, out=inner, where=monotone)
-            np.multiply(0.5, slope, out=slope)
-            np.add(p[:-nv], slope[:-nv], out=face_x)
-            np.subtract(p[nv:], slope[nv:], out=upwind)
+            np.add(p[:-nv], half_slope[:-nv], out=face_x)
+            np.subtract(p[nv:], half_slope[nv:], out=upwind)
             face_x.reshape(nx - 1, nv)[:, :jl] = upwind.reshape(nx - 1, nv)[:, :jl]
-            np.multiply(self.speed, face_x, out=face_x)
-            _flux_divergence(flux_x, nv, self.dx, div)
+            np.multiply(speed, face_x, out=face_x)
+            np.subtract(flux_x[:-nv], flux_x[nv:], out=inc)
             # v drift-diffusion: exponential-upwind face flux, zero on the
             # last v face of each x row
-            np.multiply(self.bl, p[:-1], out=face_v)
-            np.multiply(self.br, p[1:], out=outflow)
+            np.multiply(bl, p[:-1], out=face_v)
+            np.multiply(br, p[1:], out=outflow)
             np.subtract(face_v, outflow, out=face_v)
-            np.multiply(scale_v, face_v, out=face_v)
             flux_v[nv::nv] = 0.0
-            _flux_divergence(flux_v, 1, self.dv, div_v)
-            np.add(div, div_v, out=div)
-            return div.reshape(nx, nv)
+            np.subtract(flux_v[:-1], flux_v[1:], out=inc_v)
+            np.add(inc, inc_v, out=inc)
+            return inc.reshape(nx, nv)
 
-        return divergence
+        return increment
 
     def sink(self, dt: float) -> float:
         return math.exp(-self.gamma * dt / 2.0)

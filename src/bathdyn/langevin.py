@@ -41,7 +41,7 @@ import numpy as np
 
 from .kernels import BathParams
 from .noise import derive_rng, lagged_products
-from .potentials import Harmonic, Potential
+from .potentials import Potential
 
 __all__ = [
     "InertialState",
@@ -124,15 +124,20 @@ def _check_dt(params: BathParams, dt: float):
         )
 
 
-def _check_dt_overdamped(potential: Potential, params: BathParams, dt: float):
-    # the overdamped relaxation rate for a harmonic well is omega0^2/gamma
-    if isinstance(potential, Harmonic):
-        rate = potential.omega0 ** 2 / params.gamma
-        if not dt * rate < 0.1:
-            raise ValueError(
-                "dt too large for the relaxation scale: need "
-                f"dt*omega0^2/gamma < 0.1, got {dt * rate:.3g}"
-            )
+def _check_dt_overdamped(potential: Potential, params: BathParams, dt: float,
+                         x0: float, sigma_x: float = 0.0):
+    """Refuse a dt at which the overdamped relaxation rate V''(x)/(M gamma)
+    reaches 0.1/dt on the initial support: x0 +- 6 sigma_x, sampled at 1,025
+    points that include both ends, or x0 alone for a point start. For a
+    harmonic well of the bath's mass the rate is omega0^2/gamma."""
+    support = np.linspace(x0 - 6.0 * sigma_x, x0 + 6.0 * sigma_x, 1025 if sigma_x > 0 else 1)
+    rate = float(np.max(potential.hess(support))) / (params.mass * params.gamma)
+    if not dt * rate < 0.1:
+        raise ValueError(
+            "dt too large for the relaxation scale: need dt*V''/(M gamma) < 0.1 "
+            f"over the initial support, got {dt * rate:.3g}; "
+            f"suggested dt <= {0.09 / rate:.3g}"
+        )
 
 
 def _advance(mode: str, potential: Potential, params: BathParams, dt: float,
@@ -219,7 +224,7 @@ def step_overdamped(
 ) -> float:
     """One pre-point step of M gamma dx = (-V'(x) + eta) dt."""
     _check_dt(params, dt)
-    _check_dt_overdamped(potential, params, dt)
+    _check_dt_overdamped(potential, params, dt, x)
     return _step_one("overdamped", potential, params, dt, x, 0.0, eta)[0]
 
 
@@ -233,7 +238,7 @@ def step_overdamped_postpoint(
     bias on a harmonic well has the opposite sign to the pre-point stepper.
     """
     _check_dt(params, dt)
-    _check_dt_overdamped(potential, params, dt)
+    _check_dt_overdamped(potential, params, dt, x)
     return _step_one("overdamped_postpoint", potential, params, dt, x, 0.0, eta)[0]
 
 
@@ -384,7 +389,8 @@ def _validate_run(config: SimConfig, mode: str, snapshot_steps):
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
     if mode != "inertial":
-        _check_dt_overdamped(config.potential, config.params, config.dt)
+        _check_dt_overdamped(config.potential, config.params, config.dt, config.x0,
+                             config.sigma_x)
     for s in snapshot_steps:
         if not 0 <= int(s) <= config.steps:
             raise ValueError("snapshot step out of range")

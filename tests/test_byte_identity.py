@@ -7,20 +7,26 @@ promised within one version only, so DIGEST_VERSION must equal
 ``bathdyn.__version__``: a change that moves any byte re-records the digests
 of the cases it moves and bumps both.
 
-The digests belong to 0.6.0. It moved only decohere bytes: W is one real
-product over the y >= 0 half, which moves ``wigner_final.csv`` and the
-``amplitude`` column of ``decay.csv`` by roundoff, and the ``trace_constant``
-record carries ``tr0`` and ``rel_tol``. 0.5.0 moved no byte of these cases
-(only det-check's two regularized-log values). Six cases still hold the digests
-recorded with 0.2.0, byte for byte, because no later version moved their
-outputs. ``ensemble`` and ``smoluchowski_double_well`` hold the digests
-recorded with 0.3.0 (``DoubleWell.grad`` cubes by multiplication), which later
-versions left where they were. ``decohere_momenta_left`` and ``decohere_symmetric`` were recorded
-with 0.3.0 (the kinetic substep pads to 11-smooth FFT lengths), with 0.4.0
-(the density matrix steps on its y >= 0 half with real FFTs, which moves rho
-and W by roundoff) and again with 0.6.0; their ``rho_final.csv`` digests
-date from 0.4.0. The test keeps its 0.2.0 name, since most of
-its digests date from then.
+The digests belong to 0.7.0. It moved only grid-solver bytes, by roundoff:
+each grid kernel folds dt and the grid spacings into its face weights and
+speeds once per run, which moves ``field.csv`` and the mass column of
+``mass.csv`` of the four ``kramers_*`` and ``smoluchowski_*`` runs that step
+(dt, and so every ``t`` column, keeps its bits), and ``compare.jsonl`` and the
+manifest of ``compare``. The digests of the other files of those cases are
+older, as below. 0.6.0 moved only decohere bytes: W is one real product over
+the y >= 0 half, which moves ``wigner_final.csv`` and the ``amplitude`` column
+of ``decay.csv`` by roundoff, and the ``trace_constant`` record carries
+``tr0`` and ``rel_tol``. 0.5.0 moved no byte of these cases (only det-check's
+two regularized-log values). ``kernels_drude`` and ``kramers_dt_too_large``
+still hold the digests recorded with 0.2.0, byte for byte, because no later
+version moved their outputs. ``ensemble`` holds the digests recorded with
+0.3.0 (``DoubleWell.grad`` cubes by multiplication), which later versions left
+where they were. ``decohere_momenta_left`` and ``decohere_symmetric`` were
+recorded with 0.3.0 (the kinetic substep pads to 11-smooth FFT lengths), with
+0.4.0 (the density matrix steps on its y >= 0 half with real FFTs, which
+moves rho and W by roundoff) and again with 0.6.0; their ``rho_final.csv``
+digests date from 0.4.0. The test keeps its 0.2.0 name, since most of its
+digests were first recorded then.
 """
 
 import hashlib
@@ -33,7 +39,7 @@ import pytest
 import bathdyn
 from bathdyn.cli import main
 
-DIGEST_VERSION = "0.6.0"
+DIGEST_VERSION = "0.7.0"
 
 _KRAMERS = {
     "sim.kind": "kramers", "potential.kind": "double_well",
@@ -76,15 +82,15 @@ CASES = {
 }
 
 # case -> name -> sha256 hex digest; recorded with bathdyn 0.2.0, except the
-# ensemble and smoluchowski_double_well cases (0.3.0) and the decohere_* cases
-# (0.6.0)
+# ensemble case (0.3.0), the decohere_* cases (0.6.0) and the grid outputs of
+# the compare, kramers_* and smoluchowski_* cases (0.7.0)
 DIGESTS = {
     "compare": {
         "compare.jsonl":
-            "2c55aa5b2057fb6d71779320bba4887e47c1095425135c8644b2df14982e4cf0",
+            "a30be4cf6790eb96a23de22efa042b41d1a14f2cccc863a0415b7b80023aac61",
         "exit_code": "0",
         "manifest.json":
-            "935c54ca096cf591b6f0fc19452e4c25158040a05c6d8c05be104b2099fd675f",
+            "e5ee5be436f7e2a49fb8771aca939c010137fc50ecbccb40177233a65ee3a80d",
         "moments.csv":
             "9a0c0797d80b51bbaaf1172abcb34dbee0a0bc238a5392db4d86e50f179ecddc",
         "stderr":
@@ -166,11 +172,11 @@ DIGESTS = {
     "kramers_momenta_left": {
         "exit_code": "0",
         "field.csv":
-            "ce66fec5254e46e9e8a459376802aaa534f374f90c05da37b6053c96b8b1ad61",
+            "4c74718c285816b532a939e71d7d9cb83a3e88651d3be6d9d6971e56f929de53",
         "manifest.json":
             "a500fb6a3019d12a57ff90e4b5aa1c0aa7733030ece3fcfce63d110b90e71cc2",
         "mass.csv":
-            "04a205fa9c11ed3e656e59b02b84a5685cd7f87281fd7efed316206a9e7b9b14",
+            "847e82858fac75f01aa25f46c35c9f884c28480659aa8075882c3b166850758c",
         "stderr":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout":
@@ -179,7 +185,7 @@ DIGESTS = {
     "kramers_symmetric": {
         "exit_code": "0",
         "field.csv":
-            "7f875e46b0413988bf8ec22a696e1b782e9bfbd2457f6a443315e78ea4813594",
+            "8f19ac040d65ec0bfd7f2a9d5dc103f5a0df1a016d280c7228e57a265bfb9af5",
         "manifest.json":
             "e31c32b0022c42d74def35080982f138b6123caf318bf371143a7028280cc2fa",
         "mass.csv":
@@ -192,11 +198,11 @@ DIGESTS = {
     "smoluchowski_double_well": {
         "exit_code": "0",
         "field.csv":
-            "ccd50699a33861c3826e370b035ac2817f637e0153613bc371b3f48303316476",
+            "de5965c8bd1bfd681a08761e839006fb981ba0aac3b10a3d206d27c5b604ce42",
         "manifest.json":
-            "f610af80fc7a228e5d02598a3e57f00312101d20cb024fa14378a2721a3d0427",
+            "64f1add7cf2ba3a7e4aa551b5d632441d1315b0f7cb009f51a2bd7c24a02c8e0",
         "mass.csv":
-            "4eb3010d41a008e1ef815d6e6ac79033a713a932df64859716ce4bd8eb4e1bf4",
+            "d6d22d0765cfa38cdc7d506a3602a87738633900dccbff87c210db64f7ad9867",
         "stderr":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout":
@@ -205,11 +211,11 @@ DIGESTS = {
     "smoluchowski_symmetric": {
         "exit_code": "0",
         "field.csv":
-            "976fc37c217c414777f524b1f0d1a55fafa025dda31e4afc1f86758c4a0f143e",
+            "ea72c3b20eca0ca3cbdce6c5b83e2f9ad573347db1cb9df4a744c72bc1435701",
         "manifest.json":
             "b7ef3bbb9b83c277d6ffeccb236bb6b9690b64d1edfa8030eeb09e971fd77df0",
         "mass.csv":
-            "957838a283199ffdcdf0e3aa6e9b6cf0b61299d3f011f6729a3ca2518b44b6fe",
+            "b22dbfa739359ba0c7dcfe54e47054c2fb7cb68bdfa608439e5b8f88597cd7c3",
         "stderr":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout":

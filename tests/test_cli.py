@@ -256,15 +256,15 @@ def test_failed_run_manifest_records_the_error(tmp_path, capsys):
     assert [r for r in records if r["record"] == "output"] == []
 
 
-def test_recorded_kramers_run_builds_its_divergence_kernel_once(tmp_path, monkeypatch):
+def test_recorded_kramers_run_builds_its_increment_kernel_once(tmp_path, monkeypatch):
     """A grid run is one records run: its kernel is built once, however many
     records it writes."""
     import bathdyn.fokker_planck as fp
 
     built = []
-    kernel = fp.KramersOperator.divergence_kernel
-    monkeypatch.setattr(fp.KramersOperator, "divergence_kernel",
-                        lambda self: built.append(1) or kernel(self))
+    kernel = fp.KramersOperator.increment_kernel
+    monkeypatch.setattr(fp.KramersOperator, "increment_kernel",
+                        lambda self, dt: built.append(1) or kernel(self, dt))
     cfg = _write_config(tmp_path, "sim.kind=kramers\ngrid.nx=16\ngrid.nv=16\n"
                         "fp.steps=10\nfp.record_every=3\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
@@ -486,6 +486,40 @@ def test_drude_thermal_rate_out_of_range_exits_2_naming_hbar(tmp_path, capsys, h
         {"record": "error", "exit_code": 2, "message": line}]
 
 
+@pytest.mark.parametrize("t_max, code", [("1e-15", 0), ("1e-16", 2), ("1e-300", 2)])
+def test_drude_time_grid_too_fine_for_the_log_term_exits_2_naming_t_max(tmp_path, capsys,
+                                                                         t_max, code):
+    """At nt = 65 the smallest |t| is t_max / 66. Below about 5.8e-16,
+    exp(-2 pi |t|) rounds to 1 and the kernel's log term is -inf: such a run
+    exited 2 with a RuntimeWarning and "kernel values must be finite", naming
+    no key. The rule splits where those runs failed."""
+    cfg = _write_config(tmp_path, "bath.model=drude\nbath.omega_d=1\nbath.hbar=1\n"
+                        f"grid.t_max={t_max}\ngrid.nt=65\ngrid.nw=11\n")
+    out = tmp_path / "out"
+    assert main(["kernels", "--config", cfg, "--out", str(out), "--quiet"]) == code
+    line = capsys.readouterr().err.strip()
+    if code:
+        assert line.startswith("config error: grid.t_max ")
+        assert _error_records(out) == [
+            {"record": "error", "exit_code": 2, "message": line}]
+    else:
+        assert line == "" and _error_records(out) == []
+
+
+def test_stiff_overdamped_start_exits_2_with_a_suggested_dt(tmp_path, capsys):
+    """V = 30 x^2 at dt = 0.05 ran to var_x = 7e119 with no trajectory counted
+    as diverged; the relaxation guard now refuses it over x0 +- 6 sigma_x."""
+    cfg = _write_config(tmp_path, "sim.kind=ensemble\nrun.mode=overdamped\n"
+                        "potential.kind=polynomial\npotential.coeffs=0,0,30\n"
+                        "bath.gamma=1\nrun.dt=0.05\nrun.sigma_x=0.5\n"
+                        "run.n_traj=2000\nrun.steps=200\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    line = capsys.readouterr().err.strip()
+    assert line.startswith("config error: dt too large for the relaxation scale")
+    assert line.endswith("got 3; suggested dt <= 0.0015")
+
+
 def test_every_float_rule_rejects_nan():
     import bathdyn.cli as cli
 
@@ -497,7 +531,8 @@ def test_every_float_rule_rejects_nan():
 def test_cli_raises_config_error_only_for_cross_key_rules():
     """Single-key range rules live in the RunConfig.get that reads the key;
     cli.py raises ConfigError itself only for the cross-key rules: compare.times
-    names, Lambda, Lambda d^2, det.gamma * det.t and the Drude nu1^3."""
+    names, Lambda, Lambda d^2, det.gamma * det.t, the Drude nu1^3 and the
+    Drude grid.t_max against nu1 and grid.nt."""
     import ast
 
     import bathdyn.cli as cli
@@ -507,7 +542,7 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
     raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)
               and isinstance(node.exc, ast.Call)
               and getattr(node.exc.func, "id", None) == "ConfigError"]
-    assert len(raises) == 5
+    assert len(raises) == 6
 
 
 # one tiny config per subcommand (and per simulate kind); each runs in well

@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 import bathdyn.langevin as lv
 from bathdyn import (
@@ -60,6 +62,80 @@ def test_overdamped_relaxation_guard():
     params = BathParams(mass=1.0, gamma=2.0, k_bt=0.5, hbar=0.0)
     with pytest.raises(ValueError, match="relaxation"):
         step_overdamped(0.0, stiff, params, 0.0, 0.02)  # rate*dt = 0.16
+
+
+@st.composite
+def _curved_starts(draw):
+    """A DoubleWell or a Polynomial of degree <= 4 with its ascending
+    coefficients, a bath, a dt and an initial point and width."""
+    if draw(st.booleans()):
+        a, b = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.01, 3.0))
+        pot, coeffs = DoubleWell(a=a, b=b), (0.0, 0.0, a, 0.0, b)
+    else:
+        coeffs = tuple(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5)))
+        pot = Polynomial(coeffs=coeffs)
+    params = BathParams(mass=draw(st.floats(0.5, 2.0)), gamma=draw(st.floats(0.5, 3.0)),
+                        k_bt=1.0, hbar=0.0)
+    sigma_x = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+    return pot, coeffs, params, draw(st.floats(1e-4, 0.5)), draw(st.floats(-3.0, 3.0)), sigma_x
+
+
+def _largest_curvature(coeffs, lo, hi):
+    """max V'' over [lo, hi] for the polynomial V: at an end, or where V'' is
+    stationary inside."""
+    inner = [r.real for r in P.polyroots(P.polyder(coeffs, 3))
+             if r.imag == 0 and lo < r.real < hi]
+    return max(P.polyval(x, P.polyder(coeffs, 2)) for x in (lo, hi, *inner))
+
+
+_CONCAVE = (0.0, 0.0, 1.0, 0.0, -1.0)  # V'' = 2 - 12 x^2 peaks inside any support around 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_curved_starts())
+@example((Polynomial(_CONCAVE), _CONCAVE, BathParams(1.0, 1.0, 1.0, 0.0), 0.1, 0.0, 1.0))
+def test_overdamped_guard_reads_the_curvature_over_the_initial_support(start):
+    """The guard refuses dt exactly when dt max V''/(M gamma) over x0 +- 6
+    sigma_x reaches 0.1, up to two stated slacks. Its 1,025 samples include
+    both ends, where a convex V'' (quartic coefficient c4 >= 0) peaks, and
+    miss the interior peak of a concave one by at most |V''''| (h/2)^2 / 2 =
+    3 |c4| h^2 at spacing h. And 1e-9 is far above the roundoff of
+    evaluating V'' (terms below 1e4) in two orders. A refusal suggests a dt
+    that passes."""
+    pot, coeffs, params, dt, x0, sigma_x = start
+    lo, hi = x0 - 6.0 * sigma_x, x0 + 6.0 * sigma_x
+    scale = dt / (params.mass * params.gamma)
+    rate = scale * _largest_curvature(coeffs, lo, hi)
+    c4 = coeffs[4] if len(coeffs) == 5 else 0.0
+    slack = scale * 3.0 * max(-c4, 0.0) * ((hi - lo) / 1024) ** 2
+    if rate < 0.1 - 1e-9:
+        lv._check_dt_overdamped(pot, params, dt, x0, sigma_x)
+    elif rate - slack >= 0.1 + 1e-9:
+        with pytest.raises(ValueError, match="^dt too large for the relaxation scale") as exc:
+            lv._check_dt_overdamped(pot, params, dt, x0, sigma_x)
+        suggested = float(str(exc.value).rsplit("<= ", 1)[1])
+        lv._check_dt_overdamped(pot, params, suggested, x0, sigma_x)
+
+
+def test_overdamped_guard_refuses_a_stiff_polynomial_start():
+    """V = 30 x^2 at gamma = 1, k_bt = 0.5, dt = 0.05 and sigma_x = 0.5 used
+    to run 2,000 trajectories for 200 steps to var_x = 7.1e119 with none
+    counted as diverged, and V = 10 x^2 to var_x = 0.048 against an exact
+    k_bt / V'' = 0.025. Both are refused. At the suggested dt the stiff run
+    holds the stationary variance of its own discrete map."""
+    params = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
+    for c, got in ((10.0, "1"), (30.0, "3")):
+        cfg = SimConfig(potential=Polynomial((0.0, 0.0, c)), params=params, dt=0.05,
+                        steps=200, n_traj=2000, master_seed=1, sigma_x=0.5)
+        with pytest.raises(ValueError, match=f"got {got}; suggested dt <= ") as exc:
+            run_ensemble(cfg, "overdamped")
+    stats = run_ensemble(replace(cfg, dt=float(str(exc.value).rsplit("<= ", 1)[1])),
+                         "overdamped")
+    # x' = (1 - lam dt) x + a normal of variance 2 k_bt dt, lam = V'' = 2 c (M = gamma = 1)
+    lam_dt = 2.0 * c * stats.dt
+    exact = 2.0 * params.k_bt * stats.dt / (1.0 - (1.0 - lam_dt) ** 2)
+    assert stats.n_diverged == 0
+    assert abs(stats.var_x - exact) <= 5.0 * math.sqrt(2.0 / (cfg.n_traj - 1)) * exact
 
 
 def test_step_algebra_prepoint():
@@ -420,8 +496,10 @@ def test_postpoint_chunk_mate_of_a_diverging_trajectory_is_exact():
 
 
 def test_postpoint_solve_that_never_converges_counts_as_diverged():
-    """c V'' = 1 makes the fixed-point map a 2-cycle: no step is accepted."""
-    pot = Polynomial(coeffs=(0.0, 0.0, 10.0))
+    """c V'' = -1 leaves the implicit relation without a solution: the
+    fixed-point map moves every iterate by the same step, so no step is
+    accepted. (c V'' = 1, a 2-cycle, is refused by the relaxation guard.)"""
+    pot = Polynomial(coeffs=(0.0, 0.0, -10.0))
     params = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
     cfg = SimConfig(potential=pot, params=params, dt=0.05, steps=3, n_traj=8,
                     master_seed=21, sigma_x=0.3)
@@ -442,7 +520,7 @@ def test_postpoint_solve_skips_dead_trajectories():
             calls.append(1)
             return super().grad(x)
 
-    pot = CountedPolynomial(coeffs=(0.0, 0.0, 10.0))
+    pot = CountedPolynomial(coeffs=(0.0, 0.0, -10.0))
     params = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
     cfg = SimConfig(potential=pot, params=params, dt=0.05, steps=3, n_traj=8,
                     master_seed=21, sigma_x=0.3)
@@ -460,19 +538,22 @@ def _step_inputs(draw):
     """Potential, bath, a dt inside the guards and a batch of (x, v, eta)."""
     params = BathParams(mass=draw(st.floats(0.5, 2.0)), gamma=draw(st.floats(0.1, 5.0)),
                         k_bt=1.0, hbar=0.0)
-    limit = 0.1 / params.gamma
     kind = draw(st.sampled_from(("harmonic", "double_well", "polynomial")))
     if kind == "harmonic":
         pot = Harmonic(mass=params.mass, omega0=draw(st.floats(0.1, 5.0)))
-        limit = min(limit, 0.1 * params.gamma / pot.omega0 ** 2)
     elif kind == "double_well":
         pot = DoubleWell(a=draw(st.floats(-2.0, 2.0)), b=draw(st.floats(0.01, 2.0)))
     else:
         pot = Polynomial(coeffs=tuple(draw(st.lists(st.floats(-2.0, 2.0),
                                                     min_size=1, max_size=5))))
-    dt = draw(st.floats(0.01, 0.99)) * limit
     n = draw(st.integers(1, 6))
     x = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
+    # the friction guard, and the relaxation guard at every x of the batch
+    limit = 0.1 / params.gamma
+    curvature = float(np.max(pot.hess(x))) / (params.mass * params.gamma)
+    if curvature > 0:
+        limit = min(limit, 0.1 / curvature)
+    dt = draw(st.floats(0.01, 0.99)) * limit
     v = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
     eta = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
     return pot, params, dt, x, v, eta
@@ -572,6 +653,13 @@ def test_divergence_matches_trajectories_stepped_alone(mode, n_traj, steps, seed
     cfg = SimConfig(potential=Polynomial((0.0, 0.0, a, 0.0, -b)), params=params,
                     dt=0.04, steps=steps, n_traj=n_traj, master_seed=seed,
                     sigma_x=sigma_x, sigma_v=sigma_v)
+    if mode == "overdamped" and not cfg.dt * (2.0 * a) < 0.1:
+        # V'' = 2a - 12 b x^2 is largest at the start x0 = 0, so the relaxation
+        # guard refuses the run here and, where it accepts the run, accepts
+        # every scalar step of it
+        with pytest.raises(ValueError, match="^dt too large for the relaxation scale"):
+            run_ensemble(cfg, mode)
+        return
     snaps = tuple(data.draw(st.sets(st.integers(0, steps), max_size=4)))
     lags = data.draw(st.integers(0, steps))
     paths, (x, v, eta) = _reference_paths(cfg, mode)
