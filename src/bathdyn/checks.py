@@ -385,9 +385,9 @@ def _interference_decay():
     )
     with tempfile.TemporaryDirectory() as top:
         _, checks = _cli_checks("decohere", lines, os.path.join(top, "decohere"))
-    slope, trace = checks["decay_slope"], checks["trace_constant"]
+    slope, trace, fits = checks["decay_slope"], checks["trace_constant"], checks["grid_fits"]
 
-    ok = ok_ident and ok_sub and trace["pass"] and slope["pass"]
+    ok = ok_ident and ok_sub and trace["pass"] and slope["pass"] and fits["pass"]
     return ok, (f"pure-sink substep dev {sub_dev:.2e}; slope/(Lambda d^2) = "
                 f"{slope['ratio']:.4f}; trace drift {trace['drift']:.2e}; "
                 f"Lambda l_e^2 == 2 pi gamma {'exactly' if ok_ident else 'VIOLATED'}")

@@ -41,6 +41,7 @@ from .config import (
     load_config,
 )
 from .decoherence import (
+    _EDGE_TOL,
     _HERM_TOL,
     MasterOperator,
     _ridge_amplitude,
@@ -266,6 +267,11 @@ _SQUARE = (lambda v: v > 0.0 and 0.0 < v * v < math.inf,
            "> 0 with a finite, nonzero square")
 _FOURTH_POWER = (lambda v: v > 0.0 and 0.0 < (v * v) * (v * v) < math.inf,
                  "> 0 with a finite, nonzero fourth power")
+
+
+# decohere's state.sigma, in grid spacings, whose Gaussian spectrum has fallen
+# to the grid_fits threshold at the Nyquist wavenumber
+_RESOLVED = math.sqrt(2.0 * math.log(1.0 / _EDGE_TOL)) / math.pi
 
 
 def _at_least(n: int) -> tuple:
@@ -557,9 +563,9 @@ def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:
     sigma = cfg.get("state.sigma", as_float, 0.3, _SQUARE)
     separation = cfg.get("state.separation", as_float, 4.0)
     nx = cfg.get("grid.nx", as_int, 101)
-    dx = cfg.get("grid.dx", as_float, 0.08)
+    dx = cfg.get("grid.dx", as_float, 0.08, _FINITE_POSITIVE)
     ny = cfg.get("grid.ny", as_int, 81)
-    dy = cfg.get("grid.dy", as_float, 0.2)
+    dy = cfg.get("grid.dy", as_float, 0.2, _FINITE_POSITIVE)
     dt = cfg.get("run.dt", as_float, 0.002)
     steps = cfg.get("run.steps", as_int, 50, _at_least(1))
     record_every = cfg.get("run.record_every", as_int, 5, _at_least(1))
@@ -571,14 +577,34 @@ def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:
     lam_d2 = lam * (separation * separation)
     if state_kind == "superposition" and not 0.0 < lam_d2 < math.inf:
         raise ConfigError(f"state.separation must give a finite Lambda d^2 > 0 (got {lam_d2:g})")
+    # rho's Gaussian profiles have standard deviations s = sigma along x and
+    # 2 sigma along y, so their spectra fall as exp(-(k s)^2 / 2); at each
+    # axis's Nyquist wavenumber pi / spacing that must be under grid_fits'
+    # threshold, or the spectral kinetic substep rings out to the grid edge:
+    # s >= sqrt(2 ln(1 / threshold)) / pi = 1.67 spacings
+    if not (sigma >= _RESOLVED * dx and 2.0 * sigma >= _RESOLVED * dy):
+        raise ConfigError(f"state.sigma must be resolved by the grid: sigma >= "
+                          f"{_RESOLVED:.3g} grid.dx and 2 sigma >= {_RESOLVED:.3g} grid.dy "
+                          f"(got {sigma:g} on {dx:g} x {dy:g})")
+    # each packet centre, +-separation / 2 (a Gaussian's is 0, a grid point),
+    # must lie inside the span [x_lo, x_hi] of the x grid built about 0
+    x_lo = -(nx // 2) * dx
+    x_hi = x_lo + (nx - 1) * dx
+    half = separation / 2.0
+    if state_kind == "superposition" and not (x_lo <= -half and half <= x_hi):
+        raise ConfigError(f"state.separation must put each packet centre "
+                          f"(+-{half:g}) inside the x grid [{x_lo:g}, {x_hi:g}]")
 
     if state_kind == "superposition":
         rho = superposition_state(nx, dx, ny, dy, separation=separation, sigma=sigma)
     else:
         rho = gaussian_pure_state(nx, dx, ny, dy, sigma=sigma)
 
+    edges = []  # the edge measure of each recorded field
+
     def decay_row(step: int, field) -> tuple:
-        herm = field.herm_deviation()  # the one measure of this record
+        herm = field.herm_deviation()
+        edges.append(field.edge_measure())
         tr = field.trace()
         amp = _ridge_amplitude(field, hbar)
         return (step, field.t, amp, tr.real, tr.imag, herm)
@@ -597,6 +623,12 @@ def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:
     man.product_csv("wigner_final.csv", ("x", "p", "w"), rho.x_grid, p_grid, wig)
 
     _, ts, amps, tr_re, _, herm = decay
+    edge_max = max(edges)
+    ok_fit = edge_max <= _EDGE_TOL
+    _say(args, f"check grid fits, edge measure <= {_EDGE_TOL:g}: "
+         f"{'pass' if ok_fit else 'FAIL'} (start {edges[0]:.3g}, max {edge_max:.3g})")
+    man.add_check("grid_fits", ok_fit, edge_start=edges[0], edge_max=edge_max,
+                  threshold=_EDGE_TOL)
     herm_max = max(herm)
     ok_herm = herm_max <= _HERM_TOL
     _say(args, f"check hermiticity <= 1e-8: {'pass' if ok_herm else 'FAIL'} "

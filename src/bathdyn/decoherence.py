@@ -8,12 +8,12 @@ generator
     i hbar d(rho)/dt = [ (1/M) p_y p_x + gamma y p_y
                          + V(x + y/2) - V(x - y/2) - i (w/2 hbar) y^2 ] rho
 
-into four substeps: the mixed kinetic term by a spectral phase on a
-zero-padded FFT grid, the potential difference by a pointwise phase, the
-friction advection gamma y d/dy by first-order upwinding (the y = 0 row has
-zero velocity and is never touched, so the trace integral of rho(x, 0) is
-conserved exactly), and the decoherence term by its exact pointwise
-exponential damping exp(-Lambda y^2 dt).
+into four substeps: the mixed kinetic term by a spectral phase on an FFT
+grid padded to the next odd 11-smooth length, the potential difference by a
+pointwise phase, the friction advection gamma y d/dy by first-order
+upwinding (the y = 0 row has zero velocity and is never touched, so the
+trace integral of rho(x, 0) is conserved exactly), and the decoherence term
+by its exact pointwise exponential damping exp(-Lambda y^2 dt).
 
 The friction term is ordered with the derivative acting last (momenta left).
 The symmetric ordering differs by a constant and multiplies the field by
@@ -32,6 +32,13 @@ y = 0 at index 0 of the padded y axis, where the y spectrum is real, and runs
 real FFTs (irfft along y, rfft and irfft along x, rfft back along y) on
 buffers whose zero padding is never written, so no transform pads (numpy 2
 runs a padded transform one line at a time).
+
+The FFTs make the kinetic substep periodic on the padded grid, which stands
+in for free space only while rho has vanished at the grid edge: what reaches
+the edge wraps to the far side. DensityField.edge_measure is that guard, max
+|rho| on the outer rows and columns over max |rho|; a field within _EDGE_TOL
+of its peak at every edge moves by about that much or less between
+paddings, so the padding adds only what keeps the transform lengths smooth.
 """
 
 from __future__ import annotations
@@ -62,6 +69,14 @@ _TERMS = ("kinetic", "potential", "friction", "decoherence")
 # largest relative deviation from rho(x, y) = conj(rho(x, -y)) that advance's
 # input, a Wigner transform's input or a run's final check accepts
 _HERM_TOL = 1e-8
+# largest edge measure a decohere run accepts (its grid_fits check). What the
+# kinetic substep wraps across the edge moves rho by at most about the edge
+# measure of its peak (0.004 to 0.97 of it, measured against the 1.5x padding
+# over 37 grids and states), so the threshold bounds the padding's share of
+# the error: at most a tenth of the splitting error of the CLI's default
+# dt = 0.002, 1.8e-5 of the peak on its default state and grid, rounded down
+# to a decade
+_EDGE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -159,6 +174,18 @@ class DensityField:
         """Max |rho(x,y) - conj(rho(x,-y))| relative to the field scale."""
         return _herm_deviation(self.values)
 
+    def edge_measure(self) -> float:
+        """Max |rho| on the outer rows and columns relative to max |rho|, 0 for
+        a zero field: how far the field is from vanishing at the grid edge.
+        One pass over the field finds the peak; the edge max reads the
+        2 (nx + ny) edge samples alone."""
+        vals = self.values
+        scale = float(np.max(np.abs(vals)))
+        if scale == 0.0:
+            return 0.0
+        rows, cols = np.abs(vals[[0, -1], :]), np.abs(vals[:, [0, -1]])
+        return max(float(np.max(rows)), float(np.max(cols))) / scale
+
 
 def _pure_state_field(
     psi, nx: int, dx: float, ny: int, dy: float, x_center: float = 0.0
@@ -209,11 +236,13 @@ def superposition_state(nx: int, dx: float, ny: int, dy: float, separation: floa
 
 
 def _odd_padded(n: int) -> int:
-    """Zero-padding target: the smallest odd m >= n + n//2 whose prime factors
-    are all <= 11. At least 1.5x the size, so the spectral phase wraps little;
-    odd, so the discrete frequency grid is symmetric (no unpaired Nyquist
-    mode); 11-smooth, so the FFTs never run on a large prime length."""
-    m = (n + n // 2) | 1
+    """FFT length of an axis of n samples: the smallest odd m >= n whose prime
+    factors are all <= 11. Odd, so the discrete frequency grid is symmetric
+    (no unpaired Nyquist mode); 11-smooth, so the FFTs never run on a large
+    prime length. The few zeros it adds are no guard against the spectral
+    phase's wrap: the field must vanish at the grid edge
+    (DensityField.edge_measure)."""
+    m = n | 1
     while True:
         k = m
         for p in (3, 5, 7, 11):
@@ -227,8 +256,11 @@ def _odd_padded(n: int) -> int:
 def _kinetic_kernel(nx: int, j0: int, phase: np.ndarray):
     """kinetic(half): the spectral step of the mixed kinetic term on the
     y >= 0 half, in an (nx, j0 + 1) buffer that the next call overwrites.
-    phase holds the kx >= 0 rows of the padded grid's phase (mx is odd).
-    Each call of this function makes new buffers.
+    phase holds the kx >= 0 rows of the padded grid's phase (mx is odd; the
+    padded lengths mx >= nx and my >= ny are _odd_padded's, so on an axis
+    whose length is already odd and 11-smooth there is no padding at all and
+    the substep is periodic on the grid itself). Each call of this function
+    makes new buffers.
 
     Equal up to roundoff to version 0.3.0's ifft2(fft2(padded) * phase):
     with y = 0 at index 0 and y < 0 wrapped to the end, the padded field is

@@ -401,11 +401,10 @@ class KramersOperator(_GridOperator):
             np.multiply(speed, face_x, out=face_x)
             np.subtract(flux_x[:-nv], flux_x[nv:], out=inc)
             # v drift-diffusion: exponential-upwind face flux, zero on the
-            # last v face of each x row
+            # last v face of each x row, whose weights bl and br are zero
             np.multiply(bl, p[:-1], out=face_v)
             np.multiply(br, p[1:], out=outflow)
             np.subtract(face_v, outflow, out=face_v)
-            flux_v[nv::nv] = 0.0
             np.subtract(flux_v[:-1], flux_v[1:], out=inc_v)
             np.add(inc, inc_v, out=inc)
             return inc.reshape(nx, nv)

@@ -62,7 +62,7 @@ def test_reproducibility(results):
     _report(results, 10)
 
 
-# every criterion's detail as paper-checks writes it to checks.jsonl (version 0.7.0)
+# every criterion's detail as paper-checks writes it to checks.jsonl (version 0.8.0)
 DETAILS = {
     1: "300 random-coefficient ratios, max |r - 1| = 0 (bitwise)",
     2: "rel errors 2.00e-04 (target e^2), 5.00e-05 (target e) at N = 1e4; "
@@ -80,7 +80,7 @@ DETAILS = {
     8: "K(0) exact for all variants; |area - 1| = 2.05e-07; "
        "periodogram max rel dev 0.037 over |w| < 5 w_D (4-bin averages)",
     9: "pure-sink substep dev 0.00e+00; slope/(Lambda d^2) = 1.0110; "
-       "trace drift 7.16e-14; Lambda l_e^2 == 2 pi gamma exactly",
+       "trace drift 6.48e-14; Lambda l_e^2 == 2 pi gamma exactly",
     10: "two seeded runs, 3 CSV files byte-compared, mismatches: none",
 }
 

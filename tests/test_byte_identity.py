@@ -7,26 +7,32 @@ promised within one version only, so DIGEST_VERSION must equal
 ``bathdyn.__version__``: a change that moves any byte re-records the digests
 of the cases it moves and bumps both.
 
-The digests belong to 0.7.0. It moved only grid-solver bytes, by roundoff:
-each grid kernel folds dt and the grid spacings into its face weights and
-speeds once per run, which moves ``field.csv`` and the mass column of
-``mass.csv`` of the four ``kramers_*`` and ``smoluchowski_*`` runs that step
-(dt, and so every ``t`` column, keeps its bits), and ``compare.jsonl`` and the
-manifest of ``compare``. The digests of the other files of those cases are
-older, as below. 0.6.0 moved only decohere bytes: W is one real product over
-the y >= 0 half, which moves ``wigner_final.csv`` and the ``amplitude`` column
-of ``decay.csv`` by roundoff, and the ``trace_constant`` record carries
-``tr0`` and ``rel_tol``. 0.5.0 moved no byte of these cases (only det-check's
-two regularized-log values). ``kernels_drude`` and ``kramers_dt_too_large``
-still hold the digests recorded with 0.2.0, byte for byte, because no later
-version moved their outputs. ``ensemble`` holds the digests recorded with
-0.3.0 (``DoubleWell.grad`` cubes by multiplication), which later versions left
-where they were. ``decohere_momenta_left`` and ``decohere_symmetric`` were
-recorded with 0.3.0 (the kinetic substep pads to 11-smooth FFT lengths), with
-0.4.0 (the density matrix steps on its y >= 0 half with real FFTs, which
-moves rho and W by roundoff) and again with 0.6.0; their ``rho_final.csv``
-digests date from 0.4.0. The test keeps its 0.2.0 name, since most of its
-digests were first recorded then.
+The digests belong to 0.8.0. It moved only decohere bytes: the kinetic substep
+pads its FFTs to the smallest odd 11-smooth length >= n, not >= 1.5 n, which
+moves every output of the two ``decohere_*`` cases (their states touch their
+grids' edges, so by far more than roundoff), and every decohere manifest
+carries a ``grid_fits`` check with its stdout line. ``decohere_symmetric``'s
+state stands at 3.4e-4 of its peak on its grid's y edges, over the 1e-6 the
+check accepts, so it now exits 1; ``decohere_momenta_left`` exited 1 before
+and still does. 0.7.0 moved only grid-solver bytes, by roundoff: each grid
+kernel folds dt and the grid spacings into its face weights and speeds once
+per run, which moves ``field.csv`` and the mass column of ``mass.csv`` of the
+four ``kramers_*`` and ``smoluchowski_*`` runs that step (dt, and so every
+``t`` column, keeps its bits), and ``compare.jsonl`` and the manifest of
+``compare``. The digests of the other files of those cases are older, as
+below. 0.6.0 moved only decohere bytes: W is one real product over the y >= 0
+half, which moves ``wigner_final.csv`` and the ``amplitude`` column of
+``decay.csv`` by roundoff, and the ``trace_constant`` record carries ``tr0``
+and ``rel_tol``. 0.5.0 moved no byte of these cases (only det-check's two
+regularized-log values). ``kernels_drude`` and ``kramers_dt_too_large`` still
+hold the digests recorded with 0.2.0, byte for byte, because no later version
+moved their outputs. ``ensemble`` holds the digests recorded with 0.3.0
+(``DoubleWell.grad`` cubes by multiplication), which later versions left where
+they were. ``decohere_momenta_left`` and ``decohere_symmetric`` were recorded
+with 0.3.0 (the kinetic substep pads to 11-smooth FFT lengths), with 0.4.0
+(the density matrix steps on its y >= 0 half with real FFTs, which moves rho
+and W by roundoff), with 0.6.0 and again with 0.8.0. The test keeps its 0.2.0
+name, since most of its digests were first recorded then.
 """
 
 import hashlib
@@ -39,7 +45,7 @@ import pytest
 import bathdyn
 from bathdyn.cli import main
 
-DIGEST_VERSION = "0.7.0"
+DIGEST_VERSION = "0.8.0"
 
 _KRAMERS = {
     "sim.kind": "kramers", "potential.kind": "double_well",
@@ -82,8 +88,8 @@ CASES = {
 }
 
 # case -> name -> sha256 hex digest; recorded with bathdyn 0.2.0, except the
-# ensemble case (0.3.0), the decohere_* cases (0.6.0) and the grid outputs of
-# the compare, kramers_* and smoluchowski_* cases (0.7.0)
+# ensemble case (0.3.0), the grid outputs of the compare, kramers_* and
+# smoluchowski_* cases (0.7.0) and the decohere_* cases (0.8.0)
 DIGESTS = {
     "compare": {
         "compare.jsonl":
@@ -100,33 +106,33 @@ DIGESTS = {
     },
     "decohere_momenta_left": {
         "decay.csv":
-            "e7e3c475c902c5f2e041f2e773ba33c3f14092323cb90f433501d7ce62aad096",
+            "375eb359d2fcb5dd3cf47a496dfd63b206bb4145e743df62344605e5acc2cf93",
         "exit_code": "1",
         "manifest.json":
-            "5b96c939f2b4d2ddc6ab08716a2ebe559d258da95b79c64744af56c905533bde",
+            "ff51603e4dc60a9a62a5be8d85fb6fadc2ca19ac84a25550aadd0ba4cac9c33f",
         "rho_final.csv":
-            "c490fc0712a12683dc7685e504200aec7bd4ffaa72b294dbaee534bc67400661",
+            "3aad3a7f838297d373bbe6e5c5f0dfdb969ff520e4c2201367445ab45da3786e",
         "stderr":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout":
-            "5a43e7d6b1ad13a36619fa76d77f28ff9e8e843962142822588039f652498859",
+            "1fd8eb4a026f640c6628d76e2bdc20a5f933b8c38dd9a62409de93f2fc2e745f",
         "wigner_final.csv":
-            "eb34cf7aa4360f5a4081567f0a23bbbafe12d2289ef25d6fe5de22198ed1324d",
+            "7c37e0bb4d456a2c16d12b862cfe6e61f4208e4973125c31b7ff540503896742",
     },
     "decohere_symmetric": {
         "decay.csv":
-            "0a5fdba7876c353a792204859267c6ff3d42b034cc8df7b4bab072664baa7300",
-        "exit_code": "0",
+            "004afcc6a0d6a14180294f1a3fd5732331d6254cbed785d66d6c2699e70c6193",
+        "exit_code": "1",
         "manifest.json":
-            "c0239ad5bd7c045fa8b6e236136fccfa007b75a57a4c446c9b5f0328d29650c1",
+            "378bb708184fafb122884a05bc2ec74f63e58e5230b2febcd0fdf5a14596ecf3",
         "rho_final.csv":
-            "8b2ac0f1b3fecd154cfc2cceeeb3bda4d79af083caad64b1a949df880eab4b53",
+            "8ba5c5bf25a2ffb52adb2d098c13a059d6d5c285f8bcfff130bfe01e5d74cdc9",
         "stderr":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout":
-            "5bcd6caa25fb261906093bf9a329c8514ac0433c50408975e5676f29beb88d9a",
+            "d49449000af88369e23fb0233f3091c81cbc058d86bc32ba7bbb968420f58427",
         "wigner_final.csv":
-            "800283401d16502dd6f279e3244fd4a4a88cd9f0687bda614e81dfd8d7f13e5a",
+            "03259cd82b8a8df1bff646ea09d7703981cea655d3ce723ae4158564db51d793",
     },
     "ensemble": {
         "autocorr.csv":

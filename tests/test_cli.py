@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bathdyn
-from bathdyn.cli import Manifest, main, write_csv
+from bathdyn.cli import _RESOLVED, Manifest, main, write_csv
 from bathdyn.config import (
     ConfigError,
     RunConfig,
@@ -193,6 +193,52 @@ def test_decohere_rejects_classical_limit(tmp_path, capsys):
     rc = main(["decohere", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "hbar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, bound, past", [
+    ("state.sigma", _RESOLVED * 0.1, 0.0),
+    ("state.separation", 8.0, math.inf),
+], ids=["sigma", "separation"])
+def test_decohere_grid_rules_stop_at_their_bounds(tmp_path, capsys, key, bound, past):
+    """On the default 101 x 81 grid (dx = 0.08, dy = 0.2): the narrowest
+    state the grid resolves has 2 sigma = 1.67 dy, and the widest
+    superposition puts its centres on the outer x points, +-4. Each bound
+    passes the rules; one float past it is a config error naming the key."""
+    assert _RESOLVED == pytest.approx(math.sqrt(2.0 * math.log(1e6)) / math.pi, rel=1e-15)
+    for value in (bound, math.nextafter(bound, past)):
+        cfg = _write_config(tmp_path, f"{key}={value!r}\nrun.steps=1\n")
+        rc = main(["decohere", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+        err = capsys.readouterr().err
+        if value == bound:
+            assert rc != 2 and err == ""
+        else:
+            assert rc == 2 and err.startswith(f"config error: {key} ")
+
+
+def test_decohere_fails_grid_fits_on_a_state_that_touches_the_edge(tmp_path, capsys):
+    """The symmetric byte-identity case: a Gaussian of width 0.3 on a 33 x 25
+    grid stands at 3.4e-4 of its peak on the y edges from the start. Every
+    other check passes; grid_fits alone fails the run, exit 1, with all its
+    outputs written."""
+    from bathdyn import gaussian_pure_state
+    from bathdyn.decoherence import _EDGE_TOL
+
+    cfg = _write_config(tmp_path, "state.kind=gaussian\npotential.kind=harmonic\n"
+                        "decohere.ordering=symmetric\ngrid.nx=33\ngrid.ny=25\n"
+                        "run.steps=25\nrun.record_every=5\n")
+    out = tmp_path / "o"
+    assert main(["decohere", "--config", cfg, "--out", str(out)]) == 1
+    assert "check grid fits, edge measure <= 1e-06: FAIL" in capsys.readouterr().out
+    checks = {r["name"]: r for r in _read_manifest(out) if r["record"] == "check"}
+    fits = checks.pop("grid_fits")
+    assert fits["pass"] is False and fits["threshold"] == _EDGE_TOL
+    start = gaussian_pure_state(33, 0.08, 25, 0.2, sigma=0.3).edge_measure()
+    assert fits["edge_start"] == start and 3e-4 < start
+    assert fits["edge_max"] >= start
+    assert sorted(checks) == ["hermitian", "trace_decay_rate"]
+    assert all(r["pass"] for r in checks.values())
+    assert {r["path"] for r in _read_manifest(out) if r["record"] == "output"} == {
+        "decay.csv", "rho_final.csv", "wigner_final.csv"}
 
 
 def test_simulate_ensemble_csv_roundtrip(tmp_path):
@@ -446,6 +492,18 @@ _RANGE_ERRORS = {
     "drude-hbar-inf": ("kernels", "bath.model=drude\nbath.omega_d=10.0\nbath.hbar=inf",
                        "bath.hbar must be"),
     "ensemble-bins": ("simulate", "sim.kind=ensemble\noutput.bins=0", "output.bins must be"),
+    "decohere-dx-inf": ("decohere", "grid.dx=inf", "grid.dx must be"),
+    "decohere-dy-0": ("decohere", "grid.dy=0", "grid.dy must be"),
+    # the state's width against the grid: too narrow for the x spacing alone,
+    # for the y spacing alone, and for both (1e-3 once exited 2 with "state
+    # has nonpositive norm on this grid", naming no key; 0.05 once ran and
+    # failed trace_constant)
+    "decohere-sigma-dx": ("decohere", "state.sigma=0.2\ngrid.dx=0.15", "state.sigma must be"),
+    "decohere-sigma-dy": ("decohere", "state.sigma=0.15", "state.sigma must be"),
+    "decohere-sigma-1e-3": ("decohere", "state.sigma=1e-3\ngrid.nx=21\ngrid.ny=11",
+                            "state.sigma must be"),
+    "decohere-sigma-0.05": ("decohere", "state.sigma=0.05", "state.sigma must be"),
+    "decohere-separation-grid": ("decohere", "state.separation=9", "state.separation must"),
 }
 
 
@@ -531,8 +589,9 @@ def test_every_float_rule_rejects_nan():
 def test_cli_raises_config_error_only_for_cross_key_rules():
     """Single-key range rules live in the RunConfig.get that reads the key;
     cli.py raises ConfigError itself only for the cross-key rules: compare.times
-    names, Lambda, Lambda d^2, det.gamma * det.t, the Drude nu1^3 and the
-    Drude grid.t_max against nu1 and grid.nt."""
+    names, Lambda, Lambda d^2, det.gamma * det.t, the Drude nu1^3, the
+    Drude grid.t_max against nu1 and grid.nt, and decohere's state.sigma
+    against grid.dx and grid.dy and packet centres inside the x grid."""
     import ast
 
     import bathdyn.cli as cli
@@ -542,11 +601,12 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
     raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)
               and isinstance(node.exc, ast.Call)
               and getattr(node.exc.func, "id", None) == "ConfigError"]
-    assert len(raises) == 6
+    assert len(raises) == 8
 
 
 # one tiny config per subcommand (and per simulate kind); each runs in well
-# under a second
+# under a second, and the decohere state is narrow enough to vanish at its
+# grid's edges, as its grid_fits check asks
 _REPRO_RUNS = {
     "smoluchowski": ("simulate", "sim.kind=smoluchowski\ngrid.nx=32\n"
                      "fp.steps=20\nfp.record_every=7\n"),
@@ -555,8 +615,8 @@ _REPRO_RUNS = {
     "compare": ("simulate", "sim.kind=compare\ncompare.times=0.05,0.1\n"
                 "run.n_traj=300\nrun.seed=3\ngrid.nx=64\n"
                 "grid.x_min=-3\ngrid.x_max=3\n"),
-    "decohere": ("decohere", "state.kind=gaussian\ngrid.nx=41\ngrid.ny=21\n"
-                 "run.steps=6\nrun.record_every=4\n"),
+    "decohere": ("decohere", "state.kind=gaussian\nstate.sigma=0.2\ngrid.nx=41\n"
+                 "grid.ny=25\nrun.steps=6\nrun.record_every=4\n"),
     "det-check": ("det-check", ""),
     "ensemble": ("simulate", "sim.kind=ensemble\nrun.mode=inertial\nrun.n_traj=1100\n"
                  "run.steps=20\nrun.seed=3\nrun.sigma_x=0.3\noutput.autocorr_lags=5\n"),

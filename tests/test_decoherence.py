@@ -138,7 +138,7 @@ _SMOOTH = _smooth_odd_lengths(20_000)
 @given(st.integers(1, 4000))
 def test_padded_length_is_the_smallest_odd_11_smooth_length(n):
     m = dc._odd_padded(n)
-    floor = n + n // 2
+    floor = n
     assert m % 2 == 1 and m >= floor and m in _SMOOTH
     assert not any(floor <= k < m for k in _SMOOTH)
 
@@ -158,7 +158,7 @@ def test_kinetic_substeps_do_not_depend_on_the_padding(monkeypatch, state):
     # 101 x 81 grid, where both fall below 1e-12 of their peak at every edge:
     # zero padding stands in for free space only for a field that vanishes
     # there (on the cases' own 41 x 31 and 33 x 25 grids they do not, and the
-    # two paddings differ by up to 9e-5 of the peak after these 30 steps)
+    # two paddings differ by up to 4.8e-3 of the peak after these 30 steps)
     rho = state(101, 81)
     scale = np.max(np.abs(rho.values))
     edges = np.abs(np.concatenate([rho.values[[0, -1], :].ravel(),
@@ -166,7 +166,7 @@ def test_kinetic_substeps_do_not_depend_on_the_padding(monkeypatch, state):
     assert np.max(edges) < 1e-12 * scale
     heavy = BathParams(mass=20.0, gamma=6.25e-3, k_bt=1.0, hbar=1.0)
     smooth = MasterOperator(rho, None, heavy, 0.002, terms=("kinetic",))
-    assert dc._odd_padded(101) == 165 != _odd_padded_0_2_0(101)
+    assert dc._odd_padded(101) == 105 != _odd_padded_0_2_0(101)
     monkeypatch.setattr(dc, "_odd_padded", _odd_padded_0_2_0)
     prime = MasterOperator(rho, None, heavy, 0.002, terms=("kinetic",))
     diff = smooth.advance(rho, 30).values - prime.advance(rho, 30).values
@@ -295,6 +295,48 @@ def test_herm_deviation_sees_a_non_hermitian_field():
     vals[1, 4] = 1.0
     vals[2, 2] = 1.0 + 1e-3j  # the y = 0 column must be real
     assert dc._herm_deviation(vals) == abs(2e-3j) / abs(1.0 + 1e-3j)
+
+
+def _edge_max_over_peak(vals):
+    """The edge measure written out: the largest |rho| on each of the four
+    edges, the largest of those over the largest |rho| anywhere."""
+    peak = np.max(np.abs(vals))
+    if peak == 0.0:
+        return 0.0
+    edges = (vals[0, :], vals[-1, :], vals[:, 0], vals[:, -1])
+    return max(float(np.max(np.abs(edge))) for edge in edges) / float(peak)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_complex_fields())
+@example(np.zeros((4, 5), dtype=complex))
+@example(np.array([[0.5 + 0.0j]]))
+def test_edge_measure_is_the_largest_edge_sample_over_the_peak(vals):
+    rho = DensityField(vals, 0.0, 0.1, 0.1)
+    assert rho.edge_measure() == _edge_max_over_peak(vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 20), st.floats(0.02, 3.0),
+       st.integers(0, 2**32 - 1))
+@example(41, 15, 0.1, 0)  # clears the edges: 6.1e-13, at the y edges
+@example(41, 15, 3.0, 0)  # touches them: 0.97, at the y edges
+def test_edge_measure_of_gaussian_states_that_clear_or_touch_the_edge(nx, half_ny,
+                                                                       sigma, seed):
+    """A Gaussian state centred on its grid, under random unit phases: its
+    peak is at x = y = 0 and |rho| = exp(-x^2 / 2 sigma^2 - y^2 / 8 sigma^2),
+    so the measure is that at the nearer x edge (y = 0) or the y edge
+    (x = 0), whichever is larger, whether the state clears the edges or
+    touches them."""
+    rho = gaussian_pure_state(nx, 0.1, 2 * half_ny + 1, 0.1, sigma=sigma)
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, rho.values.shape)
+    rho.values = rho.values * np.exp(1j * phases)
+    measure = rho.edge_measure()
+    assert measure == _edge_max_over_peak(rho.values)
+    x_edge, y_edge = min(-rho.x_grid[0], rho.x_grid[-1]), rho.y_grid[-1]
+    closed = max(math.exp(-x_edge ** 2 / (2.0 * sigma ** 2)),
+                 math.exp(-y_edge ** 2 / (8.0 * sigma ** 2)))
+    assert measure == pytest.approx(closed, rel=1e-12, abs=1e-300)
 
 
 def test_wigner_of_gaussian_matches_closed_form():
