@@ -82,18 +82,22 @@ def _curved_starts(draw):
 
 def _largest_curvature(coeffs, lo, hi):
     """max V'' over [lo, hi] for the polynomial V: at an end, or where V'' is
-    stationary inside."""
-    inner = [r.real for r in P.polyroots(P.polyder(coeffs, 3))
-             if r.imag == 0 and lo < r.real < hi]
+    stationary inside. A subnormal leading coefficient sends a root past the
+    largest float: it overflows to +-inf, outside [lo, hi]."""
+    with np.errstate(over="ignore"):
+        roots = P.polyroots(P.polyder(coeffs, 3))
+    inner = [r.real for r in roots if r.imag == 0 and lo < r.real < hi]
     return max(P.polyval(x, P.polyder(coeffs, 2)) for x in (lo, hi, *inner))
 
 
 _CONCAVE = (0.0, 0.0, 1.0, 0.0, -1.0)  # V'' = 2 - 12 x^2 peaks inside any support around 0
+_TINY_QUARTIC = (0.0, 0.0, 0.0, 1.0, 2.2250738585e-313)  # V'' stationary near x = -1e312
 
 
 @settings(max_examples=300, deadline=None)
 @given(_curved_starts())
 @example((Polynomial(_CONCAVE), _CONCAVE, BathParams(1.0, 1.0, 1.0, 0.0), 0.1, 0.0, 1.0))
+@example((Polynomial(_TINY_QUARTIC), _TINY_QUARTIC, BathParams(1.0, 1.0, 1.0, 0.0), 0.5, 0.0, 0.0))
 def test_overdamped_guard_reads_the_curvature_over_the_initial_support(start):
     """The guard refuses dt exactly when dt max V''/(M gamma) over x0 +- 6
     sigma_x reaches 0.1, up to two stated slacks. Its 1,025 samples include
