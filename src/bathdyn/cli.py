@@ -10,7 +10,7 @@ error still writes its manifest, ending in an ``error`` record with the exit
 code and the line printed to stderr.
 
 ``main`` owns a run's lifecycle: it loads the config, hands it and the
-``Manifest`` to the subcommand, ``cmd_x(args, cfg, man)``, which reads its
+``Manifest`` to the subcommand, ``cmd_x(cfg, man)``, which reads its
 keys, does its work and records its outputs and checks, and then writes the
 manifest and turns the checks or the error into the exit code.
 """
@@ -80,7 +80,7 @@ from .potentials import DoubleWell, Harmonic, Polynomial
 
 
 def _fmt_cell(value) -> str:
-    value = _json_safe(value)
+    value = value.tolist() if isinstance(value, np.generic) else value
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
@@ -150,27 +150,12 @@ def _moment_columns(stats) -> tuple[list, list]:
     return keys, [float(getattr(stats, k)) for k in keys]
 
 
-def _json_safe(value):
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    return value
-
-
 def write_jsonl(path, records) -> None:
     """One JSON object per line, keys sorted for stable diffs."""
     with open(path, "w", newline="") as fh:
         for rec in records:
-            fh.write(json.dumps(_json_safe(rec), sort_keys=True) + "\n")
+            # numpy scalars and arrays go through json's hook as Python values
+            fh.write(json.dumps(rec, sort_keys=True, default=lambda v: v.tolist()) + "\n")
 
 
 def _utc_now() -> str:
@@ -178,12 +163,13 @@ def _utc_now() -> str:
 
 
 class Manifest:
-    """Run metadata accumulator and owner of the run's output files; written
-    atomically as JSON-lines."""
+    """Run metadata accumulator and owner of the run's output files and
+    progress lines (none when quiet); written atomically as JSON-lines."""
 
-    def __init__(self, command: str, out_dir: str):
+    def __init__(self, command: str, out_dir: str, quiet: bool = False):
         self.command = command
         self.out_dir = out_dir
+        self.quiet = quiet
         self.started = _utc_now()
         self.outputs: list[str] = []
         self.records: list[dict] = []  # check and error records, in order
@@ -221,7 +207,14 @@ class Manifest:
         write_jsonl(self._path(name), records)
         self.outputs.append(name)
 
-    def add_check(self, name: str, passed: bool, **extra) -> None:
+    def say(self, line: str) -> None:
+        if not self.quiet:
+            print(line)
+
+    def check(self, name: str, passed: bool, line: str | None = None, **extra) -> None:
+        """Record a verdict, after printing its line if one is given."""
+        if line is not None:
+            self.say(line)
         self.records.append({"record": "check", "name": name, "pass": bool(passed), **extra})
 
     @property
@@ -247,20 +240,8 @@ class Manifest:
         os.replace(tmp, final)
 
 
-def _say(args, text: str) -> None:
-    if not args.quiet:
-        print(text)
-
-
-def _seed(args, cfg: RunConfig) -> int:
-    value = cfg.get("run.seed", as_int, 1234)
-    if args.seed is not None:
-        value = args.seed
-        cfg.resolved["run.seed"] = value
-    return value
-
-
 # RunConfig.get rules, (test, text); every test is False on NaN
+_FINITE = (math.isfinite, "finite")
 _FINITE_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
 _FINITE_NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 _SQUARE = (lambda v: v > 0.0 and 0.0 < v * v < math.inf,
@@ -276,6 +257,10 @@ _RESOLVED = math.sqrt(2.0 * math.log(1.0 / _EDGE_TOL)) / math.pi
 
 def _at_least(n: int) -> tuple:
     return (lambda v: v >= n, f">= {n}")
+
+
+def _tag(passed) -> str:
+    return "pass" if passed else "FAIL"
 
 
 def _bath_from(cfg: RunConfig, mass: float = 1.0, gamma: float = 1.0,
@@ -312,7 +297,7 @@ def _potential_from(cfg: RunConfig, mass: float, allow_none: bool = False):
 # kernels
 
 
-def cmd_kernels(args, cfg: RunConfig, man: Manifest) -> None:
+def cmd_kernels(cfg: RunConfig, man: Manifest) -> None:
     model_name = cfg.get("bath.model", as_choice("ohmic", "drude"), "ohmic")
     params = _bath_from(cfg)
     mass, gamma, hbar = params.mass, params.gamma, params.hbar
@@ -322,9 +307,8 @@ def cmd_kernels(args, cfg: RunConfig, man: Manifest) -> None:
         # divides by nu1^3 (hbar = 0 has neither); a finite, nonzero cube also
         # keeps omega_d / nu1 finite, since omega_d^4 is
         nu1 = 2.0 * math.pi * params.k_bt / hbar if hbar > 0 else 1.0
-        if not 0.0 < nu1 * nu1 * nu1 < math.inf:
-            raise ConfigError("bath.hbar must give nu1 = 2 pi k_bt / hbar a finite, "
-                              f"nonzero cube (got nu1 = {nu1:g})")
+        cfg.require(0.0 < nu1 * nu1 * nu1 < math.inf, "bath.hbar",
+                    f"give nu1 = 2 pi k_bt / hbar a finite, nonzero cube (got nu1 = {nu1:g})")
         model = Drude(gamma=gamma, omega_d=omega_d)
         params = dataclasses.replace(params, omega_d=omega_d)
         w_max = cfg.get("grid.w_max", as_float, 5.0 * omega_d, _FINITE_POSITIVE)
@@ -335,12 +319,18 @@ def cmd_kernels(args, cfg: RunConfig, man: Manifest) -> None:
         t_max = cfg.get("grid.t_max", as_float, 16.0 / gamma, _FINITE_POSITIVE)
     nw = cfg.get("grid.nw", as_int, 2001, _at_least(2))
     nt = cfg.get("grid.nt", as_int, 16385, _at_least(2))
-    # the quantum kernel's log term needs exp(-nu1 |t|) < 1, in numpy's exp as
-    # the kernel takes it, at its smallest |t|: t_max / n_even on the
-    # half-offset grid below
-    if model_name == "drude" and hbar > 0 and not np.exp(-nu1 * t_max / (nt + nt % 2)) < 1.0:
-        raise ConfigError("grid.t_max must give the smallest |t| = t_max / n_even a "
-                          f"finite log(1 - exp(-nu1 |t|)) (got t_max = {t_max:g})")
+    if model_name == "drude" and hbar > 0:
+        # the quantum kernel log-diverges at t = 0; an even count of
+        # half-offset samples straddles it symmetrically
+        n_even = nt + nt % 2
+        t_grid = -t_max + (np.arange(n_even) + 0.5) * (2.0 * t_max / n_even)
+        # its log term needs exp(-nu1 |t|) < 1, in numpy's exp as the kernel
+        # takes it, at the grid's smallest |t|, about t_max / n_even
+        cfg.require(np.exp(-nu1 * np.min(np.abs(t_grid))) < 1.0, "grid.t_max",
+                    "give the smallest |t| = t_max / n_even a finite "
+                    f"log(1 - exp(-nu1 |t|)) (got t_max = {t_max:g})")
+    elif model_name == "drude":
+        t_grid = np.linspace(-t_max, t_max, nt + 1 - nt % 2)
     cfg.finish()
 
     omega = np.linspace(-w_max, w_max, nw)
@@ -349,8 +339,8 @@ def cmd_kernels(args, cfg: RunConfig, man: Manifest) -> None:
 
     k0 = float(noise_kernel_freq(params, model, 0.0))
     ok0 = k0 == 1.0
-    _say(args, f"check K(0) == 1 exactly: {'pass' if ok0 else 'FAIL'} (K0 = {k0:.17g})")
-    man.add_check("k0_exact_unit", ok0, computed=k0, target=1.0)
+    man.check("k0_exact_unit", ok0, f"check K(0) == 1 exactly: {_tag(ok0)} (K0 = {k0:.17g})",
+              computed=k0, target=1.0)
 
     if model_name == "drude":
         man.csv("spectral_density.csv", ("omega", "sigma"),
@@ -358,52 +348,40 @@ def cmd_kernels(args, cfg: RunConfig, man: Manifest) -> None:
         tg = np.linspace(0.0, t_max, (nt + 1) // 2)
         man.csv("friction_time.csv", ("t", "gamma_t"),
                 (tg, friction_kernel_time(model, mass, tg)))
-        if hbar > 0:
-            # the quantum kernel log-diverges at t = 0; an even count of
-            # half-offset samples straddles it symmetrically
-            n_even = nt if nt % 2 == 0 else nt + 1
-            dt = 2.0 * t_max / n_even
-            t_grid = -t_max + (np.arange(n_even) + 0.5) * dt
-        else:
-            n_odd = nt if nt % 2 == 1 else nt + 1
-            t_grid = np.linspace(-t_max, t_max, n_odd)
         samples = noise_kernel_time(params, model, t_grid)
         man.csv("noise_time.csv", ("t", "K_t"), (samples.t_grid, samples.values))
         if hbar == 0.0:
             ok_area = abs(samples.area - 1.0) <= 1e-6
-            _say(args, "check |area(K) - 1| <= 1e-6: "
-                 f"{'pass' if ok_area else 'FAIL'} (area = {samples.area:.17g})")
-            man.add_check("k_area_unit", ok_area, computed=samples.area,
-                          target=1.0, tol=1e-6)
+            man.check("k_area_unit", ok_area, "check |area(K) - 1| <= 1e-6: "
+                      f"{_tag(ok_area)} (area = {samples.area:.17g})",
+                      computed=samples.area, target=1.0, tol=1e-6)
         else:
-            _say(args, f"K trapezoid area = {samples.area:.17g} "
-                 "(quantum kernel: no unit-area contract)")
+            man.say(f"K trapezoid area = {samples.area:.17g} "
+                    "(quantum kernel: no unit-area contract)")
 
 
 # ---------------------------------------------------------------------------
 # det-check
 
 
-def cmd_det_check(args, cfg: RunConfig, man: Manifest) -> None:
+def cmd_det_check(cfg: RunConfig, man: Manifest) -> None:
     g = cfg.get("det.gamma", as_float, 2.0,  # the rate cases take 100 g^2
                 (lambda v: v > 0.0 and 100.0 * v * v < math.inf, "> 0 with 100 g^2 finite"))
     t_total = cfg.get("det.t", as_float, 1.0, _FINITE_POSITIVE)
     n = cfg.get("det.n", as_int, 10000, _at_least(4))
-    seed = _seed(args, cfg)
+    seed = cfg.get("run.seed", as_int, 1234)
     cfg.finish()
-    if not g * t_total < math.log(sys.float_info.max):
-        raise ConfigError(f"det.gamma * det.t must keep exp(g t) finite (got {g * t_total:g})")
+    cfg.require(g * t_total < math.log(sys.float_info.max), "det.gamma * det.t",
+                f"keep exp(g t) finite (got {g * t_total:g})")
 
     from .checks import det_cases
 
     cases = det_cases(g, t_total, n, seed)
     man.jsonl("det_checks.jsonl", cases)
     for case in cases:
-        tag = "pass" if case["pass"] else "FAIL"
-        _say(args, f"{case['case']}: {tag} (computed = {case['computed']:.12g}, "
-             f"target = {case['target']:.12g})")
-        man.add_check(case["case"], case["pass"], computed=case["computed"],
-                      target=case["target"])
+        man.check(case["case"], case["pass"], f"{case['case']}: {_tag(case['pass'])} "
+                  f"(computed = {case['computed']:.12g}, target = {case['target']:.12g})",
+                  computed=case["computed"], target=case["target"])
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +397,7 @@ def _grid(cfg: RunConfig, kind: str) -> PhaseGrid:
     x_axis = dict(
         x_min=cfg.get("grid.x_min", as_float, -4.0),
         x_max=cfg.get("grid.x_max", as_float, 4.0),
-        nx=cfg.get("grid.nx", as_int, _GRID_NX[kind]),
+        nx=cfg.get("grid.nx", as_int, _GRID_NX[kind], _at_least(16)),
     )
     if kind != "kramers":
         return PhaseGrid(**x_axis)
@@ -427,28 +405,29 @@ def _grid(cfg: RunConfig, kind: str) -> PhaseGrid:
         **x_axis,
         v_min=cfg.get("grid.v_min", as_float, -4.0),
         v_max=cfg.get("grid.v_max", as_float, 4.0),
-        nv=cfg.get("grid.nv", as_int, 128),
+        nv=cfg.get("grid.nv", as_int, 128, _at_least(16)),
     )
 
 
-def _run_ensemble_cmd(args, cfg, params, potential, man) -> None:
+def _run_ensemble_cmd(cfg, params, potential, man) -> None:
     mode = cfg.get("run.mode",
                    as_choice("inertial", "overdamped", "overdamped_postpoint"),
                    "overdamped")
     config = SimConfig(
         potential=potential,
         params=params,
-        dt=cfg.get("run.dt", as_float, 0.01),
-        steps=cfg.get("run.steps", as_int, 1000),
-        n_traj=cfg.get("run.n_traj", as_int, 1000),
-        master_seed=_seed(args, cfg),
+        dt=cfg.get("run.dt", as_float, 0.01, _FINITE_POSITIVE),
+        steps=cfg.get("run.steps", as_int, 1000, _at_least(1)),
+        n_traj=cfg.get("run.n_traj", as_int, 1000, _at_least(1)),
+        master_seed=cfg.get("run.seed", as_int, 1234),
         x0=cfg.get("run.x0", as_float, 0.0),
         v0=cfg.get("run.v0", as_float, 0.0),
-        sigma_x=cfg.get("run.sigma_x", as_float, 0.0),
-        sigma_v=cfg.get("run.sigma_v", as_float, 0.0),
+        sigma_x=cfg.get("run.sigma_x", as_float, 0.0, _FINITE_NONNEGATIVE),
+        sigma_v=cfg.get("run.sigma_v", as_float, 0.0, _FINITE_NONNEGATIVE),
     )
     bins = cfg.get("output.bins", as_int, 64, _at_least(1))
     lags = cfg.get("output.autocorr_lags", as_int, 0)
+    cfg.require(0 <= lags <= config.steps, "output.autocorr_lags", "be in [0, run.steps]")
     cfg.finish()
     stats = run_ensemble(config, mode, histogram_bins=bins, autocorr_lags=lags)
     man.csv("moments.csv", ("key", "value"), _moment_columns(stats))
@@ -459,24 +438,29 @@ def _run_ensemble_cmd(args, cfg, params, potential, man) -> None:
         lag = np.arange(lags + 1)
         man.csv("autocorr.csv", ("lag", "t_lag", "value"),
                 (lag, lag * config.dt, stats.autocorr))
-    _say(args, f"ensemble ({mode}): {stats.n_traj} trajectories, "
-         f"{stats.n_diverged} diverged, mean_x = {stats.mean_x:.6g}, "
-         f"var_x = {stats.var_x:.6g}")
+    man.say(f"ensemble ({mode}): {stats.n_traj} trajectories, "
+            f"{stats.n_diverged} diverged, mean_x = {stats.mean_x:.6g}, "
+            f"var_x = {stats.var_x:.6g}")
 
 
-def _run_fp_cmd(args, cfg, kind, params, potential, man) -> None:
+def _run_fp_cmd(cfg, kind, params, potential, man) -> None:
     ordering = Ordering(cfg.get("fp.ordering",
                                 as_choice("momenta_left", "symmetric"),
                                 "momenta_left"))
     x0 = cfg.get("fp.x0", as_float, 0.0)
-    sigma_x = cfg.get("fp.sigma_x", as_float, 0.5)
+    sigma_x = cfg.get("fp.sigma_x", as_float, 0.5, _FINITE_POSITIVE)
     steps = cfg.get("fp.steps", as_int, 1000, _at_least(1))
     record_every = cfg.get("fp.record_every", as_int, 100, _at_least(1))
-    dt = cfg.get("fp.dt", as_float, 0.0)
+    dt = cfg.get("fp.dt", as_float, 0.0, _FINITE)
     grid = _grid(cfg, kind)
+    # the start's centre must lie strictly inside the grid's span
+    cfg.require(grid.x_min < x0 < grid.x_max, "fp.x0",
+                f"lie inside the x grid ({grid.x_min:g}, {grid.x_max:g}) (got {x0:g})")
     if grid.is_2d:
         v0 = cfg.get("fp.v0", as_float, 0.0)
-        sigma_v = cfg.get("fp.sigma_v", as_float, 0.5)
+        cfg.require(grid.v_min < v0 < grid.v_max, "fp.v0",
+                    f"lie inside the v grid ({grid.v_min:g}, {grid.v_max:g}) (got {v0:g})")
+        sigma_v = cfg.get("fp.sigma_v", as_float, 0.5, _FINITE_POSITIVE)
     cfg.finish()
     if grid.is_2d:
         field = gaussian_field_2d(grid, x0, sigma_x, v0, sigma_v)
@@ -500,28 +484,31 @@ def _run_fp_cmd(args, cfg, kind, params, potential, man) -> None:
         man.csv("field.csv", ("x", "P"), (grid.x_centers, field.values))
 
     mean, var = field.moments()
-    _say(args, f"{kind} ({ordering.value}): {steps} steps of dt = {dt:.6g}, "
-         f"final mass = {field.mass:.12g}, mean = {mean:.6g}, var = {var:.6g}")
+    man.say(f"{kind} ({ordering.value}): {steps} steps of dt = {dt:.6g}, "
+            f"final mass = {field.mass:.12g}, mean = {mean:.6g}, var = {var:.6g}")
     if ordering is Ordering.MOMENTA_LEFT:
         drift, ok = _mass_drift(field0, field)
-        man.add_check("mass_conserved", ok, drift=drift, tol=_MASS_TOL)
+        man.check("mass_conserved", ok, drift=drift, tol=_MASS_TOL)
 
 
-def _run_compare_cmd(args, cfg, params, potential, man) -> None:
+def _run_compare_cmd(cfg, params, potential, man) -> None:
     grid = _grid(cfg, "compare")
     times = cfg.get("compare.times", as_float_list)
     names = [f"l1_within_budget_t_{t:g}" for t in times]
-    if len(set(names)) < len(names):
-        raise ConfigError("compare.times must differ in %g form, which names the checks")
+    cfg.require(len(set(names)) == len(names), "compare.times",
+                "differ in %g form, which names the checks")
     bins = cfg.get("compare.bins", as_int, 64)
     dt = cfg.get("run.dt", as_float, 0.005, _FINITE_POSITIVE)
     steps = max(1, int(round(max(times) / dt)))
+    x0 = cfg.get("run.x0", as_float, 0.0)
+    # compare_langevin_fp's own test, before any work
+    cfg.require(grid.x_min < x0 < grid.x_max, "run.x0",
+                f"lie inside the x grid ({grid.x_min:g}, {grid.x_max:g}) (got {x0:g})")
     config = SimConfig(
-        potential=potential, params=params, dt=dt, steps=steps,
-        n_traj=cfg.get("run.n_traj", as_int, 20000),
-        master_seed=_seed(args, cfg),
-        x0=cfg.get("run.x0", as_float, 0.0),
-        sigma_x=cfg.get("run.sigma_x", as_float, 0.0),
+        potential=potential, params=params, dt=dt, steps=steps, x0=x0,
+        n_traj=cfg.get("run.n_traj", as_int, 20000, _at_least(1)),
+        master_seed=cfg.get("run.seed", as_int, 1234),
+        sigma_x=cfg.get("run.sigma_x", as_float, 0.0, _FINITE_NONNEGATIVE),
     )
     cfg.finish()
     records, stats = compare_langevin_fp(config, grid, times, n_bins=bins)
@@ -529,44 +516,44 @@ def _run_compare_cmd(args, cfg, params, potential, man) -> None:
     man.csv("moments.csv", ("key", "value"), _moment_columns(stats))
     for name, rec in zip(names, records):
         budget = 3.0 * (rec.stat_err + rec.disc_err)
-        ok = rec.l1 < budget
-        _say(args, f"t = {rec.t:g}: L1 = {rec.l1:.4g} (budget {budget:.4g}), "
-             f"mean {rec.ens_mean:.4g} vs {rec.fp_mean:.4g}")
-        man.add_check(name, ok, l1=rec.l1, budget=budget)
+        man.check(name, rec.l1 < budget, f"t = {rec.t:g}: L1 = {rec.l1:.4g} (budget "
+                  f"{budget:.4g}), mean {rec.ens_mean:.4g} vs {rec.fp_mean:.4g}",
+                  l1=rec.l1, budget=budget)
 
 
-def cmd_simulate(args, cfg: RunConfig, man: Manifest) -> None:
+def cmd_simulate(cfg: RunConfig, man: Manifest) -> None:
     kind = cfg.get("sim.kind", as_choice("ensemble", "smoluchowski", "kramers", "compare"))
     params = _bath_from(cfg)
     potential = _potential_from(cfg, params.mass)
     if kind == "ensemble":
-        _run_ensemble_cmd(args, cfg, params, potential, man)
+        _run_ensemble_cmd(cfg, params, potential, man)
     elif kind == "compare":
-        _run_compare_cmd(args, cfg, params, potential, man)
+        _run_compare_cmd(cfg, params, potential, man)
     else:
-        _run_fp_cmd(args, cfg, kind, params, potential, man)
+        _run_fp_cmd(cfg, kind, params, potential, man)
 
 
 # ---------------------------------------------------------------------------
 # decohere
 
 
-def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:
+def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
     # hbar^2 sets Lambda and l_e, so it must not overflow or vanish
     params = _bath_from(cfg, mass=20.0, gamma=6.25e-3, hbar=1.0, hbar_rule=_SQUARE)
     hbar, lam = params.hbar, decoherence_params(params).lam
-    if not 0.0 < lam < math.inf:
-        raise ConfigError(f"bath.hbar must give a finite Lambda = w / 2 hbar^2 > 0 (got {lam:g})")
+    cfg.require(0.0 < lam < math.inf, "bath.hbar",
+                f"give a finite Lambda = w / 2 hbar^2 > 0 (got {lam:g})")
     potential = _potential_from(cfg, params.mass, allow_none=True)
     state_kind = cfg.get("state.kind", as_choice("gaussian", "superposition"),
                          "superposition")
     sigma = cfg.get("state.sigma", as_float, 0.3, _SQUARE)
     separation = cfg.get("state.separation", as_float, 4.0)
-    nx = cfg.get("grid.nx", as_int, 101)
+    nx = cfg.get("grid.nx", as_int, 101, _at_least(1))
     dx = cfg.get("grid.dx", as_float, 0.08, _FINITE_POSITIVE)
-    ny = cfg.get("grid.ny", as_int, 81)
+    # rho's y grid is centred on its y = 0 row
+    ny = cfg.get("grid.ny", as_int, 81, (lambda v: v >= 1 and v % 2 == 1, "odd and >= 1"))
     dy = cfg.get("grid.dy", as_float, 0.2, _FINITE_POSITIVE)
-    dt = cfg.get("run.dt", as_float, 0.002)
+    dt = cfg.get("run.dt", as_float, 0.002, _FINITE_POSITIVE)
     steps = cfg.get("run.steps", as_int, 50, _at_least(1))
     record_every = cfg.get("run.record_every", as_int, 5, _at_least(1))
     ordering = Ordering(cfg.get("decohere.ordering",
@@ -575,27 +562,26 @@ def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:
     cfg.finish()
     # a superposition's decay slope is judged against Lambda d^2
     lam_d2 = lam * (separation * separation)
-    if state_kind == "superposition" and not 0.0 < lam_d2 < math.inf:
-        raise ConfigError(f"state.separation must give a finite Lambda d^2 > 0 (got {lam_d2:g})")
+    superposed = state_kind == "superposition"
+    cfg.require(not superposed or 0.0 < lam_d2 < math.inf, "state.separation",
+                f"give a finite Lambda d^2 > 0 (got {lam_d2:g})")
     # rho's Gaussian profiles have standard deviations s = sigma along x and
     # 2 sigma along y, so their spectra fall as exp(-(k s)^2 / 2); at each
     # axis's Nyquist wavenumber pi / spacing that must be under grid_fits'
     # threshold, or the spectral kinetic substep rings out to the grid edge:
     # s >= sqrt(2 ln(1 / threshold)) / pi = 1.67 spacings
-    if not (sigma >= _RESOLVED * dx and 2.0 * sigma >= _RESOLVED * dy):
-        raise ConfigError(f"state.sigma must be resolved by the grid: sigma >= "
-                          f"{_RESOLVED:.3g} grid.dx and 2 sigma >= {_RESOLVED:.3g} grid.dy "
-                          f"(got {sigma:g} on {dx:g} x {dy:g})")
+    cfg.require(sigma >= _RESOLVED * dx and 2.0 * sigma >= _RESOLVED * dy, "state.sigma",
+                f"be resolved by the grid: sigma >= {_RESOLVED:.3g} grid.dx and 2 sigma >= "
+                f"{_RESOLVED:.3g} grid.dy (got {sigma:g} on {dx:g} x {dy:g})")
     # each packet centre, +-separation / 2 (a Gaussian's is 0, a grid point),
     # must lie inside the span [x_lo, x_hi] of the x grid built about 0
     x_lo = -(nx // 2) * dx
     x_hi = x_lo + (nx - 1) * dx
     half = separation / 2.0
-    if state_kind == "superposition" and not (x_lo <= -half and half <= x_hi):
-        raise ConfigError(f"state.separation must put each packet centre "
-                          f"(+-{half:g}) inside the x grid [{x_lo:g}, {x_hi:g}]")
+    cfg.require(not superposed or x_lo <= -half and half <= x_hi, "state.separation",
+                f"put each packet centre (+-{half:g}) inside the x grid [{x_lo:g}, {x_hi:g}]")
 
-    if state_kind == "superposition":
+    if superposed:
         rho = superposition_state(nx, dx, ny, dy, separation=separation, sigma=sigma)
     else:
         rho = gaussian_pure_state(nx, dx, ny, dy, sigma=sigma)
@@ -625,59 +611,58 @@ def cmd_decohere(args, cfg: RunConfig, man: Manifest) -> None:
     _, ts, amps, tr_re, _, herm = decay
     edge_max = max(edges)
     ok_fit = edge_max <= _EDGE_TOL
-    _say(args, f"check grid fits, edge measure <= {_EDGE_TOL:g}: "
-         f"{'pass' if ok_fit else 'FAIL'} (start {edges[0]:.3g}, max {edge_max:.3g})")
-    man.add_check("grid_fits", ok_fit, edge_start=edges[0], edge_max=edge_max,
-                  threshold=_EDGE_TOL)
+    man.check("grid_fits", ok_fit, f"check grid fits, edge measure <= {_EDGE_TOL:g}: "
+              f"{_tag(ok_fit)} (start {edges[0]:.3g}, max {edge_max:.3g})",
+              edge_start=edges[0], edge_max=edge_max, threshold=_EDGE_TOL)
     herm_max = max(herm)
     ok_herm = herm_max <= _HERM_TOL
-    _say(args, f"check hermiticity <= 1e-8: {'pass' if ok_herm else 'FAIL'} "
-         f"(max deviation {herm_max:.3g})")
-    man.add_check("hermitian", ok_herm, max_deviation=herm_max, tol=_HERM_TOL)
+    man.check("hermitian", ok_herm, f"check hermiticity <= 1e-8: {_tag(ok_herm)} "
+              f"(max deviation {herm_max:.3g})", max_deviation=herm_max, tol=_HERM_TOL)
 
     tr0, tr_end, t_end = tr_re[0], tr_re[-1], ts[-1]
     if ordering is Ordering.MOMENTA_LEFT:
         drift = abs(tr_end - tr0)
         ok_tr = drift <= 1e-8 * abs(tr0)
-        _say(args, f"check trace constant within 1e-8: "
-             f"{'pass' if ok_tr else 'FAIL'} (drift {drift:.3g})")
-        man.add_check("trace_constant", ok_tr, tr0=tr0, drift=drift, rel_tol=1e-8)
+        man.check("trace_constant", ok_tr, f"check trace constant within 1e-8: "
+                  f"{_tag(ok_tr)} (drift {drift:.3g})", tr0=tr0, drift=drift, rel_tol=1e-8)
     else:
         rate = -math.log(tr_end / tr0) / t_end
         target = params.gamma / 2.0
         ok_tr = abs(rate / target - 1.0) <= 0.02
-        _say(args, f"check trace decay rate vs gamma/2: "
-             f"{'pass' if ok_tr else 'FAIL'} (rate {rate:.6g}, target {target:.6g})")
-        man.add_check("trace_decay_rate", ok_tr, computed=rate, target=target)
+        man.check("trace_decay_rate", ok_tr, f"check trace decay rate vs gamma/2: "
+                  f"{_tag(ok_tr)} (rate {rate:.6g}, target {target:.6g})",
+                  computed=rate, target=target)
 
-    if state_kind == "superposition":
-        slope = float(np.polyfit(ts, np.log(amps), 1)[0])
+    if superposed:
+        # a fit that cannot be taken (times so short that polyfit's scaling
+        # underflows, or a vanished amplitude) is a numerical failure
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                slope = float(np.polyfit(ts, np.log(amps), 1)[0])
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
+            raise RuntimeError(f"decay_slope fit of log amplitude against t failed: {exc}") from exc
         ratio = -slope / lam_d2
         ok_slope = abs(ratio - 1.0) <= 0.05
-        _say(args, f"check decay slope vs Lambda d^2 = {lam_d2:.6g}: "
-             f"{'pass' if ok_slope else 'FAIL'} (slope {slope:.6g}, ratio {ratio:.4f})")
-        man.add_check("decay_slope", ok_slope, slope=slope, target=-lam_d2,
-                      ratio=ratio, tol=0.05)
+        man.check("decay_slope", ok_slope, f"check decay slope vs Lambda d^2 = {lam_d2:.6g}: "
+                  f"{_tag(ok_slope)} (slope {slope:.6g}, ratio {ratio:.4f})",
+                  slope=slope, target=-lam_d2, ratio=ratio, tol=0.05)
 
 
 # ---------------------------------------------------------------------------
 # paper-checks
 
 
-def cmd_paper_checks(args, cfg: RunConfig, man: Manifest) -> None:
+def cmd_paper_checks(cfg: RunConfig, man: Manifest) -> None:
     cfg.finish()
     from .checks import run_all
 
     results = run_all()
-    records = []
     for res in results:
-        tag = "PASS" if res.passed else "FAIL"
-        _say(args, f"[{tag}] {res.index}. {res.name}: {res.detail} ({res.elapsed_s:.2f}s)")
-        records.append({"index": res.index, "name": res.name, "pass": res.passed,
-                        "detail": res.detail})
-        man.add_check(f"criterion_{res.index}", res.passed, detail=res.detail,
-                      elapsed_s=res.elapsed_s)
-    man.jsonl("checks.jsonl", records)
+        man.check(f"criterion_{res.index}", res.passed, f"[{_tag(res.passed).upper()}] "
+                  f"{res.index}. {res.name}: {res.detail} ({res.elapsed_s:.2f}s)",
+                  detail=res.detail, elapsed_s=res.elapsed_s)
+    man.jsonl("checks.jsonl", [{"index": res.index, "name": res.name, "pass": res.passed,
+                                "detail": res.detail} for res in results])
 
 
 # ---------------------------------------------------------------------------
@@ -713,10 +698,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    man, cfg = Manifest(args.command, args.out), RunConfig({})
+    man, cfg = Manifest(args.command, args.out, args.quiet), RunConfig({})
     try:
-        cfg = RunConfig(load_config(args.config) if args.config else {})
-        args.func(args, cfg, man)
+        cfg = RunConfig(load_config(args.config) if args.config else {},
+                        {"run.seed": args.seed})
+        args.func(cfg, man)
         man.write(cfg.resolved)
         return 0 if man.all_passed else 1
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:

@@ -92,13 +92,22 @@ _MISSING = object()
 class RunConfig:
     """Typed view over raw key=value pairs with strict key accounting."""
 
-    def __init__(self, raw: dict[str, str]):
+    def __init__(self, raw: dict[str, str], overrides: dict | None = None):
+        """overrides maps a key to the value that replaces its read one (None
+        replaces nothing); a key no command reads ignores its override."""
         self._raw = dict(raw)
+        self._overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
         self._seen: set[str] = set()
         self.resolved: dict[str, object] = {}
 
+    def require(self, ok, key: str, text: str) -> None:
+        """Raise ConfigError "<key> must <text>" unless ok."""
+        if not ok:
+            raise ConfigError(f"{key} must {text}")
+
     def get(self, key: str, cast, default=_MISSING, rule=None):
-        """The key's value, cast or defaulted, recorded, then held to rule=(test, text)."""
+        """The key's value, cast or defaulted, then overridden, recorded and held
+        to rule=(test, text)."""
         value = default
         if key in self._raw:
             self._seen.add(key)
@@ -108,9 +117,9 @@ class RunConfig:
                 raise ConfigError(f"invalid value for {key}: {exc}") from exc
         elif default is _MISSING:
             raise ConfigError(f"missing required config key: {key}")
-        self.resolved[key] = value
-        if rule is not None and not rule[0](value):
-            raise ConfigError(f"{key} must be {rule[1]}")
+        value = self.resolved[key] = self._overrides.get(key, value)
+        if rule is not None:
+            self.require(rule[0](value), key, f"be {rule[1]}")
         return value
 
     def finish(self):

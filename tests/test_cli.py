@@ -283,6 +283,31 @@ def test_seed_flag_overrides_config(tmp_path):
     assert rec["values"]["run.seed"] == 99
 
 
+def test_seed_flag_replaces_run_seed_after_its_read():
+    """--seed reaches run.seed through RunConfig: the file's value is still
+    read and validated, then replaced; None replaces nothing."""
+    cfg = RunConfig({"run.seed": "5"}, {"run.seed": 99})
+    assert cfg.get("run.seed", as_int, 1234) == 99 and cfg.resolved["run.seed"] == 99
+    assert RunConfig({}, {"run.seed": 7}).get("run.seed", as_int, 1234) == 7
+    assert RunConfig({"run.seed": "5"}, {"run.seed": None}).get("run.seed", as_int) == 5
+    with pytest.raises(ConfigError, match="invalid value for run.seed"):
+        RunConfig({"run.seed": "x"}, {"run.seed": 99}).get("run.seed", as_int, 1234)
+
+
+def test_seed_flag_is_validated_and_ignored_where_run_seed_is_not_read(tmp_path, capsys):
+    bad = _write_config(tmp_path, "sim.kind=ensemble\nrun.steps=5\nrun.n_traj=10\n"
+                        "run.seed=x\n")
+    assert main(["simulate", "--config", bad, "--out", str(tmp_path / "a"), "--quiet",
+                 "--seed", "3"]) == 2
+    assert capsys.readouterr().err.startswith("config error: invalid value for run.seed")
+    cfg = _write_config(tmp_path, "bath.model=ohmic\ngrid.nw=11\ngrid.nt=65\n", "k.cfg")
+    out = tmp_path / "k"
+    assert main(["kernels", "--config", cfg, "--out", str(out), "--quiet",
+                 "--seed", "3"]) == 0
+    values = next(r for r in _read_manifest(out) if r["record"] == "config")["values"]
+    assert "run.seed" not in values
+
+
 def _error_records(out_dir):
     return [r for r in _read_manifest(out_dir) if r["record"] == "error"]
 
@@ -416,13 +441,14 @@ def test_compare_times_with_one_check_name_exit_2(tmp_path, monkeypatch, capsys,
 ], ids=["ensemble-sigma_x-nan", "ensemble-sigma_v-inf", "compare-sigma_x-inf",
         "compare-sigma_x-nan"])
 def test_non_finite_initial_width_exits_2(tmp_path, capsys, text):
-    """A NaN or infinite initial width is a config error, not a run of
-    diverged trajectories or NaN moments."""
+    """A NaN or infinite initial width is a config error that names its key,
+    not a run of diverged trajectories or NaN moments."""
     cfg = _write_config(tmp_path, "run.n_traj=50\n" + text)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
     line = capsys.readouterr().err.strip()
-    assert line == "config error: initial widths must be finite and >= 0"
+    key = text.splitlines()[-1].split("=")[0]
+    assert line == f"config error: {key} must be finite and >= 0"
     assert _error_records(out) == [
         {"record": "error", "exit_code": 2, "message": line}]
 
@@ -581,27 +607,97 @@ def test_stiff_overdamped_start_exits_2_with_a_suggested_dt(tmp_path, capsys):
 def test_every_float_rule_rejects_nan():
     import bathdyn.cli as cli
 
-    for test, text in (cli._FINITE_POSITIVE, cli._FINITE_NONNEGATIVE, cli._SQUARE,
-                       cli._FOURTH_POWER):
+    for test, text in (cli._FINITE, cli._FINITE_POSITIVE, cli._FINITE_NONNEGATIVE,
+                       cli._SQUARE, cli._FOURTH_POWER):
         assert not test(math.nan), text
 
 
 def test_cli_raises_config_error_only_for_cross_key_rules():
     """Single-key range rules live in the RunConfig.get that reads the key;
-    cli.py raises ConfigError itself only for the cross-key rules: compare.times
-    names, Lambda, Lambda d^2, det.gamma * det.t, the Drude nu1^3, the
-    Drude grid.t_max against nu1 and grid.nt, and decohere's state.sigma
+    cli.py raises no ConfigError itself, and states each of its 12 cross-key
+    rules as one cfg.require call naming the key: compare.times names, the
+    Drude nu1^3, the Drude grid.t_max against nu1 and grid.nt, det.gamma *
+    det.t, output.autocorr_lags within run.steps, fp.x0, fp.v0 and compare's
+    run.x0 inside their grids, Lambda, Lambda d^2, and decohere's state.sigma
     against grid.dx and grid.dy and packet centres inside the x grid."""
     import ast
 
     import bathdyn.cli as cli
 
     with open(cli.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)
-              and isinstance(node.exc, ast.Call)
-              and getattr(node.exc.func, "id", None) == "ConfigError"]
-    assert len(raises) == 8
+        source = fh.read()
+    assert "raise ConfigError" not in source
+    requires = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "require"
+                and getattr(node.func.value, "id", None) == "cfg"]
+    assert len(requires) == 12
+    assert sorted(call.args[1].value for call in requires) == [
+        "bath.hbar", "bath.hbar", "compare.times", "det.gamma * det.t", "fp.v0", "fp.x0",
+        "grid.t_max", "output.autocorr_lags", "run.x0", "state.separation",
+        "state.separation", "state.sigma"]
+
+
+# (command, config, exit code, start of the stderr line) of values that failed
+# with a library message naming no key, or a numpy warning; each now names its
+# key before any work, or, for the decay-slope fit, fails the run as numerical
+_NAMED_FAILURES = {
+    "decohere-fit": ("decohere", "grid.nx=21\ngrid.ny=11\ngrid.dx=0.08\ngrid.dy=0.05\n"
+                     "state.separation=1\nstate.sigma=0.3\nrun.steps=2\n"
+                     "run.record_every=1\nrun.dt=1e-300", 1, "error: decay_slope fit "),
+    "decohere-dt-0": ("decohere", "run.dt=0", 2, "config error: run.dt must "),
+    "decohere-dt-nan": ("decohere", "run.dt=nan", 2, "config error: run.dt must "),
+    "decohere-dt-inf": ("decohere", "run.dt=inf", 2, "config error: run.dt must "),
+    "smoluchowski-x0": ("simulate", "sim.kind=smoluchowski\nfp.x0=1e6\nfp.steps=2", 2,
+                        "config error: fp.x0 must "),
+    "kramers-v0": ("simulate", "sim.kind=kramers\ngrid.nx=16\ngrid.nv=16\nfp.v0=1e6\n"
+                   "fp.steps=2", 2, "config error: fp.v0 must "),
+    "compare-x0": ("simulate", "sim.kind=compare\ncompare.times=0.1\nrun.n_traj=100\n"
+                   "run.x0=9", 2, "config error: run.x0 must "),
+    "smoluchowski-sigma_x": ("simulate", "sim.kind=smoluchowski\nfp.sigma_x=0", 2,
+                             "config error: fp.sigma_x must "),
+    "kramers-sigma_v": ("simulate", "sim.kind=kramers\ngrid.nx=16\ngrid.nv=16\n"
+                        "fp.sigma_v=0", 2, "config error: fp.sigma_v must "),
+    "ensemble-dt-0": ("simulate", "sim.kind=ensemble\nrun.dt=0", 2,
+                      "config error: run.dt must "),
+    "ensemble-dt-nan": ("simulate", "sim.kind=ensemble\nrun.dt=nan", 2,
+                        "config error: run.dt must "),
+    "ensemble-steps": ("simulate", "sim.kind=ensemble\nrun.steps=0", 2,
+                       "config error: run.steps must "),
+    "ensemble-n_traj": ("simulate", "sim.kind=ensemble\nrun.n_traj=0", 2,
+                        "config error: run.n_traj must "),
+    "compare-n_traj": ("simulate", "sim.kind=compare\ncompare.times=0.1\nrun.n_traj=0", 2,
+                       "config error: run.n_traj must "),
+    "ensemble-autocorr_lags": ("simulate", "sim.kind=ensemble\noutput.autocorr_lags=-1", 2,
+                               "config error: output.autocorr_lags must "),
+    "ensemble-sigma_x": ("simulate", "sim.kind=ensemble\nrun.sigma_x=nan", 2,
+                         "config error: run.sigma_x must "),
+    "ensemble-sigma_v": ("simulate", "sim.kind=ensemble\nrun.sigma_v=nan", 2,
+                         "config error: run.sigma_v must "),
+    "smoluchowski-dt": ("simulate", "sim.kind=smoluchowski\nfp.dt=nan", 2,
+                        "config error: fp.dt must "),
+    "smoluchowski-nx": ("simulate", "sim.kind=smoluchowski\ngrid.nx=4", 2,
+                        "config error: grid.nx must "),
+    "kramers-nv": ("simulate", "sim.kind=kramers\ngrid.nx=16\ngrid.nv=8", 2,
+                   "config error: grid.nv must "),
+    "decohere-ny": ("decohere", "grid.ny=10", 2, "config error: grid.ny must "),
+    "decohere-nx": ("decohere", "grid.nx=0", 2, "config error: grid.nx must "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NAMED_FAILURES))
+def test_failure_names_its_key_or_its_fit(tmp_path, capfd, case):
+    """Each run exits with its code and one stderr line naming the key (or the
+    fit), which its manifest's last record carries; under the suite's
+    warnings-as-errors a numpy warning would fail the run, and capfd would
+    hold any line LAPACK prints."""
+    command, text, code, start = _NAMED_FAILURES[case]
+    cfg = _write_config(tmp_path, text + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == code
+    err = capfd.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1
+    assert _read_manifest(out)[-1] == {"record": "error", "exit_code": code,
+                                       "message": err.strip()}
 
 
 # one tiny config per subcommand (and per simulate kind); each runs in well
