@@ -58,6 +58,7 @@ from .fokker_planck import (
     SmoluchowskiOperator,
     StabilityError,
     _mass_drift,
+    _step_count,
     compare_langevin_fp,
     gaussian_field_1d,
     gaussian_field_2d,
@@ -208,8 +209,14 @@ class Manifest:
         self.outputs.append(name)
 
     def say(self, line: str) -> None:
+        """Print a progress line unless quiet. A reader that closed stdout
+        (``| head``) ends the progress lines, not the run: stdout is pointed
+        at os.devnull, where later lines and the exit flush go."""
         if not self.quiet:
-            print(line)
+            try:
+                print(line, flush=True)
+            except BrokenPipeError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
     def check(self, name: str, passed: bool, line: str | None = None, **extra) -> None:
         """Record a verdict, after printing its line if one is given."""
@@ -497,9 +504,14 @@ def _run_compare_cmd(cfg, params, potential, man) -> None:
     names = [f"l1_within_budget_t_{t:g}" for t in times]
     cfg.require(len(set(names)) == len(names), "compare.times",
                 "differ in %g form, which names the checks")
-    bins = cfg.get("compare.bins", as_int, 64)
+    bins = cfg.get("compare.bins", as_int, 64, _at_least(1))
+    cfg.require(grid.nx % bins == 0, "compare.bins", f"divide grid.nx = {grid.nx}")
     dt = cfg.get("run.dt", as_float, 0.005, _FINITE_POSITIVE)
-    steps = max(1, int(round(max(times) / dt)))
+    # compare_langevin_fp's own test, before the run's length is taken from it
+    off = next((t for t in times if _step_count(t, dt) is None), None)
+    cfg.require(off is None, "compare.times",
+                f"be multiples of run.dt = {dt:g} that are >= 0 (got {off})")
+    steps = max(1, _step_count(max(times), dt))
     x0 = cfg.get("run.x0", as_float, 0.0)
     # compare_langevin_fp's own test, before any work
     cfg.require(grid.x_min < x0 < grid.x_max, "run.x0",
@@ -596,7 +608,7 @@ def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
         return (step, field.t, amp, tr.real, tr.imag, herm)
 
     marks = [*range(record_every, steps, record_every), steps]
-    fields = MasterOperator(rho, potential, params, dt, ordering).records(rho, marks)
+    fields = MasterOperator(rho, potential, params).records(rho, ordering, dt, marks)
     decay_rows = [decay_row(0, rho)]
     for mark, rho in zip(marks, fields):
         decay_rows.append(decay_row(mark, rho))

@@ -21,12 +21,14 @@ exp(-gamma dt / 2), so the trace then decays at rate gamma/2.
 
 rho is Hermitian, rho(x, -y) = conj rho(x, y), and every substep keeps that
 symmetry, so the steps run on the y >= 0 half alone: columns j0 = ny // 2
-onward, y = 0 first. MasterOperator builds its phases and factors on the
-half, once per run. Its records run checks once that its input is Hermitian,
-steps the half on buffers made once per run (each step's raw half checked
-for finiteness) and mirrors it into a full field at each recorded step,
-Hermitian by construction, so no step checks hermiticity; advance is a run
-with one record. The Wigner transform reads the half too, as one real
+onward, y = 0 first. MasterOperator is validated once per grid; it runs on
+the stepping run every solver shares, records(field, ordering, dt, marks)
+(fokker_planck._Operator), whose stepper builds the phases and factors on the
+half once per run, checks once that its input is Hermitian, steps the half on
+buffers made once per run (each step's raw half checked for finiteness) and
+mirrors it into a full field at each recorded step, Hermitian by
+construction, so no step checks hermiticity; advance is a run with one
+record. The Wigner transform reads the half too, as one real
 product, so W is real by construction. The kinetic substep puts
 y = 0 at index 0 of the padded y axis, where the y spectrum is real, and runs
 real FFTs (irfft along y, rfft and irfft along x, rfft back along y) on
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fokker_planck import Ordering, StabilityError, _check_values
+from .fokker_planck import Ordering, _check_values, _Operator
 from .kernels import BathParams
 from .potentials import Potential
 
@@ -311,18 +313,23 @@ def _friction_kernel(nx: int, y: np.ndarray, gamma: float, dy: float, dt: float)
     return friction
 
 
-class MasterOperator:
-    """The master equation's split-step generator on rho's grid at one dt and
-    ordering, validated and built once. dt is fixed here rather than passed to
-    advance because the kinetic and potential phases depend on it."""
+def _scaling(factor):
+    """scale(half): half times factor, a pointwise substep's exact step, in
+    place."""
+    return lambda half: np.multiply(half, factor, out=half)
+
+
+class MasterOperator(_Operator):
+    """The master equation's split-step generator on rho's grid, validated
+    once; each records run (fokker_planck._Operator) takes its ordering and
+    dt. dt_max is friction's CFL bound, inf without friction."""
+
+    bound = "friction advection CFL bound"
 
     def __init__(self, rho: DensityField, potential: Potential | None,
-                 params: BathParams, dt: float,
-                 ordering: Ordering = Ordering.MOMENTA_LEFT, terms=_TERMS):
+                 params: BathParams, terms=_TERMS):
         if params.hbar <= 0:
             raise ValueError("hbar must be > 0 for density-matrix evolution")
-        if not dt > 0:
-            raise ValueError("dt must be > 0")
         terms = tuple(terms)
         for name in terms:
             if name not in _TERMS:
@@ -332,56 +339,49 @@ class MasterOperator:
             raise ValueError(
                 "y grid too coarse to resolve the thermal length: need dy <= l_e/2"
             )
-        y = rho.y_grid[rho.ny // 2:]  # the y >= 0 half, y = 0 first
         # friction's largest Courant number, gamma y_max dt / dy, is
         # gamma j0 dt exactly (y_max = j0 dy), so dt is checked against the
         # very bound the error suggests
         rate = params.gamma * (rho.ny // 2)
-        if "friction" in terms and rate > 0 and dt > 1.0 / rate:
-            raise StabilityError("friction advection violates its CFL bound", 1.0 / rate)
+        self.dt_max = 1.0 / rate if "friction" in terms and rate > 0 else math.inf
+        self.potential, self.params, self.terms, self.lam = potential, params, terms, dec.lam
+        self._grid = (rho.values.shape, rho.x0, rho.dx, rho.dy)
 
-        # the pointwise factors of the substeps before and after friction
-        self._kinetic_phase = self._friction = None
-        before, after = [], []
+    def stepper(self, field: DensityField, ordering: Ordering, dt: float):
+        """One run from field, Hermitian within _HERM_TOL, on its y >= 0 half:
+        the phases, factors and step buffers are built here. Each step reads
+        the half and writes a buffer that the next step overwrites (the
+        kinetic substep's own, or without it a copy of the half, its y = 0
+        column made real as the kinetic substep leaves it), updating it in
+        place in the order kinetic, potential, friction, decoherence, sink,
+        and checks it for finiteness. Each mark mirrors the half into a field
+        of its own, Hermitian by construction."""
+        if (field.values.shape, field.x0, field.dx, field.dy) != self._grid:
+            raise ValueError("field is not on this operator's grid")
+        if _herm_deviation(field.values) > _HERM_TOL:
+            raise RuntimeError("field to advance: hermiticity violated")
+        (nx, ny), params, terms = field.values.shape, self.params, self.terms
+        j0, hbar = ny // 2, params.hbar
+        y = field.y_grid[j0:]  # the y >= 0 half, y = 0 first
+        kinetic, in_place = None, []  # the substeps after the kinetic one, in order
         if "kinetic" in terms:
-            kx = 2.0 * np.pi * np.fft.rfftfreq(_odd_padded(rho.nx), d=rho.dx)
-            ky = 2.0 * np.pi * np.fft.fftfreq(_odd_padded(rho.ny), d=rho.dy)
-            self._kinetic_phase = np.exp(
-                -1j * (params.hbar / params.mass) * dt * kx[:, None] * ky[None, :])
-        if "potential" in terms and potential is not None:
-            x = rho.x_grid
-            dv = np.asarray(potential.value(x[:, None] + y[None, :] / 2.0)) - np.asarray(
-                potential.value(x[:, None] - y[None, :] / 2.0)
-            )
-            before.append(np.exp(-1j * dv * dt / params.hbar))
-        if "friction" in terms:
-            self._friction = (y, params.gamma, rho.dy, dt)
-        if "decoherence" in terms:
-            after.append(np.exp(-dec.lam * y ** 2 * dt)[None, :])
-        if ordering is Ordering.SYMMETRIC:
-            after.append(math.exp(-params.gamma * dt / 2.0))
-        self.dt, self._grid = dt, (rho.values.shape, rho.x0, rho.dx, rho.dy)
-        self._before, self._after = before, after
-
-    def _step_kernel(self):
-        """step(half): one split step from the y >= 0 half into a buffer that
-        the next call overwrites; half is only read. Each call of this method
-        makes new buffers.
-
-        The kinetic substep writes its own buffer (without it, half is copied
-        into one, its y = 0 column made real as the kinetic substep leaves it);
-        the others update that buffer in place, in the order kinetic,
-        potential, friction, decoherence, sink.
-        """
-        nx, ny = self._grid[0]
-        kinetic = friction = buffer = None
-        if self._kinetic_phase is not None:
-            kinetic = _kinetic_kernel(nx, ny // 2, self._kinetic_phase)
+            kx = 2.0 * np.pi * np.fft.rfftfreq(_odd_padded(nx), d=field.dx)
+            ky = 2.0 * np.pi * np.fft.fftfreq(_odd_padded(ny), d=field.dy)
+            kinetic = _kinetic_kernel(nx, j0, np.exp(
+                -1j * (hbar / params.mass) * dt * kx[:, None] * ky[None, :]))
         else:
-            buffer = np.empty((nx, ny // 2 + 1), dtype=complex)
-        if self._friction is not None:
-            friction = _friction_kernel(nx, *self._friction)
-        before, after = self._before, self._after
+            buffer = np.empty((nx, j0 + 1), dtype=complex)
+        if "potential" in terms and self.potential is not None:
+            x, value = field.x_grid, self.potential.value
+            dv = np.asarray(value(x[:, None] + y[None, :] / 2.0)) - np.asarray(
+                value(x[:, None] - y[None, :] / 2.0))
+            in_place.append(_scaling(np.exp(-1j * dv * dt / hbar)))
+        if "friction" in terms:
+            in_place.append(_friction_kernel(nx, y, params.gamma, field.dy, dt))
+        if "decoherence" in terms:
+            in_place.append(_scaling(np.exp(-self.lam * y ** 2 * dt)[None, :]))
+        if ordering is Ordering.SYMMETRIC:
+            in_place.append(_scaling(math.exp(-params.gamma * dt / 2.0)))
 
         def step(half: np.ndarray) -> np.ndarray:
             if kinetic is None:
@@ -390,46 +390,18 @@ class MasterOperator:
                 out[:, 0].imag = 0.0
             else:
                 out = kinetic(half)
-            for factor in before:
-                np.multiply(out, factor, out=out)
-            if friction is not None:
-                friction(out)
-            for factor in after:
-                np.multiply(out, factor, out=out)
+            for substep in in_place:
+                substep(out)
+            _check_values(out, nonnegative=False)
             return out
 
-        return step
-
-    def records(self, field: DensityField, marks):
-        """Yield the field after each step count in marks, which must increase
-        from 1. One run from field, Hermitian within _HERM_TOL: its guards and
-        step buffers once, the steps on its y >= 0 half (each raw half checked
-        for finiteness), and per mark one mirror into a field of its own,
-        Hermitian by construction."""
-        if (field.values.shape, field.x0, field.dx, field.dy) != self._grid:
-            raise ValueError("field is not on this operator's grid")
-        if _herm_deviation(field.values) > _HERM_TOL:
-            raise RuntimeError("field to advance: hermiticity violated")
-        step = self._step_kernel()
-        j0 = field.ny // 2
-        half, t, done = field.values[:, j0:], field.t, 0
-        for mark in marks:
-            if mark <= done:
-                raise ValueError("marks must increase from 1")
-            for _ in range(mark - done):
-                half = step(half)
-                _check_values(half, nonnegative=False)
-                t = t + self.dt
-            done = mark
-            vals = np.empty(field.values.shape, dtype=complex)
+        def emit(half: np.ndarray, t: float) -> DensityField:
+            vals = np.empty((nx, ny), dtype=complex)
             vals[:, j0:] = half
             np.conjugate(half[:, :0:-1], out=vals[:, :j0])
-            yield DensityField(vals, field.x0, field.dx, field.dy, t)
+            return DensityField(vals, field.x0, field.dx, field.dy, t)
 
-    def advance(self, field: DensityField, n_steps: int) -> DensityField:
-        """n_steps steps from field: the one field of records(field, [n_steps]),
-        or field itself when n_steps < 1."""
-        return next(self.records(field, [n_steps])) if n_steps >= 1 else field
+        return field.values[:, j0:], step, emit
 
 
 def master_step(rho: DensityField, potential: Potential | None, params: BathParams,
@@ -442,9 +414,9 @@ def master_step(rho: DensityField, potential: Potential | None, params: BathPara
     which isolates single generators for diagnostics. ordering toggles the
     constant gamma/2 sink (fokker_planck.Ordering; default momenta-left).
     Each call builds the operator: to take many steps, build MasterOperator
-    once and call its advance.
+    once and call its advance or records.
     """
-    return MasterOperator(rho, potential, params, dt, ordering, terms).advance(rho, 1)
+    return MasterOperator(rho, potential, params, terms).advance(rho, ordering, dt, 1)
 
 
 def _wigner_factor(p_grid: np.ndarray, ny: int, dy: float, hbar: float) -> np.ndarray:

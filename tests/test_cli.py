@@ -312,6 +312,24 @@ def _error_records(out_dir):
     return [r for r in _read_manifest(out_dir) if r["record"] == "error"]
 
 
+def test_closed_stdout_ends_the_progress_lines_not_the_run(tmp_path, monkeypatch):
+    """A reader that closed stdout (`bathdyn det-check | head -c0`): the first
+    progress line raises BrokenPipeError, stdout is pointed at os.devnull, and
+    the run finishes, writes its manifest and exits by its checks."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        with pytest.raises(BrokenPipeError):
+            print("probe", file=closed, flush=True)
+        assert main(["det-check", "--out", str(tmp_path / "o")]) == 0
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    records = _read_manifest(tmp_path / "o")
+    assert _error_records(tmp_path / "o") == []
+    assert [r for r in records if r["record"] == "check"]
+    assert all(r["pass"] for r in records if r["record"] == "check")
+
+
 def test_failed_run_manifest_records_the_error(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -614,8 +632,9 @@ def test_every_float_rule_rejects_nan():
 
 def test_cli_raises_config_error_only_for_cross_key_rules():
     """Single-key range rules live in the RunConfig.get that reads the key;
-    cli.py raises no ConfigError itself, and states each of its 12 cross-key
-    rules as one cfg.require call naming the key: compare.times names, the
+    cli.py raises no ConfigError itself, and states each of its 14 cross-key
+    rules as one cfg.require call naming the key: compare.times names and
+    multiples of run.dt, compare.bins dividing grid.nx, the
     Drude nu1^3, the Drude grid.t_max against nu1 and grid.nt, det.gamma *
     det.t, output.autocorr_lags within run.steps, fp.x0, fp.v0 and compare's
     run.x0 inside their grids, Lambda, Lambda d^2, and decohere's state.sigma
@@ -630,16 +649,18 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
     requires = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
                 and getattr(node.func, "attr", None) == "require"
                 and getattr(node.func.value, "id", None) == "cfg"]
-    assert len(requires) == 12
+    assert len(requires) == 14
     assert sorted(call.args[1].value for call in requires) == [
-        "bath.hbar", "bath.hbar", "compare.times", "det.gamma * det.t", "fp.v0", "fp.x0",
+        "bath.hbar", "bath.hbar", "compare.bins", "compare.times", "compare.times",
+        "det.gamma * det.t", "fp.v0", "fp.x0",
         "grid.t_max", "output.autocorr_lags", "run.x0", "state.separation",
         "state.separation", "state.sigma"]
 
 
 # (command, config, exit code, start of the stderr line) of values that failed
-# with a library message naming no key, or a numpy warning; each now names its
-# key before any work, or, for the decay-slope fit, fails the run as numerical
+# with a library message naming no key, a traceback or a numpy warning; each
+# now names its key before any work, or, for the decay-slope fit and compare's
+# samples outside the grid, fails the run as numerical
 _NAMED_FAILURES = {
     "decohere-fit": ("decohere", "grid.nx=21\ngrid.ny=11\ngrid.dx=0.08\ngrid.dy=0.05\n"
                      "state.separation=1\nstate.sigma=0.3\nrun.steps=2\n"
@@ -667,6 +688,28 @@ _NAMED_FAILURES = {
                         "config error: run.n_traj must "),
     "compare-n_traj": ("simulate", "sim.kind=compare\ncompare.times=0.1\nrun.n_traj=0", 2,
                        "config error: run.n_traj must "),
+    "compare-times-overflow": ("simulate", "sim.kind=compare\ncompare.times=1e300\n"
+                               "run.dt=1e-10", 2, "config error: compare.times must be "
+                               "multiples of run.dt = 1e-10 that are >= 0 (got 1e+300)"),
+    "compare-times-negative": ("simulate", "sim.kind=compare\ncompare.times=-0.1", 2,
+                               "config error: compare.times must be multiples of run.dt = "
+                               "0.005 that are >= 0 (got -0.1)"),
+    "compare-times-nan": ("simulate", "sim.kind=compare\ncompare.times=0.05,nan", 2,
+                          "config error: compare.times must be multiples of run.dt = 0.005 "
+                          "that are >= 0 (got nan)"),
+    "compare-times-off-dt": ("simulate", "sim.kind=compare\ncompare.times=0.05,0.013", 2,
+                             "config error: compare.times must be multiples of run.dt"),
+    "compare-bins-0": ("simulate", "sim.kind=compare\ncompare.times=0.05\ncompare.bins=0",
+                       2, "config error: compare.bins must be >= 1"),
+    "compare-bins-divide": ("simulate", "sim.kind=compare\ncompare.times=0.05\n"
+                            "compare.bins=48", 2,
+                            "config error: compare.bins must divide grid.nx = 512"),
+    # a heavy tail of a hot ensemble on a narrow grid: a numerical failure of
+    # the run, not of its config
+    "compare-left-grid": ("simulate", "sim.kind=compare\ncompare.times=0.2\nrun.n_traj=50\n"
+                          "run.seed=1\nbath.k_bt=4\ngrid.x_min=-1\ngrid.x_max=1\n"
+                          "grid.nx=16\ncompare.bins=4", 1,
+                          "error: mismatched domains: ensemble samples left the grid"),
     "ensemble-autocorr_lags": ("simulate", "sim.kind=ensemble\noutput.autocorr_lags=-1", 2,
                                "config error: output.autocorr_lags must "),
     "ensemble-sigma_x": ("simulate", "sim.kind=ensemble\nrun.sigma_x=nan", 2,

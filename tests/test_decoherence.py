@@ -165,11 +165,12 @@ def test_kinetic_substeps_do_not_depend_on_the_padding(monkeypatch, state):
                                    rho.values[:, [0, -1]].ravel()]))
     assert np.max(edges) < 1e-12 * scale
     heavy = BathParams(mass=20.0, gamma=6.25e-3, k_bt=1.0, hbar=1.0)
-    smooth = MasterOperator(rho, None, heavy, 0.002, terms=("kinetic",))
+    op = MasterOperator(rho, None, heavy, terms=("kinetic",))
+    smooth = op.advance(rho, Ordering.MOMENTA_LEFT, 0.002, 30)
     assert dc._odd_padded(101) == 105 != _odd_padded_0_2_0(101)
+    # the padded lengths are taken per run, so the patch reaches the next run
     monkeypatch.setattr(dc, "_odd_padded", _odd_padded_0_2_0)
-    prime = MasterOperator(rho, None, heavy, 0.002, terms=("kinetic",))
-    diff = smooth.advance(rho, 30).values - prime.advance(rho, 30).values
+    diff = smooth.values - op.advance(rho, Ordering.MOMENTA_LEFT, 0.002, 30).values
     assert np.max(np.abs(diff)) <= 1e-12 * scale
 
 
@@ -190,13 +191,15 @@ def test_friction_cfl_guard_accepts_the_dt_it_suggests(ny, dy):
     is not. At ny = 27, dy = 0.48677884615384615 the product gamma y_max dt
     of the suggestion dy / (gamma y_max) rounds above dy."""
     rho = gaussian_pure_state(1, 0.1, ny, dy, sigma=0.5)
+    op = MasterOperator(rho, None, PARAMS, terms=("friction",))
     with pytest.raises(StabilityError, match="CFL") as exc:
-        MasterOperator(rho, None, PARAMS, 1.0, terms=("friction",))
+        op.advance(rho, Ordering.MOMENTA_LEFT, 1.0, 0)
     suggested = exc.value.suggested_dt
-    out = MasterOperator(rho, None, PARAMS, suggested, terms=("friction",)).advance(rho, 3)
+    assert suggested == op.dt_max
+    out = op.advance(rho, Ordering.MOMENTA_LEFT, suggested, 3)
     assert np.all(np.isfinite(out.values))
     with pytest.raises(StabilityError, match="CFL"):
-        MasterOperator(rho, None, PARAMS, math.nextafter(suggested, 1.0), terms=("friction",))
+        op.advance(rho, Ordering.MOMENTA_LEFT, math.nextafter(suggested, 1.0), 3)
 
 
 def test_thermal_length_resolution_guard():
@@ -490,37 +493,12 @@ def test_built_once_master_operator_equals_master_step(problem, ordering, terms,
     for _ in range(n):
         stepwise = master_step(stepwise, pot, PARAMS, dt, ordering, terms)
     start = rho.values.tobytes()
-    op = MasterOperator(rho, pot, PARAMS, dt, ordering, terms)
-    out = op.advance(rho, n)
+    op = MasterOperator(rho, pot, PARAMS, terms)
+    out = op.advance(rho, ordering, dt, n)
     assert out.t.hex() == stepwise.t.hex()
     assert out.values.tobytes() == stepwise.values.tobytes()
     assert rho.values.tobytes() == start
-    assert op.advance(rho, 0) is rho
-
-
-@settings(max_examples=40, deadline=None)
-@given(_master_problems(), st.sampled_from(Ordering),
-       st.lists(st.sampled_from(dc._TERMS), unique=True),
-       st.lists(st.integers(1, 4), min_size=1, max_size=5))
-def test_records_equal_chained_advance_calls(problem, ordering, terms, gaps):
-    """records(field, marks) yields, bit for bit, what one advance call per
-    mark, each from the last one's result, returns."""
-    pot, rho, dt = problem
-    op = MasterOperator(rho, pot, PARAMS, dt, ordering, terms)
-    marks = list(itertools.accumulate(gaps))
-    chained, done = rho, 0
-    for mark, rec in zip(marks, op.records(rho, marks), strict=True):
-        chained, done = op.advance(chained, mark - done), mark
-        assert rec.t.hex() == chained.t.hex()
-        assert rec.values.tobytes() == chained.values.tobytes()
-
-
-def test_records_reject_marks_that_do_not_increase():
-    rho = gaussian_pure_state(21, 0.1, 11, 0.1, sigma=0.4)
-    op = MasterOperator(rho, None, PARAMS, 0.001)
-    for marks in ([0], [2, 2], [3, 1]):
-        with pytest.raises(ValueError, match="increase"):
-            list(op.records(rho, marks))
+    assert op.advance(rho, ordering, dt, 0) is rho
 
 
 def _fft_roundoff_bound(nx, ny, n_steps):
@@ -552,7 +530,8 @@ def test_kinetic_substep_equals_the_padded_transform_rule(nx, half_ny, dt, seed)
     v = rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))
     v = v + np.conj(v[:, ::-1])  # exactly Hermitian
     rho = DensityField(v, -1.0, 0.08, 0.1)
-    out = MasterOperator(rho, None, PARAMS, dt, terms=("kinetic",)).advance(rho, 1)
+    out = MasterOperator(rho, None, PARAMS, terms=("kinetic",)).advance(
+        rho, Ordering.MOMENTA_LEFT, dt, 1)
     # the kinetic substep of version 0.3.0, written out
     mx, my = dc._odd_padded(nx), dc._odd_padded(ny)
     kx = 2.0 * np.pi * np.fft.fftfreq(mx, d=rho.dx)
@@ -576,27 +555,27 @@ def test_kinetic_substep_equals_the_padded_transform_rule(nx, half_ny, dt, seed)
 def test_advance_results_own_their_buffers(terms, ordering):
     rho = superposition_state(41, 0.08, 31, 0.1, separation=1.5, sigma=0.3)
     start = rho.values.tobytes()
-    op = MasterOperator(rho, Harmonic(1.0, 1.0), PARAMS, 0.01, ordering, terms)
-    first = op.advance(rho, 3)
+    op = MasterOperator(rho, Harmonic(1.0, 1.0), PARAMS, terms)
+    first = op.advance(rho, ordering, 0.01, 3)
     kept = first.values.tobytes()
-    second = op.advance(rho, 3)
+    second = op.advance(rho, ordering, 0.01, 3)
     assert second.values.tobytes() == kept and first.values.tobytes() == kept
     assert rho.values.tobytes() == start
     assert not np.shares_memory(first.values, second.values)
     assert not np.shares_memory(first.values, rho.values)
     # stepping on from a result reads it and leaves it as it was
-    op.advance(first, 2)
+    op.advance(first, ordering, 0.01, 2)
     assert first.values.tobytes() == kept
 
 
 def test_advance_rejects_a_field_on_another_grid():
     rho = gaussian_pure_state(41, 0.1, 31, 0.12, sigma=0.5)
-    op = MasterOperator(rho, None, PARAMS, 0.01)
+    op = MasterOperator(rho, None, PARAMS)
     for other in (gaussian_pure_state(41, 0.1, 29, 0.12, sigma=0.5),
                   gaussian_pure_state(41, 0.1, 31, 0.1, sigma=0.5),
                   gaussian_pure_state(41, 0.1, 31, 0.12, center=0.3, sigma=0.5)):
         with pytest.raises(ValueError, match="grid"):
-            op.advance(other, 1)
+            op.advance(other, Ordering.MOMENTA_LEFT, 0.01, 1)
 
 
 def _step_0_3_0(rho, pot, params, dt, ordering, terms):
@@ -666,8 +645,8 @@ def test_half_space_step_equals_the_0_3_0_step(problem, n):
     assert (1.0 + PARAMS.gamma * dt) ** n <= 2.0  # the bound's friction growth
     bound = _fft_roundoff_bound(rho.nx, rho.ny, n) * np.linalg.norm(rho.values)
     for terms, ordering in itertools.product(_TERM_SUBSETS, Ordering):
-        op = MasterOperator(rho, pot, PARAMS, dt, ordering, terms)
-        out = op.advance(rho, n)
+        op = MasterOperator(rho, pot, PARAMS, terms)
+        out = op.advance(rho, ordering, dt, n)
         expected = rho
         for _ in range(n):
             expected = _step_0_3_0(expected, pot, PARAMS, dt, ordering, terms)
@@ -679,7 +658,7 @@ def test_half_space_step_equals_the_0_3_0_step(problem, n):
         # reading the half back from a mirrored field loses nothing
         stepwise = rho
         for _ in range(n):
-            stepwise = op.advance(stepwise, 1)
+            stepwise = op.advance(stepwise, ordering, dt, 1)
         assert stepwise.values.tobytes() == out.values.tobytes()
         assert stepwise.t.hex() == out.t.hex()
 
@@ -692,7 +671,8 @@ def test_advance_returns_a_hermitian_field_from_any_accepted_input(terms):
     noise = rng.normal(size=rho.values.shape) + 1j * rng.normal(size=rho.values.shape)
     near = DensityField(rho.values + 1e-10 * noise, rho.x0, rho.dx, rho.dy)
     assert 0.0 < near.herm_deviation() <= dc._HERM_TOL
-    out = MasterOperator(near, Harmonic(1.0, 1.0), PARAMS, 0.01, terms=terms).advance(near, 3)
+    out = MasterOperator(near, Harmonic(1.0, 1.0), PARAMS, terms).advance(
+        near, Ordering.MOMENTA_LEFT, 0.01, 3)
     assert out.herm_deviation() == 0.0
     assert np.all(out.values[:, 15].imag == 0.0)
     if not terms:  # no substep: the y >= 0 half comes back, y = 0 made real
@@ -741,21 +721,21 @@ def test_decohere_run_is_hermitian_and_keeps_its_decay_slope(tmp_path):
 
 def test_decohere_run_builds_one_step_kernel_and_checks_each_record_once(
         tmp_path, monkeypatch):
-    """A decohere run is one recording run: one step-kernel build, and one
+    """A decohere run is one recording run: one stepper build, and one
     hermiticity measure per decay.csv row plus the run's input guard and the
     final Wigner transform's guard."""
     counts = {"kernel": 0, "herm": 0}
-    step_kernel, herm_deviation = MasterOperator._step_kernel, dc._herm_deviation
+    stepper, herm_deviation = MasterOperator.stepper, dc._herm_deviation
 
-    def counted_kernel(self):
+    def counted_stepper(self, *args):
         counts["kernel"] += 1
-        return step_kernel(self)
+        return stepper(self, *args)
 
     def counted_herm(vals):
         counts["herm"] += 1
         return herm_deviation(vals)
 
-    monkeypatch.setattr(MasterOperator, "_step_kernel", counted_kernel)
+    monkeypatch.setattr(MasterOperator, "stepper", counted_stepper)
     monkeypatch.setattr(dc, "_herm_deviation", counted_herm)
     cfg = tmp_path / "dec.cfg"
     cfg.write_text("grid.nx=41\ngrid.ny=21\nrun.steps=23\nrun.record_every=5\n"

@@ -15,6 +15,7 @@ from bathdyn import (
     DoubleWell,
     Harmonic,
     KramersOperator,
+    MasterOperator,
     Ordering,
     PhaseGrid,
     Polynomial,
@@ -25,8 +26,10 @@ from bathdyn import (
     compare_langevin_fp,
     gaussian_field_1d,
     gaussian_field_2d,
+    gaussian_pure_state,
     kramers_step,
     smoluchowski_step,
+    superposition_state,
 )
 from bathdyn.fokker_planck import kramers_dt_max, smoluchowski_dt_max
 
@@ -538,38 +541,97 @@ def test_advance_leaves_its_input_and_earlier_results_alone():
     assert op.advance(field, Ordering.SYMMETRIC, dt, 0) is field
 
 
+# the records contract, one set of tests for the three operators on the shared
+# stepping run: a fixed small problem of each, and a random one
+
+_MASTER_PARAMS = BathParams(mass=1.0, gamma=2.0, k_bt=0.5, hbar=1.0)
+
+
+def _smoluchowski_run():
+    field = gaussian_field_1d(PhaseGrid(-3.0, 3.0, 32), 0.0, 0.5)
+    return SmoluchowskiOperator(field.grid, HARMONIC, PARAMS), field
+
+
+def _kramers_run():
+    grid = PhaseGrid(-3.0, 3.0, 24, -3.0, 3.0, 20)
+    field = gaussian_field_2d(grid, 0.3, 0.6, -0.2, 0.7)
+    return KramersOperator(grid, DoubleWell(-1.0, 0.25), PARAMS), field
+
+
+def _master_run():
+    rho = superposition_state(41, 0.08, 31, 0.1, separation=1.5, sigma=0.3)
+    return MasterOperator(rho, HARMONIC, _MASTER_PARAMS), rho
+
+
+_RUNS = {"smoluchowski": _smoluchowski_run, "kramers": _kramers_run,
+         "master": _master_run}
+
+
+@st.composite
+def _random_runs(draw, kind):
+    """(operator, start, dt): a random problem of one kind and a stable dt."""
+    if kind != "master":
+        pot, params, field = draw(_fp_problems(two_d=kind == "kramers"))
+        op, _ = _operator(field, pot, params)
+        return op, field, draw(_FRACTIONS) * op.dt_max
+    pot = draw(st.none() | _fp_problems(two_d=False).map(lambda problem: problem[0]))
+    ny = 2 * draw(st.integers(8, 20)) + 1
+    rho = gaussian_pure_state(draw(st.integers(16, 48)), draw(st.floats(0.05, 0.15)),
+                              ny, draw(st.floats(0.05, 0.2)),
+                              sigma=draw(st.floats(0.3, 0.8)))
+    terms = draw(st.lists(st.sampled_from(("kinetic", "potential", "friction",
+                                           "decoherence")), unique=True))
+    # friction's CFL bound, which dt_max is only with the friction term
+    dt = draw(_FRACTIONS) / (_MASTER_PARAMS.gamma * (ny // 2))
+    return MasterOperator(rho, pot, _MASTER_PARAMS, terms), rho, dt
+
+
+@pytest.mark.parametrize("kind", sorted(_RUNS))
 @settings(max_examples=40, deadline=None)
-@given(_fp_problems(), st.sampled_from(Ordering),
-       st.lists(st.integers(1, 4), min_size=1, max_size=5), _FRACTIONS)
-def test_grid_records_equal_chained_advance_calls(problem, ordering, gaps, frac):
+@given(data=st.data())
+def test_records_equal_chained_advance_calls(kind, data):
     """records(field, ordering, dt, marks) yields, bit for bit, what one
     advance call per mark, each from the last one's result, returns."""
-    pot, params, field = problem
-    op, _ = _operator(field, pot, params)
-    dt = frac * op.dt_max
-    marks = list(itertools.accumulate(gaps))
+    op, field, dt = data.draw(_random_runs(kind))
+    ordering = data.draw(st.sampled_from(Ordering))
+    marks = list(itertools.accumulate(data.draw(st.lists(st.integers(1, 4), min_size=1,
+                                                         max_size=5))))
     chained, done = field, 0
     for mark, rec in zip(marks, op.records(field, ordering, dt, marks), strict=True):
         chained, done = op.advance(chained, ordering, dt, mark - done), mark
         assert _bits(rec) == _bits(chained)
 
 
-def test_grid_records_reject_marks_that_do_not_increase():
-    field = gaussian_field_1d(PhaseGrid(-3.0, 3.0, 32), 0.0, 0.5)
-    op = SmoluchowskiOperator(field.grid, HARMONIC, PARAMS)
+@pytest.mark.parametrize("kind", sorted(_RUNS))
+def test_records_reject_marks_that_do_not_increase(kind):
+    op, field = _RUNS[kind]()
     for marks in ([0], [2, 2], [3, 1]):
         with pytest.raises(ValueError, match="increase"):
             list(op.records(field, Ordering.MOMENTA_LEFT, 0.5 * op.dt_max, marks))
 
 
-def test_grid_records_own_their_buffers_and_check_dt_without_steps():
-    grid = PhaseGrid(-3.0, 3.0, 24, -3.0, 3.0, 20)
-    field = gaussian_field_2d(grid, 0.3, 0.6, -0.2, 0.7)
-    op = KramersOperator(grid, DoubleWell(-1.0, 0.25), PARAMS)
+@pytest.mark.parametrize("kind", sorted(_RUNS))
+def test_records_own_their_buffers_and_check_dt_without_steps(kind):
+    op, field = _RUNS[kind]()
+    dt = 0.5 * op.dt_max
     start = field.values.tobytes()
-    recs = list(op.records(field, Ordering.SYMMETRIC, 0.5 * op.dt_max, [1, 3, 4]))
+    recs = list(op.records(field, Ordering.SYMMETRIC, dt, [1, 3, 4]))
     assert field.values.tobytes() == start
-    for a, b in itertools.pairwise([field, *recs]):
+    for a, b in itertools.combinations([field, *recs], 2):
         assert not np.shares_memory(a.values, b.values)
+    # stepping on from a result reads it and leaves it as it was
+    kept = recs[0].values.tobytes()
+    op.advance(recs[0], Ordering.SYMMETRIC, dt, 2)
+    assert recs[0].values.tobytes() == kept
     with pytest.raises(ValueError, match="dt must be > 0"):
         op.advance(field, Ordering.MOMENTA_LEFT, -0.1, 0)
+
+
+@pytest.mark.parametrize("kind", sorted(_RUNS))
+def test_records_accept_dt_max_and_refuse_the_next_float_up(kind):
+    op, field = _RUNS[kind]()
+    assert 0.0 < op.dt_max < math.inf
+    assert op.advance(field, Ordering.MOMENTA_LEFT, op.dt_max, 1).t == op.dt_max
+    with pytest.raises(StabilityError, match=f"^{op.bound} exceeded") as exc:
+        op.advance(field, Ordering.MOMENTA_LEFT, np.nextafter(op.dt_max, np.inf), 0)
+    assert exc.value.suggested_dt == op.dt_max
