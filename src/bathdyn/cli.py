@@ -72,7 +72,7 @@ from .kernels import (
     noise_kernel_time,
     spectral_density,
 )
-from .langevin import SimConfig, run_ensemble
+from .langevin import SimConfig, _chunk_size, run_ensemble
 from .potentials import DoubleWell, Harmonic, Polynomial
 
 
@@ -397,6 +397,21 @@ def cmd_det_check(cfg: RunConfig, man: Manifest) -> None:
 
 # default x cell count for each sim.kind that reads a grid
 _GRID_NX = {"smoluchowski": 256, "compare": 512, "kramers": 128}
+# bytes of step noise a simulate run may hold: a stated bound, not this host's
+# memory, so a config's exit code does not depend on the machine. It admits
+# 131,072 steps at any run.n_traj, 40 times the benchmark ensemble's buffer
+_NOISE_LIMIT = 1 << 30
+
+
+def _noise_rule(steps: int, n_traj: int, source: str) -> tuple[bool, str]:
+    """(ok, text) of the rule that holds a run's step-noise buffer, steps x
+    _chunk_size(n_traj, steps) doubles, within _NOISE_LIMIT before any work;
+    source says where the step count comes from."""
+    chunk = _chunk_size(n_traj, steps)
+    need = 8 * steps * chunk
+    return need <= _NOISE_LIMIT, (
+        f"keep the step noise, {source} x {chunk} trajectories per chunk x 8 "
+        f"bytes, within {_NOISE_LIMIT:,} bytes (got {need:,})")
 
 
 def _grid(cfg: RunConfig, kind: str) -> PhaseGrid:
@@ -435,6 +450,8 @@ def _run_ensemble_cmd(cfg, params, potential, man) -> None:
     bins = cfg.get("output.bins", as_int, 64, _at_least(1))
     lags = cfg.get("output.autocorr_lags", as_int, 0)
     cfg.require(0 <= lags <= config.steps, "output.autocorr_lags", "be in [0, run.steps]")
+    ok, text = _noise_rule(config.steps, config.n_traj, f"run.steps = {config.steps}")
+    cfg.require(ok, "run.steps", text)
     cfg.finish()
     stats = run_ensemble(config, mode, histogram_bins=bins, autocorr_lags=lags)
     man.csv("moments.csv", ("key", "value"), _moment_columns(stats))
@@ -522,6 +539,9 @@ def _run_compare_cmd(cfg, params, potential, man) -> None:
         master_seed=cfg.get("run.seed", as_int, 1234),
         sigma_x=cfg.get("run.sigma_x", as_float, 0.0, _FINITE_NONNEGATIVE),
     )
+    ok, text = _noise_rule(steps, config.n_traj,
+                           f"max(compare.times) / run.dt = {steps} steps")
+    cfg.require(ok, "compare.times", text)
     cfg.finish()
     records, stats = compare_langevin_fp(config, grid, times, n_bins=bins)
     man.jsonl("compare.jsonl", [r.as_dict() for r in records])

@@ -71,6 +71,12 @@ CASES = {
         "bath.k_bt": "0.5", "grid.x_min": "-2.0", "grid.x_max": "4.0",
         "grid.nx": "128", "compare.times": "0.05,0.1", "compare.bins": "32",
         "run.n_traj": "3000", "run.x0": "1.0", "run.seed": "11"}),
+    # 20 blocks of trajectories over 4 steps: three chunks of at most 7 blocks
+    "compare_three_chunks": ("simulate", {
+        "sim.kind": "compare", "potential.kind": "harmonic", "bath.gamma": "4.0",
+        "bath.k_bt": "0.5", "grid.x_min": "-2.0", "grid.x_max": "4.0",
+        "grid.nx": "128", "compare.times": "0.01,0.02", "compare.bins": "32",
+        "run.n_traj": "20000", "run.x0": "1.0", "run.seed": "12"}),
     "ensemble": ("simulate", {
         "sim.kind": "ensemble", "run.mode": "inertial", "potential.kind": "double_well",
         "run.steps": "120", "run.n_traj": "500", "run.seed": "5", "run.x0": "1.0",
@@ -89,7 +95,9 @@ CASES = {
 
 # case -> name -> sha256 hex digest; recorded with bathdyn 0.2.0, except the
 # ensemble case (0.3.0), the grid outputs of the compare, kramers_* and
-# smoluchowski_* cases (0.7.0) and the decohere_* cases (0.8.0)
+# smoluchowski_* cases (0.7.0), the decohere_* cases (0.8.0) and
+# compare_three_chunks (0.8.0, in one chunk of 20 blocks, before chunks were
+# capped at 8 blocks)
 DIGESTS = {
     "compare": {
         "compare.jsonl":
@@ -103,6 +111,19 @@ DIGESTS = {
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout":
             "98a3682dd937d571993fefb5d15f376e2ed8dc25e75315e60c9aa779a2c66125",
+    },
+    "compare_three_chunks": {
+        "compare.jsonl":
+            "2e65eeeffd24faeb1ff2631814b1a24a03ba6bd219308363e765203eb6ec8b35",
+        "exit_code": "0",
+        "manifest.json":
+            "dd1c0911c232d8cc32dce1cf359e91562279e6f72ff3a0c9ce4336aaca465aca",
+        "moments.csv":
+            "ab71543b2669e3ad211084aa8da44b2cac23a4a0d038eb32ccfe4146536dbb4c",
+        "stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout":
+            "37c2007d74d7c140b475417ff53e7df9b2de4e76f25d851b81b3e68b8025dc8e",
     },
     "decohere_momenta_left": {
         "decay.csv":

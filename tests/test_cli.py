@@ -451,6 +451,42 @@ def test_compare_times_with_one_check_name_exit_2(tmp_path, monkeypatch, capsys,
     assert not (out / "compare.jsonl").exists()
 
 
+@pytest.mark.parametrize("kind, n_traj, key, edge", [
+    ("ensemble", 1024, "run.steps", 131_072),
+    ("compare", 128, "compare.times", 1 << 20),
+])
+def test_noise_rule_stops_at_its_bound(tmp_path, monkeypatch, capsys, kind, n_traj, key,
+                                       edge):
+    """A run's step noise, steps x _chunk_size(n_traj, steps) doubles, may fill
+    _NOISE_LIMIT = 1 GiB: 131,072 steps of 1,024 trajectories, or 2^20 steps
+    of 128. One step more is a config error naming the key; compare's, whose
+    steps are max(compare.times) / run.dt, names run.dt in its text too. The
+    work is stubbed on both sides, so no buffer is allocated."""
+    import bathdyn.cli as cli
+
+    def reached(*args, **kwargs):
+        raise RuntimeError("reached the run")
+
+    monkeypatch.setattr(cli, "run_ensemble", reached)
+    monkeypatch.setattr(cli, "compare_langevin_fp", reached)
+    assert cli._NOISE_LIMIT == 1 << 30
+    for steps in (edge, edge + 1):
+        length = (f"compare.times={steps * 0.001!r}\nrun.dt=0.001\n" if kind == "compare"
+                  else f"run.steps={steps}\n")
+        cfg = _write_config(tmp_path, f"sim.kind={kind}\nrun.n_traj={n_traj}\n{length}")
+        out = tmp_path / f"out-{steps}"
+        rc = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        if steps == edge:
+            assert (rc, err) == (1, "error: reached the run\n")
+        else:
+            assert rc == 2 and err.startswith(f"config error: {key} must keep the step noise")
+            assert (f"{steps} steps" if kind == "compare" else f"run.steps = {steps}") in err
+            assert ("run.dt" in err) == (kind == "compare")
+            assert _error_records(out) == [
+                {"record": "error", "exit_code": 2, "message": err.strip()}]
+
+
 @pytest.mark.parametrize("text", [
     "sim.kind=ensemble\nrun.steps=10\nrun.sigma_x=nan\n",
     "sim.kind=ensemble\nrun.steps=10\nrun.sigma_v=inf\n",
@@ -632,13 +668,14 @@ def test_every_float_rule_rejects_nan():
 
 def test_cli_raises_config_error_only_for_cross_key_rules():
     """Single-key range rules live in the RunConfig.get that reads the key;
-    cli.py raises no ConfigError itself, and states each of its 14 cross-key
+    cli.py raises no ConfigError itself, and states each of its 16 cross-key
     rules as one cfg.require call naming the key: compare.times names and
     multiples of run.dt, compare.bins dividing grid.nx, the
     Drude nu1^3, the Drude grid.t_max against nu1 and grid.nt, det.gamma *
     det.t, output.autocorr_lags within run.steps, fp.x0, fp.v0 and compare's
     run.x0 inside their grids, Lambda, Lambda d^2, and decohere's state.sigma
-    against grid.dx and grid.dy and packet centres inside the x grid."""
+    against grid.dx and grid.dy, packet centres inside the x grid, and the
+    step noise of an ensemble (run.steps) and of compare (compare.times)."""
     import ast
 
     import bathdyn.cli as cli
@@ -649,11 +686,11 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
     requires = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
                 and getattr(node.func, "attr", None) == "require"
                 and getattr(node.func.value, "id", None) == "cfg"]
-    assert len(requires) == 14
+    assert len(requires) == 16
     assert sorted(call.args[1].value for call in requires) == [
         "bath.hbar", "bath.hbar", "compare.bins", "compare.times", "compare.times",
-        "det.gamma * det.t", "fp.v0", "fp.x0",
-        "grid.t_max", "output.autocorr_lags", "run.x0", "state.separation",
+        "compare.times", "det.gamma * det.t", "fp.v0", "fp.x0",
+        "grid.t_max", "output.autocorr_lags", "run.steps", "run.x0", "state.separation",
         "state.separation", "state.sigma"]
 
 
@@ -688,6 +725,15 @@ _NAMED_FAILURES = {
                         "config error: run.n_traj must "),
     "compare-n_traj": ("simulate", "sim.kind=compare\ncompare.times=0.1\nrun.n_traj=0", 2,
                        "config error: run.n_traj must "),
+    # 10^12 steps of 100 trajectories: 728 TiB of step noise
+    "compare-noise": ("simulate", "sim.kind=compare\ncompare.times=1000\nrun.dt=1e-9\n"
+                      "run.n_traj=100", 2, "config error: compare.times must keep the step "
+                      "noise, max(compare.times) / run.dt = 1000000000000 steps x 100 "
+                      "trajectories per chunk x 8 bytes, within 1,073,741,824 bytes (got "
+                      "800,000,000,000,000)"),
+    "ensemble-noise": ("simulate", "sim.kind=ensemble\nrun.steps=1000000000000", 2,
+                       "config error: run.steps must keep the step noise, run.steps = "
+                       "1000000000000 x 1000 trajectories per chunk x 8 bytes"),
     "compare-times-overflow": ("simulate", "sim.kind=compare\ncompare.times=1e300\n"
                                "run.dt=1e-10", 2, "config error: compare.times must be "
                                "multiples of run.dt = 1e-10 that are >= 0 (got 1e+300)"),

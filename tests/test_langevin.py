@@ -192,6 +192,12 @@ def test_chunking_does_not_change_results(monkeypatch):
     assert lv._chunk_size(cfg.n_traj, cfg.steps) == cfg.n_traj
     # the fewest chunks the budget allows, in even whole blocks: 8,192 + 7,808
     assert lv._chunk_size(16_000, 400) == 8 * lv._BLOCK
+    # short rows: at most _CHUNK_BLOCKS = 8 blocks a chunk, evenly. Compare's
+    # 20,000 x 100 runs as 7,168 + 7,168 + 5,664 and criterion 6's 100,000 x
+    # 200 in 8-block chunks; both ran in chunks of 20 blocks before the cap
+    assert lv._CHUNK_BLOCKS == 8
+    assert lv._chunk_size(20_000, 100) == 7 * lv._BLOCK
+    assert lv._chunk_size(100_000, 200) == 8 * lv._BLOCK
     whole = run_ensemble(cfg, "overdamped_postpoint")
     monkeypatch.setattr(lv, "_CHUNK_BUDGET", cfg.steps * 2 * lv._BLOCK)
     assert lv._chunk_size(cfg.n_traj, cfg.steps) == 2 * lv._BLOCK
@@ -215,6 +221,51 @@ def test_chunks_of_one_block_match_a_single_chunk(monkeypatch, mode):
     if mode == "inertial":
         np.testing.assert_array_equal(whole.final_v, pieces.final_v)
     assert noise_expectation(lambda t, x, v: x[-1], cfg, mode).value == whole.mean_x
+
+
+@settings(max_examples=20, deadline=None)
+@given(mode=st.sampled_from(lv._MODES), seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(2, 4), n_traj=st.integers(1, 9 * lv._BLOCK + lv._BLOCK // 2),
+       log_width=st.floats(-0.3, 104.0))
+@example(mode="inertial", seed=1, steps=2, n_traj=9 * lv._BLOCK + lv._BLOCK // 2,
+         log_width=103.0)  # three quarters diverge
+@example(mode="overdamped", seed=2, steps=2, n_traj=8 * lv._BLOCK + 1,
+         log_width=34.0)  # a few diverge
+@example(mode="overdamped_postpoint", seed=3, steps=3, n_traj=lv._BLOCK + 1,
+         log_width=1.0)  # most diverge
+@np.errstate(over="ignore", invalid="ignore")  # statistics of survivors still escaping
+def test_ensemble_bits_do_not_depend_on_chunking(mode, seed, steps, n_traj, log_width):
+    """The default chunks, chunks of one block and one chunk of the whole run
+    give the same bits in every output. V = x^2 / 2 - x^4 throws starts
+    outside its barrier out to overflow, within 2-4 steps for the widest of
+    the drawn widths 10^log_width, so n_diverged and the NaNs of the dead are
+    compared too; explicit histogram edges keep far survivors binnable."""
+    params = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
+    cfg = SimConfig(potential=Polynomial((0.0, 0.0, 0.5, 0.0, -1.0)), params=params,
+                    dt=0.04, steps=steps, n_traj=n_traj, master_seed=seed,
+                    sigma_x=10.0 ** log_width, sigma_v=10.0 ** log_width)
+    blocks = -(-n_traj // lv._BLOCK)
+    runs = []
+    for cap, budget, chunk in (
+            (lv._CHUNK_BLOCKS, lv._CHUNK_BUDGET, lv._chunk_size(n_traj, steps)),
+            (1, steps * lv._BLOCK, min(n_traj, lv._BLOCK)),  # one block a chunk
+            (blocks, blocks * steps * lv._BLOCK, n_traj)):  # one chunk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lv, "_CHUNK_BLOCKS", cap)
+            mp.setattr(lv, "_CHUNK_BUDGET", budget)
+            assert lv._chunk_size(n_traj, steps) == chunk
+            runs.append(run_ensemble(cfg, mode, snapshot_steps=(1, steps),
+                                     autocorr_lags=steps,
+                                     histogram_bins=np.array([-1e308, 0.0, 1e308])))
+    first = runs[0]
+    for other in runs[1:]:
+        assert other.n_diverged == first.n_diverged
+        for name in ("final_x", "final_v", "autocorr"):
+            a, b = getattr(first, name), getattr(other, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+        assert first.snapshots.keys() == other.snapshots.keys()
+        for s, a in first.snapshots.items():
+            assert a.tobytes() == other.snapshots[s].tobytes(), s
 
 
 def test_ensemble_memory_is_one_noise_buffer(monkeypatch):
@@ -284,6 +335,33 @@ def test_autocorrelation_run_holds_one_series(monkeypatch):
         tracemalloc.stop()
     assert stats.autocorr_count == 256
     assert peak <= bound, f"peak {peak} bytes > bound {bound} bytes"
+
+
+def test_compare_shaped_run_holds_one_capped_chunk_of_noise():
+    """Traced peak of compare's ensemble, 20,000 overdamped trajectories x 100
+    steps with 3 snapshots, stays under 8 MiB.
+
+    The bound comes from the sizes. With chunks of 7 blocks, a run holds:
+      - the step-noise buffer, 8 * 100 * 7,168 bytes (5.7 MB);
+      - one row-group buffer of 256 KiB;
+      - the final_x, final_v and alive outputs and the 3 snapshots: 5 float64
+        and one bool array of 20,000 entries (0.8 MB);
+      - each chunk's initial normals, state pair, spare pair and the step's
+        temporaries, about 10 float64 arrays of 7,168 entries (0.6 MB);
+      - 1 MB of slack for interpreter and tracemalloc bookkeeping.
+    That is about 8.4 MB, or 8 MiB. One chunk of all 20 blocks, as the budget
+    alone gives, holds 16 MB of noise.
+    """
+    cfg = _config(n_traj=20_000, steps=100, sigma_x=0.3)
+    assert lv._chunk_size(cfg.n_traj, cfg.steps) == 7 * lv._BLOCK
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_ensemble(cfg, "overdamped", snapshot_steps=(25, 50, 100))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, f"peak {peak} bytes >= 8 MiB"
 
 
 def _draw_030(config, g0, g1, mode):
