@@ -2,10 +2,10 @@
 
 Each check runs at desk scale, compares against an analytic value, an
 independent quadrature, or an exact structural identity, and reports a
-one-line verdict. Criteria 6, 9 and 10 run the CLI on a config of their own
-(``_cli_checks``) and read its outputs and its manifest's check records, so
-the CLI's verdict on a contract is the criterion's too; 4, 5 and 7 advance
-an operator built once, as the CLI does; the others call the public API.
+one-line verdict. Criteria 4, 5, 6, 9 and 10 run the CLI on configs of their
+own (``_cli_checks``) and read its outputs and its manifest's check records,
+so the CLI's verdict on a contract is the criterion's too; 7 advances an
+operator built once, as the CLI does; the others call the public API.
 ``run_all`` never raises: a crashed check, or one over its wall-clock limit
 in ``_SUITE``, is a failure. The suite should finish well under five minutes.
 """
@@ -18,7 +18,7 @@ import os
 import pathlib
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,13 +33,12 @@ from .determinants import (
     trace_log_rate,
 )
 from .fokker_planck import (
-    KramersOperator,
     Ordering,
     PhaseGrid,
     SmoluchowskiOperator,
-    _mass_drift,
     gaussian_field_1d,
-    gaussian_field_2d,
+    kramers_dt_max,
+    smoluchowski_dt_max,
 )
 from .kernels import BathParams, Drude, Ohmic, noise_kernel_freq, noise_kernel_time
 from .langevin import SimConfig, run_ensemble
@@ -196,52 +195,57 @@ def _trace_log():
     )
 
 
+# the bath of criteria 4 and 5, unit mass and friction at kT = 0.5, and their
+# harmonic well, unit frequency
+_ORDERING_BATH = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
+_HARMONIC = ("potential.kind=harmonic", "potential.omega0=1.0")
+
+
+def _fp_checks(grid: PhaseGrid, ordering: str, steps: int, dt: float, *lines) -> dict:
+    """The CLI's check records of one simulate run of a grid solver on grid,
+    in _ORDERING_BATH from x0 = 0 with the given lines: dt is passed exactly
+    by repr, and the field recorded at the end only."""
+    axes = [f"grid.{f.name}={getattr(grid, f.name)!r}" for f in fields(grid)
+            if getattr(grid, f.name) is not None]
+    lines = ("bath.mass=1.0", "bath.gamma=1.0", "bath.k_bt=0.5", "bath.hbar=0.0", "fp.x0=0.0",
+             f"sim.kind={'kramers' if grid.is_2d else 'smoluchowski'}", *axes, *lines,
+             f"fp.ordering={ordering}", f"fp.steps={steps}", f"fp.record_every={steps}",
+             f"fp.dt={dt!r}")
+    with tempfile.TemporaryDirectory() as top:
+        return _cli_checks("simulate", lines, os.path.join(top, ordering))[1]
+
+
 def _kramers_ordering():
-    params = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
-    pot = Harmonic(mass=1.0, omega0=1.0)
+    # the harmonic well on 128 x 128 cells of [-4, 4]^2, from a Gaussian of
+    # width 0.7 in x and v: 1000 conserving steps, and symmetric ones to t >= 2
     grid = PhaseGrid(-4.0, 4.0, 128, -4.0, 4.0, 128)
-    field0 = gaussian_field_2d(grid, 0.0, 0.7, 0.0, 0.7)
-    op = KramersOperator(grid, pot, params)
-    dt = 0.9 * op.dt_max
-
-    drift, ok_drift = _mass_drift(
-        field0, op.advance(field0, Ordering.MOMENTA_LEFT, dt, 1000))
-
+    dt = 0.9 * kramers_dt_max(grid, Harmonic(mass=1.0, omega0=1.0), _ORDERING_BATH)
     n = math.ceil(2.0 / dt)
-    dts = 2.0 / n
-    field = op.advance(field0, Ordering.SYMMETRIC, dts, n)
-    rel = abs(field.mass / math.exp(-1.0) - 1.0)
-    ok_mass = rel <= 0.02
-
-    return ok_drift and ok_mass, (f"conserving drift {drift:.2e} over 1000 steps; "
-                                  f"symmetric mass(t=2) off e^-1 by {rel:.2e} on 128x128")
+    start = (*_HARMONIC, "fp.sigma_x=0.7", "fp.v0=0.0", "fp.sigma_v=0.7")
+    kept = _fp_checks(grid, "momenta_left", 1000, dt, *start)["mass_conserved"]
+    sink = _fp_checks(grid, "symmetric", n, dt, *start)["mass_follows_sink"]
+    ok = kept["pass"] and sink["pass"] and sink["sink_rate"] == _ORDERING_BATH.gamma / 2.0
+    return ok, (f"conserving drift {kept['drift']:.2e} over 1000 steps; symmetric "
+                f"mass(t={n * dt:.4g}) off e^(-gamma t/2) by {sink['drift']:.2e} on 128x128")
 
 
 def _smoluchowski_ordering():
-    params = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
-    dw = DoubleWell(a=-1.0, b=0.25)
-    grid = PhaseGrid(-3.2, 3.2, 256)
-    field0 = gaussian_field_1d(grid, 0.0, 0.5)
-    op = SmoluchowskiOperator(grid, dw, params)
-    drift, ok_drift = _mass_drift(
-        field0, op.advance(field0, Ordering.MOMENTA_LEFT, 0.9 * op.dt_max, 1000))
-
-    pot = Harmonic(mass=1.0, omega0=1.0)
+    # 1000 conserving steps in the double well V = -x^2 + x^4/4 on 256 cells
+    # of [-3.2, 3.2] from a Gaussian of width 0.5, and symmetric ones to
+    # t >= 1 in the harmonic well on 256 cells of [-4, 4] from its Boltzmann
+    # state, whose sink rate is w0^2 / 2 gamma
+    well, grid_w = DoubleWell(a=-1.0, b=0.25), PhaseGrid(-3.2, 3.2, 256)
     grid_h = PhaseGrid(-4.0, 4.0, 256)
-    field = gaussian_field_1d(grid_h, 0.0, math.sqrt(0.5))
-    op_h = SmoluchowskiOperator(grid_h, pot, params)
-    dth = 0.9 * op_h.dt_max
-    n = math.ceil(1.0 / dth)
-    field = op_h.advance(field, Ordering.SYMMETRIC, dth, n)
-    rate = -math.log(field.mass) / (n * dth)
-    target = pot.omega0**2 / (2.0 * params.gamma)
-    rel = abs(rate / target - 1.0)
-    ok_rate = rel <= 0.02
-
-    return ok_drift and ok_rate, (
-        f"conserving drift {drift:.2e} over 1000 steps; symmetric decay rate "
-        f"{rate:.6g} vs w0^2/2gamma = {target:g} (rel {rel:.2e})"
-    )
+    dt_w = 0.9 * smoluchowski_dt_max(grid_w, well, _ORDERING_BATH)
+    dt_h = 0.9 * smoluchowski_dt_max(grid_h, Harmonic(mass=1.0, omega0=1.0), _ORDERING_BATH)
+    n = math.ceil(1.0 / dt_h)
+    kept = _fp_checks(grid_w, "momenta_left", 1000, dt_w, "potential.kind=double_well",
+                      "potential.a=-1.0", "potential.b=0.25", "fp.sigma_x=0.5")["mass_conserved"]
+    sink = _fp_checks(grid_h, "symmetric", n, dt_h, *_HARMONIC,
+                      f"fp.sigma_x={math.sqrt(0.5)!r}")["mass_follows_sink"]
+    ok = kept["pass"] and sink["pass"] and sink["sink_rate"] == 1.0 / (2.0 * _ORDERING_BATH.gamma)
+    return ok, (f"conserving drift {kept['drift']:.2e} over 1000 steps; symmetric mass(t="
+                f"{n * dt_h:.4g}) off e^(-w0^2 t/2gamma) by {sink['drift']:.2e}")
 
 
 def _ensemble_grid_agreement():

@@ -57,7 +57,6 @@ from .fokker_planck import (
     PhaseGrid,
     SmoluchowskiOperator,
     StabilityError,
-    _mass_drift,
     _step_count,
     compare_langevin_fp,
     gaussian_field_1d,
@@ -141,14 +140,19 @@ _MOMENT_KEYS = ("n_traj", "n_diverged", "steps", "dt", "mean_x", "var_x", "se_x"
 _MOMENT_KEYS_V = ("mean_v", "var_v", "se_v", "cov_xv", "se_cov_xv")
 
 
-def _moment_columns(stats) -> tuple[list, list]:
-    """moments.csv's (key, value) columns of an EnsembleStats: the counts and
-    x moments, then the v moments when the run kept velocities; every value
-    a float."""
+def _write_moments(man: Manifest, stats) -> None:
+    """moments.csv of an EnsembleStats, (key, value) rows of the counts and x
+    moments, then the v moments when the run kept velocities, every value a
+    float; and the run's none_diverged verdict: a trajectory that diverged
+    fails the run."""
     keys = list(_MOMENT_KEYS)
     if stats.final_v is not None:
         keys += _MOMENT_KEYS_V
-    return keys, [float(getattr(stats, k)) for k in keys]
+    man.csv("moments.csv", ("key", "value"), (keys, [float(getattr(stats, k)) for k in keys]))
+    ok = stats.n_diverged == 0
+    man.check("none_diverged", ok, f"check no trajectory diverged: {_tag(ok)} "
+              f"({stats.n_diverged} of {stats.n_traj})", n_diverged=stats.n_diverged,
+              n_traj=stats.n_traj)
 
 
 def write_jsonl(path, records) -> None:
@@ -268,6 +272,29 @@ def _at_least(n: int) -> tuple:
 
 def _tag(passed) -> str:
     return "pass" if passed else "FAIL"
+
+
+def _budget_check(man: Manifest, quantity: str, ordering: Ordering, sink_rate: float,
+                  start: float, end: float, t: float, bound: float, **fields) -> None:
+    """Record the exact budget verdict of a run whose sink is uniform: the
+    final mass or trace, end, equals start exp(-sink_rate t) within bound,
+    strictly. sink_rate is the rate the physics gives the ordering, not the
+    operator's own sink, so a wrong sink fails the check; momenta-left has
+    rate 0, where the drift is |end - start| bit for bit and the check keeps
+    its name, mass_conserved or trace_constant. A symmetric run's check is
+    <quantity>_follows_sink and records sink_rate. The record carries the
+    drift and the given fields; the trace check prints its line, as each
+    decohere check does."""
+    drift = abs(end - start * math.exp(-sink_rate * t))
+    ok = drift < bound
+    if ordering is Ordering.MOMENTA_LEFT:
+        name, rule = {"mass": "mass_conserved", "trace": "trace_constant"}[quantity], "constant"
+    else:
+        name, rule = f"{quantity}_follows_sink", f"follows exp(-{sink_rate:.6g} t)"
+        fields["sink_rate"] = sink_rate
+    line = (f"check trace {rule} within 1e-8: {_tag(ok)} (drift {drift:.3g})"
+            if quantity == "trace" else None)
+    man.check(name, ok, line, drift=drift, **fields)
 
 
 def _bath_from(cfg: RunConfig, mass: float = 1.0, gamma: float = 1.0,
@@ -401,6 +428,10 @@ _GRID_NX = {"smoluchowski": 256, "compare": 512, "kramers": 128}
 # memory, so a config's exit code does not depend on the machine. It admits
 # 131,072 steps at any run.n_traj, 40 times the benchmark ensemble's buffer
 _NOISE_LIMIT = 1 << 30
+# bytes of a simulate run's arrays of one double per trajectory, stated as
+# _NOISE_LIMIT is: 67,108,864 trajectories of an ensemble, 671 times the
+# largest run of the benchmark and of checks.py (criterion 6's 100,000)
+_TRAJ_LIMIT = 1 << 30
 
 
 def _noise_rule(steps: int, n_traj: int, source: str) -> tuple[bool, str]:
@@ -412,6 +443,16 @@ def _noise_rule(steps: int, n_traj: int, source: str) -> tuple[bool, str]:
     return need <= _NOISE_LIMIT, (
         f"keep the step noise, {source} x {chunk} trajectories per chunk x 8 "
         f"bytes, within {_NOISE_LIMIT:,} bytes (got {need:,})")
+
+
+def _trajectory_rule(n_traj: int, arrays: int) -> tuple[bool, str]:
+    """(ok, text) of the rule that holds a run's arrays of one double per
+    trajectory, the final x and v and one per snapshot, `arrays` in all,
+    within _TRAJ_LIMIT before any work."""
+    need = 8 * arrays * n_traj
+    return need <= _TRAJ_LIMIT, (
+        f"keep the per-trajectory arrays, {arrays} x {n_traj} trajectories x 8 bytes, "
+        f"within {_TRAJ_LIMIT:,} bytes (got {need:,})")
 
 
 def _grid(cfg: RunConfig, kind: str) -> PhaseGrid:
@@ -452,9 +493,11 @@ def _run_ensemble_cmd(cfg, params, potential, man) -> None:
     cfg.require(0 <= lags <= config.steps, "output.autocorr_lags", "be in [0, run.steps]")
     ok, text = _noise_rule(config.steps, config.n_traj, f"run.steps = {config.steps}")
     cfg.require(ok, "run.steps", text)
+    ok, text = _trajectory_rule(config.n_traj, 2)
+    cfg.require(ok, "run.n_traj", text)
     cfg.finish()
     stats = run_ensemble(config, mode, histogram_bins=bins, autocorr_lags=lags)
-    man.csv("moments.csv", ("key", "value"), _moment_columns(stats))
+    _write_moments(man, stats)
     edges = stats.hist_edges
     man.csv("histogram.csv", ("bin_left", "bin_right", "density"),
             (edges[:-1], edges[1:], stats.hist_density))
@@ -510,9 +553,14 @@ def _run_fp_cmd(cfg, kind, params, potential, man) -> None:
     mean, var = field.moments()
     man.say(f"{kind} ({ordering.value}): {steps} steps of dt = {dt:.6g}, "
             f"final mass = {field.mass:.12g}, mean = {mean:.6g}, var = {var:.6g}")
-    if ordering is Ordering.MOMENTA_LEFT:
-        drift, ok = _mass_drift(field0, field)
-        man.check("mass_conserved", ok, drift=drift, tol=_MASS_TOL)
+    rate = 0.0 if ordering is Ordering.MOMENTA_LEFT else params.gamma / 2.0
+    if ordering is Ordering.SYMMETRIC and not grid.is_2d:
+        # V'' / 2 M gamma: a uniform sink, with a closed budget, only where V'' is
+        hess = np.asarray(potential.hess(grid.x_centers))
+        rate = hess.max() / (2.0 * params.mass * params.gamma) if np.ptp(hess) == 0 else None
+    if rate is not None:
+        _budget_check(man, "mass", ordering, float(rate), field0.mass, field.mass, steps * dt,
+                      _MASS_TOL, tol=_MASS_TOL)
 
 
 def _run_compare_cmd(cfg, params, potential, man) -> None:
@@ -542,10 +590,12 @@ def _run_compare_cmd(cfg, params, potential, man) -> None:
     ok, text = _noise_rule(steps, config.n_traj,
                            f"max(compare.times) / run.dt = {steps} steps")
     cfg.require(ok, "compare.times", text)
+    ok, text = _trajectory_rule(config.n_traj, 2 + len(times))
+    cfg.require(ok, "run.n_traj", text)
     cfg.finish()
     records, stats = compare_langevin_fp(config, grid, times, n_bins=bins)
     man.jsonl("compare.jsonl", [r.as_dict() for r in records])
-    man.csv("moments.csv", ("key", "value"), _moment_columns(stats))
+    _write_moments(man, stats)
     for name, rec in zip(names, records):
         budget = 3.0 * (rec.stat_err + rec.disc_err)
         man.check(name, rec.l1 < budget, f"t = {rec.t:g}: L1 = {rec.l1:.4g} (budget "
@@ -652,18 +702,10 @@ def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
               f"(max deviation {herm_max:.3g})", max_deviation=herm_max, tol=_HERM_TOL)
 
     tr0, tr_end, t_end = tr_re[0], tr_re[-1], ts[-1]
-    if ordering is Ordering.MOMENTA_LEFT:
-        drift = abs(tr_end - tr0)
-        ok_tr = drift <= 1e-8 * abs(tr0)
-        man.check("trace_constant", ok_tr, f"check trace constant within 1e-8: "
-                  f"{_tag(ok_tr)} (drift {drift:.3g})", tr0=tr0, drift=drift, rel_tol=1e-8)
-    else:
-        rate = -math.log(tr_end / tr0) / t_end
-        target = params.gamma / 2.0
-        ok_tr = abs(rate / target - 1.0) <= 0.02
-        man.check("trace_decay_rate", ok_tr, f"check trace decay rate vs gamma/2: "
-                  f"{_tag(ok_tr)} (rate {rate:.6g}, target {target:.6g})",
-                  computed=rate, target=target)
+    rate = 0.0 if ordering is Ordering.MOMENTA_LEFT else params.gamma / 2.0
+    measured = {"rate": -math.log(tr_end / tr0) / t_end} if rate else {}  # a figure, no verdict
+    _budget_check(man, "trace", ordering, rate, tr0, tr_end, t_end, 1e-8 * abs(tr0), tr0=tr0,
+                  rel_tol=1e-8, **measured)
 
     if superposed:
         # a fit that cannot be taken (times so short that polyfit's scaling

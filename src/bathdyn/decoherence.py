@@ -345,6 +345,7 @@ class MasterOperator(_Operator):
         rate = params.gamma * (rho.ny // 2)
         self.dt_max = 1.0 / rate if "friction" in terms and rate > 0 else math.inf
         self.potential, self.params, self.terms, self.lam = potential, params, terms, dec.lam
+        self.gamma = params.gamma  # the symmetric sink's rate is gamma / 2 (_Operator.sink)
         self._grid = (rho.values.shape, rho.x0, rho.dx, rho.dy)
 
     def stepper(self, field: DensityField, ordering: Ordering, dt: float):
@@ -381,7 +382,7 @@ class MasterOperator(_Operator):
         if "decoherence" in terms:
             in_place.append(_scaling(np.exp(-self.lam * y ** 2 * dt)[None, :]))
         if ordering is Ordering.SYMMETRIC:
-            in_place.append(_scaling(math.exp(-params.gamma * dt / 2.0)))
+            in_place.append(_scaling(self.sink(dt)))
 
         def step(half: np.ndarray) -> np.ndarray:
             if kinetic is None:

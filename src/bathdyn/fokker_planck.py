@@ -190,13 +190,8 @@ class ProbField:
         return mean, var
 
 
+# largest mass drift, strictly, that a run's exact mass budget accepts
 _MASS_TOL = 1e-8
-
-
-def _mass_drift(field0: ProbField, field: ProbField) -> tuple[float, bool]:
-    """Mass drift |M(field) - M(field0)| of a run, and whether it is below _MASS_TOL."""
-    drift = abs(field.mass - field0.mass)
-    return drift, drift < _MASS_TOL
 
 
 def gaussian_field_1d(grid: PhaseGrid, mean: float, sigma: float) -> ProbField:
@@ -259,7 +254,13 @@ class _Operator:
     it. A subclass sets dt_max and bound (the name of its stability bound) and
     supplies stepper(field, ordering, dt) -> (state, step, emit): the run's
     start state, read only; step(state), the state one step on, checked; and
-    emit(state, t), the field of a mark, in a buffer of its own."""
+    emit(state, t), the field of a mark, in a buffer of its own. sink(dt) is
+    the symmetric ordering's factor over one step; the default, the uniform
+    exp(-gamma dt / 2) of the phase-space and master equations, reads the
+    subclass's gamma."""
+
+    def sink(self, dt: float):
+        return math.exp(-self.gamma * dt / 2.0)
 
     def records(self, field, ordering: Ordering, dt: float, marks):
         """Yield the field after each step count in marks, which must increase
@@ -291,7 +292,7 @@ class _Operator:
 
 class _GridOperator(_Operator):
     """A Fokker-Planck generator on a PhaseGrid. A subclass supplies
-    increment_kernel(dt) and sink(dt).
+    increment_kernel(dt), and sink(dt) or gamma.
 
     increment_kernel(dt) returns increment(p): dt (F_in - F_out) / spacing
     summed over the directions, the explicit step's change of p, with dt and
@@ -362,7 +363,7 @@ class SmoluchowskiOperator(_GridOperator):
 
 class KramersOperator(_GridOperator):
     """The phase-space equation's generator on one 2-D problem: v face
-    weights, dt_max and the symmetric sink exp(-gamma dt / 2).
+    weights, dt_max and gamma, which sets the symmetric sink exp(-gamma dt / 2).
 
     The stepping kernel works on the flattened (x-major) field, so that each
     operation runs over one contiguous array; the v face weights carry a
@@ -432,9 +433,6 @@ class KramersOperator(_GridOperator):
             return inc.reshape(nx, nv)
 
         return increment
-
-    def sink(self, dt: float) -> float:
-        return math.exp(-self.gamma * dt / 2.0)
 
 
 def smoluchowski_dt_max(

@@ -62,7 +62,7 @@ def test_reproducibility(results):
     _report(results, 10)
 
 
-# every criterion's detail as paper-checks writes it to checks.jsonl (version 0.8.0)
+# every criterion's detail as paper-checks writes it to checks.jsonl (version 0.9.0)
 DETAILS = {
     1: "300 random-coefficient ratios, max |r - 1| = 0 (bitwise)",
     2: "rel errors 2.00e-04 (target e^2), 5.00e-05 (target e) at N = 1e4; "
@@ -70,9 +70,9 @@ DETAILS = {
     3: "sharp-cutoff rate 1.42e-14 (bound 0.002); "
        "quadrature vs (gamma - mu)/2 off by 0.00e+00",
     4: "conserving drift 0.00e+00 over 1000 steps; "
-       "symmetric mass(t=2) off e^-1 by 1.24e-14 on 128x128",
+       "symmetric mass(t=2.002) off e^(-gamma t/2) by 5.55e-15 on 128x128",
     5: "conserving drift 2.22e-16 over 1000 steps; "
-       "symmetric decay rate 0.5 vs w0^2/2gamma = 0.5 (rel 1.89e-13)",
+       "symmetric mass(t=1.001) off e^(-w0^2 t/2gamma) by 5.73e-14",
     6: "L1 = 0.0140 vs budget 0.0492; "
        "worst moment deviation 0.65 of its 3-s.e. allowance",
     7: "<v^2> = 0.50332 vs kT/M = 0.5 (0.66 s.e.); "

@@ -7,7 +7,16 @@ promised within one version only, so DIGEST_VERSION must equal
 ``bathdyn.__version__``: a change that moves any byte re-records the digests
 of the cases it moves and bumps both.
 
-The digests belong to 0.8.0. It moved only decohere bytes: the kinetic substep
+The digests belong to 0.9.0. It moved no output file and no exit code, only
+the manifests and stdout of five cases, which gain or change a check record
+and its line. ``kramers_symmetric`` writes a ``mass_follows_sink`` check (its
+manifest alone moves: a grid run prints no check line). ``decohere_symmetric``
+writes ``trace_follows_sink``, its final trace against tr0 exp(-gamma t / 2)
+within 1e-8 |tr0|, where ``trace_decay_rate`` held the fitted rate to 2%, and
+prints its line in place of the old one; it still exits 1 on ``grid_fits``.
+``ensemble``, ``compare`` and ``compare_three_chunks`` write a
+``none_diverged`` check and print its line. Their other digests are older, as
+below. 0.8.0 moved only decohere bytes: the kinetic substep
 pads its FFTs to the smallest odd 11-smooth length >= n, not >= 1.5 n, which
 moves every output of the two ``decohere_*`` cases (their states touch their
 grids' edges, so by far more than roundoff), and every decohere manifest
@@ -26,9 +35,9 @@ half, which moves ``wigner_final.csv`` and the ``amplitude`` column of
 and ``rel_tol``. 0.5.0 moved no byte of these cases (only det-check's two
 regularized-log values). ``kernels_drude`` and ``kramers_dt_too_large`` still
 hold the digests recorded with 0.2.0, byte for byte, because no later version
-moved their outputs. ``ensemble`` holds the digests recorded with 0.3.0
-(``DoubleWell.grad`` cubes by multiplication), which later versions left where
-they were. ``decohere_momenta_left`` and ``decohere_symmetric`` were recorded
+moved their outputs. ``ensemble``'s output files hold the digests recorded
+with 0.3.0 (``DoubleWell.grad`` cubes by multiplication), which later versions
+left where they were. ``decohere_momenta_left`` and ``decohere_symmetric`` were recorded
 with 0.3.0 (the kinetic substep pads to 11-smooth FFT lengths), with 0.4.0
 (the density matrix steps on its y >= 0 half with real FFTs, which moves rho
 and W by roundoff), with 0.6.0 and again with 0.8.0. The test keeps its 0.2.0
@@ -45,7 +54,7 @@ import pytest
 import bathdyn
 from bathdyn.cli import main
 
-DIGEST_VERSION = "0.8.0"
+DIGEST_VERSION = "0.9.0"
 
 _KRAMERS = {
     "sim.kind": "kramers", "potential.kind": "double_well",
@@ -95,35 +104,36 @@ CASES = {
 
 # case -> name -> sha256 hex digest; recorded with bathdyn 0.2.0, except the
 # ensemble case (0.3.0), the grid outputs of the compare, kramers_* and
-# smoluchowski_* cases (0.7.0), the decohere_* cases (0.8.0) and
+# smoluchowski_* cases (0.7.0), the decohere_* cases (0.8.0),
 # compare_three_chunks (0.8.0, in one chunk of 20 blocks, before chunks were
-# capped at 8 blocks)
+# capped at 8 blocks), and the manifest and stdout of kramers_symmetric,
+# decohere_symmetric, ensemble, compare and compare_three_chunks (0.9.0)
 DIGESTS = {
     "compare": {
         "compare.jsonl":
             "a30be4cf6790eb96a23de22efa042b41d1a14f2cccc863a0415b7b80023aac61",
         "exit_code": "0",
         "manifest.json":
-            "e5ee5be436f7e2a49fb8771aca939c010137fc50ecbccb40177233a65ee3a80d",
+            "cfbf2d4ecae5fb199928dc78f2a2d46dae2a4fce3d6c6c1b6515b60dbf105146",
         "moments.csv":
             "9a0c0797d80b51bbaaf1172abcb34dbee0a0bc238a5392db4d86e50f179ecddc",
         "stderr":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout":
-            "98a3682dd937d571993fefb5d15f376e2ed8dc25e75315e60c9aa779a2c66125",
+            "832ce0770d3c2498dd7d26e2c65870487fa0708dfa4c9a26c99e183e21f24191",
     },
     "compare_three_chunks": {
         "compare.jsonl":
             "2e65eeeffd24faeb1ff2631814b1a24a03ba6bd219308363e765203eb6ec8b35",
         "exit_code": "0",
         "manifest.json":
-            "dd1c0911c232d8cc32dce1cf359e91562279e6f72ff3a0c9ce4336aaca465aca",
+            "20cbec4a3448d2153e6a3a3c998e8ae22e123150a177f3efafc5d64a7bf4cb91",
         "moments.csv":
             "ab71543b2669e3ad211084aa8da44b2cac23a4a0d038eb32ccfe4146536dbb4c",
         "stderr":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout":
-            "37c2007d74d7c140b475417ff53e7df9b2de4e76f25d851b81b3e68b8025dc8e",
+            "f566e321e1143a9adebe74dfe84377ec29e8011c025e20e91bd0d804f71568d2",
     },
     "decohere_momenta_left": {
         "decay.csv":
@@ -145,13 +155,13 @@ DIGESTS = {
             "004afcc6a0d6a14180294f1a3fd5732331d6254cbed785d66d6c2699e70c6193",
         "exit_code": "1",
         "manifest.json":
-            "378bb708184fafb122884a05bc2ec74f63e58e5230b2febcd0fdf5a14596ecf3",
+            "279c48d393d0b41a4f9a187c36b27033ccb2d385a7397a5dfc0eb4c567197f89",
         "rho_final.csv":
             "8ba5c5bf25a2ffb52adb2d098c13a059d6d5c285f8bcfff130bfe01e5d74cdc9",
         "stderr":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout":
-            "d49449000af88369e23fb0233f3091c81cbc058d86bc32ba7bbb968420f58427",
+            "958c5066d73e0f2f5117756f13379aada59365886cfea307ec88e38cea8a33d5",
         "wigner_final.csv":
             "03259cd82b8a8df1bff646ea09d7703981cea655d3ce723ae4158564db51d793",
     },
@@ -162,13 +172,13 @@ DIGESTS = {
         "histogram.csv":
             "6200ec908a2ec03f06dddce45b90203f19b97a1091768b20e710df5a5a8e795f",
         "manifest.json":
-            "47bc62e937d6bc413ae0bbc9ee2374d49ed4e2e3e2f6a26a28c17759ccd74722",
+            "f6617af3d9bb4767a59c99674b616df093ee1d42e10cc9260b02af41b4b0b13b",
         "moments.csv":
             "af0644bca5e0ab41cbba7babba50a3a257d909a9901f1f560235030685479cb1",
         "stderr":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "stdout":
-            "dfc7878fd5ceaf3637282d701e951bcf8e3c6cde5a68fa035524eaefe4729129",
+            "884883c33573e22c841432c97d5eb2ea68e853cd4f95f524172cdf41f20ff062",
     },
     "kernels_drude": {
         "exit_code": "0",
@@ -214,7 +224,7 @@ DIGESTS = {
         "field.csv":
             "8f19ac040d65ec0bfd7f2a9d5dc103f5a0df1a016d280c7228e57a265bfb9af5",
         "manifest.json":
-            "e31c32b0022c42d74def35080982f138b6123caf318bf371143a7028280cc2fa",
+            "f38320fcc40a86666d29b738b8e3381f234a45db876348202b4ff4dd9df18483",
         "mass.csv":
             "b34afa04ed8dc6a5399fc03580dd96cc953fb1251c5384e5524a7c1952e07e4b",
         "stderr":

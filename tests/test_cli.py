@@ -218,14 +218,12 @@ def test_decohere_grid_rules_stop_at_their_bounds(tmp_path, capsys, key, bound, 
 def test_decohere_fails_grid_fits_on_a_state_that_touches_the_edge(tmp_path, capsys):
     """The symmetric byte-identity case: a Gaussian of width 0.3 on a 33 x 25
     grid stands at 3.4e-4 of its peak on the y edges from the start. Every
-    other check passes; grid_fits alone fails the run, exit 1, with all its
-    outputs written."""
+    other check passes (its row of _CHECK_TABLE); grid_fits alone fails the
+    run, exit 1, with all its outputs written."""
     from bathdyn import gaussian_pure_state
     from bathdyn.decoherence import _EDGE_TOL
 
-    cfg = _write_config(tmp_path, "state.kind=gaussian\npotential.kind=harmonic\n"
-                        "decohere.ordering=symmetric\ngrid.nx=33\ngrid.ny=25\n"
-                        "run.steps=25\nrun.record_every=5\n")
+    cfg = _write_config(tmp_path, _CHECK_TABLE["decohere", "symmetric", "harmonic"][1])
     out = tmp_path / "o"
     assert main(["decohere", "--config", cfg, "--out", str(out)]) == 1
     assert "check grid fits, edge measure <= 1e-06: FAIL" in capsys.readouterr().out
@@ -235,8 +233,6 @@ def test_decohere_fails_grid_fits_on_a_state_that_touches_the_edge(tmp_path, cap
     start = gaussian_pure_state(33, 0.08, 25, 0.2, sigma=0.3).edge_measure()
     assert fits["edge_start"] == start and 3e-4 < start
     assert fits["edge_max"] >= start
-    assert sorted(checks) == ["hermitian", "trace_decay_rate"]
-    assert all(r["pass"] for r in checks.values())
     assert {r["path"] for r in _read_manifest(out) if r["record"] == "output"} == {
         "decay.csv", "rho_final.csv", "wigner_final.csv"}
 
@@ -425,7 +421,8 @@ def test_compare_l1_on_its_budget_fails(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, "sim.kind=compare\ncompare.times=0.05\n")
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
-    [check] = [r for r in _read_manifest(out) if r["record"] == "check"]
+    [check] = [r for r in _read_manifest(out) if r["record"] == "check"
+               and r["name"].startswith("l1_")]
     assert check["name"] == "l1_within_budget_t_0.05"
     assert check["pass"] is False
     assert check["l1"] == check["budget"] == 2.25
@@ -483,6 +480,37 @@ def test_noise_rule_stops_at_its_bound(tmp_path, monkeypatch, capsys, kind, n_tr
             assert rc == 2 and err.startswith(f"config error: {key} must keep the step noise")
             assert (f"{steps} steps" if kind == "compare" else f"run.steps = {steps}") in err
             assert ("run.dt" in err) == (kind == "compare")
+            assert _error_records(out) == [
+                {"record": "error", "exit_code": 2, "message": err.strip()}]
+
+
+@pytest.mark.parametrize("kind, edge", [("ensemble", 1 << 26), ("compare", (1 << 30) // 24)])
+def test_trajectory_rule_stops_at_its_bound(tmp_path, monkeypatch, capsys, kind, edge):
+    """A run's arrays of one double per trajectory, the final x and v and one
+    per compare time, may fill _TRAJ_LIMIT = 1 GiB: 2^26 trajectories of an
+    ensemble (two arrays), or 44,739,242 of a compare run at one time (three).
+    One trajectory more is a config error naming run.n_traj. The work is
+    stubbed on both sides, so no array is allocated."""
+    import bathdyn.cli as cli
+
+    def reached(*args, **kwargs):
+        raise RuntimeError("reached the run")
+
+    monkeypatch.setattr(cli, "run_ensemble", reached)
+    monkeypatch.setattr(cli, "compare_langevin_fp", reached)
+    assert cli._TRAJ_LIMIT == 1 << 30
+    length = "compare.times=0.05\n" if kind == "compare" else "run.steps=10\n"
+    for n_traj in (edge, edge + 1):
+        cfg = _write_config(tmp_path, f"sim.kind={kind}\nrun.n_traj={n_traj}\n{length}")
+        out = tmp_path / f"out-{n_traj}"
+        rc = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        if n_traj == edge:
+            assert (rc, err) == (1, "error: reached the run\n")
+        else:
+            assert rc == 2 and err.startswith(
+                "config error: run.n_traj must keep the per-trajectory arrays, "
+                f"{3 if kind == 'compare' else 2} x {n_traj} trajectories x 8 bytes")
             assert _error_records(out) == [
                 {"record": "error", "exit_code": 2, "message": err.strip()}]
 
@@ -668,14 +696,15 @@ def test_every_float_rule_rejects_nan():
 
 def test_cli_raises_config_error_only_for_cross_key_rules():
     """Single-key range rules live in the RunConfig.get that reads the key;
-    cli.py raises no ConfigError itself, and states each of its 16 cross-key
+    cli.py raises no ConfigError itself, and states each of its 18 cross-key
     rules as one cfg.require call naming the key: compare.times names and
     multiples of run.dt, compare.bins dividing grid.nx, the
     Drude nu1^3, the Drude grid.t_max against nu1 and grid.nt, det.gamma *
     det.t, output.autocorr_lags within run.steps, fp.x0, fp.v0 and compare's
     run.x0 inside their grids, Lambda, Lambda d^2, and decohere's state.sigma
-    against grid.dx and grid.dy, packet centres inside the x grid, and the
-    step noise of an ensemble (run.steps) and of compare (compare.times)."""
+    against grid.dx and grid.dy, packet centres inside the x grid, the
+    step noise of an ensemble (run.steps) and of compare (compare.times), and
+    the per-trajectory arrays of each (run.n_traj)."""
     import ast
 
     import bathdyn.cli as cli
@@ -686,12 +715,12 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
     requires = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
                 and getattr(node.func, "attr", None) == "require"
                 and getattr(node.func.value, "id", None) == "cfg"]
-    assert len(requires) == 16
+    assert len(requires) == 18
     assert sorted(call.args[1].value for call in requires) == [
         "bath.hbar", "bath.hbar", "compare.bins", "compare.times", "compare.times",
         "compare.times", "det.gamma * det.t", "fp.v0", "fp.x0",
-        "grid.t_max", "output.autocorr_lags", "run.steps", "run.x0", "state.separation",
-        "state.separation", "state.sigma"]
+        "grid.t_max", "output.autocorr_lags", "run.n_traj", "run.n_traj", "run.steps",
+        "run.x0", "state.separation", "state.separation", "state.sigma"]
 
 
 # (command, config, exit code, start of the stderr line) of values that failed
@@ -734,6 +763,11 @@ _NAMED_FAILURES = {
     "ensemble-noise": ("simulate", "sim.kind=ensemble\nrun.steps=1000000000000", 2,
                        "config error: run.steps must keep the step noise, run.steps = "
                        "1000000000000 x 1000 trajectories per chunk x 8 bytes"),
+    # 10^12 trajectories of one step: 7.28 TiB of final x alone
+    "ensemble-trajectories": ("simulate", "sim.kind=ensemble\nrun.n_traj=1000000000000\n"
+                              "run.steps=1", 2, "config error: run.n_traj must keep the "
+                              "per-trajectory arrays, 2 x 1000000000000 trajectories x 8 "
+                              "bytes, within 1,073,741,824 bytes (got 16,000,000,000,000)"),
     "compare-times-overflow": ("simulate", "sim.kind=compare\ncompare.times=1e300\n"
                                "run.dt=1e-10", 2, "config error: compare.times must be "
                                "multiples of run.dt = 1e-10 that are >= 0 (got 1e+300)"),
@@ -787,6 +821,103 @@ def test_failure_names_its_key_or_its_fit(tmp_path, capfd, case):
     assert err.startswith(start) and err.count("\n") == 1
     assert _read_manifest(out)[-1] == {"record": "error", "exit_code": code,
                                        "message": err.strip()}
+
+
+# (command, ordering, potential) -> (subcommand, config, exit code, {check:
+# pass}): the checks each kind of run writes in its manifest, and their
+# verdicts. A run whose sink is uniform (every ordering of kramers and
+# decohere, a harmonic smoluchowski run) writes one exact budget check, named
+# for momenta-left's conservation or for the symmetric ordering's sink; a
+# pointwise sink writes none. An ensemble, alone or in compare, writes
+# none_diverged.
+_CHECK_TABLE = {
+    ("smoluchowski", "momenta_left", "double_well"): (
+        "simulate", "sim.kind=smoluchowski\npotential.kind=double_well\ngrid.nx=32\n"
+        "fp.steps=20\n", 0, {"mass_conserved": True}),
+    ("smoluchowski", "symmetric", "harmonic"): (
+        "simulate", "sim.kind=smoluchowski\nfp.ordering=symmetric\ngrid.nx=32\nfp.steps=20\n",
+        0, {"mass_follows_sink": True}),
+    ("smoluchowski", "symmetric", "double_well"): (
+        "simulate", "sim.kind=smoluchowski\nfp.ordering=symmetric\n"
+        "potential.kind=double_well\ngrid.nx=32\nfp.steps=20\n", 0, {}),
+    ("kramers", "momenta_left", "harmonic"): (
+        "simulate", "sim.kind=kramers\ngrid.nx=16\ngrid.nv=16\nfp.steps=10\n", 0,
+        {"mass_conserved": True}),
+    ("kramers", "symmetric", "double_well"): (
+        "simulate", "sim.kind=kramers\nfp.ordering=symmetric\npotential.kind=double_well\n"
+        "grid.nx=16\ngrid.nv=16\nfp.steps=10\n", 0, {"mass_follows_sink": True}),
+    ("decohere", "momenta_left", "none"): (
+        "decohere", "", 0,
+        {"grid_fits": True, "hermitian": True, "trace_constant": True, "decay_slope": True}),
+    ("decohere", "symmetric", "none"): (
+        "decohere", "state.kind=gaussian\ndecohere.ordering=symmetric\nrun.steps=25\n", 0,
+        {"grid_fits": True, "hermitian": True, "trace_follows_sink": True}),
+    # the symmetric byte-identity case, whose state touches its grid's edges
+    ("decohere", "symmetric", "harmonic"): (
+        "decohere", "state.kind=gaussian\npotential.kind=harmonic\n"
+        "decohere.ordering=symmetric\ngrid.nx=33\ngrid.ny=25\nrun.steps=25\n"
+        "run.record_every=5\n", 1,
+        {"grid_fits": False, "hermitian": True, "trace_follows_sink": True}),
+    ("ensemble", None, "harmonic"): (
+        "simulate", "sim.kind=ensemble\nrun.n_traj=200\nrun.steps=20\n", 0,
+        {"none_diverged": True}),
+    # every trajectory of this inertial start diverges
+    ("ensemble", None, "double_well"): (
+        "simulate", "sim.kind=ensemble\nrun.mode=inertial\npotential.kind=double_well\n"
+        "run.x0=1e3\nrun.n_traj=8\nrun.steps=200\n", 1, {"none_diverged": False}),
+    ("compare", None, "harmonic"): (
+        "simulate", "sim.kind=compare\ncompare.times=0.05,0.1\nrun.n_traj=300\nrun.seed=3\n"
+        "grid.nx=64\ngrid.x_min=-3\ngrid.x_max=3\n", 0,
+        {"none_diverged": True, "l1_within_budget_t_0.05": True,
+         "l1_within_budget_t_0.1": True}),
+}
+
+
+def _case_id(case) -> str:
+    return "-".join(map(str, case))
+
+
+def _checks_of(tmp_path, case) -> tuple[int, dict]:
+    """The exit code of one _CHECK_TABLE run and its checks' verdicts by name."""
+    command, text, _, _ = _CHECK_TABLE[case]
+    out = tmp_path / "out"
+    rc = main([command, "--config", _write_config(tmp_path, text), "--out", str(out), "--quiet"])
+    return rc, {r["name"]: r["pass"] for r in _read_manifest(out) if r["record"] == "check"}
+
+
+@pytest.mark.parametrize("case", sorted(_CHECK_TABLE, key=str), ids=_case_id)
+def test_each_kind_of_run_writes_its_table_of_checks(tmp_path, case):
+    assert _checks_of(tmp_path, case) == _CHECK_TABLE[case][2:]
+
+
+@pytest.mark.parametrize("case", [("smoluchowski", "symmetric", "harmonic"),
+                                  ("kramers", "symmetric", "double_well"),
+                                  ("decohere", "symmetric", "none")], ids=_case_id)
+def test_a_sink_applied_twice_fails_the_exact_budget(tmp_path, monkeypatch, case):
+    """The budget's rate comes from the physics, not from the operator: an
+    operator that applies its symmetric sink twice a step fails the sink
+    check alone, and the run exits 1."""
+    import bathdyn.fokker_planck as fp
+
+    for cls in (fp._Operator, fp.SmoluchowskiOperator):
+        monkeypatch.setattr(cls, "sink", lambda self, dt, sink=cls.sink: sink(self, dt) ** 2)
+    expected = _CHECK_TABLE[case][3]
+    budget = "trace_follows_sink" if case[0] == "decohere" else "mass_follows_sink"
+    assert _checks_of(tmp_path, case) == (1, {**expected, budget: False})
+
+
+def test_diverged_ensemble_fails_its_run(tmp_path, capsys):
+    """Eight inertial trajectories started at x = 1000 in the double well all
+    diverge: the run writes its outputs and a failed none_diverged check that
+    carries the counts, and exits 1 (it exited 0 with no check before)."""
+    command, text, _, _ = _CHECK_TABLE["ensemble", None, "double_well"]
+    out = tmp_path / "out"
+    assert main([command, "--config", _write_config(tmp_path, text), "--out", str(out)]) == 1
+    assert "check no trajectory diverged: FAIL (8 of 8)" in capsys.readouterr().out
+    [check] = [r for r in _read_manifest(out) if r["record"] == "check"]
+    assert check == {"record": "check", "name": "none_diverged", "pass": False,
+                     "n_diverged": 8, "n_traj": 8}
+    assert (out / "moments.csv").exists() and _error_records(out) == []
 
 
 # one tiny config per subcommand (and per simulate kind); each runs in well

@@ -32,6 +32,23 @@ def test_retarded_ratio_is_exactly_one():
         assert r == 1.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 300), st.floats(1e-3, 1.0), st.data())
+def test_retarded_ratios_are_one_bitwise_on_drawn_coefficients(n, t_total, data):
+    """Retarded slicing puts every coefficient below the diagonal, so the
+    first- and second-order ratios are 1.0 bit for bit, whatever the
+    coefficients and N. gamma >= 1 and Omega^2 <= 1/4 keep the Riccati
+    factorization real at every node."""
+
+    def nodes(lo, hi):
+        return data.draw(st.lists(st.floats(lo, hi), min_size=n + 1, max_size=n + 1))
+
+    dt = t_total / n
+    assert first_order_det_ratio(FirstOrderOp(nodes(-1e3, 1e3), dt), Scheme.RETARDED) == 1.0
+    op2 = SecondOrderOp(nodes(1.0, 3.0), nodes(-1.0, 0.25), dt)
+    assert second_order_det_ratio(op2, Scheme.RETARDED) == 1.0
+
+
 def test_advanced_and_midpoint_limits():
     n = 10000
     c = np.full(n + 1, 2.0)
