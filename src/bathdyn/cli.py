@@ -44,6 +44,7 @@ from .decoherence import (
     _EDGE_TOL,
     _HERM_TOL,
     MasterOperator,
+    _odd_padded,
     _ridge_amplitude,
     decoherence_params,
     gaussian_pure_state,
@@ -270,6 +271,22 @@ def _at_least(n: int) -> tuple:
     return (lambda v: v >= n, f">= {n}")
 
 
+# bytes of float64 values that one size rule admits: a stated bound, not this
+# host's memory, so a config's exit code does not depend on the machine. It
+# admits 131,072 steps of step noise at any run.n_traj, 40 times the benchmark
+# ensemble's buffer, and 67,108,864 trajectories of an ensemble, 671 times the
+# largest run of the benchmark and of checks.py (criterion 6's 100,000)
+_SIZE_LIMIT = 1 << 30
+
+
+def _size_rule(key: str, what: str, doubles: int) -> tuple[bool, str, str]:
+    """(ok, key, text) of one cfg.require call: the rule that holds a run's
+    `doubles` float64 values, `what` they are, within _SIZE_LIMIT before the
+    first allocation it guards."""
+    return 8 * doubles <= _SIZE_LIMIT, key, (
+        f"keep {what} x 8 bytes, within {_SIZE_LIMIT:,} bytes (got {8 * doubles:,})")
+
+
 def _tag(passed) -> str:
     return "pass" if passed else "FAIL"
 
@@ -315,15 +332,18 @@ def _potential_from(cfg: RunConfig, mass: float, allow_none: bool = False):
         choices.append("none")
         default = "none"
     kind = cfg.get("potential.kind", as_choice(*choices), default)
-    if kind == "harmonic":
-        return Harmonic(mass=mass, omega0=cfg.get("potential.omega0", as_float, 1.0))
+    if kind == "harmonic":  # Harmonic.k is mass omega0^2
+        return Harmonic(mass=mass, omega0=cfg.get("potential.omega0", as_float, 1.0, (
+            lambda v: v > 0.0 and 0.0 < mass * (v * v) < math.inf,
+            "> 0 with bath.mass omega0^2 finite and nonzero")))
     if kind == "double_well":
         return DoubleWell(
-            a=cfg.get("potential.a", as_float, -1.0),
-            b=cfg.get("potential.b", as_float, 0.25),
+            a=cfg.get("potential.a", as_float, -1.0, _FINITE),
+            b=cfg.get("potential.b", as_float, 0.25, _FINITE_POSITIVE),
         )
     if kind == "polynomial":
-        return Polynomial(coeffs=cfg.get("potential.coeffs", as_float_list))
+        return Polynomial(coeffs=cfg.get("potential.coeffs", as_float_list, rule=(
+            lambda cs: all(map(math.isfinite, cs)), "finite in every entry")))
     return None
 
 
@@ -335,7 +355,15 @@ def cmd_kernels(cfg: RunConfig, man: Manifest) -> None:
     model_name = cfg.get("bath.model", as_choice("ohmic", "drude"), "ohmic")
     params = _bath_from(cfg)
     mass, gamma, hbar = params.mass, params.gamma, params.hbar
+    nw = cfg.get("grid.nw", as_int, 2001, _at_least(2))
+    # omega, K, its shape and argument, and xcoth's output and three
+    # temporaries, with two eighths of masks (tracemalloc read 7.05)
+    cfg.require(*_size_rule("grid.nw", f"the frequency table, {nw} points x 8 arrays", 8 * nw))
+    nt = cfg.get("grid.nt", as_int, 16385, _at_least(2))
     if model_name == "drude":
+        # the time grid, its half-length friction grid, |t|, the kernel values
+        # and three temporaries of its formula (tracemalloc read 5.5)
+        cfg.require(*_size_rule("grid.nt", f"the time tables, {nt} points x 7 arrays", 7 * nt))
         omega_d = cfg.get("bath.omega_d", as_float, rule=_FOURTH_POWER)
         # the quantum kernel's thermal rates are n nu1 and its series cut-off
         # divides by nu1^3 (hbar = 0 has neither); a finite, nonzero cube also
@@ -351,8 +379,6 @@ def cmd_kernels(cfg: RunConfig, man: Manifest) -> None:
         model = Ohmic(gamma=gamma)
         w_max = cfg.get("grid.w_max", as_float, 10.0 * gamma, _FINITE_POSITIVE)
         t_max = cfg.get("grid.t_max", as_float, 16.0 / gamma, _FINITE_POSITIVE)
-    nw = cfg.get("grid.nw", as_int, 2001, _at_least(2))
-    nt = cfg.get("grid.nt", as_int, 16385, _at_least(2))
     if model_name == "drude" and hbar > 0:
         # the quantum kernel log-diverges at t = 0; an even count of
         # half-offset samples straddles it symmetrically
@@ -422,54 +448,46 @@ def cmd_det_check(cfg: RunConfig, man: Manifest) -> None:
 # simulate
 
 
-# default x cell count for each sim.kind that reads a grid
-_GRID_NX = {"smoluchowski": 256, "compare": 512, "kramers": 128}
-# bytes of step noise a simulate run may hold: a stated bound, not this host's
-# memory, so a config's exit code does not depend on the machine. It admits
-# 131,072 steps at any run.n_traj, 40 times the benchmark ensemble's buffer
-_NOISE_LIMIT = 1 << 30
-# bytes of a simulate run's arrays of one double per trajectory, stated as
-# _NOISE_LIMIT is: 67,108,864 trajectories of an ensemble, 671 times the
-# largest run of the benchmark and of checks.py (criterion 6's 100,000)
-_TRAJ_LIMIT = 1 << 30
+# each sim.kind that reads a grid: (default grid.nx, float64 arrays of the
+# grid's shape that its run holds at its peak, counted from the buffers)
+# - smoluchowski, 11: the start, the last mark's field, the step buffer, the
+#   next mark's buffer, the weights bl and br, the kernel's scaled bl and br,
+#   flux and increment, and a symmetric run's sink (tracemalloc read 11.0);
+# - compare, 8 and one per compare time (_grid's `fields`): the start, the
+#   next mark's buffer, the weights, the kernel's four arrays, and each
+#   time's field, all kept to the end (12.1 at four times);
+# - kramers, 17: the four fields, the speeds and v weights bl and br, the
+#   kernel's scaled speeds, bl and br, its diff, half slope, two fluxes and
+#   two increments, and its monotone mask, an eighth (16.2)
+_GRID = {"smoluchowski": (256, 11), "compare": (512, 8), "kramers": (128, 17)}
+# doubles' worth of Python objects that one recorded row holds to the end of
+# a grid or decohere run: its mark, the row's tuple and values, and its share
+# of the columns (tracemalloc read 31 per mass.csv row, 51 per decay.csv row)
+_ROW = 52
 
 
-def _noise_rule(steps: int, n_traj: int, source: str) -> tuple[bool, str]:
-    """(ok, text) of the rule that holds a run's step-noise buffer, steps x
-    _chunk_size(n_traj, steps) doubles, within _NOISE_LIMIT before any work;
-    source says where the step count comes from."""
-    chunk = _chunk_size(n_traj, steps)
-    need = 8 * steps * chunk
-    return need <= _NOISE_LIMIT, (
-        f"keep the step noise, {source} x {chunk} trajectories per chunk x 8 "
-        f"bytes, within {_NOISE_LIMIT:,} bytes (got {need:,})")
-
-
-def _trajectory_rule(n_traj: int, arrays: int) -> tuple[bool, str]:
-    """(ok, text) of the rule that holds a run's arrays of one double per
-    trajectory, the final x and v and one per snapshot, `arrays` in all,
-    within _TRAJ_LIMIT before any work."""
-    need = 8 * arrays * n_traj
-    return need <= _TRAJ_LIMIT, (
-        f"keep the per-trajectory arrays, {arrays} x {n_traj} trajectories x 8 bytes, "
-        f"within {_TRAJ_LIMIT:,} bytes (got {need:,})")
-
-
-def _grid(cfg: RunConfig, kind: str) -> PhaseGrid:
-    """The grid.* keys of one sim.kind: x only, or (x, v) for kramers."""
-    x_axis = dict(
-        x_min=cfg.get("grid.x_min", as_float, -4.0),
-        x_max=cfg.get("grid.x_max", as_float, 4.0),
-        nx=cfg.get("grid.nx", as_int, _GRID_NX[kind], _at_least(16)),
-    )
+def _grid(cfg: RunConfig, kind: str, fields: int = 0) -> PhaseGrid:
+    """The grid.* keys of one sim.kind: x only, or (x, v) for kramers. Each
+    axis has finite ends and a finite span, and the run's arrays of the
+    grid's shape, _GRID's count and `fields` more, fit the size limit."""
+    nx_default, arrays = _GRID[kind]
+    x_min = cfg.get("grid.x_min", as_float, -4.0, _FINITE)
+    x_max = cfg.get("grid.x_max", as_float, 4.0, _FINITE)
+    cfg.require(0.0 < x_max - x_min < math.inf, "grid.x_max",
+                f"exceed grid.x_min = {x_min:g} by a finite span (got {x_max:g})")
+    nx = cfg.get("grid.nx", as_int, nx_default, _at_least(16))
     if kind != "kramers":
-        return PhaseGrid(**x_axis)
-    return PhaseGrid(
-        **x_axis,
-        v_min=cfg.get("grid.v_min", as_float, -4.0),
-        v_max=cfg.get("grid.v_max", as_float, 4.0),
-        nv=cfg.get("grid.nv", as_int, 128, _at_least(16)),
-    )
+        cfg.require(*_size_rule("grid.nx", f"the grid, {nx} cells x {arrays + fields} arrays",
+                                (arrays + fields) * nx))
+        return PhaseGrid(x_min, x_max, nx)
+    v_min = cfg.get("grid.v_min", as_float, -4.0, _FINITE)
+    v_max = cfg.get("grid.v_max", as_float, 4.0, _FINITE)
+    cfg.require(0.0 < v_max - v_min < math.inf, "grid.v_max",
+                f"exceed grid.v_min = {v_min:g} by a finite span (got {v_max:g})")
+    nv = cfg.get("grid.nv", as_int, 128, _at_least(16))
+    cfg.require(*_size_rule("grid.nx * grid.nv",
+                            f"the grid, {nx} x {nv} cells x {arrays} arrays", arrays * nx * nv))
+    return PhaseGrid(x_min, x_max, nx, v_min, v_max, nv)
 
 
 def _run_ensemble_cmd(cfg, params, potential, man) -> None:
@@ -483,18 +501,22 @@ def _run_ensemble_cmd(cfg, params, potential, man) -> None:
         steps=cfg.get("run.steps", as_int, 1000, _at_least(1)),
         n_traj=cfg.get("run.n_traj", as_int, 1000, _at_least(1)),
         master_seed=cfg.get("run.seed", as_int, 1234),
-        x0=cfg.get("run.x0", as_float, 0.0),
-        v0=cfg.get("run.v0", as_float, 0.0),
+        x0=cfg.get("run.x0", as_float, 0.0, _FINITE),
+        v0=cfg.get("run.v0", as_float, 0.0, _FINITE),
         sigma_x=cfg.get("run.sigma_x", as_float, 0.0, _FINITE_NONNEGATIVE),
         sigma_v=cfg.get("run.sigma_v", as_float, 0.0, _FINITE_NONNEGATIVE),
     )
     bins = cfg.get("output.bins", as_int, 64, _at_least(1))
+    # the histogram's edges, counts, widths, total x widths and density, and
+    # np.histogram's bincount (tracemalloc read 5.1 arrays of output.bins)
+    cfg.require(*_size_rule("output.bins", f"the histogram, {bins} bins x 6 arrays", 6 * bins))
     lags = cfg.get("output.autocorr_lags", as_int, 0)
     cfg.require(0 <= lags <= config.steps, "output.autocorr_lags", "be in [0, run.steps]")
-    ok, text = _noise_rule(config.steps, config.n_traj, f"run.steps = {config.steps}")
-    cfg.require(ok, "run.steps", text)
-    ok, text = _trajectory_rule(config.n_traj, 2)
-    cfg.require(ok, "run.n_traj", text)
+    chunk = _chunk_size(config.n_traj, config.steps)  # the step noise is steps x chunk
+    cfg.require(*_size_rule("run.steps", f"the step noise, run.steps = {config.steps} x "
+                            f"{chunk} trajectories per chunk", config.steps * chunk))
+    cfg.require(*_size_rule("run.n_traj", f"the per-trajectory arrays, 2 x {config.n_traj} "
+                            "trajectories", 2 * config.n_traj))  # the final x and v
     cfg.finish()
     stats = run_ensemble(config, mode, histogram_bins=bins, autocorr_lags=lags)
     _write_moments(man, stats)
@@ -518,6 +540,9 @@ def _run_fp_cmd(cfg, kind, params, potential, man) -> None:
     sigma_x = cfg.get("fp.sigma_x", as_float, 0.5, _FINITE_POSITIVE)
     steps = cfg.get("fp.steps", as_int, 1000, _at_least(1))
     record_every = cfg.get("fp.record_every", as_int, 100, _at_least(1))
+    rows = -(-steps // record_every) + 1  # step 0 and each mark
+    cfg.require(*_size_rule("fp.record_every", f"the mass records, {rows} rows x {_ROW} values",
+                            _ROW * rows))
     dt = cfg.get("fp.dt", as_float, 0.0, _FINITE)
     grid = _grid(cfg, kind)
     # the start's centre must lie strictly inside the grid's span
@@ -564,8 +589,8 @@ def _run_fp_cmd(cfg, kind, params, potential, man) -> None:
 
 
 def _run_compare_cmd(cfg, params, potential, man) -> None:
-    grid = _grid(cfg, "compare")
     times = cfg.get("compare.times", as_float_list)
+    grid = _grid(cfg, "compare", fields=len(times))
     names = [f"l1_within_budget_t_{t:g}" for t in times]
     cfg.require(len(set(names)) == len(names), "compare.times",
                 "differ in %g form, which names the checks")
@@ -587,11 +612,12 @@ def _run_compare_cmd(cfg, params, potential, man) -> None:
         master_seed=cfg.get("run.seed", as_int, 1234),
         sigma_x=cfg.get("run.sigma_x", as_float, 0.0, _FINITE_NONNEGATIVE),
     )
-    ok, text = _noise_rule(steps, config.n_traj,
-                           f"max(compare.times) / run.dt = {steps} steps")
-    cfg.require(ok, "compare.times", text)
-    ok, text = _trajectory_rule(config.n_traj, 2 + len(times))
-    cfg.require(ok, "run.n_traj", text)
+    # the step noise is steps x chunk; the final x and v and a snapshot per time
+    chunk, arrays = _chunk_size(config.n_traj, steps), 2 + len(times)
+    cfg.require(*_size_rule("compare.times", "the step noise, max(compare.times) / run.dt = "
+                            f"{steps} steps x {chunk} trajectories per chunk", steps * chunk))
+    cfg.require(*_size_rule("run.n_traj", f"the per-trajectory arrays, {arrays} x "
+                            f"{config.n_traj} trajectories", arrays * config.n_traj))
     cfg.finish()
     records, stats = compare_langevin_fp(config, grid, times, n_bins=bins)
     man.jsonl("compare.jsonl", [r.as_dict() for r in records])
@@ -634,10 +660,21 @@ def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
     dx = cfg.get("grid.dx", as_float, 0.08, _FINITE_POSITIVE)
     # rho's y grid is centred on its y = 0 row
     ny = cfg.get("grid.ny", as_int, 81, (lambda v: v >= 1 and v % 2 == 1, "odd and >= 1"))
+    # 16 arrays of the padded FFT grid: the start, the last mark's field and
+    # the next one's (complex, 2 each), the phase, the kinetic substep's six
+    # buffers, friction's change, the potential's factor and a temporary of a
+    # mark's checks (tracemalloc read 14.9). _odd_padded tries odd lengths in
+    # turn, so it pads only a grid that fits unpadded: padding grows a side
+    cells = nx * ny if 16 * 8 * nx * ny > _SIZE_LIMIT else _odd_padded(nx) * _odd_padded(ny)
+    cfg.require(*_size_rule("grid.nx * grid.ny", f"the padded FFT grid, {cells} cells x 16 "
+                            "arrays", 16 * cells))
     dy = cfg.get("grid.dy", as_float, 0.2, _FINITE_POSITIVE)
     dt = cfg.get("run.dt", as_float, 0.002, _FINITE_POSITIVE)
     steps = cfg.get("run.steps", as_int, 50, _at_least(1))
     record_every = cfg.get("run.record_every", as_int, 5, _at_least(1))
+    rows = -(-steps // record_every) + 1  # step 0 and each mark
+    cfg.require(*_size_rule("run.record_every", f"the decay records, {rows} rows x {_ROW} "
+                            "values", _ROW * rows))
     ordering = Ordering(cfg.get("decohere.ordering",
                                 as_choice("momenta_left", "symmetric"),
                                 "momenta_left"))

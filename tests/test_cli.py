@@ -455,7 +455,7 @@ def test_compare_times_with_one_check_name_exit_2(tmp_path, monkeypatch, capsys,
 def test_noise_rule_stops_at_its_bound(tmp_path, monkeypatch, capsys, kind, n_traj, key,
                                        edge):
     """A run's step noise, steps x _chunk_size(n_traj, steps) doubles, may fill
-    _NOISE_LIMIT = 1 GiB: 131,072 steps of 1,024 trajectories, or 2^20 steps
+    _SIZE_LIMIT = 1 GiB: 131,072 steps of 1,024 trajectories, or 2^20 steps
     of 128. One step more is a config error naming the key; compare's, whose
     steps are max(compare.times) / run.dt, names run.dt in its text too. The
     work is stubbed on both sides, so no buffer is allocated."""
@@ -466,7 +466,7 @@ def test_noise_rule_stops_at_its_bound(tmp_path, monkeypatch, capsys, kind, n_tr
 
     monkeypatch.setattr(cli, "run_ensemble", reached)
     monkeypatch.setattr(cli, "compare_langevin_fp", reached)
-    assert cli._NOISE_LIMIT == 1 << 30
+    assert cli._SIZE_LIMIT == 1 << 30
     for steps in (edge, edge + 1):
         length = (f"compare.times={steps * 0.001!r}\nrun.dt=0.001\n" if kind == "compare"
                   else f"run.steps={steps}\n")
@@ -487,7 +487,7 @@ def test_noise_rule_stops_at_its_bound(tmp_path, monkeypatch, capsys, kind, n_tr
 @pytest.mark.parametrize("kind, edge", [("ensemble", 1 << 26), ("compare", (1 << 30) // 24)])
 def test_trajectory_rule_stops_at_its_bound(tmp_path, monkeypatch, capsys, kind, edge):
     """A run's arrays of one double per trajectory, the final x and v and one
-    per compare time, may fill _TRAJ_LIMIT = 1 GiB: 2^26 trajectories of an
+    per compare time, may fill _SIZE_LIMIT = 1 GiB: 2^26 trajectories of an
     ensemble (two arrays), or 44,739,242 of a compare run at one time (three).
     One trajectory more is a config error naming run.n_traj. The work is
     stubbed on both sides, so no array is allocated."""
@@ -498,7 +498,7 @@ def test_trajectory_rule_stops_at_its_bound(tmp_path, monkeypatch, capsys, kind,
 
     monkeypatch.setattr(cli, "run_ensemble", reached)
     monkeypatch.setattr(cli, "compare_langevin_fp", reached)
-    assert cli._TRAJ_LIMIT == 1 << 30
+    assert cli._SIZE_LIMIT == 1 << 30
     length = "compare.times=0.05\n" if kind == "compare" else "run.steps=10\n"
     for n_traj in (edge, edge + 1):
         cfg = _write_config(tmp_path, f"sim.kind={kind}\nrun.n_traj={n_traj}\n{length}")
@@ -513,6 +513,181 @@ def test_trajectory_rule_stops_at_its_bound(tmp_path, monkeypatch, capsys, kind,
                 f"{3 if kind == 'compare' else 2} x {n_traj} trajectories x 8 bytes")
             assert _error_records(out) == [
                 {"record": "error", "exit_code": 2, "message": err.strip()}]
+
+
+# (command, config with {} for the sized value, the largest value _SIZE_LIMIT
+# admits, the key the next value names): the edge of every size rule beyond
+# the step noise and the per-trajectory arrays, at 2^27 doubles over the
+# count of arrays the rule states. A grid's rows count step 0 and each mark,
+# so fp.steps = 2,581,109 records 2,581,110 rows of 52 values; decohere's
+# nx = 103,125 = 3 5^5 11 pads to itself, and nx + 1 to 105,875
+_SIZE_EDGES = {
+    "smoluchowski-grid": ("simulate", "sim.kind=smoluchowski\ngrid.nx={}", 12_201_611,
+                          "grid.nx"),
+    "compare-grid": ("simulate", "sim.kind=compare\ncompare.times=0.05\ncompare.bins=1\n"
+                     "grid.nx={}", 14_913_080, "grid.nx"),
+    "kramers-grid": ("simulate", "sim.kind=kramers\ngrid.nx=16\ngrid.nv={}", 493_447,
+                     "grid.nx * grid.nv"),
+    "decohere-grid": ("decohere", "state.kind=gaussian\ngrid.ny=81\ngrid.nx={}", 103_125,
+                      "grid.nx * grid.ny"),
+    "kernels-nw": ("kernels", "grid.nw={}", 1 << 24, "grid.nw"),
+    "kernels-nt": ("kernels", "bath.model=drude\nbath.omega_d=10\ngrid.nt={}", 19_173_961,
+                   "grid.nt"),
+    "ensemble-bins": ("simulate", "sim.kind=ensemble\noutput.bins={}", 22_369_621,
+                      "output.bins"),
+    "smoluchowski-rows": ("simulate", "sim.kind=smoluchowski\nfp.record_every=1\n"
+                          "fp.steps={}", 2_581_109, "fp.record_every"),
+    "decohere-rows": ("decohere", "run.record_every=1\nrun.steps={}", 2_581_109,
+                      "run.record_every"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIZE_EDGES))
+def test_size_rule_stops_at_its_bound(tmp_path, monkeypatch, capsys, case):
+    """At its edge a run reaches its work, stubbed where it would allocate its
+    first sized array (the ensemble, the start field or state, the kernel
+    tables' np.linspace); one unit over, it is a config error naming the key,
+    with a manifest ending in the error record. Neither side allocates."""
+    import bathdyn.cli as cli
+
+    def reached(*args, **kwargs):
+        raise RuntimeError("reached the run")
+
+    for name in ("run_ensemble", "compare_langevin_fp", "gaussian_field_1d",
+                 "gaussian_field_2d", "gaussian_pure_state", "superposition_state"):
+        monkeypatch.setattr(cli, name, reached)
+    monkeypatch.setattr(cli.np, "linspace", reached)
+    command, text, edge, key = _SIZE_EDGES[case]
+    for value in (edge, edge + 1):
+        cfg = _write_config(tmp_path, text.format(value) + "\n")
+        out = tmp_path / f"out-{value}"
+        rc = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        if value == edge:
+            assert (rc, err) == (1, "error: reached the run\n")
+        else:
+            assert rc == 2 and err.startswith(f"config error: {key} must keep ")
+            assert f" x 8 bytes, within {cli._SIZE_LIMIT:,} bytes (got " in err
+            assert int(err.rsplit("(got ", 1)[1].rstrip(")\n").replace(",", "")) > 1 << 30
+            assert _error_records(out) == [
+                {"record": "error", "exit_code": 2, "message": err.strip()}]
+
+
+# (command, config, start of the stderr line after "config error: ") of runs
+# that ended in a traceback with no manifest: an _ArrayMemoryError or a
+# MemoryError (under ulimit -v 2000000) before their size rules, or an
+# OverflowError from Harmonic.k; or that exited 2 naming no key
+_KEYLESS_FAILURES = {
+    "smoluchowski-grid": ("simulate", "sim.kind=smoluchowski\ngrid.nx=2000000000",
+                          "grid.nx must keep the grid, 2000000000 cells x 11 arrays"),
+    "kramers-grid": ("simulate", "sim.kind=kramers\ngrid.nx=100000\ngrid.nv=100000",
+                     "grid.nx * grid.nv must keep the grid, 100000 x 100000 cells x 17"),
+    "compare-grid": ("simulate", "sim.kind=compare\ncompare.times=0.05\ngrid.nx=2000000000",
+                     "grid.nx must keep the grid, 2000000000 cells x 9 arrays"),
+    "decohere-grid": ("decohere", "grid.nx=200001\ngrid.ny=200001\nstate.kind=gaussian",
+                      "grid.nx * grid.ny must keep the padded FFT grid, 40000400001 cells"),
+    "kernels-nw": ("kernels", "grid.nw=1000000000", "grid.nw must keep the frequency table"),
+    "kernels-nt": ("kernels", "bath.model=drude\nbath.omega_d=10\ngrid.nt=1000000000",
+                   "grid.nt must keep the time tables"),
+    "ensemble-bins": ("simulate", "sim.kind=ensemble\noutput.bins=1000000000",
+                      "output.bins must keep the histogram"),
+    "smoluchowski-rows": ("simulate", "sim.kind=smoluchowski\nfp.steps=10000000000\n"
+                          "fp.record_every=1", "fp.record_every must keep the mass records"),
+    "decohere-rows": ("decohere", "run.steps=10000000000\nrun.record_every=1",
+                      "run.record_every must keep the decay records"),
+    "ensemble-omega0-1e200": ("simulate", "sim.kind=ensemble\npotential.omega0=1e200\n"
+                              "run.steps=2\nrun.n_traj=4", "potential.omega0 must be > 0 with"),
+    "kramers-omega0-1e200": ("simulate", "sim.kind=kramers\npotential.omega0=1e200\n"
+                             "grid.nx=16\ngrid.nv=16", "potential.omega0 must be > 0 with"),
+    "decohere-omega0-1e200": ("decohere", "potential.kind=harmonic\npotential.omega0=1e200",
+                              "potential.omega0 must be > 0 with"),
+    "omega0-0": ("simulate", "sim.kind=ensemble\npotential.omega0=0",
+                 "potential.omega0 must be > 0 with bath.mass omega0^2 finite and nonzero"),
+    "omega0-inf": ("simulate", "sim.kind=smoluchowski\npotential.omega0=inf",
+                   "potential.omega0 must be > 0 with"),
+    "omega0-1e-200": ("simulate", "sim.kind=ensemble\npotential.omega0=1e-200",
+                      "potential.omega0 must be > 0 with"),
+    "double_well-a-nan": ("simulate", "sim.kind=smoluchowski\npotential.kind=double_well\n"
+                          "potential.a=nan", "potential.a must be finite"),
+    "double_well-b-0": ("simulate", "sim.kind=ensemble\npotential.kind=double_well\n"
+                        "potential.b=0", "potential.b must be finite and > 0"),
+    "polynomial-coeffs-nan": ("simulate", "sim.kind=ensemble\npotential.kind=polynomial\n"
+                              "potential.coeffs=0,nan,1", "potential.coeffs must be finite"),
+    "x_min-nan": ("simulate", "sim.kind=smoluchowski\ngrid.x_min=nan",
+                  "grid.x_min must be finite"),
+    "kramers-v_max": ("simulate", "sim.kind=kramers\ngrid.v_max=-5",
+                      "grid.v_max must exceed grid.v_min = -4 by a finite span (got -5)"),
+    "kramers-x-span": ("simulate", "sim.kind=kramers\ngrid.x_min=-1e308\ngrid.x_max=1e308",
+                       "grid.x_max must exceed grid.x_min = -1e+308 by a finite span"),
+    "ensemble-x0-nan": ("simulate", "sim.kind=ensemble\nrun.x0=nan", "run.x0 must be finite"),
+    "ensemble-v0-inf": ("simulate", "sim.kind=ensemble\nrun.mode=inertial\nrun.v0=inf",
+                        "run.v0 must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KEYLESS_FAILURES))
+def test_keyless_failure_now_names_its_key(tmp_path, capfd, case):
+    """Each exits 2 before any work with one stderr line naming its key, which
+    its manifest's last record carries, and writes no output."""
+    command, text, start = _KEYLESS_FAILURES[case]
+    cfg = _write_config(tmp_path, text + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith(f"config error: {start}") and err.count("\n") == 1
+    assert _read_manifest(out)[-1] == {"record": "error", "exit_code": 2,
+                                       "message": err.strip()}
+    assert [r for r in _read_manifest(out) if r["record"] == "output"] == []
+
+
+# (command, config) of one small run of each command and kind: the kernel
+# tables (ohmic, classical and quantum Drude), det-check, each sim.kind (the
+# inertial ensemble on a double well) and a decohere run in a harmonic well.
+# Their manifests' config records list every key the run reads
+_SWEEP_BASES = {
+    "kernels-ohmic": ("kernels", "grid.nw=11"),
+    "kernels-drude": ("kernels", "bath.model=drude\nbath.omega_d=10\ngrid.nw=11\ngrid.nt=65"),
+    "kernels-quantum": ("kernels", "bath.model=drude\nbath.omega_d=1\nbath.hbar=1\n"
+                        "grid.nw=11\ngrid.nt=65"),
+    "det-check": ("det-check", "det.n=64"),
+    "ensemble": ("simulate", "sim.kind=ensemble\nrun.steps=5\nrun.n_traj=20"),
+    "ensemble-inertial": ("simulate", "sim.kind=ensemble\nrun.mode=inertial\n"
+                          "potential.kind=double_well\nrun.steps=5\nrun.n_traj=20"),
+    "smoluchowski": ("simulate", "sim.kind=smoluchowski\ngrid.nx=32\nfp.steps=5"),
+    "kramers": ("simulate", "sim.kind=kramers\ngrid.nx=16\ngrid.nv=16\nfp.steps=5"),
+    "compare": ("simulate", "sim.kind=compare\ncompare.times=0.01\nrun.n_traj=50\n"
+                "grid.nx=64\ncompare.bins=8"),
+    "decohere": ("decohere", "potential.kind=harmonic\ngrid.nx=61\ngrid.ny=25\n"
+                 "run.steps=2\nrun.record_every=1"),
+}
+
+
+@pytest.mark.parametrize("base", sorted(_SWEEP_BASES))
+def test_every_float_key_names_itself_on_nan_and_inf(tmp_path, capfd, base):
+    """For every float key in the base run's manifest config record, nan, inf
+    and -inf each exit 2 before any work with one stderr line "config error:
+    <key> must ...", the manifest's last record; a traceback would fail the
+    test, and a numpy warning would raise under the suite's warnings filter."""
+    command, text = _SWEEP_BASES[base]
+    out = tmp_path / "base"
+    assert main([command, "--config", _write_config(tmp_path, text + "\n"), "--out",
+                 str(out), "--quiet"]) in (0, 1)
+    [config] = [r["values"] for r in _read_manifest(out) if r["record"] == "config"]
+    keys = sorted(k for k, v in config.items() if isinstance(v, float))
+    assert keys
+    capfd.readouterr()
+    lines = dict(line.split("=") for line in text.splitlines())
+    for key in keys:
+        for value in ("nan", "inf", "-inf"):
+            swept = {**lines, key: value}
+            cfg = _write_config(tmp_path, "".join(f"{k}={v}\n" for k, v in swept.items()))
+            out = tmp_path / f"{key}-{value}"
+            rc = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+            err = capfd.readouterr().err
+            assert (rc, err.count("\n")) == (2, 1), (key, value, err)
+            assert err.startswith(f"config error: {key} must"), (key, value, err)
+            assert _read_manifest(out)[-1] == {"record": "error", "exit_code": 2,
+                                               "message": err.strip()}
 
 
 @pytest.mark.parametrize("text", [
@@ -696,15 +871,21 @@ def test_every_float_rule_rejects_nan():
 
 def test_cli_raises_config_error_only_for_cross_key_rules():
     """Single-key range rules live in the RunConfig.get that reads the key;
-    cli.py raises no ConfigError itself, and states each of its 18 cross-key
+    cli.py raises no ConfigError itself, and states each of its 28 cross-key
     rules as one cfg.require call naming the key: compare.times names and
     multiples of run.dt, compare.bins dividing grid.nx, the
     Drude nu1^3, the Drude grid.t_max against nu1 and grid.nt, det.gamma *
     det.t, output.autocorr_lags within run.steps, fp.x0, fp.v0 and compare's
     run.x0 inside their grids, Lambda, Lambda d^2, and decohere's state.sigma
-    against grid.dx and grid.dy, packet centres inside the x grid, the
-    step noise of an ensemble (run.steps) and of compare (compare.times), and
-    the per-trajectory arrays of each (run.n_traj)."""
+    against grid.dx and grid.dy, packet centres inside the x grid, and each
+    grid axis's max above its min by a finite span (grid.x_max, grid.v_max).
+    The size rules pass _size_rule(key, what, doubles) to cfg.require, whose
+    literal key is the one named: the step noise of an ensemble (run.steps)
+    and of compare (compare.times), the per-trajectory arrays of each
+    (run.n_traj), the histogram (output.bins), the grids of simulate
+    (grid.nx, grid.nx * grid.nv) and decohere (grid.nx * grid.ny), the
+    kernel tables (grid.nw, grid.nt) and the recorded rows (fp.record_every,
+    run.record_every)."""
     import ast
 
     import bathdyn.cli as cli
@@ -715,12 +896,22 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
     requires = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
                 and getattr(node.func, "attr", None) == "require"
                 and getattr(node.func.value, "id", None) == "cfg"]
-    assert len(requires) == 18
-    assert sorted(call.args[1].value for call in requires) == [
+
+    def key(call):
+        if isinstance(call.args[0], ast.Starred):
+            helper = call.args[0].value
+            assert len(call.args) == 1 and helper.func.id == "_size_rule"
+            return helper.args[0].value
+        return call.args[1].value
+
+    assert len(requires) == 28
+    assert sorted(map(key, requires)) == [
         "bath.hbar", "bath.hbar", "compare.bins", "compare.times", "compare.times",
-        "compare.times", "det.gamma * det.t", "fp.v0", "fp.x0",
-        "grid.t_max", "output.autocorr_lags", "run.n_traj", "run.n_traj", "run.steps",
-        "run.x0", "state.separation", "state.separation", "state.sigma"]
+        "compare.times", "det.gamma * det.t", "fp.record_every", "fp.v0", "fp.x0",
+        "grid.nt", "grid.nw", "grid.nx", "grid.nx * grid.nv", "grid.nx * grid.ny",
+        "grid.t_max", "grid.v_max", "grid.x_max", "output.autocorr_lags", "output.bins",
+        "run.n_traj", "run.n_traj", "run.record_every", "run.steps", "run.x0",
+        "state.separation", "state.separation", "state.sigma"]
 
 
 # (command, config, exit code, start of the stderr line) of values that failed

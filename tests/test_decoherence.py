@@ -546,6 +546,33 @@ def test_kinetic_substep_equals_the_padded_transform_rule(nx, half_ny, dt, seed)
     assert error <= _fft_roundoff_bound(nx, ny, 1) * np.linalg.norm(v)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_master_problems().filter(lambda p: dc._odd_padded(p[1].nx) == p[1].nx),
+       st.integers(1, 5))
+def test_momenta_left_master_trace_is_constant_to_roundoff(problem, n):
+    """n momenta-left steps with all four terms keep the trace, sum_x rho(x, 0)
+    dx, to roundoff on drawn problems whose x side the kinetic FFTs do not pad
+    (odd and 11-smooth). There the kinetic substep is periodic on the grid and
+    keeps each y column's x-sum, its kx = 0 mode, exactly; the potential,
+    friction and decoherence substeps leave the y = 0 column as it is. (On a
+    padded side a step drops what it carries into the padding rows: the wrap
+    that grid_fits bounds, up to a tenth of the trace on these small grids.)
+
+    Bound, from roundoff alone: the trace errs by at most dx sqrt(nx) times
+    the 2-norm error of the y = 0 column, at most the field's, which
+    _fft_roundoff_bound bounds relative to ||rho||_F (n <= 5 steps at
+    dt <= 1 / (gamma j0), j0 >= 8, keep (1 + gamma dt)^n <= 1.8 <= 2, as it
+    assumes); plus each trace sum's own rounding, nx eps times its sum of
+    magnitudes."""
+    pot, rho, dt = problem
+    out = MasterOperator(rho, pot, PARAMS).advance(rho, Ordering.MOMENTA_LEFT, dt, n)
+    j0, eps = rho.ny // 2, np.finfo(float).eps
+    sums = np.abs(rho.values[:, j0]).sum() + np.abs(out.values[:, j0]).sum()
+    bound = (rho.dx * math.sqrt(rho.nx) * np.linalg.norm(rho.values)
+             * _fft_roundoff_bound(rho.nx, rho.ny, n) + rho.nx * eps * rho.dx * sums)
+    assert abs(out.trace() - rho.trace()) <= bound
+
+
 @pytest.mark.parametrize("terms, ordering", [
     (dc._TERMS, Ordering.MOMENTA_LEFT),
     (("kinetic",), Ordering.MOMENTA_LEFT),
