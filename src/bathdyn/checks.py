@@ -4,8 +4,11 @@ Each check runs at desk scale, compares against an analytic value, an
 independent quadrature, or an exact structural identity, and reports a
 one-line verdict. Criteria 4, 5, 6, 9 and 10 run the CLI on configs of their
 own (``_cli_checks``) and read its outputs and its manifest's check records,
-so the CLI's verdict on a contract is the criterion's too; 7 advances an
-operator built once, as the CLI does; the others call the public API.
+so the CLI's verdict on a contract is the criterion's too; 7 takes its
+Boltzmann state from a ``simulate`` run's field.csv, and its equipartition
+from a library ensemble, since the CLI writes no <v^2>; the others call the
+public API. No criterion steps a grid itself: a grid's dt_max comes from its
+operator, and criterion 9's pure-sink substep is one MasterOperator advance.
 ``run_all`` never raises: a crashed check, or one over its wall-clock limit
 in ``_SUITE``, is a failure. The suite should finish well under five minutes.
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .decoherence import decoherence_params, master_step, superposition_state
+from .decoherence import MasterOperator, decoherence_params, superposition_state
 from .determinants import (
     FirstOrderOp,
     Scheme,
@@ -32,14 +35,7 @@ from .determinants import (
     second_order_det_ratio,
     trace_log_rate,
 )
-from .fokker_planck import (
-    Ordering,
-    PhaseGrid,
-    SmoluchowskiOperator,
-    gaussian_field_1d,
-    kramers_dt_max,
-    smoluchowski_dt_max,
-)
+from .fokker_planck import KramersOperator, Ordering, PhaseGrid, SmoluchowskiOperator
 from .kernels import BathParams, Drude, Ohmic, noise_kernel_freq, noise_kernel_time
 from .langevin import SimConfig, run_ensemble
 from .noise import NoiseSpec, colored_noise, derive_rng
@@ -195,16 +191,22 @@ def _trace_log():
     )
 
 
-# the bath of criteria 4 and 5, unit mass and friction at kT = 0.5, and their
-# harmonic well, unit frequency
+# the bath of criteria 4, 5 and 7, unit mass and friction at kT = 0.5, their
+# harmonic well, unit frequency, and their double well V = -x^2 + x^4/4 on 256
+# cells of [-3.2, 3.2], started from a Gaussian of width 0.5
 _ORDERING_BATH = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
-_HARMONIC = ("potential.kind=harmonic", "potential.omega0=1.0")
+_SPRING, _HARMONIC = Harmonic(mass=1.0, omega0=1.0), ("potential.kind=harmonic",
+                                                      "potential.omega0=1.0")
+_WELL, _WELL_GRID = DoubleWell(a=-1.0, b=0.25), PhaseGrid(-3.2, 3.2, 256)
+_WELL_START = ("potential.kind=double_well", "potential.a=-1.0", "potential.b=0.25",
+               "fp.sigma_x=0.5")
 
 
-def _fp_checks(grid: PhaseGrid, ordering: str, steps: int, dt: float, *lines) -> dict:
-    """The CLI's check records of one simulate run of a grid solver on grid,
-    in _ORDERING_BATH from x0 = 0 with the given lines: dt is passed exactly
-    by repr, and the field recorded at the end only."""
+def _fp_checks(grid: PhaseGrid, ordering: str, steps: int, dt: float, *lines):
+    """The CLI's check records by name, and the final field's values (the last
+    column of field.csv, x-major), of one simulate run of a grid solver on
+    grid, in _ORDERING_BATH from x0 = 0 with the given lines: dt is passed
+    exactly by repr, and the field recorded at the end only."""
     axes = [f"grid.{f.name}={getattr(grid, f.name)!r}" for f in fields(grid)
             if getattr(grid, f.name) is not None]
     lines = ("bath.mass=1.0", "bath.gamma=1.0", "bath.k_bt=0.5", "bath.hbar=0.0", "fp.x0=0.0",
@@ -212,37 +214,42 @@ def _fp_checks(grid: PhaseGrid, ordering: str, steps: int, dt: float, *lines) ->
              f"fp.ordering={ordering}", f"fp.steps={steps}", f"fp.record_every={steps}",
              f"fp.dt={dt!r}")
     with tempfile.TemporaryDirectory() as top:
-        return _cli_checks("simulate", lines, os.path.join(top, ordering))[1]
+        out = os.path.join(top, ordering)
+        checks = _cli_checks("simulate", lines, out)[1]
+        return checks, np.loadtxt(os.path.join(out, "field.csv"), delimiter=",", skiprows=1,
+                                  usecols=-1)
 
 
 def _kramers_ordering():
     # the harmonic well on 128 x 128 cells of [-4, 4]^2, from a Gaussian of
     # width 0.7 in x and v: 1000 conserving steps, and symmetric ones to t >= 2
     grid = PhaseGrid(-4.0, 4.0, 128, -4.0, 4.0, 128)
-    dt = 0.9 * kramers_dt_max(grid, Harmonic(mass=1.0, omega0=1.0), _ORDERING_BATH)
+    dt = 0.9 * KramersOperator(grid, _SPRING, _ORDERING_BATH).dt_max
     n = math.ceil(2.0 / dt)
     start = (*_HARMONIC, "fp.sigma_x=0.7", "fp.v0=0.0", "fp.sigma_v=0.7")
-    kept = _fp_checks(grid, "momenta_left", 1000, dt, *start)["mass_conserved"]
-    sink = _fp_checks(grid, "symmetric", n, dt, *start)["mass_follows_sink"]
+    kept = _fp_checks(grid, "momenta_left", 1000, dt, *start)[0]["mass_conserved"]
+    sink = _fp_checks(grid, "symmetric", n, dt, *start)[0]["mass_follows_sink"]
     ok = kept["pass"] and sink["pass"] and sink["sink_rate"] == _ORDERING_BATH.gamma / 2.0
     return ok, (f"conserving drift {kept['drift']:.2e} over 1000 steps; symmetric "
                 f"mass(t={n * dt:.4g}) off e^(-gamma t/2) by {sink['drift']:.2e} on 128x128")
 
 
+def _well_dt() -> float:
+    """0.9 of the Smoluchowski dt_max on the double well of criteria 5 and 7."""
+    return 0.9 * SmoluchowskiOperator(_WELL_GRID, _WELL, _ORDERING_BATH).dt_max
+
+
 def _smoluchowski_ordering():
-    # 1000 conserving steps in the double well V = -x^2 + x^4/4 on 256 cells
-    # of [-3.2, 3.2] from a Gaussian of width 0.5, and symmetric ones to
-    # t >= 1 in the harmonic well on 256 cells of [-4, 4] from its Boltzmann
-    # state, whose sink rate is w0^2 / 2 gamma
-    well, grid_w = DoubleWell(a=-1.0, b=0.25), PhaseGrid(-3.2, 3.2, 256)
+    # 1000 conserving steps in the double well, and symmetric ones to t >= 1
+    # in the harmonic well on 256 cells of [-4, 4] from its Boltzmann state,
+    # whose sink rate is w0^2 / 2 gamma
     grid_h = PhaseGrid(-4.0, 4.0, 256)
-    dt_w = 0.9 * smoluchowski_dt_max(grid_w, well, _ORDERING_BATH)
-    dt_h = 0.9 * smoluchowski_dt_max(grid_h, Harmonic(mass=1.0, omega0=1.0), _ORDERING_BATH)
+    dt_h = 0.9 * SmoluchowskiOperator(grid_h, _SPRING, _ORDERING_BATH).dt_max
     n = math.ceil(1.0 / dt_h)
-    kept = _fp_checks(grid_w, "momenta_left", 1000, dt_w, "potential.kind=double_well",
-                      "potential.a=-1.0", "potential.b=0.25", "fp.sigma_x=0.5")["mass_conserved"]
+    kept = _fp_checks(_WELL_GRID, "momenta_left", 1000, _well_dt(),
+                      *_WELL_START)[0]["mass_conserved"]
     sink = _fp_checks(grid_h, "symmetric", n, dt_h, *_HARMONIC,
-                      f"fp.sigma_x={math.sqrt(0.5)!r}")["mass_follows_sink"]
+                      f"fp.sigma_x={math.sqrt(0.5)!r}")[0]["mass_follows_sink"]
     ok = kept["pass"] and sink["pass"] and sink["sink_rate"] == 1.0 / (2.0 * _ORDERING_BATH.gamma)
     return ok, (f"conserving drift {kept['drift']:.2e} over 1000 steps; symmetric mass(t="
                 f"{n * dt_h:.4g}) off e^(-w0^2 t/2gamma) by {sink['drift']:.2e}")
@@ -284,9 +291,9 @@ def _ensemble_grid_agreement():
 
 
 def _stationarity():
-    params = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
-    pot = Harmonic(mass=1.0, omega0=1.0)
-    config = SimConfig(potential=pot, params=params, dt=0.005, steps=1000,
+    # the ensemble half runs the library: the CLI writes neither <v^2> nor its
+    # standard error
+    config = SimConfig(potential=_SPRING, params=_ORDERING_BATH, dt=0.005, steps=1000,
                        n_traj=20000, master_seed=70001,
                        sigma_x=math.sqrt(0.5), sigma_v=math.sqrt(0.5))
     stats = run_ensemble(config, "inertial")
@@ -294,19 +301,15 @@ def _stationarity():
     v2 = v * v
     m2 = float(v2.mean())
     se = float(v2.std(ddof=1)) / math.sqrt(v2.size)
-    target = params.k_bt / params.mass
+    target = _ORDERING_BATH.k_bt / _ORDERING_BATH.mass
     ok_equi = abs(m2 - target) <= 3.0 * se
 
-    dw = DoubleWell(a=-1.0, b=0.25)
-    grid = PhaseGrid(-3.2, 3.2, 256)
-    field = gaussian_field_1d(grid, 0.0, 0.5)
-    op = SmoluchowskiOperator(grid, dw, params)
-    dt = 0.9 * op.dt_max
-    field = op.advance(field, Ordering.MOMENTA_LEFT, dt, math.ceil(10.0 / dt))
-    x = grid.x_centers
-    q = np.exp(-np.asarray(dw.value(x)) / params.k_bt)
-    q /= q.sum() * grid.dx
-    l1 = float(np.abs(field.values - q).sum() * grid.dx)
+    # the double well's conserving run to t >= 10 against its Boltzmann state
+    dt = _well_dt()
+    final = _fp_checks(_WELL_GRID, "momenta_left", math.ceil(10.0 / dt), dt, *_WELL_START)[1]
+    q = np.exp(-np.asarray(_WELL.value(_WELL_GRID.x_centers)) / _ORDERING_BATH.k_bt)
+    q /= q.sum() * _WELL_GRID.dx
+    l1 = float(np.abs(final - q).sum() * _WELL_GRID.dx)
     ok_boltz = l1 < 0.02
 
     return ok_equi and ok_boltz, (
@@ -372,7 +375,8 @@ def _interference_decay():
 
     sep, sigma, dt = 4.0, 0.3, 0.002
     rho0 = superposition_state(101, 0.08, 81, 0.2, separation=sep, sigma=sigma)
-    rho1 = master_step(rho0, None, params, dt, terms=("decoherence",))
+    rho1 = MasterOperator(rho0, None, params, terms=("decoherence",)).advance(
+        rho0, Ordering.MOMENTA_LEFT, dt, 1)
     expected = rho0.values * np.exp(-dec.lam * rho0.y_grid**2 * dt)[None, :]
     sub_dev = float(np.max(np.abs(rho1.values - expected)))
     ok_sub = np.array_equal(rho1.values, expected) or (

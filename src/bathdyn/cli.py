@@ -57,22 +57,23 @@ from .fokker_planck import (
     Ordering,
     PhaseGrid,
     SmoluchowskiOperator,
-    StabilityError,
     _step_count,
     compare_langevin_fp,
     gaussian_field_1d,
     gaussian_field_2d,
 )
 from .kernels import (
+    _POLE_TOL,
     BathParams,
     Drude,
     Ohmic,
+    _pole_roundoff,
     friction_kernel_time,
     noise_kernel_freq,
     noise_kernel_time,
     spectral_density,
 )
-from .langevin import SimConfig, _chunk_size, run_ensemble
+from .langevin import SimConfig, StabilityError, _chunk_size, run_ensemble
 from .potentials import DoubleWell, Harmonic, Polynomial
 
 
@@ -371,6 +372,11 @@ def cmd_kernels(cfg: RunConfig, man: Manifest) -> None:
         nu1 = 2.0 * math.pi * params.k_bt / hbar if hbar > 0 else 1.0
         cfg.require(0.0 < nu1 * nu1 * nu1 < math.inf, "bath.hbar",
                     f"give nu1 = 2 pi k_bt / hbar a finite, nonzero cube (got nu1 = {nu1:g})")
+        # the quantum kernel's pole band (kernels._pole_roundoff)
+        bound = _pole_roundoff(omega_d, nu1) if hbar > 0 else 0.0
+        cfg.require(bound <= _POLE_TOL, "bath.omega_d",
+                    f"keep r = omega_d / nu1 = {omega_d / nu1:.10g} out of the pole band, where "
+                    f"the kernel's pole-pair roundoff exceeds {_POLE_TOL:g} (got {bound:.3g})")
         model = Drude(gamma=gamma, omega_d=omega_d)
         params = dataclasses.replace(params, omega_d=omega_d)
         w_max = cfg.get("grid.w_max", as_float, 5.0 * omega_d, _FINITE_POSITIVE)
@@ -655,7 +661,7 @@ def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
     state_kind = cfg.get("state.kind", as_choice("gaussian", "superposition"),
                          "superposition")
     sigma = cfg.get("state.sigma", as_float, 0.3, _SQUARE)
-    separation = cfg.get("state.separation", as_float, 4.0)
+    separation = cfg.get("state.separation", as_float, 4.0, _FINITE_POSITIVE)
     nx = cfg.get("grid.nx", as_int, 101, _at_least(1))
     dx = cfg.get("grid.dx", as_float, 0.08, _FINITE_POSITIVE)
     # rho's y grid is centred on its y = 0 row

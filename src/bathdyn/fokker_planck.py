@@ -39,14 +39,13 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .kernels import BathParams
-from .langevin import EnsembleStats, SimConfig, run_ensemble
+from .langevin import EnsembleStats, SimConfig, StabilityError, run_ensemble
 from .potentials import Potential
 
 __all__ = [
     "Ordering",
     "PhaseGrid",
     "ProbField",
-    "StabilityError",
     "ComparisonRecord",
     "gaussian_field_1d",
     "gaussian_field_2d",
@@ -63,14 +62,6 @@ class Ordering(enum.Enum):
 
     MOMENTA_LEFT = "momenta_left"
     SYMMETRIC = "symmetric"
-
-
-class StabilityError(ValueError):
-    """Explicit-step stability bound violated; carries a usable dt."""
-
-    def __init__(self, message: str, suggested_dt: float):
-        super().__init__(f"{message}; suggested dt <= {suggested_dt:.6g}")
-        self.suggested_dt = suggested_dt
 
 
 def _check_axis(name: str, lo: float, hi: float, n: int) -> None:

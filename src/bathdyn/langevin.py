@@ -62,6 +62,7 @@ __all__ = [
     "step_overdamped_postpoint",
     "run_ensemble",
     "noise_expectation",
+    "StabilityError",
 ]
 
 # cap on trajectories*steps kept in memory per vectorized chunk; a chunk holds
@@ -77,6 +78,15 @@ _BLOCK = 1024
 # cost is amortized by then (see _chunk_size)
 _CHUNK_BLOCKS = 8
 _MODES = ("inertial", "overdamped", "overdamped_postpoint")
+
+
+class StabilityError(ValueError):
+    """Explicit-step stability bound violated; carries a usable dt. The
+    Langevin steps' bounds raise it, as do the grid and master operators'."""
+
+    def __init__(self, message: str, suggested_dt: float):
+        super().__init__(f"{message}; suggested dt <= {suggested_dt:.6g}")
+        self.suggested_dt = suggested_dt
 
 
 @dataclass(frozen=True)
@@ -129,27 +139,25 @@ class SimConfig:
 
 
 def _check_dt(params: BathParams, dt: float):
+    """Refuse a dt at which dt gamma reaches 0.1, suggesting 0.09 / gamma."""
     if not dt * params.gamma < 0.1:
-        raise ValueError(
-            "dt too large for the friction scale: need dt*gamma < 0.1, got "
-            f"{dt * params.gamma:.3g}"
-        )
+        raise StabilityError("dt too large for the friction scale: need dt*gamma < 0.1, "
+                             f"got {dt * params.gamma:.3g}", 0.09 / params.gamma)
 
 
 def _check_dt_overdamped(potential: Potential, params: BathParams, dt: float,
                          x0: float, sigma_x: float = 0.0):
     """Refuse a dt at which the overdamped relaxation rate V''(x)/(M gamma)
     reaches 0.1/dt on the initial support: x0 +- 6 sigma_x, sampled at 1,025
-    points that include both ends, or x0 alone for a point start. For a
-    harmonic well of the bath's mass the rate is omega0^2/gamma."""
+    points that include both ends, or x0 alone for a point start, and
+    suggest 0.09 over that rate. For a harmonic well of the bath's mass the
+    rate is omega0^2/gamma."""
     support = np.linspace(x0 - 6.0 * sigma_x, x0 + 6.0 * sigma_x, 1025 if sigma_x > 0 else 1)
     rate = float(np.max(potential.hess(support))) / (params.mass * params.gamma)
     if not dt * rate < 0.1:
-        raise ValueError(
-            "dt too large for the relaxation scale: need dt*V''/(M gamma) < 0.1 "
-            f"over the initial support, got {dt * rate:.3g}; "
-            f"suggested dt <= {0.09 / rate:.3g}"
-        )
+        raise StabilityError("dt too large for the relaxation scale: need dt*V''/(M gamma) "
+                             f"< 0.1 over the initial support, got {dt * rate:.3g}",
+                             0.09 / rate)
 
 
 def _advance(mode: str, potential: Potential, params: BathParams, dt: float,

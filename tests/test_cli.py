@@ -573,6 +573,11 @@ def test_size_rule_stops_at_its_bound(tmp_path, monkeypatch, capsys, case):
                 {"record": "error", "exit_code": 2, "message": err.strip()}]
 
 
+# a quantum Drude bath with nu1 = 2 pi k_bt / hbar = 1 (to roundoff)
+_NEAR_POLE = ("bath.model=drude\nbath.hbar=1\nbath.k_bt=0.15915494309189535\ngrid.nt=65\n"
+              "grid.nw=11")
+
+
 # (command, config, start of the stderr line after "config error: ") of runs
 # that ended in a traceback with no manifest: an _ArrayMemoryError or a
 # MemoryError (under ulimit -v 2000000) before their size rules, or an
@@ -622,6 +627,27 @@ _KEYLESS_FAILURES = {
     "ensemble-x0-nan": ("simulate", "sim.kind=ensemble\nrun.x0=nan", "run.x0 must be finite"),
     "ensemble-v0-inf": ("simulate", "sim.kind=ensemble\nrun.mode=inertial\nrun.v0=inf",
                         "run.v0 must be finite"),
+    # the quantum Drude kernel's pole band (kernels._pole_roundoff): 3 + 1e-6
+    # exited 0 with K(0.05) off by 8.7e-5 relative, an exact multiple exited 2
+    # naming no key after writing three CSVs, and nu1 = 2 pi / 1e100 leaves
+    # omega_d / nu1 no fractional part
+    "drude-pole-1e-6": ("kernels", f"{_NEAR_POLE}\nbath.omega_d=3.000001",
+                        "bath.omega_d must keep r = omega_d / nu1 = 3.000001 out of the pole"),
+    "drude-pole-1e-9": ("kernels", f"{_NEAR_POLE}\nbath.omega_d=3.000000001",
+                        "bath.omega_d must keep r = omega_d / nu1 = 3.000000001 out of the"),
+    "drude-hbar-1e100": ("kernels", "bath.model=drude\nbath.hbar=1e100\nbath.k_bt=1\n"
+                         "bath.omega_d=1\ngrid.nt=65\ngrid.nw=11\ngrid.t_max=1e120",
+                         "bath.omega_d must keep r = omega_d / nu1 = 1.591549431e+99 out"),
+    # state.separation was read with no rule: a Gaussian state ran on nan,
+    # inf or -4, and a superposition's -4 exited with "separation must be > 0"
+    "gaussian-separation-nan": ("decohere", "state.kind=gaussian\nstate.separation=nan",
+                                "state.separation must be finite and > 0"),
+    "gaussian-separation-inf": ("decohere", "state.kind=gaussian\nstate.separation=inf",
+                                "state.separation must be finite and > 0"),
+    "gaussian-separation--4": ("decohere", "state.kind=gaussian\nstate.separation=-4",
+                               "state.separation must be finite and > 0"),
+    "superposition-separation--4": ("decohere", "state.separation=-4",
+                                    "state.separation must be finite and > 0"),
 }
 
 
@@ -659,6 +685,8 @@ _SWEEP_BASES = {
                 "grid.nx=64\ncompare.bins=8"),
     "decohere": ("decohere", "potential.kind=harmonic\ngrid.nx=61\ngrid.ny=25\n"
                  "run.steps=2\nrun.record_every=1"),
+    "decohere-gaussian": ("decohere", "state.kind=gaussian\npotential.kind=harmonic\n"
+                          "grid.nx=61\ngrid.ny=25\nrun.steps=2\nrun.record_every=1"),
 }
 
 
@@ -847,18 +875,41 @@ def test_drude_time_grid_too_fine_for_the_log_term_exits_2_naming_t_max(tmp_path
         assert line == "" and _error_records(out) == []
 
 
-def test_stiff_overdamped_start_exits_2_with_a_suggested_dt(tmp_path, capsys):
+def test_stiff_overdamped_start_exits_1_with_a_suggested_dt(tmp_path, capsys):
     """V = 30 x^2 at dt = 0.05 ran to var_x = 7e119 with no trajectory counted
-    as diverged; the relaxation guard now refuses it over x0 +- 6 sigma_x."""
+    as diverged; the relaxation guard now refuses it over x0 +- 6 sigma_x. It
+    raises StabilityError, a numerical abort (exit 1) like a grid or master
+    operator's bound, where it exited 2 as a config error."""
     cfg = _write_config(tmp_path, "sim.kind=ensemble\nrun.mode=overdamped\n"
                         "potential.kind=polynomial\npotential.coeffs=0,0,30\n"
                         "bath.gamma=1\nrun.dt=0.05\nrun.sigma_x=0.5\n"
                         "run.n_traj=2000\nrun.steps=200\n")
     out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
     line = capsys.readouterr().err.strip()
-    assert line.startswith("config error: dt too large for the relaxation scale")
+    assert line.startswith("error: dt too large for the relaxation scale")
     assert line.endswith("got 3; suggested dt <= 0.0015")
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("ensemble", "run.steps=4\nrun.n_traj=8\n"),
+    ("compare", "compare.times=0.9\nrun.n_traj=8\n"),
+])
+def test_langevin_friction_bound_exits_1_with_a_dt_it_accepts(tmp_path, capsys, kind, text):
+    """dt gamma = 0.2 is over the Langevin step's friction bound, dt gamma <
+    0.1. It exited 2, "config error: dt too large for the friction scale",
+    naming no key and suggesting no dt; it is a StabilityError now, exit 1
+    with a suggested dt, and the same run at that dt passes the bound."""
+    body = f"sim.kind={kind}\nbath.gamma=2\n{text}"
+    cfg = _write_config(tmp_path, body + "run.dt=0.1\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    line = capsys.readouterr().err.strip()
+    assert line == ("error: dt too large for the friction scale: need dt*gamma < 0.1, got 0.2; "
+                    "suggested dt <= 0.045")
+    assert _error_records(out) == [{"record": "error", "exit_code": 1, "message": line}]
+    cfg = _write_config(tmp_path, body + "run.dt=0.045\n", name="ok.cfg")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "ok"), "--quiet"]) == 0
 
 
 def test_every_float_rule_rejects_nan():
@@ -871,10 +922,11 @@ def test_every_float_rule_rejects_nan():
 
 def test_cli_raises_config_error_only_for_cross_key_rules():
     """Single-key range rules live in the RunConfig.get that reads the key;
-    cli.py raises no ConfigError itself, and states each of its 28 cross-key
+    cli.py raises no ConfigError itself, and states each of its 29 cross-key
     rules as one cfg.require call naming the key: compare.times names and
     multiples of run.dt, compare.bins dividing grid.nx, the
-    Drude nu1^3, the Drude grid.t_max against nu1 and grid.nt, det.gamma *
+    Drude nu1^3, the quantum Drude bath.omega_d out of its pole band against
+    nu1, the Drude grid.t_max against nu1 and grid.nt, det.gamma *
     det.t, output.autocorr_lags within run.steps, fp.x0, fp.v0 and compare's
     run.x0 inside their grids, Lambda, Lambda d^2, and decohere's state.sigma
     against grid.dx and grid.dy, packet centres inside the x grid, and each
@@ -904,9 +956,9 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
             return helper.args[0].value
         return call.args[1].value
 
-    assert len(requires) == 28
+    assert len(requires) == 29
     assert sorted(map(key, requires)) == [
-        "bath.hbar", "bath.hbar", "compare.bins", "compare.times", "compare.times",
+        "bath.hbar", "bath.hbar", "bath.omega_d", "compare.bins", "compare.times", "compare.times",
         "compare.times", "det.gamma * det.t", "fp.record_every", "fp.v0", "fp.x0",
         "grid.nt", "grid.nw", "grid.nx", "grid.nx * grid.nv", "grid.nx * grid.ny",
         "grid.t_max", "grid.v_max", "grid.x_max", "output.autocorr_lags", "output.bins",

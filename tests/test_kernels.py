@@ -161,6 +161,55 @@ def test_quantum_drude_time_kernel_quadrature_oracle():
         assert abs(s.values[i] - val) < 1e-9
 
 
+# K(0.01 / omega_d) and K(0.1 / omega_d) of the quantum Drude bath with hbar =
+# 1 and k_bt = 1 / 2 pi (nu1 = 1 to roundoff), at each omega_d = N + delta of
+# the pole grid below that the pole band admits: 40-digit values of the
+# kernel's closed form, from tools/drude_reference.py
+_POLE_GRID = [n + sign * d for n in (1, 3, 30, 300) for d in (1e-2, 1e-3, 1e-4, 1e-6, 1e-8)
+              for sign in (1, -1)]
+_POLE_REFERENCE = {
+    1.01: (4.18650764976709, 1.8537960231413277),
+    0.99: (4.025188437774228, 1.7839446222451263),
+    1.001: (4.113516257603566, 1.822191536311482),
+    0.999: (4.09738433842212, 1.8152063982496704),
+    3.01: (36.57863209379795, 15.86072702225684),
+    2.99: (36.09523316005935, 15.651734285458689),
+    3.001: (36.36070380491285, 15.766507907282708),
+    2.999: (36.31236391156065, 15.745608633624656),
+    30.01: (3627.9084946836683, 1568.4893410457184),
+    29.99: (3623.0746175657036, 1566.3995264525702),
+    300.01: (362565.0360439012, 156746.62613681893),
+    299.99: (362516.6972728449, 156725.7279910114),
+}
+
+
+def test_quantum_drude_pole_band_oracle():
+    """Near omega_d / nu1 = N, c_D's pole and the series term n = N cancel,
+    and their roundoff grows like r eps / sin^2(pi delta). An omega_d the
+    band admits agrees with the 40-digit reference within 1e-9 relative;
+    every other omega_d of the grid is refused. For small delta the band is
+    |delta| < sqrt(1.25 eps r / 1e-9) = 5.3e-4 sqrt(r): it admits delta =
+    +-1e-2 at every N up to 300, +-1e-3 only up to N = 3, and nothing
+    nearer. An exact multiple, and r beyond 2^53, are refused too."""
+    from bathdyn.kernels import _POLE_TOL, _pole_roundoff
+
+    assert _POLE_TOL == 1e-9
+    eps = float(np.finfo(float).eps)
+    assert sorted(_POLE_REFERENCE) == sorted(
+        w for w in _POLE_GRID if abs(w - round(w)) > math.sqrt(1.25 * eps * w / _POLE_TOL))
+    params = BathParams(mass=1.0, gamma=1.0, k_bt=0.15915494309189535, hbar=1.0)
+    for omega_d in _POLE_GRID:
+        t = np.array([0.01, 0.1]) / omega_d
+        if omega_d in _POLE_REFERENCE:
+            values = noise_kernel_time(params, Drude(gamma=1.0, omega_d=omega_d), t).values
+            np.testing.assert_allclose(values, _POLE_REFERENCE[omega_d], rtol=1e-9, atol=0.0)
+        else:
+            with pytest.raises(ValueError, match="pole band"):
+                noise_kernel_time(params, Drude(gamma=1.0, omega_d=omega_d), t)
+    assert _pole_roundoff(3.0, 1.0) == math.inf and _pole_roundoff(2.0**53 + 0.7, 1.0) == math.inf
+    assert _pole_roundoff(0.3, 1.0) == 0.0  # no pole below r = 1/2
+
+
 def test_noise_kernel_time_error_contracts():
     d = Drude(gamma=1.0, omega_d=10.0)
     t = np.linspace(-1.0, 1.0, 101)

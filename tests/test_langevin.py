@@ -57,6 +57,25 @@ def test_config_validation():
     assert cfg.times[-1] == 100 * 0.01
 
 
+@pytest.mark.parametrize("gamma", [2.0, 0.3, 7.0])
+def test_friction_guard_raises_stability_error_with_a_dt_it_accepts(gamma):
+    """dt gamma must stay under 0.1 in every Langevin step and ensemble: a dt
+    at or over it raises StabilityError, which is the grid operators' class
+    and a ValueError, suggesting 0.09 / gamma, which the guard accepts."""
+    from bathdyn import StabilityError, fokker_planck
+
+    assert StabilityError is fokker_planck.StabilityError and issubclass(StabilityError,
+                                                                          ValueError)
+    params = BathParams(mass=1.0, gamma=gamma, k_bt=0.5, hbar=0.0)
+    for dt in (0.1 / gamma, 0.12 / gamma):
+        with pytest.raises(StabilityError, match="^dt too large for the friction scale") as exc:
+            _config(params=params, dt=dt)
+        assert exc.value.suggested_dt == 0.09 / gamma
+        _config(params=params, dt=exc.value.suggested_dt)
+        with pytest.raises(StabilityError):
+            step_inertial(InertialState(0.0, 0.0), POT, params, 0.0, dt)
+
+
 def test_overdamped_relaxation_guard():
     stiff = Harmonic(mass=1.0, omega0=4.0)  # dt * omega0^2 / gamma = 0.08 ok
     params = BathParams(mass=1.0, gamma=2.0, k_bt=0.5, hbar=0.0)

@@ -34,13 +34,19 @@ def test_package_all_is_the_union_of_the_module_lists():
 
 
 def test_cli_and_checks_step_through_the_public_operators():
+    """Neither module holds a private stepper or one of the five per-step
+    wrappers, which build an operator on every call: each steps, and reads
+    dt_max, through an operator built once."""
     from bathdyn import checks, cli
 
     operators = {"SmoluchowskiOperator", "KramersOperator", "MasterOperator"}
     assert operators <= set(bathdyn.__all__)
     private = {"_advance", "_Kramers", "_Smoluchowski", "_master_operator", "_operator"}
+    wrappers = {"master_step", "kramers_step", "smoluchowski_step", "kramers_dt_max",
+                "smoluchowski_dt_max"}
     for mod in (cli, checks):
         assert private.isdisjoint(vars(mod)), mod.__name__
+        assert wrappers.isdisjoint(vars(mod)), mod.__name__
 
 
 def test_readme_library_example_runs():
