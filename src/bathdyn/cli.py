@@ -64,10 +64,12 @@ from .fokker_planck import (
 )
 from .kernels import (
     _POLE_TOL,
+    _SERIES_CAP,
     BathParams,
     Drude,
     Ohmic,
     _pole_roundoff,
+    _series_terms,
     friction_kernel_time,
     noise_kernel_freq,
     noise_kernel_time,
@@ -146,11 +148,19 @@ def _write_moments(man: Manifest, stats) -> None:
     """moments.csv of an EnsembleStats, (key, value) rows of the counts and x
     moments, then the v moments when the run kept velocities, every value a
     float; and the run's none_diverged verdict: a trajectory that diverged
-    fails the run."""
+    fails the run. A moment of survivors that is not finite, but for the
+    covariance of one survivor, has overflowed: a RuntimeError, raised before
+    the table is written."""
     keys = list(_MOMENT_KEYS)
     if stats.final_v is not None:
         keys += _MOMENT_KEYS_V
-    man.csv("moments.csv", ("key", "value"), (keys, [float(getattr(stats, k)) for k in keys]))
+    values = [float(getattr(stats, k)) for k in keys]
+    survivors = stats.n_traj - stats.n_diverged
+    for key, value in zip(keys, values):
+        if survivors and not math.isfinite(value) and not (survivors == 1 and "cov" in key):
+            raise RuntimeError(f"{key} of the {survivors} surviving trajectories is not finite "
+                               f"(got {value:g})")
+    man.csv("moments.csv", ("key", "value"), (keys, values))
     ok = stats.n_diverged == 0
     man.check("none_diverged", ok, f"check no trajectory diverged: {_tag(ok)} "
               f"({stats.n_diverged} of {stats.n_traj})", n_diverged=stats.n_diverged,
@@ -390,11 +400,19 @@ def cmd_kernels(cfg: RunConfig, man: Manifest) -> None:
         # half-offset samples straddles it symmetrically
         n_even = nt + nt % 2
         t_grid = -t_max + (np.arange(n_even) + 0.5) * (2.0 * t_max / n_even)
+        t_min = float(np.min(np.abs(t_grid)))  # about t_max / n_even
         # its log term needs exp(-nu1 |t|) < 1, in numpy's exp as the kernel
-        # takes it, at the grid's smallest |t|, about t_max / n_even
-        cfg.require(np.exp(-nu1 * np.min(np.abs(t_grid))) < 1.0, "grid.t_max",
+        # takes it, at the grid's smallest |t|
+        cfg.require(np.exp(-nu1 * t_min) < 1.0, "grid.t_max",
                     "give the smallest |t| = t_max / n_even a finite "
                     f"log(1 - exp(-nu1 |t|)) (got t_max = {t_max:g})")
+        # its thermal series, cut off where nu_n t_min = 45, sums at most
+        # _SERIES_CAP terms (kernels._series_terms)
+        n_tail, n_cut = _series_terms(omega_d, nu1, t_min)
+        cfg.require(min(n_tail, n_cut) <= _SERIES_CAP, "grid.nt",
+                    f"keep the quantum kernel's thermal series within {_SERIES_CAP:,} terms: "
+                    f"its tail needs {n_tail:,} and the smallest |t| = t_max / n_even = "
+                    f"{t_min:.6g} cuts it at {n_cut:,}")
     elif model_name == "drude":
         t_grid = np.linspace(-t_max, t_max, nt + 1 - nt % 2)
     cfg.finish()
@@ -435,6 +453,10 @@ def cmd_det_check(cfg: RunConfig, man: Manifest) -> None:
                 (lambda v: v > 0.0 and 100.0 * v * v < math.inf, "> 0 with 100 g^2 finite"))
     t_total = cfg.get("det.t", as_float, 1.0, _FINITE_POSITIVE)
     n = cfg.get("det.n", as_int, 10000, _at_least(4))
+    # the operators' node samples, the Riccati solution, a factor's diagonal
+    # and its temporaries (tracemalloc read 5.13 arrays of det.n)
+    cfg.require(*_size_rule("det.n", f"the determinant tables, {n + 1} nodes x 6 arrays",
+                            6 * (n + 1)))
     seed = cfg.get("run.seed", as_int, 1234)
     cfg.finish()
     cfg.require(g * t_total < math.log(sys.float_info.max), "det.gamma * det.t",
@@ -654,7 +676,8 @@ def cmd_simulate(cfg: RunConfig, man: Manifest) -> None:
 def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
     # hbar^2 sets Lambda and l_e, so it must not overflow or vanish
     params = _bath_from(cfg, mass=20.0, gamma=6.25e-3, hbar=1.0, hbar_rule=_SQUARE)
-    hbar, lam = params.hbar, decoherence_params(params).lam
+    dec = decoherence_params(params)
+    hbar, lam = params.hbar, dec.lam
     cfg.require(0.0 < lam < math.inf, "bath.hbar",
                 f"give a finite Lambda = w / 2 hbar^2 > 0 (got {lam:g})")
     potential = _potential_from(cfg, params.mass, allow_none=True)
@@ -675,6 +698,9 @@ def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
     cfg.require(*_size_rule("grid.nx * grid.ny", f"the padded FFT grid, {cells} cells x 16 "
                             "arrays", 16 * cells))
     dy = cfg.get("grid.dy", as_float, 0.2, _FINITE_POSITIVE)
+    # MasterOperator's own test: the y grid resolves the thermal length
+    cfg.require(dy <= dec.l_e / 2.0, "grid.dy", "resolve the thermal length l_e = "
+                f"sqrt(2 pi hbar^2 / M k_bt): be <= l_e / 2 = {dec.l_e / 2.0:.6g} (got {dy:g})")
     dt = cfg.get("run.dt", as_float, 0.002, _FINITE_POSITIVE)
     steps = cfg.get("run.steps", as_int, 50, _at_least(1))
     record_every = cfg.get("run.record_every", as_int, 5, _at_least(1))

@@ -204,6 +204,23 @@ def hbar_coth(hbar: float, k_bt: float, omega: float) -> float:
     return (2.0 * k_bt / omega) * xcoth(hbar * omega / (2.0 * k_bt))
 
 
+def _continuous(model: SpectralDensity, refusal: str) -> Ohmic | Drude:
+    """model as it is if it is Ohmic or Drude, a continuum limit of the bath
+    with a pointwise density. A DiscreteBath, a sum of delta functions, has
+    no pointwise density or smooth kernel and raises ValueError
+    "distributional density: <refusal>"; any other object raises TypeError."""
+    if isinstance(model, DiscreteBath):
+        raise ValueError(f"distributional density: {refusal}")
+    if not isinstance(model, (Ohmic, Drude)):
+        raise _unknown(model)
+    return model
+
+
+def _unknown(model) -> TypeError:
+    """The error for an object that is no spectral density model."""
+    return TypeError(f"unknown spectral density model: {model!r}")
+
+
 def spectral_density(model: SpectralDensity, mass: float, omega):
     """Antisymmetric bath spectral density sigma(w) for system mass `mass`.
 
@@ -211,18 +228,11 @@ def spectral_density(model: SpectralDensity, mass: float, omega):
     sum of delta functions and has no pointwise value.
     """
     omega = np.asarray(omega, dtype=float)
-    if isinstance(model, Ohmic):
-        out = 2.0 * mass * model.gamma * omega
-    elif isinstance(model, Drude):
-        wd2 = model.omega_d ** 2
-        out = 2.0 * mass * model.gamma * omega * wd2 / (wd2 + omega ** 2)
-    elif isinstance(model, DiscreteBath):
-        raise ValueError(
-            "distributional density: a discrete bath is a sum of delta functions "
-            "and has no pointwise value"
-        )
-    else:
-        raise TypeError(f"unknown spectral density model: {model!r}")
+    model = _continuous(model, "a discrete bath is a sum of delta functions and has no "
+                        "pointwise value")
+    out = 2.0 * mass * model.gamma * omega
+    if isinstance(model, Drude):
+        out = out * model.omega_d ** 2 / (model.omega_d ** 2 + omega ** 2)
     return _scalar_or_array(out)
 
 
@@ -252,7 +262,7 @@ def friction_kernel_time(model: SpectralDensity, mass: float, t):
             out = out + (osc.c ** 2 / (osc.mass * osc.omega ** 2)) * np.cos(osc.omega * t)
         out = np.where(t >= 0.0, out / mass, 0.0)
     else:
-        raise TypeError(f"unknown spectral density model: {model!r}")
+        raise _unknown(model)
     return _scalar_or_array(out)
 
 
@@ -272,17 +282,10 @@ def friction_kernel_freq(model: Drude, omega):
 def _kernel_shape_freq(model: SpectralDensity, omega):
     """Dimensionless spectral shape sigma(w) / (2 M gamma w): 1 or a Lorentzian."""
     omega = np.asarray(omega, dtype=float)
-    if isinstance(model, Ohmic):
+    if isinstance(_continuous(model, "the discrete-bath noise kernel has no pointwise "
+                              "frequency value"), Ohmic):
         return np.ones_like(omega)
-    if isinstance(model, Drude):
-        wd2 = model.omega_d ** 2
-        return wd2 / (wd2 + omega ** 2)
-    if isinstance(model, DiscreteBath):
-        raise ValueError(
-            "distributional density: the discrete-bath noise kernel has no "
-            "pointwise frequency value"
-        )
-    raise TypeError(f"unknown spectral density model: {model!r}")
+    return model.omega_d ** 2 / (model.omega_d ** 2 + omega ** 2)
 
 
 def noise_kernel_freq(params: BathParams, model: SpectralDensity, omega):
@@ -335,6 +338,21 @@ def _pole_roundoff(omega_d: float, nu1: float) -> float:
     return 1.25 * math.pi ** 2 * float(np.finfo(float).eps) * ratio / s if s > 0 else math.inf
 
 
+# most terms of the quantum Drude kernel's residual series that a run sums
+_SERIES_CAP = 2_000_000
+
+
+def _series_terms(omega_d: float, nu1: float, t_min: float) -> tuple[int, int]:
+    """The terms of the quantum Drude kernel's residual series: (the count
+    whose 1/n^3 tail stays below 1e-9 of the kernel scale, the exponential
+    cut-off at the smallest |t|, t_min). It sums the smaller count; one above
+    _SERIES_CAP is refused."""
+    tail_tol = 1e-9 * max(1.0, 0.5 * omega_d)
+    n_tail = int(np.ceil(np.sqrt(omega_d ** 4 / (2.0 * nu1 ** 3 * tail_tol)))) + 1
+    # terms beyond nu_n * t_min = 45 are below 3e-20
+    return n_tail, int(np.ceil(45.0 / (nu1 * t_min))) + 1
+
+
 def _drude_time_kernel(omega_d: float, hbar: float, k_bt: float, abs_t: np.ndarray):
     """Exact inversion of the Drude K(w) as a sum of decaying exponentials.
 
@@ -344,8 +362,10 @@ def _drude_time_kernel(omega_d: float, hbar: float, k_bt: float, abs_t: np.ndarr
     with nu_n = 2 pi n k_bt / hbar and c_D = (omega_d/2) x_D cot(x_D),
     x_D = hbar omega_d / (2 k_bt). The 1/n part of the thermal series is the
     log term; the remaining series falls off like 1/n^3 and is truncated with
-    an absolute tail below 1e-9 of the kernel scale. hbar = 0 keeps only the
-    classical pole (omega_d/2) exp(-omega_d|t|).
+    an absolute tail below 1e-9 of the kernel scale, or where its terms fall
+    below 3e-20 at the smallest |t| (_series_terms); a run that needs more
+    than _SERIES_CAP terms is refused with ValueError. hbar = 0 keeps only
+    the classical pole (omega_d/2) exp(-omega_d|t|).
 
     Where omega_d / nu_1 nears an integer N >= 1, c_D's pole and the n = N
     term's cancel; an omega_d whose _pole_roundoff exceeds _POLE_TOL is
@@ -367,16 +387,20 @@ def _drude_time_kernel(omega_d: float, hbar: float, k_bt: float, abs_t: np.ndarr
             "the quantum noise kernel diverges logarithmically at t = 0; "
             "use a grid excluding t = 0 or the classical limit hbar = 0"
         )
+    t_min = float(np.min(abs_t))
+    n_tail, n_cut = _series_terms(omega_d, nu1, t_min)
+    if min(n_tail, n_cut) > _SERIES_CAP:
+        raise ValueError(
+            f"the thermal series needs more than {_SERIES_CAP:,} terms: its tail needs "
+            f"{n_tail:,} and the smallest |t| = {t_min:.6g} cuts it at {n_cut:,}; "
+            "use a coarser time grid or a smaller omega_d / nu1"
+        )
     x_d = np.pi * ratio
     c_d = 0.5 * omega_d * x_d / np.tan(x_d)
     out = c_d * np.exp(-omega_d * abs_t)
     out -= (omega_d ** 2 / nu1) * np.log1p(-np.exp(-nu1 * abs_t))
     # residual series, terms omega_d^4 / (nu_n (nu_n^2 - omega_d^2)) ~ 1/n^3
-    tail_tol = 1e-9 * max(1.0, 0.5 * omega_d)
-    n_max = int(np.ceil(np.sqrt(omega_d ** 4 / (2.0 * nu1 ** 3 * tail_tol)))) + 1
-    # exponential cutoff: terms beyond nu_n * min|t| = 45 are below 3e-20
-    n_cut = int(np.ceil(45.0 / (nu1 * float(np.min(abs_t))))) + 1
-    n_max = max(8, min(n_max, n_cut, 2_000_000))
+    n_max = max(8, min(n_tail, n_cut))
     chunk = max(1, int(4_000_000 // max(abs_t.size, 1)))
     n0 = 1
     while n0 <= n_max:
@@ -397,7 +421,7 @@ def noise_kernel_time(params: BathParams, model: SpectralDensity, t_grid) -> Ker
     delta function classically and non-integrable quantum mechanically.
     """
     t, dt = _time_grid(t_grid)
-    if isinstance(model, Ohmic):
+    if isinstance(_continuous(model, "a discrete bath has no smooth noise kernel"), Ohmic):
         if params.hbar == 0.0:
             raise ValueError(
                 "the classical Ohmic noise kernel is a delta function; "
@@ -407,12 +431,6 @@ def noise_kernel_time(params: BathParams, model: SpectralDensity, t_grid) -> Ker
             "needs a Drude cutoff: the quantum Ohmic spectrum grows linearly "
             "and has no integrable time kernel"
         )
-    if isinstance(model, DiscreteBath):
-        raise ValueError(
-            "distributional density: a discrete bath has no smooth noise kernel"
-        )
-    if not isinstance(model, Drude):
-        raise TypeError(f"unknown spectral density model: {model!r}")
     vals = _drude_time_kernel(model.omega_d, params.hbar, params.k_bt, np.abs(t))
     area = float(np.trapezoid(vals, t))
     return KernelSamples(t_grid=t, values=vals, dt=dt, area=area,
@@ -440,8 +458,6 @@ def bath_correlators(params: BathParams, model: DiscreteBath, t: float, tp: floa
         a_val += weight * hbar_coth(params.hbar, params.k_bt, osc.omega) * np.cos(osc.omega * tau)
         if tau >= 0.0:
             g_val += -1j * weight * params.hbar * np.sin(osc.omega * tau)
-    if tau < 0.0:
-        g_val = 0.0j
     return float(a_val), complex(g_val)
 
 
@@ -452,8 +468,6 @@ def freq_shift(model: DiscreteBath, mass: float) -> float:
         raise TypeError("freq_shift requires a DiscreteBath model")
     total = 0.0
     for osc in model.oscillators:
-        if not osc.omega > 0:
-            raise ValueError("massless bath mode: oscillator frequency must be > 0")
         total += osc.c ** 2 / (osc.mass * osc.omega ** 2)
     return -total / mass
 

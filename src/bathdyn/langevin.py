@@ -442,7 +442,8 @@ def run_ensemble(
     state, the snapshots and the stored series in place. A count of
     histogram_bins that cannot split the survivors' range into finite bins
     (a lone survivor beyond 2^52, say) raises RuntimeError, a numerical
-    failure of the run; invalid bins raise ValueError.
+    failure of the run; invalid bins raise ValueError. A moment whose sums
+    overflow over the survivors is returned as it is, inf or NaN.
     """
     snapshot_steps = tuple(int(s) for s in snapshot_steps)
     _validate_run(config, mode, snapshot_steps)
@@ -472,14 +473,17 @@ def run_ensemble(
     n_alive = int(alive_all.sum())
 
     xs = final_x[alive_all]
-    mean_x, var_x, se_x = _moments(xs)
-    if mode == "inertial":
-        vs = final_v[alive_all]
-        mean_v, var_v, se_v = _moments(vs)
-        cov_xv, se_cov = _cross(xs, vs)
-    else:
-        final_v = None
-        mean_v = var_v = se_v = cov_xv = se_cov = float("nan")
+    # a moment that overflows over the survivors is returned as it is, with
+    # no numpy warning: the caller judges it (cli._write_moments fails the run)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_x, var_x, se_x = _moments(xs)
+        if mode == "inertial":
+            vs = final_v[alive_all]
+            mean_v, var_v, se_v = _moments(vs)
+            cov_xv, se_cov = _cross(xs, vs)
+        else:
+            final_v = None
+            mean_v = var_v = se_v = cov_xv = se_cov = float("nan")
 
     try:
         counts, edges = np.histogram(xs, bins=histogram_bins)

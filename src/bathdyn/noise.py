@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DiscreteBath, Drude, Ohmic, SpectralDensity, noise_kernel_freq, BathParams
+from .kernels import BathParams, Ohmic, SpectralDensity, _continuous, noise_kernel_freq
 
 __all__ = [
     "NoiseSpec",
@@ -97,15 +97,11 @@ def colored_noise(spec: NoiseSpec) -> NoiseTrajectory:
     model = spec.kernel
     if model is None:
         raise ValueError("colored_noise requires a kernel model; use white_noise for None")
-    if isinstance(model, Ohmic):
+    if isinstance(_continuous(model, "discrete baths have no smooth spectrum"), Ohmic):
         raise ValueError(
             "needs a Drude cutoff: the Ohmic kernel synthesizes white noise; "
             "use white_noise"
         )
-    if isinstance(model, DiscreteBath):
-        raise ValueError("distributional density: discrete baths have no smooth spectrum")
-    if not isinstance(model, Drude):
-        raise TypeError(f"unknown kernel model: {model!r}")
     if spec.hbar != 0.0:
         raise ValueError(
             "non-integrable spectrum: the quantum Drude kernel has a 1/omega tail "

@@ -520,7 +520,8 @@ def test_trajectory_rule_stops_at_its_bound(tmp_path, monkeypatch, capsys, kind,
 # the step noise and the per-trajectory arrays, at 2^27 doubles over the
 # count of arrays the rule states. A grid's rows count step 0 and each mark,
 # so fp.steps = 2,581,109 records 2,581,110 rows of 52 values; decohere's
-# nx = 103,125 = 3 5^5 11 pads to itself, and nx + 1 to 105,875
+# nx = 103,125 = 3 5^5 11 pads to itself, and nx + 1 to 105,875; det.n =
+# 22,369,620 steps have 22,369,621 nodes of 6 arrays
 _SIZE_EDGES = {
     "smoluchowski-grid": ("simulate", "sim.kind=smoluchowski\ngrid.nx={}", 12_201_611,
                           "grid.nx"),
@@ -539,6 +540,7 @@ _SIZE_EDGES = {
                           "fp.steps={}", 2_581_109, "fp.record_every"),
     "decohere-rows": ("decohere", "run.record_every=1\nrun.steps={}", 2_581_109,
                       "run.record_every"),
+    "det-n": ("det-check", "det.n={}", 22_369_620, "det.n"),
 }
 
 
@@ -546,8 +548,10 @@ _SIZE_EDGES = {
 def test_size_rule_stops_at_its_bound(tmp_path, monkeypatch, capsys, case):
     """At its edge a run reaches its work, stubbed where it would allocate its
     first sized array (the ensemble, the start field or state, the kernel
-    tables' np.linspace); one unit over, it is a config error naming the key,
-    with a manifest ending in the error record. Neither side allocates."""
+    tables' np.linspace, the determinant cases); one unit over, it is a config
+    error naming the key, with a manifest ending in the error record. Neither
+    side allocates."""
+    import bathdyn.checks as checks
     import bathdyn.cli as cli
 
     def reached(*args, **kwargs):
@@ -557,6 +561,7 @@ def test_size_rule_stops_at_its_bound(tmp_path, monkeypatch, capsys, case):
                  "gaussian_field_2d", "gaussian_pure_state", "superposition_state"):
         monkeypatch.setattr(cli, name, reached)
     monkeypatch.setattr(cli.np, "linspace", reached)
+    monkeypatch.setattr(checks, "det_cases", reached)
     command, text, edge, key = _SIZE_EDGES[case]
     for value in (edge, edge + 1):
         cfg = _write_config(tmp_path, text.format(value) + "\n")
@@ -600,6 +605,8 @@ _KEYLESS_FAILURES = {
                           "fp.record_every=1", "fp.record_every must keep the mass records"),
     "decohere-rows": ("decohere", "run.steps=10000000000\nrun.record_every=1",
                       "run.record_every must keep the decay records"),
+    "det-n": ("det-check", "det.n=1000000000000",
+              "det.n must keep the determinant tables, 1000000000001 nodes x 6 arrays"),
     "ensemble-omega0-1e200": ("simulate", "sim.kind=ensemble\npotential.omega0=1e200\n"
                               "run.steps=2\nrun.n_traj=4", "potential.omega0 must be > 0 with"),
     "kramers-omega0-1e200": ("simulate", "sim.kind=kramers\npotential.omega0=1e200\n"
@@ -648,6 +655,27 @@ _KEYLESS_FAILURES = {
                                "state.separation must be finite and > 0"),
     "superposition-separation--4": ("decohere", "state.separation=-4",
                                     "state.separation must be finite and > 0"),
+    # MasterOperator refused a y grid coarser than l_e / 2 after the run's
+    # rules, "y grid too coarse to resolve the thermal length", naming no key
+    # (l_e / 2 = 0.28 at the default bath, and 2.8e-4 at k_bt = 1e6)
+    "decohere-dy-0.5": ("decohere", "grid.dy=0.5\nstate.sigma=2.0\nstate.kind=gaussian\n"
+                        "run.steps=2", "grid.dy must resolve the thermal length l_e = "
+                        "sqrt(2 pi hbar^2 / M k_bt): be <= l_e / 2 = 0.28025 (got 0.5)"),
+    "decohere-k_bt-1e6": ("decohere", "bath.k_bt=1e6",
+                          "grid.dy must resolve the thermal length l_e = sqrt(2 pi hbar^2 / "
+                          "M k_bt): be <= l_e / 2 = 0.00028025 (got 0.2)"),
+    # the quantum Drude series' 2,000,000-term cap cut the sum short and the
+    # run exited 0: 43.4 at the default grid (nu1 = 1) needs 2,000,118 terms,
+    # and r = 3000.3 138,270,702, where K was off by 6.3e-8 relative
+    "drude-series-43.4": ("kernels", "bath.model=drude\nbath.hbar=1\n"
+                          "bath.k_bt=0.15915494309189535\nbath.omega_d=43.4",
+                          "grid.nt must keep the quantum kernel's thermal series within "
+                          "2,000,000 terms: its tail needs 9,041,379 and the smallest |t| = "
+                          "t_max / n_even = "),
+    "drude-series-3000.3": ("kernels", "bath.model=drude\nbath.hbar=1\n"
+                            "bath.k_bt=0.15915494309189535\nbath.omega_d=3000.3",
+                            "grid.nt must keep the quantum kernel's thermal series within "
+                            "2,000,000 terms: its tail needs 5,196,931,867"),
 }
 
 
@@ -664,6 +692,53 @@ def test_keyless_failure_now_names_its_key(tmp_path, capfd, case):
     assert _read_manifest(out)[-1] == {"record": "error", "exit_code": 2,
                                        "message": err.strip()}
     assert [r for r in _read_manifest(out) if r["record"] == "output"] == []
+
+
+def test_drude_series_cap_stops_at_its_edge(tmp_path, monkeypatch, capsys):
+    """At the default grid with nu1 = 1, omega_d = 43.39 needs 1,999,657 series
+    terms and reaches the run, stubbed at the kernel tables' np.linspace;
+    43.4 needs 2,000,118, one rule naming grid.nt refuses it before any work,
+    and the same config with grid.nt = 8193 halves the count and is admitted.
+    No series is summed."""
+    import bathdyn.cli as cli
+
+    def reached(*args, **kwargs):
+        raise RuntimeError("reached the run")
+
+    monkeypatch.setattr(cli.np, "linspace", reached)
+    bath = "bath.model=drude\nbath.hbar=1\nbath.k_bt=0.15915494309189535\n"
+    for extra, code in (("bath.omega_d=43.39\n", 1), ("bath.omega_d=43.4\n", 2),
+                        ("bath.omega_d=43.4\ngrid.nt=8193\n", 1)):
+        out = tmp_path / f"out-{code}-{len(extra)}"
+        rc = main(["kernels", "--config", _write_config(tmp_path, bath + extra), "--out",
+                   str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == code
+        if code == 1:
+            assert err == "error: reached the run\n"
+        else:
+            assert err.startswith("config error: grid.nt must keep the quantum kernel's "
+                                  "thermal series within 2,000,000 terms: ")
+            assert err.endswith(" cuts it at 2,000,118\n")
+            assert _error_records(out) == [
+                {"record": "error", "exit_code": 2, "message": err.strip()}]
+
+
+def test_ensemble_moment_that_overflows_is_a_numerical_error(tmp_path, capfd):
+    """Starts of width 1e300 square past the float range: the run exited 0
+    with var_x = inf in moments.csv and numpy's "overflow encountered in
+    square" on stderr. It exits 1 with one error line naming the moment,
+    which the manifest's last record carries, writes no moments.csv and
+    prints no warning (the suite's filter would raise one)."""
+    cfg = _write_config(tmp_path, "sim.kind=ensemble\nrun.sigma_x=1e300\nrun.steps=2\n"
+                        "run.n_traj=4\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capfd.readouterr().err
+    assert err == "error: var_x of the 4 surviving trajectories is not finite (got inf)\n"
+    assert _read_manifest(out)[-1] == {"record": "error", "exit_code": 1,
+                                       "message": err.strip()}
+    assert not (out / "moments.csv").exists()
 
 
 # (command, config) of one small run of each command and kind: the kernel
@@ -922,13 +997,15 @@ def test_every_float_rule_rejects_nan():
 
 def test_cli_raises_config_error_only_for_cross_key_rules():
     """Single-key range rules live in the RunConfig.get that reads the key;
-    cli.py raises no ConfigError itself, and states each of its 29 cross-key
+    cli.py raises no ConfigError itself, and states each of its 32 cross-key
     rules as one cfg.require call naming the key: compare.times names and
     multiples of run.dt, compare.bins dividing grid.nx, the
     Drude nu1^3, the quantum Drude bath.omega_d out of its pole band against
-    nu1, the Drude grid.t_max against nu1 and grid.nt, det.gamma *
+    nu1, the Drude grid.t_max against nu1 and grid.nt, the quantum Drude
+    series within its cap (grid.nt), det.gamma *
     det.t, output.autocorr_lags within run.steps, fp.x0, fp.v0 and compare's
-    run.x0 inside their grids, Lambda, Lambda d^2, and decohere's state.sigma
+    run.x0 inside their grids, Lambda, Lambda d^2, decohere's grid.dy against
+    the thermal length, and its state.sigma
     against grid.dx and grid.dy, packet centres inside the x grid, and each
     grid axis's max above its min by a finite span (grid.x_max, grid.v_max).
     The size rules pass _size_rule(key, what, doubles) to cfg.require, whose
@@ -936,8 +1013,8 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
     and of compare (compare.times), the per-trajectory arrays of each
     (run.n_traj), the histogram (output.bins), the grids of simulate
     (grid.nx, grid.nx * grid.nv) and decohere (grid.nx * grid.ny), the
-    kernel tables (grid.nw, grid.nt) and the recorded rows (fp.record_every,
-    run.record_every)."""
+    kernel tables (grid.nw, grid.nt), the determinant tables (det.n) and the
+    recorded rows (fp.record_every, run.record_every)."""
     import ast
 
     import bathdyn.cli as cli
@@ -956,11 +1033,12 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
             return helper.args[0].value
         return call.args[1].value
 
-    assert len(requires) == 29
+    assert len(requires) == 32
     assert sorted(map(key, requires)) == [
         "bath.hbar", "bath.hbar", "bath.omega_d", "compare.bins", "compare.times", "compare.times",
-        "compare.times", "det.gamma * det.t", "fp.record_every", "fp.v0", "fp.x0",
-        "grid.nt", "grid.nw", "grid.nx", "grid.nx * grid.nv", "grid.nx * grid.ny",
+        "compare.times", "det.gamma * det.t", "det.n", "fp.record_every", "fp.v0", "fp.x0",
+        "grid.dy", "grid.nt", "grid.nt", "grid.nw", "grid.nx", "grid.nx * grid.nv",
+        "grid.nx * grid.ny",
         "grid.t_max", "grid.v_max", "grid.x_max", "output.autocorr_lags", "output.bins",
         "run.n_traj", "run.n_traj", "run.record_every", "run.steps", "run.x0",
         "state.separation", "state.separation", "state.sigma"]

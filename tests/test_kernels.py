@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bathdyn import (
     BathParams,
     DiscreteBath,
     Drude,
     KernelSamples,
+    NoiseSpec,
     Ohmic,
     Oscillator,
     bath_correlators,
+    colored_noise,
     freq_shift,
     friction_kernel_freq,
     friction_kernel_time,
@@ -210,6 +214,39 @@ def test_quantum_drude_pole_band_oracle():
     assert _pole_roundoff(0.3, 1.0) == 0.0  # no pole below r = 1/2
 
 
+# K(m t_min), m = 1, 2, 3, of the quantum Drude bath of _POLE_REFERENCE at
+# omega_d = 43.39, where t_min = (16 / omega_d) / 16386 is the smallest |t| of
+# the kernels command's default grid: 40-digit values of the kernel's closed
+# form, from tools/drude_reference.py
+_CAP_EDGE_REFERENCE = (11963.428022613298, 10658.463961541871, 9895.126867186558)
+
+
+def test_quantum_drude_series_cap_edge():
+    """The residual series sums the smaller of its tail count and its
+    exponential cut-off, 45 / (nu1 t_min) + 1 terms, which binds at the
+    kernels command's default grid with nu1 = 1. omega_d = 43.39 sums
+    1,999,657 terms, within _SERIES_CAP, and agrees with the 40-digit
+    reference within 1e-9 relative. 43.4 needs 2,000,118 and is refused
+    before any term is summed, and so is r = 3000.3, which the cap once cut
+    short with K off by 6.3e-8 relative."""
+    from bathdyn.kernels import _SERIES_CAP, _series_terms
+
+    assert _SERIES_CAP == 2_000_000
+    params = BathParams(mass=1.0, gamma=1.0, k_bt=0.15915494309189535, hbar=1.0)
+    nu1 = 2.0 * math.pi * params.k_bt / params.hbar
+    for omega_d, terms in ((43.39, 1_999_657), (43.4, 2_000_118), (3000.3, 138_270_702)):
+        t_min = 16.0 / omega_d / 16386
+        assert min(_series_terms(omega_d, nu1, t_min)) == terms
+        t = np.array([1.0, 2.0, 3.0]) * t_min
+        if terms <= _SERIES_CAP:
+            values = noise_kernel_time(params, Drude(gamma=1.0, omega_d=omega_d), t).values
+            np.testing.assert_allclose(values, _CAP_EDGE_REFERENCE, rtol=1e-9, atol=0.0)
+        else:
+            with pytest.raises(ValueError, match=f"^the thermal series needs more than "
+                               f"2,000,000 terms: .* cuts it at {terms:,};"):
+                noise_kernel_time(params, Drude(gamma=1.0, omega_d=omega_d), t)
+
+
 def test_noise_kernel_time_error_contracts():
     d = Drude(gamma=1.0, omega_d=10.0)
     t = np.linspace(-1.0, 1.0, 101)
@@ -246,6 +283,102 @@ def test_discrete_bath_helpers():
     pc = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
     _, gc = bath_correlators(pc, b1, 0.3, 0.0)
     assert gc == 0.0j
+
+
+_OSCILLATORS = st.builds(Oscillator, c=st.floats(-10.0, 10.0), mass=st.floats(0.1, 10.0),
+                         omega=st.floats(0.01, 100.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(oscillators=st.lists(_OSCILLATORS, max_size=8), mass=st.floats(0.1, 10.0))
+def test_discrete_friction_kernel_at_zero_is_minus_the_frequency_shift(oscillators, mass):
+    """gamma(0) = (1/M) sum_i c_i^2 / (M_i Omega_i^2) = -Delta(omega^2): the
+    two sums take the same terms in the same order, so they agree to the
+    last bit."""
+    bath = DiscreteBath(oscillators)
+    assert friction_kernel_time(bath, mass, 0.0) == -freq_shift(bath, mass)
+
+
+def test_discrete_friction_kernel_is_retarded_and_sums_cosines():
+    osc = Oscillator(c=1.3, mass=0.7, omega=2.1)
+    t = np.linspace(-3.0, 3.0, 61)
+    kernel = friction_kernel_time(DiscreteBath((osc,)), 1.9, t)
+    cosine = (osc.c ** 2 / (osc.mass * osc.omega ** 2)) * np.cos(osc.omega * t) / 1.9
+    assert np.all(kernel[t < 0.0] == 0.0)
+    np.testing.assert_array_equal(kernel[t >= 0.0], cosine[t >= 0.0])
+
+
+def test_discrete_bath_sampling_a_drude_density_reproduces_its_friction_kernel():
+    """N oscillators at the midpoints Omega_i = (i - 1/2) dOmega of [0,
+    Omega_max], with c_i^2 = M_i Omega_i sigma(Omega_i) dOmega / pi, have the
+    friction kernel sum_i a_i cos(Omega_i t), a_i = (2 gamma / pi) h(Omega_i)
+    dOmega with h = wD^2 / (wD^2 + Omega^2): the midpoint rule for the Drude
+    kernel gamma wD exp(-wD t) as a cosine integral. Its error is within the
+    sum of three bounds:
+    - aliasing: Poisson summation of the midpoint rule over the whole line,
+      with the transform pi wD exp(-wD |s|) of h, leaves 2 gamma wD exp(wD t)
+      q / (1 - q), q = exp(-2 pi wD / dOmega);
+    - the tail i > N of the decreasing a_i: at most a_{N+1} / |sin(dOmega t /
+      2)| by Abel summation, and at most (2 gamma / pi) wD^2 / Omega_max, the
+      integral of h beyond Omega_max, which its midpoint sum cannot exceed
+      where h is convex (Omega > wD / sqrt 3);
+    - roundoff: (N + 20) eps of the sum of |a_i| <= gamma wD, twice over."""
+    gamma, omega_d, mass, n, omega_max = 0.7, 3.0, 1.3, 2000, 400.0
+    d_omega = omega_max / n
+    nodes = (np.arange(1, n + 1) - 0.5) * d_omega
+    sigma = spectral_density(Drude(gamma=gamma, omega_d=omega_d), mass, nodes)
+    bath = DiscreteBath(Oscillator(c=math.sqrt(0.5 * w * s * d_omega / math.pi), mass=0.5,
+                                   omega=w) for w, s in zip(nodes, sigma))
+    t = np.linspace(0.0, 4.0, 41)
+    error = np.abs(friction_kernel_time(bath, mass, t)
+                   - friction_kernel_time(Drude(gamma=gamma, omega_d=omega_d), mass, t))
+
+    q = math.exp(-2.0 * math.pi * omega_d / d_omega)
+    alias = 2.0 * gamma * omega_d * np.exp(omega_d * t) * q / (1.0 - q)
+    a_next = (2.0 * gamma / math.pi) * omega_d ** 2 / (omega_d ** 2 + (omega_max + d_omega / 2)
+                                                       ** 2) * d_omega
+    with np.errstate(divide="ignore"):
+        abel = a_next / np.abs(np.sin(d_omega * t / 2.0))
+    tail = np.minimum((2.0 * gamma / math.pi) * omega_d ** 2 / omega_max, abel)
+    roundoff = (n + 20) * np.finfo(float).eps * 2.0 * gamma * omega_d
+    assert np.all(error <= alias + tail + roundoff)
+    # the bound is no formality: beyond t = 0.5 it is below 1e-4 of gamma wD
+    assert np.all((alias + tail + roundoff)[t >= 0.5] < 1e-4 * gamma * omega_d)
+
+
+_DISCRETE = DiscreteBath((Oscillator(c=1.0, mass=1.0, omega=2.0),))
+_QUANTUM = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=1.0)
+
+# each function that needs a pointwise density or a smooth kernel, called on
+# a model, and its refusal of a discrete bath after "distributional density: "
+_REFUSALS = {
+    "spectral_density": (lambda model: spectral_density(model, 1.0, 0.5),
+                         "a discrete bath is a sum of delta functions and has no pointwise "
+                         "value"),
+    "noise_kernel_freq": (lambda model: noise_kernel_freq(_QUANTUM, model, 0.5),
+                          "the discrete-bath noise kernel has no pointwise frequency value"),
+    "noise_kernel_time": (lambda model: noise_kernel_time(_QUANTUM, model, [0.1, 0.2]),
+                          "a discrete bath has no smooth noise kernel"),
+    "colored_noise": (lambda model: colored_noise(NoiseSpec(kernel=model, w=1.0, dt=0.1, n=8,
+                                                            seed=1)),
+                      "discrete baths have no smooth spectrum"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSALS))
+def test_discrete_and_unknown_models_are_refused_in_one_place(name):
+    """kernels._continuous refuses for each: a discrete bath with a
+    ValueError carrying the function's own text, any other object with one
+    TypeError wording, which friction_kernel_time shares."""
+    call, refusal = _REFUSALS[name]
+    with pytest.raises(ValueError) as exc:
+        call(_DISCRETE)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"distributional density: {refusal}"
+    for func in (call, lambda model: friction_kernel_time(model, 1.0, 0.5)):
+        with pytest.raises(TypeError) as exc:
+            func("lorentzian")
+        assert str(exc.value) == "unknown spectral density model: 'lorentzian'"
 
 
 def test_thermal_green_values():
