@@ -5,9 +5,9 @@ Configs are flat key=value text files with dotted section keys
 significant digits (so reruns diff cleanly) plus a ``manifest.json`` of
 JSON-lines records written atomically at the end; the output directory is
 created by the first write. Exit codes: 0 success, 1 failed check or
-stability abort, 2 configuration error. A run that fails with 1 or 2 on an
-error still writes its manifest, ending in an ``error`` record with the exit
-code and the line printed to stderr.
+failure of the run, 2 configuration error (see ``main``). A run that fails
+with 1 or 2 on an error still writes its manifest, ending in an ``error``
+record with the exit code and the line printed to stderr.
 
 ``main`` owns a run's lifecycle: it loads the config, hands it and the
 ``Manifest`` to the subcommand, ``cmd_x(cfg, man)``, which reads its
@@ -44,6 +44,7 @@ from .decoherence import (
     _EDGE_TOL,
     _HERM_TOL,
     MasterOperator,
+    _check_dy,
     _odd_padded,
     _ridge_amplitude,
     decoherence_params,
@@ -57,25 +58,23 @@ from .fokker_planck import (
     Ordering,
     PhaseGrid,
     SmoluchowskiOperator,
-    _step_count,
+    _compare_steps,
     compare_langevin_fp,
     gaussian_field_1d,
     gaussian_field_2d,
 )
 from .kernels import (
-    _POLE_TOL,
-    _SERIES_CAP,
     BathParams,
     Drude,
     Ohmic,
-    _pole_roundoff,
-    _series_terms,
+    ParameterError,
+    _quantum_terms,
     friction_kernel_time,
     noise_kernel_freq,
     noise_kernel_time,
     spectral_density,
 )
-from .langevin import SimConfig, StabilityError, _chunk_size, run_ensemble
+from .langevin import _MODES, SimConfig, StabilityError, _chunk_size, run_ensemble
 from .potentials import DoubleWell, Harmonic, Polynomial
 
 
@@ -140,6 +139,27 @@ def write_csv(path, header, columns) -> None:
                                    for b in batch]))
 
 
+def write_product_csv(path, header, a, b, *fields) -> None:
+    """CSV table over the product grid of a and b, i outer: rows (a[i],
+    b[j], f[i, j], ...) for each real field f of shape (len(a), len(b)).
+    The bytes are those of write_csv on a repeated per b, b tiled per a and
+    each field raveled, but each cell of a and b is formatted once: the
+    rows of one a[i] fill a line template per b[j] in one %-format, so
+    one a row of text is held at a time."""
+    a_cells, b_cells = ([_csv_cell(v, False) for v in np.asarray(c).tolist()]
+                        for c in (a, b))
+    fields = [np.asarray(f).reshape(len(a_cells), len(b_cells)) for f in fields]
+    if any(f.dtype.kind not in "fiu" for f in fields):
+        raise TypeError("product table fields must be real numbers")
+    cells = "".join(",%.17g" if f.dtype.kind == "f" else ",%d" for f in fields) + "\n"
+    lines = ["", *("," + c.replace("%", "%%") + cells for c in b_cells)]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for i, a_cell in enumerate(a_cells):
+            row = chain.from_iterable(zip(*(f[i].tolist() for f in fields)))
+            fh.write(a_cell.replace("%", "%%").join(lines) % tuple(row))
+
+
 _MOMENT_KEYS = ("n_traj", "n_diverged", "steps", "dt", "mean_x", "var_x", "se_x")
 _MOMENT_KEYS_V = ("mean_v", "var_v", "se_v", "cov_xv", "se_cov_xv")
 
@@ -151,6 +171,7 @@ def _write_moments(man: Manifest, stats) -> None:
     fails the run. A moment of survivors that is not finite, but for the
     covariance of one survivor, has overflowed: a RuntimeError, raised before
     the table is written."""
+    man.phase = "stats"
     keys = list(_MOMENT_KEYS)
     if stats.final_v is not None:
         keys += _MOMENT_KEYS_V
@@ -181,7 +202,10 @@ def _utc_now() -> str:
 
 class Manifest:
     """Run metadata accumulator and owner of the run's output files and
-    progress lines (none when quiet); written atomically as JSON-lines."""
+    progress lines (none when quiet); written atomically as JSON-lines.
+    phase names the part of the run under way, which a failed run's error
+    record carries: build until a command sets step or stats, and write
+    while an output file is written."""
 
     def __init__(self, command: str, out_dir: str, quiet: bool = False):
         self.command = command
@@ -190,39 +214,28 @@ class Manifest:
         self.started = _utc_now()
         self.outputs: list[str] = []
         self.records: list[dict] = []  # check and error records, in order
+        self.phase = "build"
 
     def _path(self, name: str) -> str:
         os.makedirs(self.out_dir, exist_ok=True)
         return os.path.join(self.out_dir, name)
 
-    def csv(self, name: str, header, columns) -> None:
-        write_csv(self._path(name), header, columns)
+    def _write(self, name: str, write, *args) -> None:
+        """write(path, *args) of output `name` in the write phase, after which
+        the output is listed and the phase restored."""
+        phase, self.phase = self.phase, "write"
+        write(self._path(name), *args)
+        self.phase = phase
         self.outputs.append(name)
+
+    def csv(self, name: str, header, columns) -> None:
+        self._write(name, write_csv, header, columns)
 
     def product_csv(self, name: str, header, a, b, *fields) -> None:
-        """CSV table over the product grid of a and b, i outer: rows (a[i],
-        b[j], f[i, j], ...) for each real field f of shape (len(a), len(b)).
-        The bytes are those of csv() on a repeated per b, b tiled per a and
-        each field raveled, but each cell of a and b is formatted once: the
-        rows of one a[i] fill a line template per b[j] in one %-format, so
-        one a row of text is held at a time."""
-        a_cells, b_cells = ([_csv_cell(v, False) for v in np.asarray(c).tolist()]
-                            for c in (a, b))
-        fields = [np.asarray(f).reshape(len(a_cells), len(b_cells)) for f in fields]
-        if any(f.dtype.kind not in "fiu" for f in fields):
-            raise TypeError("product table fields must be real numbers")
-        cells = "".join(",%.17g" if f.dtype.kind == "f" else ",%d" for f in fields) + "\n"
-        lines = ["", *("," + c.replace("%", "%%") + cells for c in b_cells)]
-        with open(self._path(name), "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(header)
-            for i, a_cell in enumerate(a_cells):
-                row = chain.from_iterable(zip(*(f[i].tolist() for f in fields)))
-                fh.write(a_cell.replace("%", "%%").join(lines) % tuple(row))
-        self.outputs.append(name)
+        self._write(name, write_product_csv, header, a, b, *fields)
 
     def jsonl(self, name: str, records) -> None:
-        write_jsonl(self._path(name), records)
-        self.outputs.append(name)
+        self._write(name, write_jsonl, records)
 
     def say(self, line: str) -> None:
         """Print a progress line unless quiet. A reader that closed stdout
@@ -278,6 +291,10 @@ _FOURTH_POWER = (lambda v: v > 0.0 and 0.0 < (v * v) * (v * v) < math.inf,
 _RESOLVED = math.sqrt(2.0 * math.log(1.0 / _EDGE_TOL)) / math.pi
 
 
+# the config values of fp.ordering and decohere.ordering
+_ORDERING = as_choice(*(o.value for o in Ordering))
+
+
 def _at_least(n: int) -> tuple:
     return (lambda v: v >= n, f">= {n}")
 
@@ -296,6 +313,14 @@ def _size_rule(key: str, what: str, doubles: int) -> tuple[bool, str, str]:
     first allocation it guards."""
     return 8 * doubles <= _SIZE_LIMIT, key, (
         f"keep {what} x 8 bytes, within {_SIZE_LIMIT:,} bytes (got {8 * doubles:,})")
+
+
+# the config key of each parameter that a library refusal (ParameterError) names
+_KEYS = {"dy": "grid.dy", "omega_d": "bath.omega_d", "t_grid": "grid.nt",
+         "times": "compare.times", "n_bins": "compare.bins", "x0": "run.x0",
+         "x_min": "grid.x_min", "x_max": "grid.x_max", "nx": "grid.nx",
+         "v_min": "grid.v_min", "v_max": "grid.v_max", "nv": "grid.nv",
+         "autocorr_lags": "output.autocorr_lags"}
 
 
 def _tag(passed) -> str:
@@ -382,11 +407,6 @@ def cmd_kernels(cfg: RunConfig, man: Manifest) -> None:
         nu1 = 2.0 * math.pi * params.k_bt / hbar if hbar > 0 else 1.0
         cfg.require(0.0 < nu1 * nu1 * nu1 < math.inf, "bath.hbar",
                     f"give nu1 = 2 pi k_bt / hbar a finite, nonzero cube (got nu1 = {nu1:g})")
-        # the quantum kernel's pole band (kernels._pole_roundoff)
-        bound = _pole_roundoff(omega_d, nu1) if hbar > 0 else 0.0
-        cfg.require(bound <= _POLE_TOL, "bath.omega_d",
-                    f"keep r = omega_d / nu1 = {omega_d / nu1:.10g} out of the pole band, where "
-                    f"the kernel's pole-pair roundoff exceeds {_POLE_TOL:g} (got {bound:.3g})")
         model = Drude(gamma=gamma, omega_d=omega_d)
         params = dataclasses.replace(params, omega_d=omega_d)
         w_max = cfg.get("grid.w_max", as_float, 5.0 * omega_d, _FINITE_POSITIVE)
@@ -406,13 +426,7 @@ def cmd_kernels(cfg: RunConfig, man: Manifest) -> None:
         cfg.require(np.exp(-nu1 * t_min) < 1.0, "grid.t_max",
                     "give the smallest |t| = t_max / n_even a finite "
                     f"log(1 - exp(-nu1 |t|)) (got t_max = {t_max:g})")
-        # its thermal series, cut off where nu_n t_min = 45, sums at most
-        # _SERIES_CAP terms (kernels._series_terms)
-        n_tail, n_cut = _series_terms(omega_d, nu1, t_min)
-        cfg.require(min(n_tail, n_cut) <= _SERIES_CAP, "grid.nt",
-                    f"keep the quantum kernel's thermal series within {_SERIES_CAP:,} terms: "
-                    f"its tail needs {n_tail:,} and the smallest |t| = t_max / n_even = "
-                    f"{t_min:.6g} cuts it at {n_cut:,}")
+        _quantum_terms(omega_d, nu1, t_min)  # the pole band and the series cap
     elif model_name == "drude":
         t_grid = np.linspace(-t_max, t_max, nt + 1 - nt % 2)
     cfg.finish()
@@ -464,6 +478,7 @@ def cmd_det_check(cfg: RunConfig, man: Manifest) -> None:
 
     from .checks import det_cases
 
+    man.phase = "step"
     cases = det_cases(g, t_total, n, seed)
     man.jsonl("det_checks.jsonl", cases)
     for case in cases:
@@ -495,33 +510,27 @@ _ROW = 52
 
 
 def _grid(cfg: RunConfig, kind: str, fields: int = 0) -> PhaseGrid:
-    """The grid.* keys of one sim.kind: x only, or (x, v) for kramers. Each
-    axis has finite ends and a finite span, and the run's arrays of the
-    grid's shape, _GRID's count and `fields` more, fit the size limit."""
+    """The grid.* keys of one sim.kind, x only, or (x, v) for kramers, as the
+    PhaseGrid that checks them, once the run's arrays of the grid's shape,
+    _GRID's count and `fields` more, fit the size limit."""
     nx_default, arrays = _GRID[kind]
-    x_min = cfg.get("grid.x_min", as_float, -4.0, _FINITE)
-    x_max = cfg.get("grid.x_max", as_float, 4.0, _FINITE)
-    cfg.require(0.0 < x_max - x_min < math.inf, "grid.x_max",
-                f"exceed grid.x_min = {x_min:g} by a finite span (got {x_max:g})")
-    nx = cfg.get("grid.nx", as_int, nx_default, _at_least(16))
+    x_min = cfg.get("grid.x_min", as_float, -4.0)
+    x_max = cfg.get("grid.x_max", as_float, 4.0)
+    nx = cfg.get("grid.nx", as_int, nx_default)
     if kind != "kramers":
         cfg.require(*_size_rule("grid.nx", f"the grid, {nx} cells x {arrays + fields} arrays",
                                 (arrays + fields) * nx))
         return PhaseGrid(x_min, x_max, nx)
-    v_min = cfg.get("grid.v_min", as_float, -4.0, _FINITE)
-    v_max = cfg.get("grid.v_max", as_float, 4.0, _FINITE)
-    cfg.require(0.0 < v_max - v_min < math.inf, "grid.v_max",
-                f"exceed grid.v_min = {v_min:g} by a finite span (got {v_max:g})")
-    nv = cfg.get("grid.nv", as_int, 128, _at_least(16))
+    v_min = cfg.get("grid.v_min", as_float, -4.0)
+    v_max = cfg.get("grid.v_max", as_float, 4.0)
+    nv = cfg.get("grid.nv", as_int, 128)
     cfg.require(*_size_rule("grid.nx * grid.nv",
                             f"the grid, {nx} x {nv} cells x {arrays} arrays", arrays * nx * nv))
     return PhaseGrid(x_min, x_max, nx, v_min, v_max, nv)
 
 
 def _run_ensemble_cmd(cfg, params, potential, man) -> None:
-    mode = cfg.get("run.mode",
-                   as_choice("inertial", "overdamped", "overdamped_postpoint"),
-                   "overdamped")
+    mode = cfg.get("run.mode", as_choice(*_MODES), "overdamped")
     config = SimConfig(
         potential=potential,
         params=params,
@@ -538,14 +547,14 @@ def _run_ensemble_cmd(cfg, params, potential, man) -> None:
     # the histogram's edges, counts, widths, total x widths and density, and
     # np.histogram's bincount (tracemalloc read 5.1 arrays of output.bins)
     cfg.require(*_size_rule("output.bins", f"the histogram, {bins} bins x 6 arrays", 6 * bins))
-    lags = cfg.get("output.autocorr_lags", as_int, 0)
-    cfg.require(0 <= lags <= config.steps, "output.autocorr_lags", "be in [0, run.steps]")
+    lags = cfg.get("output.autocorr_lags", as_int, 0)  # run_ensemble tests it first
     chunk = _chunk_size(config.n_traj, config.steps)  # the step noise is steps x chunk
     cfg.require(*_size_rule("run.steps", f"the step noise, run.steps = {config.steps} x "
                             f"{chunk} trajectories per chunk", config.steps * chunk))
     cfg.require(*_size_rule("run.n_traj", f"the per-trajectory arrays, 2 x {config.n_traj} "
                             "trajectories", 2 * config.n_traj))  # the final x and v
     cfg.finish()
+    man.phase = "step"
     stats = run_ensemble(config, mode, histogram_bins=bins, autocorr_lags=lags)
     _write_moments(man, stats)
     edges = stats.hist_edges
@@ -561,9 +570,7 @@ def _run_ensemble_cmd(cfg, params, potential, man) -> None:
 
 
 def _run_fp_cmd(cfg, kind, params, potential, man) -> None:
-    ordering = Ordering(cfg.get("fp.ordering",
-                                as_choice("momenta_left", "symmetric"),
-                                "momenta_left"))
+    ordering = Ordering(cfg.get("fp.ordering", _ORDERING, "momenta_left"))
     x0 = cfg.get("fp.x0", as_float, 0.0)
     sigma_x = cfg.get("fp.sigma_x", as_float, 0.5, _FINITE_POSITIVE)
     steps = cfg.get("fp.steps", as_int, 1000, _at_least(1))
@@ -592,6 +599,7 @@ def _run_fp_cmd(cfg, kind, params, potential, man) -> None:
         dt = 0.5 * op.dt_max  # fp.dt <= 0 requests an automatic stable step
 
     field0 = field
+    man.phase = "step"
     marks = [*range(record_every, steps, record_every), steps]
     mass_rows = [(0, 0.0, field.mass)]
     for mark, field in zip(marks, op.records(field0, ordering, dt, marks)):
@@ -603,6 +611,7 @@ def _run_fp_cmd(cfg, kind, params, potential, man) -> None:
     else:
         man.csv("field.csv", ("x", "P"), (grid.x_centers, field.values))
 
+    man.phase = "stats"
     mean, var = field.moments()
     man.say(f"{kind} ({ordering.value}): {steps} steps of dt = {dt:.6g}, "
             f"final mass = {field.mass:.12g}, mean = {mean:.6g}, var = {var:.6g}")
@@ -622,18 +631,11 @@ def _run_compare_cmd(cfg, params, potential, man) -> None:
     names = [f"l1_within_budget_t_{t:g}" for t in times]
     cfg.require(len(set(names)) == len(names), "compare.times",
                 "differ in %g form, which names the checks")
-    bins = cfg.get("compare.bins", as_int, 64, _at_least(1))
-    cfg.require(grid.nx % bins == 0, "compare.bins", f"divide grid.nx = {grid.nx}")
+    bins = cfg.get("compare.bins", as_int, 64)
     dt = cfg.get("run.dt", as_float, 0.005, _FINITE_POSITIVE)
-    # compare_langevin_fp's own test, before the run's length is taken from it
-    off = next((t for t in times if _step_count(t, dt) is None), None)
-    cfg.require(off is None, "compare.times",
-                f"be multiples of run.dt = {dt:g} that are >= 0 (got {off})")
-    steps = max(1, _step_count(max(times), dt))
     x0 = cfg.get("run.x0", as_float, 0.0)
-    # compare_langevin_fp's own test, before any work
-    cfg.require(grid.x_min < x0 < grid.x_max, "run.x0",
-                f"lie inside the x grid ({grid.x_min:g}, {grid.x_max:g}) (got {x0:g})")
+    # compare_langevin_fp's own tests, before the run's length is taken from them
+    steps = max(1, *_compare_steps(grid, times, dt, x0, bins))
     config = SimConfig(
         potential=potential, params=params, dt=dt, steps=steps, x0=x0,
         n_traj=cfg.get("run.n_traj", as_int, 20000, _at_least(1)),
@@ -647,6 +649,7 @@ def _run_compare_cmd(cfg, params, potential, man) -> None:
     cfg.require(*_size_rule("run.n_traj", f"the per-trajectory arrays, {arrays} x "
                             f"{config.n_traj} trajectories", arrays * config.n_traj))
     cfg.finish()
+    man.phase = "step"
     records, stats = compare_langevin_fp(config, grid, times, n_bins=bins)
     man.jsonl("compare.jsonl", [r.as_dict() for r in records])
     _write_moments(man, stats)
@@ -698,18 +701,14 @@ def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
     cfg.require(*_size_rule("grid.nx * grid.ny", f"the padded FFT grid, {cells} cells x 16 "
                             "arrays", 16 * cells))
     dy = cfg.get("grid.dy", as_float, 0.2, _FINITE_POSITIVE)
-    # MasterOperator's own test: the y grid resolves the thermal length
-    cfg.require(dy <= dec.l_e / 2.0, "grid.dy", "resolve the thermal length l_e = "
-                f"sqrt(2 pi hbar^2 / M k_bt): be <= l_e / 2 = {dec.l_e / 2.0:.6g} (got {dy:g})")
+    _check_dy(dy, dec.l_e)
     dt = cfg.get("run.dt", as_float, 0.002, _FINITE_POSITIVE)
     steps = cfg.get("run.steps", as_int, 50, _at_least(1))
     record_every = cfg.get("run.record_every", as_int, 5, _at_least(1))
     rows = -(-steps // record_every) + 1  # step 0 and each mark
     cfg.require(*_size_rule("run.record_every", f"the decay records, {rows} rows x {_ROW} "
                             "values", _ROW * rows))
-    ordering = Ordering(cfg.get("decohere.ordering",
-                                as_choice("momenta_left", "symmetric"),
-                                "momenta_left"))
+    ordering = Ordering(cfg.get("decohere.ordering", _ORDERING, "momenta_left"))
     cfg.finish()
     # a superposition's decay slope is judged against Lambda d^2
     lam_d2 = lam * (separation * separation)
@@ -748,6 +747,7 @@ def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
 
     marks = [*range(record_every, steps, record_every), steps]
     fields = MasterOperator(rho, potential, params).records(rho, ordering, dt, marks)
+    man.phase = "step"
     decay_rows = [decay_row(0, rho)]
     for mark, rho in zip(marks, fields):
         decay_rows.append(decay_row(mark, rho))
@@ -756,6 +756,7 @@ def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
             decay)
     man.product_csv("rho_final.csv", ("x", "y", "re", "im"), rho.x_grid, rho.y_grid,
                     rho.values.real, rho.values.imag)
+    man.phase = "stats"
     wig, p_grid = wigner_transform(rho, hbar)
     man.product_csv("wigner_final.csv", ("x", "p", "w"), rho.x_grid, p_grid, wig)
 
@@ -840,6 +841,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code. 0: every check passed.
+    1: a check failed, or the run failed: a StabilityError or RuntimeError,
+    or any other ValueError raised once the config was read whole, whose
+    error record also names the manifest's phase. 2: a configuration error:
+    a ConfigError, an OSError, a ValueError raised while the config was
+    read, or a library refusal that names its parameter (ParameterError),
+    wherever it was raised, reported as "<key> must <text>" with the
+    parameter's config key from _KEYS."""
     args = _build_parser().parse_args(argv)
     man, cfg = Manifest(args.command, args.out, args.quiet), RunConfig({})
     try:
@@ -849,12 +858,18 @@ def main(argv=None) -> int:
         man.write(cfg.resolved)
         return 0 if man.all_passed else 1
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:
+        if isinstance(exc, ParameterError):  # a library refusal names its parameter
+            exc = ConfigError(f"{_KEYS[exc.name]} must {exc.text}")
         # a StabilityError is a ValueError, but a numerical abort like a
-        # RuntimeError, not a configuration error
-        code = 1 if isinstance(exc, (StabilityError, RuntimeError)) else 2
+        # RuntimeError; any other ValueError is a configuration error until the
+        # config is read whole, and after that a failure of the run's phase
+        aborted = isinstance(exc, (StabilityError, RuntimeError))
+        phased = not aborted and isinstance(exc, ValueError) and cfg.finished
+        code = 1 if aborted or phased else 2
         message = f"{'error' if code == 1 else 'config error'}: {exc}"
         print(message, file=sys.stderr)
-        man.records.append({"record": "error", "exit_code": code, "message": message})
+        man.records.append({"record": "error", "exit_code": code, "message": message,
+                            **({"phase": man.phase} if phased else {})})
         try:
             man.write(cfg.resolved)
         except OSError:

@@ -99,6 +99,7 @@ class RunConfig:
         self._overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
         self._seen: set[str] = set()
         self.resolved: dict[str, object] = {}
+        self.finished = False  # every key read, and none unknown
 
     def require(self, ok, key: str, text: str) -> None:
         """Raise ConfigError "<key> must <text>" unless ok."""
@@ -127,3 +128,4 @@ class RunConfig:
         unknown = sorted(set(self._raw) - self._seen)
         if unknown:
             raise ConfigError(f"unknown config key: {unknown[0]}")
+        self.finished = True

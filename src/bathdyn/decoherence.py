@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fokker_planck import Ordering, _check_values, _Operator
-from .kernels import BathParams
+from .kernels import BathParams, ParameterError
 from .potentials import Potential
 
 __all__ = [
@@ -99,13 +99,20 @@ class DecoherenceParams:
 def decoherence_params(params: BathParams) -> DecoherenceParams:
     """Compute (w, D, Lambda, l_e) from the bath parameters; needs hbar > 0."""
     if params.hbar == 0:
-        raise ValueError("hbar = 0: classical limit has infinite Lambda")
+        raise ValueError("hbar must be > 0: hbar = 0, the classical limit, has infinite Lambda")
     hbar2 = params.hbar ** 2
     lam = params.w / (2.0 * hbar2)
     l_e_sq = 2.0 * math.pi * hbar2 / (params.mass * params.k_bt)
     return DecoherenceParams(
         w=params.w, D=params.D, lam=lam, l_e=math.sqrt(l_e_sq), l_e_sq=l_e_sq
     )
+
+
+def _check_dy(dy: float, l_e: float) -> None:
+    """The y spacing resolves the thermal length l_e: dy <= l_e / 2."""
+    if not dy <= l_e / 2.0:
+        raise ParameterError("dy", "resolve the thermal length l_e = sqrt(2 pi hbar^2 / M k_bt): "
+                             f"be <= l_e / 2 = {l_e / 2.0:.6g} (got {dy:g})")
 
 
 def _y_grid(ny: int, dy: float) -> np.ndarray:
@@ -328,17 +335,12 @@ class MasterOperator(_Operator):
 
     def __init__(self, rho: DensityField, potential: Potential | None,
                  params: BathParams, terms=_TERMS):
-        if params.hbar <= 0:
-            raise ValueError("hbar must be > 0 for density-matrix evolution")
         terms = tuple(terms)
         for name in terms:
             if name not in _TERMS:
                 raise ValueError(f"unknown term {name!r}")
         dec = decoherence_params(params)
-        if rho.dy > dec.l_e / 2.0:
-            raise ValueError(
-                "y grid too coarse to resolve the thermal length: need dy <= l_e/2"
-            )
+        _check_dy(rho.dy, dec.l_e)
         # friction's largest Courant number, gamma y_max dt / dy, is
         # gamma j0 dt exactly (y_max = j0 dy), so dt is checked against the
         # very bound the error suggests

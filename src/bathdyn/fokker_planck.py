@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .kernels import BathParams
+from .kernels import BathParams, ParameterError
 from .langevin import EnsembleStats, SimConfig, StabilityError, run_ensemble
 from .potentials import Potential
 
@@ -64,14 +64,16 @@ class Ordering(enum.Enum):
     SYMMETRIC = "symmetric"
 
 
-def _check_axis(name: str, lo: float, hi: float, n: int) -> None:
-    """One grid axis: a finite range, hi > lo, and at least 16 cells."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"{name} range must be finite")
-    if not hi > lo:
-        raise ValueError(f"{name}_max must exceed {name}_min")
+def _check_axis(axis: str, lo: float, hi: float, n: int) -> None:
+    """One grid axis, x or v: a finite <axis>_min, an <axis>_max a finite
+    span above it, and at least 16 cells."""
+    if not math.isfinite(lo):
+        raise ParameterError(f"{axis}_min", "be finite")
+    if not 0.0 < hi - lo < math.inf:
+        raise ParameterError(f"{axis}_max",
+                             f"exceed {axis}_min = {lo:g} by a finite span (got {hi:g})")
     if n < 16:
-        raise ValueError(f"n{name} must be >= 16")
+        raise ParameterError(f"n{axis}", "be >= 16")
 
 
 @dataclass(frozen=True)
@@ -485,14 +487,31 @@ class ComparisonRecord:
         return asdict(self)
 
 
-def _step_count(t: float, dt: float) -> int | None:
-    """The step k >= 0 at which a run of step dt reaches time t, k dt = t
-    within 1e-9 max(1, t), or None when t is no such multiple."""
+def _step_count(t: float, dt: float) -> int:
+    """The step k >= 0 at which a run of step dt reaches the compare time t,
+    k dt = t within 1e-9 max(1, t); a t that is no such multiple raises the
+    ParameterError of compare's times."""
     k = t / dt
-    if not 0.0 <= k < math.inf:
-        return None
-    k = round(k)
-    return k if abs(k * dt - t) <= 1e-9 * max(1.0, t) else None
+    if 0.0 <= k < math.inf and abs(round(k) * dt - t) <= 1e-9 * max(1.0, t):
+        return round(k)
+    raise ParameterError("times", f"be multiples of dt = {dt:g} that are >= 0 (got {t})")
+
+
+def _compare_steps(grid: PhaseGrid, times, dt: float, x0: float, n_bins: int) -> list[int]:
+    """The step of dt at which a comparison reaches each of its times, for
+    arguments that pass its checks: a 1-D grid, n_bins >= 1 bins that divide
+    its nx cells, times that are multiples of dt, and a start x0 inside the
+    grid. Each refused parameter raises ParameterError; compare_langevin_fp
+    runs this first, and a caller may run it before any work."""
+    if grid.is_2d:
+        raise ValueError("comparison runs on a 1D grid")
+    if not (n_bins >= 1 and grid.nx % n_bins == 0):
+        raise ParameterError("n_bins", f"be >= 1 and divide nx = {grid.nx}")
+    steps = [_step_count(t, dt) for t in times]
+    if not grid.x_min < x0 < grid.x_max:
+        raise ParameterError("x0", f"lie inside the x grid ({grid.x_min:g}, {grid.x_max:g}) "
+                             f"(got {x0:g})")
+    return steps
 
 
 def compare_langevin_fp(
@@ -507,22 +526,13 @@ def compare_langevin_fp(
     sides so the two initializations agree. The grid solver substeps each
     Langevin dt as needed for stability. Returns the per-time records and the
     ensemble statistics (whose snapshots fed the histograms). Bad arguments
-    raise ValueError before any work; ensemble samples outside the grid at a
-    requested time raise RuntimeError after the run.
+    raise ValueError before any work (_compare_steps, and run_ensemble's test
+    of the snapshot steps, for times beyond the run); ensemble samples
+    outside the grid at a requested time raise RuntimeError after the run.
     """
-    if grid.is_2d:
-        raise ValueError("comparison runs on a 1D grid")
-    if n_bins < 1 or grid.nx % n_bins != 0:
-        raise ValueError("n_bins must divide nx")
-    steps_at = [_step_count(t, config.dt) for t in times]
-    if not all(k is not None and k <= config.steps for k in steps_at):
-        raise ValueError("requested times must be multiples of dt within the run")
-
+    steps_at = _compare_steps(grid, times, config.dt, config.x0, n_bins)
     sigma0 = config.sigma_x if config.sigma_x > 0 else 2.0 * grid.dx
     run_cfg = replace(config, sigma_x=sigma0)
-    if not grid.x_min < config.x0 < grid.x_max:
-        raise ValueError("mismatched domains: initial point outside the grid")
-
     stats = run_ensemble(run_cfg, "overdamped", snapshot_steps=tuple(steps_at))
 
     op = SmoluchowskiOperator(grid, config.potential, config.params)

@@ -40,7 +40,17 @@ __all__ = [
     "bath_correlators",
     "freq_shift",
     "thermal_green",
+    "ParameterError",
 ]
+
+
+class ParameterError(ValueError):
+    """A refused argument: `name` is the parameter and the message reads
+    "<name> must <text>"."""
+
+    def __init__(self, name: str, text: str):
+        super().__init__(f"{name} must {text}")
+        self.name, self.text = name, text
 
 
 @dataclass(frozen=True)
@@ -353,6 +363,25 @@ def _series_terms(omega_d: float, nu1: float, t_min: float) -> tuple[int, int]:
     return n_tail, int(np.ceil(45.0 / (nu1 * t_min))) + 1
 
 
+def _quantum_terms(omega_d: float, nu1: float, t_min: float) -> int:
+    """The count of residual-series terms that the quantum Drude kernel sums
+    for r = omega_d / nu1 on a t_grid whose smallest |t| is t_min: the
+    smaller of _series_terms' counts, at least 8. Raises ParameterError for
+    an omega_d in the pole band, whose _pole_roundoff exceeds _POLE_TOL, and
+    for a t_grid whose series needs more than _SERIES_CAP terms."""
+    bound = _pole_roundoff(omega_d, nu1)
+    if bound > _POLE_TOL:
+        raise ParameterError("omega_d", f"keep r = omega_d / nu1 = {omega_d / nu1:.10g} out of "
+                             "the pole band, where the kernel's pole-pair roundoff exceeds "
+                             f"{_POLE_TOL:g} (got {bound:.3g})")
+    n_tail, n_cut = _series_terms(omega_d, nu1, t_min)
+    if min(n_tail, n_cut) > _SERIES_CAP:
+        raise ParameterError("t_grid", "keep the quantum kernel's thermal series within "
+                             f"{_SERIES_CAP:,} terms: its tail needs {n_tail:,} and the "
+                             f"smallest |t| = {t_min:.6g} cuts it at {n_cut:,}")
+    return max(8, min(n_tail, n_cut))
+
+
 def _drude_time_kernel(omega_d: float, hbar: float, k_bt: float, abs_t: np.ndarray):
     """Exact inversion of the Drude K(w) as a sum of decaying exponentials.
 
@@ -364,43 +393,27 @@ def _drude_time_kernel(omega_d: float, hbar: float, k_bt: float, abs_t: np.ndarr
     log term; the remaining series falls off like 1/n^3 and is truncated with
     an absolute tail below 1e-9 of the kernel scale, or where its terms fall
     below 3e-20 at the smallest |t| (_series_terms); a run that needs more
-    than _SERIES_CAP terms is refused with ValueError. hbar = 0 keeps only
+    than _SERIES_CAP terms is refused (_quantum_terms). hbar = 0 keeps only
     the classical pole (omega_d/2) exp(-omega_d|t|).
 
     Where omega_d / nu_1 nears an integer N >= 1, c_D's pole and the n = N
     term's cancel; an omega_d whose _pole_roundoff exceeds _POLE_TOL is
-    refused with ValueError.
+    refused (_quantum_terms).
     """
     if hbar == 0.0:
         return 0.5 * omega_d * np.exp(-omega_d * abs_t)
     nu1 = 2.0 * np.pi * k_bt / hbar
-    ratio = omega_d / nu1
-    bound = _pole_roundoff(omega_d, nu1)
-    if bound > _POLE_TOL:
-        raise ValueError(
-            f"Drude cutoff in the pole band of a thermal frequency: omega_d / nu1 = {ratio:.10g} "
-            f"(nu1 = 2 pi k_bt / hbar = {nu1:.10g}) bounds the kernel's pole-pair roundoff by "
-            f"{bound:.3g} > {_POLE_TOL:g}; perturb omega_d or the temperature"
-        )
     if np.any(abs_t == 0.0):
         raise ValueError(
             "the quantum noise kernel diverges logarithmically at t = 0; "
             "use a grid excluding t = 0 or the classical limit hbar = 0"
         )
-    t_min = float(np.min(abs_t))
-    n_tail, n_cut = _series_terms(omega_d, nu1, t_min)
-    if min(n_tail, n_cut) > _SERIES_CAP:
-        raise ValueError(
-            f"the thermal series needs more than {_SERIES_CAP:,} terms: its tail needs "
-            f"{n_tail:,} and the smallest |t| = {t_min:.6g} cuts it at {n_cut:,}; "
-            "use a coarser time grid or a smaller omega_d / nu1"
-        )
-    x_d = np.pi * ratio
+    n_max = _quantum_terms(omega_d, nu1, float(np.min(abs_t)))
+    x_d = np.pi * (omega_d / nu1)
     c_d = 0.5 * omega_d * x_d / np.tan(x_d)
     out = c_d * np.exp(-omega_d * abs_t)
     out -= (omega_d ** 2 / nu1) * np.log1p(-np.exp(-nu1 * abs_t))
     # residual series, terms omega_d^4 / (nu_n (nu_n^2 - omega_d^2)) ~ 1/n^3
-    n_max = max(8, min(n_tail, n_cut))
     chunk = max(1, int(4_000_000 // max(abs_t.size, 1)))
     n0 = 1
     while n0 <= n_max:

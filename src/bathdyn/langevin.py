@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import BathParams
+from .kernels import BathParams, ParameterError
 from .noise import derive_rng, lagged_products
 from .potentials import Potential
 
@@ -186,7 +186,7 @@ def _advance(mode: str, potential: Potential, params: BathParams, dt: float,
         np.add(v, np.multiply(dt, v_new, out=v_new), out=v_new)
         np.add(x, np.multiply(dt, v, out=x_new), out=x_new)
     else:  # overdamped: x + (dt / (m gamma)) * (-V'(x) + eta)
-        np.add(np.negative(force, out=x_new), eta, out=x_new)
+        np.subtract(eta, force, out=x_new)
         np.add(x, np.multiply(dt / (m * gamma), x_new, out=x_new), out=x_new)
         v_new = v
     return x_new, v_new, None if out else np.isfinite(x_new) & np.isfinite(v_new)
@@ -442,13 +442,14 @@ def run_ensemble(
     state, the snapshots and the stored series in place. A count of
     histogram_bins that cannot split the survivors' range into finite bins
     (a lone survivor beyond 2^52, say) raises RuntimeError, a numerical
-    failure of the run; invalid bins raise ValueError. A moment whose sums
+    failure of the run; invalid bins raise ValueError, and autocorr_lags
+    outside [0, steps] a ParameterError before any work. A moment whose sums
     overflow over the survivors is returned as it is, inf or NaN.
     """
     snapshot_steps = tuple(int(s) for s in snapshot_steps)
     _validate_run(config, mode, snapshot_steps)
     if not 0 <= autocorr_lags <= config.steps:
-        raise ValueError("autocorr_lags must be in [0, steps]")
+        raise ParameterError("autocorr_lags", "be in [0, steps]")
     n, steps = config.n_traj, config.steps
     n_sub = min(256, n) if autocorr_lags > 0 else 0
 

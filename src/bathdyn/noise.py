@@ -114,8 +114,6 @@ def colored_noise(spec: NoiseSpec) -> NoiseTrajectory:
     for fold in range(-3, 4):
         power += noise_kernel_freq(params, model, omega + fold * 2.0 * np.pi / spec.dt)
     power *= spec.w / spec.dt
-    if np.any(power < 0):
-        raise ValueError("kernel spectrum must be nonnegative")
     rng = derive_rng(spec.seed)
     half = m // 2
     re = rng.standard_normal(half + 1)

@@ -24,6 +24,7 @@ from bathdyn.config import (
     as_int,
     parse_config_text,
 )
+from bathdyn.decoherence import _odd_padded
 
 
 def test_parse_config_text():
@@ -578,6 +579,75 @@ def test_size_rule_stops_at_its_bound(tmp_path, monkeypatch, capsys, case):
                 {"record": "error", "exit_code": 2, "message": err.strip()}]
 
 
+# (config with {} for the sized value, two sizes, the rule's units at a
+# size) of each _SIZE_EDGES row: a small run of the same command, shaped so
+# that the sized arrays hold its peak. compare runs 16 trajectories for one
+# step of run.dt = 1e-8: at its default 20,000 trajectories the ensemble's
+# buffers, which run_ensemble frees before the grid solve starts, held the
+# peak of every grid up to a few thousand cells, and the peak grew by 0.7
+# doubles per cell, not the grid's 9
+_SIZE_SLOPES = {
+    "smoluchowski-grid": ("sim.kind=smoluchowski\nfp.steps=1\ngrid.nx={}", (10_000, 30_000),
+                          lambda v: v),
+    "compare-grid": ("sim.kind=compare\nrun.n_traj=16\nrun.dt=1e-8\ncompare.times=1e-8\n"
+                     "compare.bins=1\ngrid.nx={}", (16_384, 65_536), lambda v: v),
+    "kramers-grid": ("sim.kind=kramers\nfp.steps=1\ngrid.nx=16\ngrid.nv={}", (512, 2_048),
+                     lambda v: 16 * v),
+    "decohere-grid": ("state.kind=gaussian\nrun.steps=1\ngrid.ny=81\ngrid.nx={}", (99, 189),
+                      lambda v: _odd_padded(v) * 81),
+    "kernels-nw": ("grid.nw={}", (10_000, 30_000), lambda v: v),
+    "kernels-nt": ("bath.model=drude\nbath.omega_d=10\ngrid.nw=11\ngrid.nt={}",
+                   (10_000, 30_000), lambda v: v),
+    "ensemble-bins": ("sim.kind=ensemble\nrun.steps=1\nrun.n_traj=16\noutput.bins={}",
+                      (10_000, 30_000), lambda v: v),
+    "smoluchowski-rows": ("sim.kind=smoluchowski\ngrid.nx=16\nfp.record_every=1\nfp.steps={}",
+                          (1_000, 3_000), lambda v: v + 1),
+    "decohere-rows": ("state.kind=gaussian\ngrid.nx=41\ngrid.ny=21\nrun.record_every=1\n"
+                      "run.steps={}", (250, 750), lambda v: v + 1),
+    "det-n": ("det.n={}", (1_000, 2_200), lambda v: v + 1),
+}
+# bytes by which the traced peak of one run moves between reruns with the
+# garbage collector paused (at most 1.6 KB over three reruns of every row's
+# two sizes, on a 2-core x86 host), less than half an array of each row's
+# step in size
+_PEAK_NOISE = 1 << 12
+
+
+@pytest.mark.parametrize("case", sorted(_SIZE_EDGES))
+def test_size_rule_counts_the_arrays_its_run_holds(tmp_path, case):
+    """A size rule admits 2^27 doubles at its edge, so its count of arrays
+    per unit is 2^27 over the units at its _SIZE_EDGES edge. The traced peak
+    of a run grows between two sizes by at most that count of doubles per
+    unit, and by at least one: the sized arrays hold the peak. A change that
+    adds a buffer of the sized shape must raise its rule."""
+    import gc
+    import tracemalloc
+
+    command, _, edge, _ = _SIZE_EDGES[case]
+    text, sizes, units = _SIZE_SLOPES[case]
+    count = (1 << 27) // units(edge)
+
+    def peak(value: int) -> int:
+        cfg = _write_config(tmp_path, text.format(value) + "\n", name=f"{value}.cfg")
+        out = tmp_path / f"out-{value}"
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            rc = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert rc in (0, 1) and _error_records(out) == []
+        return peak
+
+    peak(sizes[0] // 8)  # a first run's imports and caches stay out of the slope
+    grown = peak(sizes[1]) - peak(sizes[0])
+    doubles = 8 * (units(sizes[1]) - units(sizes[0]))
+    assert doubles <= grown <= count * doubles + _PEAK_NOISE, (grown / doubles, count)
+
+
 # a quantum Drude bath with nu1 = 2 pi k_bt / hbar = 1 (to roundoff)
 _NEAR_POLE = ("bath.model=drude\nbath.hbar=1\nbath.k_bt=0.15915494309189535\ngrid.nt=65\n"
               "grid.nw=11")
@@ -628,9 +698,9 @@ _KEYLESS_FAILURES = {
     "x_min-nan": ("simulate", "sim.kind=smoluchowski\ngrid.x_min=nan",
                   "grid.x_min must be finite"),
     "kramers-v_max": ("simulate", "sim.kind=kramers\ngrid.v_max=-5",
-                      "grid.v_max must exceed grid.v_min = -4 by a finite span (got -5)"),
+                      "grid.v_max must exceed v_min = -4 by a finite span (got -5)"),
     "kramers-x-span": ("simulate", "sim.kind=kramers\ngrid.x_min=-1e308\ngrid.x_max=1e308",
-                       "grid.x_max must exceed grid.x_min = -1e+308 by a finite span"),
+                       "grid.x_max must exceed x_min = -1e+308 by a finite span"),
     "ensemble-x0-nan": ("simulate", "sim.kind=ensemble\nrun.x0=nan", "run.x0 must be finite"),
     "ensemble-v0-inf": ("simulate", "sim.kind=ensemble\nrun.mode=inertial\nrun.v0=inf",
                         "run.v0 must be finite"),
@@ -671,7 +741,7 @@ _KEYLESS_FAILURES = {
                           "bath.k_bt=0.15915494309189535\nbath.omega_d=43.4",
                           "grid.nt must keep the quantum kernel's thermal series within "
                           "2,000,000 terms: its tail needs 9,041,379 and the smallest |t| = "
-                          "t_max / n_even = "),
+                          "2.24987e-05 cuts it at 2,000,118"),
     "drude-series-3000.3": ("kernels", "bath.model=drude\nbath.hbar=1\n"
                             "bath.k_bt=0.15915494309189535\nbath.omega_d=3000.3",
                             "grid.nt must keep the quantum kernel's thermal series within "
@@ -996,18 +1066,14 @@ def test_every_float_rule_rejects_nan():
 
 
 def test_cli_raises_config_error_only_for_cross_key_rules():
-    """Single-key range rules live in the RunConfig.get that reads the key;
-    cli.py raises no ConfigError itself, and states each of its 32 cross-key
-    rules as one cfg.require call naming the key: compare.times names and
-    multiples of run.dt, compare.bins dividing grid.nx, the
-    Drude nu1^3, the quantum Drude bath.omega_d out of its pole band against
-    nu1, the Drude grid.t_max against nu1 and grid.nt, the quantum Drude
-    series within its cap (grid.nt), det.gamma *
-    det.t, output.autocorr_lags within run.steps, fp.x0, fp.v0 and compare's
-    run.x0 inside their grids, Lambda, Lambda d^2, decohere's grid.dy against
-    the thermal length, and its state.sigma
-    against grid.dx and grid.dy, packet centres inside the x grid, and each
-    grid axis's max above its min by a finite span (grid.x_max, grid.v_max).
+    """Single-key range rules live in the RunConfig.get that reads the key,
+    and a library refusal names its parameter (test_every_refused_parameter_
+    has_a_key); cli.py raises no ConfigError itself, and states each of its 23
+    cross-key rules as one cfg.require call naming the key: compare.times
+    names, the Drude nu1^3, the Drude grid.t_max against nu1 and grid.nt,
+    det.gamma * det.t, fp.x0 and fp.v0 inside their grids, Lambda, Lambda d^2,
+    and decohere's state.sigma against grid.dx and grid.dy and its packet
+    centres inside the x grid.
     The size rules pass _size_rule(key, what, doubles) to cfg.require, whose
     literal key is the one named: the step noise of an ensemble (run.steps)
     and of compare (compare.times), the per-trajectory arrays of each
@@ -1033,15 +1099,101 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
             return helper.args[0].value
         return call.args[1].value
 
-    assert len(requires) == 32
+    assert len(requires) == 23
     assert sorted(map(key, requires)) == [
-        "bath.hbar", "bath.hbar", "bath.omega_d", "compare.bins", "compare.times", "compare.times",
-        "compare.times", "det.gamma * det.t", "det.n", "fp.record_every", "fp.v0", "fp.x0",
-        "grid.dy", "grid.nt", "grid.nt", "grid.nw", "grid.nx", "grid.nx * grid.nv",
-        "grid.nx * grid.ny",
-        "grid.t_max", "grid.v_max", "grid.x_max", "output.autocorr_lags", "output.bins",
-        "run.n_traj", "run.n_traj", "run.record_every", "run.steps", "run.x0",
-        "state.separation", "state.separation", "state.sigma"]
+        "bath.hbar", "bath.hbar", "compare.times", "compare.times", "det.gamma * det.t",
+        "det.n", "fp.record_every", "fp.v0", "fp.x0", "grid.nt", "grid.nw", "grid.nx",
+        "grid.nx * grid.nv", "grid.nx * grid.ny", "grid.t_max", "output.bins", "run.n_traj",
+        "run.n_traj", "run.record_every", "run.steps", "state.separation", "state.separation",
+        "state.sigma"]
+
+
+def _refused_names() -> set[str]:
+    """Every parameter name that a ParameterError raised in src/bathdyn can
+    carry: its literal first argument, or an f-string over parameters of the
+    enclosing function, filled with each literal that a call of that
+    function passes for them."""
+    import ast
+    import pathlib
+
+    src = pathlib.Path(bathdyn.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    calls = [node for node in nodes if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)]
+    names = set()
+    for func in (node for node in nodes if isinstance(node, ast.FunctionDef)):
+        params = [a.arg for a in func.args.args]
+        for raised in ast.walk(func):
+            if not (isinstance(raised, ast.Call) and isinstance(raised.func, ast.Name)
+                    and raised.func.id == "ParameterError"):
+                continue
+            name = raised.args[0]
+            if isinstance(name, ast.Constant):
+                names.add(name.value)
+                continue
+            assert isinstance(name, ast.JoinedStr), ast.dump(name)
+            for call in (c for c in calls if c.func.id == func.name):
+                given = dict(zip(params, (a.value for a in call.args)))
+                names.add("".join(p.value if isinstance(p, ast.Constant)
+                                  else given[p.value.id] for p in name.values))
+    return names
+
+
+def test_every_refused_parameter_has_a_key():
+    """main turns a ParameterError into the config error of its parameter's
+    key in cli._KEYS, so every name a library refusal can carry has a key,
+    and the map holds no other: no named refusal reaches exit 2 without
+    one."""
+    import bathdyn.cli as cli
+
+    assert _refused_names() == set(cli._KEYS) == {
+        "dy", "omega_d", "t_grid", "times", "n_bins", "x0", "x_min", "x_max", "nx",
+        "v_min", "v_max", "nv", "autocorr_lags"}
+    assert len(set(cli._KEYS.values())) == len(cli._KEYS)
+
+
+@pytest.mark.parametrize("phase, target, text", [
+    ("build", "MasterOperator", ""),
+    ("step", "run_ensemble", "sim.kind=ensemble\nrun.steps=2\nrun.n_traj=4\n"),
+    ("stats", "wigner_transform", "run.steps=2\n"),
+    ("write", "write_csv", "sim.kind=smoluchowski\ngrid.nx=32\nfp.steps=2\n"),
+], ids=["build", "step", "stats", "write"])
+def test_unnamed_value_error_after_finish_fails_its_phase(tmp_path, monkeypatch, capsys,
+                                                          phase, target, text):
+    """A ValueError that names no parameter, raised once the config is read
+    whole, is a failure of the run, not of its config: exit 1, an "error:"
+    line, and an error record that names the phase it was raised in. (It
+    exited 2 as a config error.)"""
+    import bathdyn.cli as cli
+
+    def unnamed(*args, **kwargs):
+        raise ValueError("unnamed")
+
+    monkeypatch.setattr(cli, target, unnamed)
+    command = "simulate" if "sim.kind" in text else "decohere"
+    out = tmp_path / "out"
+    assert main([command, "--config", _write_config(tmp_path, text), "--out", str(out),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: unnamed\n"
+    assert _read_manifest(out)[-1] == {"record": "error", "exit_code": 1,
+                                       "message": "error: unnamed", "phase": phase}
+
+
+def test_unnamed_value_error_before_finish_is_a_config_error(tmp_path, monkeypatch, capsys):
+    """Until the config is read whole, a ValueError that names no parameter
+    is still a config error, exit 2, and its record names no phase."""
+    import bathdyn.cli as cli
+
+    def unnamed(*args, **kwargs):
+        raise ValueError("unnamed")
+
+    monkeypatch.setattr(cli, "decoherence_params", unnamed)
+    out = tmp_path / "out"
+    assert main(["decohere", "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: unnamed\n"
+    assert _error_records(out) == [
+        {"record": "error", "exit_code": 2, "message": "config error: unnamed"}]
 
 
 # (command, config, exit code, start of the stderr line) of values that failed
@@ -1091,20 +1243,20 @@ _NAMED_FAILURES = {
                               "bytes, within 1,073,741,824 bytes (got 16,000,000,000,000)"),
     "compare-times-overflow": ("simulate", "sim.kind=compare\ncompare.times=1e300\n"
                                "run.dt=1e-10", 2, "config error: compare.times must be "
-                               "multiples of run.dt = 1e-10 that are >= 0 (got 1e+300)"),
+                               "multiples of dt = 1e-10 that are >= 0 (got 1e+300)"),
     "compare-times-negative": ("simulate", "sim.kind=compare\ncompare.times=-0.1", 2,
-                               "config error: compare.times must be multiples of run.dt = "
+                               "config error: compare.times must be multiples of dt = "
                                "0.005 that are >= 0 (got -0.1)"),
     "compare-times-nan": ("simulate", "sim.kind=compare\ncompare.times=0.05,nan", 2,
-                          "config error: compare.times must be multiples of run.dt = 0.005 "
+                          "config error: compare.times must be multiples of dt = 0.005 "
                           "that are >= 0 (got nan)"),
     "compare-times-off-dt": ("simulate", "sim.kind=compare\ncompare.times=0.05,0.013", 2,
-                             "config error: compare.times must be multiples of run.dt"),
+                             "config error: compare.times must be multiples of dt = 0.005"),
     "compare-bins-0": ("simulate", "sim.kind=compare\ncompare.times=0.05\ncompare.bins=0",
                        2, "config error: compare.bins must be >= 1"),
     "compare-bins-divide": ("simulate", "sim.kind=compare\ncompare.times=0.05\n"
                             "compare.bins=48", 2,
-                            "config error: compare.bins must divide grid.nx = 512"),
+                            "config error: compare.bins must be >= 1 and divide nx = 512"),
     # a heavy tail of a hot ensemble on a narrow grid: a numerical failure of
     # the run, not of its config
     "compare-left-grid": ("simulate", "sim.kind=compare\ncompare.times=0.2\nrun.n_traj=50\n"

@@ -19,6 +19,7 @@ from bathdyn import (
     Harmonic,
     MasterOperator,
     Ordering,
+    ParameterError,
     Polynomial,
     StabilityError,
     decoherence_params,
@@ -207,8 +208,9 @@ def test_thermal_length_resolution_guard():
     d = decoherence_params(heavy)
     rho = gaussian_pure_state(41, 0.1, 31, 0.5, sigma=0.5)
     assert rho.dy > d.l_e / 2.0
-    with pytest.raises(ValueError, match="thermal length"):
+    with pytest.raises(ParameterError, match="^dy must resolve the thermal length") as exc:
         master_step(rho, None, heavy, 0.001)
+    assert exc.value.name == "dy" and exc.value.text.endswith(f"(got {rho.dy:g})")
 
 
 def test_master_step_input_guards():

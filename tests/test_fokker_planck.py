@@ -18,6 +18,7 @@ from bathdyn import (
     KramersOperator,
     MasterOperator,
     Ordering,
+    ParameterError,
     PhaseGrid,
     Polynomial,
     ProbField,
@@ -38,19 +39,25 @@ PARAMS = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
 HARMONIC = Harmonic(1.0, 1.0)
 
 
-# every PhaseGrid rejection with its exact message, one case each
+# every PhaseGrid rejection with its exact message, one case each; each but
+# the v fields given apart is a ParameterError naming its field
 _GRID_REJECTIONS = [
-    ((-np.inf, 2.0, 64), {}, "x range must be finite"),
-    ((2.0, -2.0, 64), {}, "x_max must exceed x_min"),
+    ((-np.inf, 2.0, 64), {}, "x_min must be finite"),
+    ((2.0, -2.0, 64), {}, "x_max must exceed x_min = 2 by a finite span (got -2)"),
+    ((-2.0, np.inf, 64), {}, "x_max must exceed x_min = -2 by a finite span (got inf)"),
+    ((-1e308, 1e308, 64), {}, "x_max must exceed x_min = -1e+308 by a finite span (got 1e+308)"),
     ((-2.0, 2.0, 8), {}, "nx must be >= 16"),
     ((-2.0, 2.0, 64), {"v_min": -1.0}, "v_min, v_max, nv must be given together"),
-    ((-2.0, 2.0, 64), {"v_min": -1.0, "v_max": np.nan, "nv": 32}, "v range must be finite"),
-    ((-2.0, 2.0, 64), {"v_min": 1.0, "v_max": 1.0, "nv": 32}, "v_max must exceed v_min"),
+    ((-2.0, 2.0, 64), {"v_min": -1.0, "v_max": np.nan, "nv": 32},
+     "v_max must exceed v_min = -1 by a finite span (got nan)"),
+    ((-2.0, 2.0, 64), {"v_min": 1.0, "v_max": 1.0, "nv": 32},
+     "v_max must exceed v_min = 1 by a finite span (got 1)"),
     ((-2.0, 2.0, 64), {"v_min": -1.0, "v_max": 1.0, "nv": 4}, "nv must be >= 16"),
     # x is judged before the v fields, and each axis's range before its count
-    ((2.0, -2.0, 8), {"v_min": -1.0}, "x_max must exceed x_min"),
+    ((2.0, -2.0, 8), {"v_min": -1.0}, "x_max must exceed x_min = 2 by a finite span (got -2)"),
     ((-2.0, 2.0, 8), {"v_min": 1.0, "v_max": -1.0, "nv": 4}, "nx must be >= 16"),
-    ((-2.0, 2.0, 64), {"v_min": 1.0, "v_max": -1.0, "nv": 4}, "v_max must exceed v_min"),
+    ((-2.0, 2.0, 64), {"v_min": 1.0, "v_max": -1.0, "nv": 4},
+     "v_max must exceed v_min = 1 by a finite span (got -1)"),
 ]
 
 
@@ -59,6 +66,9 @@ def test_phase_grid_validation():
         with pytest.raises(ValueError) as exc:
             PhaseGrid(*args, **kw)
         assert str(exc.value) == message
+        if "together" not in message:
+            assert isinstance(exc.value, ParameterError)
+            assert message.startswith(exc.value.name + " must ")
 
     g = PhaseGrid(-2.0, 2.0, 64)
     assert not g.is_2d
@@ -281,14 +291,15 @@ def test_compare_langevin_fp_input_guards():
     g2 = PhaseGrid(-3.0, 3.0, 32, v_min=-1.0, v_max=1.0, nv=16)
     with pytest.raises(ValueError, match="1D grid"):
         compare_langevin_fp(cfg, g2, (0.1,))
-    with pytest.raises(ValueError, match="n_bins must divide nx"):
-        compare_langevin_fp(cfg, grid, (0.1,), n_bins=48)
-    with pytest.raises(ValueError, match="multiples of dt"):
+    for n_bins in (0, -4, 48):
+        with pytest.raises(ParameterError, match="^n_bins must be >= 1 and divide nx = 128$"):
+            compare_langevin_fp(cfg, grid, (0.1,), n_bins=n_bins)
+    with pytest.raises(ParameterError, match="^times must be multiples of dt"):
         compare_langevin_fp(cfg, grid, (0.013,))
-    with pytest.raises(ValueError, match="multiples of dt"):
+    with pytest.raises(ValueError, match="^snapshot step out of range$"):
         compare_langevin_fp(cfg, grid, (1.5,))  # beyond steps * dt
     bad = _compare_config(x0=10.0)
-    with pytest.raises(ValueError, match="mismatched domains"):
+    with pytest.raises(ParameterError, match=r"^x0 must lie inside the x grid \(-3, 3\)"):
         compare_langevin_fp(bad, grid, (0.1,))
 
 

@@ -15,6 +15,7 @@ from bathdyn import (
     NoiseSpec,
     Ohmic,
     Oscillator,
+    ParameterError,
     bath_correlators,
     colored_noise,
     freq_shift,
@@ -84,6 +85,22 @@ def test_friction_kernel_drude():
     # frequency partner at omega = 0 equals gamma
     g0 = friction_kernel_freq(d, 0.0)
     assert abs(complex(g0) - 1.0) < 1e-14
+
+
+def test_friction_kernel_ohmic_is_its_delta_limit():
+    """The Ohmic kernel is the paper's local limit 2 gamma delta(t): before
+    t = 0 it is exactly zero, as an array or a scalar, and any t >= 0, where
+    only the delta's weight is defined, is refused."""
+    ohmic = Ohmic(gamma=2.5)
+    t = np.array([-3.0, -1e-300, -0.0 - 1e-12])
+    out = friction_kernel_time(ohmic, 1.0, t)
+    assert out.shape == t.shape and out.dtype == float and np.all(out == 0.0)
+    assert friction_kernel_time(ohmic, 1.0, -0.5) == 0.0
+    assert type(friction_kernel_time(ohmic, 1.0, -0.5)) is float
+    for bad in (0.0, -0.0, 1e-300, np.array([-1.0, 0.0]), np.array([-1.0, 2.0])):
+        with pytest.raises(ValueError, match=r"^distributional kernel: the Ohmic friction "
+                           r"kernel is 2 gamma delta\(t\); only t < 0 has a pointwise value"):
+            friction_kernel_time(ohmic, 1.0, bad)
 
 
 def test_scalar_in_scalar_out():
@@ -208,7 +225,8 @@ def test_quantum_drude_pole_band_oracle():
             values = noise_kernel_time(params, Drude(gamma=1.0, omega_d=omega_d), t).values
             np.testing.assert_allclose(values, _POLE_REFERENCE[omega_d], rtol=1e-9, atol=0.0)
         else:
-            with pytest.raises(ValueError, match="pole band"):
+            with pytest.raises(ParameterError, match="^omega_d must keep r = omega_d / nu1 = "
+                               ".* out of the pole band"):
                 noise_kernel_time(params, Drude(gamma=1.0, omega_d=omega_d), t)
     assert _pole_roundoff(3.0, 1.0) == math.inf and _pole_roundoff(2.0**53 + 0.7, 1.0) == math.inf
     assert _pole_roundoff(0.3, 1.0) == 0.0  # no pole below r = 1/2
@@ -242,8 +260,8 @@ def test_quantum_drude_series_cap_edge():
             values = noise_kernel_time(params, Drude(gamma=1.0, omega_d=omega_d), t).values
             np.testing.assert_allclose(values, _CAP_EDGE_REFERENCE, rtol=1e-9, atol=0.0)
         else:
-            with pytest.raises(ValueError, match=f"^the thermal series needs more than "
-                               f"2,000,000 terms: .* cuts it at {terms:,};"):
+            with pytest.raises(ParameterError, match="^t_grid must keep the quantum kernel's "
+                               f"thermal series within 2,000,000 terms: .* cuts it at {terms:,}$"):
                 noise_kernel_time(params, Drude(gamma=1.0, omega_d=omega_d), t)
 
 

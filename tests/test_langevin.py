@@ -539,6 +539,18 @@ def test_invalid_histogram_bins_raise_value_error():
             run_ensemble(cfg, "overdamped", histogram_bins=bins)
 
 
+def test_autocorr_lags_outside_the_run_are_refused_before_any_work(monkeypatch):
+    """autocorr_lags outside [0, steps] is a ParameterError naming it, raised
+    before any trajectory is set up."""
+    from bathdyn import ParameterError
+
+    cfg = _config(n_traj=10, steps=5)
+    monkeypatch.setattr(lv, "_chunks", lambda *args: pytest.fail("the run started"))
+    for lags in (-1, 6):
+        with pytest.raises(ParameterError, match=r"^autocorr_lags must be in \[0, steps\]$"):
+            run_ensemble(cfg, "overdamped", autocorr_lags=lags)
+
+
 def test_autocorrelation_tracks_ou_decay():
     params = BathParams(mass=1.0, gamma=2.0, k_bt=0.5, hbar=0.0)
     cfg = SimConfig(potential=POT, params=params, dt=0.02, steps=800,
