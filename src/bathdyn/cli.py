@@ -279,16 +279,6 @@ class Manifest:
 # RunConfig.get rules, (test, text); every test is False on NaN
 _FINITE = (math.isfinite, "finite")
 _FINITE_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
-_FINITE_NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-_SQUARE = (lambda v: v > 0.0 and 0.0 < v * v < math.inf,
-           "> 0 with a finite, nonzero square")
-_FOURTH_POWER = (lambda v: v > 0.0 and 0.0 < (v * v) * (v * v) < math.inf,
-                 "> 0 with a finite, nonzero fourth power")
-
-
-# decohere's state.sigma, in grid spacings, whose Gaussian spectrum has fallen
-# to the grid_fits threshold at the Nyquist wavenumber
-_RESOLVED = math.sqrt(2.0 * math.log(1.0 / _EDGE_TOL)) / math.pi
 
 
 # the config values of fp.ordering and decohere.ordering
@@ -316,11 +306,15 @@ def _size_rule(key: str, what: str, doubles: int) -> tuple[bool, str, str]:
 
 
 # the config key of each parameter that a library refusal (ParameterError) names
-_KEYS = {"dy": "grid.dy", "omega_d": "bath.omega_d", "t_grid": "grid.nt",
-         "times": "compare.times", "n_bins": "compare.bins", "x0": "run.x0",
-         "x_min": "grid.x_min", "x_max": "grid.x_max", "nx": "grid.nx",
-         "v_min": "grid.v_min", "v_max": "grid.v_max", "nv": "grid.nv",
-         "autocorr_lags": "output.autocorr_lags"}
+_KEYS = {"mass": "bath.mass", "gamma": "bath.gamma", "k_bt": "bath.k_bt", "hbar": "bath.hbar",
+         "omega_d": "bath.omega_d", "omega0": "potential.omega0", "a": "potential.a",
+         "b": "potential.b", "coeffs": "potential.coeffs", "t_grid": "grid.nt",
+         "t_min": "grid.t_max", "x_min": "grid.x_min", "x_max": "grid.x_max", "nx": "grid.nx",
+         "v_min": "grid.v_min", "v_max": "grid.v_max", "nv": "grid.nv", "dx": "grid.dx",
+         "dy": "grid.dy", "dt": "run.dt", "steps": "run.steps", "n_traj": "run.n_traj",
+         "x0": "run.x0", "v0": "run.v0", "sigma_x": "run.sigma_x", "sigma_v": "run.sigma_v",
+         "times": "compare.times", "n_bins": "compare.bins", "sigma": "state.sigma",
+         "separation": "state.separation", "autocorr_lags": "output.autocorr_lags"}
 
 
 def _tag(passed) -> str:
@@ -351,13 +345,13 @@ def _budget_check(man: Manifest, quantity: str, ordering: Ordering, sink_rate: f
 
 
 def _bath_from(cfg: RunConfig, mass: float = 1.0, gamma: float = 1.0,
-               hbar: float = 0.0, hbar_rule=_FINITE_NONNEGATIVE) -> BathParams:
-    """The bath.* parameters, with the calling command's defaults and hbar rule."""
+               hbar: float = 0.0) -> BathParams:
+    """The bath.* parameters, with the calling command's defaults."""
     return BathParams(
-        mass=cfg.get("bath.mass", as_float, mass, _FINITE_POSITIVE),
-        gamma=cfg.get("bath.gamma", as_float, gamma, _FINITE_POSITIVE),
-        k_bt=cfg.get("bath.k_bt", as_float, 1.0, _FINITE_POSITIVE),
-        hbar=cfg.get("bath.hbar", as_float, hbar, hbar_rule),
+        mass=cfg.get("bath.mass", as_float, mass),
+        gamma=cfg.get("bath.gamma", as_float, gamma),
+        k_bt=cfg.get("bath.k_bt", as_float, 1.0),
+        hbar=cfg.get("bath.hbar", as_float, hbar),
     )
 
 
@@ -368,18 +362,13 @@ def _potential_from(cfg: RunConfig, mass: float, allow_none: bool = False):
         choices.append("none")
         default = "none"
     kind = cfg.get("potential.kind", as_choice(*choices), default)
-    if kind == "harmonic":  # Harmonic.k is mass omega0^2
-        return Harmonic(mass=mass, omega0=cfg.get("potential.omega0", as_float, 1.0, (
-            lambda v: v > 0.0 and 0.0 < mass * (v * v) < math.inf,
-            "> 0 with bath.mass omega0^2 finite and nonzero")))
+    if kind == "harmonic":
+        return Harmonic(mass=mass, omega0=cfg.get("potential.omega0", as_float, 1.0))
     if kind == "double_well":
-        return DoubleWell(
-            a=cfg.get("potential.a", as_float, -1.0, _FINITE),
-            b=cfg.get("potential.b", as_float, 0.25, _FINITE_POSITIVE),
-        )
+        return DoubleWell(a=cfg.get("potential.a", as_float, -1.0),
+                          b=cfg.get("potential.b", as_float, 0.25))
     if kind == "polynomial":
-        return Polynomial(coeffs=cfg.get("potential.coeffs", as_float_list, rule=(
-            lambda cs: all(map(math.isfinite, cs)), "finite in every entry")))
+        return Polynomial(coeffs=cfg.get("potential.coeffs", as_float_list))
     return None
 
 
@@ -400,13 +389,7 @@ def cmd_kernels(cfg: RunConfig, man: Manifest) -> None:
         # the time grid, its half-length friction grid, |t|, the kernel values
         # and three temporaries of its formula (tracemalloc read 5.5)
         cfg.require(*_size_rule("grid.nt", f"the time tables, {nt} points x 7 arrays", 7 * nt))
-        omega_d = cfg.get("bath.omega_d", as_float, rule=_FOURTH_POWER)
-        # the quantum kernel's thermal rates are n nu1 and its series cut-off
-        # divides by nu1^3 (hbar = 0 has neither); a finite, nonzero cube also
-        # keeps omega_d / nu1 finite, since omega_d^4 is
-        nu1 = 2.0 * math.pi * params.k_bt / hbar if hbar > 0 else 1.0
-        cfg.require(0.0 < nu1 * nu1 * nu1 < math.inf, "bath.hbar",
-                    f"give nu1 = 2 pi k_bt / hbar a finite, nonzero cube (got nu1 = {nu1:g})")
+        omega_d = cfg.get("bath.omega_d", as_float)
         model = Drude(gamma=gamma, omega_d=omega_d)
         params = dataclasses.replace(params, omega_d=omega_d)
         w_max = cfg.get("grid.w_max", as_float, 5.0 * omega_d, _FINITE_POSITIVE)
@@ -421,12 +404,8 @@ def cmd_kernels(cfg: RunConfig, man: Manifest) -> None:
         n_even = nt + nt % 2
         t_grid = -t_max + (np.arange(n_even) + 0.5) * (2.0 * t_max / n_even)
         t_min = float(np.min(np.abs(t_grid)))  # about t_max / n_even
-        # its log term needs exp(-nu1 |t|) < 1, in numpy's exp as the kernel
-        # takes it, at the grid's smallest |t|
-        cfg.require(np.exp(-nu1 * t_min) < 1.0, "grid.t_max",
-                    "give the smallest |t| = t_max / n_even a finite "
-                    f"log(1 - exp(-nu1 |t|)) (got t_max = {t_max:g})")
-        _quantum_terms(omega_d, nu1, t_min)  # the pole band and the series cap
+        # nu1^3, the log term at t_min, the pole band and the series cap
+        _quantum_terms(omega_d, 2.0 * math.pi * params.k_bt / hbar, t_min)
     elif model_name == "drude":
         t_grid = np.linspace(-t_max, t_max, nt + 1 - nt % 2)
     cfg.finish()
@@ -534,14 +513,14 @@ def _run_ensemble_cmd(cfg, params, potential, man) -> None:
     config = SimConfig(
         potential=potential,
         params=params,
-        dt=cfg.get("run.dt", as_float, 0.01, _FINITE_POSITIVE),
-        steps=cfg.get("run.steps", as_int, 1000, _at_least(1)),
-        n_traj=cfg.get("run.n_traj", as_int, 1000, _at_least(1)),
+        dt=cfg.get("run.dt", as_float, 0.01),
+        steps=cfg.get("run.steps", as_int, 1000),
+        n_traj=cfg.get("run.n_traj", as_int, 1000),
         master_seed=cfg.get("run.seed", as_int, 1234),
-        x0=cfg.get("run.x0", as_float, 0.0, _FINITE),
-        v0=cfg.get("run.v0", as_float, 0.0, _FINITE),
-        sigma_x=cfg.get("run.sigma_x", as_float, 0.0, _FINITE_NONNEGATIVE),
-        sigma_v=cfg.get("run.sigma_v", as_float, 0.0, _FINITE_NONNEGATIVE),
+        x0=cfg.get("run.x0", as_float, 0.0),
+        v0=cfg.get("run.v0", as_float, 0.0),
+        sigma_x=cfg.get("run.sigma_x", as_float, 0.0),
+        sigma_v=cfg.get("run.sigma_v", as_float, 0.0),
     )
     bins = cfg.get("output.bins", as_int, 64, _at_least(1))
     # the histogram's edges, counts, widths, total x widths and density, and
@@ -632,15 +611,15 @@ def _run_compare_cmd(cfg, params, potential, man) -> None:
     cfg.require(len(set(names)) == len(names), "compare.times",
                 "differ in %g form, which names the checks")
     bins = cfg.get("compare.bins", as_int, 64)
-    dt = cfg.get("run.dt", as_float, 0.005, _FINITE_POSITIVE)
+    dt = cfg.get("run.dt", as_float, 0.005)
     x0 = cfg.get("run.x0", as_float, 0.0)
     # compare_langevin_fp's own tests, before the run's length is taken from them
     steps = max(1, *_compare_steps(grid, times, dt, x0, bins))
     config = SimConfig(
         potential=potential, params=params, dt=dt, steps=steps, x0=x0,
-        n_traj=cfg.get("run.n_traj", as_int, 20000, _at_least(1)),
+        n_traj=cfg.get("run.n_traj", as_int, 20000),
         master_seed=cfg.get("run.seed", as_int, 1234),
-        sigma_x=cfg.get("run.sigma_x", as_float, 0.0, _FINITE_NONNEGATIVE),
+        sigma_x=cfg.get("run.sigma_x", as_float, 0.0),
     )
     # the step noise is steps x chunk; the final x and v and a snapshot per time
     chunk, arrays = _chunk_size(config.n_traj, steps), 2 + len(times)
@@ -677,19 +656,16 @@ def cmd_simulate(cfg: RunConfig, man: Manifest) -> None:
 
 
 def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
-    # hbar^2 sets Lambda and l_e, so it must not overflow or vanish
-    params = _bath_from(cfg, mass=20.0, gamma=6.25e-3, hbar=1.0, hbar_rule=_SQUARE)
-    dec = decoherence_params(params)
+    params = _bath_from(cfg, mass=20.0, gamma=6.25e-3, hbar=1.0)
+    dec = decoherence_params(params)  # it tests hbar^2 and Lambda
     hbar, lam = params.hbar, dec.lam
-    cfg.require(0.0 < lam < math.inf, "bath.hbar",
-                f"give a finite Lambda = w / 2 hbar^2 > 0 (got {lam:g})")
     potential = _potential_from(cfg, params.mass, allow_none=True)
     state_kind = cfg.get("state.kind", as_choice("gaussian", "superposition"),
                          "superposition")
-    sigma = cfg.get("state.sigma", as_float, 0.3, _SQUARE)
+    sigma = cfg.get("state.sigma", as_float, 0.3)
     separation = cfg.get("state.separation", as_float, 4.0, _FINITE_POSITIVE)
     nx = cfg.get("grid.nx", as_int, 101, _at_least(1))
-    dx = cfg.get("grid.dx", as_float, 0.08, _FINITE_POSITIVE)
+    dx = cfg.get("grid.dx", as_float, 0.08)
     # rho's y grid is centred on its y = 0 row
     ny = cfg.get("grid.ny", as_int, 81, (lambda v: v >= 1 and v % 2 == 1, "odd and >= 1"))
     # 16 arrays of the padded FFT grid: the start, the last mark's field and
@@ -700,7 +676,7 @@ def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
     cells = nx * ny if 16 * 8 * nx * ny > _SIZE_LIMIT else _odd_padded(nx) * _odd_padded(ny)
     cfg.require(*_size_rule("grid.nx * grid.ny", f"the padded FFT grid, {cells} cells x 16 "
                             "arrays", 16 * cells))
-    dy = cfg.get("grid.dy", as_float, 0.2, _FINITE_POSITIVE)
+    dy = cfg.get("grid.dy", as_float, 0.2)
     _check_dy(dy, dec.l_e)
     dt = cfg.get("run.dt", as_float, 0.002, _FINITE_POSITIVE)
     steps = cfg.get("run.steps", as_int, 50, _at_least(1))
@@ -715,22 +691,8 @@ def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
     superposed = state_kind == "superposition"
     cfg.require(not superposed or 0.0 < lam_d2 < math.inf, "state.separation",
                 f"give a finite Lambda d^2 > 0 (got {lam_d2:g})")
-    # rho's Gaussian profiles have standard deviations s = sigma along x and
-    # 2 sigma along y, so their spectra fall as exp(-(k s)^2 / 2); at each
-    # axis's Nyquist wavenumber pi / spacing that must be under grid_fits'
-    # threshold, or the spectral kinetic substep rings out to the grid edge:
-    # s >= sqrt(2 ln(1 / threshold)) / pi = 1.67 spacings
-    cfg.require(sigma >= _RESOLVED * dx and 2.0 * sigma >= _RESOLVED * dy, "state.sigma",
-                f"be resolved by the grid: sigma >= {_RESOLVED:.3g} grid.dx and 2 sigma >= "
-                f"{_RESOLVED:.3g} grid.dy (got {sigma:g} on {dx:g} x {dy:g})")
-    # each packet centre, +-separation / 2 (a Gaussian's is 0, a grid point),
-    # must lie inside the span [x_lo, x_hi] of the x grid built about 0
-    x_lo = -(nx // 2) * dx
-    x_hi = x_lo + (nx - 1) * dx
-    half = separation / 2.0
-    cfg.require(not superposed or x_lo <= -half and half <= x_hi, "state.separation",
-                f"put each packet centre (+-{half:g}) inside the x grid [{x_lo:g}, {x_hi:g}]")
 
+    # the state functions test grid.dx, state.sigma and the packet centres first
     if superposed:
         rho = superposition_state(nx, dx, ny, dy, separation=separation, sigma=sigma)
     else:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fokker_planck import Ordering, _check_values, _Operator
-from .kernels import BathParams, ParameterError
+from .kernels import BathParams, ParameterError, _positive, _require
 from .potentials import Potential
 
 __all__ = [
@@ -79,6 +79,9 @@ _HERM_TOL = 1e-8
 # dt = 0.002, 1.8e-5 of the peak on its default state and grid, rounded down
 # to a decade
 _EDGE_TOL = 1e-6
+# a state's width sigma, in grid spacings, whose Gaussian spectrum has fallen
+# to _EDGE_TOL at the Nyquist wavenumber (_check_state)
+_RESOLVED = math.sqrt(2.0 * math.log(1.0 / _EDGE_TOL)) / math.pi
 
 
 @dataclass(frozen=True)
@@ -97,11 +100,15 @@ class DecoherenceParams:
 
 
 def decoherence_params(params: BathParams) -> DecoherenceParams:
-    """Compute (w, D, Lambda, l_e) from the bath parameters; needs hbar > 0."""
-    if params.hbar == 0:
-        raise ValueError("hbar must be > 0: hbar = 0, the classical limit, has infinite Lambda")
+    """Compute (w, D, Lambda, l_e) from the bath parameters. hbar^2 sets
+    Lambda and l_e, so it must be finite and nonzero (hbar = 0, the classical
+    limit, has infinite Lambda), and Lambda finite and > 0; each refusal
+    names hbar."""
+    _require(0.0 < params.hbar * params.hbar < math.inf, "hbar",
+             "be > 0 with a finite, nonzero square")
     hbar2 = params.hbar ** 2
     lam = params.w / (2.0 * hbar2)
+    _require(0.0 < lam < math.inf, "hbar", f"give a finite Lambda = w / 2 hbar^2 > 0 (got {lam:g})")
     l_e_sq = 2.0 * math.pi * hbar2 / (params.mass * params.k_bt)
     return DecoherenceParams(
         w=params.w, D=params.D, lam=lam, l_e=math.sqrt(l_e_sq), l_e_sq=l_e_sq
@@ -109,7 +116,9 @@ def decoherence_params(params: BathParams) -> DecoherenceParams:
 
 
 def _check_dy(dy: float, l_e: float) -> None:
-    """The y spacing resolves the thermal length l_e: dy <= l_e / 2."""
+    """The y spacing is finite and > 0 and resolves the thermal length l_e:
+    dy <= l_e / 2."""
+    _positive("dy", dy)
     if not dy <= l_e / 2.0:
         raise ParameterError("dy", "resolve the thermal length l_e = sqrt(2 pi hbar^2 / M k_bt): "
                              f"be <= l_e / 2 = {l_e / 2.0:.6g} (got {dy:g})")
@@ -214,12 +223,29 @@ def _pure_state_field(
     return field
 
 
+def _check_state(dx: float, dy: float, sigma: float) -> None:
+    """A state's spacings, finite and > 0, and its position spread sigma: > 0
+    with a finite, nonzero square, and resolved by the grid. rho's Gaussian
+    profiles have standard deviations s = sigma along x and 2 sigma along y,
+    so their spectra fall as exp(-(k s)^2 / 2); at each axis's Nyquist
+    wavenumber pi / spacing that must be under grid_fits' threshold, or the
+    spectral kinetic substep rings out to the grid edge: s >= sqrt(2 ln(1 /
+    threshold)) / pi = 1.67 spacings (_RESOLVED)."""
+    _positive("dx", dx)
+    _positive("dy", dy)
+    _require(sigma > 0.0 and 0.0 < sigma * sigma < math.inf, "sigma",
+             "be > 0 with a finite, nonzero square")
+    _require(sigma >= _RESOLVED * dx and 2.0 * sigma >= _RESOLVED * dy, "sigma",
+             f"be resolved by the grid: sigma >= {_RESOLVED:.3g} dx and 2 sigma >= "
+             f"{_RESOLVED:.3g} dy (got {sigma:g} on {dx:g} x {dy:g})")
+
+
 def gaussian_pure_state(
     nx: int, dx: float, ny: int, dy: float, center: float = 0.0, sigma: float = 1.0
 ) -> DensityField:
-    """Pure Gaussian wavepacket with position spread sigma."""
-    if not sigma > 0:
-        raise ValueError("sigma must be > 0")
+    """Pure Gaussian wavepacket with position spread sigma; the spacings and
+    sigma are tested first (_check_state)."""
+    _check_state(dx, dy, sigma)
 
     def psi(x):
         return np.exp(-((x - center) ** 2) / (4.0 * sigma ** 2)).astype(complex)
@@ -229,12 +255,17 @@ def gaussian_pure_state(
 
 def superposition_state(nx: int, dx: float, ny: int, dy: float, separation: float,
                         sigma: float) -> DensityField:
-    """Symmetric superposition of two Gaussians centered at +-separation/2."""
-    if not sigma > 0:
-        raise ValueError("sigma must be > 0")
-    if not separation > 0:
-        raise ValueError("separation must be > 0")
+    """Symmetric superposition of two Gaussians centered at +-separation/2.
+    The spacings and sigma are tested first (_check_state), then separation:
+    finite and > 0, with each packet centre inside the span [x_lo, x_hi] of
+    the x grid, which _pure_state_field builds about 0."""
+    _check_state(dx, dy, sigma)
+    _positive("separation", separation)
     half = separation / 2.0
+    x_lo = -(nx // 2) * dx
+    x_hi = x_lo + (nx - 1) * dx
+    _require(x_lo <= -half and half <= x_hi, "separation",
+             f"put each packet centre (+-{half:g}) inside the x grid [{x_lo:g}, {x_hi:g}]")
 
     def psi(x):
         g1 = np.exp(-((x - half) ** 2) / (4.0 * sigma ** 2))

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .kernels import BathParams, ParameterError
+from .kernels import BathParams, ParameterError, _positive
 from .langevin import EnsembleStats, SimConfig, StabilityError, run_ensemble
 from .potentials import Potential
 
@@ -499,10 +499,13 @@ def _step_count(t: float, dt: float) -> int:
 
 def _compare_steps(grid: PhaseGrid, times, dt: float, x0: float, n_bins: int) -> list[int]:
     """The step of dt at which a comparison reaches each of its times, for
-    arguments that pass its checks: a 1-D grid, n_bins >= 1 bins that divide
-    its nx cells, times that are multiples of dt, and a start x0 inside the
-    grid. Each refused parameter raises ParameterError; compare_langevin_fp
-    runs this first, and a caller may run it before any work."""
+    arguments that pass its checks: a finite dt > 0, tested first, since a
+    caller may run this before any SimConfig tests dt; a 1-D grid, n_bins >= 1
+    bins that divide its nx cells, times that are multiples of dt, and a
+    start x0 inside the grid. Each refused parameter raises ParameterError;
+    compare_langevin_fp runs this first, and a caller may run it before any
+    work."""
+    _positive("dt", dt)
     if grid.is_2d:
         raise ValueError("comparison runs on a 1D grid")
     if not (n_bins >= 1 and grid.nx % n_bins == 0):

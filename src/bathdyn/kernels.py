@@ -17,7 +17,7 @@ All functions are pure; models and parameter bundles are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Union
 
 import numpy as np
@@ -53,6 +53,26 @@ class ParameterError(ValueError):
         self.name, self.text = name, text
 
 
+def _require(ok, name: str, text: str) -> None:
+    """Raise ParameterError(name, text) unless ok: a library function's test
+    of the argument it names."""
+    if not ok:
+        raise ParameterError(name, text)
+
+
+def _positive(name: str, value: float) -> None:
+    """Refuse a value that is not finite and > 0, NaN included."""
+    if not 0.0 < value < math.inf:
+        raise ParameterError(name, "be finite and > 0")
+
+
+def _cutoff(omega_d: float) -> None:
+    """Refuse a Drude cutoff without a finite, nonzero fourth power, which
+    the quantum kernel's series coefficients omega_d^4 take."""
+    _require(omega_d > 0.0 and 0.0 < (omega_d * omega_d) * (omega_d * omega_d) < math.inf,
+             "omega_d", "be > 0 with a finite, nonzero fourth power")
+
+
 @dataclass(frozen=True)
 class Ohmic:
     """Strictly Ohmic spectral density, sigma(w) = 2 M gamma w."""
@@ -60,8 +80,7 @@ class Ohmic:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be > 0")
+        _positive("gamma", self.gamma)
 
 
 @dataclass(frozen=True)
@@ -72,10 +91,8 @@ class Drude:
     omega_d: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be > 0")
-        if not self.omega_d > 0:
-            raise ValueError("omega_d must be > 0")
+        _positive("gamma", self.gamma)
+        _cutoff(self.omega_d)
 
 
 @dataclass(frozen=True)
@@ -110,8 +127,9 @@ SpectralDensity = Union[Ohmic, Drude, DiscreteBath]
 class BathParams:
     """System-plus-bath parameters.
 
-    mass, gamma, k_bt strictly positive; hbar >= 0 (0 = classical limit);
-    omega_d optional Drude cutoff (> 0 when given).
+    mass, gamma, k_bt finite and > 0; hbar finite and >= 0 (0 = classical
+    limit); omega_d optional Drude cutoff (when given, > 0 with a finite,
+    nonzero fourth power). Each refusal is a ParameterError naming its field.
 
     Derived: w = 2 M gamma k_bt (noise strength), D = k_bt / (M gamma)
     (spatial diffusion constant). They satisfy w = 2 gamma^2 M^2 D.
@@ -124,16 +142,12 @@ class BathParams:
     omega_d: float | None = None
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError("mass must be > 0")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be > 0")
-        if not self.k_bt > 0:
-            raise ValueError("k_bt must be > 0")
-        if self.hbar < 0:
-            raise ValueError("hbar must be >= 0")
-        if self.omega_d is not None and not self.omega_d > 0:
-            raise ValueError("omega_d must be > 0 when given")
+        _positive("mass", self.mass)
+        _positive("gamma", self.gamma)
+        _positive("k_bt", self.k_bt)
+        _require(0.0 <= self.hbar < math.inf, "hbar", "be finite and >= 0")
+        if self.omega_d is not None:
+            _cutoff(self.omega_d)
 
     @property
     def w(self) -> float:
@@ -152,6 +166,9 @@ class KernelSamples:
 
     area is the trapezoid integral over the grid (1 for a complete grid);
     short_grid flags grids capturing less than 1 - 1e-4 of the unit area.
+    t_grid must be 1-D and uniformly increasing (_time_grid), a test left
+    out when grid_checked says the caller ran it: noise_kernel_time checks
+    its grid once, before it computes the kernel.
     """
 
     t_grid: np.ndarray
@@ -159,9 +176,10 @@ class KernelSamples:
     dt: float
     area: float
     short_grid: bool
+    grid_checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        t, _ = _time_grid(self.t_grid)
+    def __post_init__(self, grid_checked):
+        t = np.asarray(self.t_grid, dtype=float) if grid_checked else _time_grid(self.t_grid)[0]
         v = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(v)):
             raise ValueError("kernel values must be finite")
@@ -366,9 +384,18 @@ def _series_terms(omega_d: float, nu1: float, t_min: float) -> tuple[int, int]:
 def _quantum_terms(omega_d: float, nu1: float, t_min: float) -> int:
     """The count of residual-series terms that the quantum Drude kernel sums
     for r = omega_d / nu1 on a t_grid whose smallest |t| is t_min: the
-    smaller of _series_terms' counts, at least 8. Raises ParameterError for
-    an omega_d in the pole band, whose _pole_roundoff exceeds _POLE_TOL, and
-    for a t_grid whose series needs more than _SERIES_CAP terms."""
+    smaller of _series_terms' counts, at least 8. Raises ParameterError, in
+    this order, for a thermal rate nu1 = 2 pi k_bt / hbar without a finite,
+    nonzero cube (the rates are n nu1 and the series cut-off divides by
+    nu1^3; a finite cube also keeps omega_d / nu1 finite, since omega_d^4
+    is), naming hbar; for a t_min that is not finite and > 0, or at which the
+    log term, log(1 - exp(-nu1 |t|)) as numpy's exp takes it, is not finite;
+    for an omega_d in the pole band, whose _pole_roundoff exceeds _POLE_TOL;
+    and for a t_grid whose series needs more than _SERIES_CAP terms."""
+    _require(0.0 < nu1 * nu1 * nu1 < math.inf, "hbar",
+             f"give nu1 = 2 pi k_bt / hbar a finite, nonzero cube (got nu1 = {nu1:g})")
+    _require(0.0 < t_min < math.inf and np.exp(-nu1 * t_min) < 1.0, "t_min",
+             f"be finite and > 0 with log(1 - exp(-nu1 t_min)) finite (got t_min = {t_min:g})")
     bound = _pole_roundoff(omega_d, nu1)
     if bound > _POLE_TOL:
         raise ParameterError("omega_d", f"keep r = omega_d / nu1 = {omega_d / nu1:.10g} out of "
@@ -447,7 +474,7 @@ def noise_kernel_time(params: BathParams, model: SpectralDensity, t_grid) -> Ker
     vals = _drude_time_kernel(model.omega_d, params.hbar, params.k_bt, np.abs(t))
     area = float(np.trapezoid(vals, t))
     return KernelSamples(t_grid=t, values=vals, dt=dt, area=area,
-                         short_grid=bool(abs(area - 1.0) > 1e-4))
+                         short_grid=bool(abs(area - 1.0) > 1e-4), grid_checked=True)
 
 
 def bath_correlators(params: BathParams, model: DiscreteBath, t: float, tp: float):

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import BathParams, ParameterError
+from .kernels import BathParams, ParameterError, _positive, _require
 from .noise import derive_rng, lagged_products
 from .potentials import Potential
 
@@ -106,7 +106,10 @@ class SimConfig:
     """Ensemble run description.
 
     Initial conditions are a Gaussian cloud centered at (x0, v0) with widths
-    (sigma_x, sigma_v); zero width means a point start.
+    (sigma_x, sigma_v); zero width means a point start. dt must be finite and
+    > 0, steps and n_traj >= 1, x0 and v0 finite and the widths finite and
+    >= 0, each refused with a ParameterError naming it; then dt must keep
+    within the friction bound (_check_dt, a StabilityError).
     """
 
     potential: Potential
@@ -121,16 +124,13 @@ class SimConfig:
     sigma_v: float = 0.0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.n_traj < 1:
-            raise ValueError("n_traj must be >= 1")
-        if not all(math.isfinite(s) and s >= 0 for s in (self.sigma_x, self.sigma_v)):
-            raise ValueError("initial widths must be finite and >= 0")
-        if not (math.isfinite(self.x0) and math.isfinite(self.v0)):
-            raise ValueError("initial point must be finite")
+        _positive("dt", self.dt)
+        _require(self.steps >= 1, "steps", "be >= 1")
+        _require(self.n_traj >= 1, "n_traj", "be >= 1")
+        _require(math.isfinite(self.x0), "x0", "be finite")
+        _require(math.isfinite(self.v0), "v0", "be finite")
+        _require(0.0 <= self.sigma_x < math.inf, "sigma_x", "be finite and >= 0")
+        _require(0.0 <= self.sigma_v < math.inf, "sigma_v", "be finite and >= 0")
         _check_dt(self.params, self.dt)
 
     @property

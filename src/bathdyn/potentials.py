@@ -1,10 +1,16 @@
-"""Potentials with exact value, gradient, and curvature, vectorized over x."""
+"""Potentials with exact value, gradient, and curvature, vectorized over x.
+
+Each constructor refuses a coefficient that is not finite, or out of its
+range, with a kernels.ParameterError naming it."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .kernels import _positive, _require
 
 __all__ = ["Potential", "Harmonic", "DoubleWell", "Polynomial"]
 
@@ -30,10 +36,9 @@ class Harmonic(Potential):
     omega0: float
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError("mass must be > 0")
-        if not self.omega0 > 0:
-            raise ValueError("omega0 must be > 0")
+        _positive("mass", self.mass)
+        _require(self.omega0 > 0.0 and 0.0 < self.mass * (self.omega0 * self.omega0) < math.inf,
+                 "omega0", "be > 0 with mass omega0^2 finite and nonzero")
 
     @property
     def k(self) -> float:
@@ -57,8 +62,8 @@ class DoubleWell(Potential):
     b: float
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError("quartic coefficient b must be > 0")
+        _require(math.isfinite(self.a), "a", "be finite")
+        _positive("b", self.b)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -81,8 +86,8 @@ class Polynomial(Potential):
 
     def __post_init__(self):
         c = tuple(float(v) for v in np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
-        if len(c) == 0:
-            raise ValueError("coeffs must not be empty")
+        _require(len(c) > 0, "coeffs", "not be empty")
+        _require(all(map(math.isfinite, c)), "coeffs", "be finite in every entry")
         object.__setattr__(self, "coeffs", c)
 
     def value(self, x):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bathdyn
-from bathdyn.cli import _RESOLVED, Manifest, main, write_csv
+from bathdyn.cli import Manifest, main, write_csv
 from bathdyn.config import (
     ConfigError,
     RunConfig,
@@ -24,7 +24,7 @@ from bathdyn.config import (
     as_int,
     parse_config_text,
 )
-from bathdyn.decoherence import _odd_padded
+from bathdyn.decoherence import _RESOLVED, _odd_padded
 
 
 def test_parse_config_text():
@@ -684,7 +684,7 @@ _KEYLESS_FAILURES = {
     "decohere-omega0-1e200": ("decohere", "potential.kind=harmonic\npotential.omega0=1e200",
                               "potential.omega0 must be > 0 with"),
     "omega0-0": ("simulate", "sim.kind=ensemble\npotential.omega0=0",
-                 "potential.omega0 must be > 0 with bath.mass omega0^2 finite and nonzero"),
+                 "potential.omega0 must be > 0 with mass omega0^2 finite and nonzero"),
     "omega0-inf": ("simulate", "sim.kind=smoluchowski\npotential.omega0=inf",
                    "potential.omega0 must be > 0 with"),
     "omega0-1e-200": ("simulate", "sim.kind=ensemble\npotential.omega0=1e-200",
@@ -1060,20 +1060,19 @@ def test_langevin_friction_bound_exits_1_with_a_dt_it_accepts(tmp_path, capsys, 
 def test_every_float_rule_rejects_nan():
     import bathdyn.cli as cli
 
-    for test, text in (cli._FINITE, cli._FINITE_POSITIVE, cli._FINITE_NONNEGATIVE,
-                       cli._SQUARE, cli._FOURTH_POWER):
+    for test, text in (cli._FINITE, cli._FINITE_POSITIVE):
         assert not test(math.nan), text
 
 
 def test_cli_raises_config_error_only_for_cross_key_rules():
-    """Single-key range rules live in the RunConfig.get that reads the key,
-    and a library refusal names its parameter (test_every_refused_parameter_
-    has_a_key); cli.py raises no ConfigError itself, and states each of its 23
-    cross-key rules as one cfg.require call naming the key: compare.times
-    names, the Drude nu1^3, the Drude grid.t_max against nu1 and grid.nt,
-    det.gamma * det.t, fp.x0 and fp.v0 inside their grids, Lambda, Lambda d^2,
-    and decohere's state.sigma against grid.dx and grid.dy and its packet
-    centres inside the x grid.
+    """A single-key range test lives with the library object that holds the
+    value, which refuses it with a ParameterError naming its parameter
+    (test_every_refused_parameter_has_a_key); a key that no library object
+    receives before any work keeps a rule in the RunConfig.get that reads
+    it (test_a_key_has_a_cli_rule_or_a_library_refusal). cli.py raises no
+    ConfigError itself, and states each of its 18 cross-key rules as one
+    cfg.require call naming the key: compare.times names, det.gamma *
+    det.t, fp.x0 and fp.v0 inside their grids, and Lambda d^2.
     The size rules pass _size_rule(key, what, doubles) to cfg.require, whose
     literal key is the one named: the step noise of an ensemble (run.steps)
     and of compare (compare.times), the per-trajectory arrays of each
@@ -1099,20 +1098,21 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
             return helper.args[0].value
         return call.args[1].value
 
-    assert len(requires) == 23
+    assert len(requires) == 18
     assert sorted(map(key, requires)) == [
-        "bath.hbar", "bath.hbar", "compare.times", "compare.times", "det.gamma * det.t",
-        "det.n", "fp.record_every", "fp.v0", "fp.x0", "grid.nt", "grid.nw", "grid.nx",
-        "grid.nx * grid.nv", "grid.nx * grid.ny", "grid.t_max", "output.bins", "run.n_traj",
-        "run.n_traj", "run.record_every", "run.steps", "state.separation", "state.separation",
-        "state.sigma"]
+        "compare.times", "compare.times", "det.gamma * det.t", "det.n", "fp.record_every",
+        "fp.v0", "fp.x0", "grid.nt", "grid.nw", "grid.nx", "grid.nx * grid.nv",
+        "grid.nx * grid.ny", "output.bins", "run.n_traj", "run.n_traj", "run.record_every",
+        "run.steps", "state.separation"]
 
 
 def _refused_names() -> set[str]:
     """Every parameter name that a ParameterError raised in src/bathdyn can
-    carry: its literal first argument, or an f-string over parameters of the
-    enclosing function, filled with each literal that a call of that
-    function passes for them."""
+    carry: the name argument of a call of ParameterError, or of a helper that
+    passes one of its own parameters on to it as the name (kernels._require
+    and _positive). That argument is a literal, or an f-string over
+    parameters of the enclosing function, filled with each literal that a
+    call of that function passes for them."""
     import ast
     import pathlib
 
@@ -1121,22 +1121,35 @@ def _refused_names() -> set[str]:
     nodes = [node for tree in trees for node in ast.walk(tree)]
     calls = [node for node in nodes if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name)]
-    names = set()
-    for func in (node for node in nodes if isinstance(node, ast.FunctionDef)):
-        params = [a.arg for a in func.args.args]
+    funcs = [node for node in nodes if isinstance(node, ast.FunctionDef)]
+
+    def params(func):
+        return [a.arg for a in func.args.args]
+
+    # the position of the name argument of ParameterError and of each helper
+    where = {"ParameterError": 0}
+    for func in funcs:
         for raised in ast.walk(func):
-            if not (isinstance(raised, ast.Call) and isinstance(raised.func, ast.Name)
-                    and raised.func.id == "ParameterError"):
+            if (isinstance(raised, ast.Call) and getattr(raised.func, "id", None)
+                    == "ParameterError" and isinstance(raised.args[0], ast.Name)):
+                where[func.name] = params(func).index(raised.args[0].id)
+    names = set()
+    for func in funcs:
+        for site in ast.walk(func):
+            if not (isinstance(site, ast.Call) and getattr(site.func, "id", None) in where):
                 continue
-            name = raised.args[0]
+            name = site.args[where[site.func.id]]
             if isinstance(name, ast.Constant):
                 names.add(name.value)
-                continue
-            assert isinstance(name, ast.JoinedStr), ast.dump(name)
-            for call in (c for c in calls if c.func.id == func.name):
-                given = dict(zip(params, (a.value for a in call.args)))
-                names.add("".join(p.value if isinstance(p, ast.Constant)
-                                  else given[p.value.id] for p in name.values))
+            elif isinstance(name, ast.Name):
+                assert func.name in where and name.id in params(func), ast.dump(site)
+            else:
+                assert isinstance(name, ast.JoinedStr), ast.dump(name)
+                for call in (c for c in calls if c.func.id == func.name):
+                    given = {p: a.value for p, a in zip(params(func), call.args)
+                             if isinstance(a, ast.Constant)}
+                    names.add("".join(p.value if isinstance(p, ast.Constant)
+                                      else given[p.value.id] for p in name.values))
     return names
 
 
@@ -1144,13 +1157,43 @@ def test_every_refused_parameter_has_a_key():
     """main turns a ParameterError into the config error of its parameter's
     key in cli._KEYS, so every name a library refusal can carry has a key,
     and the map holds no other: no named refusal reaches exit 2 without
-    one."""
+    one. Each key has one name."""
     import bathdyn.cli as cli
 
     assert _refused_names() == set(cli._KEYS) == {
-        "dy", "omega_d", "t_grid", "times", "n_bins", "x0", "x_min", "x_max", "nx",
-        "v_min", "v_max", "nv", "autocorr_lags"}
+        "mass", "gamma", "k_bt", "hbar", "omega_d", "omega0", "a", "b", "coeffs", "t_grid",
+        "t_min", "x_min", "x_max", "nx", "v_min", "v_max", "nv", "dx", "dy", "dt", "steps",
+        "n_traj", "x0", "v0", "sigma_x", "sigma_v", "times", "n_bins", "sigma", "separation",
+        "autocorr_lags"}
     assert len(set(cli._KEYS.values())) == len(cli._KEYS)
+
+
+def test_a_key_has_a_cli_rule_or_a_library_refusal():
+    """A key whose value a library refusal tests has no RunConfig.get rule,
+    so each test has one home. Six keys keep both: state.separation, whose
+    "finite and > 0" a Gaussian-state decohere run needs, though it builds no
+    superposition; decohere's grid.nx, run.dt and run.steps, which reach no
+    library object before any work there (its dt goes to the master
+    operator's run, whose plain dt test names no key), while PhaseGrid's nx
+    and SimConfig's dt and steps name the same keys; and the kernel grid's
+    grid.nt and grid.t_max, whose rules (>= 2 points, finite and > 0) the
+    library does not restate: its refusals that name them, the quantum
+    series cap (t_grid) and the log term at the smallest |t| (t_min), test
+    what the two keys give together with the bath."""
+    import ast
+
+    import bathdyn.cli as cli
+
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    ruled = {node.args[0].value for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "get"
+             and getattr(node.func.value, "id", None) == "cfg"
+             and (len(node.args) == 4 or any(k.arg == "rule" for k in node.keywords))}
+    assert "bath.gamma" not in ruled and "fp.dt" in ruled  # the scan reads both forms
+    refused = {cli._KEYS[name] for name in _refused_names()}
+    assert sorted(ruled & refused) == ["grid.nt", "grid.nx", "grid.t_max", "run.dt",
+                                       "run.steps", "state.separation"]
 
 
 @pytest.mark.parametrize("phase, target, text", [

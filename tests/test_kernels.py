@@ -283,6 +283,30 @@ def test_noise_kernel_time_error_contracts():
             KernelSamples(np.array(grid), np.zeros(3), 0.1, 0.0, True)
 
 
+def test_noise_kernel_time_checks_its_grid_once_before_the_kernel(monkeypatch):
+    """noise_kernel_time runs _time_grid on its grid once, before the kernel
+    is computed, and KernelSamples does not run it again on that grid (it
+    ran twice: KernelSamples.__post_init__ checked the same array); a grid
+    that fails the check computes no kernel."""
+    import bathdyn.kernels as kernels
+
+    checked = []
+
+    def counted(t_grid):
+        checked.append(len(t_grid))
+        return time_grid(t_grid)
+
+    time_grid = kernels._time_grid
+    monkeypatch.setattr(kernels, "_time_grid", counted)
+    params = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=0.0)
+    samples = noise_kernel_time(params, Drude(gamma=1.0, omega_d=10.0), np.linspace(-1, 1, 101))
+    assert checked == [101] and samples.dt == pytest.approx(0.02, rel=1e-12)
+    monkeypatch.setattr(kernels, "_drude_time_kernel",
+                        lambda *args: pytest.fail("the kernel was computed"))
+    with pytest.raises(ValueError, match="^t_grid must be uniformly increasing$"):
+        noise_kernel_time(params, Drude(gamma=1.0, omega_d=10.0), np.array([0.0, 0.1, 0.3]))
+
+
 def test_discrete_bath_helpers():
     b = DiscreteBath((Oscillator(c=1.0, mass=1.0, omega=2.0),))
     assert freq_shift(b, 1.0) == -0.25

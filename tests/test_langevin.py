@@ -16,6 +16,7 @@ from bathdyn import (
     DoubleWell,
     Harmonic,
     InertialState,
+    ParameterError,
     Polynomial,
     SimConfig,
     noise_expectation,
@@ -48,7 +49,7 @@ def test_config_validation():
         _config(sigma_x=-1.0)
     for width in ("sigma_x", "sigma_v"):
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="initial widths must be finite and >= 0"):
+            with pytest.raises(ParameterError, match=f"^{width} must be finite and >= 0$"):
                 _config(**{width: bad})
     with pytest.raises(ValueError, match="friction scale"):
         _config(dt=0.06)  # dt * gamma = 0.12
@@ -542,8 +543,6 @@ def test_invalid_histogram_bins_raise_value_error():
 def test_autocorr_lags_outside_the_run_are_refused_before_any_work(monkeypatch):
     """autocorr_lags outside [0, steps] is a ParameterError naming it, raised
     before any trajectory is set up."""
-    from bathdyn import ParameterError
-
     cfg = _config(n_traj=10, steps=5)
     monkeypatch.setattr(lv, "_chunks", lambda *args: pytest.fail("the run started"))
     for lags in (-1, 6):

@@ -58,7 +58,28 @@ def test_tracer_records_the_lines_run_under_its_root_and_restores_the_trace(tmp_
         exec(compile(other.read_text(), str(other), "exec"), {})
     assert sys.gettrace() is before
     assert list(tracer.lines) == [os.path.realpath(mine)]
-    assert untested_lines.report([str(mine)], tracer.lines) == 2
+    assert untested_lines.report(tracer.texts, tracer.lines) == 2
+    rel = os.path.relpath(mine)
+    assert capsys.readouterr().out.splitlines() == [
+        f"{rel}:8: raise ValueError(", f"{rel}:14: return 2", "2 untested statements"]
+
+
+def test_report_maps_the_lines_with_the_text_read_when_tracing_started(tmp_path, capsys):
+    """A traced file edited during the run: two comment lines put at its top
+    after its code ran move no statement, since the lines are mapped with
+    the text read when tracing started. (Mapped with the edited text, as
+    the report did when it read the files at its end, five statements were
+    listed: the if, both returns, the raise and def g.)"""
+    mine = tmp_path / "pkg" / "mod.py"
+    mine.parent.mkdir()
+    mine.write_text(_FIXTURE)
+    with untested_lines.Tracer(str(mine.parent)) as tracer:
+        space = {}
+        exec(compile(_FIXTURE, str(mine), "exec"), space)
+        mine.write_text("# edited\n# during the run\n" + _FIXTURE)
+        space["f"](1)
+    assert tracer.texts == {str(mine): _FIXTURE}
+    assert untested_lines.report(tracer.texts, tracer.lines) == 2
     rel = os.path.relpath(mine)
     assert capsys.readouterr().out.splitlines() == [
         f"{rel}:8: raise ValueError(", f"{rel}:14: return 2", "2 untested statements"]

@@ -7,7 +7,8 @@ its last, and a compound statement's (an if, a loop, a def with its
 decorators) take in its body, so it is listed only when nothing in it ran.
 Docstrings are no statements here (code_lines.docstring_lines). Only the
 main thread is traced (bathdyn starts no threads), and lines that run only
-in a subprocess that a test starts are not seen.
+in a subprocess that a test starts are not seen. Each file's text is read
+when tracing starts, and the lines are mapped to statements with that text.
 
 Usage: python3 tools/untested_lines.py [pytest args ...]   (from the repository root)
 
@@ -52,11 +53,15 @@ def untested_statements(text: str, ran: set[int]) -> list[int]:
 class Tracer:
     """pytest plugin, and context, that records the (file, line) pairs run in
     frames whose file lies under root; the trace function it replaces is put
-    back when it stops."""
+    back when it stops. texts holds the text of each Python file under root
+    as it was read when tracing started, which report maps the lines with,
+    so an edit made to a file during the run moves none of them."""
 
     def __init__(self, root: str):
+        self.dir = root
         self.root = os.path.realpath(root) + os.sep
         self.lines: dict[str, set[int]] = defaultdict(set)
+        self.texts: dict[str, str] = {}
         self._mine: dict[str, bool] = {}
         self._prev = None
 
@@ -73,6 +78,9 @@ class Tracer:
         return self._line
 
     def __enter__(self):
+        for name in python_files(self.dir):
+            with open(name, encoding="utf-8") as fh:
+                self.texts[name] = fh.read()
         self._prev = sys.gettrace()
         sys.settrace(self._call)
         return self
@@ -87,12 +95,11 @@ class Tracer:
         self.__exit__()
 
 
-def report(files: list[str], lines: dict[str, set[int]]) -> int:
-    """Print each untested statement of the files, then their count; return it."""
+def report(texts: dict[str, str], lines: dict[str, set[int]]) -> int:
+    """Print each untested statement of the files, given by name and the text
+    their lines were traced against, then their count; return it."""
     count = 0
-    for name in files:
-        with open(name, encoding="utf-8") as fh:
-            text = fh.read()
+    for name, text in texts.items():
         source = text.splitlines()
         for n in untested_statements(text, lines.get(os.path.realpath(name), set())):
             print(f"{os.path.relpath(name)}:{n}: {source[n - 1].strip()}")
@@ -106,7 +113,7 @@ def main(argv: list[str]) -> int:
 
     tracer = Tracer(_SRC)
     code = pytest.main(argv or _DEFAULT_ARGS, plugins=[tracer])
-    report(python_files(_SRC), tracer.lines)
+    report(tracer.texts, tracer.lines)
     return int(code)
 
 
