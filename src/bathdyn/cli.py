@@ -568,12 +568,13 @@ def _run_fp_cmd(cfg, kind, params, potential, man) -> None:
                     f"lie inside the v grid ({grid.v_min:g}, {grid.v_max:g}) (got {v0:g})")
         sigma_v = cfg.get("fp.sigma_v", as_float, 0.5, _FINITE_POSITIVE)
     cfg.finish()
-    if grid.is_2d:
-        field = gaussian_field_2d(grid, x0, sigma_x, v0, sigma_v)
-        op = KramersOperator(grid, potential, params)
-    else:
-        field = gaussian_field_1d(grid, x0, sigma_x)
-        op = SmoluchowskiOperator(grid, potential, params)
+    try:
+        field = (gaussian_field_2d(grid, x0, sigma_x, v0, sigma_v) if grid.is_2d
+                 else gaussian_field_1d(grid, x0, sigma_x))
+    except ParameterError as exc:  # _KEYS maps the widths' names to run.* keys
+        cfg.require(exc.name != "sigma_x", "fp.sigma_x", exc.text)
+        cfg.require(False, "fp.sigma_v", exc.text)
+    op = (KramersOperator if grid.is_2d else SmoluchowskiOperator)(grid, potential, params)
     if dt <= 0.0:
         dt = 0.5 * op.dt_max  # fp.dt <= 0 requests an automatic stable step
 
@@ -775,35 +776,26 @@ def cmd_paper_checks(cfg: RunConfig, man: Manifest) -> None:
 # entry point
 
 
+_COMMANDS = {"kernels": cmd_kernels, "det-check": cmd_det_check, "simulate": cmd_simulate,
+             "decohere": cmd_decohere, "paper-checks": cmd_paper_checks}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bathdyn",
-        description="Dissipative-dynamics toolkit: kernel tables, determinant "
-                    "identity checks, stochastic and grid solvers, decoherence.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = (
-        ("kernels", cmd_kernels, "tabulate bath kernels and run their unit checks"),
-        ("det-check", cmd_det_check, "run the sliced-determinant identity suite"),
-        ("simulate", cmd_simulate,
-         "Langevin ensembles, grid solvers, or their comparison"),
-        ("decohere", cmd_decohere,
-         "evolve a density matrix and track interference decay"),
-        ("paper-checks", cmd_paper_checks, "run the full acceptance suite"),
-    )
-    for name, func, help_text in commands:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--out", default=".", help="output directory (created if missing)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config's run.seed")
-        p.add_argument("--quiet", action="store_true", help="suppress progress lines")
-        p.set_defaults(func=func)
+    parser = argparse.ArgumentParser(prog="bathdyn", description=(
+        "Dissipative-dynamics toolkit: bath kernel tables and their unit checks (kernels), "
+        "the sliced-determinant identities (det-check), Langevin ensembles and grid solvers "
+        "(simulate), density-matrix decoherence (decohere) and the acceptance suite "
+        "(paper-checks)."))
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", default=None, help="key=value config file")
+    parser.add_argument("--out", default=".", help="output directory (created if missing)")
+    parser.add_argument("--seed", type=int, default=None, help="override the config's run.seed")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code. 0: every check passed.
+    """Run one command and return its exit code. 0: every check passed.
     1: a check failed, or the run failed: a StabilityError or RuntimeError,
     or any other ValueError raised once the config was read whole, whose
     error record also names the manifest's phase. 2: a configuration error:
@@ -816,7 +808,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(load_config(args.config) if args.config else {},
                         {"run.seed": args.seed})
-        args.func(cfg, man)
+        _COMMANDS[args.command](cfg, man)
         man.write(cfg.resolved)
         return 0 if man.all_passed else 1
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:

@@ -102,14 +102,17 @@ class DecoherenceParams:
 def decoherence_params(params: BathParams) -> DecoherenceParams:
     """Compute (w, D, Lambda, l_e) from the bath parameters. hbar^2 sets
     Lambda and l_e, so it must be finite and nonzero (hbar = 0, the classical
-    limit, has infinite Lambda), and Lambda finite and > 0; each refusal
-    names hbar."""
+    limit, has infinite Lambda), and Lambda and l_e^2 finite and > 0; each
+    refusal names hbar."""
     _require(0.0 < params.hbar * params.hbar < math.inf, "hbar",
              "be > 0 with a finite, nonzero square")
     hbar2 = params.hbar ** 2
     lam = params.w / (2.0 * hbar2)
     _require(0.0 < lam < math.inf, "hbar", f"give a finite Lambda = w / 2 hbar^2 > 0 (got {lam:g})")
-    l_e_sq = 2.0 * math.pi * hbar2 / (params.mass * params.k_bt)
+    m_kt = params.mass * params.k_bt  # may underflow to 0 or overflow
+    l_e_sq = 2.0 * math.pi * hbar2 / m_kt if m_kt > 0.0 else math.inf
+    _require(0.0 < l_e_sq < math.inf, "hbar",
+             f"give a finite thermal length l_e^2 = 2 pi hbar^2 / M k_bt > 0 (got {l_e_sq:g})")
     return DecoherenceParams(
         w=params.w, D=params.D, lam=lam, l_e=math.sqrt(l_e_sq), l_e_sq=l_e_sq
     )

@@ -187,13 +187,28 @@ class ProbField:
 _MASS_TOL = 1e-8
 
 
-def gaussian_field_1d(grid: PhaseGrid, mean: float, sigma: float) -> ProbField:
+def _gaussian(name: str, factor, centers: np.ndarray, mean: float, sigma: float) -> np.ndarray:
+    """factor (1.0, or the samples of the axes before) times the Gaussian
+    exp(-(c - mean)^2 / 2 sigma^2) sampled at the centres c of one more grid
+    axis, as an outer product. sigma must be > 0, and the product's sum
+    finite and > 0: a sigma far below the spacing samples the Gaussian as
+    zeros. Each refusal is a ParameterError naming the sigma, name."""
+    if not sigma > 0:
+        raise ParameterError(name, "be > 0")
+    with np.errstate(over="ignore"):  # a square beyond the float range samples as 0
+        vals = np.multiply.outer(factor, np.exp(-0.5 * ((centers - mean) / sigma) ** 2))
+    total = float(vals.sum())
+    if not 0.0 < total < math.inf:
+        raise ParameterError(name, "be resolved by the grid: the sampled Gaussian must have a "
+                             f"finite sum > 0 (got {total:g})")
+    return vals
+
+
+def gaussian_field_1d(grid: PhaseGrid, mean_x: float, sigma_x: float) -> ProbField:
     """Discretely normalized Gaussian density on a 1D grid."""
     if grid.is_2d:
         raise ValueError("expected a 1D grid")
-    if not sigma > 0:
-        raise ValueError("sigma must be > 0")
-    vals = np.exp(-0.5 * ((grid.x_centers - mean) / sigma) ** 2)
+    vals = _gaussian("sigma_x", 1.0, grid.x_centers, mean_x, sigma_x)
     vals /= vals.sum() * grid.dx
     return ProbField(vals, grid, 0.0)
 
@@ -204,11 +219,8 @@ def gaussian_field_2d(
     """Discretely normalized product Gaussian on a 2D grid."""
     if not grid.is_2d:
         raise ValueError("expected a 2D grid")
-    if not (sigma_x > 0 and sigma_v > 0):
-        raise ValueError("sigmas must be > 0")
-    gx = np.exp(-0.5 * ((grid.x_centers - mean_x) / sigma_x) ** 2)
-    gv = np.exp(-0.5 * ((grid.v_centers - mean_v) / sigma_v) ** 2)
-    vals = np.outer(gx, gv)
+    vals = _gaussian("sigma_v", _gaussian("sigma_x", 1.0, grid.x_centers, mean_x, sigma_x),
+                     grid.v_centers, mean_v, sigma_v)
     vals /= vals.sum() * grid.dx * grid.dv
     return ProbField(vals, grid, 0.0)
 
@@ -239,6 +251,25 @@ def _sg_weights(drift: np.ndarray, spacing: float, diff: float):
     out_rate[..., 1:] += br * diff / spacing**2
     out_rate[..., :-1] += bl * diff / spacing**2
     return bl, br, float(out_rate.max())
+
+
+def _sg_kernel(bl: np.ndarray, br: np.ndarray, inc: np.ndarray):
+    """The exponential-upwind flux difference along the flat axis: a function
+    of p that writes F_in - F_out of each cell into inc and returns it, with
+    face fluxes bl p[:-1] - br p[1:] (dt and the spacings folded into the
+    weights) and zero flux through the two boundary faces. inc[:-1] holds
+    the outflow terms until the difference overwrites it."""
+    flux = np.zeros(inc.size + 1)
+    faces, outflow = flux[1:-1], inc[:-1]
+
+    def flux_difference(p: np.ndarray) -> np.ndarray:
+        np.multiply(bl, p[:-1], out=faces)
+        np.multiply(br, p[1:], out=outflow)
+        np.subtract(faces, outflow, out=faces)
+        np.subtract(flux[:-1], flux[1:], out=inc)
+        return inc
+
+    return flux_difference
 
 
 class _Operator:
@@ -335,19 +366,8 @@ class SmoluchowskiOperator(_GridOperator):
         self.sink_scale = 2.0 * params.mass * params.gamma
 
     def increment_kernel(self, dt: float):
-        n, rate = self.grid.nx, dt * self.d / self.dx**2
-        bl, br = rate * self.bl, rate * self.br
-        flux, inc = np.zeros(n + 1), np.empty(n)
-        faces, outflow = flux[1:-1], inc[:-1]  # the two boundary faces stay zero
-
-        def increment(p: np.ndarray) -> np.ndarray:
-            np.multiply(bl, p[:-1], out=faces)
-            np.multiply(br, p[1:], out=outflow)
-            np.subtract(faces, outflow, out=faces)
-            np.subtract(flux[:-1], flux[1:], out=inc)
-            return inc
-
-        return increment
+        rate = dt * self.d / self.dx**2
+        return _sg_kernel(rate * self.bl, rate * self.br, np.empty(self.grid.nx))
 
     def sink(self, dt: float) -> np.ndarray:
         hess = np.asarray(self.potential.hess(self.grid.x_centers))
@@ -374,7 +394,8 @@ class KramersOperator(_GridOperator):
         # columns moving right (v > 0) are the last ones, from n_left on
         self.speed = np.tile(grid.v_centers, grid.nx - 1)
         self.n_left = grid.nv - int(np.count_nonzero(grid.v_centers > 0))
-        self.d_v = params.w / (2.0 * params.mass**2)
+        # w / 2 M^2, in a form with no M^2 to over- or underflow
+        self.d_v = params.gamma * params.k_bt / params.mass
         grad = np.asarray(potential.grad(grid.x_centers))[:, None]
         a = -(params.gamma * grid.v_faces[None, :] + grad / params.mass)
         bl, br, out_rate = _sg_weights(a, self.dv, self.d_v)
@@ -386,17 +407,17 @@ class KramersOperator(_GridOperator):
         nx, nv = self.shape
         n, jl = nx * nv, self.n_left
         speed, rate = (dt / self.dx) * self.speed, dt * self.d_v / self.dv**2
-        bl, br = rate * self.bl, rate * self.br
         diff, monotone = np.empty(n - nv), np.empty(n - 2 * nv, dtype=bool)
         half_slope = np.zeros(n)  # the first and last x rows stay zero
-        # face fluxes, led by the zero inflow faces of the first cells (one
-        # x row, one value); the last x row's outflow faces stay zero too
-        flux_x, flux_v = np.zeros(n + nv), np.zeros(n + 1)
-        inc, inc_v = np.empty(n), np.empty(n)
-        face_x, face_v, inner = flux_x[nv:n], flux_v[1:n], half_slope[nv:-nv]
+        # x face fluxes, led by the zero inflow faces of the first x row; the
+        # last x row's outflow faces stay zero too
+        flux_x, inc, inc_v = np.zeros(n + nv), np.empty(n), np.empty(n)
+        face_x, inner = flux_x[nv:n], half_slope[nv:-nv]
+        # v drift-diffusion, zero on the last v face of each x row, whose
+        # weights are zero
+        v_flux = _sg_kernel(rate * self.bl, rate * self.br, inc_v)
         # buffers reused once their first contents are spent
-        prod, denom = inc[: n - 2 * nv], inc_v[: n - 2 * nv]
-        upwind, outflow = diff, inc_v[:-1]
+        prod, denom, upwind = inc[: n - 2 * nv], inc_v[: n - 2 * nv], diff
 
         def increment(p: np.ndarray) -> np.ndarray:
             p = p.reshape(-1)
@@ -416,13 +437,7 @@ class KramersOperator(_GridOperator):
             face_x.reshape(nx - 1, nv)[:, :jl] = upwind.reshape(nx - 1, nv)[:, :jl]
             np.multiply(speed, face_x, out=face_x)
             np.subtract(flux_x[:-nv], flux_x[nv:], out=inc)
-            # v drift-diffusion: exponential-upwind face flux, zero on the
-            # last v face of each x row, whose weights bl and br are zero
-            np.multiply(bl, p[:-1], out=face_v)
-            np.multiply(br, p[1:], out=outflow)
-            np.subtract(face_v, outflow, out=face_v)
-            np.subtract(flux_v[:-1], flux_v[1:], out=inc_v)
-            np.add(inc, inc_v, out=inc)
+            np.add(inc, v_flux(p), out=inc)
             return inc.reshape(nx, nv)
 
         return increment
@@ -517,6 +532,23 @@ def _compare_steps(grid: PhaseGrid, times, dt: float, x0: float, n_bins: int) ->
     return steps
 
 
+# grid substeps per Langevin step that a comparison admits: a stated bound, not
+# this host's speed. It is 341 times the 12 of the benchmark's compare and of
+# criterion 6; at the bound a Langevin step takes about 28 ms of grid steps on
+# 512 cells (6.8 us a substep, 2-core x86 host)
+_MAX_SUBSTEPS = 4096
+
+
+def _substeps(dt: float, dt_max: float) -> int:
+    """The grid steps m = ceil(dt / dt_max) >= 1 that a comparison takes per
+    Langevin step dt; more than _MAX_SUBSTEPS raise the ParameterError of
+    dt, before any work."""
+    if not dt <= _MAX_SUBSTEPS * dt_max:
+        raise ParameterError("dt", f"be at most {_MAX_SUBSTEPS:,} times the grid's stable step "
+                             f"dt_max = {dt_max:g} (got {dt:g})")
+    return max(1, math.ceil(dt / dt_max))
+
+
 def compare_langevin_fp(
     config: SimConfig,
     grid: PhaseGrid,
@@ -529,20 +561,20 @@ def compare_langevin_fp(
     sides so the two initializations agree. The grid solver substeps each
     Langevin dt as needed for stability. Returns the per-time records and the
     ensemble statistics (whose snapshots fed the histograms). Bad arguments
-    raise ValueError before any work (_compare_steps, and run_ensemble's test
-    of the snapshot steps, for times beyond the run); ensemble samples
-    outside the grid at a requested time raise RuntimeError after the run.
+    raise ValueError before any work (_compare_steps, _substeps, the start
+    field's width, and run_ensemble's test of the snapshot steps, for times
+    beyond the run); ensemble samples outside the grid at a requested time
+    raise RuntimeError after the run.
     """
     steps_at = _compare_steps(grid, times, config.dt, config.x0, n_bins)
-    sigma0 = config.sigma_x if config.sigma_x > 0 else 2.0 * grid.dx
-    run_cfg = replace(config, sigma_x=sigma0)
-    stats = run_ensemble(run_cfg, "overdamped", snapshot_steps=tuple(steps_at))
-
     op = SmoluchowskiOperator(grid, config.potential, config.params)
-    m = max(1, math.ceil(config.dt / op.dt_max))
+    m = _substeps(config.dt, op.dt_max)
     dt_fp = config.dt / m
-
+    sigma0 = config.sigma_x if config.sigma_x > 0 else 2.0 * grid.dx
     field = gaussian_field_1d(grid, config.x0, sigma0)
+    stats = run_ensemble(replace(config, sigma_x=sigma0), "overdamped",
+                         snapshot_steps=tuple(steps_at))
+
     marked = sorted(set(steps_at) - {0})
     fields = dict(zip(marked, op.records(field, Ordering.MOMENTA_LEFT, dt_fp,
                                          [m * k for k in marked])))

@@ -769,13 +769,19 @@ def test_drude_series_cap_stops_at_its_edge(tmp_path, monkeypatch, capsys):
     terms and reaches the run, stubbed at the kernel tables' np.linspace;
     43.4 needs 2,000,118, one rule naming grid.nt refuses it before any work,
     and the same config with grid.nt = 8193 halves the count and is admitted.
-    No series is summed."""
+    No series is summed: the time kernel is stubbed to fail the test, so a run
+    that reached it before the frequency table's np.linspace would fail at
+    once rather than sum 2,000,000 terms."""
     import bathdyn.cli as cli
 
     def reached(*args, **kwargs):
         raise RuntimeError("reached the run")
 
+    def summed(*args, **kwargs):
+        raise AssertionError("the time kernel's series was summed")
+
     monkeypatch.setattr(cli.np, "linspace", reached)
+    monkeypatch.setattr(cli, "noise_kernel_time", summed)
     bath = "bath.model=drude\nbath.hbar=1\nbath.k_bt=0.15915494309189535\n"
     for extra, code in (("bath.omega_d=43.39\n", 1), ("bath.omega_d=43.4\n", 2),
                         ("bath.omega_d=43.4\ngrid.nt=8193\n", 1)):
@@ -792,6 +798,110 @@ def test_drude_series_cap_stops_at_its_edge(tmp_path, monkeypatch, capsys):
             assert err.endswith(" cuts it at 2,000,118\n")
             assert _error_records(out) == [
                 {"record": "error", "exit_code": 2, "message": err.strip()}]
+
+
+_KRAMERS_SMALL = "sim.kind=kramers\ngrid.nx=16\ngrid.nv=16\nfp.steps=5\n"
+_COMPARE_SMALL = "sim.kind=compare\ncompare.times=0.01\nrun.n_traj=50\ngrid.nx=64\ncompare.bins=8\n"
+
+
+@pytest.mark.parametrize("command, text, code, start", [
+    ("decohere", "bath.mass=1e-200\nbath.k_bt=1e-200\nbath.gamma=1e300\n", 2,
+     "config error: bath.hbar must give a finite thermal length l_e^2 = 2 pi hbar^2 / M k_bt "
+     "> 0 (got inf)\n"),
+    ("simulate", _KRAMERS_SMALL + "bath.mass=1e-300\n", 0, ""),
+    ("simulate", _KRAMERS_SMALL + "bath.mass=1e160\n", 0, ""),
+], ids=["decohere-vanishing-m-kbt", "kramers-mass-1e-300", "kramers-mass-1e160"])
+def test_bath_scales_end_in_an_exit_code_not_a_traceback(tmp_path, capfd, command, text,
+                                                         code, start):
+    """decohere divided 2 pi hbar^2 by an M k_bt that underflowed to 0, and
+    the Kramers operator took d_v = w / 2 M^2 of a mass whose square under-
+    or overflows: each ended in a ZeroDivisionError or OverflowError
+    traceback and wrote no manifest. The thermal length's refusal names
+    bath.hbar, as decoherence_params' others do; the Kramers operator takes
+    d_v = gamma k_bt / M, the same bits at M = 1, and both runs finish."""
+    out = tmp_path / "out"
+    assert main([command, "--config", _write_config(tmp_path, text), "--out", str(out),
+                 "--quiet"]) == code
+    assert capfd.readouterr().err == start
+    last = _read_manifest(out)[-1]
+    if code == 2:
+        assert last == {"record": "error", "exit_code": 2, "message": start.strip()}
+    else:
+        assert last["record"] == "check" and last["pass"]
+
+
+class _Overran(Exception):
+    """The interval timer of a test that bounds its own run time fired."""
+
+
+@pytest.mark.parametrize("bath", ["bath.k_bt=1e160", "bath.mass=1e-160"])
+def test_compare_refuses_unbounded_substeps_before_any_work(tmp_path, monkeypatch, capfd,
+                                                            bath):
+    """A diffusion constant D = k_bt / M gamma of 1e160 puts the grid's stable
+    step at 6.25e-163, so each Langevin step of 0.005 asked for about 8e159
+    grid substeps: the run was killed after 60 s with no manifest. It exits 2
+    naming run.dt before the ensemble runs (stubbed to fail the test), and an
+    interval timer fails the test if it runs for 20 s."""
+    import signal
+
+    import bathdyn.fokker_planck as fokker_planck
+
+    def ran(*args, **kwargs):
+        raise AssertionError("the ensemble ran")
+
+    def overran(signum, frame):
+        raise _Overran("still running after 20 s")
+
+    monkeypatch.setattr(fokker_planck, "run_ensemble", ran)
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, 20.0)
+    try:
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", _write_config(tmp_path, _COMPARE_SMALL + bath),
+                   "--out", str(out), "--quiet"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capfd.readouterr().err
+    assert (rc, err) == (2, "config error: run.dt must be at most 4,096 times the grid's "
+                            "stable step dt_max = 6.25e-163 (got 0.005)\n")
+    assert _read_manifest(out)[-1] == {"record": "error", "exit_code": 2,
+                                       "message": err.strip()}
+
+
+@pytest.mark.parametrize("text, key", [
+    ("sim.kind=smoluchowski\ngrid.nx=32\nfp.steps=5\nfp.sigma_x=1e-300\n", "fp.sigma_x"),
+    (_KRAMERS_SMALL + "fp.sigma_x=1e-300\n", "fp.sigma_x"),
+    (_KRAMERS_SMALL + "fp.sigma_v=1e-300\n", "fp.sigma_v"),
+    # each axis samples about 1e-200 at its two centres nearest 0, their
+    # product underflows
+    (_KRAMERS_SMALL + "fp.sigma_x=0.008237\nfp.sigma_v=0.008237\n", "fp.sigma_v"),
+    (_COMPARE_SMALL + "run.sigma_x=1e-300\n", "run.sigma_x"),
+], ids=["smoluchowski", "kramers-x", "kramers-v", "kramers-product", "compare"])
+def test_gaussian_start_the_grid_cannot_sample_names_its_key(tmp_path, monkeypatch, capfd,
+                                                             text, key):
+    """A start width far below the grid spacing samples the Gaussian as zeros:
+    the run printed numpy RuntimeWarnings and exited 1 with the unnamed
+    "field values must be finite", compare only after its ensemble ran. It
+    exits 2 naming the key, with no warning (the suite's filter would raise
+    one), before any step or ensemble (stubbed to fail the test) and before
+    any output."""
+    import bathdyn.fokker_planck as fokker_planck
+
+    def ran(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(fokker_planck, "run_ensemble", ran)
+    monkeypatch.setattr(fokker_planck._Operator, "records", ran)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_config(tmp_path, text), "--out", str(out),
+                 "--quiet"]) == 2
+    err = capfd.readouterr().err
+    assert err == (f"config error: {key} must be resolved by the grid: the sampled Gaussian "
+                   "must have a finite sum > 0 (got 0)\n")
+    assert _read_manifest(out)[-1] == {"record": "error", "exit_code": 2,
+                                       "message": err.strip()}
+    assert [r for r in _read_manifest(out) if r["record"] == "output"] == []
 
 
 def test_ensemble_moment_that_overflows_is_a_numerical_error(tmp_path, capfd):
@@ -1070,9 +1180,11 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
     (test_every_refused_parameter_has_a_key); a key that no library object
     receives before any work keeps a rule in the RunConfig.get that reads
     it (test_a_key_has_a_cli_rule_or_a_library_refusal). cli.py raises no
-    ConfigError itself, and states each of its 18 cross-key rules as one
+    ConfigError itself, and states each of its 20 cross-key rules as one
     cfg.require call naming the key: compare.times names, det.gamma *
-    det.t, fp.x0 and fp.v0 inside their grids, and Lambda d^2.
+    det.t, fp.x0 and fp.v0 inside their grids, fp.sigma_x and fp.sigma_v
+    resolved by them (the start field's refusal, whose names _KEYS maps to
+    run.* keys), and Lambda d^2.
     The size rules pass _size_rule(key, what, doubles) to cfg.require, whose
     literal key is the one named: the step noise of an ensemble (run.steps)
     and of compare (compare.times), the per-trajectory arrays of each
@@ -1098,12 +1210,12 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
             return helper.args[0].value
         return call.args[1].value
 
-    assert len(requires) == 18
+    assert len(requires) == 20
     assert sorted(map(key, requires)) == [
         "compare.times", "compare.times", "det.gamma * det.t", "det.n", "fp.record_every",
-        "fp.v0", "fp.x0", "grid.nt", "grid.nw", "grid.nx", "grid.nx * grid.nv",
-        "grid.nx * grid.ny", "output.bins", "run.n_traj", "run.n_traj", "run.record_every",
-        "run.steps", "state.separation"]
+        "fp.sigma_v", "fp.sigma_x", "fp.v0", "fp.x0", "grid.nt", "grid.nw", "grid.nx",
+        "grid.nx * grid.nv", "grid.nx * grid.ny", "output.bins", "run.n_traj", "run.n_traj",
+        "run.record_every", "run.steps", "state.separation"]
 
 
 def _refused_names() -> set[str]:

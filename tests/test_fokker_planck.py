@@ -121,6 +121,36 @@ def test_gaussian_field_guards():
         gaussian_field_2d(grid, 0.0, 0.5, 0.0, 0.5)
 
 
+def test_substeps_stop_at_their_bound():
+    """A comparison takes ceil(dt / dt_max) grid steps per Langevin step, up to
+    _MAX_SUBSTEPS; one ulp of dt over the bound, or a dt_max of 0 (which
+    once divided by zero), raises the ParameterError of dt."""
+    dt_max = 0.005 / 12.5
+    assert fp._substeps(0.005, dt_max) == 13
+    assert fp._substeps(dt_max / 2.0, dt_max) == 1
+    edge = fp._MAX_SUBSTEPS * dt_max
+    assert fp._substeps(edge, dt_max) == fp._MAX_SUBSTEPS
+    for dt, limit in ((math.nextafter(edge, math.inf), dt_max), (0.005, 0.0)):
+        with pytest.raises(ParameterError) as exc:
+            fp._substeps(dt, limit)
+        assert exc.value.name == "dt"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_kramers_v_diffusion_keeps_its_bits_at_unit_mass(gamma, k_bt):
+    """The v diffusion constant gamma k_bt / M is w / 2 M^2 bit for bit at
+    M = 1, so grid runs of unit mass keep their bytes; at masses whose square
+    under- or overflows, w / 2 M^2 raised ZeroDivisionError or OverflowError."""
+    grid = PhaseGrid(-4.0, 4.0, 16, v_min=-4.0, v_max=4.0, nv=16)
+    params = BathParams(mass=1.0, gamma=gamma, k_bt=k_bt, hbar=0.0)
+    assert KramersOperator(grid, Harmonic(1.0, 1.0), params).d_v == params.w / 2.0
+    for mass in (1e-300, 1e160):
+        params = BathParams(mass=mass, gamma=gamma, k_bt=k_bt, hbar=0.0)
+        op = KramersOperator(grid, Harmonic(mass, 1.0), params)
+        assert op.d_v == gamma * k_bt / mass and 0.0 < op.dt_max < math.inf
+
+
 def test_harmonic_boltzmann_is_exact_fixed_point():
     # midpoint face gradients make exp(-V/kT) at cell centers an exact
     # stationary state of the exponential-fitting flux for quadratic V

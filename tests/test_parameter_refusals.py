@@ -18,6 +18,8 @@ from bathdyn import (
     Polynomial,
     SimConfig,
     decoherence_params,
+    gaussian_field_1d,
+    gaussian_field_2d,
     gaussian_pure_state,
     superposition_state,
 )
@@ -121,6 +123,25 @@ _OUT_OF_RANGE = {
                          "hbar must give a finite Lambda = w / 2 hbar^2 > 0 (got inf)"),
     "overflowing-square": ("hbar", lambda: decoherence_params(_bath(hbar=1e300)),
                            "hbar must be > 0 with a finite, nonzero square"),
+    # M k_bt underflows to 0 (a ZeroDivisionError), and l_e^2 overflows
+    "vanishing-m-kbt": ("hbar", lambda: decoherence_params(_bath(mass=1e-200, k_bt=1e-200,
+                                                                 gamma=1e300)),
+                        "hbar must give a finite thermal length l_e^2 = 2 pi hbar^2 / M k_bt "
+                        "> 0 (got inf)"),
+    "overflowing-thermal-length": (
+        "hbar", lambda: decoherence_params(_bath(mass=1e-5, k_bt=1e-5, hbar=1e150)),
+        "hbar must give a finite thermal length l_e^2 = 2 pi hbar^2 / M k_bt > 0 (got inf)"),
+    # a width far below the spacing samples the start's Gaussian as zeros, on
+    # one axis or, at about 1e-200 a sample on each, in their product
+    "unsampled-gaussian-1d": (
+        "sigma_x", lambda: gaussian_field_1d(PhaseGrid(-4.0, 4.0, 32), 0.0, 1e-300),
+        "sigma_x must be resolved by the grid: the sampled Gaussian must have a finite sum > 0 "
+        "(got 0)"),
+    "unsampled-gaussian-product": (
+        "sigma_v", lambda: gaussian_field_2d(PhaseGrid(-4.0, 4.0, 16, -4.0, 4.0, 16), 0.0,
+                                             0.008237, 0.0, 0.008237),
+        "sigma_v must be resolved by the grid: the sampled Gaussian must have a finite sum > 0 "
+        "(got 0)"),
     "classical-limit": ("hbar", lambda: decoherence_params(_bath(hbar=0.0)),
                         "hbar must be > 0 with a finite, nonzero square"),
     "overflowing-fourth-power": ("omega_d", lambda: Drude(gamma=1.0, omega_d=1e100),
