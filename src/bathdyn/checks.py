@@ -329,7 +329,7 @@ def _welch(x, fs: float, nperseg: int):
 
 def _kernel_suite():
     classical = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=0.0)
-    quantum = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=1.0, omega_d=10.0)
+    quantum = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=1.0)
     drude = Drude(gamma=1.0, omega_d=10.0)
     ohmic = Ohmic(gamma=1.0)
     k0s = (float(noise_kernel_freq(classical, ohmic, 0.0)),
@@ -342,8 +342,7 @@ def _kernel_suite():
     area_err = abs(samples.area - 1.0)
     ok_area = area_err <= 1e-6
 
-    spec = NoiseSpec(kernel=drude, w=2.0, dt=0.005, n=1_000_000, seed=80001,
-                     hbar=0.0, k_bt=1.0)
+    spec = NoiseSpec(kernel=drude, w=2.0, dt=0.005, n=1_000_000, seed=80001)
     traj = colored_noise(spec)
     freqs, psd = _welch(traj.samples, 1.0 / spec.dt, 1024)
     omega = 2.0 * np.pi * freqs

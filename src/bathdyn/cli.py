@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import datetime
-import io
 import json
 import math
 import os
@@ -82,50 +80,36 @@ from .potentials import DoubleWell, Harmonic, Polynomial
 # output helpers
 
 
-def _fmt_cell(value) -> str:
-    value = value.tolist() if isinstance(value, np.generic) else value
-    return format(value, ".17g") if isinstance(value, float) else str(value)
-
-
-# cell types that "%.17g" and "%d" write as _fmt_cell does
+# cell types that "%.17g" and "%d" write: floats, and integers in full
 _FLOAT_TYPES = frozenset({float, *(np.dtype(c).type for c in "efd")})
 _INT_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
+_QUOTED = frozenset(',"\r\n')  # a text cell holding one of these would be quoted
 _BATCH_ROWS = 1024  # rows formatted at once: bounds the text held in memory
 
 
-def _csv_cell(value, alone: bool) -> str:
-    """value as _fmt_cell and csv.writer write it, alone in its row or not."""
-    cells = [_fmt_cell(value)] if alone else [_fmt_cell(value), ""]
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(cells)
-    return buf.getvalue()[: -1 if alone else -2]
-
-
-def _format_rows(columns: list) -> str:
-    """CSV text of equal-length columns through one %-format string: columns
-    of floats at 17 significant digits, of integers in full, and any other
-    column cell by cell as _fmt_cell and csv.writer write it."""
-    specs, cells, alone = [], [], len(columns) == 1
-    for col in columns:
-        kinds = set(map(type, col))
-        if kinds <= _FLOAT_TYPES:
-            specs.append("%.17g")
-        elif kinds <= _INT_TYPES:
-            specs.append("%d")
-        else:
-            specs.append("%s")
-            col = [_csv_cell(v, alone) for v in col]
-        cells.append(col)
-    line = ",".join(specs) + "\n"
-    return (line * len(columns[0])) % tuple(chain.from_iterable(zip(*cells)))
+def _spec(col) -> str:
+    """The %-format of one column: "%.17g" for floats, "%d" for integers, and
+    "%s" for nonempty text that csv.writer writes unquoted. A column of any
+    other cells (bools, empty or quoted text, or a mix of kinds) raises
+    TypeError."""
+    kinds = set(map(type, col))
+    if kinds <= _FLOAT_TYPES:
+        return "%.17g"
+    if kinds <= _INT_TYPES:
+        return "%d"
+    if kinds == {str} and all(cell and _QUOTED.isdisjoint(cell) for cell in col):
+        return "%s"
+    raise TypeError("CSV columns must hold floats, integers or unquoted nonempty text "
+                    f"(got {sorted(kind.__name__ for kind in kinds)})")
 
 
 def write_csv(path, header, columns) -> None:
     """CSV table with a header row from columns of equal length (sequences or
-    1-D arrays); floats at 17 significant digits. Rows are formatted
-    _BATCH_ROWS at a time from slices of the columns, so only one batch of
-    cells and text is held beside the columns. Raises ValueError when the
-    columns differ in length."""
+    1-D arrays) of one kind each, as _spec formats them: floats at 17
+    significant digits, integers in full, or unquoted text. Rows are
+    formatted _BATCH_ROWS at a time from slices of the columns through one
+    %-format string, so only one batch of cells and text is held beside the
+    columns. Raises ValueError when the columns differ in length."""
     columns = list(columns)
     lengths = {len(col) for col in columns}
     if len(lengths) > 1:
@@ -135,29 +119,31 @@ def write_csv(path, header, columns) -> None:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for start in range(0, n_rows, _BATCH_ROWS):
             batch = [col[start:start + _BATCH_ROWS] for col in columns]
-            fh.write(_format_rows([b.tolist() if isinstance(b, np.ndarray) else b
-                                   for b in batch]))
+            batch = [b.tolist() if isinstance(b, np.ndarray) else b for b in batch]
+            line = ",".join(map(_spec, batch)) + "\n"
+            fh.write((line * len(batch[0])) % tuple(chain.from_iterable(zip(*batch))))
 
 
 def write_product_csv(path, header, a, b, *fields) -> None:
     """CSV table over the product grid of a and b, i outer: rows (a[i],
-    b[j], f[i, j], ...) for each real field f of shape (len(a), len(b)).
-    The bytes are those of write_csv on a repeated per b, b tiled per a and
-    each field raveled, but each cell of a and b is formatted once: the
-    rows of one a[i] fill a line template per b[j] in one %-format, so
-    one a row of text is held at a time."""
-    a_cells, b_cells = ([_csv_cell(v, False) for v in np.asarray(c).tolist()]
+    b[j], f[i, j], ...) for each float field f of shape (len(a), len(b)),
+    every cell at 17 significant digits; a field of any other dtype raises
+    TypeError. The bytes are those of write_csv on a repeated per b, b
+    tiled per a and each field raveled, but each cell of a and b is
+    formatted once: the rows of one a[i] fill a line template per b[j] in
+    one %-format, so one a row of text is held at a time."""
+    a_cells, b_cells = (["%.17g" % v for v in np.asarray(c, dtype=float).tolist()]
                         for c in (a, b))
     fields = [np.asarray(f).reshape(len(a_cells), len(b_cells)) for f in fields]
-    if any(f.dtype.kind not in "fiu" for f in fields):
-        raise TypeError("product table fields must be real numbers")
-    cells = "".join(",%.17g" if f.dtype.kind == "f" else ",%d" for f in fields) + "\n"
-    lines = ["", *("," + c.replace("%", "%%") + cells for c in b_cells)]
+    if any(f.dtype.kind != "f" for f in fields):
+        raise TypeError("product table fields must be floats")
+    cells = ",%.17g" * len(fields) + "\n"
+    lines = ["", *("," + c + cells for c in b_cells)]
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for i, a_cell in enumerate(a_cells):
             row = chain.from_iterable(zip(*(f[i].tolist() for f in fields)))
-            fh.write(a_cell.replace("%", "%%").join(lines) % tuple(row))
+            fh.write(a_cell.join(lines) % tuple(row))
 
 
 _MOMENT_KEYS = ("n_traj", "n_diverged", "steps", "dt", "mean_x", "var_x", "se_x")
@@ -309,12 +295,13 @@ def _size_rule(key: str, what: str, doubles: int) -> tuple[bool, str, str]:
 _KEYS = {"mass": "bath.mass", "gamma": "bath.gamma", "k_bt": "bath.k_bt", "hbar": "bath.hbar",
          "omega_d": "bath.omega_d", "omega0": "potential.omega0", "a": "potential.a",
          "b": "potential.b", "coeffs": "potential.coeffs", "t_grid": "grid.nt",
-         "t_min": "grid.t_max", "x_min": "grid.x_min", "x_max": "grid.x_max", "nx": "grid.nx",
-         "v_min": "grid.v_min", "v_max": "grid.v_max", "nv": "grid.nv", "dx": "grid.dx",
-         "dy": "grid.dy", "dt": "run.dt", "steps": "run.steps", "n_traj": "run.n_traj",
-         "x0": "run.x0", "v0": "run.v0", "sigma_x": "run.sigma_x", "sigma_v": "run.sigma_v",
-         "times": "compare.times", "n_bins": "compare.bins", "sigma": "state.sigma",
-         "separation": "state.separation", "autocorr_lags": "output.autocorr_lags"}
+         "t_min": "grid.t_max", "omega": "grid.w_max", "x_min": "grid.x_min",
+         "x_max": "grid.x_max", "nx": "grid.nx", "v_min": "grid.v_min", "v_max": "grid.v_max",
+         "nv": "grid.nv", "dx": "grid.dx", "dy": "grid.dy", "dt": "run.dt", "steps": "run.steps",
+         "n_traj": "run.n_traj", "x0": "run.x0", "v0": "run.v0", "sigma_x": "run.sigma_x",
+         "sigma_v": "run.sigma_v", "times": "compare.times", "n_bins": "compare.bins",
+         "sigma": "state.sigma", "separation": "state.separation",
+         "autocorr_lags": "output.autocorr_lags"}
 
 
 def _tag(passed) -> str:
@@ -391,7 +378,6 @@ def cmd_kernels(cfg: RunConfig, man: Manifest) -> None:
         cfg.require(*_size_rule("grid.nt", f"the time tables, {nt} points x 7 arrays", 7 * nt))
         omega_d = cfg.get("bath.omega_d", as_float)
         model = Drude(gamma=gamma, omega_d=omega_d)
-        params = dataclasses.replace(params, omega_d=omega_d)
         w_max = cfg.get("grid.w_max", as_float, 5.0 * omega_d, _FINITE_POSITIVE)
         t_max = cfg.get("grid.t_max", as_float, 16.0 / omega_d, _FINITE_POSITIVE)
     else:

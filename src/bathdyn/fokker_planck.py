@@ -66,7 +66,8 @@ class Ordering(enum.Enum):
 
 def _check_axis(axis: str, lo: float, hi: float, n: int) -> None:
     """One grid axis, x or v: a finite <axis>_min, an <axis>_max a finite
-    span above it, and at least 16 cells."""
+    span above it, at least 16 cells, and a cell width whose square, which
+    the flux weights divide by, is finite and nonzero (named <axis>_max)."""
     if not math.isfinite(lo):
         raise ParameterError(f"{axis}_min", "be finite")
     if not 0.0 < hi - lo < math.inf:
@@ -74,6 +75,10 @@ def _check_axis(axis: str, lo: float, hi: float, n: int) -> None:
                              f"exceed {axis}_min = {lo:g} by a finite span (got {hi:g})")
     if n < 16:
         raise ParameterError(f"n{axis}", "be >= 16")
+    width = (hi - lo) / n
+    if not 0.0 < width * width < math.inf:
+        raise ParameterError(f"{axis}_max", f"give cells of width ({axis}_max - {axis}_min) / "
+                             f"n{axis} a finite, nonzero square (got {width:g})")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ All functions are pure; models and parameter bundles are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -128,8 +128,8 @@ class BathParams:
     """System-plus-bath parameters.
 
     mass, gamma, k_bt finite and > 0; hbar finite and >= 0 (0 = classical
-    limit); omega_d optional Drude cutoff (when given, > 0 with a finite,
-    nonzero fourth power). Each refusal is a ParameterError naming its field.
+    limit). Each refusal is a ParameterError naming its field. A Drude
+    cutoff belongs to the spectral density (Drude.omega_d).
 
     Derived: w = 2 M gamma k_bt (noise strength), D = k_bt / (M gamma)
     (spatial diffusion constant). They satisfy w = 2 gamma^2 M^2 D.
@@ -139,15 +139,12 @@ class BathParams:
     gamma: float
     k_bt: float
     hbar: float
-    omega_d: float | None = None
 
     def __post_init__(self):
         _positive("mass", self.mass)
         _positive("gamma", self.gamma)
         _positive("k_bt", self.k_bt)
         _require(0.0 <= self.hbar < math.inf, "hbar", "be finite and >= 0")
-        if self.omega_d is not None:
-            _cutoff(self.omega_d)
 
     @property
     def w(self) -> float:
@@ -162,40 +159,39 @@ class BathParams:
 
 @dataclass(frozen=True)
 class KernelSamples:
-    """Noise kernel sampled on a uniform time grid.
+    """Noise kernel values sampled on a uniform time grid, as
+    noise_kernel_time returns them; the grid is checked there.
 
-    area is the trapezoid integral over the grid (1 for a complete grid);
-    short_grid flags grids capturing less than 1 - 1e-4 of the unit area.
-    t_grid must be 1-D and uniformly increasing (_time_grid), a test left
-    out when grid_checked says the caller ran it: noise_kernel_time checks
-    its grid once, before it computes the kernel.
+    dt is the grid step; area is the trapezoid integral over the grid (1 for
+    a complete grid); short_grid flags grids capturing less than 1 - 1e-4 of
+    the unit area.
     """
 
     t_grid: np.ndarray
     values: np.ndarray
-    dt: float
-    area: float
-    short_grid: bool
-    grid_checked: InitVar[bool] = False
 
-    def __post_init__(self, grid_checked):
-        t = np.asarray(self.t_grid, dtype=float) if grid_checked else _time_grid(self.t_grid)[0]
-        v = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("kernel values must be finite")
-        object.__setattr__(self, "t_grid", t)
-        object.__setattr__(self, "values", v)
+    @property
+    def dt(self) -> float:
+        return float(self.t_grid[1] - self.t_grid[0])
+
+    @property
+    def area(self) -> float:
+        return float(np.trapezoid(self.values, self.t_grid))
+
+    @property
+    def short_grid(self) -> bool:
+        return abs(self.area - 1.0) > 1e-4
 
 
-def _time_grid(t_grid) -> tuple[np.ndarray, float]:
-    """t_grid as a float array and its step, if 1-D and uniformly increasing."""
+def _time_grid(t_grid) -> np.ndarray:
+    """t_grid as a float array, if 1-D and uniformly increasing."""
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("t_grid must be a 1d array with at least 2 points")
     steps = np.diff(t)
     if not steps[0] > 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("t_grid must be uniformly increasing")
-    return t, float(steps[0])
+    return t
 
 
 def _scalar_or_array(out: np.ndarray, kind=float):
@@ -260,8 +256,17 @@ def spectral_density(model: SpectralDensity, mass: float, omega):
                         "pointwise value")
     out = 2.0 * mass * model.gamma * omega
     if isinstance(model, Drude):
-        out = out * model.omega_d ** 2 / (model.omega_d ** 2 + omega ** 2)
+        out = out * model.omega_d ** 2 / _lorentz_denominator(model.omega_d, omega)
     return _scalar_or_array(out)
+
+
+def _lorentz_denominator(omega_d: float, omega: np.ndarray) -> np.ndarray:
+    """omega_d^2 + omega^2, the Drude Lorentzian's denominator. An omega
+    whose square is not finite (NaN and +-inf too) raises ParameterError."""
+    top = float(np.max(np.abs(omega), initial=0.0))
+    _require(top * top < math.inf, "omega",
+             f"have a finite square, which the Drude Lorentzian takes (got |omega| = {top:g})")
+    return omega_d ** 2 + omega ** 2
 
 
 def friction_kernel_time(model: SpectralDensity, mass: float, t):
@@ -313,7 +318,7 @@ def _kernel_shape_freq(model: SpectralDensity, omega):
     if isinstance(_continuous(model, "the discrete-bath noise kernel has no pointwise "
                               "frequency value"), Ohmic):
         return np.ones_like(omega)
-    return model.omega_d ** 2 / (model.omega_d ** 2 + omega ** 2)
+    return model.omega_d ** 2 / _lorentz_denominator(model.omega_d, omega)
 
 
 def noise_kernel_freq(params: BathParams, model: SpectralDensity, omega):
@@ -460,7 +465,7 @@ def noise_kernel_time(params: BathParams, model: SpectralDensity, t_grid) -> Ker
     than 1e-4 of it. Requires a Drude model: the strictly Ohmic kernel is a
     delta function classically and non-integrable quantum mechanically.
     """
-    t, dt = _time_grid(t_grid)
+    t = _time_grid(t_grid)
     if isinstance(_continuous(model, "a discrete bath has no smooth noise kernel"), Ohmic):
         if params.hbar == 0.0:
             raise ValueError(
@@ -472,9 +477,9 @@ def noise_kernel_time(params: BathParams, model: SpectralDensity, t_grid) -> Ker
             "and has no integrable time kernel"
         )
     vals = _drude_time_kernel(model.omega_d, params.hbar, params.k_bt, np.abs(t))
-    area = float(np.trapezoid(vals, t))
-    return KernelSamples(t_grid=t, values=vals, dt=dt, area=area,
-                         short_grid=bool(abs(area - 1.0) > 1e-4), grid_checked=True)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("kernel values must be finite")
+    return KernelSamples(t_grid=t, values=vals)
 
 
 def bath_correlators(params: BathParams, model: DiscreteBath, t: float, tp: float):

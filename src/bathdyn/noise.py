@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import BathParams, Ohmic, SpectralDensity, _continuous, noise_kernel_freq
+from .kernels import Ohmic, SpectralDensity, _continuous, _kernel_shape_freq
 
 __all__ = [
     "NoiseSpec",
@@ -50,8 +50,9 @@ def derive_rng(master_seed: int, index: int | None = None) -> np.random.Generato
 class NoiseSpec:
     """Recipe for one noise trajectory.
 
-    kernel None means white noise; a Drude model with hbar = 0 selects the
-    classical colored kernel. w >= 0 scales the correlation <eta eta> = w K.
+    kernel None means white noise; a Drude model selects the classical
+    colored kernel. w >= 0 scales the correlation <eta eta> = w K; the
+    temperature enters only through w = 2 M gamma k_bt.
     """
 
     kernel: SpectralDensity | None
@@ -59,8 +60,6 @@ class NoiseSpec:
     dt: float
     n: int
     seed: int
-    hbar: float = 0.0
-    k_bt: float = 1.0
 
     def __post_init__(self):
         if self.w < 0:
@@ -102,17 +101,11 @@ def colored_noise(spec: NoiseSpec) -> NoiseTrajectory:
             "needs a Drude cutoff: the Ohmic kernel synthesizes white noise; "
             "use white_noise"
         )
-    if spec.hbar != 0.0:
-        raise ValueError(
-            "non-integrable spectrum: the quantum Drude kernel has a 1/omega tail "
-            "whose sampled variance diverges with bandwidth; use hbar = 0"
-        )
     m = 2 * spec.n  # padding suppresses wrap-around correlation
     omega = 2.0 * np.pi * np.fft.fftfreq(m, spec.dt)
-    params = BathParams(mass=1.0, gamma=1.0, k_bt=spec.k_bt, hbar=0.0)
     power = np.zeros(m)
     for fold in range(-3, 4):
-        power += noise_kernel_freq(params, model, omega + fold * 2.0 * np.pi / spec.dt)
+        power += _kernel_shape_freq(model, omega + fold * 2.0 * np.pi / spec.dt)
     power *= spec.w / spec.dt
     rng = derive_rng(spec.seed)
     half = m // 2

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bathdyn
-from bathdyn.cli import Manifest, main, write_csv
+from bathdyn.cli import Manifest, main, write_csv, write_product_csv
 from bathdyn.config import (
     ConfigError,
     RunConfig,
@@ -648,6 +648,13 @@ def test_size_rule_counts_the_arrays_its_run_holds(tmp_path, case):
     assert doubles <= grown <= count * doubles + _PEAK_NOISE, (grown / doubles, count)
 
 
+# small kramers, compare and Drude kernel runs
+_KRAMERS_SMALL = "sim.kind=kramers\ngrid.nx=16\ngrid.nv=16\nfp.steps=5\n"
+_COMPARE_SMALL = ("sim.kind=compare\ncompare.times=0.01\nrun.n_traj=50\ngrid.nx=64\n"
+                  "compare.bins=8\n")
+_DRUDE_SMALL = "bath.model=drude\nbath.omega_d=10\ngrid.nw=11\ngrid.nt=65\n"
+
+
 # a quantum Drude bath with nu1 = 2 pi k_bt / hbar = 1 (to roundoff)
 _NEAR_POLE = ("bath.model=drude\nbath.hbar=1\nbath.k_bt=0.15915494309189535\ngrid.nt=65\n"
               "grid.nw=11")
@@ -656,7 +663,8 @@ _NEAR_POLE = ("bath.model=drude\nbath.hbar=1\nbath.k_bt=0.15915494309189535\ngri
 # (command, config, start of the stderr line after "config error: ") of runs
 # that ended in a traceback with no manifest: an _ArrayMemoryError or a
 # MemoryError (under ulimit -v 2000000) before their size rules, or an
-# OverflowError from Harmonic.k; or that exited 2 naming no key
+# OverflowError from Harmonic.k or from a grid spacing's square; or that
+# exited 2 naming no key; or that exited 1 after numpy warnings
 _KEYLESS_FAILURES = {
     "smoluchowski-grid": ("simulate", "sim.kind=smoluchowski\ngrid.nx=2000000000",
                           "grid.nx must keep the grid, 2000000000 cells x 11 arrays"),
@@ -746,6 +754,41 @@ _KEYLESS_FAILURES = {
                             "bath.k_bt=0.15915494309189535\nbath.omega_d=3000.3",
                             "grid.nt must keep the quantum kernel's thermal series within "
                             "2,000,000 terms: its tail needs 5,196,931,867"),
+    # a cell width whose square overflows: compare warned "overflow
+    # encountered in multiply" and ended in an OverflowError traceback, and
+    # smoluchowski and kramers named fp.sigma_x, the start's width; one whose
+    # square vanishes printed two "divide by zero" warnings and exited 1 with
+    # "error: dt must be > 0"
+    "compare-x_max-1e300": ("simulate", f"{_COMPARE_SMALL}grid.x_max=1e300",
+                            "grid.x_max must give cells of width (x_max - x_min) / nx a finite, "
+                            "nonzero square (got 1.5625e+298)"),
+    "compare-x_max-1e160": ("simulate", f"{_COMPARE_SMALL}grid.x_max=1e160",
+                            "grid.x_max must give cells of width (x_max - x_min) / nx a finite, "
+                            "nonzero square (got 1.5625e+158)"),
+    "compare-x_min-1e300": ("simulate", f"{_COMPARE_SMALL}grid.x_min=-1e300",
+                            "grid.x_max must give cells of width"),
+    "smoluchowski-x_max-1e300": ("simulate", "sim.kind=smoluchowski\ngrid.nx=16\nfp.steps=2\n"
+                                 "grid.x_max=1e300", "grid.x_max must give cells of width"),
+    "kramers-x_max-1e300": ("simulate", f"{_KRAMERS_SMALL}grid.x_max=1e300",
+                            "grid.x_max must give cells of width"),
+    "smoluchowski-x-1e-170": ("simulate", "sim.kind=smoluchowski\ngrid.nx=16\nfp.steps=2\n"
+                              "grid.x_min=-1e-170\ngrid.x_max=1e-170",
+                              "grid.x_max must give cells of width (x_max - x_min) / nx a "
+                              "finite, nonzero square (got 1.25e-171)"),
+    "kramers-v-1e-170": ("simulate", f"{_KRAMERS_SMALL}grid.v_min=-1e-170\ngrid.v_max=1e-170",
+                         "grid.v_max must give cells of width (v_max - v_min) / nv a finite, "
+                         "nonzero square (got 1.25e-171)"),
+    # a Drude frequency grid whose omega^2 overflows printed two numpy
+    # "overflow encountered in square" warnings and exited 1
+    "drude-w_max-1e160": ("kernels", f"{_DRUDE_SMALL}grid.w_max=1e160",
+                          "grid.w_max must have a finite square, which the Drude Lorentzian "
+                          "takes (got |omega| = 1e+160)"),
+    "drude-w_max-1e300": ("kernels", f"{_DRUDE_SMALL}grid.w_max=1e300",
+                          "grid.w_max must have a finite square"),
+    "quantum-drude-w_max-1e160": ("kernels", f"{_DRUDE_SMALL}bath.hbar=1\ngrid.w_max=1e160",
+                                  "grid.w_max must have a finite square"),
+    "quantum-drude-w_max-1e300": ("kernels", f"{_DRUDE_SMALL}bath.hbar=1\ngrid.w_max=1e300",
+                                  "grid.w_max must have a finite square"),
 }
 
 
@@ -762,6 +805,23 @@ def test_keyless_failure_now_names_its_key(tmp_path, capfd, case):
     assert _read_manifest(out)[-1] == {"record": "error", "exit_code": 2,
                                        "message": err.strip()}
     assert [r for r in _read_manifest(out) if r["record"] == "output"] == []
+
+
+@pytest.mark.parametrize("text", ["grid.w_max=1e160", "grid.w_max=1e300",
+                                  "bath.hbar=1\ngrid.w_max=1e300"],
+                         ids=["1e160", "1e300", "quantum-1e300"])
+def test_ohmic_kernels_keep_a_w_max_whose_square_overflows(tmp_path, text):
+    """The Ohmic shape takes no omega^2, so grid.w_max's Drude rule leaves
+    these runs as they were: exit 0 with finite K over the whole grid, and
+    K = 1 classically."""
+    cfg = _write_config(tmp_path, f"bath.model=ohmic\ngrid.nw=11\n{text}\n")
+    out = tmp_path / "out"
+    assert main(["kernels", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    table = np.loadtxt(out / "noise_freq.csv", delimiter=",", skiprows=1)
+    w_max = float(text.rsplit("=", 1)[1])
+    np.testing.assert_array_equal(table[:, 0], np.linspace(-w_max, w_max, 11))
+    assert np.all(np.isfinite(table[:, 1]))
+    assert "hbar" in text or np.all(table[:, 1] == 1.0)
 
 
 def test_drude_series_cap_stops_at_its_edge(tmp_path, monkeypatch, capsys):
@@ -798,10 +858,6 @@ def test_drude_series_cap_stops_at_its_edge(tmp_path, monkeypatch, capsys):
             assert err.endswith(" cuts it at 2,000,118\n")
             assert _error_records(out) == [
                 {"record": "error", "exit_code": 2, "message": err.strip()}]
-
-
-_KRAMERS_SMALL = "sim.kind=kramers\ngrid.nx=16\ngrid.nv=16\nfp.steps=5\n"
-_COMPARE_SMALL = "sim.kind=compare\ncompare.times=0.01\nrun.n_traj=50\ngrid.nx=64\ncompare.bins=8\n"
 
 
 @pytest.mark.parametrize("command, text, code, start", [
@@ -1274,24 +1330,25 @@ def test_every_refused_parameter_has_a_key():
 
     assert _refused_names() == set(cli._KEYS) == {
         "mass", "gamma", "k_bt", "hbar", "omega_d", "omega0", "a", "b", "coeffs", "t_grid",
-        "t_min", "x_min", "x_max", "nx", "v_min", "v_max", "nv", "dx", "dy", "dt", "steps",
-        "n_traj", "x0", "v0", "sigma_x", "sigma_v", "times", "n_bins", "sigma", "separation",
-        "autocorr_lags"}
+        "t_min", "omega", "x_min", "x_max", "nx", "v_min", "v_max", "nv", "dx", "dy", "dt",
+        "steps", "n_traj", "x0", "v0", "sigma_x", "sigma_v", "times", "n_bins", "sigma",
+        "separation", "autocorr_lags"}
     assert len(set(cli._KEYS.values())) == len(cli._KEYS)
 
 
 def test_a_key_has_a_cli_rule_or_a_library_refusal():
     """A key whose value a library refusal tests has no RunConfig.get rule,
-    so each test has one home. Six keys keep both: state.separation, whose
+    so each test has one home. Seven keys keep both: state.separation, whose
     "finite and > 0" a Gaussian-state decohere run needs, though it builds no
     superposition; decohere's grid.nx, run.dt and run.steps, which reach no
     library object before any work there (its dt goes to the master
     operator's run, whose plain dt test names no key), while PhaseGrid's nx
     and SimConfig's dt and steps name the same keys; and the kernel grid's
-    grid.nt and grid.t_max, whose rules (>= 2 points, finite and > 0) the
-    library does not restate: its refusals that name them, the quantum
-    series cap (t_grid) and the log term at the smallest |t| (t_min), test
-    what the two keys give together with the bath."""
+    grid.nt, grid.t_max and grid.w_max, whose rules (>= 2 points, finite
+    and > 0) the library does not restate: its refusals that name them, the
+    quantum series cap (t_grid), the log term at the smallest |t| (t_min)
+    and the Drude Lorentzian's omega^2 (omega), test what the keys give
+    together with the bath."""
     import ast
 
     import bathdyn.cli as cli
@@ -1304,8 +1361,8 @@ def test_a_key_has_a_cli_rule_or_a_library_refusal():
              and (len(node.args) == 4 or any(k.arg == "rule" for k in node.keywords))}
     assert "bath.gamma" not in ruled and "fp.dt" in ruled  # the scan reads both forms
     refused = {cli._KEYS[name] for name in _refused_names()}
-    assert sorted(ruled & refused) == ["grid.nt", "grid.nx", "grid.t_max", "run.dt",
-                                       "run.steps", "state.separation"]
+    assert sorted(ruled & refused) == ["grid.nt", "grid.nx", "grid.t_max", "grid.w_max",
+                                       "run.dt", "run.steps", "state.separation"]
 
 
 @pytest.mark.parametrize("phase, target, text", [
@@ -1713,6 +1770,8 @@ _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1
                                 1.0 / 3.0, 1e300, math.nan, -math.nan, math.inf,
                                 -math.inf])
 _FLOATS = st.one_of(st.floats(), _EDGE_FLOATS)
+# the three kinds of column write_csv takes: floats, integers, and nonempty
+# text that csv.writer writes unquoted
 _CELLS = {
     "float": _FLOATS,
     "float64": _FLOATS.map(np.float64),
@@ -1720,10 +1779,8 @@ _CELLS = {
     "int": st.integers(-(2**70), 2**70),
     "int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
     "uint8": st.integers(0, 255).map(np.uint8),
-    "bool": st.one_of(st.booleans(), st.booleans().map(np.bool_)),
-    "str": st.text(alphabet=list(',"\n\r %\t a1.e\x00\u00e9\u2028'), max_size=6),
+    "str": st.text(alphabet=list(' %\t a1.e\x00\u00e9\u2028'), min_size=1, max_size=6),
 }
-_CELLS["mixed"] = st.one_of(*_CELLS.values())
 
 
 # the numpy dtype of the cell kinds that a column may also be passed as
@@ -1733,11 +1790,13 @@ _ARRAY_DTYPES = {"float64": np.float64, "float32": np.float32, "int64": np.int64
 
 @st.composite
 def _tables(draw):
-    """(header, columns): each column one cell kind, or mixed; a column of
-    numpy cells is a list or a 1-D array of their dtype."""
+    """(header, columns): each column one cell kind; a column of numpy
+    cells is a list or a 1-D array of their dtype. The header takes any
+    text, which csv.writer quotes as it needs."""
     width = draw(st.integers(0, 5))
     kinds = [draw(st.sampled_from(sorted(_CELLS))) for _ in range(width)]
-    header = tuple(draw(_CELLS["str"]) for _ in range(width))
+    header = tuple(draw(st.text(alphabet=list(',"\n\r %\t a1.e\x00\u00e9\u2028'),
+                                max_size=6)) for _ in range(width))
     n_rows = draw(st.integers(0, 6))
     columns = []
     for kind in kinds:
@@ -1750,7 +1809,7 @@ def _tables(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_tables())
-@example((("only",), [["", "a,b", np.bool_(False)]]))  # a lone empty cell
+@example((("only",), [["a b", "%s", "1.5"]]))  # text alone in its row
 @example((("x", "v"), [[], []]))  # an empty table
 @example((("x", "v", "P"), [[-0.0], [np.float64("nan")], [5e-324]]))  # one row
 def test_write_csv_bytes_equal_version_0_2_0(table):
@@ -1766,12 +1825,26 @@ def test_write_csv_bytes_equal_version_0_2_0(table):
 def test_write_csv_batches_keep_the_bytes(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     vals = rng.standard_normal((n_rows, 2)) * 10.0 ** rng.integers(-320, 300, (n_rows, 2))
-    rows = [(k, float(a), np.float64(b), "x,y" if k % 7 else k / 3)
+    rows = [(k, float(a), np.float64(b), "x%y" if k % 7 else f"{k / 3}")
             for k, (a, b) in enumerate(vals)]
     header = ("k", "a", "b", "note")
     write_csv(tmp_path / "new.csv", header, list(zip(*rows)))
     expected = _csv_bytes_0_2_0(tmp_path / "old.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("column", [
+    [True, False], [np.bool_(True)], ["a", ""], ["a,b"], ['say "a"'], ["a\nb"], ["a\rb"],
+    [1.0, 2], [1, "a"], [0.5, "a"], [1j], [None], [np.longdouble(0.5)]],
+    ids=["bool", "numpy-bool", "empty-text", "comma", "quote", "newline", "return",
+         "float-and-int", "int-and-text", "float-and-text", "complex", "none", "longdouble"])
+def test_write_csv_refuses_a_column_of_any_other_kind(tmp_path, column):
+    """Beside a float column, a column of bools, of empty text or of text
+    that csv.writer would quote, or of mixed kinds, raises TypeError: the
+    program writes none of them (they went cell by cell through csv.writer)."""
+    with pytest.raises(TypeError, match="^CSV columns must hold floats, integers or "
+                       "unquoted nonempty text "):
+        write_csv(tmp_path / "t.csv", ("x", "c"), (np.zeros(len(column)), column))
 
 
 def test_write_csv_columns_of_unequal_length_raise(tmp_path):
@@ -1832,10 +1905,12 @@ def test_product_csv_bytes_equal_write_csv_of_the_tiled_columns(a, b, n_fields, 
             assert new.read() == old.read()
 
 
-def test_product_csv_takes_integer_fields_and_rejects_complex_ones(tmp_path):
-    man = Manifest("test", str(tmp_path))
-    man.product_csv("ints.csv", ("x", "y", "n"), [0.5, 1.5], [-1.0],
-                    np.array([[3], [-4]], dtype=np.int16))
-    assert (tmp_path / "ints.csv").read_text() == "x,y,n\n0.5,-1,3\n1.5,-1,-4\n"
-    with pytest.raises(TypeError, match="real"):
-        man.product_csv("c.csv", ("x", "y", "z"), [0.0], [1.0], np.array([[1j]]))
+@pytest.mark.parametrize("field", [np.array([[3], [-4]], dtype=np.int16),
+                                   np.array([[3], [4]], dtype=np.uint64),
+                                   np.array([[1j], [0.5]]), np.array([[True], [False]])],
+                         ids=["int16", "uint64", "complex", "bool"])
+def test_product_csv_refuses_fields_that_are_not_float(tmp_path, field):
+    """Integer fields were written with %d; the program writes float fields
+    only, so any other dtype raises TypeError, as complex fields did."""
+    with pytest.raises(TypeError, match="^product table fields must be floats$"):
+        write_product_csv(tmp_path / "p.csv", ("x", "y", "f"), [0.5, 1.5], [-1.0], field)

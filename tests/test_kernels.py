@@ -167,7 +167,7 @@ def test_classical_drude_short_grid_flag():
 
 def test_quantum_drude_time_kernel_quadrature_oracle():
     """Sampled values agree with an independent Fourier quadrature."""
-    p = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=1.0, omega_d=10.0)
+    p = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=1.0)
     d = Drude(gamma=1.0, omega_d=10.0)
     t = np.arange(1, 2001) * 0.05
     s = noise_kernel_time(p, d, t)
@@ -279,15 +279,12 @@ def test_noise_kernel_time_error_contracts():
     for grid in ([0.0, 0.1, 0.3], [0.3, 0.2, 0.1]):  # nonuniform, decreasing
         with pytest.raises(ValueError, match="^t_grid must be uniformly increasing$"):
             noise_kernel_time(pc, d, np.array(grid))
-        with pytest.raises(ValueError, match="^t_grid must be uniformly increasing$"):
-            KernelSamples(np.array(grid), np.zeros(3), 0.1, 0.0, True)
 
 
 def test_noise_kernel_time_checks_its_grid_once_before_the_kernel(monkeypatch):
     """noise_kernel_time runs _time_grid on its grid once, before the kernel
-    is computed, and KernelSamples does not run it again on that grid (it
-    ran twice: KernelSamples.__post_init__ checked the same array); a grid
-    that fails the check computes no kernel."""
+    is computed (it ran twice: KernelSamples.__post_init__ checked the same
+    array); a grid that fails the check computes no kernel."""
     import bathdyn.kernels as kernels
 
     checked = []
@@ -305,6 +302,44 @@ def test_noise_kernel_time_checks_its_grid_once_before_the_kernel(monkeypatch):
                         lambda *args: pytest.fail("the kernel was computed"))
     with pytest.raises(ValueError, match="^t_grid must be uniformly increasing$"):
         noise_kernel_time(params, Drude(gamma=1.0, omega_d=10.0), np.array([0.0, 0.1, 0.3]))
+
+
+def test_kernel_samples_derive_their_figures_from_the_grid_and_values(monkeypatch):
+    """KernelSamples holds the grid and the values; dt, the trapezoid area
+    and short_grid follow from them. noise_kernel_time refuses values that
+    are not finite, here from a stubbed kernel."""
+    import bathdyn.kernels as kernels
+
+    s = KernelSamples(np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0, 0.0]))
+    assert (s.dt, s.area, s.short_grid) == (0.5, 0.75, True)
+    assert not KernelSamples(np.array([0.0, 1.0]), np.array([1.0, 1.0])).short_grid
+    params = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=0.0)
+    monkeypatch.setattr(kernels, "_drude_time_kernel", lambda *args: np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="^kernel values must be finite$"):
+        noise_kernel_time(params, Drude(gamma=1.0, omega_d=10.0), [0.0, 0.1])
+
+
+def test_drude_frequency_whose_square_overflows_is_refused_by_name():
+    """The Drude Lorentzian takes omega^2: an omega whose square is not
+    finite raises ParameterError naming omega (it printed numpy overflow
+    warnings), where the Ohmic shape, which takes no square, still gives 1.
+    noise_kernel_freq refuses a non-finite omega first, unnamed. Below the
+    edge both functions keep their values."""
+    drude, params = Drude(gamma=1.0, omega_d=10.0), BathParams(1.0, 1.0, 1.0, 0.0)
+    cases = [(spectral_density, (drude, 1.0), omega)
+             for omega in (np.inf, -np.inf, np.nan)]
+    cases += [(call, args, omega) for omega in (1e160, -1e300, np.array([0.0, 1e155]))
+              for call, args in ((spectral_density, (drude, 1.0)),
+                                 (noise_kernel_freq, (params, drude)))]
+    for call, args, omega in cases:
+        with pytest.raises(ParameterError) as exc:
+            call(*args, omega)
+        assert exc.value.name == "omega"
+    assert str(exc.value) == ("omega must have a finite square, which the Drude Lorentzian "
+                              "takes (got |omega| = 1e+155)")
+    assert noise_kernel_freq(params, Ohmic(gamma=1.0), 1e300) == 1.0
+    assert noise_kernel_freq(params, drude, 1e154) == 100.0 / (100.0 + 1e154 ** 2)
+    assert spectral_density(drude, 1.0, 1e154) == 2e154 * 100.0 / (100.0 + 1e154 ** 2)
 
 
 def test_discrete_bath_helpers():

@@ -57,7 +57,7 @@ def test_colored_noise_autocovariance():
     """Sampled covariance matches w K(t) for the classical memory kernel."""
     om_d = 4.0
     spec = NoiseSpec(kernel=Drude(gamma=1.0, omega_d=om_d), w=2.0, dt=0.01,
-                     n=200000, seed=5, hbar=0.0, k_bt=1.0)
+                     n=200000, seed=5)
     traj = colored_noise(spec)
     acov = estimate_autocorr(traj, 100)
     c0_target = spec.w * om_d / 2.0  # w K(0) with K(t) = (om_d/2) e^{-om_d|t|}
@@ -81,9 +81,6 @@ def test_colored_noise_error_contracts():
     with pytest.raises(ValueError, match="Drude"):
         colored_noise(NoiseSpec(kernel=Ohmic(gamma=1.0), w=1.0, dt=0.1,
                                 n=16, seed=1))
-    with pytest.raises(ValueError, match="non-integrable"):
-        colored_noise(NoiseSpec(kernel=Drude(1.0, 5.0), w=1.0, dt=0.1,
-                                n=16, seed=1, hbar=1.0))
 
 
 def test_estimate_autocorr_guards():

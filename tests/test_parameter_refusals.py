@@ -56,7 +56,6 @@ _FLOAT_ARGUMENTS = {
     "BathParams.gamma": ("gamma", 2.0, lambda v: _bath(gamma=v)),
     "BathParams.k_bt": ("k_bt", 2.0, lambda v: _bath(k_bt=v)),
     "BathParams.hbar": ("hbar", 0.0, lambda v: _bath(hbar=v)),
-    "BathParams.omega_d": ("omega_d", 10.0, lambda v: _bath(omega_d=v)),
     "Ohmic.gamma": ("gamma", 2.0, lambda v: Ohmic(gamma=v)),
     "Drude.gamma": ("gamma", 2.0, lambda v: Drude(gamma=v, omega_d=10.0)),
     "Drude.omega_d": ("omega_d", 10.0, lambda v: Drude(gamma=1.0, omega_d=v)),
@@ -156,6 +155,14 @@ _OUT_OF_RANGE = {
     "log-term-at-t_min": ("t_min", lambda: _quantum_terms(1.5, 1.0, 1e-17),
                           "t_min must be finite and > 0 with log(1 - exp(-nu1 t_min)) finite "
                           "(got t_min = 1e-17)"),
+    # a cell width whose square overflows or vanishes: the flux weights
+    # divide by it (compare ended in an OverflowError traceback)
+    "overflowing-cell-square": ("x_max", lambda: PhaseGrid(-4.0, 1e300, 64),
+                                "x_max must give cells of width (x_max - x_min) / nx a finite, "
+                                "nonzero square (got 1.5625e+298)"),
+    "vanishing-cell-square": ("v_max", lambda: PhaseGrid(-4.0, 4.0, 16, -1e-170, 1e-170, 16),
+                              "v_max must give cells of width (v_max - v_min) / nv a finite, "
+                              "nonzero square (got 1.25e-171)"),
     "empty-polynomial": ("coeffs", lambda: Polynomial(()), "coeffs must not be empty"),
     "no-steps": ("steps", lambda: _run(steps=0), "steps must be >= 1"),
     "no-trajectories": ("n_traj", lambda: _run(n_traj=0), "n_traj must be >= 1"),

@@ -49,12 +49,17 @@ def test_cli_and_checks_step_through_the_public_operators():
         assert wrappers.isdisjoint(vars(mod)), mod.__name__
 
 
-def test_readme_library_example_runs():
-    """The README's python block runs as written, through the public names."""
+def test_readme_library_example_runs(capsys):
+    """The README's python block runs as written, through the public names,
+    and prints its two lines, captured here rather than left in the suite's
+    output."""
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     [block] = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
     ns = {}
     exec(compile(block, "README.md", "exec"), ns)
-    assert ns["stats"].n_traj == 20000
-    assert abs(ns["field"].mass - 1.0) < 1e-12  # momenta-left conserves mass
-    assert ns["field"].t == pytest.approx(500 * 0.5e-3)
+    stats, field = ns["stats"], ns["field"]
+    assert stats.n_traj == 20000
+    assert abs(field.mass - 1.0) < 1e-12  # momenta-left conserves mass
+    assert field.t == pytest.approx(500 * 0.5e-3)
+    assert capsys.readouterr().out.splitlines() == [
+        f"{stats.mean_x} {stats.var_x}", f"{field.mass} {field.moments()}"]
