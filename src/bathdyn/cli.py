@@ -291,17 +291,11 @@ def _size_rule(key: str, what: str, doubles: int) -> tuple[bool, str, str]:
         f"keep {what} x 8 bytes, within {_SIZE_LIMIT:,} bytes (got {8 * doubles:,})")
 
 
-# the config key of each parameter that a library refusal (ParameterError) names
-_KEYS = {"mass": "bath.mass", "gamma": "bath.gamma", "k_bt": "bath.k_bt", "hbar": "bath.hbar",
-         "omega_d": "bath.omega_d", "omega0": "potential.omega0", "a": "potential.a",
-         "b": "potential.b", "coeffs": "potential.coeffs", "t_grid": "grid.nt",
-         "t_min": "grid.t_max", "omega": "grid.w_max", "x_min": "grid.x_min",
-         "x_max": "grid.x_max", "nx": "grid.nx", "v_min": "grid.v_min", "v_max": "grid.v_max",
-         "nv": "grid.nv", "dx": "grid.dx", "dy": "grid.dy", "dt": "run.dt", "steps": "run.steps",
-         "n_traj": "run.n_traj", "x0": "run.x0", "v0": "run.v0", "sigma_x": "run.sigma_x",
-         "sigma_v": "run.sigma_v", "times": "compare.times", "n_bins": "compare.bins",
-         "sigma": "state.sigma", "separation": "state.separation",
-         "autocorr_lags": "output.autocorr_lags"}
+# the config key of each refused parameter whose value the command derives
+# from that key; any other ParameterError names the last key its run read
+# whose last dotted part is the parameter's name
+_ALIASES = {"t_grid": "grid.nt", "t_min": "grid.t_max", "omega": "grid.w_max",
+            "n_bins": "compare.bins"}
 
 
 def _tag(passed) -> str:
@@ -331,15 +325,14 @@ def _budget_check(man: Manifest, quantity: str, ordering: Ordering, sink_rate: f
     man.check(name, ok, line, drift=drift, **fields)
 
 
-def _bath_from(cfg: RunConfig, mass: float = 1.0, gamma: float = 1.0,
-               hbar: float = 0.0) -> BathParams:
-    """The bath.* parameters, with the calling command's defaults."""
-    return BathParams(
-        mass=cfg.get("bath.mass", as_float, mass),
-        gamma=cfg.get("bath.gamma", as_float, gamma),
-        k_bt=cfg.get("bath.k_bt", as_float, 1.0),
-        hbar=cfg.get("bath.hbar", as_float, hbar),
-    )
+def _bath_from(cfg: RunConfig, names, **defaults) -> BathParams:
+    """BathParams from the bath.<name> key of each of names, read in turn with
+    the calling command's defaults, or 1 (0 for hbar); a field whose key the
+    run does not read keeps its default, on which none of its outputs depends."""
+    values = {"mass": 1.0, "gamma": 1.0, "k_bt": 1.0, "hbar": 0.0, **defaults}
+    for name in names:
+        values[name] = cfg.get(f"bath.{name}", as_float, values[name])
+    return BathParams(**values)
 
 
 def _potential_from(cfg: RunConfig, mass: float, allow_none: bool = False):
@@ -364,15 +357,17 @@ def _potential_from(cfg: RunConfig, mass: float, allow_none: bool = False):
 
 
 def cmd_kernels(cfg: RunConfig, man: Manifest) -> None:
-    model_name = cfg.get("bath.model", as_choice("ohmic", "drude"), "ohmic")
-    params = _bath_from(cfg)
-    mass, gamma, hbar = params.mass, params.gamma, params.hbar
+    drude = cfg.get("bath.model", as_choice("ohmic", "drude"), "ohmic") == "drude"
+    hbar = cfg.get("bath.hbar", as_float, 0.0)
+    # the Ohmic tables take no mass, and the classical K no temperature
+    params = _bath_from(cfg, ("mass",) * drude + ("gamma",) + ("k_bt",) * (hbar > 0), hbar=hbar)
+    mass, gamma = params.mass, params.gamma
     nw = cfg.get("grid.nw", as_int, 2001, _at_least(2))
     # omega, K, its shape and argument, and xcoth's output and three
     # temporaries, with two eighths of masks (tracemalloc read 7.05)
     cfg.require(*_size_rule("grid.nw", f"the frequency table, {nw} points x 8 arrays", 8 * nw))
-    nt = cfg.get("grid.nt", as_int, 16385, _at_least(2))
-    if model_name == "drude":
+    if drude:
+        nt = cfg.get("grid.nt", as_int, 16385, _at_least(2))
         # the time grid, its half-length friction grid, |t|, the kernel values
         # and three temporaries of its formula (tracemalloc read 5.5)
         cfg.require(*_size_rule("grid.nt", f"the time tables, {nt} points x 7 arrays", 7 * nt))
@@ -380,11 +375,10 @@ def cmd_kernels(cfg: RunConfig, man: Manifest) -> None:
         model = Drude(gamma=gamma, omega_d=omega_d)
         w_max = cfg.get("grid.w_max", as_float, 5.0 * omega_d, _FINITE_POSITIVE)
         t_max = cfg.get("grid.t_max", as_float, 16.0 / omega_d, _FINITE_POSITIVE)
-    else:
+    else:  # no time table
         model = Ohmic(gamma=gamma)
         w_max = cfg.get("grid.w_max", as_float, 10.0 * gamma, _FINITE_POSITIVE)
-        t_max = cfg.get("grid.t_max", as_float, 16.0 / gamma, _FINITE_POSITIVE)
-    if model_name == "drude" and hbar > 0:
+    if drude and hbar > 0:
         # the quantum kernel log-diverges at t = 0; an even count of
         # half-offset samples straddles it symmetrically
         n_even = nt + nt % 2
@@ -392,7 +386,7 @@ def cmd_kernels(cfg: RunConfig, man: Manifest) -> None:
         t_min = float(np.min(np.abs(t_grid)))  # about t_max / n_even
         # nu1^3, the log term at t_min, the pole band and the series cap
         _quantum_terms(omega_d, 2.0 * math.pi * params.k_bt / hbar, t_min)
-    elif model_name == "drude":
+    elif drude:
         t_grid = np.linspace(-t_max, t_max, nt + 1 - nt % 2)
     cfg.finish()
 
@@ -405,7 +399,7 @@ def cmd_kernels(cfg: RunConfig, man: Manifest) -> None:
     man.check("k0_exact_unit", ok0, f"check K(0) == 1 exactly: {_tag(ok0)} (K0 = {k0:.17g})",
               computed=k0, target=1.0)
 
-    if model_name == "drude":
+    if drude:
         man.csv("spectral_density.csv", ("omega", "sigma"),
                 (omega, spectral_density(model, mass, omega)))
         tg = np.linspace(0.0, t_max, (nt + 1) // 2)
@@ -436,7 +430,6 @@ def cmd_det_check(cfg: RunConfig, man: Manifest) -> None:
     # and its temporaries (tracemalloc read 5.13 arrays of det.n)
     cfg.require(*_size_rule("det.n", f"the determinant tables, {n + 1} nodes x 6 arrays",
                             6 * (n + 1)))
-    seed = cfg.get("run.seed", as_int, 1234)
     cfg.finish()
     cfg.require(g * t_total < math.log(sys.float_info.max), "det.gamma * det.t",
                 f"keep exp(g t) finite (got {g * t_total:g})")
@@ -444,7 +437,7 @@ def cmd_det_check(cfg: RunConfig, man: Manifest) -> None:
     from .checks import det_cases
 
     man.phase = "step"
-    cases = det_cases(g, t_total, n, seed)
+    cases = det_cases(g, t_total, n)
     man.jsonl("det_checks.jsonl", cases)
     for case in cases:
         man.check(case["case"], case["pass"], f"{case['case']}: {_tag(case['pass'])} "
@@ -496,6 +489,9 @@ def _grid(cfg: RunConfig, kind: str, fields: int = 0) -> PhaseGrid:
 
 def _run_ensemble_cmd(cfg, params, potential, man) -> None:
     mode = cfg.get("run.mode", as_choice(*_MODES), "overdamped")
+    # an overdamped trajectory has no velocity
+    velocity = ({"v0": cfg.get("run.v0", as_float, 0.0),
+                 "sigma_v": cfg.get("run.sigma_v", as_float, 0.0)} if mode == "inertial" else {})
     config = SimConfig(
         potential=potential,
         params=params,
@@ -504,9 +500,8 @@ def _run_ensemble_cmd(cfg, params, potential, man) -> None:
         n_traj=cfg.get("run.n_traj", as_int, 1000),
         master_seed=cfg.get("run.seed", as_int, 1234),
         x0=cfg.get("run.x0", as_float, 0.0),
-        v0=cfg.get("run.v0", as_float, 0.0),
         sigma_x=cfg.get("run.sigma_x", as_float, 0.0),
-        sigma_v=cfg.get("run.sigma_v", as_float, 0.0),
+        **velocity,
     )
     bins = cfg.get("output.bins", as_int, 64, _at_least(1))
     # the histogram's edges, counts, widths, total x widths and density, and
@@ -554,12 +549,8 @@ def _run_fp_cmd(cfg, kind, params, potential, man) -> None:
                     f"lie inside the v grid ({grid.v_min:g}, {grid.v_max:g}) (got {v0:g})")
         sigma_v = cfg.get("fp.sigma_v", as_float, 0.5, _FINITE_POSITIVE)
     cfg.finish()
-    try:
-        field = (gaussian_field_2d(grid, x0, sigma_x, v0, sigma_v) if grid.is_2d
-                 else gaussian_field_1d(grid, x0, sigma_x))
-    except ParameterError as exc:  # _KEYS maps the widths' names to run.* keys
-        cfg.require(exc.name != "sigma_x", "fp.sigma_x", exc.text)
-        cfg.require(False, "fp.sigma_v", exc.text)
+    field = (gaussian_field_2d(grid, x0, sigma_x, v0, sigma_v) if grid.is_2d
+             else gaussian_field_1d(grid, x0, sigma_x))
     op = (KramersOperator if grid.is_2d else SmoluchowskiOperator)(grid, potential, params)
     if dt <= 0.0:
         dt = 0.5 * op.dt_max  # fp.dt <= 0 requests an automatic stable step
@@ -628,7 +619,7 @@ def _run_compare_cmd(cfg, params, potential, man) -> None:
 
 def cmd_simulate(cfg: RunConfig, man: Manifest) -> None:
     kind = cfg.get("sim.kind", as_choice("ensemble", "smoluchowski", "kramers", "compare"))
-    params = _bath_from(cfg)
+    params = _bath_from(cfg, ("mass", "gamma", "k_bt"))  # the classical limit: no hbar
     potential = _potential_from(cfg, params.mass)
     if kind == "ensemble":
         _run_ensemble_cmd(cfg, params, potential, man)
@@ -643,14 +634,16 @@ def cmd_simulate(cfg: RunConfig, man: Manifest) -> None:
 
 
 def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
-    params = _bath_from(cfg, mass=20.0, gamma=6.25e-3, hbar=1.0)
+    params = _bath_from(cfg, ("mass", "gamma", "k_bt", "hbar"), mass=20.0, gamma=6.25e-3,
+                        hbar=1.0)
     dec = decoherence_params(params)  # it tests hbar^2 and Lambda
     hbar, lam = params.hbar, dec.lam
     potential = _potential_from(cfg, params.mass, allow_none=True)
-    state_kind = cfg.get("state.kind", as_choice("gaussian", "superposition"),
-                         "superposition")
+    superposed = cfg.get("state.kind", as_choice("gaussian", "superposition"),
+                         "superposition") == "superposition"
     sigma = cfg.get("state.sigma", as_float, 0.3)
-    separation = cfg.get("state.separation", as_float, 4.0, _FINITE_POSITIVE)
+    if superposed:
+        separation = cfg.get("state.separation", as_float, 4.0)
     nx = cfg.get("grid.nx", as_int, 101, _at_least(1))
     dx = cfg.get("grid.dx", as_float, 0.08)
     # rho's y grid is centred on its y = 0 row
@@ -673,14 +666,13 @@ def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
                             "values", _ROW * rows))
     ordering = Ordering(cfg.get("decohere.ordering", _ORDERING, "momenta_left"))
     cfg.finish()
-    # a superposition's decay slope is judged against Lambda d^2
-    lam_d2 = lam * (separation * separation)
-    superposed = state_kind == "superposition"
-    cfg.require(not superposed or 0.0 < lam_d2 < math.inf, "state.separation",
-                f"give a finite Lambda d^2 > 0 (got {lam_d2:g})")
 
     # the state functions test grid.dx, state.sigma and the packet centres first
     if superposed:
+        # a superposition's decay slope is judged against Lambda d^2
+        lam_d2 = lam * (separation * separation)
+        cfg.require(0.0 < lam_d2 < math.inf, "state.separation",
+                    f"give a finite Lambda d^2 > 0 (got {lam_d2:g})")
         rho = superposition_state(nx, dx, ny, dy, separation=separation, sigma=sigma)
     else:
         rho = gaussian_pure_state(nx, dx, ny, dy, sigma=sigma)
@@ -788,7 +780,8 @@ def main(argv=None) -> int:
     a ConfigError, an OSError, a ValueError raised while the config was
     read, or a library refusal that names its parameter (ParameterError),
     wherever it was raised, reported as "<key> must <text>" with the
-    parameter's config key from _KEYS."""
+    parameter's key: its _ALIASES entry, or else the last key the run read
+    whose last dotted part is the parameter's name."""
     args = _build_parser().parse_args(argv)
     man, cfg = Manifest(args.command, args.out, args.quiet), RunConfig({})
     try:
@@ -799,7 +792,9 @@ def main(argv=None) -> int:
         return 0 if man.all_passed else 1
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:
         if isinstance(exc, ParameterError):  # a library refusal names its parameter
-            exc = ConfigError(f"{_KEYS[exc.name]} must {exc.text}")
+            key = _ALIASES.get(exc.name) or next(
+                (k for k in reversed(cfg.resolved) if k.rsplit(".", 1)[-1] == exc.name), exc.name)
+            exc = ConfigError(f"{key} must {exc.text}")
         # a StabilityError is a ValueError, but a numerical abort like a
         # RuntimeError; any other ValueError is a configuration error until the
         # config is read whole, and after that a failure of the run's phase

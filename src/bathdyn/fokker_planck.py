@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .kernels import BathParams, ParameterError, _positive
+from .kernels import BathParams, ParameterError, _positive, _require
 from .langevin import EnsembleStats, SimConfig, StabilityError, run_ensemble
 from .potentials import Potential
 
@@ -245,6 +245,15 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_rate(axis: str, rate: float, what: str, width: float) -> None:
+    """Refuse a cell width whose rate, `what` over it, is not finite: the
+    flux weights and the stability bound take it, and dt_max would be 0. A
+    subnormal width passes _check_axis, yet D / width^2 overflows. The
+    ParameterError names <axis>_max."""
+    _require(rate < math.inf, f"{axis}_max", f"give cells of width ({axis}_max - {axis}_min) / "
+             f"n{axis} = {width:g} a finite {what}")
+
+
 def _sg_weights(drift: np.ndarray, spacing: float, diff: float):
     """Scharfetter-Gummel weights along the last axis, whose interior faces
     carry the given drift: (weight on the left cell, weight on the right
@@ -364,6 +373,8 @@ class SmoluchowskiOperator(_GridOperator):
         if grid.is_2d:
             raise ValueError("expected a 1D grid")
         self.d, self.dx = params.D, grid.dx
+        _check_rate("x", self.d / self.dx**2, f"diffusion rate D / width^2 (D = {self.d:g})",
+                    self.dx)
         u = -np.asarray(potential.grad(grid.x_faces)) / (params.mass * params.gamma)
         self.bl, self.br, out_rate = _sg_weights(u, self.dx, self.d)
         self.dt_max = min(0.4 * self.dx**2 / self.d, 0.9 / out_rate)
@@ -401,11 +412,16 @@ class KramersOperator(_GridOperator):
         self.n_left = grid.nv - int(np.count_nonzero(grid.v_centers > 0))
         # w / 2 M^2, in a form with no M^2 to over- or underflow
         self.d_v = params.gamma * params.k_bt / params.mass
+        _check_rate("v", self.d_v / self.dv**2, f"diffusion rate d_v / width^2 (d_v = "
+                    f"{self.d_v:g})", self.dv)
+        v_top = float(np.max(np.abs(grid.v_centers)))
+        adv_rate = 2.0 * v_top / grid.dx
+        _check_rate("x", adv_rate, f"advection rate 2 max|v| / width (max|v| = {v_top:g})",
+                    grid.dx)
         grad = np.asarray(potential.grad(grid.x_centers))[:, None]
         a = -(params.gamma * grid.v_faces[None, :] + grad / params.mass)
         bl, br, out_rate = _sg_weights(a, self.dv, self.d_v)
         self.bl, self.br = (np.pad(w, [(0, 0), (0, 1)]).ravel()[:-1] for w in (bl, br))
-        adv_rate = 2.0 * float(np.max(np.abs(grid.v_centers))) / grid.dx
         self.dt_max = 0.8 / (adv_rate + out_rate)
 
     def increment_kernel(self, dt: float):

@@ -17,11 +17,12 @@ reproducible for a fixed numpy generation (PCG64).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Ohmic, SpectralDensity, _continuous, _kernel_shape_freq
+from .kernels import Ohmic, SpectralDensity, _continuous, _kernel_shape_freq, _require
 
 __all__ = [
     "NoiseSpec",
@@ -52,7 +53,10 @@ class NoiseSpec:
 
     kernel None means white noise; a Drude model selects the classical
     colored kernel. w >= 0 scales the correlation <eta eta> = w K; the
-    temperature enters only through w = 2 M gamma k_bt.
+    temperature enters only through w = 2 M gamma k_bt. dt must be finite
+    and > 0 with a finite variance w / dt and, for colored noise, a finite
+    square of the largest folded frequency 7 pi / dt, which the Lorentzian
+    takes; else a ParameterError names dt, before any draw.
     """
 
     kernel: SpectralDensity | None
@@ -62,10 +66,14 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.w < 0:
-            raise ValueError("w must be >= 0")
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
+        w, dt = float(self.w), float(self.dt)
+        if not 0.0 <= w < math.inf:
+            raise ValueError("w must be finite and >= 0")
+        top = 7.0 * math.pi / dt if dt > 0 else math.nan  # the largest folded frequency
+        _require(0.0 < dt < math.inf and w / dt < math.inf
+                 and (self.kernel is None or top * top < math.inf), "dt",
+                 "be finite and > 0 with a finite variance w / dt and, for colored noise, "
+                 f"a finite square of the largest folded frequency 7 pi / dt (got {dt:g})")
         if not self.n >= 2:
             raise ValueError("n must be >= 2")
 

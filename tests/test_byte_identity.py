@@ -7,7 +7,11 @@ promised within one version only, so DIGEST_VERSION must equal
 ``bathdyn.__version__``: a change that moves any byte re-records the digests
 of the cases it moves and bumps both.
 
-The digests belong to 0.9.0. It moved no output file and no exit code, only
+The digests belong to 0.10.0. It moved no output file, stdout or exit code,
+only the manifests of nine cases: a command reads only the keys that can move
+its outputs, so the ``config`` record of every ``simulate`` case loses
+``bath.hbar``, and that of ``decohere_symmetric``, a Gaussian state, loses
+``state.separation``. 0.9.0 moved no output file and no exit code, only
 the manifests and stdout of five cases, which gain or change a check record
 and its line. ``kramers_symmetric`` writes a ``mass_follows_sink`` check (its
 manifest alone moves: a grid run prints no check line). ``decohere_symmetric``
@@ -33,11 +37,12 @@ below. 0.6.0 moved only decohere bytes: W is one real product over the y >= 0
 half, which moves ``wigner_final.csv`` and the ``amplitude`` column of
 ``decay.csv`` by roundoff, and the ``trace_constant`` record carries ``tr0``
 and ``rel_tol``. 0.5.0 moved no byte of these cases (only det-check's two
-regularized-log values). ``kernels_drude`` and ``kramers_dt_too_large`` still
-hold the digests recorded with 0.2.0, byte for byte, because no later version
-moved their outputs. ``ensemble``'s output files hold the digests recorded
-with 0.3.0 (``DoubleWell.grad`` cubes by multiplication), which later versions
-left where they were. ``decohere_momenta_left`` and ``decohere_symmetric`` were recorded
+regularized-log values). ``kernels_drude`` still holds the digests recorded
+with 0.2.0, byte for byte, and so does ``kramers_dt_too_large`` but for its
+manifest (0.10.0), because no later version moved their outputs.
+``ensemble``'s output files hold the digests recorded with 0.3.0
+(``DoubleWell.grad`` cubes by multiplication), which later versions left
+where they were. ``decohere_momenta_left`` and ``decohere_symmetric`` were recorded
 with 0.3.0 (the kinetic substep pads to 11-smooth FFT lengths), with 0.4.0
 (the density matrix steps on its y >= 0 half with real FFTs, which moves rho
 and W by roundoff), with 0.6.0 and again with 0.8.0. The test keeps its 0.2.0
@@ -54,7 +59,7 @@ import pytest
 import bathdyn
 from bathdyn.cli import main
 
-DIGEST_VERSION = "0.9.0"
+DIGEST_VERSION = "0.10.0"
 
 _KRAMERS = {
     "sim.kind": "kramers", "potential.kind": "double_well",
@@ -106,15 +111,17 @@ CASES = {
 # ensemble case (0.3.0), the grid outputs of the compare, kramers_* and
 # smoluchowski_* cases (0.7.0), the decohere_* cases (0.8.0),
 # compare_three_chunks (0.8.0, in one chunk of 20 blocks, before chunks were
-# capped at 8 blocks), and the manifest and stdout of kramers_symmetric,
-# decohere_symmetric, ensemble, compare and compare_three_chunks (0.9.0)
+# capped at 8 blocks), the stdout of kramers_symmetric, decohere_symmetric,
+# ensemble, compare and compare_three_chunks (0.9.0), and the manifests of the
+# kramers_*, smoluchowski_*, compare*, ensemble and decohere_symmetric cases
+# (0.10.0)
 DIGESTS = {
     "compare": {
         "compare.jsonl":
             "a30be4cf6790eb96a23de22efa042b41d1a14f2cccc863a0415b7b80023aac61",
         "exit_code": "0",
         "manifest.json":
-            "cfbf2d4ecae5fb199928dc78f2a2d46dae2a4fce3d6c6c1b6515b60dbf105146",
+            "6442bdacfaaa7f897e07b7a1d93fcdfaa47ae8ccab31e5b35270ffe5872b6d57",
         "moments.csv":
             "9a0c0797d80b51bbaaf1172abcb34dbee0a0bc238a5392db4d86e50f179ecddc",
         "stderr":
@@ -127,7 +134,7 @@ DIGESTS = {
             "2e65eeeffd24faeb1ff2631814b1a24a03ba6bd219308363e765203eb6ec8b35",
         "exit_code": "0",
         "manifest.json":
-            "20cbec4a3448d2153e6a3a3c998e8ae22e123150a177f3efafc5d64a7bf4cb91",
+            "3b3f8530044444e152f7d2291b9cf7b238e70438d5214e75b92e927c8a5163c6",
         "moments.csv":
             "ab71543b2669e3ad211084aa8da44b2cac23a4a0d038eb32ccfe4146536dbb4c",
         "stderr":
@@ -155,7 +162,7 @@ DIGESTS = {
             "004afcc6a0d6a14180294f1a3fd5732331d6254cbed785d66d6c2699e70c6193",
         "exit_code": "1",
         "manifest.json":
-            "279c48d393d0b41a4f9a187c36b27033ccb2d385a7397a5dfc0eb4c567197f89",
+            "e5f9415671cd64c88cc9f4caadb920e69ed59ae05e897578d61ed95404f60e1c",
         "rho_final.csv":
             "8ba5c5bf25a2ffb52adb2d098c13a059d6d5c285f8bcfff130bfe01e5d74cdc9",
         "stderr":
@@ -172,7 +179,7 @@ DIGESTS = {
         "histogram.csv":
             "6200ec908a2ec03f06dddce45b90203f19b97a1091768b20e710df5a5a8e795f",
         "manifest.json":
-            "f6617af3d9bb4767a59c99674b616df093ee1d42e10cc9260b02af41b4b0b13b",
+            "13c94ecdf0c1ea94ea9e075e7b98a307e0a25f63106725246652d7cf1cc41459",
         "moments.csv":
             "af0644bca5e0ab41cbba7babba50a3a257d909a9901f1f560235030685479cb1",
         "stderr":
@@ -200,7 +207,7 @@ DIGESTS = {
     "kramers_dt_too_large": {
         "exit_code": "1",
         "manifest.json":
-            "3dd8839fcd579eb59e655565847279c4d003ebf7315a082f44d26f7d1b7e0235",
+            "46788ad301b39f89b1859d551874ef7f90a7076bc3c7343a0e40dc4dffe3c38d",
         "stderr":
             "6abc950f67009327286a1048c42dcac5346d8c608c52f69cc308b184e2be5703",
         "stdout":
@@ -211,7 +218,7 @@ DIGESTS = {
         "field.csv":
             "4c74718c285816b532a939e71d7d9cb83a3e88651d3be6d9d6971e56f929de53",
         "manifest.json":
-            "a500fb6a3019d12a57ff90e4b5aa1c0aa7733030ece3fcfce63d110b90e71cc2",
+            "c6d61517f99a76fa910758efa18a662da441ebd1e7834982b5dc0d3166d5d177",
         "mass.csv":
             "847e82858fac75f01aa25f46c35c9f884c28480659aa8075882c3b166850758c",
         "stderr":
@@ -224,7 +231,7 @@ DIGESTS = {
         "field.csv":
             "8f19ac040d65ec0bfd7f2a9d5dc103f5a0df1a016d280c7228e57a265bfb9af5",
         "manifest.json":
-            "f38320fcc40a86666d29b738b8e3381f234a45db876348202b4ff4dd9df18483",
+            "5c5b4c2c7c08e17a0379505161651886af99e2375de58bfd33bad3242a91e340",
         "mass.csv":
             "b34afa04ed8dc6a5399fc03580dd96cc953fb1251c5384e5524a7c1952e07e4b",
         "stderr":
@@ -237,7 +244,7 @@ DIGESTS = {
         "field.csv":
             "de5965c8bd1bfd681a08761e839006fb981ba0aac3b10a3d206d27c5b604ce42",
         "manifest.json":
-            "64f1add7cf2ba3a7e4aa551b5d632441d1315b0f7cb009f51a2bd7c24a02c8e0",
+            "618aaa2d3392fa85bd98bfc37ce273996289a50b3ecbacb3aa1baf6f44bd03c0",
         "mass.csv":
             "d6d22d0765cfa38cdc7d506a3602a87738633900dccbff87c210db64f7ad9867",
         "stderr":
@@ -250,7 +257,7 @@ DIGESTS = {
         "field.csv":
             "ea72c3b20eca0ca3cbdce6c5b83e2f9ad573347db1cb9df4a744c72bc1435701",
         "manifest.json":
-            "b7ef3bbb9b83c277d6ffeccb236bb6b9690b64d1edfa8030eeb09e971fd77df0",
+            "5c1d6f576508579c7326a5beb4448ac25e797e21c211d9302886794a0c80b403",
         "mass.csv":
             "b22dbfa739359ba0c7dcfe54e47054c2fb7cb68bdfa608439e5b8f88597cd7c3",
         "stderr":

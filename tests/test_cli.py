@@ -1,6 +1,8 @@
 """Command-line behavior: config parsing, exit codes, file outputs."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -297,12 +299,32 @@ def test_seed_flag_is_validated_and_ignored_where_run_seed_is_not_read(tmp_path,
     assert main(["simulate", "--config", bad, "--out", str(tmp_path / "a"), "--quiet",
                  "--seed", "3"]) == 2
     assert capsys.readouterr().err.startswith("config error: invalid value for run.seed")
-    cfg = _write_config(tmp_path, "bath.model=ohmic\ngrid.nw=11\ngrid.nt=65\n", "k.cfg")
-    out = tmp_path / "k"
-    assert main(["kernels", "--config", cfg, "--out", str(out), "--quiet",
-                 "--seed", "3"]) == 0
-    values = next(r for r in _read_manifest(out) if r["record"] == "config")["values"]
-    assert "run.seed" not in values
+    for command, text in (("kernels", "bath.model=ohmic\ngrid.nw=11\n"),
+                          ("det-check", "det.n=10000\n")):
+        cfg = _write_config(tmp_path, text, f"{command}.cfg")
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet",
+                     "--seed", "3"]) == 0
+        values = next(r for r in _read_manifest(out) if r["record"] == "config")["values"]
+        assert "run.seed" not in values
+
+
+def test_readme_configs_run(tmp_path):
+    """Each ini block of the README is a config that the command of its
+    section runs to exit 0. The kernels example set bath.k_bt, which a
+    classical run does not read, and a comment after a value, which no
+    value may carry."""
+    import pathlib
+    import re
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^### ([a-z-]+)\n(?:(?!^### ).)*?```ini\n(.*?)```", readme,
+                        re.MULTILINE | re.DOTALL)
+    assert [command for command, _ in blocks] == ["kernels", "simulate"]
+    for command, text in blocks:
+        out = tmp_path / command
+        assert main([command, "--config", _write_config(tmp_path, text), "--out", str(out),
+                     "--quiet"]) == 0
 
 
 def _error_records(out_dir):
@@ -724,13 +746,14 @@ _KEYLESS_FAILURES = {
                          "bath.omega_d=1\ngrid.nt=65\ngrid.nw=11\ngrid.t_max=1e120",
                          "bath.omega_d must keep r = omega_d / nu1 = 1.591549431e+99 out"),
     # state.separation was read with no rule: a Gaussian state ran on nan,
-    # inf or -4, and a superposition's -4 exited with "separation must be > 0"
+    # inf or -4, and a superposition's -4 exited with "separation must be > 0".
+    # A Gaussian state reads no state.separation, so it is an unknown key
     "gaussian-separation-nan": ("decohere", "state.kind=gaussian\nstate.separation=nan",
-                                "state.separation must be finite and > 0"),
+                                "unknown config key: state.separation"),
     "gaussian-separation-inf": ("decohere", "state.kind=gaussian\nstate.separation=inf",
-                                "state.separation must be finite and > 0"),
+                                "unknown config key: state.separation"),
     "gaussian-separation--4": ("decohere", "state.kind=gaussian\nstate.separation=-4",
-                               "state.separation must be finite and > 0"),
+                               "unknown config key: state.separation"),
     "superposition-separation--4": ("decohere", "state.separation=-4",
                                     "state.separation must be finite and > 0"),
     # MasterOperator refused a y grid coarser than l_e / 2 after the run's
@@ -778,6 +801,26 @@ _KEYLESS_FAILURES = {
     "kramers-v-1e-170": ("simulate", f"{_KRAMERS_SMALL}grid.v_min=-1e-170\ngrid.v_max=1e-170",
                          "grid.v_max must give cells of width (v_max - v_min) / nv a finite, "
                          "nonzero square (got 1.25e-171)"),
+    # a cell width whose square is subnormal passed the rule above, yet the
+    # flux weights' D / width^2, or the Kramers x advection rate 2 max|v| /
+    # width, overflowed: numpy overflow warnings (none for the advection
+    # rate) and exit 1 with "error: dt must be > 0", or for compare
+    # "run.dt must be at most 4,096 times the grid's stable step dt_max = 0"
+    "smoluchowski-x-1e-160": ("simulate", "sim.kind=smoluchowski\ngrid.nx=16\nfp.steps=2\n"
+                              "grid.x_min=-1e-160\ngrid.x_max=1e-160",
+                              "grid.x_max must give cells of width (x_max - x_min) / nx = "
+                              "1.25e-161 a finite diffusion rate D / width^2 (D = 1)"),
+    "kramers-v-1e-160": ("simulate", f"{_KRAMERS_SMALL}grid.v_min=-1e-160\ngrid.v_max=1e-160",
+                         "grid.v_max must give cells of width (v_max - v_min) / nv = 1.25e-161 "
+                         "a finite diffusion rate d_v / width^2 (d_v = 1)"),
+    "compare-x-1e-155": ("simulate", f"{_COMPARE_SMALL}grid.x_min=-1e-155\ngrid.x_max=1e-155",
+                         "grid.x_max must give cells of width (x_max - x_min) / nx = 3.125e-157 "
+                         "a finite diffusion rate D / width^2"),
+    "kramers-x-advection": ("simulate", f"{_KRAMERS_SMALL}grid.x_min=-2.4e-161\n"
+                            "grid.x_max=2.4e-161\ngrid.v_min=-1e154\ngrid.v_max=1e154\n"
+                            "fp.sigma_v=1e153", "grid.x_max must give cells of width (x_max - "
+                            "x_min) / nx = 3e-162 a finite advection rate 2 max|v| / width "
+                            "(max|v| = 9.375e+153)"),
     # a Drude frequency grid whose omega^2 overflows printed two numpy
     # "overflow encountered in square" warnings and exited 1
     "drude-w_max-1e160": ("kernels", f"{_DRUDE_SMALL}grid.w_max=1e160",
@@ -978,9 +1021,10 @@ def test_ensemble_moment_that_overflows_is_a_numerical_error(tmp_path, capfd):
 
 
 # (command, config) of one small run of each command and kind: the kernel
-# tables (ohmic, classical and quantum Drude), det-check, each sim.kind (the
-# inertial ensemble on a double well) and a decohere run in a harmonic well.
-# Their manifests' config records list every key the run reads
+# tables (ohmic, classical and quantum Drude), det-check, each sim.kind and
+# run.mode (the inertial ensemble on a double well) and a decohere run of each
+# state in a harmonic well. Their manifests' config records list every key
+# the run reads. The sweeps of key values below all run on these bases
 _SWEEP_BASES = {
     "kernels-ohmic": ("kernels", "grid.nw=11"),
     "kernels-drude": ("kernels", "bath.model=drude\nbath.omega_d=10\ngrid.nw=11\ngrid.nt=65"),
@@ -990,6 +1034,8 @@ _SWEEP_BASES = {
     "ensemble": ("simulate", "sim.kind=ensemble\nrun.steps=5\nrun.n_traj=20"),
     "ensemble-inertial": ("simulate", "sim.kind=ensemble\nrun.mode=inertial\n"
                           "potential.kind=double_well\nrun.steps=5\nrun.n_traj=20"),
+    "ensemble-postpoint": ("simulate", "sim.kind=ensemble\nrun.mode=overdamped_postpoint\n"
+                           "run.steps=5\nrun.n_traj=20"),
     "smoluchowski": ("simulate", "sim.kind=smoluchowski\ngrid.nx=32\nfp.steps=5"),
     "kramers": ("simulate", "sim.kind=kramers\ngrid.nx=16\ngrid.nv=16\nfp.steps=5"),
     "compare": ("simulate", "sim.kind=compare\ncompare.times=0.01\nrun.n_traj=50\n"
@@ -1001,37 +1047,164 @@ _SWEEP_BASES = {
 }
 
 
+def _sweep_run(tmp_path, command: str, values: dict, name: str) -> tuple:
+    """One in-process run of command on the config of values, key -> text:
+    (exit code, stdout, stderr, manifest records, {output file: bytes})."""
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+    out = tmp_path / name
+    with contextlib.redirect_stdout(io.StringIO()) as printed, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())
+             if path.name != "manifest.json"}
+    return code, printed.getvalue(), err.getvalue(), _read_manifest(out), files
+
+
+def _base_values(base: str) -> dict:
+    return dict(line.split("=") for line in _SWEEP_BASES[base][1].splitlines())
+
+
+def _config_of(result) -> dict:
+    """The config record of a _sweep_run result: every key the run read,
+    with the value it read."""
+    [config] = [r["values"] for r in result[3] if r["record"] == "config"]
+    return config
+
+
+def _read_keys(tmp_path, base: str) -> dict:
+    """The config record of the base's run, which exits 0 or 1."""
+    result = _sweep_run(tmp_path, _SWEEP_BASES[base][0], _base_values(base), base)
+    assert result[0] in (0, 1)
+    return _config_of(result)
+
+
+def _assert_ends_in_an_exit_code(result, example) -> None:
+    """A run ends in exit 0, 1 or 2 with a manifest (no traceback: main would
+    raise it, and a warning would raise under the suite's filter). A run that
+    raised prints one stderr line, which its manifest's last record, an
+    error record, carries; a run that did not has no error record."""
+    code, _, err, records, _ = result
+    assert code in (0, 1, 2), example
+    errors = [r for r in records if r["record"] == "error"]
+    if err or code == 2:
+        assert err.count("\n") == 1 and errors == [records[-1]], (example, err)
+        assert errors[0]["exit_code"] == code and errors[0]["message"] == err.strip(), example
+    else:
+        assert errors == [], example
+
+
 @pytest.mark.parametrize("base", sorted(_SWEEP_BASES))
-def test_every_float_key_names_itself_on_nan_and_inf(tmp_path, capfd, base):
+def test_every_float_key_names_itself_on_nan_and_inf(tmp_path, base):
     """For every float key in the base run's manifest config record, nan, inf
     and -inf each exit 2 before any work with one stderr line "config error:
     <key> must ...", the manifest's last record; a traceback would fail the
     test, and a numpy warning would raise under the suite's warnings filter."""
-    command, text = _SWEEP_BASES[base]
-    out = tmp_path / "base"
-    assert main([command, "--config", _write_config(tmp_path, text + "\n"), "--out",
-                 str(out), "--quiet"]) in (0, 1)
-    [config] = [r["values"] for r in _read_manifest(out) if r["record"] == "config"]
-    keys = sorted(k for k, v in config.items() if isinstance(v, float))
+    command, values = _SWEEP_BASES[base][0], _base_values(base)
+    keys = sorted(k for k, v in _read_keys(tmp_path, base).items() if isinstance(v, float))
     assert keys
-    capfd.readouterr()
-    lines = dict(line.split("=") for line in text.splitlines())
     for key in keys:
         for value in ("nan", "inf", "-inf"):
-            swept = {**lines, key: value}
-            cfg = _write_config(tmp_path, "".join(f"{k}={v}\n" for k, v in swept.items()))
-            out = tmp_path / f"{key}-{value}"
-            rc = main([command, "--config", cfg, "--out", str(out), "--quiet"])
-            err = capfd.readouterr().err
-            assert (rc, err.count("\n")) == (2, 1), (key, value, err)
+            code, _, err, records, _ = _sweep_run(tmp_path, command, {**values, key: value},
+                                                  f"{key}-{value}")
+            assert (code, err.count("\n")) == (2, 1), (key, value, err)
             assert err.startswith(f"config error: {key} must"), (key, value, err)
-            assert _read_manifest(out)[-1] == {"record": "error", "exit_code": 2,
-                                               "message": err.strip()}
+            assert records[-1] == {"record": "error", "exit_code": 2, "message": err.strip()}
+
+
+# a valid value of each key whose base value times 1.5 (0.5 for 0), or plus
+# 2, is refused or moves no output: run.dt must divide compare.times, fp.dt
+# stay under the stable step, fp.record_every fall below fp.steps, grid.nx
+# stay a multiple of compare.bins and compare.bins divide it, grid.dy resolve
+# the thermal length and state.separation keep both packets on the x grid
+_OTHER = {"run.dt": 0.0025, "fp.dt": 1e-4, "fp.record_every": 2, "grid.nx": 128,
+          "compare.bins": 16, "grid.dy": 0.1, "state.separation": 2.0}
+
+
+@pytest.mark.parametrize("base", sorted(_SWEEP_BASES))
+def test_every_read_key_moves_an_output(tmp_path, base):
+    """Each numeric key the base's run reads (its manifest's config record)
+    set to another valid value moves an output file, stdout, a check or
+    error record, or the exit code: a command reads only the keys that can
+    move its outputs. The inert ones went: the Ohmic tables' bath.mass,
+    grid.nt and grid.t_max, a classical kernel's bath.k_bt, det-check's
+    run.seed, simulate's bath.hbar, an overdamped ensemble's run.v0 and
+    run.sigma_v, and a Gaussian state's state.separation."""
+    command = _SWEEP_BASES[base][0]
+    values = _base_values(base)
+    config = _read_keys(tmp_path, base)
+
+    def outcome(result):
+        code, printed, _, records, files = result
+        return code, printed, [r for r in records if r["record"] not in ("run", "config")], files
+
+    start = outcome(_sweep_run(tmp_path, command, values, "start"))
+    inert = []
+    for key, value in sorted(config.items()):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            continue
+        if key in _OTHER:
+            other = _OTHER[key]
+        elif isinstance(value, float):
+            other = 1.5 * value if value else 0.5
+        else:
+            other = value + 2
+        assert other != value, key
+        result = _sweep_run(tmp_path, command, {**values, key: repr(other)}, key)
+        assert result[0] in (0, 1), (key, other, result[2])
+        if outcome(result) == start:
+            inert.append(key)
+    assert inert == []
+
+
+# the int values of the int-key sweep: small counts, 2^31, a value a float
+# cannot hold, the int64 range's edges and one past every integer type
+_INTS = (0, -1, 1, 2, 3, 2**31, 2**53 + 1, 2**63, -2**63, 10**30)
+
+
+@pytest.mark.parametrize("base", sorted(_SWEEP_BASES))
+def test_every_int_key_ends_in_an_exit_code(tmp_path, base):
+    """Each int key the base's run reads, at each of _INTS, in process: the
+    size rules and the library refusals stop every value that would run
+    long or large before any work."""
+    command = _SWEEP_BASES[base][0]
+    values = _base_values(base)
+    keys = sorted(k for k, v in _read_keys(tmp_path, base).items()
+                  if isinstance(v, int) and not isinstance(v, bool))
+    assert keys
+    for key in keys:
+        for value in _INTS:
+            result = _sweep_run(tmp_path, command, {**values, key: str(value)}, f"{key}{value}")
+            _assert_ends_in_an_exit_code(result, (key, value))
+
+
+# list values tried by hand: compare times at 0, repeated, negative, nan and
+# out of order; coefficients of 1e300 and 1e-300 on each power, and degree 11
+_TIMES = ("0", "0.01,0.01", "-0.01", "nan", "0.01,nan", "0.02,0.01")
+_COEFFS = ("0,0,1e300", "0,0,1e-300", "1e300,1e300,1", "0,1e-300,1",
+           "0,0,1,0,0,0,0,0,0,0,0,1", "0,0,-1,0,0,0,0,0,0,0,0,1e-300")
+
+
+@pytest.mark.parametrize("base", sorted(_SWEEP_BASES))
+def test_list_keys_end_in_an_exit_code(tmp_path, base):
+    """compare.times on the compare base, and potential.coeffs of a
+    polynomial potential on each base that reads potential.kind, end in an
+    exit code as the int keys do."""
+    command = _SWEEP_BASES[base][0]
+    values = _base_values(base)
+    config = _read_keys(tmp_path, base)
+    examples = [("compare.times", t) for t in _TIMES if "compare.times" in config]
+    if "potential.kind" in config:
+        examples += [("potential.coeffs", c) for c in _COEFFS]
+    for n, (key, value) in enumerate(examples):
+        extra = {"potential.kind": "polynomial"} if key == "potential.coeffs" else {}
+        result = _sweep_run(tmp_path, command, {**values, **extra, key: value}, f"list{n}")
+        _assert_ends_in_an_exit_code(result, (key, value))
 
 
 @pytest.mark.parametrize("text", [
     "sim.kind=ensemble\nrun.steps=10\nrun.sigma_x=nan\n",
-    "sim.kind=ensemble\nrun.steps=10\nrun.sigma_v=inf\n",
+    "sim.kind=ensemble\nrun.mode=inertial\nrun.steps=10\nrun.sigma_v=inf\n",
     "sim.kind=compare\ncompare.times=0.05\nrun.sigma_x=inf\n",
     "sim.kind=compare\ncompare.times=0.05\nrun.sigma_x=nan\n",
 ], ids=["ensemble-sigma_x-nan", "ensemble-sigma_v-inf", "compare-sigma_x-inf",
@@ -1088,9 +1261,10 @@ def test_decohere_value_out_of_range_exits_2_naming_its_key(tmp_path, capsys, te
 # values that once escaped as OverflowError tracebacks
 _RANGE_ERRORS = {
     "kernels-nw": ("kernels", "grid.nw=1", "grid.nw must be"),
-    "kernels-nt": ("kernels", "grid.nt=1", "grid.nt must be"),
+    "kernels-nt": ("kernels", "bath.model=drude\nbath.omega_d=10\ngrid.nt=1", "grid.nt must be"),
     "kernels-w_max": ("kernels", "grid.w_max=0", "grid.w_max must be"),
-    "kernels-t_max": ("kernels", "grid.t_max=nan", "grid.t_max must be"),
+    "kernels-t_max": ("kernels", "bath.model=drude\nbath.omega_d=10\ngrid.t_max=nan",
+                      "grid.t_max must be"),
     "det-gamma": ("det-check", "det.gamma=0", "det.gamma must be"),
     "det-t": ("det-check", "det.t=-1", "det.t must be"),
     "det-n": ("det-check", "det.n=3", "det.n must be"),
@@ -1236,18 +1410,18 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
     (test_every_refused_parameter_has_a_key); a key that no library object
     receives before any work keeps a rule in the RunConfig.get that reads
     it (test_a_key_has_a_cli_rule_or_a_library_refusal). cli.py raises no
-    ConfigError itself, and states each of its 20 cross-key rules as one
-    cfg.require call naming the key: compare.times names, det.gamma *
-    det.t, fp.x0 and fp.v0 inside their grids, fp.sigma_x and fp.sigma_v
-    resolved by them (the start field's refusal, whose names _KEYS maps to
-    run.* keys), and Lambda d^2.
-    The size rules pass _size_rule(key, what, doubles) to cfg.require, whose
-    literal key is the one named: the step noise of an ensemble (run.steps)
-    and of compare (compare.times), the per-trajectory arrays of each
-    (run.n_traj), the histogram (output.bins), the grids of simulate
-    (grid.nx, grid.nx * grid.nv) and decohere (grid.nx * grid.ny), the
-    kernel tables (grid.nw, grid.nt), the determinant tables (det.n) and the
-    recorded rows (fp.record_every, run.record_every)."""
+    ConfigError itself. Its 18 cfg.require calls each name their key: the
+    rules that join keys (compare.times names, det.gamma * det.t, fp.x0 and
+    fp.v0 inside their grids, and Lambda d^2), and the size rules, which
+    pass _size_rule(key, what, doubles) to cfg.require, whose literal key is
+    the one named: the step noise of an ensemble (run.steps) and of compare
+    (compare.times), the per-trajectory arrays of each (run.n_traj), the
+    histogram (output.bins), the grids of simulate (grid.nx, grid.nx *
+    grid.nv) and decohere (grid.nx * grid.ny), the kernel tables (grid.nw,
+    grid.nt), the determinant tables (det.n) and the recorded rows
+    (fp.record_every, run.record_every). fp.sigma_x and fp.sigma_v had two
+    more, restating the start field's refusal under the fp.* keys; that
+    refusal now names the key its run read."""
     import ast
 
     import bathdyn.cli as cli
@@ -1266,10 +1440,10 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
             return helper.args[0].value
         return call.args[1].value
 
-    assert len(requires) == 20
+    assert len(requires) == 18
     assert sorted(map(key, requires)) == [
         "compare.times", "compare.times", "det.gamma * det.t", "det.n", "fp.record_every",
-        "fp.sigma_v", "fp.sigma_x", "fp.v0", "fp.x0", "grid.nt", "grid.nw", "grid.nx",
+        "fp.v0", "fp.x0", "grid.nt", "grid.nw", "grid.nx",
         "grid.nx * grid.nv", "grid.nx * grid.ny", "output.bins", "run.n_traj", "run.n_traj",
         "run.record_every", "run.steps", "state.separation"]
 
@@ -1321,34 +1495,53 @@ def _refused_names() -> set[str]:
     return names
 
 
-def test_every_refused_parameter_has_a_key():
-    """main turns a ParameterError into the config error of its parameter's
-    key in cli._KEYS, so every name a library refusal can carry has a key,
-    and the map holds no other: no named refusal reaches exit 2 without
-    one. Each key has one name."""
+def test_every_refused_parameter_has_a_key(tmp_path):
+    """main reports a ParameterError under its parameter's entry in
+    cli._ALIASES, the four names whose value a command derives from a key,
+    or else under the last key its run read whose last dotted part is the
+    parameter's name. Every name a library refusal can carry is one of the
+    two: an alias, or the last part of a key that a run reads (a sweep
+    base's, or a polynomial potential's potential.coeffs). Each alias names
+    a key a run reads and is the last part of none, so no refusal named by
+    a key's last part is taken for an alias."""
     import bathdyn.cli as cli
 
-    assert _refused_names() == set(cli._KEYS) == {
+    names = _refused_names()
+    assert names == {
         "mass", "gamma", "k_bt", "hbar", "omega_d", "omega0", "a", "b", "coeffs", "t_grid",
         "t_min", "omega", "x_min", "x_max", "nx", "v_min", "v_max", "nv", "dx", "dy", "dt",
         "steps", "n_traj", "x0", "v0", "sigma_x", "sigma_v", "times", "n_bins", "sigma",
         "separation", "autocorr_lags"}
-    assert len(set(cli._KEYS.values())) == len(cli._KEYS)
+    read = {key for base in _SWEEP_BASES for key in _read_keys(tmp_path, base)}
+    polynomial = {"sim.kind": "smoluchowski", "grid.nx": "32", "fp.steps": "2",
+                  "potential.kind": "polynomial", "potential.coeffs": "0,0,1"}
+    read |= set(_config_of(_sweep_run(tmp_path, "simulate", polynomial, "polynomial")))
+    last_parts = {key.rsplit(".", 1)[-1] for key in read}
+    assert cli._ALIASES == {"t_grid": "grid.nt", "t_min": "grid.t_max", "omega": "grid.w_max",
+                            "n_bins": "compare.bins"}
+    assert set(cli._ALIASES.values()) <= read and not set(cli._ALIASES) & last_parts
+    assert names - set(cli._ALIASES) <= last_parts
 
 
 def test_a_key_has_a_cli_rule_or_a_library_refusal():
     """A key whose value a library refusal tests has no RunConfig.get rule,
-    so each test has one home. Seven keys keep both: state.separation, whose
-    "finite and > 0" a Gaussian-state decohere run needs, though it builds no
-    superposition; decohere's grid.nx, run.dt and run.steps, which reach no
-    library object before any work there (its dt goes to the master
-    operator's run, whose plain dt test names no key), while PhaseGrid's nx
-    and SimConfig's dt and steps name the same keys; and the kernel grid's
-    grid.nt, grid.t_max and grid.w_max, whose rules (>= 2 points, finite
-    and > 0) the library does not restate: its refusals that name them, the
-    quantum series cap (t_grid), the log term at the smallest |t| (t_min)
-    and the Drude Lorentzian's omega^2 (omega), test what the keys give
-    together with the bath."""
+    so each test has one home. A refusal names a key by the key's last part
+    or by an alias (test_every_refused_parameter_has_a_key), and eleven
+    keys with a rule share a name with one. Six have two homes: decohere's
+    grid.nx, run.dt and run.steps, which reach no library object before any
+    work there (its dt goes to the master operator's run, whose plain dt
+    test names no key), while PhaseGrid's nx and SimConfig's dt and steps
+    name the same keys in simulate; and the kernel grid's grid.nt,
+    grid.t_max and grid.w_max, whose rules (>= 2 points, finite and > 0)
+    the library does not restate: its refusals that name them, the quantum
+    series cap (t_grid), the log term at the smallest |t| (t_min) and the
+    Drude Lorentzian's omega^2 (omega), test what the keys give together
+    with the bath. fp.sigma_x and fp.sigma_v keep "finite and > 0": the
+    start field refuses a width the grid cannot sample, but an infinite one
+    samples a flat start. The other three share only the name: det.gamma,
+    fp.dt and fp.steps reach no BathParams or SimConfig. state.separation
+    has its one home in superposition_state, as a Gaussian state reads no
+    separation."""
     import ast
 
     import bathdyn.cli as cli
@@ -1360,9 +1553,11 @@ def test_a_key_has_a_cli_rule_or_a_library_refusal():
              and getattr(node.func.value, "id", None) == "cfg"
              and (len(node.args) == 4 or any(k.arg == "rule" for k in node.keywords))}
     assert "bath.gamma" not in ruled and "fp.dt" in ruled  # the scan reads both forms
-    refused = {cli._KEYS[name] for name in _refused_names()}
-    assert sorted(ruled & refused) == ["grid.nt", "grid.nx", "grid.t_max", "grid.w_max",
-                                       "run.dt", "run.steps", "state.separation"]
+    names = _refused_names()
+    refused = {key for key in ruled if key.rsplit(".", 1)[-1] in names}
+    assert sorted(refused | (ruled & set(cli._ALIASES.values()))) == [
+        "det.gamma", "fp.dt", "fp.sigma_v", "fp.sigma_x", "fp.steps", "grid.nt", "grid.nx",
+        "grid.t_max", "grid.w_max", "run.dt", "run.steps"]
 
 
 @pytest.mark.parametrize("phase, target, text", [
@@ -1479,7 +1674,7 @@ _NAMED_FAILURES = {
                                "config error: output.autocorr_lags must "),
     "ensemble-sigma_x": ("simulate", "sim.kind=ensemble\nrun.sigma_x=nan", 2,
                          "config error: run.sigma_x must "),
-    "ensemble-sigma_v": ("simulate", "sim.kind=ensemble\nrun.sigma_v=nan", 2,
+    "ensemble-sigma_v": ("simulate", "sim.kind=ensemble\nrun.mode=inertial\nrun.sigma_v=nan", 2,
                          "config error: run.sigma_v must "),
     "smoluchowski-dt": ("simulate", "sim.kind=smoluchowski\nfp.dt=nan", 2,
                         "config error: fp.dt must "),
@@ -1621,7 +1816,7 @@ _REPRO_RUNS = {
     "det-check": ("det-check", ""),
     "ensemble": ("simulate", "sim.kind=ensemble\nrun.mode=inertial\nrun.n_traj=1100\n"
                  "run.steps=20\nrun.seed=3\nrun.sigma_x=0.3\noutput.autocorr_lags=5\n"),
-    "kernels": ("kernels", "bath.model=ohmic\ngrid.nw=101\ngrid.nt=257\n"),
+    "kernels": ("kernels", "bath.model=ohmic\ngrid.nw=101\n"),
 }
 
 

@@ -12,6 +12,7 @@ from bathdyn import (
     Drude,
     NoiseSpec,
     Ohmic,
+    ParameterError,
     colored_noise,
     derive_rng,
     estimate_autocorr,
@@ -37,6 +38,24 @@ def test_noise_spec_validation():
         NoiseSpec(kernel=None, w=1.0, dt=0.0, n=10, seed=1)
     with pytest.raises(ValueError):
         NoiseSpec(kernel=None, w=1.0, dt=0.1, n=1, seed=1)
+
+
+@pytest.mark.parametrize("kernel, dt", [(None, 1e-320), (Drude(1.0, 5.0), 1e-300),
+                                        (Drude(1.0, 5.0), 1e-320)],
+                         ids=["white-1e-320", "drude-1e-300", "drude-1e-320"])
+def test_dt_whose_rates_leave_the_float_range_is_refused_by_name(kernel, dt):
+    """white_noise at dt = 1e-320 returned +-inf samples with no warning;
+    colored_noise at 1e-300 raised a ParameterError named omega, no field of
+    NoiseSpec, and at 1e-320 printed numpy's "invalid value encountered in
+    multiply" (an error under the suite's warnings filter). The spec now
+    refuses dt by name before any draw; the runs at the edges' admitted
+    sides draw finite samples."""
+    with pytest.raises(ParameterError) as exc:
+        NoiseSpec(kernel=kernel, w=1.0, dt=dt, n=16, seed=1)
+    assert exc.value.name == "dt"
+    draw, admitted = (white_noise, 1e-300) if kernel is None else (colored_noise, 1e-150)
+    traj = draw(NoiseSpec(kernel=kernel, w=1.0, dt=admitted, n=16, seed=1))
+    assert np.all(np.isfinite(traj.samples))
 
 
 def test_white_noise_variance_and_reproducibility():

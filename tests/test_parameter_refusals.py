@@ -12,6 +12,7 @@ from bathdyn import (
     DoubleWell,
     Drude,
     Harmonic,
+    NoiseSpec,
     Ohmic,
     ParameterError,
     PhaseGrid,
@@ -72,6 +73,7 @@ _FLOAT_ARGUMENTS = {
     "_compare_steps.dt": ("dt", 0.05, lambda v: _compare_steps(PhaseGrid(-4.0, 4.0, 64),
                                                                (0.1,), v, 0.0, 8)),
     "_check_dy.dy": ("dy", 0.2, lambda v: _check_dy(v, 1.0)),
+    "NoiseSpec.dt": ("dt", 0.01, lambda v: NoiseSpec(kernel=None, w=1.0, dt=v, n=16, seed=1)),
     "gaussian_pure_state.dx": ("dx", 0.1, lambda v: _gaussian(dx=v)),
     "gaussian_pure_state.dy": ("dy", 0.1, lambda v: _gaussian(dy=v)),
     "gaussian_pure_state.sigma": ("sigma", 0.5, lambda v: _gaussian(sigma=v)),
