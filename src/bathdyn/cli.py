@@ -461,10 +461,6 @@ def cmd_det_check(cfg: RunConfig, man: Manifest) -> None:
 #   kernel's scaled speeds, bl and br, its diff, half slope, two fluxes and
 #   two increments, and its monotone mask, an eighth (16.2)
 _GRID = {"smoluchowski": (256, 11), "compare": (512, 8), "kramers": (128, 17)}
-# doubles' worth of Python objects that one recorded row holds to the end of
-# a grid or decohere run: its mark, the row's tuple and values, and its share
-# of the columns (tracemalloc read 31 per mass.csv row, 51 per decay.csv row)
-_ROW = 52
 
 
 def _grid(cfg: RunConfig, kind: str, fields: int = 0) -> PhaseGrid:
@@ -485,6 +481,39 @@ def _grid(cfg: RunConfig, kind: str, fields: int = 0) -> PhaseGrid:
     cfg.require(*_size_rule("grid.nx * grid.nv",
                             f"the grid, {nx} x {nv} cells x {arrays} arrays", arrays * nx * nv))
     return PhaseGrid(x_min, x_max, nx, v_min, v_max, nv)
+
+
+# doubles' worth of Python objects that one recorded row holds to the end of
+# a grid or decohere run: its mark, the row's tuple and values, and its share
+# of the columns (tracemalloc read 31 per mass.csv row, 51 per decay.csv row)
+_ROW = 52
+
+
+def _recording(cfg: RunConfig, steps_key: str, steps: int, every_key: str, every: int,
+               what: str) -> tuple[int, int]:
+    """(steps, record_every) of a recorded run, read from its two keys with
+    the given defaults, once its rows, step 0 and each mark, fit the size
+    limit; `what` names the rows in the rule's text."""
+    steps = cfg.get(steps_key, as_int, steps, _at_least(1))
+    every = cfg.get(every_key, as_int, every, _at_least(1))
+    rows = -(-steps // every) + 1
+    cfg.require(*_size_rule(every_key, f"the {what} records, {rows} rows x {_ROW} values",
+                            _ROW * rows))
+    return steps, every
+
+
+def _recorded_run(man: Manifest, op, field, ordering: Ordering, dt: float, steps: int,
+                  record_every: int, row) -> tuple[list, object]:
+    """The step phase of a grid or decohere run: op.records from field over
+    steps steps of dt, marked every record_every steps and at the last. It
+    returns the columns of row(step, field) at step 0 and each mark, and the
+    last field."""
+    man.phase = "step"
+    marks = [*range(record_every, steps, record_every), steps]
+    rows = [row(0, field)]
+    for mark, field in zip(marks, op.records(field, ordering, dt, marks)):
+        rows.append(row(mark, field))
+    return list(zip(*rows)), field
 
 
 def _run_ensemble_cmd(cfg, params, potential, man) -> None:
@@ -533,11 +562,7 @@ def _run_fp_cmd(cfg, kind, params, potential, man) -> None:
     ordering = Ordering(cfg.get("fp.ordering", _ORDERING, "momenta_left"))
     x0 = cfg.get("fp.x0", as_float, 0.0)
     sigma_x = cfg.get("fp.sigma_x", as_float, 0.5, _FINITE_POSITIVE)
-    steps = cfg.get("fp.steps", as_int, 1000, _at_least(1))
-    record_every = cfg.get("fp.record_every", as_int, 100, _at_least(1))
-    rows = -(-steps // record_every) + 1  # step 0 and each mark
-    cfg.require(*_size_rule("fp.record_every", f"the mass records, {rows} rows x {_ROW} values",
-                            _ROW * rows))
+    steps, record_every = _recording(cfg, "fp.steps", 1000, "fp.record_every", 100, "mass")
     dt = cfg.get("fp.dt", as_float, 0.0, _FINITE)
     grid = _grid(cfg, kind)
     # the start's centre must lie strictly inside the grid's span
@@ -549,19 +574,15 @@ def _run_fp_cmd(cfg, kind, params, potential, man) -> None:
                     f"lie inside the v grid ({grid.v_min:g}, {grid.v_max:g}) (got {v0:g})")
         sigma_v = cfg.get("fp.sigma_v", as_float, 0.5, _FINITE_POSITIVE)
     cfg.finish()
-    field = (gaussian_field_2d(grid, x0, sigma_x, v0, sigma_v) if grid.is_2d
-             else gaussian_field_1d(grid, x0, sigma_x))
+    field0 = (gaussian_field_2d(grid, x0, sigma_x, v0, sigma_v) if grid.is_2d
+              else gaussian_field_1d(grid, x0, sigma_x))
     op = (KramersOperator if grid.is_2d else SmoluchowskiOperator)(grid, potential, params)
     if dt <= 0.0:
         dt = 0.5 * op.dt_max  # fp.dt <= 0 requests an automatic stable step
 
-    field0 = field
-    man.phase = "step"
-    marks = [*range(record_every, steps, record_every), steps]
-    mass_rows = [(0, 0.0, field.mass)]
-    for mark, field in zip(marks, op.records(field0, ordering, dt, marks)):
-        mass_rows.append((mark, mark * dt, field.mass))
-    man.csv("mass.csv", ("step", "t", "mass"), zip(*mass_rows))
+    mass, field = _recorded_run(man, op, field0, ordering, dt, steps, record_every,
+                                lambda step, field: (step, step * dt, field.mass))
+    man.csv("mass.csv", ("step", "t", "mass"), mass)
     if grid.is_2d:
         man.product_csv("field.csv", ("x", "v", "P"), grid.x_centers, grid.v_centers,
                         field.values)
@@ -659,11 +680,7 @@ def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
     dy = cfg.get("grid.dy", as_float, 0.2)
     _check_dy(dy, dec.l_e)
     dt = cfg.get("run.dt", as_float, 0.002, _FINITE_POSITIVE)
-    steps = cfg.get("run.steps", as_int, 50, _at_least(1))
-    record_every = cfg.get("run.record_every", as_int, 5, _at_least(1))
-    rows = -(-steps // record_every) + 1  # step 0 and each mark
-    cfg.require(*_size_rule("run.record_every", f"the decay records, {rows} rows x {_ROW} "
-                            "values", _ROW * rows))
+    steps, record_every = _recording(cfg, "run.steps", 50, "run.record_every", 5, "decay")
     ordering = Ordering(cfg.get("decohere.ordering", _ORDERING, "momenta_left"))
     cfg.finish()
 
@@ -677,31 +694,21 @@ def cmd_decohere(cfg: RunConfig, man: Manifest) -> None:
     else:
         rho = gaussian_pure_state(nx, dx, ny, dy, sigma=sigma)
 
-    edges = []  # the edge measure of each recorded field
+    def decay_row(step: int, field) -> tuple:  # decay.csv's row, then the edge measure
+        herm, edge, tr = field.herm_deviation(), field.edge_measure(), field.trace()
+        return (step, field.t, _ridge_amplitude(field, hbar), tr.real, tr.imag, herm, edge)
 
-    def decay_row(step: int, field) -> tuple:
-        herm = field.herm_deviation()
-        edges.append(field.edge_measure())
-        tr = field.trace()
-        amp = _ridge_amplitude(field, hbar)
-        return (step, field.t, amp, tr.real, tr.imag, herm)
-
-    marks = [*range(record_every, steps, record_every), steps]
-    fields = MasterOperator(rho, potential, params).records(rho, ordering, dt, marks)
-    man.phase = "step"
-    decay_rows = [decay_row(0, rho)]
-    for mark, rho in zip(marks, fields):
-        decay_rows.append(decay_row(mark, rho))
-    decay = list(zip(*decay_rows))
+    op = MasterOperator(rho, potential, params)
+    decay, rho = _recorded_run(man, op, rho, ordering, dt, steps, record_every, decay_row)
     man.csv("decay.csv", ("step", "t", "amplitude", "trace_re", "trace_im", "herm_dev"),
-            decay)
+            decay[:6])
     man.product_csv("rho_final.csv", ("x", "y", "re", "im"), rho.x_grid, rho.y_grid,
                     rho.values.real, rho.values.imag)
     man.phase = "stats"
     wig, p_grid = wigner_transform(rho, hbar)
     man.product_csv("wigner_final.csv", ("x", "p", "w"), rho.x_grid, p_grid, wig)
 
-    _, ts, amps, tr_re, _, herm = decay
+    _, ts, amps, tr_re, _, herm, edges = decay
     edge_max = max(edges)
     ok_fit = edge_max <= _EDGE_TOL
     man.check("grid_fits", ok_fit, f"check grid fits, edge measure <= {_EDGE_TOL:g}: "

@@ -1,5 +1,6 @@
 """Command-line behavior: config parsing, exit codes, file outputs."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -1410,42 +1411,65 @@ def test_cli_raises_config_error_only_for_cross_key_rules():
     (test_every_refused_parameter_has_a_key); a key that no library object
     receives before any work keeps a rule in the RunConfig.get that reads
     it (test_a_key_has_a_cli_rule_or_a_library_refusal). cli.py raises no
-    ConfigError itself. Its 18 cfg.require calls each name their key: the
-    rules that join keys (compare.times names, det.gamma * det.t, fp.x0 and
-    fp.v0 inside their grids, and Lambda d^2), and the size rules, which
-    pass _size_rule(key, what, doubles) to cfg.require, whose literal key is
-    the one named: the step noise of an ensemble (run.steps) and of compare
+    ConfigError itself. Its cfg.require calls name 18 keys, each its own:
+    the rules that join keys (compare.times names, det.gamma * det.t, fp.x0
+    and fp.v0 inside their grids, and Lambda d^2), and the size rules, which
+    pass _size_rule(key, what, doubles) to cfg.require, whose key is the one
+    named: the step noise of an ensemble (run.steps) and of compare
     (compare.times), the per-trajectory arrays of each (run.n_traj), the
     histogram (output.bins), the grids of simulate (grid.nx, grid.nx *
     grid.nv) and decohere (grid.nx * grid.ny), the kernel tables (grid.nw,
     grid.nt), the determinant tables (det.n) and the recorded rows
-    (fp.record_every, run.record_every). fp.sigma_x and fp.sigma_v had two
-    more, restating the start field's refusal under the fp.* keys; that
-    refusal now names the key its run read."""
-    import ast
-
+    (fp.record_every, run.record_every, through the one rule of
+    cli._recording). fp.sigma_x and fp.sigma_v had two more, restating the
+    start field's refusal under the fp.* keys; that refusal now names the
+    key its run read."""
     import bathdyn.cli as cli
 
     with open(cli.__file__, encoding="utf-8") as fh:
-        source = fh.read()
-    assert "raise ConfigError" not in source
-    requires = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
-                and getattr(node.func, "attr", None) == "require"
-                and getattr(node.func.value, "id", None) == "cfg"]
+        assert "raise ConfigError" not in fh.read()
 
     def key(call):
         if isinstance(call.args[0], ast.Starred):
             helper = call.args[0].value
             assert len(call.args) == 1 and helper.func.id == "_size_rule"
-            return helper.args[0].value
-        return call.args[1].value
+            return helper.args[0]
+        return call.args[1]
 
-    assert len(requires) == 18
-    assert sorted(map(key, requires)) == [
+    assert sorted(k for k, _ in _cfg_keys("require", key)) == [
         "compare.times", "compare.times", "det.gamma * det.t", "det.n", "fp.record_every",
         "fp.v0", "fp.x0", "grid.nt", "grid.nw", "grid.nx",
         "grid.nx * grid.nv", "grid.nx * grid.ny", "output.bins", "run.n_traj", "run.n_traj",
         "run.record_every", "run.steps", "state.separation"]
+
+
+def _cfg_keys(method: str, key_arg) -> list[tuple[str, ast.Call]]:
+    """(key, call) of each key that a cfg.<method> call in cli.py can name.
+    key_arg(call) is the call's key argument, or None to skip the call: a
+    literal, or a parameter of the function around the call (cli._recording's),
+    which names the literal that each call of that function passes for it."""
+    import bathdyn.cli as cli
+
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    sites = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)]
+    keys = []
+    for func in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call) and getattr(call.func, "attr", None) == method
+                    and getattr(call.func.value, "id", None) == "cfg"):
+                continue
+            arg = key_arg(call)
+            if arg is None:
+                continue
+            if isinstance(arg, ast.Constant):
+                keys.append((arg.value, call))
+                continue
+            where = [a.arg for a in func.args.args].index(arg.id)
+            keys += [(site.args[where].value, call) for site in sites
+                     if site.func.id == func.name]
+    return keys
 
 
 def _refused_names() -> set[str]:
@@ -1455,7 +1479,6 @@ def _refused_names() -> set[str]:
     and _positive). That argument is a literal, or an f-string over
     parameters of the enclosing function, filled with each literal that a
     call of that function passes for them."""
-    import ast
     import pathlib
 
     src = pathlib.Path(bathdyn.__file__).parent
@@ -1542,16 +1565,10 @@ def test_a_key_has_a_cli_rule_or_a_library_refusal():
     fp.dt and fp.steps reach no BathParams or SimConfig. state.separation
     has its one home in superposition_state, as a Gaussian state reads no
     separation."""
-    import ast
-
     import bathdyn.cli as cli
 
-    with open(cli.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    ruled = {node.args[0].value for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and getattr(node.func, "attr", None) == "get"
-             and getattr(node.func.value, "id", None) == "cfg"
-             and (len(node.args) == 4 or any(k.arg == "rule" for k in node.keywords))}
+    ruled = {key for key, _ in _cfg_keys("get", lambda call: call.args[0] if len(call.args) == 4
+                                          or any(k.arg == "rule" for k in call.keywords) else None)}
     assert "bath.gamma" not in ruled and "fp.dt" in ruled  # the scan reads both forms
     names = _refused_names()
     refused = {key for key in ruled if key.rsplit(".", 1)[-1] in names}
