@@ -17,7 +17,7 @@ from .fokker_planck import *
 from .decoherence import *
 from . import decoherence, determinants, fokker_planck, kernels, langevin, noise, potentials
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = ["__version__"]
 __all__ += kernels.__all__

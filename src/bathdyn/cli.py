@@ -199,7 +199,7 @@ class Manifest:
         self.quiet = quiet
         self.started = _utc_now()
         self.outputs: list[str] = []
-        self.records: list[dict] = []  # check and error records, in order
+        self.records: list[dict] = []  # numerics, check and error records, in order
         self.phase = "build"
 
     def _path(self, name: str) -> str:
@@ -503,12 +503,16 @@ def _recording(cfg: RunConfig, steps_key: str, steps: int, every_key: str, every
 
 
 def _recorded_run(man: Manifest, op, field, ordering: Ordering, dt: float, steps: int,
-                  record_every: int, row) -> tuple[list, object]:
+                  record_every: int, row, source: str = "config") -> tuple[list, object]:
     """The step phase of a grid or decohere run: op.records from field over
     steps steps of dt, marked every record_every steps and at the last. It
     returns the columns of row(step, field) at step 0 and each mark, and the
-    last field."""
+    last field. Its numerics record, dt, where it came from (config or auto)
+    and its ratio to op's stability bound, comes before the first step, so a
+    run the bound refuses carries it too; an infinite bound is written null."""
     man.phase = "step"
+    man.records.append({"record": "numerics", "dt": dt, "dt_source": source, "dt_max": (
+        op.dt_max if op.dt_max < math.inf else None), "dt_ratio": dt / op.dt_max, "steps": steps})
     marks = [*range(record_every, steps, record_every), steps]
     rows = [row(0, field)]
     for mark, field in zip(marks, op.records(field, ordering, dt, marks)):
@@ -577,11 +581,12 @@ def _run_fp_cmd(cfg, kind, params, potential, man) -> None:
     field0 = (gaussian_field_2d(grid, x0, sigma_x, v0, sigma_v) if grid.is_2d
               else gaussian_field_1d(grid, x0, sigma_x))
     op = (KramersOperator if grid.is_2d else SmoluchowskiOperator)(grid, potential, params)
+    source = "config"
     if dt <= 0.0:
-        dt = 0.5 * op.dt_max  # fp.dt <= 0 requests an automatic stable step
+        dt, source = 0.5 * op.dt_max, "auto"  # fp.dt <= 0 requests an automatic stable step
 
     mass, field = _recorded_run(man, op, field0, ordering, dt, steps, record_every,
-                                lambda step, field: (step, step * dt, field.mass))
+                                lambda step, field: (step, step * dt, field.mass), source)
     man.csv("mass.csv", ("step", "t", "mass"), mass)
     if grid.is_2d:
         man.product_csv("field.csv", ("x", "v", "P"), grid.x_centers, grid.v_centers,

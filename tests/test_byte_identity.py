@@ -7,8 +7,13 @@ promised within one version only, so DIGEST_VERSION must equal
 ``bathdyn.__version__``: a change that moves any byte re-records the digests
 of the cases it moves and bumps both.
 
-The digests belong to 0.10.0. It moved no output file, stdout or exit code,
-only the manifests of nine cases: a command reads only the keys that can move
+The digests belong to 0.11.0. It moved no output file, stdout or exit code,
+only the manifests of the seven grid cases, the ``kramers_*``,
+``smoluchowski_*`` and ``decohere_*`` runs: each gains a ``numerics`` record
+of the dt it stepped at, its source (config or auto), the stability bound
+dt_max and dt / dt_max, and its step count, written before the first step,
+so ``kramers_dt_too_large`` carries it ahead of its error record. 0.10.0
+moved no output file, stdout or exit code, only the manifests of nine cases: a command reads only the keys that can move
 its outputs, so the ``config`` record of every ``simulate`` case loses
 ``bath.hbar``, and that of ``decohere_symmetric``, a Gaussian state, loses
 ``state.separation``. 0.9.0 moved no output file and no exit code, only
@@ -39,7 +44,7 @@ half, which moves ``wigner_final.csv`` and the ``amplitude`` column of
 and ``rel_tol``. 0.5.0 moved no byte of these cases (only det-check's two
 regularized-log values). ``kernels_drude`` still holds the digests recorded
 with 0.2.0, byte for byte, and so does ``kramers_dt_too_large`` but for its
-manifest (0.10.0), because no later version moved their outputs.
+manifest (0.11.0), because no later version moved their outputs.
 ``ensemble``'s output files hold the digests recorded with 0.3.0
 (``DoubleWell.grad`` cubes by multiplication), which later versions left
 where they were. ``decohere_momenta_left`` and ``decohere_symmetric`` were recorded
@@ -59,7 +64,7 @@ import pytest
 import bathdyn
 from bathdyn.cli import main
 
-DIGEST_VERSION = "0.10.0"
+DIGEST_VERSION = "0.11.0"
 
 _KRAMERS = {
     "sim.kind": "kramers", "potential.kind": "double_well",
@@ -113,8 +118,8 @@ CASES = {
 # compare_three_chunks (0.8.0, in one chunk of 20 blocks, before chunks were
 # capped at 8 blocks), the stdout of kramers_symmetric, decohere_symmetric,
 # ensemble, compare and compare_three_chunks (0.9.0), and the manifests of the
-# kramers_*, smoluchowski_*, compare*, ensemble and decohere_symmetric cases
-# (0.10.0)
+# compare* and ensemble cases (0.10.0) and of the kramers_*, smoluchowski_*
+# and decohere_* cases (0.11.0)
 DIGESTS = {
     "compare": {
         "compare.jsonl":
@@ -147,7 +152,7 @@ DIGESTS = {
             "375eb359d2fcb5dd3cf47a496dfd63b206bb4145e743df62344605e5acc2cf93",
         "exit_code": "1",
         "manifest.json":
-            "ff51603e4dc60a9a62a5be8d85fb6fadc2ca19ac84a25550aadd0ba4cac9c33f",
+            "56808d5436a089ca4c7fe22844b94f707a6265d994277e06c4989e95ad9b35eb",
         "rho_final.csv":
             "3aad3a7f838297d373bbe6e5c5f0dfdb969ff520e4c2201367445ab45da3786e",
         "stderr":
@@ -162,7 +167,7 @@ DIGESTS = {
             "004afcc6a0d6a14180294f1a3fd5732331d6254cbed785d66d6c2699e70c6193",
         "exit_code": "1",
         "manifest.json":
-            "e5f9415671cd64c88cc9f4caadb920e69ed59ae05e897578d61ed95404f60e1c",
+            "de3ec98c414320c83ac63cafece4bc53573b249bf6172e38c2642a7731634ad0",
         "rho_final.csv":
             "8ba5c5bf25a2ffb52adb2d098c13a059d6d5c285f8bcfff130bfe01e5d74cdc9",
         "stderr":
@@ -207,7 +212,7 @@ DIGESTS = {
     "kramers_dt_too_large": {
         "exit_code": "1",
         "manifest.json":
-            "46788ad301b39f89b1859d551874ef7f90a7076bc3c7343a0e40dc4dffe3c38d",
+            "dc4030189be660bcd9c716a8e578cf077fdea2a2d88e394516360f815e715952",
         "stderr":
             "6abc950f67009327286a1048c42dcac5346d8c608c52f69cc308b184e2be5703",
         "stdout":
@@ -218,7 +223,7 @@ DIGESTS = {
         "field.csv":
             "4c74718c285816b532a939e71d7d9cb83a3e88651d3be6d9d6971e56f929de53",
         "manifest.json":
-            "c6d61517f99a76fa910758efa18a662da441ebd1e7834982b5dc0d3166d5d177",
+            "6d76c83e225bc52a4e5442da021b3a32388c40f64300cbb7c51b8ec26c846d12",
         "mass.csv":
             "847e82858fac75f01aa25f46c35c9f884c28480659aa8075882c3b166850758c",
         "stderr":
@@ -231,7 +236,7 @@ DIGESTS = {
         "field.csv":
             "8f19ac040d65ec0bfd7f2a9d5dc103f5a0df1a016d280c7228e57a265bfb9af5",
         "manifest.json":
-            "5c5b4c2c7c08e17a0379505161651886af99e2375de58bfd33bad3242a91e340",
+            "fa083d9bc78433a37025912e1aee6f1ce2258f979345a62a03887ca598c05b42",
         "mass.csv":
             "b34afa04ed8dc6a5399fc03580dd96cc953fb1251c5384e5524a7c1952e07e4b",
         "stderr":
@@ -244,7 +249,7 @@ DIGESTS = {
         "field.csv":
             "de5965c8bd1bfd681a08761e839006fb981ba0aac3b10a3d206d27c5b604ce42",
         "manifest.json":
-            "618aaa2d3392fa85bd98bfc37ce273996289a50b3ecbacb3aa1baf6f44bd03c0",
+            "3a37b0c39e2c6f93dba405631b82b5232c04e4d6fb0dbf034473125bda55276e",
         "mass.csv":
             "d6d22d0765cfa38cdc7d506a3602a87738633900dccbff87c210db64f7ad9867",
         "stderr":
@@ -257,7 +262,7 @@ DIGESTS = {
         "field.csv":
             "ea72c3b20eca0ca3cbdce6c5b83e2f9ad573347db1cb9df4a744c72bc1435701",
         "manifest.json":
-            "5c1d6f576508579c7326a5beb4448ac25e797e21c211d9302886794a0c80b403",
+            "f503808c6d7850594e7b24ccd70f5674ff9ece1c3c07a4b9350f1b4a83b9ff56",
         "mass.csv":
             "b22dbfa739359ba0c7dcfe54e47054c2fb7cb68bdfa608439e5b8f88597cd7c3",
         "stderr":

@@ -28,6 +28,9 @@ from bathdyn.config import (
     parse_config_text,
 )
 from bathdyn.decoherence import _RESOLVED, _odd_padded
+from bathdyn.fokker_planck import KramersOperator, PhaseGrid, SmoluchowskiOperator
+from bathdyn.kernels import BathParams
+from bathdyn.potentials import Harmonic
 
 
 def test_parse_config_text():
@@ -681,6 +684,61 @@ _DRUDE_SMALL = "bath.model=drude\nbath.omega_d=10\ngrid.nw=11\ngrid.nt=65\n"
 # a quantum Drude bath with nu1 = 2 pi k_bt / hbar = 1 (to roundoff)
 _NEAR_POLE = ("bath.model=drude\nbath.hbar=1\nbath.k_bt=0.15915494309189535\ngrid.nt=65\n"
               "grid.nw=11")
+
+
+def _strict_records(out_dir) -> list[dict]:
+    """The manifest's records, read by a JSON reader that refuses the NaN and
+    Infinity constants."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    lines = (out_dir / "manifest.json").read_text().splitlines()
+    return [json.loads(line, parse_constant=refuse) for line in lines]
+
+
+_KRAMERS_BOUND = KramersOperator(PhaseGrid(-4.0, 4.0, 16, -4.0, 4.0, 16),
+                                 Harmonic(mass=1.0, omega0=1.0), BathParams(1.0, 1.0, 1.0, 0.0)).dt_max
+
+
+# (command, config, exit code, dt, its source, dt_max): an automatic Kramers
+# step, a configured one over the bound, a Smoluchowski step, and decohere's
+# friction CFL bound 1 / gamma (ny // 2), or none on a grid of one y column
+@pytest.mark.parametrize("command, text, code, dt, source, dt_max", [
+    ("simulate", _KRAMERS_SMALL, 0, 0.5 * _KRAMERS_BOUND, "auto", _KRAMERS_BOUND),
+    ("simulate", _KRAMERS_SMALL + "fp.dt=0.05\n", 1, 0.05, "config", _KRAMERS_BOUND),
+    ("simulate", "sim.kind=smoluchowski\ngrid.nx=16\nfp.steps=5\nfp.dt=0.01\n", 0, 0.01,
+     "config", SmoluchowskiOperator(PhaseGrid(-4.0, 4.0, 16), Harmonic(mass=1.0, omega0=1.0),
+                                    BathParams(1.0, 1.0, 1.0, 0.0)).dt_max),
+    ("decohere", "state.kind=gaussian\ngrid.nx=33\ngrid.ny=25\nrun.steps=5\n", 1, 0.002,
+     "config", 1.0 / (6.25e-3 * 12)),
+    ("decohere", "state.kind=gaussian\ngrid.nx=33\ngrid.ny=1\nrun.steps=5\n", 1, 0.002,
+     "config", None),
+], ids=["kramers-auto", "kramers-over-bound", "smoluchowski", "decohere", "decohere-ny-1"])
+def test_grid_run_records_the_dt_it_stepped_at(tmp_path, capsys, command, text, code, dt,
+                                                source, dt_max):
+    """A grid or decohere run's numerics record holds the dt it stepped at,
+    its source (config, or auto where fp.dt <= 0 asks for half the bound),
+    the stability bound dt_max and dt / dt_max, and the step count; an auto
+    dt sits at 0.5 of the bound exactly. It comes before the first step, so
+    a dt the bound refuses (exit 1) carries it, followed by the error
+    record. An infinite bound (decohere without friction columns) is written
+    null, so a strict JSON reader takes the manifest. Before 0.11.0 only
+    stdout showed an automatic dt: the manifest held fp.dt = 0."""
+    out = tmp_path / "o"
+    assert main([command, "--config", _write_config(tmp_path, text), "--out", str(out),
+                 "--quiet"]) == code
+    records = _strict_records(out)
+    kinds = [r["record"] for r in records]
+    at = kinds.index("numerics")
+    assert kinds.count("numerics") == 1 and kinds[at + 1] in {"check", "error"}
+    ratio = 0.0 if dt_max is None else dt / dt_max
+    assert records[at] == {"record": "numerics", "dt": dt, "dt_source": source,
+                           "dt_max": dt_max, "dt_ratio": ratio, "steps": 5}
+    if source == "auto":
+        assert records[at]["dt_ratio"] == 0.5
+    if ratio > 1.0:
+        assert kinds[at + 1:] == ["error"] and "phase-space stability bound" in \
+            capsys.readouterr().err
 
 
 # (command, config, start of the stderr line after "config error: ") of runs
