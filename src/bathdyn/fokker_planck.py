@@ -246,18 +246,24 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
 
 
 def _check_rate(axis: str, rate: float, what: str, width: float) -> None:
-    """Refuse a cell width whose rate, `what` over it, is not finite: the
-    flux weights and the stability bound take it, and dt_max would be 0. A
-    subnormal width passes _check_axis, yet D / width^2 overflows. The
-    ParameterError names <axis>_max."""
-    _require(rate < math.inf, f"{axis}_max", f"give cells of width ({axis}_max - {axis}_min) / "
-             f"n{axis} = {width:g} a finite {what}")
+    """Refuse a cell width whose rate, `what` over it, is not finite and > 0
+    with a finite inverse: the flux weights and the stability bound take it,
+    and dt_max would be 0, inf or a division by zero. A subnormal width
+    passes _check_axis, yet D / width^2 overflows; a wide one with a small D
+    underflows. The ParameterError names <axis>_max."""
+    _require(0.0 < rate < math.inf and 1.0 / rate < math.inf, f"{axis}_max",
+             f"give cells of width ({axis}_max - {axis}_min) / n{axis} = {width:g} a finite "
+             f"{what} with a finite inverse (got {rate:g})")
 
 
 def _sg_weights(drift: np.ndarray, spacing: float, diff: float):
     """Scharfetter-Gummel weights along the last axis, whose interior faces
     carry the given drift: (weight on the left cell, weight on the right
-    cell, the largest outflow rate of any cell)."""
+    cell, the largest outflow rate of any cell). The rate is about |drift| /
+    spacing at a large cell Peclet number. An operator builds the drift and
+    the weights with float overflow ignored, so a drift, Peclet number or
+    rate beyond the float range gives a rate of inf or nan, which its
+    _check_rate refuses."""
     pe = drift * spacing / diff
     bl, br = _bernoulli(-pe), _bernoulli(pe)
     # outflow rate of cell i: (diff/spacing^2) (B(pe at left face) + B(-pe at right face))
@@ -375,8 +381,10 @@ class SmoluchowskiOperator(_GridOperator):
         self.d, self.dx = params.D, grid.dx
         _check_rate("x", self.d / self.dx**2, f"diffusion rate D / width^2 (D = {self.d:g})",
                     self.dx)
-        u = -np.asarray(potential.grad(grid.x_faces)) / (params.mass * params.gamma)
-        self.bl, self.br, out_rate = _sg_weights(u, self.dx, self.d)
+        with np.errstate(over="ignore", invalid="ignore"):  # see _sg_weights
+            u = -np.asarray(potential.grad(grid.x_faces)) / (params.mass * params.gamma)
+            self.bl, self.br, out_rate = _sg_weights(u, self.dx, self.d)
+        _check_rate("x", out_rate, "outflow rate through the drift", self.dx)
         self.dt_max = min(0.4 * self.dx**2 / self.d, 0.9 / out_rate)
         self.grid, self.potential = grid, potential
         self.sink_scale = 2.0 * params.mass * params.gamma
@@ -418,9 +426,11 @@ class KramersOperator(_GridOperator):
         adv_rate = 2.0 * v_top / grid.dx
         _check_rate("x", adv_rate, f"advection rate 2 max|v| / width (max|v| = {v_top:g})",
                     grid.dx)
-        grad = np.asarray(potential.grad(grid.x_centers))[:, None]
-        a = -(params.gamma * grid.v_faces[None, :] + grad / params.mass)
-        bl, br, out_rate = _sg_weights(a, self.dv, self.d_v)
+        with np.errstate(over="ignore", invalid="ignore"):  # see _sg_weights
+            grad = np.asarray(potential.grad(grid.x_centers))[:, None]
+            a = -(params.gamma * grid.v_faces[None, :] + grad / params.mass)
+            bl, br, out_rate = _sg_weights(a, self.dv, self.d_v)
+        _check_rate("v", out_rate, "outflow rate through the drift", self.dv)
         self.bl, self.br = (np.pad(w, [(0, 0), (0, 1)]).ravel()[:-1] for w in (bl, br))
         self.dt_max = 0.8 / (adv_rate + out_rate)
 

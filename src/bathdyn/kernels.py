@@ -127,9 +127,10 @@ SpectralDensity = Union[Ohmic, Drude, DiscreteBath]
 class BathParams:
     """System-plus-bath parameters.
 
-    mass, gamma, k_bt finite and > 0; hbar finite and >= 0 (0 = classical
-    limit). Each refusal is a ParameterError naming its field. A Drude
-    cutoff belongs to the spectral density (Drude.omega_d).
+    mass, gamma, k_bt finite and > 0, with a nonzero friction M gamma, which
+    D divides by; hbar finite and >= 0 (0 = classical limit). Each refusal
+    is a ParameterError naming its field. A Drude cutoff belongs to the
+    spectral density (Drude.omega_d).
 
     Derived: w = 2 M gamma k_bt (noise strength), D = k_bt / (M gamma)
     (spatial diffusion constant). They satisfy w = 2 gamma^2 M^2 D.
@@ -145,6 +146,7 @@ class BathParams:
         _positive("gamma", self.gamma)
         _positive("k_bt", self.k_bt)
         _require(0.0 <= self.hbar < math.inf, "hbar", "be finite and >= 0")
+        _require(self.mass * self.gamma > 0.0, "gamma", "be > 0 with mass gamma nonzero")
 
     @property
     def w(self) -> float:

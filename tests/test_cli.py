@@ -880,6 +880,23 @@ _KEYLESS_FAILURES = {
                             "fp.sigma_v=1e153", "grid.x_max must give cells of width (x_max - "
                             "x_min) / nx = 3e-162 a finite advection rate 2 max|v| / width "
                             "(max|v| = 9.375e+153)"),
+    # a steep drift over fine cells overflowed the Scharfetter-Gummel
+    # outflow rate, about |drift| / width: "overflow encountered in divide",
+    # dt_max = 0 and exit 1 with "error: dt must be > 0"
+    "smoluchowski-x-drift": ("simulate", "sim.kind=smoluchowski\ngrid.nx=16\nfp.steps=2\n"
+                             "grid.x_min=-1e-10\ngrid.x_max=1e-10\npotential.kind=polynomial\n"
+                             "potential.coeffs=0,1e300", "grid.x_max must give cells of width "
+                             "(x_max - x_min) / nx = 1.25e-11 a finite outflow rate through "
+                             "the drift"),
+    "kramers-v-drift": ("simulate", f"{_KRAMERS_SMALL}grid.v_min=-1e-10\ngrid.v_max=1e-10\n"
+                        "fp.sigma_v=1e-11\npotential.kind=polynomial\npotential.coeffs=0,1e300",
+                        "grid.v_max must give cells of width (v_max - v_min) / nv = 1.25e-11 "
+                        "a finite outflow rate through the drift"),
+    # a friction M gamma that underflows to 0: D = k_bt / (M gamma) ended
+    # in a ZeroDivisionError traceback
+    "smoluchowski-friction-underflow": ("simulate", "sim.kind=smoluchowski\ngrid.nx=16\n"
+                                        "fp.steps=2\nbath.mass=1e-200\nbath.gamma=1e-200",
+                                        "bath.gamma must be > 0 with mass gamma nonzero"),
     # a Drude frequency grid whose omega^2 overflows printed two numpy
     # "overflow encountered in square" warnings and exited 1
     "drude-w_max-1e160": ("kernels", f"{_DRUDE_SMALL}grid.w_max=1e160",

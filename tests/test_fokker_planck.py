@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from bathdyn import (
     SmoluchowskiOperator,
     StabilityError,
     compare_langevin_fp,
+    decoherence_params,
     gaussian_field_1d,
     gaussian_field_2d,
     gaussian_pure_state,
@@ -33,6 +36,7 @@ from bathdyn import (
     smoluchowski_step,
     superposition_state,
 )
+from bathdyn.decoherence import _RESOLVED
 from bathdyn.fokker_planck import kramers_dt_max, smoluchowski_dt_max
 
 PARAMS = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
@@ -702,3 +706,78 @@ def test_records_accept_dt_max_and_refuse_the_next_float_up(kind):
     with pytest.raises(StabilityError, match=f"^{op.bound} exceeded") as exc:
         op.advance(field, Ordering.MOMENTA_LEFT, np.nextafter(op.dt_max, np.inf), 0)
     assert exc.value.suggested_dt == op.dt_max
+
+
+# a magnitude over most of the float range, and a signed value or zero
+_SCALES = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_VALUES = st.one_of(st.just(0.0), _SCALES, _SCALES.map(lambda v: -v))
+
+
+@st.composite
+def _admitted(draw, make, *args):
+    """make(*drawn args), or a rejected example where make refuses one of
+    them with a ParameterError: only values their constructor admits."""
+    try:
+        return make(*(draw(arg) for arg in args))
+    except ParameterError:
+        hypothesis.reject()
+
+
+_AXES = st.tuples(_VALUES, _SCALES, st.integers(16, 40)).map(lambda a: (a[0], a[0] + a[1], a[2]))
+_POTENTIALS = st.one_of(
+    _admitted(Harmonic, _SCALES, _SCALES),
+    _admitted(DoubleWell, _VALUES, _SCALES),
+    _admitted(lambda c: Polynomial(tuple(c)), st.lists(_VALUES, min_size=1, max_size=5)))
+_CLASSICAL = _admitted(BathParams, _SCALES, _SCALES, _SCALES, st.just(0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_admitted(lambda x, v: PhaseGrid(*x, *v), _AXES, st.one_of(st.just((None,) * 3), _AXES)),
+       _POTENTIALS, _CLASSICAL)
+def test_an_admitted_grid_operator_has_a_bound_or_refuses_by_name(grid, pot, params):
+    """Every grid, potential and bath that their constructors admit builds a
+    Smoluchowski or Kramers operator with a finite dt_max > 0, under
+    warnings-as-errors, or the operator refuses them with a ParameterError.
+    A steep drift over fine cells once overflowed the Scharfetter-Gummel
+    outflow rate with a numpy warning and gave dt_max = 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            op = (KramersOperator if grid.is_2d else SmoluchowskiOperator)(grid, pot, params)
+        except ParameterError:
+            return
+    assert 0.0 < op.dt_max < math.inf
+
+
+@st.composite
+def _master_problems(draw):
+    """An admitted quantum bath and a Gaussian state on a grid that the
+    state's sigma and the bath's thermal length l_e resolve: each spacing is
+    a drawn fraction of its largest admitted value."""
+    params = draw(_admitted(BathParams, _SCALES, _SCALES, _SCALES, _SCALES))
+    sigma, fraction = draw(_SCALES), st.floats(1e-3, 1.0)
+    try:
+        dy = min(2.0 * sigma, _RESOLVED * decoherence_params(params).l_e / 2.0) / _RESOLVED
+        rho = gaussian_pure_state(draw(st.integers(16, 24)), sigma / _RESOLVED * draw(fraction),
+                                  draw(st.sampled_from([1, 3, 9])), dy * draw(fraction),
+                                  sigma=sigma)
+    except ParameterError:
+        hypothesis.reject()
+    return rho, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(_master_problems(), st.one_of(st.none(), _POTENTIALS))
+def test_an_admitted_master_operator_has_a_bound_or_refuses_by_name(problem, pot):
+    """The master operator's friction CFL bound, 1 / gamma (ny // 2), is > 0,
+    and finite but on a grid of one y column, which has no friction term;
+    or the operator refuses the state's grid and the bath with a
+    ParameterError."""
+    rho, params = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            op = MasterOperator(rho, pot, params)
+        except ParameterError:
+            return
+    assert op.dt_max > 0.0 and (op.dt_max < math.inf) is (rho.ny > 1)
