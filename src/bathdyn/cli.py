@@ -565,7 +565,7 @@ def _run_ensemble_cmd(cfg, params, potential, man) -> None:
 def _run_fp_cmd(cfg, kind, params, potential, man) -> None:
     ordering = Ordering(cfg.get("fp.ordering", _ORDERING, "momenta_left"))
     x0 = cfg.get("fp.x0", as_float, 0.0)
-    sigma_x = cfg.get("fp.sigma_x", as_float, 0.5, _FINITE_POSITIVE)
+    sigma_x = cfg.get("fp.sigma_x", as_float, 0.5)
     steps, record_every = _recording(cfg, "fp.steps", 1000, "fp.record_every", 100, "mass")
     dt = cfg.get("fp.dt", as_float, 0.0, _FINITE)
     grid = _grid(cfg, kind)
@@ -576,7 +576,7 @@ def _run_fp_cmd(cfg, kind, params, potential, man) -> None:
         v0 = cfg.get("fp.v0", as_float, 0.0)
         cfg.require(grid.v_min < v0 < grid.v_max, "fp.v0",
                     f"lie inside the v grid ({grid.v_min:g}, {grid.v_max:g}) (got {v0:g})")
-        sigma_v = cfg.get("fp.sigma_v", as_float, 0.5, _FINITE_POSITIVE)
+        sigma_v = cfg.get("fp.sigma_v", as_float, 0.5)
     cfg.finish()
     field0 = (gaussian_field_2d(grid, x0, sigma_x, v0, sigma_v) if grid.is_2d
               else gaussian_field_1d(grid, x0, sigma_x))

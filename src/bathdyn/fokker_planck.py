@@ -195,11 +195,11 @@ _MASS_TOL = 1e-8
 def _gaussian(name: str, factor, centers: np.ndarray, mean: float, sigma: float) -> np.ndarray:
     """factor (1.0, or the samples of the axes before) times the Gaussian
     exp(-(c - mean)^2 / 2 sigma^2) sampled at the centres c of one more grid
-    axis, as an outer product. sigma must be > 0, and the product's sum
-    finite and > 0: a sigma far below the spacing samples the Gaussian as
-    zeros. Each refusal is a ParameterError naming the sigma, name."""
-    if not sigma > 0:
-        raise ParameterError(name, "be > 0")
+    axis, as an outer product. sigma must be finite and > 0 (an infinite
+    one would sample a flat start), and the product's sum finite and > 0: a
+    sigma far below the spacing samples the Gaussian as zeros. Each refusal
+    is a ParameterError naming the sigma, name."""
+    _positive(name, sigma)
     with np.errstate(over="ignore"):  # a square beyond the float range samples as 0
         vals = np.multiply.outer(factor, np.exp(-0.5 * ((centers - mean) / sigma) ** 2))
     total = float(vals.sum())

@@ -1624,8 +1624,8 @@ def test_every_refused_parameter_has_a_key(tmp_path):
 def test_a_key_has_a_cli_rule_or_a_library_refusal():
     """A key whose value a library refusal tests has no RunConfig.get rule,
     so each test has one home. A refusal names a key by the key's last part
-    or by an alias (test_every_refused_parameter_has_a_key), and eleven
-    keys with a rule share a name with one. Six have two homes: decohere's
+    or by an alias (test_every_refused_parameter_has_a_key), and nine keys
+    with a rule share a name with one. Six have two homes: decohere's
     grid.nx, run.dt and run.steps, which reach no library object before any
     work there (its dt goes to the master operator's run, whose plain dt
     test names no key), while PhaseGrid's nx and SimConfig's dt and steps
@@ -1634,9 +1634,9 @@ def test_a_key_has_a_cli_rule_or_a_library_refusal():
     the library does not restate: its refusals that name them, the quantum
     series cap (t_grid), the log term at the smallest |t| (t_min) and the
     Drude Lorentzian's omega^2 (omega), test what the keys give together
-    with the bath. fp.sigma_x and fp.sigma_v keep "finite and > 0": the
-    start field refuses a width the grid cannot sample, but an infinite one
-    samples a flat start. The other three share only the name: det.gamma,
+    with the bath. fp.sigma_x and fp.sigma_v have their one home in the
+    start field, which refuses a width that is not finite and > 0 or that
+    the grid cannot sample. The other three share only the name: det.gamma,
     fp.dt and fp.steps reach no BathParams or SimConfig. state.separation
     has its one home in superposition_state, as a Gaussian state reads no
     separation."""
@@ -1648,8 +1648,8 @@ def test_a_key_has_a_cli_rule_or_a_library_refusal():
     names = _refused_names()
     refused = {key for key in ruled if key.rsplit(".", 1)[-1] in names}
     assert sorted(refused | (ruled & set(cli._ALIASES.values()))) == [
-        "det.gamma", "fp.dt", "fp.sigma_v", "fp.sigma_x", "fp.steps", "grid.nt", "grid.nx",
-        "grid.t_max", "grid.w_max", "run.dt", "run.steps"]
+        "det.gamma", "fp.dt", "fp.steps", "grid.nt", "grid.nx", "grid.t_max", "grid.w_max",
+        "run.dt", "run.steps"]
 
 
 @pytest.mark.parametrize("phase, target, text", [

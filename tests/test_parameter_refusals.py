@@ -82,6 +82,11 @@ _FLOAT_ARGUMENTS = {
     "superposition_state.sigma": ("sigma", 0.5, lambda v: _superposition(sigma=v)),
     "superposition_state.separation": ("separation", 3.0,
                                        lambda v: _superposition(separation=v)),
+    # an infinite width samples a flat start, which only this test refuses
+    "gaussian_field_1d.sigma_x": ("sigma_x", 0.5, lambda v: gaussian_field_1d(
+        PhaseGrid(-4.0, 4.0, 32), 0.0, v)),
+    "gaussian_field_2d.sigma_v": ("sigma_v", 0.5, lambda v: gaussian_field_2d(
+        PhaseGrid(-4.0, 4.0, 16, -4.0, 4.0, 16), 0.0, 0.5, 0.0, v)),
     # the thermal rate nu1 = 2 pi k_bt / hbar names hbar, the smallest |t| t_min
     "_quantum_terms.nu1": ("hbar", 2.0, lambda v: _quantum_terms(1.5, v, 0.01)),
     "_quantum_terms.t_min": ("t_min", 0.02, lambda v: _quantum_terms(1.5, 1.0, v)),
