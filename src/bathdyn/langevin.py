@@ -287,7 +287,6 @@ class EnsembleStats:
     cov_xv: float
     se_cov_xv: float
     hist_edges: np.ndarray
-    hist_counts: np.ndarray
     hist_density: np.ndarray
     autocorr: np.ndarray | None = None
     autocorr_count: int = 0
@@ -506,7 +505,7 @@ def run_ensemble(
         mode=mode, n_traj=n, n_diverged=n - n_alive, steps=steps, dt=config.dt,
         final_x=final_x, final_v=final_v, mean_x=mean_x, var_x=var_x, se_x=se_x,
         mean_v=mean_v, var_v=var_v, se_v=se_v, cov_xv=cov_xv, se_cov_xv=se_cov,
-        hist_edges=edges, hist_counts=counts, hist_density=density,
+        hist_edges=edges, hist_density=density,
         autocorr=autocorr, autocorr_count=int(alive_all[:n_sub].sum()) if n_sub else 0,
         snapshots=snaps_all)
 
