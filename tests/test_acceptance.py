@@ -5,8 +5,12 @@ plain pytest run doubles as the acceptance report. The details themselves are
 pinned, so a refactor that moves any verdict's figures shows here.
 """
 
+import json
+import os
+
 import pytest
 
+import bathdyn.cli as cli
 from bathdyn.checks import run_all
 
 
@@ -87,3 +91,37 @@ DETAILS = {
 
 def test_details_are_unchanged(results):
     assert {i: r.detail for i, r in results.items()} == DETAILS
+
+
+# the criteria that run the command line and read its manifest
+_CLI_CRITERIA = (6, 7, 9, 10)
+
+
+def _stub_cli(monkeypatch, code: int, records: list[dict]) -> None:
+    """Replace the command line with one that writes a manifest of the given
+    records to its --out directory and returns code, at once."""
+    def main(argv):
+        out = argv[argv.index("--out") + 1]
+        os.makedirs(out, exist_ok=True)
+        with open(os.path.join(out, "manifest.json"), "w") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in records)
+        return code
+
+    monkeypatch.setattr(cli, "main", main)
+
+
+def test_a_criterion_whose_run_ends_in_an_error_fails_with_it(monkeypatch):
+    """A command-line run whose manifest holds an error record fails its
+    criterion with that record's message, not with a missing check."""
+    _stub_cli(monkeypatch, 1, [{"record": "error", "message": "error: stubbed"}])
+    results = {r.index: r for r in run_all()}
+    for index in _CLI_CRITERIA:
+        assert not results[index].passed
+        assert results[index].detail == "raised RuntimeError: error: stubbed"
+
+
+def test_reproducibility_fails_on_a_nonzero_exit(monkeypatch):
+    """Criterion 10 compares no files when a seeded run exits nonzero."""
+    _stub_cli(monkeypatch, 1, [])
+    result = {r.index: r for r in run_all()}[10]
+    assert (result.passed, result.detail) == (False, "simulate exited with 1")

@@ -83,6 +83,8 @@ def test_phase_grid_validation():
         g.dv
     with pytest.raises(ValueError, match="no v"):
         g.v_centers
+    with pytest.raises(ValueError, match="no v"):
+        g.v_faces
 
     g2 = PhaseGrid(-2.0, 2.0, 32, v_min=-3.0, v_max=3.0, nv=48)
     assert g2.is_2d
@@ -100,6 +102,9 @@ def test_prob_field_validation_and_moments():
         ProbField(bad, grid)
     with pytest.raises(ValueError, match="finite"):
         ProbField(np.full(512, np.nan), grid)
+
+    # a field of no mass has no mean or variance
+    assert all(map(math.isnan, ProbField(np.zeros(512), grid).moments()))
 
     f = gaussian_field_1d(grid, 0.3, 0.7)
     assert abs(f.mass - 1.0) < 1e-12

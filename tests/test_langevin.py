@@ -162,6 +162,18 @@ def test_overdamped_guard_refuses_a_stiff_polynomial_start():
     assert abs(stats.var_x - exact) <= 5.0 * math.sqrt(2.0 / (cfg.n_traj - 1)) * exact
 
 
+@pytest.mark.parametrize("x, v", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+def test_inertial_state_refuses_a_coordinate_that_is_not_finite(x, v):
+    with pytest.raises(ValueError, match="^state must be finite$"):
+        InertialState(x, v)
+
+
+def test_run_ensemble_refuses_an_unknown_mode():
+    cfg = SimConfig(potential=POT, params=PARAMS, dt=0.01, steps=2, n_traj=4, master_seed=1)
+    with pytest.raises(ValueError, match="^mode must be one of"):
+        run_ensemble(cfg, "underdamped")
+
+
 def test_step_algebra_prepoint():
     """Forces multiply the earlier point: one step is exact arithmetic."""
     s = InertialState(x=1.0, v=0.5)
