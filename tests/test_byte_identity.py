@@ -13,8 +13,9 @@ only the manifests of the seven grid cases, the ``kramers_*``,
 of the dt it stepped at, its source (config or auto), the stability bound
 dt_max and dt / dt_max, and its step count, written before the first step,
 so ``kramers_dt_too_large`` carries it ahead of its error record. 0.10.0
-moved no output file, stdout or exit code, only the manifests of nine cases: a command reads only the keys that can move
-its outputs, so the ``config`` record of every ``simulate`` case loses
+moved no output file, stdout or exit code, only the manifests of nine
+cases: a command reads only the keys that can move its outputs, so the
+``config`` record of every ``simulate`` case loses
 ``bath.hbar``, and that of ``decohere_symmetric``, a Gaussian state, loses
 ``state.separation``. 0.9.0 moved no output file and no exit code, only
 the manifests and stdout of five cases, which gain or change a check record
