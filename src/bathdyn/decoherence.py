@@ -92,18 +92,16 @@ class DecoherenceParams:
     lam * l_e_sq == 2 pi gamma holds by the definitions of the two lengths.
     """
 
-    w: float
-    D: float
     lam: float
     l_e: float
     l_e_sq: float
 
 
 def decoherence_params(params: BathParams) -> DecoherenceParams:
-    """Compute (w, D, Lambda, l_e) from the bath parameters. hbar^2 sets
-    Lambda and l_e, so it must be finite and nonzero (hbar = 0, the classical
-    limit, has infinite Lambda), and Lambda and l_e^2 finite and > 0; each
-    refusal names hbar."""
+    """Compute (Lambda, l_e, l_e^2) from the bath parameters, whose own w and
+    D stay on BathParams. hbar^2 sets Lambda and l_e, so it must be finite
+    and nonzero (hbar = 0, the classical limit, has infinite Lambda), and
+    Lambda and l_e^2 finite and > 0; each refusal names hbar."""
     _require(0.0 < params.hbar * params.hbar < math.inf, "hbar",
              "be > 0 with a finite, nonzero square")
     hbar2 = params.hbar ** 2
@@ -113,9 +111,7 @@ def decoherence_params(params: BathParams) -> DecoherenceParams:
     l_e_sq = 2.0 * math.pi * hbar2 / m_kt if m_kt > 0.0 else math.inf
     _require(0.0 < l_e_sq < math.inf, "hbar",
              f"give a finite thermal length l_e^2 = 2 pi hbar^2 / M k_bt > 0 (got {l_e_sq:g})")
-    return DecoherenceParams(
-        w=params.w, D=params.D, lam=lam, l_e=math.sqrt(l_e_sq), l_e_sq=l_e_sq
-    )
+    return DecoherenceParams(lam=lam, l_e=math.sqrt(l_e_sq), l_e_sq=l_e_sq)
 
 
 def _check_dy(dy: float, l_e: float) -> None:

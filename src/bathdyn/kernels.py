@@ -29,7 +29,6 @@ __all__ = [
     "DiscreteBath",
     "SpectralDensity",
     "BathParams",
-    "KernelSamples",
     "xcoth",
     "hbar_coth",
     "spectral_density",
@@ -157,32 +156,6 @@ class BathParams:
     def D(self) -> float:
         """Einstein diffusion constant D = k_bt / (M gamma)."""
         return self.k_bt / (self.mass * self.gamma)
-
-
-@dataclass(frozen=True)
-class KernelSamples:
-    """Noise kernel values sampled on a uniform time grid, as
-    noise_kernel_time returns them; the grid is checked there.
-
-    dt is the grid step; area is the trapezoid integral over the grid (1 for
-    a complete grid); short_grid flags grids capturing less than 1 - 1e-4 of
-    the unit area.
-    """
-
-    t_grid: np.ndarray
-    values: np.ndarray
-
-    @property
-    def dt(self) -> float:
-        return float(self.t_grid[1] - self.t_grid[0])
-
-    @property
-    def area(self) -> float:
-        return float(np.trapezoid(self.values, self.t_grid))
-
-    @property
-    def short_grid(self) -> bool:
-        return abs(self.area - 1.0) > 1e-4
 
 
 def _time_grid(t_grid) -> np.ndarray:
@@ -459,13 +432,14 @@ def _drude_time_kernel(omega_d: float, hbar: float, k_bt: float, abs_t: np.ndarr
     return out
 
 
-def noise_kernel_time(params: BathParams, model: SpectralDensity, t_grid) -> KernelSamples:
-    """Noise kernel K(t) sampled on a uniform grid, with its trapezoid area.
+def noise_kernel_time(params: BathParams, model: SpectralDensity, t_grid) -> np.ndarray:
+    """Noise kernel K(t) sampled on a uniform grid, as an array of t_grid's
+    length.
 
-    The full-line integral of K(t) is K(w=0) = 1; `area` reports the trapezoid
-    integral over the supplied grid and `short_grid` flags grids that miss more
-    than 1e-4 of it. Requires a Drude model: the strictly Ohmic kernel is a
-    delta function classically and non-integrable quantum mechanically.
+    The full-line integral of K(t) is K(w=0) = 1, so np.trapezoid(K, t_grid)
+    is 1 on a grid that covers the kernel and falls short on one that does
+    not. Requires a Drude model: the strictly Ohmic kernel is a delta function
+    classically and non-integrable quantum mechanically.
     """
     t = _time_grid(t_grid)
     if isinstance(_continuous(model, "a discrete bath has no smooth noise kernel"), Ohmic):
@@ -481,7 +455,7 @@ def noise_kernel_time(params: BathParams, model: SpectralDensity, t_grid) -> Ker
     vals = _drude_time_kernel(model.omega_d, params.hbar, params.k_bt, np.abs(t))
     if not np.all(np.isfinite(vals)):
         raise ValueError("kernel values must be finite")
-    return KernelSamples(t_grid=t, values=vals)
+    return vals
 
 
 def bath_correlators(params: BathParams, model: DiscreteBath, t: float, tp: float):

@@ -6,16 +6,15 @@ Jacobian trivial and needs no drift correction for additive noise. A post-point
 stepper is exposed as a diagnostic; at finite dt its stationary-moment bias has
 the opposite sign. It solves its implicit relation by fixed-point iteration for
 each trajectory separately; a trajectory whose iteration goes non-finite or has
-not converged after 200 rounds counts as diverged in an ensemble, and makes the
-single-step call raise.
+not converged after 200 rounds is set to NaN, so it counts as diverged in an
+ensemble and makes the single-step call raise.
 
 Every mode has one update rule (_advance), applied to arrays of trajectories by
 the ensemble routines and to a single trajectory by the step_* functions. Both
 ensemble routines share one chunk driver (_chunks), and _evolve_chunk steps
 each chunk on the caller's arrays and one spare pair, with no per-chunk copy.
-A pre-point trajectory that diverges is non-finite from that step on, and is
-counted from its state at the recorded steps and at the end; post-point keeps
-a mask, since a solve that did not converge leaves finite values.
+In every mode a trajectory that diverges is non-finite from that step on, and
+is counted from its state at the recorded steps and at the end.
 
 The driving noise is white with per-step variance w/dt, w = 2 M gamma k_B T.
 Trajectories are drawn in fixed blocks of _BLOCK: block b holds trajectories
@@ -161,21 +160,17 @@ def _check_dt_overdamped(potential: Potential, params: BathParams, dt: float,
 
 
 def _advance(mode: str, potential: Potential, params: BathParams, dt: float,
-             x: np.ndarray, v: np.ndarray, eta: np.ndarray,
-             alive: np.ndarray | None = None, out: tuple | None = None):
+             x: np.ndarray, v: np.ndarray, eta: np.ndarray, out: tuple | None = None):
     """One step of `mode` for every trajectory in the arrays x, v under noise eta.
 
-    Returns (x_new, v_new, ok). ok is False where the step diverged (a
-    non-finite x_new or v_new) or where the post-point solve was still
-    iterating after 200 rounds (a finite x_new: its last iterate); the solve
-    skips trajectories that alive marks dead (x_new = x). A pre-point step
-    given out = (x_out, v_out) writes there, not into x or v, and returns
-    ok = None (overdamped returns v as v_new). The caller sets np.errstate.
+    Returns (x_new, v_new), non-finite where the step diverged or the
+    post-point solve did not converge. A pre-point step given out = (x_out,
+    v_out) writes there, not into x or v; overdamped modes return v as v_new.
+    The caller sets np.errstate.
     """
     m, gamma = params.mass, params.gamma
     if mode == "overdamped_postpoint":
-        x_new, converged = _postpoint_solve(potential, x, dt / (m * gamma), eta, alive)
-        return x_new, v, converged & np.isfinite(v)
+        return _postpoint_solve(potential, x, dt / (m * gamma), eta), v
     x_new, v_new = out or (np.empty_like(x), np.empty_like(v))
     force = potential.grad(x)
     if mode == "inertial":
@@ -189,19 +184,19 @@ def _advance(mode: str, potential: Potential, params: BathParams, dt: float,
         np.subtract(eta, force, out=x_new)
         np.add(x, np.multiply(dt / (m * gamma), x_new, out=x_new), out=x_new)
         v_new = v
-    return x_new, v_new, None if out else np.isfinite(x_new) & np.isfinite(v_new)
+    return x_new, v_new
 
 
-def _postpoint_solve(potential: Potential, x: np.ndarray, c: float, eta: np.ndarray,
-                     alive: np.ndarray | None):
+def _postpoint_solve(potential: Potential, x: np.ndarray, c: float, eta: np.ndarray):
     """Per-trajectory fixed point of y = x + c(-V'(y) + eta), starting at y = x.
 
-    Only alive trajectories iterate (all of them when alive is None). One
-    stops once |y_next - y| <= 1e-14 max(1, |y_next|), or once y_next is
-    non-finite; the others go on. Returns (y, converged).
+    A trajectory stops once |y_next - y| <= 1e-14 max(1, |y_next|), or once
+    y_next is non-finite, as it is after the first round for a dead (NaN) x;
+    the others go on. Returns y, NaN where the solve was still iterating
+    after 200 rounds.
     """
     y = x.copy()
-    pending = np.ones(x.shape, dtype=bool) if alive is None else alive.copy()
+    pending = np.ones(x.shape, dtype=bool)
     for _ in range(200):
         if not pending.any():
             break
@@ -210,19 +205,19 @@ def _postpoint_solve(potential: Potential, x: np.ndarray, c: float, eta: np.ndar
         moving = np.abs(y_next - y) > 1e-14 * np.maximum(1.0, np.abs(y_next))
         np.copyto(y, y_next, where=pending)
         pending &= moving
-    return y, ~pending & np.isfinite(y)
+    y[pending] = np.nan
+    return y
 
 
 def _step_one(mode: str, potential: Potential, params: BathParams, dt: float,
               x: float, v: float, eta: float) -> tuple[float, float]:
     """_advance on a single trajectory; a failed step raises RuntimeError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x_new, v_new, ok = _advance(mode, potential, params, dt, np.array([x], dtype=float),
-                                    np.array([v], dtype=float), np.array([eta], dtype=float))
-    if not ok[0]:
-        if math.isfinite(x_new[0]) and math.isfinite(v_new[0]):
-            raise RuntimeError("post-point iteration did not converge")
-        raise RuntimeError("trajectory diverged")
+        x_new, v_new = _advance(mode, potential, params, dt, np.array([x], dtype=float),
+                                np.array([v], dtype=float), np.array([eta], dtype=float))
+    if not (math.isfinite(x_new[0]) and math.isfinite(v_new[0])):
+        raise RuntimeError("trajectory diverged" + (", or its post-point solve did not converge"
+                                                    if mode == "overdamped_postpoint" else ""))
     return float(x_new[0]), float(v_new[0])
 
 
@@ -381,30 +376,26 @@ def _evolve_chunk(
 ) -> np.ndarray:
     """Vectorized stepping of one chunk: x and v, its initial state, end as its final.
 
-    The steps alternate between x, v and one spare pair of buffers. A pre-point
-    trajectory that diverges is non-finite from that step on, so alive is read
-    from the state at recorded steps and at the end; post-point keeps a mask.
+    The steps alternate between x, v and one spare pair of buffers. A
+    trajectory that diverges is non-finite from that step on, in every mode,
+    so alive is read from the state at recorded steps and at the end.
     eta has shape (steps, chunk). The caller owns the outputs: snaps maps a
     step to a chunk-long array for the positions then (NaN when dead); series
     and v_series, when given, are time-major (steps + 1, k) arrays for the
     first k trajectories' positions and velocities (NaN once dead). Returns alive.
     """
     pot, params, dt = config.potential, config.params, config.dt
-    postpoint = mode == "overdamped_postpoint"
-    alive = np.isfinite(x) & np.isfinite(v)
     state, spare = (x, v), (np.empty_like(x), np.empty_like(v))
     stored = [(out, i) for i, out in enumerate((series, v_series)) if out is not None]
 
     def alive_in(n=None):  # alive among the first n trajectories now
-        return alive[:n] if postpoint else np.isfinite(state[0][:n]) & np.isfinite(state[1][:n])
+        return np.isfinite(state[0][:n]) & np.isfinite(state[1][:n])
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.steps + 1):
             if k:
-                *new, ok = _advance(mode, pot, params, dt, *state, eta[k - 1], alive, spare)
+                new = _advance(mode, pot, params, dt, *state, eta[k - 1], spare)
                 spare, state = state, new
-                if postpoint:
-                    alive &= ok
             for out, i in stored:
                 out[k] = np.where(alive_in(out.shape[1]), state[i][: out.shape[1]], np.nan)
             if k in snaps:

@@ -26,7 +26,6 @@ from .kernels import Ohmic, SpectralDensity, _continuous, _kernel_shape_freq, _r
 
 __all__ = [
     "NoiseSpec",
-    "NoiseTrajectory",
     "derive_rng",
     "white_noise",
     "colored_noise",
@@ -78,29 +77,17 @@ class NoiseSpec:
             raise ValueError("n must be >= 2")
 
 
-@dataclass(frozen=True)
-class NoiseTrajectory:
-    """Sampled noise sequence together with the spec that produced it."""
-
-    samples: np.ndarray
-    spec: NoiseSpec
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.spec.dt * np.arange(self.spec.n)
-
-
-def white_noise(spec: NoiseSpec) -> NoiseTrajectory:
-    """iid N(0, w/dt) sequence of length n from the seeded stream."""
+def white_noise(spec: NoiseSpec) -> np.ndarray:
+    """iid N(0, w/dt) samples, n of them, from the seeded stream."""
     if spec.kernel is not None:
         raise ValueError("white_noise requires spec.kernel = None")
     rng = derive_rng(spec.seed)
-    samples = rng.standard_normal(spec.n) * np.sqrt(spec.w / spec.dt)
-    return NoiseTrajectory(samples=samples, spec=spec)
+    return rng.standard_normal(spec.n) * np.sqrt(spec.w / spec.dt)
 
 
-def colored_noise(spec: NoiseSpec) -> NoiseTrajectory:
-    """Stationary Gaussian sequence with spectrum w K(omega), classical Drude only."""
+def colored_noise(spec: NoiseSpec) -> np.ndarray:
+    """n samples of a stationary Gaussian sequence with spectrum w K(omega),
+    classical Drude only."""
     model = spec.kernel
     if model is None:
         raise ValueError("colored_noise requires a kernel model; use white_noise for None")
@@ -124,16 +111,17 @@ def colored_noise(spec: NoiseSpec) -> NoiseTrajectory:
     coef[0] = amp[0] * re[0]  # DC and Nyquist modes are real
     coef[half] = amp[half] * re[half]
     samples = m * np.fft.irfft(coef, n=m)
-    return NoiseTrajectory(samples=samples[: spec.n].copy(), spec=spec)
+    return samples[: spec.n].copy()
 
 
-def estimate_autocorr(traj: NoiseTrajectory, max_lag: int) -> np.ndarray:
-    """Autocovariance estimate c(k) = mean(eta_n eta_{n+k}), k = 0..max_lag.
+def estimate_autocorr(samples, max_lag: int) -> np.ndarray:
+    """Autocovariance estimate c(k) = mean(eta_n eta_{n+k}), k = 0..max_lag,
+    of a 1-D sample array such as white_noise and colored_noise return.
 
     Unbiased lagged products without mean removal; max_lag must stay below
     a tenth of the record so every lag keeps ample averaging.
     """
-    x = np.asarray(traj.samples, dtype=float)
+    x = np.asarray(samples, dtype=float)
     n = x.size
     if not 0 <= max_lag < n / 10:
         raise ValueError("max_lag must satisfy 0 <= max_lag < n/10")

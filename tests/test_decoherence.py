@@ -45,8 +45,9 @@ def _unresolved_gaussian(nx, dx, ny, dy, sigma):
 
 def test_decoherence_params_identities():
     d = decoherence_params(PARAMS)
-    # w = 2 M gamma kT = 2, Lambda = w / 2 hbar^2
-    assert d.w == 2.0
+    # w = 2 M gamma kT = 2, Lambda = w / 2 hbar^2; w and D stay on BathParams
+    assert PARAMS.w == 2.0
+    assert not hasattr(d, "w") and not hasattr(d, "D")
     assert d.lam == 1.0
     assert d.l_e_sq == 4.0 * math.pi
     assert d.l_e == math.sqrt(d.l_e_sq)

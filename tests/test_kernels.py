@@ -11,7 +11,6 @@ from bathdyn import (
     BathParams,
     DiscreteBath,
     Drude,
-    KernelSamples,
     NoiseSpec,
     Ohmic,
     Oscillator,
@@ -148,21 +147,20 @@ def test_classical_drude_time_kernel():
     p = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=0.0)
     d = Drude(gamma=1.0, omega_d=10.0)
     t = np.linspace(-1.6, 1.6, 16385)
-    s = noise_kernel_time(p, d, t)
-    np.testing.assert_allclose(s.values, 5.0 * np.exp(-10.0 * np.abs(t)),
+    k = noise_kernel_time(p, d, t)
+    np.testing.assert_allclose(k, 5.0 * np.exp(-10.0 * np.abs(t)),
                                rtol=1e-12, atol=1e-300)
-    assert abs(s.area - 1.0) <= 1e-6
-    assert not s.short_grid
+    assert abs(np.trapezoid(k, t) - 1.0) <= 1e-6
 
 
-def test_classical_drude_short_grid_flag():
+def test_classical_drude_short_grid_area_deficit():
     p = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=0.0)
     d = Drude(gamma=1.0, omega_d=10.0)
-    t = np.linspace(-0.1, 0.1, 201)  # misses most of the tail? no: om_d t = 1
-    s = noise_kernel_time(p, d, t)
-    # area 1 - e^{-1} is far from one, the grid must be flagged
-    assert s.short_grid
-    assert abs(s.area - (1.0 - math.exp(-1.0))) < 1e-3
+    t = np.linspace(-0.1, 0.1, 201)  # om_d t = 1 at the ends: the tail is cut
+    area = np.trapezoid(noise_kernel_time(p, d, t), t)
+    # area 1 - e^{-1}, far more than 1e-4 short of one
+    assert abs(area - 1.0) > 1e-4
+    assert abs(area - (1.0 - math.exp(-1.0))) < 1e-3
 
 
 def test_quantum_drude_time_kernel_quadrature_oracle():
@@ -170,7 +168,7 @@ def test_quantum_drude_time_kernel_quadrature_oracle():
     p = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=1.0)
     d = Drude(gamma=1.0, omega_d=10.0)
     t = np.arange(1, 2001) * 0.05
-    s = noise_kernel_time(p, d, t)
+    k = noise_kernel_time(p, d, t)
     oracle = {
         0.05: 5.655533972083528,
         0.1: -0.305330487533093,
@@ -178,8 +176,8 @@ def test_quantum_drude_time_kernel_quadrature_oracle():
         1.0: -0.01964730923857582,
     }
     for tt, val in oracle.items():
-        i = int(np.argmin(np.abs(s.t_grid - tt)))
-        assert abs(s.values[i] - val) < 1e-9
+        i = int(np.argmin(np.abs(t - tt)))
+        assert abs(k[i] - val) < 1e-9
 
 
 # K(0.01 / omega_d) and K(0.1 / omega_d) of the quantum Drude bath with hbar =
@@ -222,7 +220,7 @@ def test_quantum_drude_pole_band_oracle():
     for omega_d in _POLE_GRID:
         t = np.array([0.01, 0.1]) / omega_d
         if omega_d in _POLE_REFERENCE:
-            values = noise_kernel_time(params, Drude(gamma=1.0, omega_d=omega_d), t).values
+            values = noise_kernel_time(params, Drude(gamma=1.0, omega_d=omega_d), t)
             np.testing.assert_allclose(values, _POLE_REFERENCE[omega_d], rtol=1e-9, atol=0.0)
         else:
             with pytest.raises(ParameterError, match="^omega_d must keep r = omega_d / nu1 = "
@@ -257,7 +255,7 @@ def test_quantum_drude_series_cap_edge():
         assert min(_series_terms(omega_d, nu1, t_min)) == terms
         t = np.array([1.0, 2.0, 3.0]) * t_min
         if terms <= _SERIES_CAP:
-            values = noise_kernel_time(params, Drude(gamma=1.0, omega_d=omega_d), t).values
+            values = noise_kernel_time(params, Drude(gamma=1.0, omega_d=omega_d), t)
             np.testing.assert_allclose(values, _CAP_EDGE_REFERENCE, rtol=1e-9, atol=0.0)
         else:
             with pytest.raises(ParameterError, match="^t_grid must keep the quantum kernel's "
@@ -283,8 +281,8 @@ def test_noise_kernel_time_error_contracts():
 
 def test_noise_kernel_time_checks_its_grid_once_before_the_kernel(monkeypatch):
     """noise_kernel_time runs _time_grid on its grid once, before the kernel
-    is computed (it ran twice: KernelSamples.__post_init__ checked the same
-    array); a grid that fails the check computes no kernel."""
+    is computed, and returns one value per grid point; a grid that fails the
+    check computes no kernel."""
     import bathdyn.kernels as kernels
 
     checked = []
@@ -297,22 +295,18 @@ def test_noise_kernel_time_checks_its_grid_once_before_the_kernel(monkeypatch):
     monkeypatch.setattr(kernels, "_time_grid", counted)
     params = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=0.0)
     samples = noise_kernel_time(params, Drude(gamma=1.0, omega_d=10.0), np.linspace(-1, 1, 101))
-    assert checked == [101] and samples.dt == pytest.approx(0.02, rel=1e-12)
+    assert checked == [101] and samples.shape == (101,)
     monkeypatch.setattr(kernels, "_drude_time_kernel",
                         lambda *args: pytest.fail("the kernel was computed"))
     with pytest.raises(ValueError, match="^t_grid must be uniformly increasing$"):
         noise_kernel_time(params, Drude(gamma=1.0, omega_d=10.0), np.array([0.0, 0.1, 0.3]))
 
 
-def test_kernel_samples_derive_their_figures_from_the_grid_and_values(monkeypatch):
-    """KernelSamples holds the grid and the values; dt, the trapezoid area
-    and short_grid follow from them. noise_kernel_time refuses values that
-    are not finite, here from a stubbed kernel."""
+def test_noise_kernel_time_refuses_values_that_are_not_finite(monkeypatch):
+    """noise_kernel_time refuses values that are not finite, here from a
+    stubbed kernel."""
     import bathdyn.kernels as kernels
 
-    s = KernelSamples(np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0, 0.0]))
-    assert (s.dt, s.area, s.short_grid) == (0.5, 0.75, True)
-    assert not KernelSamples(np.array([0.0, 1.0]), np.array([1.0, 1.0])).short_grid
     params = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=0.0)
     monkeypatch.setattr(kernels, "_drude_time_kernel", lambda *args: np.array([1.0, np.nan]))
     with pytest.raises(ValueError, match="^kernel values must be finite$"):

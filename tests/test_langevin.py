@@ -688,7 +688,7 @@ def _step_inputs(draw):
 def test_scalar_steppers_are_one_step_of_the_shared_update(inputs, mode):
     pot, params, dt, x, v, eta = inputs
     with np.errstate(over="ignore", invalid="ignore"):  # as _advance's callers enter it
-        x_new, v_new, ok = lv._advance(mode, pot, params, dt, x, v, eta)
+        x_new, v_new = lv._advance(mode, pot, params, dt, x, v, eta)
     for i in range(x.size):
         if mode == "inertial":
             def call():
@@ -702,12 +702,10 @@ def test_scalar_steppers_are_one_step_of_the_shared_update(inputs, mode):
             def call():
                 return (stepper(x[i], pot, params, eta[i], dt),)
             expected = (x_new[i],)
-        if ok[i]:
+        if np.isfinite(x_new[i]) and np.isfinite(v_new[i]):
             assert [_bits(a) for a in call()] == [_bits(b) for b in expected]
         else:
-            stuck = np.isfinite(x_new[i]) and np.isfinite(v_new[i])
-            with pytest.raises(RuntimeError,
-                               match="did not converge" if stuck else "diverged"):
+            with pytest.raises(RuntimeError, match="diverged"):
                 call()
 
 

@@ -54,20 +54,17 @@ def test_dt_whose_rates_leave_the_float_range_is_refused_by_name(kernel, dt):
         NoiseSpec(kernel=kernel, w=1.0, dt=dt, n=16, seed=1)
     assert exc.value.name == "dt"
     draw, admitted = (white_noise, 1e-300) if kernel is None else (colored_noise, 1e-150)
-    traj = draw(NoiseSpec(kernel=kernel, w=1.0, dt=admitted, n=16, seed=1))
-    assert np.all(np.isfinite(traj.samples))
+    samples = draw(NoiseSpec(kernel=kernel, w=1.0, dt=admitted, n=16, seed=1))
+    assert np.all(np.isfinite(samples))
 
 
 def test_white_noise_variance_and_reproducibility():
     spec = NoiseSpec(kernel=None, w=2.0, dt=0.01, n=100000, seed=11)
-    traj = white_noise(spec)
-    assert traj.samples.shape == (spec.n,)
-    var = float(np.var(traj.samples))
+    samples = white_noise(spec)
+    assert samples.shape == (spec.n,)
+    var = float(np.var(samples))
     assert abs(var / (spec.w / spec.dt) - 1.0) < 0.02
-    again = white_noise(spec)
-    np.testing.assert_array_equal(traj.samples, again.samples)
-    # time axis
-    assert traj.times[1] - traj.times[0] == spec.dt
+    np.testing.assert_array_equal(samples, white_noise(spec))
     with pytest.raises(ValueError):
         white_noise(NoiseSpec(kernel=Drude(1.0, 5.0), w=1.0, dt=0.1, n=10, seed=1))
 
@@ -77,8 +74,7 @@ def test_colored_noise_autocovariance():
     om_d = 4.0
     spec = NoiseSpec(kernel=Drude(gamma=1.0, omega_d=om_d), w=2.0, dt=0.01,
                      n=200000, seed=5)
-    traj = colored_noise(spec)
-    acov = estimate_autocorr(traj, 100)
+    acov = estimate_autocorr(colored_noise(spec), 100)
     c0_target = spec.w * om_d / 2.0  # w K(0) with K(t) = (om_d/2) e^{-om_d|t|}
     assert abs(acov[0] / c0_target - 1.0) < 0.05
     lags = np.arange(101) * spec.dt
@@ -89,9 +85,9 @@ def test_colored_noise_autocovariance():
 def test_colored_noise_reproducible():
     spec = NoiseSpec(kernel=Drude(gamma=1.0, omega_d=5.0), w=1.0, dt=0.02,
                      n=4096, seed=99)
-    a = colored_noise(spec).samples
-    b = colored_noise(spec).samples
-    np.testing.assert_array_equal(a, b)
+    a = colored_noise(spec)
+    assert a.shape == (spec.n,)
+    np.testing.assert_array_equal(a, colored_noise(spec))
 
 
 def test_colored_noise_error_contracts():
@@ -104,10 +100,10 @@ def test_colored_noise_error_contracts():
 
 def test_estimate_autocorr_guards():
     spec = NoiseSpec(kernel=None, w=1.0, dt=0.1, n=100, seed=3)
-    traj = white_noise(spec)
+    samples = white_noise(spec)
     with pytest.raises(ValueError):
-        estimate_autocorr(traj, 50)  # more than a tenth of the record
-    acov = estimate_autocorr(traj, 5)
+        estimate_autocorr(samples, 50)  # more than a tenth of the record
+    acov = estimate_autocorr(samples, 5)
     assert acov.shape == (6,)
     # white noise: off-zero lags small compared to lag zero
     assert abs(acov[0]) > 5.0 * max(abs(acov[1]), abs(acov[2]))
