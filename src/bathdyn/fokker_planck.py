@@ -371,7 +371,10 @@ class _GridOperator(_Operator):
 
 class SmoluchowskiOperator(_GridOperator):
     """The overdamped equation's generator on one 1-D problem: face weights,
-    dt_max and the symmetric sink exp(-dt V''(x)/2 M gamma)."""
+    dt_max and the symmetric sink exp(-dt V''(x)/2 M gamma). A diffusion
+    constant D = k_bt / (M gamma) that vanishes or overflows, which no cell
+    width mends, is refused before the rates, by a ParameterError naming
+    gamma."""
 
     bound = "drift-augmented stability bound"
 
@@ -379,6 +382,8 @@ class SmoluchowskiOperator(_GridOperator):
         if grid.is_2d:
             raise ValueError("expected a 1D grid")
         self.d, self.dx = params.D, grid.dx
+        _require(0.0 < self.d < math.inf, "gamma", "give a finite diffusion constant "
+                 f"D = k_bt / (M gamma) > 0 (got D = {self.d:g})")
         _check_rate("x", self.d / self.dx**2, f"diffusion rate D / width^2 (D = {self.d:g})",
                     self.dx)
         with np.errstate(over="ignore", invalid="ignore"):  # see _sg_weights

@@ -1776,7 +1776,24 @@ _NAMED_FAILURES = {
                    "config error: grid.nv must "),
     "decohere-ny": ("decohere", "grid.ny=10", 2, "config error: grid.ny must "),
     "decohere-nx": ("decohere", "grid.nx=0", 2, "config error: grid.nx must "),
+    # D = k_bt / (M gamma) vanishes or overflows, which no cell width mends
+    "smoluchowski-D-0": ("simulate", "sim.kind=smoluchowski\ngrid.nx=16\nfp.steps=2\n"
+                         "bath.mass=1e200\nbath.gamma=1e200", 2,
+                         "config error: bath.gamma must "),
+    "smoluchowski-D-inf": ("simulate", "sim.kind=smoluchowski\ngrid.nx=16\nfp.steps=2\n"
+                           "bath.mass=1e-160\nbath.gamma=1e-160", 2,
+                           "config error: bath.gamma must "),
+    "compare-D-inf": ("simulate", "sim.kind=compare\ncompare.times=0.05\nrun.n_traj=50\n"
+                      "bath.mass=1e-160\nbath.gamma=1e-160", 2, "config error: bath.gamma must "),
 }
+
+
+def test_kramers_run_takes_a_bath_whose_diffusion_constant_vanishes(tmp_path):
+    """The Kramers operator never uses D = k_bt / (M gamma), so the bath that
+    smoluchowski-D-0 refuses runs here."""
+    cfg = _write_config(tmp_path, "sim.kind=kramers\ngrid.nx=16\ngrid.nv=16\nfp.steps=2\n"
+                        "bath.mass=1e200\nbath.gamma=1e200\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
 
 @pytest.mark.parametrize("case", sorted(_NAMED_FAILURES))

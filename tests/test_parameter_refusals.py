@@ -18,6 +18,7 @@ from bathdyn import (
     PhaseGrid,
     Polynomial,
     SimConfig,
+    SmoluchowskiOperator,
     decoherence_params,
     gaussian_field_1d,
     gaussian_field_2d,
@@ -170,6 +171,13 @@ _OUT_OF_RANGE = {
     "vanishing-cell-square": ("v_max", lambda: PhaseGrid(-4.0, 4.0, 16, -1e-170, 1e-170, 16),
                               "v_max must give cells of width (v_max - v_min) / nv a finite, "
                               "nonzero square (got 1.25e-171)"),
+    # D = k_bt / (M gamma) vanishes or overflows, which no cell width mends
+    "vanishing-diffusion": ("gamma", lambda: SmoluchowskiOperator(
+        PhaseGrid(-4.0, 4.0, 16), _RUN["potential"], _bath(mass=1e200, gamma=1e200)),
+        "gamma must give a finite diffusion constant D = k_bt / (M gamma) > 0 (got D = 0)"),
+    "overflowing-diffusion": ("gamma", lambda: SmoluchowskiOperator(
+        PhaseGrid(-4.0, 4.0, 16), _RUN["potential"], _bath(mass=1e-160, gamma=1e-160)),
+        "gamma must give a finite diffusion constant D = k_bt / (M gamma) > 0 (got D = inf)"),
     "empty-polynomial": ("coeffs", lambda: Polynomial(()), "coeffs must not be empty"),
     "no-steps": ("steps", lambda: _run(steps=0), "steps must be >= 1"),
     "no-trajectories": ("n_traj", lambda: _run(n_traj=0), "n_traj must be >= 1"),
