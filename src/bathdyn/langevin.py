@@ -266,7 +266,6 @@ class EnsembleStats:
     snapshots maps a step index to the per-trajectory positions at that step.
     """
 
-    mode: str
     n_traj: int
     n_diverged: int
     steps: int
@@ -284,7 +283,6 @@ class EnsembleStats:
     hist_edges: np.ndarray
     hist_density: np.ndarray
     autocorr: np.ndarray | None = None
-    autocorr_count: int = 0
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)
 
 
@@ -493,12 +491,11 @@ def run_ensemble(
                                    autocorr_lags)
 
     return EnsembleStats(
-        mode=mode, n_traj=n, n_diverged=n - n_alive, steps=steps, dt=config.dt,
+        n_traj=n, n_diverged=n - n_alive, steps=steps, dt=config.dt,
         final_x=final_x, final_v=final_v, mean_x=mean_x, var_x=var_x, se_x=se_x,
         mean_v=mean_v, var_v=var_v, se_v=se_v, cov_xv=cov_xv, se_cov_xv=se_cov,
         hist_edges=edges, hist_density=density,
-        autocorr=autocorr, autocorr_count=int(alive_all[:n_sub].sum()) if n_sub else 0,
-        snapshots=snaps_all)
+        autocorr=autocorr, snapshots=snaps_all)
 
 
 def _moments(vals: np.ndarray) -> tuple[float, float, float]:
