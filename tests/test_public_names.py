@@ -20,6 +20,31 @@ from bathdyn import (
 MODULES = (kernels, determinants, noise, potentials, langevin, fokker_planck,
            decoherence)
 
+# the package's public names, sorted: a change to them shows here, in the
+# diff that makes it
+PUBLIC_NAMES = [
+    "BathParams", "ComparisonRecord", "DecoherenceParams", "DensityField", "DiscreteBath",
+    "DoubleWell", "Drude", "EnsembleStats", "ExpectationResult", "FactorizationError",
+    "FirstOrderOp", "Harmonic", "InertialState", "KramersOperator", "MarginalRootError",
+    "MasterOperator", "NoiseSpec", "Ohmic", "Ordering", "Oscillator", "ParameterError",
+    "PhaseGrid", "Polynomial", "Potential", "ProbField", "Scheme", "SecondOrderOp", "SimConfig",
+    "SmoluchowskiOperator", "SpectralDensity", "StabilityError", "__version__",
+    "bath_correlators", "colored_noise", "compare_langevin_fp", "decoherence_params",
+    "derive_rng", "estimate_autocorr", "first_order_det_ratio", "freq_shift",
+    "friction_kernel_freq", "friction_kernel_time", "gaussian_field_1d", "gaussian_field_2d",
+    "gaussian_pure_state", "hbar_coth", "interference_amplitude", "kramers_step",
+    "master_step", "noise_expectation", "noise_kernel_freq", "noise_kernel_time",
+    "regularized_log_integral", "run_ensemble", "second_order_det_ratio",
+    "smoluchowski_step", "spectral_density", "step_inertial", "step_overdamped",
+    "step_overdamped_postpoint", "superposition_state", "thermal_green", "trace_log_rate",
+    "white_noise", "wigner_transform", "xcoth",
+]
+
+
+def test_package_all_is_the_pinned_list_of_public_names():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES) and len(PUBLIC_NAMES) == 66
+    assert sorted(bathdyn.__all__) == PUBLIC_NAMES
+
 
 def test_package_all_is_the_union_of_the_module_lists():
     names = bathdyn.__all__
