@@ -101,6 +101,9 @@ def test_pure_states_are_normalized_and_hermitian():
         gaussian_pure_state(64, 0.1, 61, 0.1, sigma=0.0)
     with pytest.raises(ValueError, match="separation"):
         superposition_state(64, 0.1, 61, 0.1, separation=0.0, sigma=0.3)
+    # a grid of no x points holds no norm to divide by
+    with pytest.raises(ValueError, match="^state has nonpositive norm on this grid$"):
+        gaussian_pure_state(0, 0.1, 61, 0.1, sigma=0.5)
 
 
 def test_decoherence_substep_is_exact():

@@ -83,6 +83,18 @@ def test_first_order_op_validation():
         FirstOrderOp(np.array([1.0, 2.0]), 0.1)  # too few nodes
     with pytest.raises(ValueError):
         FirstOrderOp(np.array([1.0, 2.0, 3.0]), 0.0)
+    with pytest.raises(ValueError, match="^coefficient samples must be finite$"):
+        FirstOrderOp([0.0, math.nan, 1.0], 0.1)
+    with pytest.raises(TypeError, match="^unknown scheme: 'advanced'$"):
+        first_order_det_ratio(FirstOrderOp(np.zeros(3), 0.1), "advanced")  # no Scheme
+
+
+def test_second_order_op_validation():
+    with pytest.raises(ValueError, match="^gamma and omega_sq must be sampled on the same "
+                       "nodes$"):
+        SecondOrderOp(np.zeros(3), np.zeros(4), 0.1)
+    with pytest.raises(ValueError, match="^dt must be > 0$"):
+        SecondOrderOp(np.zeros(3), np.zeros(3), 0.0)
 
 
 def test_coarse_slicing_raises():
@@ -111,12 +123,22 @@ def test_second_order_needs_real_factorization():
         second_order_det_ratio(SecondOrderOp(g, osq, 0.01), Scheme.ADVANCED)
 
 
+def test_second_order_riccati_blow_up_raises():
+    """Omega^2 = 0 at t = 0 starts Omega_2 at 0; the jump to Omega^2 = 1e4
+    drives z' = Omega^2 + z^2 past its bound within a few steps."""
+    op = SecondOrderOp(np.zeros(1001), np.r_[0.0, np.full(1000, 1e4)], 0.01)
+    with pytest.raises(FactorizationError, match="^factorization singular: Riccati blow-up "
+                       "near t = "):
+        second_order_det_ratio(op, Scheme.RETARDED)
+
+
 def test_trace_log_rate_known_roots():
     # w^2 + g^2 has roots +-i g, each contributing |Im|/2
     assert abs(trace_log_rate([1.0, 0.0, 4.0]) - 2.0) < 1e-12
     assert abs(trace_log_rate([1.0, 0.0, 9.0], [1.0, 0.0, 1.0]) - 2.0) < 1e-12
-    # roots at the origin contribute nothing
+    # roots at the origin contribute nothing, and a constant has none
     assert abs(trace_log_rate([1.0, 1.0j, 0.0]) - 0.5) < 1e-12
+    assert trace_log_rate([2.0]) == 0.0
     # rescaling either polynomial changes nothing
     a = trace_log_rate([2.0, 0.0, 8.0], [3.0, 0.0, 3.0])
     b = trace_log_rate([1.0, 0.0, 4.0], [1.0, 0.0, 1.0])

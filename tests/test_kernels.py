@@ -62,6 +62,8 @@ def test_hbar_coth_limits():
     assert abs(hbar_coth(1.0, 0.5, 1.0) - COTH_1) < 1e-14
     with pytest.raises(ValueError):
         hbar_coth(0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="^omega must be > 0$"):
+        hbar_coth(1.0, 1.0, 0.0)
 
 
 def test_spectral_density_shapes():
@@ -84,6 +86,8 @@ def test_friction_kernel_drude():
     # frequency partner at omega = 0 equals gamma
     g0 = friction_kernel_freq(d, 0.0)
     assert abs(complex(g0) - 1.0) < 1e-14
+    with pytest.raises(ValueError, match="^friction_kernel_freq requires a Drude model$"):
+        friction_kernel_freq(Ohmic(gamma=1.0), 0.0)
 
 
 def test_friction_kernel_ohmic_is_its_delta_limit():
@@ -129,6 +133,8 @@ def test_noise_kernel_freq_unit_at_zero():
         p = BathParams(mass=1.0, gamma=1.0, k_bt=1.0, hbar=hbar)
         assert float(noise_kernel_freq(p, ohmic, 0.0)) == 1.0
         assert float(noise_kernel_freq(p, drude, 0.0)) == 1.0
+    with pytest.raises(ValueError, match="^omega must be finite$"):
+        noise_kernel_freq(p, ohmic, [0.0, math.nan])
 
 
 def test_noise_kernel_freq_values():
@@ -277,6 +283,8 @@ def test_noise_kernel_time_error_contracts():
     for grid in ([0.0, 0.1, 0.3], [0.3, 0.2, 0.1]):  # nonuniform, decreasing
         with pytest.raises(ValueError, match="^t_grid must be uniformly increasing$"):
             noise_kernel_time(pc, d, np.array(grid))
+    with pytest.raises(ValueError, match="^t_grid must be a 1d array with at least 2 points$"):
+        noise_kernel_time(pc, d, [[0.0, 1.0]])
 
 
 def test_noise_kernel_time_checks_its_grid_once_before_the_kernel(monkeypatch):
@@ -354,6 +362,11 @@ def test_discrete_bath_helpers():
     pc = BathParams(mass=1.0, gamma=1.0, k_bt=0.5, hbar=0.0)
     _, gc = bath_correlators(pc, b1, 0.3, 0.0)
     assert gc == 0.0j
+    # both take a discrete bath only
+    with pytest.raises(TypeError, match="^bath_correlators requires a DiscreteBath model$"):
+        bath_correlators(p, Ohmic(gamma=1.0), 0.0, 0.0)
+    with pytest.raises(TypeError, match="^freq_shift requires a DiscreteBath model$"):
+        freq_shift(Ohmic(gamma=1.0), 1.0)
 
 
 _OSCILLATORS = st.builds(Oscillator, c=st.floats(-10.0, 10.0), mass=st.floats(0.1, 10.0),
@@ -463,6 +476,11 @@ def test_thermal_green_values():
     gm = thermal_green(1.0, 2.0, -0.4, 1.0, 1.0)
     assert abs(gp.real - gm.real) < 1e-14
     assert abs(gp.imag + gm.imag) < 1e-14
+    for args, message in (((0.0, 2.0, 0.0, 1.0, 1.0), "omega must be > 0"),
+                          ((1.0, 0.0, 0.0, 1.0, 1.0), "beta must be > 0"),
+                          ((1.0, 2.0, 0.0, 1.0, 0.0), "thermal_green requires hbar > 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            thermal_green(*args)
 
 
 def test_oscillator_validation():
