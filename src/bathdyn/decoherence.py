@@ -239,6 +239,15 @@ def _check_state(dx: float, dy: float, sigma: float) -> None:
              f"{_RESOLVED:.3g} dy (got {sigma:g} on {dx:g} x {dy:g})")
 
 
+def _gaussian_profile(d, sigma: float):
+    """exp(-d^2 / 4 sigma^2) with d and sigma both scaled by the power of two
+    that brings sigma into [0.5, 1): the scaling is exact, so the values are
+    the plain formula's bit for bit, yet d^2 cannot overflow on a grid that
+    resolves sigma, however large sigma is (it did at sigma = 1.2e154)."""
+    scale = 2.0 ** -math.frexp(sigma)[1]
+    return np.exp(-((d * scale) ** 2) / (4.0 * (sigma * scale) ** 2))
+
+
 def gaussian_pure_state(
     nx: int, dx: float, ny: int, dy: float, center: float = 0.0, sigma: float = 1.0
 ) -> DensityField:
@@ -247,7 +256,7 @@ def gaussian_pure_state(
     _check_state(dx, dy, sigma)
 
     def psi(x):
-        return np.exp(-((x - center) ** 2) / (4.0 * sigma ** 2)).astype(complex)
+        return _gaussian_profile(x - center, sigma).astype(complex)
 
     return _pure_state_field(psi, nx, dx, ny, dy, x_center=center)
 
@@ -267,9 +276,8 @@ def superposition_state(nx: int, dx: float, ny: int, dy: float, separation: floa
              f"put each packet centre (+-{half:g}) inside the x grid [{x_lo:g}, {x_hi:g}]")
 
     def psi(x):
-        g1 = np.exp(-((x - half) ** 2) / (4.0 * sigma ** 2))
-        g2 = np.exp(-((x + half) ** 2) / (4.0 * sigma ** 2))
-        return (g1 + g2).astype(complex)
+        return (_gaussian_profile(x - half, sigma)
+                + _gaussian_profile(x + half, sigma)).astype(complex)
 
     return _pure_state_field(psi, nx, dx, ny, dy)
 

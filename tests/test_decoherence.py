@@ -106,6 +106,19 @@ def test_pure_states_are_normalized_and_hermitian():
         gaussian_pure_state(0, 0.1, 61, 0.1, sigma=0.5)
 
 
+def test_pure_states_scale_exactly_with_their_units():
+    """A state built in units 2^510 times larger has the same profile: its
+    values times 2^510 are the unit-scale state's bit for bit, though its
+    squared distances leave the float range (numpy's "overflow encountered
+    in square" before, an error under the suite's warnings filter)."""
+    scale = 2.0 ** 510
+    for build in (lambda s: gaussian_pure_state(17, 0.5 * s, 3, 1.0 * s, sigma=1.2 * s),
+                  lambda s: superposition_state(17, 0.5 * s, 3, 1.0 * s, separation=3.0 * s,
+                                                sigma=1.2 * s)):
+        small, big = build(1.0), build(scale)
+        np.testing.assert_array_equal(big.values * scale, small.values)
+
+
 def test_decoherence_substep_is_exact():
     rho = gaussian_pure_state(41, 0.1, 31, 0.12, sigma=0.5)
     d = decoherence_params(PARAMS)
