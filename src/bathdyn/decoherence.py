@@ -243,7 +243,7 @@ def _gaussian_profile(d, sigma: float):
     """exp(-d^2 / 4 sigma^2) with d and sigma both scaled by the power of two
     that brings sigma into [0.5, 1): the scaling is exact, so the values are
     the plain formula's bit for bit, yet d^2 cannot overflow on a grid that
-    resolves sigma, however large sigma is (it did at sigma = 1.2e154)."""
+    resolves sigma, however large sigma is."""
     scale = 2.0 ** -math.frexp(sigma)[1]
     return np.exp(-((d * scale) ** 2) / (4.0 * (sigma * scale) ** 2))
 
