@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fokker_planck import Ordering, _check_values, _Operator
-from .kernels import BathParams, ParameterError, _positive, _require
+from .kernels import BathParams, _positive, _require
 from .potentials import Potential
 
 __all__ = [
@@ -118,9 +118,8 @@ def _check_dy(dy: float, l_e: float) -> None:
     """The y spacing is finite and > 0 and resolves the thermal length l_e:
     dy <= l_e / 2."""
     _positive("dy", dy)
-    if not dy <= l_e / 2.0:
-        raise ParameterError("dy", "resolve the thermal length l_e = sqrt(2 pi hbar^2 / M k_bt): "
-                             f"be <= l_e / 2 = {l_e / 2.0:.6g} (got {dy:g})")
+    _require(dy <= l_e / 2.0, "dy", "resolve the thermal length l_e = sqrt(2 pi hbar^2 / M k_bt): "
+             f"be <= l_e / 2 = {l_e / 2.0:.6g} (got {dy:g})")
 
 
 def _y_grid(ny: int, dy: float) -> np.ndarray:
@@ -157,12 +156,10 @@ class DensityField:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 2:
-            raise ValueError("values must be 2D (x by y)")
-        if vals.shape[1] % 2 == 0:
-            raise ValueError("ny must be odd so the y = 0 row exists")
-        if not (self.dx > 0 and self.dy > 0):
-            raise ValueError("spacings must be > 0")
+        _require(vals.ndim == 2, "values", "be 2D (x by y)")
+        _require(vals.shape[1] % 2 == 1, "ny", "be odd so the y = 0 row exists")
+        _require(self.dx > 0, "dx", "be > 0")
+        _require(self.dy > 0, "dy", "be > 0")
         _check_values(vals, nonnegative=False)
         self.values = vals
 
@@ -215,23 +212,39 @@ def _pure_state_field(
     xm = x[:, None] - y[None, :] / 2.0
     rho = psi(xp) * np.conj(psi(xm))
     field = DensityField(rho, x0, dx, dy, 0.0)
-    tr = field.trace().real
-    if tr <= 0:
-        raise ValueError("state has nonpositive norm on this grid")
-    field.values = field.values / tr
+    field.values = field.values / field.trace().real
     return field
 
 
-def _check_state(dx: float, dy: float, sigma: float) -> None:
-    """A state's spacings, finite and > 0, and its position spread sigma: > 0
-    with a finite, nonzero square, and resolved by the grid. rho's Gaussian
-    profiles have standard deviations s = sigma along x and 2 sigma along y,
-    so their spectra fall as exp(-(k s)^2 / 2); at each axis's Nyquist
-    wavenumber pi / spacing that must be under grid_fits' threshold, or the
-    spectral kinetic substep rings out to the grid edge: s >= sqrt(2 ln(1 /
-    threshold)) / pi = 1.67 spacings (_RESOLVED)."""
+def _check_state(nx: int, dx: float, ny: int, dy: float, sigma: float) -> None:
+    """A state's grid and its position spread sigma, each refused by name, in
+    this order: nx >= 1; the spacings finite and > 0, and large enough that
+    nothing a run forms from them overflows; sigma > 0 with a finite, nonzero
+    square, and resolved by the grid.
+
+    The trace normalization makes rho's x sums 1/dx, and a resolved state
+    peaks within a few percent of its largest sample, so |rho| <~ 1/dx. A
+    kinetic substep's transforms sum at most mx my such values (mx and my are
+    the padded lengths, _odd_padded's), the Wigner transform 2 |rho| over ny
+    columns, and the x wavenumbers stay below pi / dx: 2 mx my / dx bounds
+    them all, and must be finite. Along y only the wavenumbers grow as dy
+    shrinks, below pi / dy, which must be finite. With nx >= 1 and sigma resolved, the sample nearest each packet centre
+    carries at least exp(-1 / 8 _RESOLVED^2) = 0.956 of its peak, so the
+    trace is > 0.
+
+    rho's Gaussian profiles have standard deviations s = sigma along x and
+    2 sigma along y, so their spectra fall as exp(-(k s)^2 / 2); at each
+    axis's Nyquist wavenumber pi / spacing that must be under grid_fits'
+    threshold, or the spectral kinetic substep rings out to the grid edge:
+    s >= sqrt(2 ln(1 / threshold)) / pi = 1.67 spacings (_RESOLVED)."""
+    _require(nx >= 1, "nx", "be >= 1")
     _positive("dx", dx)
     _positive("dy", dy)
+    cells = _odd_padded(nx) * _odd_padded(ny)
+    _require(2.0 * cells / dx < math.inf, "dx", f"keep 2 mx my / dx finite, with mx my = {cells} "
+             f"padded FFT cells, which bounds the normalized state's sums (got {dx:g})")
+    _require(math.pi / dy < math.inf, "dy",
+             f"keep pi / dy, the largest y wavenumber, finite (got {dy:g})")
     _require(sigma > 0.0 and 0.0 < sigma * sigma < math.inf, "sigma",
              "be > 0 with a finite, nonzero square")
     _require(sigma >= _RESOLVED * dx and 2.0 * sigma >= _RESOLVED * dy, "sigma",
@@ -251,9 +264,9 @@ def _gaussian_profile(d, sigma: float):
 def gaussian_pure_state(
     nx: int, dx: float, ny: int, dy: float, center: float = 0.0, sigma: float = 1.0
 ) -> DensityField:
-    """Pure Gaussian wavepacket with position spread sigma; the spacings and
-    sigma are tested first (_check_state)."""
-    _check_state(dx, dy, sigma)
+    """Pure Gaussian wavepacket with position spread sigma; nx, the spacings
+    and sigma are tested first (_check_state)."""
+    _check_state(nx, dx, ny, dy, sigma)
 
     def psi(x):
         return _gaussian_profile(x - center, sigma).astype(complex)
@@ -264,10 +277,10 @@ def gaussian_pure_state(
 def superposition_state(nx: int, dx: float, ny: int, dy: float, separation: float,
                         sigma: float) -> DensityField:
     """Symmetric superposition of two Gaussians centered at +-separation/2.
-    The spacings and sigma are tested first (_check_state), then separation:
+    nx, the spacings and sigma are tested first (_check_state), then separation:
     finite and > 0, with each packet centre inside the span [x_lo, x_hi] of
     the x grid, which _pure_state_field builds about 0."""
-    _check_state(dx, dy, sigma)
+    _check_state(nx, dx, ny, dy, sigma)
     _positive("separation", separation)
     half = separation / 2.0
     x_lo = -(nx // 2) * dx
@@ -375,8 +388,7 @@ class MasterOperator(_Operator):
                  params: BathParams, terms=_TERMS):
         terms = tuple(terms)
         for name in terms:
-            if name not in _TERMS:
-                raise ValueError(f"unknown term {name!r}")
+            _require(name in _TERMS, "terms", f"be among {_TERMS} (got {name!r})")
         dec = decoherence_params(params)
         _check_dy(rho.dy, dec.l_e)
         # friction's largest Courant number, gamma y_max dt / dy, is
@@ -397,8 +409,8 @@ class MasterOperator(_Operator):
         place in the order kinetic, potential, friction, decoherence, sink,
         and checks it for finiteness. Each mark mirrors the half into a field
         of its own, Hermitian by construction."""
-        if (field.values.shape, field.x0, field.dx, field.dy) != self._grid:
-            raise ValueError("field is not on this operator's grid")
+        _require((field.values.shape, field.x0, field.dx, field.dy) == self._grid, "field",
+                 "be on this operator's grid")
         if _herm_deviation(field.values) > _HERM_TOL:
             raise RuntimeError("field to advance: hermiticity violated")
         (nx, ny), params, terms = field.values.shape, self.params, self.terms
@@ -495,10 +507,9 @@ def _ridge_amplitude(rho: DensityField, hbar: float) -> float:
 
 
 def _check_wigner_input(rho: DensityField, hbar: float) -> None:
-    if hbar <= 0:
-        raise ValueError("hbar must be > 0")
-    if rho.herm_deviation() > _HERM_TOL:
-        raise ValueError("Wigner transform needs a Hermitian field")
+    _require(not hbar <= 0, "hbar", "be > 0")
+    _require(not rho.herm_deviation() > _HERM_TOL, "rho",
+             f"be Hermitian within {_HERM_TOL:g} for a Wigner transform")
 
 
 def wigner_transform(

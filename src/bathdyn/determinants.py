@@ -29,6 +29,8 @@ from enum import Enum
 
 import numpy as np
 
+from .kernels import _positive, _require
+
 __all__ = [
     "Scheme",
     "FirstOrderOp",
@@ -58,12 +60,12 @@ class MarginalRootError(ValueError):
     """Root on the real axis away from zero; the regularization is undefined."""
 
 
-def _node_samples(values, n_min=3) -> np.ndarray:
+def _node_samples(values, name: str) -> np.ndarray:
+    """values as a float array of at least 3 finite node samples; else a
+    ParameterError names the coefficient, name."""
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < n_min:
-        raise ValueError(f"coefficient must be a 1d array of at least {n_min} node samples")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("coefficient samples must be finite")
+    _require(v.ndim == 1 and v.size >= 3, name, "be a 1d array of at least 3 node samples")
+    _require(np.all(np.isfinite(v)), name, "be finite at every node")
     return v
 
 
@@ -75,9 +77,8 @@ class FirstOrderOp:
     dt: float
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _node_samples(self.c))
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
+        object.__setattr__(self, "c", _node_samples(self.c, "c"))
+        _require(self.dt > 0, "dt", "be > 0")
 
     @property
     def n_steps(self) -> int:
@@ -93,12 +94,11 @@ class SecondOrderOp:
     dt: float
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", _node_samples(self.gamma))
-        object.__setattr__(self, "omega_sq", _node_samples(self.omega_sq))
-        if self.gamma.size != self.omega_sq.size:
-            raise ValueError("gamma and omega_sq must be sampled on the same nodes")
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
+        object.__setattr__(self, "gamma", _node_samples(self.gamma, "gamma"))
+        object.__setattr__(self, "omega_sq", _node_samples(self.omega_sq, "omega_sq"))
+        _require(self.gamma.size == self.omega_sq.size, "omega_sq",
+                 "be sampled on the same nodes as gamma")
+        _require(self.dt > 0, "dt", "be > 0")
 
     @property
     def n_steps(self) -> int:
@@ -122,11 +122,8 @@ def _step_factors(op: FirstOrderOp, scheme: Scheme) -> np.ndarray:
         factors = 1.0 + 0.5 * op.dt * (0.5 * (c[:-1] + c[1:]))
     else:
         raise TypeError(f"unknown scheme: {scheme!r}")
-    if np.any(factors <= 0.0):
-        raise ValueError(
-            "slicing step too coarse: a diagonal factor 1 + dt c is not positive; "
-            "reduce dt"
-        )
+    _require(not np.any(factors <= 0.0), "dt", "keep every diagonal factor 1 + dt c positive: "
+             "the slicing step is too coarse")
     return factors
 
 
@@ -176,10 +173,11 @@ def second_order_det_ratio(op: SecondOrderOp, scheme: Scheme) -> float:
     return r1 * r2
 
 
-def _root_rates(coeffs, tol: float) -> float:
+def _root_rates(coeffs, tol: float, name: str) -> float:
+    """Sum of |Im r| / 2 over the roots r of the polynomial coeffs away from
+    zero; coefficients that are all zero are refused, naming the polynomial."""
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    if coeffs.size == 0 or np.all(coeffs == 0):
-        raise ValueError("polynomial coefficients must not be all zero")
+    _require(coeffs.size > 0 and not np.all(coeffs == 0), name, "not be all zero")
     roots = np.roots(coeffs)
     if roots.size == 0:
         return 0.0
@@ -206,9 +204,9 @@ def trace_log_rate(numerator, denominator=None, tol: float = 1e-9) -> float:
     under rescaling either polynomial by a constant. Roots on the real axis
     away from zero raise MarginalRootError.
     """
-    rate = _root_rates(numerator, tol)
+    rate = _root_rates(numerator, tol, "numerator")
     if denominator is not None:
-        rate -= _root_rates(denominator, tol)
+        rate -= _root_rates(denominator, tol, "denominator")
     return rate
 
 
@@ -219,8 +217,8 @@ def regularized_log_integral(gamma: float, mu: float) -> float:
     the regularization rule predicts (gamma - mu)/2. Raises RuntimeError unless
     the step-1/8 sum agrees to 1e-8 relative (a non-finite sum never does).
     """
-    if not (0.0 < gamma < math.inf and 0.0 < mu < math.inf):
-        raise ValueError("gamma and mu must be finite and > 0")
+    _positive("gamma", gamma)
+    _positive("mu", mu)
     # odd under gamma <-> mu; log1p of a ratio >= 1 stays accurate near 1
     big, small = max(gamma, mu), min(gamma, mu)
     t0 = math.log(small) - 40.0

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .kernels import BathParams, ParameterError, _positive, _require
+from .kernels import BathParams, _positive, _require
 from .langevin import EnsembleStats, SimConfig, StabilityError, run_ensemble
 from .potentials import Potential
 
@@ -68,17 +68,13 @@ def _check_axis(axis: str, lo: float, hi: float, n: int) -> None:
     """One grid axis, x or v: a finite <axis>_min, an <axis>_max a finite
     span above it, at least 16 cells, and a cell width whose square, which
     the flux weights divide by, is finite and nonzero (named <axis>_max)."""
-    if not math.isfinite(lo):
-        raise ParameterError(f"{axis}_min", "be finite")
-    if not 0.0 < hi - lo < math.inf:
-        raise ParameterError(f"{axis}_max",
-                             f"exceed {axis}_min = {lo:g} by a finite span (got {hi:g})")
-    if n < 16:
-        raise ParameterError(f"n{axis}", "be >= 16")
+    _require(math.isfinite(lo), f"{axis}_min", "be finite")
+    _require(0.0 < hi - lo < math.inf, f"{axis}_max",
+             f"exceed {axis}_min = {lo:g} by a finite span (got {hi:g})")
+    _require(n >= 16, f"n{axis}", "be >= 16")
     width = (hi - lo) / n
-    if not 0.0 < width * width < math.inf:
-        raise ParameterError(f"{axis}_max", f"give cells of width ({axis}_max - {axis}_min) / "
-                             f"n{axis} a finite, nonzero square (got {width:g})")
+    _require(0.0 < width * width < math.inf, f"{axis}_max", f"give cells of width ({axis}_max - "
+             f"{axis}_min) / n{axis} a finite, nonzero square (got {width:g})")
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,9 @@ class PhaseGrid:
         _check_axis("x", self.x_min, self.x_max, self.nx)
         v_fields = (self.v_min, self.v_max, self.nv)
         if any(f is not None for f in v_fields):
-            if any(f is None for f in v_fields):
-                raise ValueError("v_min, v_max, nv must be given together")
+            _require(self.v_min is not None, "v_min", "be given with v_max and nv")
+            _require(self.v_max is not None, "v_max", "be given with v_min and nv")
+            _require(self.nv is not None, "nv", "be given with v_min and v_max")
             _check_axis("v", *v_fields)
 
     @property
@@ -163,8 +160,8 @@ class ProbField:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         expect = (self.grid.nx, self.grid.nv) if self.grid.is_2d else (self.grid.nx,)
-        if vals.shape != expect:
-            raise ValueError(f"values shape {vals.shape} does not match grid {expect}")
+        _require(vals.shape == expect, "values",
+                 f"have the grid's shape {expect} (got shape {vals.shape})")
         _check_values(vals)
         self.values = vals
 
@@ -203,16 +200,14 @@ def _gaussian(name: str, factor, centers: np.ndarray, mean: float, sigma: float)
     with np.errstate(over="ignore"):  # a square beyond the float range samples as 0
         vals = np.multiply.outer(factor, np.exp(-0.5 * ((centers - mean) / sigma) ** 2))
     total = float(vals.sum())
-    if not 0.0 < total < math.inf:
-        raise ParameterError(name, "be resolved by the grid: the sampled Gaussian must have a "
-                             f"finite sum > 0 (got {total:g})")
+    _require(0.0 < total < math.inf, name, "be resolved by the grid: the sampled Gaussian must "
+             f"have a finite sum > 0 (got {total:g})")
     return vals
 
 
 def gaussian_field_1d(grid: PhaseGrid, mean_x: float, sigma_x: float) -> ProbField:
     """Discretely normalized Gaussian density on a 1D grid."""
-    if grid.is_2d:
-        raise ValueError("expected a 1D grid")
+    _require(not grid.is_2d, "grid", "be 1D")
     vals = _gaussian("sigma_x", 1.0, grid.x_centers, mean_x, sigma_x)
     vals /= vals.sum() * grid.dx
     return ProbField(vals, grid, 0.0)
@@ -222,8 +217,7 @@ def gaussian_field_2d(
     grid: PhaseGrid, mean_x: float, sigma_x: float, mean_v: float, sigma_v: float
 ) -> ProbField:
     """Discretely normalized product Gaussian on a 2D grid."""
-    if not grid.is_2d:
-        raise ValueError("expected a 2D grid")
+    _require(grid.is_2d, "grid", "be 2D")
     vals = _gaussian("sigma_v", _gaussian("sigma_x", 1.0, grid.x_centers, mean_x, sigma_x),
                      grid.v_centers, mean_v, sigma_v)
     vals /= vals.sum() * grid.dx * grid.dv
@@ -312,15 +306,13 @@ class _Operator:
         values are only read. dt is checked against the stability bound, and
         the stepper built, once per run; a failed check raises at the step
         where it appears."""
-        if not dt > 0:
-            raise ValueError("dt must be > 0")
+        _require(dt > 0, "dt", "be > 0")
         if dt > self.dt_max:
             raise StabilityError(f"{self.bound} exceeded", self.dt_max)
         state, step, emit = self.stepper(field, ordering, dt)
         t, done = field.t, 0
         for mark in marks:
-            if mark <= done:
-                raise ValueError("marks must increase from 1")
+            _require(mark > done, "marks", "increase from 1")
             for _ in range(mark - done):
                 state, t = step(state), t + dt
             done = mark
@@ -379,8 +371,7 @@ class SmoluchowskiOperator(_GridOperator):
     bound = "drift-augmented stability bound"
 
     def __init__(self, grid: PhaseGrid, potential: Potential, params: BathParams):
-        if grid.is_2d:
-            raise ValueError("expected a 1D grid")
+        _require(not grid.is_2d, "grid", "be 1D")
         self.d, self.dx = params.D, grid.dx
         _require(0.0 < self.d < math.inf, "gamma", "give a finite diffusion constant "
                  f"D = k_bt / (M gamma) > 0 (got D = {self.d:g})")
@@ -415,8 +406,7 @@ class KramersOperator(_GridOperator):
     bound = "phase-space stability bound"
 
     def __init__(self, grid: PhaseGrid, potential: Potential, params: BathParams):
-        if not grid.is_2d:
-            raise ValueError("expected a 2D grid")
+        _require(grid.is_2d, "grid", "be 2D")
         self.dx, self.dv, self.gamma = grid.dx, grid.dv, params.gamma
         self.shape = (grid.nx, grid.nv)
         # speed of every x face, row by row; the centers increase, so the
@@ -543,9 +533,9 @@ def _step_count(t: float, dt: float) -> int:
     k dt = t within 1e-9 max(1, t); a t that is no such multiple raises the
     ParameterError of compare's times."""
     k = t / dt
-    if 0.0 <= k < math.inf and abs(round(k) * dt - t) <= 1e-9 * max(1.0, t):
-        return round(k)
-    raise ParameterError("times", f"be multiples of dt = {dt:g} that are >= 0 (got {t})")
+    _require(0.0 <= k < math.inf and abs(round(k) * dt - t) <= 1e-9 * max(1.0, t), "times",
+             f"be multiples of dt = {dt:g} that are >= 0 (got {t})")
+    return round(k)
 
 
 def _compare_steps(grid: PhaseGrid, times, dt: float, x0: float, n_bins: int) -> list[int]:
@@ -557,14 +547,11 @@ def _compare_steps(grid: PhaseGrid, times, dt: float, x0: float, n_bins: int) ->
     compare_langevin_fp runs this first, and a caller may run it before any
     work."""
     _positive("dt", dt)
-    if grid.is_2d:
-        raise ValueError("comparison runs on a 1D grid")
-    if not (n_bins >= 1 and grid.nx % n_bins == 0):
-        raise ParameterError("n_bins", f"be >= 1 and divide nx = {grid.nx}")
+    _require(not grid.is_2d, "grid", "be 1D")
+    _require(n_bins >= 1 and grid.nx % n_bins == 0, "n_bins", f"be >= 1 and divide nx = {grid.nx}")
     steps = [_step_count(t, dt) for t in times]
-    if not grid.x_min < x0 < grid.x_max:
-        raise ParameterError("x0", f"lie inside the x grid ({grid.x_min:g}, {grid.x_max:g}) "
-                             f"(got {x0:g})")
+    _require(grid.x_min < x0 < grid.x_max, "x0",
+             f"lie inside the x grid ({grid.x_min:g}, {grid.x_max:g}) (got {x0:g})")
     return steps
 
 
@@ -579,9 +566,8 @@ def _substeps(dt: float, dt_max: float) -> int:
     """The grid steps m = ceil(dt / dt_max) >= 1 that a comparison takes per
     Langevin step dt; more than _MAX_SUBSTEPS raise the ParameterError of
     dt, before any work."""
-    if not dt <= _MAX_SUBSTEPS * dt_max:
-        raise ParameterError("dt", f"be at most {_MAX_SUBSTEPS:,} times the grid's stable step "
-                             f"dt_max = {dt_max:g} (got {dt:g})")
+    _require(dt <= _MAX_SUBSTEPS * dt_max, "dt", f"be at most {_MAX_SUBSTEPS:,} times the "
+             f"grid's stable step dt_max = {dt_max:g} (got {dt:g})")
     return max(1, math.ceil(dt / dt_max))
 
 
@@ -597,7 +583,7 @@ def compare_langevin_fp(
     sides so the two initializations agree. The grid solver substeps each
     Langevin dt as needed for stability. Returns the per-time records and the
     ensemble statistics (whose snapshots fed the histograms). Bad arguments
-    raise ValueError before any work (_compare_steps, _substeps, the start
+    raise ParameterError before any work (_compare_steps, _substeps, the start
     field's width, and run_ensemble's test of the snapshot steps, for times
     beyond the run); ensemble samples outside the grid at a requested time
     raise RuntimeError after the run.

@@ -61,8 +61,7 @@ def _require(ok, name: str, text: str) -> None:
 
 def _positive(name: str, value: float) -> None:
     """Refuse a value that is not finite and > 0, NaN included."""
-    if not 0.0 < value < math.inf:
-        raise ParameterError(name, "be finite and > 0")
+    _require(0.0 < value < math.inf, name, "be finite and > 0")
 
 
 def _cutoff(omega_d: float) -> None:
@@ -103,10 +102,8 @@ class Oscillator:
     omega: float
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError("oscillator mass must be > 0")
-        if not self.omega > 0:
-            raise ValueError("massless bath mode: oscillator frequency must be > 0")
+        _require(self.mass > 0, "mass", "be > 0")
+        _require(self.omega > 0, "omega", "be > 0: a mode of frequency 0 is a massless bath mode")
 
 
 @dataclass(frozen=True)
@@ -161,11 +158,10 @@ class BathParams:
 def _time_grid(t_grid) -> np.ndarray:
     """t_grid as a float array, if 1-D and uniformly increasing."""
     t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("t_grid must be a 1d array with at least 2 points")
+    _require(t.ndim == 1 and t.size >= 2, "t_grid", "be a 1d array with at least 2 points")
     steps = np.diff(t)
-    if not steps[0] > 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("t_grid must be uniformly increasing")
+    _require(steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0), "t_grid",
+             "be uniformly increasing")
     return t
 
 
@@ -194,10 +190,9 @@ def hbar_coth(hbar: float, k_bt: float, omega: float) -> float:
     Classical limit (hbar = 0) gives 2 k_bt / omega. Both hbar and k_bt zero
     is the degenerate case with no scale left.
     """
-    if not omega > 0:
-        raise ValueError("omega must be > 0")
-    if hbar == 0.0 and k_bt == 0.0:
-        raise ValueError("degenerate classical ground state: hbar = 0 and k_bt = 0")
+    _require(omega > 0, "omega", "be > 0")
+    _require(hbar != 0.0 or k_bt != 0.0, "k_bt",
+             "be nonzero where hbar = 0: the classical ground state is degenerate")
     if k_bt == 0.0:
         return hbar  # ground state, coth -> 1
     return (2.0 * k_bt / omega) * xcoth(hbar * omega / (2.0 * k_bt))
@@ -206,10 +201,11 @@ def hbar_coth(hbar: float, k_bt: float, omega: float) -> float:
 def _continuous(model: SpectralDensity, refusal: str) -> Ohmic | Drude:
     """model as it is if it is Ohmic or Drude, a continuum limit of the bath
     with a pointwise density. A DiscreteBath, a sum of delta functions, has
-    no pointwise density or smooth kernel and raises ValueError
-    "distributional density: <refusal>"; any other object raises TypeError."""
-    if isinstance(model, DiscreteBath):
-        raise ValueError(f"distributional density: {refusal}")
+    no pointwise density or smooth kernel and raises the ParameterError
+    "model must be Ohmic or Drude, not a distributional density: <refusal>";
+    any other object raises TypeError."""
+    _require(not isinstance(model, DiscreteBath), "model",
+             f"be Ohmic or Drude, not a distributional density: {refusal}")
     if not isinstance(model, (Ohmic, Drude)):
         raise _unknown(model)
     return model
@@ -254,11 +250,8 @@ def friction_kernel_time(model: SpectralDensity, mass: float, t):
     """
     t = np.asarray(t, dtype=float)
     if isinstance(model, Ohmic):
-        if np.any(t >= 0):
-            raise ValueError(
-                "distributional kernel: the Ohmic friction kernel is "
-                "2 gamma delta(t); only t < 0 has a pointwise value (0)"
-            )
+        _require(not np.any(t >= 0), "t", "be < 0 for the Ohmic friction kernel: it is the "
+                 "distribution 2 gamma delta(t), with a pointwise value (0) at t < 0 only")
         out = np.zeros_like(t)
     elif isinstance(model, Drude):
         out = np.where(
@@ -280,8 +273,7 @@ def friction_kernel_freq(model: Drude, omega):
     The pole sits in the lower half-plane (retarded response). Fourier partner
     of friction_kernel_time under f(w) = Int dt f(t) exp(+i w t).
     """
-    if not isinstance(model, Drude):
-        raise ValueError("friction_kernel_freq requires a Drude model")
+    _require(isinstance(model, Drude), "model", "be a Drude model")
     omega = np.asarray(omega, dtype=float)
     out = model.gamma * 1j * model.omega_d / (omega + 1j * model.omega_d)
     return _scalar_or_array(out, complex)
@@ -304,8 +296,7 @@ def noise_kernel_freq(params: BathParams, model: SpectralDensity, omega):
     leaves the classical shape (1 for Ohmic, the Drude Lorentzian otherwise).
     """
     omega = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(omega)):
-        raise ValueError("omega must be finite")
+    _require(np.all(np.isfinite(omega)), "omega", "be finite")
     shape = _kernel_shape_freq(model, omega)
     if params.hbar == 0.0:
         out = shape * np.ones_like(omega)
@@ -377,15 +368,13 @@ def _quantum_terms(omega_d: float, nu1: float, t_min: float) -> int:
     _require(0.0 < t_min < math.inf and np.exp(-nu1 * t_min) < 1.0, "t_min",
              f"be finite and > 0 with log(1 - exp(-nu1 t_min)) finite (got t_min = {t_min:g})")
     bound = _pole_roundoff(omega_d, nu1)
-    if bound > _POLE_TOL:
-        raise ParameterError("omega_d", f"keep r = omega_d / nu1 = {omega_d / nu1:.10g} out of "
-                             "the pole band, where the kernel's pole-pair roundoff exceeds "
-                             f"{_POLE_TOL:g} (got {bound:.3g})")
+    _require(not bound > _POLE_TOL, "omega_d", f"keep r = omega_d / nu1 = {omega_d / nu1:.10g} "
+             "out of the pole band, where the kernel's pole-pair roundoff exceeds "
+             f"{_POLE_TOL:g} (got {bound:.3g})")
     n_tail, n_cut = _series_terms(omega_d, nu1, t_min)
-    if min(n_tail, n_cut) > _SERIES_CAP:
-        raise ParameterError("t_grid", "keep the quantum kernel's thermal series within "
-                             f"{_SERIES_CAP:,} terms: its tail needs {n_tail:,} and the "
-                             f"smallest |t| = {t_min:.6g} cuts it at {n_cut:,}")
+    _require(min(n_tail, n_cut) <= _SERIES_CAP, "t_grid", "keep the quantum kernel's thermal "
+             f"series within {_SERIES_CAP:,} terms: its tail needs {n_tail:,} and the smallest "
+             f"|t| = {t_min:.6g} cuts it at {n_cut:,}")
     return max(8, min(n_tail, n_cut))
 
 
@@ -410,11 +399,8 @@ def _drude_time_kernel(omega_d: float, hbar: float, k_bt: float, abs_t: np.ndarr
     if hbar == 0.0:
         return 0.5 * omega_d * np.exp(-omega_d * abs_t)
     nu1 = 2.0 * np.pi * k_bt / hbar
-    if np.any(abs_t == 0.0):
-        raise ValueError(
-            "the quantum noise kernel diverges logarithmically at t = 0; "
-            "use a grid excluding t = 0 or the classical limit hbar = 0"
-        )
+    _require(not np.any(abs_t == 0.0), "t_grid", "exclude t = 0, where the quantum noise kernel "
+             "diverges logarithmically, or take the classical limit hbar = 0")
     n_max = _quantum_terms(omega_d, nu1, float(np.min(abs_t)))
     x_d = np.pi * (omega_d / nu1)
     c_d = 0.5 * omega_d * x_d / np.tan(x_d)
@@ -442,16 +428,11 @@ def noise_kernel_time(params: BathParams, model: SpectralDensity, t_grid) -> np.
     classically and non-integrable quantum mechanically.
     """
     t = _time_grid(t_grid)
-    if isinstance(_continuous(model, "a discrete bath has no smooth noise kernel"), Ohmic):
-        if params.hbar == 0.0:
-            raise ValueError(
-                "the classical Ohmic noise kernel is a delta function; "
-                "use the white-noise generator instead"
-            )
-        raise ValueError(
-            "needs a Drude cutoff: the quantum Ohmic spectrum grows linearly "
-            "and has no integrable time kernel"
-        )
+    ohmic = isinstance(_continuous(model, "a discrete bath has no smooth noise kernel"), Ohmic)
+    _require(not ohmic or params.hbar != 0.0, "model", "have a Drude cutoff: the classical "
+             "Ohmic noise kernel is a delta function; use the white-noise generator instead")
+    _require(not ohmic, "model", "have a Drude cutoff: the quantum Ohmic spectrum grows "
+             "linearly and has no integrable time kernel")
     vals = _drude_time_kernel(model.omega_d, params.hbar, params.k_bt, np.abs(t))
     if not np.all(np.isfinite(vals)):
         raise ValueError("kernel values must be finite")
@@ -502,12 +483,9 @@ def thermal_green(omega: float, beta: float, dt_diff: float, mass: float, hbar: 
     overflow. Its real part is even in dt_diff; beta -> infinity leaves the
     ground-state value hbar / (2 M Omega) at dt_diff = 0.
     """
-    if not omega > 0:
-        raise ValueError("omega must be > 0")
-    if not beta > 0:
-        raise ValueError("beta must be > 0")
-    if not hbar > 0:
-        raise ValueError("thermal_green requires hbar > 0")
+    _require(omega > 0, "omega", "be > 0")
+    _require(beta > 0, "beta", "be > 0")
+    _require(hbar > 0, "hbar", "be > 0")
     a = 0.5 * hbar * beta * omega
     b = 0.5 * omega * dt_diff
     # cosh(a - i b)/sinh(a) = (exp(-i b) + exp(-2a) exp(i b)) / (1 - exp(-2a))

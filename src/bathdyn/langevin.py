@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import BathParams, ParameterError, _positive, _require
+from .kernels import BathParams, _positive, _require
 from .noise import derive_rng, lagged_products
 from .potentials import Potential
 
@@ -96,8 +96,8 @@ class InertialState:
     v: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.v)):
-            raise ValueError("state must be finite")
+        _require(math.isfinite(self.x), "x", "be finite")
+        _require(math.isfinite(self.v), "v", "be finite")
 
 
 @dataclass(frozen=True)
@@ -403,14 +403,12 @@ def _evolve_chunk(
 
 
 def _validate_run(config: SimConfig, mode: str, snapshot_steps):
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
+    _require(mode in _MODES, "mode", f"be one of {_MODES}")
     if mode != "inertial":
         _check_dt_overdamped(config.potential, config.params, config.dt, config.x0,
                              config.sigma_x)
     for s in snapshot_steps:
-        if not 0 <= int(s) <= config.steps:
-            raise ValueError("snapshot step out of range")
+        _require(0 <= int(s) <= config.steps, "snapshot_steps", "be in [0, steps]")
 
 
 def run_ensemble(
@@ -436,8 +434,7 @@ def run_ensemble(
     """
     snapshot_steps = tuple(int(s) for s in snapshot_steps)
     _validate_run(config, mode, snapshot_steps)
-    if not 0 <= autocorr_lags <= config.steps:
-        raise ParameterError("autocorr_lags", "be in [0, steps]")
+    _require(0 <= autocorr_lags <= config.steps, "autocorr_lags", "be in [0, steps]")
     n, steps = config.n_traj, config.steps
     n_sub = min(256, n) if autocorr_lags > 0 else 0
 

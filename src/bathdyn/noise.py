@@ -66,21 +66,18 @@ class NoiseSpec:
 
     def __post_init__(self):
         w, dt = float(self.w), float(self.dt)
-        if not 0.0 <= w < math.inf:
-            raise ValueError("w must be finite and >= 0")
+        _require(0.0 <= w < math.inf, "w", "be finite and >= 0")
         top = 7.0 * math.pi / dt if dt > 0 else math.nan  # the largest folded frequency
         _require(0.0 < dt < math.inf and w / dt < math.inf
                  and (self.kernel is None or top * top < math.inf), "dt",
                  "be finite and > 0 with a finite variance w / dt and, for colored noise, "
                  f"a finite square of the largest folded frequency 7 pi / dt (got {dt:g})")
-        if not self.n >= 2:
-            raise ValueError("n must be >= 2")
+        _require(self.n >= 2, "n", "be >= 2")
 
 
 def white_noise(spec: NoiseSpec) -> np.ndarray:
     """iid N(0, w/dt) samples, n of them, from the seeded stream."""
-    if spec.kernel is not None:
-        raise ValueError("white_noise requires spec.kernel = None")
+    _require(spec.kernel is None, "kernel", "be None for white_noise")
     rng = derive_rng(spec.seed)
     return rng.standard_normal(spec.n) * np.sqrt(spec.w / spec.dt)
 
@@ -89,13 +86,10 @@ def colored_noise(spec: NoiseSpec) -> np.ndarray:
     """n samples of a stationary Gaussian sequence with spectrum w K(omega),
     classical Drude only."""
     model = spec.kernel
-    if model is None:
-        raise ValueError("colored_noise requires a kernel model; use white_noise for None")
-    if isinstance(_continuous(model, "discrete baths have no smooth spectrum"), Ohmic):
-        raise ValueError(
-            "needs a Drude cutoff: the Ohmic kernel synthesizes white noise; "
-            "use white_noise"
-        )
+    _require(model is not None, "kernel", "be a model for colored_noise; use white_noise for None")
+    _require(not isinstance(_continuous(model, "discrete baths have no smooth spectrum"), Ohmic),
+             "kernel", "have a Drude cutoff: the Ohmic kernel synthesizes white noise; use "
+             "white_noise")
     m = 2 * spec.n  # padding suppresses wrap-around correlation
     omega = 2.0 * np.pi * np.fft.fftfreq(m, spec.dt)
     power = np.zeros(m)
@@ -122,9 +116,7 @@ def estimate_autocorr(samples, max_lag: int) -> np.ndarray:
     a tenth of the record so every lag keeps ample averaging.
     """
     x = np.asarray(samples, dtype=float)
-    n = x.size
-    if not 0 <= max_lag < n / 10:
-        raise ValueError("max_lag must satisfy 0 <= max_lag < n/10")
+    _require(0 <= max_lag < x.size / 10, "max_lag", "satisfy 0 <= max_lag < n/10")
     return lagged_products(x[None, :], max_lag)
 
 

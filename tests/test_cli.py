@@ -1550,10 +1550,11 @@ def _cfg_keys(method: str, key_arg) -> list[tuple[str, ast.Call]]:
 def _refused_names() -> set[str]:
     """Every parameter name that a ParameterError raised in src/bathdyn can
     carry: the name argument of a call of ParameterError, or of a helper that
-    passes one of its own parameters on to it as the name (kernels._require
-    and _positive). That argument is a literal, or an f-string over
-    parameters of the enclosing function, filled with each literal that a
-    call of that function passes for them."""
+    passes one of its own parameters on as the name to ParameterError or to
+    another such helper (kernels._require and _positive, and the private
+    checks that name the argument they are given). That argument is a
+    literal, or an f-string over parameters of the enclosing function,
+    filled with each literal that a call of that function passes for them."""
     import pathlib
 
     src = pathlib.Path(bathdyn.__file__).parent
@@ -1566,13 +1567,18 @@ def _refused_names() -> set[str]:
     def params(func):
         return [a.arg for a in func.args.args]
 
-    # the position of the name argument of ParameterError and of each helper
-    where = {"ParameterError": 0}
-    for func in funcs:
-        for raised in ast.walk(func):
-            if (isinstance(raised, ast.Call) and getattr(raised.func, "id", None)
-                    == "ParameterError" and isinstance(raised.args[0], ast.Name)):
-                where[func.name] = params(func).index(raised.args[0].id)
+    # the position of the name argument of ParameterError and of each helper,
+    # found until no function passes a parameter of its own on to one more
+    where, grown = {"ParameterError": 0}, True
+    while grown:
+        grown = False
+        for func in (f for f in funcs if f.name not in where):
+            for site in ast.walk(func):
+                if isinstance(site, ast.Call) and getattr(site.func, "id", None) in where:
+                    name = site.args[where[site.func.id]]
+                    if isinstance(name, ast.Name) and name.id in params(func):
+                        where[func.name], grown = params(func).index(name.id), True
+                        break
     names = set()
     for func in funcs:
         for site in ast.walk(func):
@@ -1599,9 +1605,16 @@ def test_every_refused_parameter_has_a_key(tmp_path):
     or else under the last key its run read whose last dotted part is the
     parameter's name. Every name a library refusal can carry is one of the
     two: an alias, or the last part of a key that a run reads (a sweep
-    base's, or a polynomial potential's potential.coeffs). Each alias names
-    a key a run reads and is the last part of none, so no refusal named by
-    a key's last part is taken for an alias."""
+    base's, or a polynomial potential's potential.coeffs); or else it names
+    an argument that no command passes from its config: one of a function
+    or object that no command calls (the noise generators, thermal_green's
+    beta, InertialState's x and v), or one that a command builds itself and
+    that passes by construction (det-check's determinant samples, rate
+    polynomials and mu, a grid operator's field, grid and marks, a field's
+    values, the master operator's terms, a Wigner transform's rho, compare's
+    snapshot steps). Each alias names a key a run reads and is
+    the last part of none, so no refusal named by a key's last part is
+    taken for an alias."""
     import bathdyn.cli as cli
 
     names = _refused_names()
@@ -1609,7 +1622,9 @@ def test_every_refused_parameter_has_a_key(tmp_path):
         "mass", "gamma", "k_bt", "hbar", "omega_d", "omega0", "a", "b", "coeffs", "t_grid",
         "t_min", "omega", "x_min", "x_max", "nx", "v_min", "v_max", "nv", "dx", "dy", "dt",
         "steps", "n_traj", "x0", "v0", "sigma_x", "sigma_v", "times", "n_bins", "sigma",
-        "separation", "autocorr_lags"}
+        "separation", "autocorr_lags", "beta", "c", "denominator", "field", "grid", "kernel",
+        "marks", "max_lag", "mode", "model", "mu", "n", "numerator", "ny", "omega_sq", "rho",
+        "snapshot_steps", "t", "terms", "v", "values", "w", "x"}
     read = {key for base in _SWEEP_BASES for key in _read_keys(tmp_path, base)}
     polynomial = {"sim.kind": "smoluchowski", "grid.nx": "32", "fp.steps": "2",
                   "potential.kind": "polynomial", "potential.coeffs": "0,0,1"}
@@ -1618,26 +1633,30 @@ def test_every_refused_parameter_has_a_key(tmp_path):
     assert cli._ALIASES == {"t_grid": "grid.nt", "t_min": "grid.t_max", "omega": "grid.w_max",
                             "n_bins": "compare.bins"}
     assert set(cli._ALIASES.values()) <= read and not set(cli._ALIASES) & last_parts
-    assert names - set(cli._ALIASES) <= last_parts
+    assert names - set(cli._ALIASES) - last_parts == {
+        "beta", "c", "denominator", "field", "grid", "kernel", "marks", "max_lag", "mu",
+        "numerator", "omega_sq", "rho", "snapshot_steps", "terms", "v", "values", "w", "x"}
 
 
 def test_a_key_has_a_cli_rule_or_a_library_refusal():
     """A key whose value a library refusal tests has no RunConfig.get rule,
     so each test has one home. A refusal names a key by the key's last part
-    or by an alias (test_every_refused_parameter_has_a_key), and nine keys
-    with a rule share a name with one. Six have two homes: decohere's
-    grid.nx, run.dt and run.steps, which reach no library object before any
-    work there (its dt goes to the master operator's run, whose plain dt
-    test names no key), while PhaseGrid's nx and SimConfig's dt and steps
-    name the same keys in simulate; and the kernel grid's grid.nt,
+    or by an alias (test_every_refused_parameter_has_a_key), and twelve keys
+    with a rule share a name with one. Seven have two homes: decohere's
+    grid.nx, grid.ny, run.dt and run.steps, which reach no library object
+    before any work there (the state functions refuse an nx < 1, DensityField
+    an even ny and the master operator's run a dt that is not > 0, each once
+    the config is read whole), while PhaseGrid's nx and SimConfig's dt and
+    steps name the same keys in simulate; and the kernel grid's grid.nt,
     grid.t_max and grid.w_max, whose rules (>= 2 points, finite and > 0)
     the library does not restate: its refusals that name them, the quantum
     series cap (t_grid), the log term at the smallest |t| (t_min) and the
     Drude Lorentzian's omega^2 (omega), test what the keys give together
     with the bath. fp.sigma_x and fp.sigma_v have their one home in the
     start field, which refuses a width that is not finite and > 0 or that
-    the grid cannot sample. The other three share only the name: det.gamma,
-    fp.dt and fp.steps reach no BathParams or SimConfig. state.separation
+    the grid cannot sample. The other five share only the name: det.gamma,
+    det.n, det.t, fp.dt and fp.steps reach no BathParams, SimConfig, NoiseSpec
+    or Ohmic friction kernel. state.separation
     has its one home in superposition_state, as a Gaussian state reads no
     separation."""
     import bathdyn.cli as cli
@@ -1648,8 +1667,8 @@ def test_a_key_has_a_cli_rule_or_a_library_refusal():
     names = _refused_names()
     refused = {key for key in ruled if key.rsplit(".", 1)[-1] in names}
     assert sorted(refused | (ruled & set(cli._ALIASES.values()))) == [
-        "det.gamma", "fp.dt", "fp.steps", "grid.nt", "grid.nx", "grid.t_max", "grid.w_max",
-        "run.dt", "run.steps"]
+        "det.gamma", "det.n", "det.t", "fp.dt", "fp.steps", "grid.nt", "grid.nx", "grid.ny",
+        "grid.t_max", "grid.w_max", "run.dt", "run.steps"]
 
 
 @pytest.mark.parametrize("phase, target, text", [
@@ -1695,6 +1714,7 @@ def test_unnamed_value_error_before_finish_is_a_config_error(tmp_path, monkeypat
         {"record": "error", "exit_code": 2, "message": "config error: unnamed"}]
 
 
+_DECOHERE_GAUSSIAN = "state.kind=gaussian\nrun.steps=2\nrun.record_every=1\n"
 # (command, config, exit code, start of the stderr line) of values that failed
 # with a library message naming no key, a traceback or a numpy warning; each
 # now names its key before any work, or, for the decay-slope fit and compare's
@@ -1785,6 +1805,20 @@ _NAMED_FAILURES = {
                            "config error: bath.gamma must "),
     "compare-D-inf": ("simulate", "sim.kind=compare\ncompare.times=0.05\nrun.n_traj=50\n"
                       "bath.mass=1e-160\nbath.gamma=1e-160", 2, "config error: bath.gamma must "),
+    # spacings whose state overflowed: in the trace normalization (1e-315),
+    # the transforms' sums (5e-308), the x wavenumbers (1e-308) and the y
+    # wavenumbers (1e-310), or the Wigner momenta (dy = 1e-308)
+    "decohere-dx-1e-315": ("decohere", _DECOHERE_GAUSSIAN + "grid.dx=1e-315", 2,
+                           "config error: grid.dx must keep 2 mx my / dx finite"),
+    "decohere-dx-5e-308": ("decohere", _DECOHERE_GAUSSIAN + "grid.dx=5e-308", 2,
+                           "config error: grid.dx must keep 2 mx my / dx finite"),
+    "decohere-dx-1e-308": ("decohere", _DECOHERE_GAUSSIAN + "grid.dx=1e-308", 2,
+                           "config error: grid.dx must keep 2 mx my / dx finite"),
+    "decohere-dy-1e-310": ("decohere", _DECOHERE_GAUSSIAN + "grid.dy=1e-310", 2,
+                           "config error: grid.dy must keep pi / dy, the largest y wavenumber, "
+                           "finite (got 1e-310)"),
+    "decohere-dy-1e-308": ("decohere", _DECOHERE_GAUSSIAN + "grid.dy=1e-308", 2,
+                           "config error: grid.dy must keep pi / dy"),
 }
 
 

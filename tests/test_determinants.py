@@ -83,15 +83,15 @@ def test_first_order_op_validation():
         FirstOrderOp(np.array([1.0, 2.0]), 0.1)  # too few nodes
     with pytest.raises(ValueError):
         FirstOrderOp(np.array([1.0, 2.0, 3.0]), 0.0)
-    with pytest.raises(ValueError, match="^coefficient samples must be finite$"):
+    with pytest.raises(ValueError, match="^c must be finite at every node$"):
         FirstOrderOp([0.0, math.nan, 1.0], 0.1)
     with pytest.raises(TypeError, match="^unknown scheme: 'advanced'$"):
         first_order_det_ratio(FirstOrderOp(np.zeros(3), 0.1), "advanced")  # no Scheme
 
 
 def test_second_order_op_validation():
-    with pytest.raises(ValueError, match="^gamma and omega_sq must be sampled on the same "
-                       "nodes$"):
+    with pytest.raises(ValueError, match="^omega_sq must be sampled on the same nodes as "
+                       "gamma$"):
         SecondOrderOp(np.zeros(3), np.zeros(4), 0.1)
     with pytest.raises(ValueError, match="^dt must be > 0$"):
         SecondOrderOp(np.zeros(3), np.zeros(3), 0.0)

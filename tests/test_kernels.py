@@ -86,7 +86,7 @@ def test_friction_kernel_drude():
     # frequency partner at omega = 0 equals gamma
     g0 = friction_kernel_freq(d, 0.0)
     assert abs(complex(g0) - 1.0) < 1e-14
-    with pytest.raises(ValueError, match="^friction_kernel_freq requires a Drude model$"):
+    with pytest.raises(ValueError, match="^model must be a Drude model$"):
         friction_kernel_freq(Ohmic(gamma=1.0), 0.0)
 
 
@@ -101,8 +101,9 @@ def test_friction_kernel_ohmic_is_its_delta_limit():
     assert friction_kernel_time(ohmic, 1.0, -0.5) == 0.0
     assert type(friction_kernel_time(ohmic, 1.0, -0.5)) is float
     for bad in (0.0, -0.0, 1e-300, np.array([-1.0, 0.0]), np.array([-1.0, 2.0])):
-        with pytest.raises(ValueError, match=r"^distributional kernel: the Ohmic friction "
-                           r"kernel is 2 gamma delta\(t\); only t < 0 has a pointwise value"):
+        with pytest.raises(ValueError, match=r"^t must be < 0 for the Ohmic friction kernel: "
+                           r"it is the distribution 2 gamma delta\(t\), with a pointwise value "
+                           r"\(0\) at t < 0 only$"):
             friction_kernel_time(ohmic, 1.0, bad)
 
 
@@ -452,13 +453,15 @@ _REFUSALS = {
 @pytest.mark.parametrize("name", sorted(_REFUSALS))
 def test_discrete_and_unknown_models_are_refused_in_one_place(name):
     """kernels._continuous refuses for each: a discrete bath with a
-    ValueError carrying the function's own text, any other object with one
-    TypeError wording, which friction_kernel_time shares."""
+    ParameterError naming the model and carrying the function's own text,
+    any other object with one TypeError wording, which friction_kernel_time
+    shares."""
     call, refusal = _REFUSALS[name]
     with pytest.raises(ValueError) as exc:
         call(_DISCRETE)
-    assert type(exc.value) is ValueError
-    assert str(exc.value) == f"distributional density: {refusal}"
+    assert type(exc.value) is ParameterError and exc.value.name == "model"
+    assert str(exc.value) == ("model must be Ohmic or Drude, not a distributional density: "
+                              f"{refusal}")
     for func in (call, lambda model: friction_kernel_time(model, 1.0, 0.5)):
         with pytest.raises(TypeError) as exc:
             func("lorentzian")
@@ -478,7 +481,7 @@ def test_thermal_green_values():
     assert abs(gp.imag + gm.imag) < 1e-14
     for args, message in (((0.0, 2.0, 0.0, 1.0, 1.0), "omega must be > 0"),
                           ((1.0, 0.0, 0.0, 1.0, 1.0), "beta must be > 0"),
-                          ((1.0, 2.0, 0.0, 1.0, 0.0), "thermal_green requires hbar > 0")):
+                          ((1.0, 2.0, 0.0, 1.0, 0.0), "hbar must be > 0")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             thermal_green(*args)
 

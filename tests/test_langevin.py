@@ -164,7 +164,7 @@ def test_overdamped_guard_refuses_a_stiff_polynomial_start():
 
 @pytest.mark.parametrize("x, v", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
 def test_inertial_state_refuses_a_coordinate_that_is_not_finite(x, v):
-    with pytest.raises(ValueError, match="^state must be finite$"):
+    with pytest.raises(ValueError, match=f"^{'v' if math.isfinite(x) else 'x'} must be finite$"):
         InertialState(x, v)
 
 
