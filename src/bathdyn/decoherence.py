@@ -228,9 +228,9 @@ def _check_state(nx: int, dx: float, ny: int, dy: float, sigma: float) -> None:
     the padded lengths, _odd_padded's), the Wigner transform 2 |rho| over ny
     columns, and the x wavenumbers stay below pi / dx: 2 mx my / dx bounds
     them all, and must be finite. Along y only the wavenumbers grow as dy
-    shrinks, below pi / dy, which must be finite. With nx >= 1 and sigma resolved, the sample nearest each packet centre
-    carries at least exp(-1 / 8 _RESOLVED^2) = 0.956 of its peak, so the
-    trace is > 0.
+    shrinks, below pi / dy, which must be finite. With nx >= 1 and sigma
+    resolved, the sample nearest each packet centre carries at least
+    exp(-1 / 8 _RESOLVED^2) = 0.956 of its peak, so the trace is > 0.
 
     rho's Gaussian profiles have standard deviations s = sigma along x and
     2 sigma along y, so their spectra fall as exp(-(k s)^2 / 2); at each
@@ -277,9 +277,9 @@ def gaussian_pure_state(
 def superposition_state(nx: int, dx: float, ny: int, dy: float, separation: float,
                         sigma: float) -> DensityField:
     """Symmetric superposition of two Gaussians centered at +-separation/2.
-    nx, the spacings and sigma are tested first (_check_state), then separation:
-    finite and > 0, with each packet centre inside the span [x_lo, x_hi] of
-    the x grid, which _pure_state_field builds about 0."""
+    nx, the spacings and sigma are tested first (_check_state), then
+    separation: finite and > 0, with each packet centre inside the span
+    [x_lo, x_hi] of the x grid, which _pure_state_field builds about 0."""
     _check_state(nx, dx, ny, dy, sigma)
     _positive("separation", separation)
     half = separation / 2.0
