@@ -320,11 +320,17 @@ def _stationarity():
 
 def _welch(x, fs: float, nperseg: int):
     """Two-sided Welch estimate (frequencies in FFT order, power spectral density)
-    with a periodic Hann window, 50% overlap, no detrending and density scaling."""
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+    with a periodic Hann window, 50% overlap, no detrending and density scaling.
+    It rounds as scipy.signal.welch does, so a bin that cancels to near zero agrees
+    too: the window takes the density scale before a real FFT, its squares summed
+    in order."""
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
+    window = window * (1.0 / np.sqrt(sum(window**2) / (1.0 / fs)))
     segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::nperseg // 2]
-    power = np.abs(np.fft.fft(segments * window, axis=-1)) ** 2
-    return np.fft.fftfreq(nperseg, 1.0 / fs), power.mean(axis=0) / (fs * np.sum(window**2))
+    spectra = np.fft.rfft(segments * window, axis=-1)
+    half = spectra.real**2 + spectra.imag**2
+    power = np.concatenate((half, half[:, -2:0:-1]), axis=-1)
+    return np.fft.fftfreq(nperseg, 1.0 / fs), power.mean(axis=0)
 
 
 def _kernel_suite():
